@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from golden_reports import CONFIGS as GOLDEN_CONFIGS
+from golden_reports import compare_to_golden
 
 from wparab.cli import run_experiment
 from wparab.experiments import (
@@ -283,15 +285,18 @@ class TestAcceptance:
                f"elapsed={elapsed:.1f}s")
 
     def test_10_determinism(self, tmp_path):
+        # run a against the committed goldens, run b byte-for-byte against a
         start = time.time()
         ok = True
-        for config in ("identity.json", "power_weight.json"):
+        drift: list[str] = []
+        for config in GOLDEN_CONFIGS:
             outs = []
             for tag in ("a", "b"):
-                out = tmp_path / f"{config[:-5]}_{tag}"
-                code = run_experiment(str(CONFIG_DIR / config), str(out))
+                out = tmp_path / f"{config}_{tag}"
+                code = run_experiment(str(CONFIG_DIR / f"{config}.json"), str(out))
                 ok = ok and code == 0
                 outs.append(out)
+            drift += compare_to_golden(outs[0], config)
             files_a = sorted(p.name for p in outs[0].iterdir())
             files_b = sorted(p.name for p in outs[1].iterdir())
             ok = ok and files_a == files_b
@@ -299,4 +304,5 @@ class TestAcceptance:
                 same = filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
                 ok = ok and same
         elapsed = time.time() - start
-        report("10-determinism", ok, f"elapsed={elapsed:.1f}s")
+        report("10-determinism", ok and not drift,
+               f"golden-drift={drift[:3]} elapsed={elapsed:.1f}s")
