@@ -123,10 +123,13 @@ def run_solve(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
     w = cfg.build_weight()
     params = cfg.audit_params("solve")
     levels = [int(v) for v in params.get("levels", [32, 64, 128])]
-    t_final = float(cfg.grid.get("t_final", 0.25))
+    _, _, t_final = cfg.manufactured_grid()
     is_constant = w.kind == "power" and w.alpha == 0.0
     order_budget = float(params.get("order_min", 1.9 if is_constant else 1.0))
-    rows = convergence_study(w, levels, t_final=t_final)
+    rows, finest = convergence_study(w, levels, t_final=t_final)
+    write_solution_csv(out / "solution.csv", finest)
+    write_solution_binary(out / "solution.bin", finest)
+    del finest  # not kept alive through the a-priori sweep
     write_csv(out / "convergence.csv", ["nx", "nt", "error", "order"],
               [[r["nx"], r["nt"], r["error"], r["order"]] for r in rows])
     write_svg_curves(out / "convergence.svg",
@@ -150,9 +153,8 @@ def run_solve(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
     ratio_budget = float(params.get("ratio_budget", 50.0))
     forcing = smooth_random_forcing(seed)
     ratio_table: dict[float, list[float]] = {p: [] for p in p_values}
-    for nx in levels:
-        nt = max(int(round(t_final * nx * nx)), 4)
-        u = solve_driven(w, forcing, nx=nx, nt=nt, t_final=t_final,
+    for row in rows:  # the grids of the convergence study
+        u = solve_driven(w, forcing, nx=row["nx"], nt=row["nt"], t_final=t_final,
                          a_fun=cfg.coefficient_fn())
         for p in p_values:
             ratio_table[p].append(apriori_ratio(u, p).ratio)
@@ -172,23 +174,13 @@ def run_solve(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
         reports.append(AuditReport.from_rows(
             f"apriori-ratio-p{p:g}", rows_p, params={"p": p, "levels": levels},
             seed=seed))
-
-    # solution dump at the finest level
-    case = ManufacturedCase(w)
-    nx = levels[-1]
-    u, _ = case.solve(nx, max(int(round(t_final * nx * nx)), 4), t_final)
-    write_solution_csv(out / "solution.csv", u)
-    write_solution_binary(out / "solution.bin", u)
     return reports
 
 
 def _manufactured_solution(cfg: ExperimentConfig):
     w = cfg.build_weight()
-    nx = int(cfg.grid.get("nx", 64))
-    nt = int(cfg.grid.get("nt", max(int(round(0.25 * nx * nx)), 4)))
-    t_final = float(cfg.grid.get("t_final", 0.25))
-    case = ManufacturedCase(w)
-    u, err = case.solve(nx, nt, t_final)
+    nx, nt, t_final = cfg.manufactured_grid()
+    u, _ = ManufacturedCase(w).solve(nx, nt, t_final)
     return w, u, t_final
 
 
@@ -400,9 +392,7 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
     try:
         cfg = ExperimentConfig.load(config_path)
         selected = groups if groups else cfg.selection
-        for g in selected:
-            if g not in KNOWN_GROUPS:
-                raise ConfigError(f"unknown audit group {g!r}")
+        cfg.check_groups(selected)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

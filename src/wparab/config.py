@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +22,9 @@ class ExperimentConfig:
     seed: int
     weight_spec: dict
     coefficient: dict
-    forcing: dict
     grid: dict
     audits: dict
     selection: list[str]
-    out_dir: str | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -51,22 +48,40 @@ class ExperimentConfig:
             raise ConfigError(f"missing required config key: {exc}") from exc
         weight_spec = raw.get("weight", {"kind": "constant", "value": 1.0,
                                          "domain": [0.0, 1.0]})
-        selection = raw.get("selection", list(KNOWN_GROUPS))
-        for group in selection:
-            if group not in KNOWN_GROUPS:
-                raise ConfigError(f"unknown audit group {group!r}")
         cfg = cls(
             name=name, seed=seed, weight_spec=weight_spec,
             coefficient=raw.get("coefficient", {"base": 1.0, "oscillation": 0.0}),
-            forcing=raw.get("forcing", {"kind": "manufactured"}),
             grid=raw.get("grid", {"nx": 64, "nt": 1024, "t_final": 0.25}),
             audits=raw.get("audits", {}),
-            selection=list(selection),
-            out_dir=raw.get("out_dir"),
-            raw=raw,
+            selection=list(raw.get("selection", KNOWN_GROUPS)),
         )
         cfg.build_weight()  # validate the weight spec eagerly
+        cfg.check_groups(cfg.selection)
+        cfg.manufactured_grid()
         return cfg
+
+    def check_groups(self, groups) -> None:
+        """Reject unknown groups and inputs a selected group cannot run on."""
+        for group in groups:
+            if group not in KNOWN_GROUPS:
+                raise ConfigError(f"unknown audit group {group!r}")
+        manufactured = [g for g in ("solve", "audit", "levelset") if g in groups]
+        if manufactured and self.build_weight().kind == "sampled":
+            raise ConfigError(f"groups {manufactured} solve the manufactured problem, "
+                              "which is not defined for sampled weights")
+        levels = self.audit_params("solve").get("levels", [32, 64, 128])
+        if "solve" in groups and (not levels or min(int(v) for v in levels) < 2):
+            raise ConfigError(f"audits.solve.levels needs levels >= 2, got {levels}")
+
+    def manufactured_grid(self) -> tuple[int, int, float]:
+        """(nx, nt, t_final) of the grid section."""
+        nx = int(self.grid.get("nx", 64))
+        nt = int(self.grid.get("nt", max(int(round(0.25 * nx * nx)), 4)))
+        t_final = float(self.grid.get("t_final", 0.25))
+        if nx < 2 or nt < 1 or not t_final > 0.0:
+            raise ConfigError(f"grid needs nx >= 2, nt >= 1 and t_final > 0, "
+                              f"got {nx}, {nt}, {t_final}")
+        return nx, nt, t_final
 
     def audit_params(self, group: str) -> dict:
         params = self.audits.get(group, {})

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SpaceTimePoint, WeightedCylinder
-from .maximal import SpaceTimeField
 from .solver import (
     CoefficientField,
     Grid,
@@ -30,31 +29,22 @@ from .weights import Weight, WeightContext
 CTX1 = WeightContext(n=1, M0=10.0)
 
 
-def _series_int_pow_cos(alpha: float, y: float, terms: int = 24) -> float:
-    """int_0^y u^alpha cos(pi u) du for y in [0, 1], by the cosine series."""
+def _series_int_pow_trig(alpha: float, y: float, odd: bool, terms: int = 24) -> float:
+    """int_0^y u^alpha cos(pi u) du, or sin(pi u) if ``odd``, for y in [0, 1].
+
+    Integrates the Taylor series of the trig factor term by term; term k
+    carries the power pi^j / j! with j = 2k (cosine) or 2k + 1 (sine).
+    """
     total = 0.0
     sign = 1.0
     fact = 1.0
     for k in range(terms):
+        j = 2 * k + odd
         if k > 0:
-            fact *= (2 * k - 1) * (2 * k)
+            fact *= (j - 1) * j
             sign = -sign
-        power = 2 * k + 1 + alpha
-        total += sign * math.pi ** (2 * k) / fact * y ** power / power
-    return total
-
-
-def _series_int_pow_sin(alpha: float, y: float, terms: int = 24) -> float:
-    """int_0^y u^alpha sin(pi u) du for y in [0, 1], by the sine series."""
-    total = 0.0
-    sign = 1.0
-    fact = 1.0
-    for k in range(terms):
-        if k > 0:
-            fact *= (2 * k) * (2 * k + 1)
-            sign = -sign
-        power = 2 * k + 2 + alpha
-        total += sign * math.pi ** (2 * k + 1) / fact * y ** power / power
+        power = j + 1 + alpha
+        total += sign * math.pi ** j / fact * y ** power / power
     return total
 
 
@@ -67,10 +57,10 @@ def int_power_sin(alpha: float, c: float, x: float) -> float:
     sc, cc = math.sin(math.pi * c), math.cos(math.pi * c)
 
     def even_part(y: float) -> float:  # int_0^y |u|^a cos(pi u) du, odd extension
-        return math.copysign(_series_int_pow_cos(alpha, abs(y)), y)
+        return math.copysign(_series_int_pow_trig(alpha, abs(y), odd=False), y)
 
     def odd_part(y: float) -> float:   # int_0^y |u|^a sin(pi u) du, even extension
-        return _series_int_pow_sin(alpha, abs(y))
+        return _series_int_pow_trig(alpha, abs(y), odd=True)
 
     u1, u0 = x - c, -c
     return (sc * (even_part(u1) - even_part(u0))
@@ -115,22 +105,23 @@ def space_time_l2_error(u: SolutionField, exact) -> float:
 
 
 def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2,
-                      tau_factor: float = 1.0) -> list[dict]:
+                      tau_factor: float = 1.0) -> tuple[list[dict], SolutionField]:
     """Dyadic refinement sweep with tau proportional to h^2.
 
     Returns one row per level with the space-time L^2 error and, from the
-    second level on, the observed order against the previous level.
+    second level on, the observed order against the previous level; and
+    the solution at the last (finest) level.
     """
     case = ManufacturedCase(beta)
     rows: list[dict] = []
     prev_err = None
     for nx in levels:
         nt = max(int(round(t_final * nx * nx / tau_factor)), 4)
-        _, err = case.solve(nx, nt, t_final)
+        u, err = case.solve(nx, nt, t_final)
         order = math.log2(prev_err / err) if prev_err is not None else float("nan")
         rows.append({"nx": nx, "nt": nt, "error": err, "order": order})
         prev_err = err
-    return rows
+    return rows, u
 
 
 def smooth_random_forcing(seed: int, n_modes: int = 6):
@@ -194,10 +185,6 @@ def freeze_compare_sweep(beta: Weight, amplitudes: list[float], r: float = 0.05,
         rows.append({"amplitude": a, "eps_emp": row.lhs,
                      "delta_emp": row.extra.get("delta_emp", 0.0)})
     return rows
-
-
-def gradient_fields(u: SolutionField) -> tuple[SpaceTimeField, SpaceTimeField]:
-    return u.gradient_squared_field(), u.forcing_squared_field()
 
 
 def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:

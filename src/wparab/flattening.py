@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EllipticityViolation, GateFailed
 from .report import AuditReport, AuditRow
-from .weights import BallFamily, Weight, WeightContext
+from .weights import BallFamily, Weight, WeightContext, aq_characteristic
 
 # max |s'(y)| for the bump profile s(y) = y^2 (1 - y^2)^2 on [-1, 1]
 _BUMP_SLOPE = max(abs(2 * y * (1 - y * y) * (1 - 3 * y * y))
@@ -247,12 +247,12 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
     q = 1.0 + 2.0 / ctx.n0
     beta_grid = _transformed_weight(BoundaryChart(kind="affine", delta=0.0),
                                     beta, shape)  # same sampling for fairness
-    est_orig = aq_of_inverse(beta_grid, q, fam)
+    est_orig = aq_characteristic(beta_grid, q, fam, power=-1.0)
     if est_orig > ctx.M0:
         raise GateFailed(
             f"base weight characteristic {est_orig} exceeds budget {ctx.M0}")
     wt = _transformed_weight(chart, beta, shape)
-    est_tilde = aq_of_inverse(wt, q, fam)
+    est_tilde = aq_characteristic(wt, q, fam, power=-1.0)
     budget = 2.0 ** (n + 2) * ctx.M0
     osc = _sup_ball_oscillation(wt, fam)
     n1_fit = math.sqrt(osc) / chart.delta if chart.delta > 0 else 0.0
@@ -269,13 +269,6 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
         "weight-pushforward", rows,
         params={"delta": chart.delta, "M0": ctx.M0, "q": q,
                 "grid_shape": list(shape)})
-
-
-def aq_of_inverse(w: Weight, q: float, fam: BallFamily) -> float:
-    """Characteristic of w^{-1} in A_q over the family."""
-    from .weights import aq_characteristic
-
-    return aq_characteristic(w, q, fam, power=-1.0)
 
 
 def oscillation_delta_sweep(deltas, ctx: WeightContext,

@@ -204,6 +204,10 @@ class WeightedCylinder:
             lo = max(lo, 0.0)
         return (lo, hi)
 
+    def region(self) -> tuple[float, float, float, float]:
+        """(a, b, s, e): the first spatial interval and the time interval."""
+        return (*self.x_interval(0), *self.t_interval)
+
     def measure(self) -> float:
         vol = 1.0
         for axis in range(len(self.z0.x)):

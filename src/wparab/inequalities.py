@@ -27,14 +27,14 @@ import numpy as np
 from .errors import GateFailed
 from .report import AuditReport, AuditRow
 from .weights import (
+    _GL16_NODES,
+    _GL16_WEIGHTS,
     BallFamily,
     Weight,
     WeightContext,
     aq_characteristic,
     reverse_holder_gamma,
 )
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass
@@ -160,11 +160,11 @@ def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         if half <= 0.0:
             continue
-        xq = mid + half * _GL_NODES
+        xq = mid + half * _GL16_NODES
         vals = np.asarray(fn(xq), dtype=float)
         if weight is not None:
             vals = vals * weight(xq) ** power
-        total += half * float(np.sum(_GL_WEIGHTS * vals))
+        total += half * float(np.sum(_GL16_WEIGHTS * vals))
     if singular is not None:
         q_eff = weight.alpha * power
         if q_eff <= -1.0:
@@ -308,8 +308,7 @@ class SpaceTimeTestFunction:
 def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
                         x0: float, r: float, t_span: tuple[float, float],
                         thetas: np.ndarray | None = None,
-                        budget: float = math.inf, half: bool = False,
-                        ctx: WeightContext | None = None) -> AuditReport:
+                        budget: float = math.inf, half: bool = False) -> AuditReport:
     """Weighted space-time mass against the interpolation right-hand side.
 
     Reports the smallest admissible constant over a theta grid and the

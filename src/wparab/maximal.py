@@ -26,6 +26,7 @@ from .errors import PreconditionFailed
 from .geometry import (
     SpaceTimePoint,
     WeightedCylinder,
+    _height_vec,
     estimate_quasi_params,
     height,
 )
@@ -119,12 +120,6 @@ class SpaceTimeField:
                 - self._sat_at(b, s) + self._sat_at(a, s))
 
 
-def _heights_at(beta: Weight, centers: np.ndarray, rho: float,
-                ctx: WeightContext) -> np.ndarray:
-    from .geometry import _height_vec
-    return _height_vec(beta, centers, np.full_like(centers, rho), ctx)
-
-
 def maximal_function(g: SpaceTimeField, beta: Weight, z: SpaceTimePoint,
                      radii: np.ndarray, ctx: WeightContext,
                      window: tuple[float, float, float, float] | None = None) -> float:
@@ -149,7 +144,7 @@ def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
     gabs = g.abs_field()
     best = np.zeros_like(X)
     for rho in radii:
-        h = _heights_at(beta, X, float(rho), ctx)
+        h = _height_vec(beta, X, np.full_like(X, rho), ctx)
         a, b = X - rho, X + rho
         s, e = T - 0.5 * h, T + 0.5 * h
         if window is not None:
@@ -211,17 +206,6 @@ class CoveringFamily:
     selected: list[int]
     discarded: list[int]
 
-    def marks(self) -> list[str]:
-        sel = set(self.selected)
-        return ["selected" if i in sel else "discarded"
-                for i in range(len(self.cylinders))]
-
-
-def _extent(cyl: WeightedCylinder) -> tuple[float, float, float, float]:
-    a, b = cyl.x_interval(0)
-    s, e = cyl.t_interval
-    return a, b, s, e
-
 
 def _rect_intersect(r1, r2) -> bool:
     # strict comparisons: shared edges carry zero measure and do not count
@@ -240,7 +224,7 @@ def vitali_select(cylinders: list[WeightedCylinder], beta: Weight) -> CoveringFa
     order = sorted(range(len(cylinders)),
                    key=lambda i: (-cylinders[i].r, i))
     selected: list[int] = []
-    extents = [_extent(c) for c in cylinders]
+    extents = [c.region() for c in cylinders]
     for i in order:
         if all(not _rect_intersect(extents[i], extents[j]) for j in selected):
             selected.append(i)
@@ -262,15 +246,15 @@ def five_rho_cover_audit(family: CoveringFamily, beta: Weight, ctx: WeightContex
     overlaps = 0
     for i_pos, i in enumerate(family.selected):
         for j in family.selected[i_pos + 1:]:
-            if _rect_intersect(_extent(cyls[i]), _extent(cyls[j])):
+            if _rect_intersect(cyls[i].region(), cyls[j].region()):
                 overlaps += 1
     dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r, beta, ctx, variant="C")
                for i in family.selected]
-    dil_extents = [_extent(d) for d in dilated]
+    dil_extents = [d.region() for d in dilated]
     nx, nt = lattice
     uncovered = 0
     for cyl in cyls:
-        a, b, s, e = _extent(cyl)
+        a, b, s, e = cyl.region()
         gx = np.linspace(a, b, nx)
         gt = np.linspace(s, e, nt)
         for xx in gx:

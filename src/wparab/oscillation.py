@@ -16,7 +16,7 @@ their sum against a configured threshold delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class OscillationConfig:
     centers: np.ndarray | None = None
     n_radii: int = 24
     r_min: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.R0 < 1.0:

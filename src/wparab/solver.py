@@ -20,7 +20,7 @@ negative-order norm is represented throughout by the flux proxy
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -147,81 +147,43 @@ class SolutionField:
         return SolutionField(self.grid, self.u * c, self.beta, self.beta_cells,
                              self.A, self.F * c)
 
-    # -- region selection ----------------------------------------------------
+    # -- space-time boxes ----------------------------------------------------
 
-    def _time_slices(self, t_lo: float, t_hi: float) -> np.ndarray:
+    def block(self, values: np.ndarray, region) -> np.ndarray:
+        """The part of a node or face array inside region = (a, b, s, e).
+
+        Rows are the implicit time levels t_k in (s, e], k >= 1. Columns are
+        the nodes in [a, b] when ``values`` has nx + 1 columns, else the
+        faces in [a, b].
+        """
+        a, b, s, e = region
         t = self.grid.t
-        fuzz = 1e-12 * max(1.0, abs(t_hi))
-        idx = np.nonzero((t > t_lo + fuzz) & (t <= t_hi + fuzz))[0]
-        return idx[idx >= 1]  # implicit samples only
+        fuzz = 1e-12 * max(1.0, abs(e))
+        ks = np.nonzero((t > s + fuzz) & (t <= e + fuzz))[0]
+        ks = ks[ks >= 1]
+        if values.shape[1] == self.grid.nx + 1:
+            x = self.grid.x
+            cols = (x >= a - 1e-12) & (x <= b + 1e-12)
+        else:
+            f = self.grid.faces
+            cols = (f >= a) & (f <= b)
+        return values[ks][:, cols]
 
-    def _node_mask(self, a: float, b: float) -> np.ndarray:
-        x = self.grid.x
-        return (x >= a - 1e-12) & (x <= b + 1e-12)
-
-    def _face_mask(self, a: float, b: float) -> np.ndarray:
-        f = self.grid.faces
-        return (f >= a) & (f <= b)
-
-    # -- norms over a space-time box -----------------------------------------
-
-    def lp_grad(self, p: float, region) -> float:
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        fm = self._face_mask(a, b)
-        g = np.abs(self.grad()[ks][:, fm])
-        return float((np.sum(g ** p) * self.grid.h * self.grid.tau) ** (1.0 / p))
-
-    def lp_u(self, p: float, region) -> float:
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        nm = self._node_mask(a, b)
-        vals = np.abs(self.u[ks][:, nm])
-        return float((np.sum(vals ** p) * self.grid.h * self.grid.tau) ** (1.0 / p))
-
-    def lp_forcing(self, p: float, region) -> float:
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        fm = self._face_mask(a, b)
-        vals = np.abs(self.F[ks][:, fm])
-        return float((np.sum(vals ** p) * self.grid.h * self.grid.tau) ** (1.0 / p))
-
-    def lp_flux_proxy(self, p: float, region) -> float:
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        fm = self._face_mask(a, b)
-        vals = np.abs(self.flux_proxy()[ks][:, fm])
+    def lp(self, values: np.ndarray, p: float, region) -> float:
+        """Discrete L^p norm of a node or face array over the region."""
+        vals = np.abs(self.block(values, region))
         return float((np.sum(vals ** p) * self.grid.h * self.grid.tau) ** (1.0 / p))
 
     def sup_weighted_energy(self, region) -> float:
         """sup over slices of the weighted L^2 mass of u."""
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        nm = self._node_mask(a, b)
-        w = self.beta_cells[nm]
         best = 0.0
-        for k in ks:
-            best = max(best, float(np.sum(self.u[k, nm] ** 2 * w) * self.grid.h))
+        for row in self.block(self.u ** 2 * self.beta_cells, region):
+            best = max(best, float(np.sum(row) * self.grid.h))
         return best
 
-    def mean_u(self, region) -> float:
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        nm = self._node_mask(a, b)
-        vals = self.u[ks][:, nm]
-        return float(np.mean(vals))
-
     def region_measure(self, region) -> float:
-        a, b, s, e = region
-        ks = self._time_slices(s, e)
-        nm = self._face_mask(a, b)
-        return float(len(ks) * self.grid.tau * np.sum(nm) * self.grid.h)
-
-
-def cylinder_region(cyl: WeightedCylinder) -> tuple[float, float, float, float]:
-    a, b = cyl.x_interval(0)
-    s, e = cyl.t_interval
-    return a, b, s, e
+        n_slices, n_faces = self.block(self.F, region).shape
+        return float(n_slices * self.grid.tau * n_faces * self.grid.h)
 
 
 def write_solution_csv(path, u: SolutionField):
@@ -257,38 +219,26 @@ def write_solution_binary(path, u: SolutionField):
     return Path(path)
 
 
-def _step_matrix(beta_cells, a_faces, h, tau):
-    """Banded interior matrix for one implicit step (SPD tridiagonal)."""
+def _implicit_step(beta_cells, a_faces, h, tau, rhs, step: int) -> np.ndarray:
+    """Interior values after one backward Euler step (SPD tridiagonal solve)."""
     m = beta_cells.size - 2
-    diag = beta_cells[1:-1] / tau + (a_faces[1:] + a_faces[:-1]) / h ** 2
-    lower = -a_faces[1:-1] / h ** 2
     ab = np.zeros((3, m))
-    ab[0, 1:] = lower
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
-
-
-def _apply_operator(a_faces: np.ndarray, F_row: np.ndarray, u_row: np.ndarray,
-                    h: float) -> np.ndarray:
-    """Flux divergence plus forcing divergence at interior nodes."""
-    flux = a_faces * np.diff(u_row) / h
-    return np.diff(flux) / h + np.diff(F_row) / h
+    ab[0, 1:] = ab[2, :-1] = -a_faces[1:-1] / h ** 2
+    ab[1, :] = beta_cells[1:-1] / tau + (a_faces[1:] + a_faces[:-1]) / h ** 2
+    try:
+        return solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise SingularSystem(f"step {step} failed to factor") from exc
 
 
 def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
-               initial: np.ndarray | None = None,
-               theta: float = 1.0) -> SolutionField:
-    """March the time-stepping scheme with zero lateral Dirichlet data.
+               initial: np.ndarray | None = None) -> SolutionField:
+    """March backward Euler with zero lateral Dirichlet data.
 
     ``F`` holds face samples per time level; ``initial`` holds node values
-    at t = 0 (defaults to zero). ``theta`` = 1 is backward Euler, the
-    scheme every audit runs on (unconditionally stable for degenerate
-    weights); theta = 1/2 is the trapezoidal option. Each step solves one
-    tridiagonal system.
+    at t = 0 (defaults to zero). The scheme is unconditionally stable for
+    degenerate weights; each step solves one tridiagonal system.
     """
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError("theta must lie in [1/2, 1]")
     if A.values.shape != (grid.nt + 1, grid.nx):
         raise ValueError("coefficient field does not match the grid")
     if F.shape != (grid.nt + 1, grid.nx):
@@ -301,16 +251,8 @@ def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
         u[0, -1] = 0.0
     h, tau = grid.h, grid.tau
     for k in range(grid.nt):
-        a_faces = A.values[k + 1]
-        # (1/theta) * (beta/tau + theta * stiffness) = beta/(theta tau) + stiff
-        ab = _step_matrix(beta_cells, a_faces, h, theta * tau)
-        rhs = beta_cells[1:-1] / tau * u[k, 1:-1] + theta * np.diff(F[k + 1]) / h
-        if theta < 1.0:
-            rhs += (1.0 - theta) * _apply_operator(A.values[k], F[k], u[k], h)
-        try:
-            u[k + 1, 1:-1] = solve_banded((1, 1), ab, rhs / theta)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularSystem(f"step {k + 1} failed to factor") from exc
+        rhs = beta_cells[1:-1] / tau * u[k, 1:-1] + np.diff(F[k + 1]) / h
+        u[k + 1, 1:-1] = _implicit_step(beta_cells, A.values[k + 1], h, tau, rhs, k + 1)
         if not np.all(np.isfinite(u[k + 1])):
             raise SingularSystem(f"step {k + 1} produced non-finite values")
     return SolutionField(grid=grid, u=u, beta=beta, beta_cells=beta_cells,
@@ -363,14 +305,10 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
         left = 0.0 if problem.left_zero else float(data(np.array([a]), t_next)[0])
         right = float(data(np.array([b]), t_next)[0])
         a_faces = A.values[k + 1]
-        ab_mat = _step_matrix(beta_cells, a_faces, h, tau)
         rhs = beta_cells[1:-1] / tau * u[k, 1:-1]
         rhs[0] += a_faces[0] * left / h ** 2
         rhs[-1] += a_faces[-1] * right / h ** 2
-        try:
-            u[k + 1, 1:-1] = solve_banded((1, 1), ab_mat, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularSystem(f"frozen step {k + 1} failed to factor") from exc
+        u[k + 1, 1:-1] = _implicit_step(beta_cells, a_faces, h, tau, rhs, k + 1)
         u[k + 1, 0] = left
         u[k + 1, -1] = right
     beta_const = Weight.constant(problem.beta_bar, (a, b))
@@ -391,20 +329,17 @@ def energy_audit(u: SolutionField, inner: WeightedCylinder,
     form): the same left side against the cutoff-weighted right side with
     the 1 + 1/r^2 + b(x)/h(2r) factors.
     """
-    reg_in = cylinder_region(inner)
-    reg_out = cylinder_region(outer)
-    lhs = u.sup_weighted_energy(reg_in) + u.lp_grad(2.0, reg_in) ** 2
-    rhs1 = u.lp_u(2.0, reg_out) ** 2 + u.lp_forcing(2.0, reg_out) ** 2
+    reg_in = inner.region()
+    reg_out = outer.region()
+    lhs = u.sup_weighted_energy(reg_in) + u.lp(u.grad(), 2.0, reg_in) ** 2
+    f_sq = u.lp(u.F, 2.0, reg_out) ** 2
+    rhs1 = u.lp(u.u, 2.0, reg_out) ** 2 + f_sq
     n1 = lhs / rhs1 if rhs1 > 0 else 0.0
 
     r = outer.r / 2.0
-    a, b, s, e = reg_out
-    ks = u._time_slices(s, e)
-    nm = u._node_mask(a, b)
-    w = u.beta_cells[nm]
-    factor = 1.0 + 1.0 / r ** 2 + w / outer.h
-    rhs2 = float(np.sum(u.u[ks][:, nm] ** 2 * factor) * u.grid.h * u.grid.tau)
-    rhs2 += u.lp_forcing(2.0, reg_out) ** 2
+    factor = 1.0 + 1.0 / r ** 2 + u.beta_cells / outer.h
+    rhs2 = float(np.sum(u.block(u.u ** 2 * factor, reg_out)) * u.grid.h * u.grid.tau)
+    rhs2 += f_sq
     n2 = lhs / rhs2 if rhs2 > 0 else 0.0
     rows = [
         AuditRow(label="caccioppoli-improved", lhs=lhs, rhs=rhs1, constant=n1,
@@ -430,19 +365,16 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str = "inte
     """
     if variant not in ("interior", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
-    reg = cylinder_region(cyl)
+    reg = cyl.region()
     x0 = cyl.z0.x
     theta2 = theta_beta_ms(u.beta, x0, cyl.r)
     if budget * theta2 >= 1.0:
         raise GateFailed(
             f"oscillation term too large: budget*theta^2 = {budget * theta2}")
-    mean = u.mean_u(reg) if variant == "interior" else 0.0
-    a, b, s, e = reg
-    ks = u._time_slices(s, e)
-    nm = u._node_mask(a, b)
-    dev = u.u[ks][:, nm] - mean
-    lhs = float(np.sum(dev ** 2) * u.grid.h * u.grid.tau)
-    grad_term = cyl.r ** 2 * (u.lp_grad(2.0, reg) ** 2 + u.lp_forcing(2.0, reg) ** 2)
+    vals = u.block(u.u, reg)
+    mean = float(np.mean(vals)) if variant == "interior" else 0.0
+    lhs = float(np.sum((vals - mean) ** 2) * u.grid.h * u.grid.tau)
+    grad_term = cyl.r ** 2 * (u.lp(u.grad(), 2.0, reg) ** 2 + u.lp(u.F, 2.0, reg) ** 2)
     denom = grad_term + theta2 * lhs
     n_emp = lhs / denom if denom > 0 else 0.0
     row = AuditRow(label=f"poincare-{variant}", lhs=lhs, rhs=denom, constant=n_emp,
@@ -469,21 +401,17 @@ def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
         a, b, s, e = region
         return a, b, s - t_base, e - t_base
 
-    reg_in = local(cylinder_region(inner))
-    reg_out = local(cylinder_region(outer))
-    a, b, s, e = reg_in
-    ks = v._time_slices(s, e)
-    fm = v._face_mask(a, b)
-    nm = v._node_mask(a, b)
-    g = v.grad()
-    sup_grad = float(np.max(np.abs(g[ks][:, fm]))) if len(ks) and fm.any() else 0.0
-    vt = np.diff(v.u, axis=0) / v.grid.tau  # rows: slopes into t_{k+1}
-    ks_vt = ks[ks >= 1] - 1
-    sup_vt = float(np.max(np.abs(vt[ks_vt][:, nm]))) if len(ks_vt) else 0.0
+    reg_in = local(inner.region())
+    reg_out = local(outer.region())
+    g = v.block(v.grad(), reg_in)
+    sup_grad = float(np.max(np.abs(g))) if g.size else 0.0
+    # row k: the slope into t_k (row 0 is zero and never selected)
+    vt = v.block(np.diff(v.u, axis=0, prepend=v.u[:1]) / v.grid.tau, reg_in)
+    sup_vt = float(np.max(np.abs(vt))) if vt.size else 0.0
     r = inner.r
     lhs = r * beta_bar * sup_vt + sup_grad
     size = v.region_measure(reg_out)
-    rhs = math.sqrt(v.lp_grad(2.0, reg_out) ** 2 / size) if size > 0 else 0.0
+    rhs = math.sqrt(v.lp(v.grad(), 2.0, reg_out) ** 2 / size) if size > 0 else 0.0
     n_emp = lhs / rhs if rhs > 0 else 0.0
     row = AuditRow(label="frozen-lipschitz", lhs=lhs, rhs=rhs, constant=n_emp,
                    budget=budget, passed=bool(n_emp <= budget),
@@ -524,9 +452,9 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     beta = u.beta
     cyl4 = WeightedCylinder(cyl_base.z0, 4.0 * r, beta, ctx, variant="Q")
     cyl2 = WeightedCylinder(cyl_base.z0, 2.0 * r, beta, ctx, variant="Q")
-    reg4 = cylinder_region(cyl4)
+    reg4 = cyl4.region()
     size4 = u.region_measure(reg4)
-    grad_ms = u.lp_grad(2.0, reg4) ** 2 / size4 if size4 > 0 else 0.0
+    grad_ms = u.lp(u.grad(), 2.0, reg4) ** 2 / size4 if size4 > 0 else 0.0
     if grad_ms == 0.0:
         row = AuditRow(label="gradient-gap", lhs=0.0, rhs=0.0, constant=0.0,
                        budget=eps_budget, passed=True,
@@ -537,10 +465,10 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     u_hat = u.scaled(1.0 / lam)
 
     beta_bar = beta.mean_global(1.0, x0, 4.0 * r)
-    xs_quad = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
+    xs = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
 
     def a_bar(t):
-        return float(np.mean([A_fun(xx, t) for xx in xs_quad]))
+        return float(np.mean([A_fun(xx, t) for xx in xs]))
 
     problem = FrozenProblem(
         beta_bar=beta_bar, a_bar=a_bar,
@@ -550,30 +478,23 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
 
     # compare gradients on the local grid restricted to the 2r cylinder;
     # the local time axis starts at the bottom of the 4r cylinder
-    a2, b2 = cyl2.x_interval(0)
-    s2, e2 = cyl2.t_interval
+    a2, b2, s2, e2 = cyl2.region()
     t_base = cyl4.t_interval[0]
-    ks = v._time_slices(s2 - t_base, e2 - t_base)
-    fm = v._face_mask(a2, b2)
-    gv = v.grad()[ks][:, fm]
+    reg2 = (a2, b2, s2 - t_base, e2 - t_base)
     u_interp = _interp_solution(u_hat)
-    gu = np.empty_like(gv)
-    xl = v.grid.x
-    for row_i, k in enumerate(ks):
-        nodes = u_interp(xl, t_base + v.grid.t[k])
-        gu[row_i] = np.diff(nodes)[fm] / v.grid.h
-    gap = gu - gv
+    gu = np.array([np.diff(u_interp(v.grid.x, t_base + t)) / v.grid.h
+                   for t in v.grid.t])
+    gap = v.block(gu, reg2) - v.block(v.grad(), reg2)
     eps_emp = math.sqrt(float(np.mean(gap ** 2))) if gap.size else 0.0
 
     th_b = theta_beta_ms(beta, x0, 4.0 * r)
-    xs = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
     ts = np.linspace(s2, cyl4.t_interval[1], 17)
     th_a = 0.0
     for t in ts:
         vals = np.array([A_fun(xx, t) for xx in xs])
         th_a += float(np.mean((vals - vals.mean()) ** 2))
     th_a /= len(ts)
-    f_ms = u_hat.lp_forcing(2.0, reg4) ** 2 / size4
+    f_ms = u_hat.lp(u_hat.F, 2.0, reg4) ** 2 / size4
     delta_emp = math.sqrt(th_a + th_b + f_ms)
     row = AuditRow(label="gradient-gap", lhs=eps_emp, rhs=delta_emp,
                    constant=eps_emp, budget=eps_budget,
@@ -623,10 +544,10 @@ def apriori_ratio(u: SolutionField, p: float) -> NormReport:
         raise ValueError("exponent p must be >= 2")
     grid = u.grid
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
-    grad_norm = u.lp_grad(p, region)
-    proxy_norm = u.lp_flux_proxy(p, region)
-    u_norm = u.lp_u(p, region)
-    f_norm = u.lp_forcing(p, region)
+    grad_norm = u.lp(u.grad(), p, region)
+    proxy_norm = u.lp(u.flux_proxy(), p, region)
+    u_norm = u.lp(u.u, p, region)
+    f_norm = u.lp(u.F, p, region)
     w_l2 = math.sqrt(float(np.sum(u.u[1:] ** 2 * u.beta_cells[None, :])
                            * grid.h * grid.tau))
     sup_e = u.sup_weighted_energy(region)
@@ -660,7 +581,7 @@ def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,
         diff = (u.u[k + shift_steps] - u.u[k]) * phi
         lhs += float(np.sum(diff ** 2 * w) * grid.h) * grid.tau
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
-    proxy = u.lp_flux_proxy(2.0, region)
+    proxy = u.lp(u.flux_proxy(), 2.0, region)
     prod = u.u * phi[None, :] ** 2
     l2_sq = float(np.sum(prod[1:] ** 2) * grid.h * grid.tau)
     gprod = np.diff(prod, axis=1) / grid.h

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptyBall, NonIntegrable
+from .errors import EmptyBall, EmptyRegion, NonIntegrable
 from .report import AuditReport, AuditRow
 
 # Sample floors below this are rejected: their reciprocal powers overflow.
@@ -351,47 +351,19 @@ class Weight:
         d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
         return float(d.min()), float(d.max())
 
-    def ess_inf(self, center, r: float) -> float:
-        """Essential infimum of w over B_r(center) ∩ domain (grid-based)."""
+    def ess_range(self, center, r: float) -> tuple[float, float]:
+        """Essential (inf, sup) of w over B_r(center) ∩ domain (grid-based)."""
         c = np.atleast_1d(np.asarray(center, dtype=float))
         if self.kind == "power":
-            dmin, dmax = self._power_dist_range(center, r)
-            dist = dmin if self.alpha >= 0 else dmax
-            if dist == 0.0 and self.alpha < 0:
-                return math.inf
-            return self.scale * dist ** self.alpha if dist > 0 else (
-                0.0 if self.alpha > 0 else self.scale)
-        if self.n == 1:
-            (lo, hi), = self.domain
-            a, b = _interval_overlap(c[0] - r, c[0] + r, lo, hi)
-            if a >= b:
-                raise EmptyBall("ball misses the domain")
-            if self.quadrature == "midpoint":
-                edges, _ = self._cum_1d(1.0)
-                i0 = int(np.searchsorted(edges, a, side="right")) - 1
-                i1 = int(np.searchsorted(edges, b, side="left"))
-                return float(np.min(self.samples[max(i0, 0):i1]))
-            nodes = np.linspace(lo, hi, self.samples.size)
-            sel = (nodes >= a) & (nodes <= b)
-            vals = [np.interp(a, nodes, self.samples), np.interp(b, nodes, self.samples)]
-            if np.any(sel):
-                vals.append(float(np.min(self.samples[sel])))
-            return float(min(vals))
-        pts = _disc_probe_points(c, r, self.domain)
-        if pts.size == 0:
-            raise EmptyBall("ball misses the domain")
-        return float(np.min(self(pts)))
+            def at(dist: float) -> float:
+                if dist == 0.0 and self.alpha < 0:
+                    return math.inf
+                return self.scale * dist ** self.alpha if dist > 0 else (
+                    0.0 if self.alpha > 0 else self.scale)
 
-    def ess_sup(self, center, r: float) -> float:
-        """Essential supremum of w over B_r(center) ∩ domain (grid-based)."""
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if self.kind == "power":
             dmin, dmax = self._power_dist_range(center, r)
-            dist = dmax if self.alpha >= 0 else dmin
-            if dist == 0.0 and self.alpha < 0:
-                return math.inf
-            return self.scale * dist ** self.alpha if dist > 0 else (
-                0.0 if self.alpha > 0 else self.scale)
+            near, far = at(dmin), at(dmax)
+            return (near, far) if self.alpha >= 0 else (far, near)
         if self.n == 1:
             (lo, hi), = self.domain
             a, b = _interval_overlap(c[0] - r, c[0] + r, lo, hi)
@@ -401,17 +373,18 @@ class Weight:
                 edges, _ = self._cum_1d(1.0)
                 i0 = int(np.searchsorted(edges, a, side="right")) - 1
                 i1 = int(np.searchsorted(edges, b, side="left"))
-                return float(np.max(self.samples[max(i0, 0):i1]))
-            nodes = np.linspace(lo, hi, self.samples.size)
-            sel = (nodes >= a) & (nodes <= b)
-            vals = [np.interp(a, nodes, self.samples), np.interp(b, nodes, self.samples)]
-            if np.any(sel):
-                vals.append(float(np.max(self.samples[sel])))
-            return float(max(vals))
-        pts = _disc_probe_points(c, r, self.domain)
-        if pts.size == 0:
-            raise EmptyBall("ball misses the domain")
-        return float(np.max(self(pts)))
+                vals = self.samples[max(i0, 0):i1]
+            else:
+                nodes = np.linspace(lo, hi, self.samples.size)
+                sel = (nodes >= a) & (nodes <= b)
+                vals = np.concatenate([np.interp([a, b], nodes, self.samples),
+                                       self.samples[sel]])
+        else:
+            pts = _disc_probe_points(c, r, self.domain)
+            if pts.size == 0:
+                raise EmptyBall("ball misses the domain")
+            vals = self(pts)
+        return float(np.min(vals)), float(np.max(vals))
 
     # -- 2D helpers ----------------------------------------------------------
 
@@ -543,6 +516,8 @@ class BallFamily:
     def __post_init__(self) -> None:
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.radii = np.asarray(self.radii, dtype=float)
+        if self.centers.size == 0 or self.radii.size == 0:
+            raise EmptyRegion("ball family needs at least one center and one radius")
         if np.any(np.diff(self.radii) <= 0.0) or np.any(self.radii <= 0.0):
             raise ValueError("radii must be positive and strictly increasing")
 
@@ -579,14 +554,6 @@ class BallFamily:
 # -- operations -------------------------------------------------------------
 
 
-def ball_average(w: Weight, x0, r: float, p: float) -> float:
-    """Mean of w^p over B_r(x0) ∩ domain (closed form for power weights)."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    w.check_power_integrable(p)
-    return w.mean(p, x0, r)
-
-
 def _aq_ball(w: Weight, s: float, q: float, center, r: float) -> float:
     """A_q quantity of the weight w^s on one ball."""
     m = w.mean(s, center, r)
@@ -595,7 +562,8 @@ def _aq_ball(w: Weight, s: float, q: float, center, r: float) -> float:
     if s == 0.0:
         return m
     # A_1 branch: esssup of w^{-s} over the ball.
-    base = w.ess_inf(center, r) if s > 0 else w.ess_sup(center, r)
+    lo, hi = w.ess_range(center, r)
+    base = lo if s > 0 else hi
     if base == 0.0 or not math.isfinite(base):
         return math.inf
     return m * base ** (-s)

@@ -129,10 +129,10 @@ class TestAcceptance:
 
     def test_04_solver_convergence(self):
         start = time.time()
-        rows1 = convergence_study(Weight.constant(1.0, (0.0, 1.0)),
+        rows1, _ = convergence_study(Weight.constant(1.0, (0.0, 1.0)),
                                   [32, 64, 128], t_final=0.2)
         orders1 = [r["order"] for r in rows1[1:]]
-        rows2 = convergence_study(Weight.power(0.2, 0.5, (0.0, 1.0)),
+        rows2, _ = convergence_study(Weight.power(0.2, 0.5, (0.0, 1.0)),
                                   [32, 64, 128], t_final=0.2)
         orders2 = [r["order"] for r in rows2[1:]]
         ok = min(orders1) >= 1.9 and min(orders2) >= 1.0

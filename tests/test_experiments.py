@@ -42,7 +42,7 @@ class TestForcing:
 
 class TestConvergenceRows:
     def test_row_structure(self):
-        rows = convergence_study(Weight.constant(1.0, (0.0, 1.0)), [8, 16],
+        rows, _ = convergence_study(Weight.constant(1.0, (0.0, 1.0)), [8, 16],
                                  t_final=0.1)
         assert math.isnan(rows[0]["order"])
         assert rows[1]["order"] > 0.0

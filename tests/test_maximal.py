@@ -179,7 +179,7 @@ class TestVitali:
         assert fam.discarded == [1]
 
     def test_random_family_invariants(self):
-        from wparab.maximal import _extent, _rect_intersect
+        from wparab.maximal import _rect_intersect
 
         beta = Weight.constant(1.0, (-1.0, 1.0))
         rng = np.random.default_rng(13)
@@ -194,7 +194,7 @@ class TestVitali:
             if i in sel:
                 continue
             assert any(cyls[j].r >= c.r - 1e-15
-                       and _rect_intersect(_extent(c), _extent(cyls[j]))
+                       and _rect_intersect(c.region(), cyls[j].region())
                        for j in fam.selected), f"cylinder {i} uncovered"
 
     def test_permutation_invariance_up_to_radius_ties(self):

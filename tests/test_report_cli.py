@@ -154,10 +154,25 @@ class TestCliExits:
         assert (tmp_path / "out" /
                 "weights__heat-capacity-weight-condition.json").exists()
 
-    def test_exit_two_on_config_error(self, tmp_path):
+    def test_exit_two_on_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert run_experiment(str(bad), str(tmp_path / "out")) == 2
+        sampled = {"kind": "sampled", "domain": [0.0, 1.0],
+                   "samples": [1.0, 2.0, 1.0, 2.0]}
+        for overrides in (
+                {"selection": ["solve"], "audits": {"solve": {"levels": []}}},
+                {"grid": {"nx": 1, "nt": 64, "t_final": 0.1}},
+                {"weight": sampled, "selection": ["solve"]},
+                {"weight": sampled, "selection": ["audit"]},
+                {"weight": sampled, "selection": ["levelset"]}):
+            cfg = self.write_config(tmp_path, overrides)
+            assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
+        # a group named on the command line is checked the same way
+        cfg = self.write_config(tmp_path, {"weight": sampled})
+        assert run_experiment(str(cfg), str(tmp_path / "out"), groups=["solve"]) == 2
+        err = capsys.readouterr().err
+        assert "levels" in err and "nx >= 2" in err and "sampled" in err
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data

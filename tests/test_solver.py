@@ -13,7 +13,6 @@ from wparab.experiments import (
     int_power_sin,
     smooth_random_forcing,
     solve_driven,
-    space_time_l2_error,
 )
 from wparab.geometry import SpaceTimePoint, WeightedCylinder
 from wparab.solver import (
@@ -122,12 +121,12 @@ class TestManufactured:
             assert int_power_sin(alpha, c, x) == pytest.approx(ref, rel=1e-9)
 
     def test_unit_weight_second_order(self):
-        rows = convergence_study(BETA1, [16, 32, 64], t_final=0.2)
+        rows, _ = convergence_study(BETA1, [16, 32, 64], t_final=0.2)
         orders = [r["order"] for r in rows[1:]]
         assert min(orders) >= 1.9
 
     def test_degenerate_weight_first_order_or_better(self):
-        rows = convergence_study(BETA_POW, [16, 32, 64], t_final=0.2)
+        rows, _ = convergence_study(BETA_POW, [16, 32, 64], t_final=0.2)
         orders = [r["order"] for r in rows[1:]]
         assert min(orders) >= 1.0
 
@@ -301,39 +300,6 @@ class TestLipschitz:
             consts.append(lipschitz_audit(v, inner, outer, 1.0).rows[0].constant)
         assert max(consts) < 10.0 * min(consts)
         assert all(np.isfinite(c) and c > 0 for c in consts)
-
-
-class TestThetaScheme:
-    def test_theta_one_is_backward_euler(self):
-        case = ManufacturedCase(BETA1)
-        grid = small_grid(nx=16, nt=16)
-        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
-        F = forcing_from_callable(case.forcing, grid)
-        init = case.exact(grid.x, 0.0)
-        u_default = solve_ivbp(BETA1, A, F, grid, initial=init)
-        u_theta = solve_ivbp(BETA1, A, F, grid, initial=init, theta=1.0)
-        assert np.array_equal(u_default.u, u_theta.u)
-
-    def test_trapezoidal_second_order_in_time(self):
-        # tau proportional to h: the theta = 1/2 option stays second order
-        case = ManufacturedCase(BETA1)
-        errs = []
-        for n in (16, 32, 64):
-            grid = Grid(x0=0.0, x1=1.0, nx=n, t_final=0.2, nt=n)
-            A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
-            F = forcing_from_callable(case.forcing, grid)
-            u = solve_ivbp(BETA1, A, F, grid, initial=case.exact(grid.x, 0.0),
-                           theta=0.5)
-            errs.append(space_time_l2_error(u, case.exact))
-        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-        assert min(orders) >= 1.9
-
-    def test_invalid_theta_rejected(self):
-        grid = small_grid(nx=8, nt=4)
-        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
-        F = np.zeros((grid.nt + 1, grid.nx))
-        with pytest.raises(ValueError):
-            solve_ivbp(BETA1, A, F, grid, theta=0.25)
 
 
 class TestFreezeCompare:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wparab.errors import EmptyBall, NonIntegrable
+from wparab.errors import EmptyBall, EmptyRegion, NonIntegrable
 from wparab.weights import (
     BallFamily,
     Weight,
     WeightContext,
     aq_characteristic,
-    ball_average,
     check_beta_condition,
     doubling_eta,
     doubling_report,
@@ -31,45 +30,45 @@ def brute_mean(profile, a, b, p, n_cells=40000):
 class TestBallAverage:
     def test_identity_weight(self):
         w = Weight.constant(1.0, DOM)
-        assert ball_average(w, 0.0, 0.7, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert w.mean(1.0, 0.0, 0.7) == pytest.approx(1.0, abs=1e-14)
 
     def test_power_half_p1(self):
         # antiderivative oracle: mean of |x|^(1/2) over (-r, r) is r^a/(1+a)
         w = Weight.power(0.5, 0.0, DOM)
-        assert ball_average(w, 0.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert w.mean(1.0, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_power_half_reciprocal(self):
         w = Weight.power(0.5, 0.0, DOM)
-        assert ball_average(w, 0.0, 1.0, -1.0) == pytest.approx(2.0, rel=1e-14)
+        assert w.mean(-1.0, 0.0, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_offcenter_against_quadrature(self):
         w = Weight.power(0.3, 0.2, DOM)
-        got = ball_average(w, 0.5, 0.4, 1.7)
+        got = w.mean(1.7, 0.5, 0.4)
         ref = brute_mean(lambda x: np.abs(x - 0.2) ** 0.3, 0.1, 0.9, 1.7)
         assert got == pytest.approx(ref, rel=1e-4)
 
     def test_nonintegrable_exponent(self):
         w = Weight.power(0.5, 0.0, DOM)
         with pytest.raises(NonIntegrable):
-            ball_average(w, 0.0, 1.0, -2.5)
+            w.mean(-2.5, 0.0, 1.0)
 
     def test_empty_ball(self):
         w = Weight.power(0.5, 0.0, DOM)
         with pytest.raises(EmptyBall):
-            ball_average(w, 5.0, 0.5, 1.0)
+            w.mean(1.0, 5.0, 0.5)
 
     def test_sampled_midpoint_is_cell_exact(self):
         vals = np.array([1.0, 2.0, 4.0, 2.0])
         w = Weight.sampled(vals, DOM)  # cells of width 0.5
         # interval (-0.75, 0.25): half of cell0, cell1, half of cell2
-        got = ball_average(w, -0.25, 0.5, 1.0)
+        got = w.mean(1.0, -0.25, 0.5)
         ref = (0.25 * 1.0 + 0.5 * 2.0 + 0.25 * 4.0) / 1.0
         assert got == pytest.approx(ref, rel=1e-14)
 
     def test_sampled_trapezoid_linear_exact(self):
         nodes = np.linspace(1.0, 3.0, 9)  # linear profile 2 + x on (-1, 1)
         w = Weight.sampled(nodes, DOM, quadrature="trapezoid")
-        got = ball_average(w, 0.0, 1.0, 1.0)
+        got = w.mean(1.0, 0.0, 1.0)
         assert got == pytest.approx(2.0, rel=1e-12)
 
 
@@ -275,3 +274,10 @@ class TestWeightValidation:
     def test_radii_must_increase(self):
         with pytest.raises(ValueError):
             BallFamily(centers=np.array([[0.0]]), radii=np.array([0.5, 0.5]))
+
+    def test_empty_family_rejected(self):
+        # an empty family would report every characteristic as 0 and pass
+        with pytest.raises(EmptyRegion):
+            BallFamily.default(DOM, n_centers=0)
+        with pytest.raises(EmptyRegion):
+            BallFamily.default(DOM, n_radii=0)
