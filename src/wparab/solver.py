@@ -465,10 +465,10 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     u_hat = u.scaled(1.0 / lam)
 
     beta_bar = beta.mean_global(1.0, x0, 4.0 * r)
-    xs = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
+    xs_quad = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
 
     def a_bar(t):
-        return float(np.mean([A_fun(xx, t) for xx in xs]))
+        return float(np.mean([A_fun(xx, t) for xx in xs_quad]))
 
     problem = FrozenProblem(
         beta_bar=beta_bar, a_bar=a_bar,
@@ -491,7 +491,7 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     ts = np.linspace(s2, cyl4.t_interval[1], 17)
     th_a = 0.0
     for t in ts:
-        vals = np.array([A_fun(xx, t) for xx in xs])
+        vals = np.array([A_fun(xx, t) for xx in xs_quad])
         th_a += float(np.mean((vals - vals.mean()) ** 2))
     th_a /= len(ts)
     f_ms = u_hat.lp(u_hat.F, 2.0, reg4) ** 2 / size4

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -107,4 +106,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

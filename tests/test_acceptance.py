@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden_reports import CONFIGS as GOLDEN_CONFIGS
-from golden_reports import compare_to_golden
+from golden_reports import CONFIGS as GOLDEN_CONFIGS, compare_to_golden
 
 from wparab.cli import run_experiment
 from wparab.experiments import (
