@@ -13,6 +13,31 @@ from .weights import Weight
 
 KNOWN_GROUPS = ("weights", "geometry", "solve", "audit", "levelset", "flatten")
 
+TOP_LEVEL_KEYS = frozenset({"name", "seed", "weight", "coefficient", "grid",
+                            "audits", "selection"})
+
+# The parameters each group's runner in ``cli`` reads from ``audits.<group>``.
+AUDIT_KEYS = {
+    "weights": frozenset({"M0", "n_centers", "tol_quad", "theta", "n1_budget",
+                          "rh_budget"}),
+    "geometry": frozenset({"samples", "relations_x0", "relations_r"}),
+    "solve": frozenset({"levels", "order_min", "p_values", "stability",
+                        "ratio_budget"}),
+    "audit": frozenset({"R0", "delta", "cylinder_r", "energy_budget",
+                        "poincare_budget", "lipschitz_budget", "freeze_amplitudes",
+                        "timeshift_budget", "lab_budget"}),
+    "levelset": frozenset({"lambdas", "weak11_budget", "n_fields", "n_cylinders",
+                           "K", "q0", "m_max", "r_unit", "delta_hat"}),
+    "flatten": frozenset({"deltas", "alpha", "M0", "delta", "R", "t0", "Lambda"}),
+}
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
+                          f"known keys are {sorted(known)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -46,6 +71,7 @@ class ExperimentConfig:
             seed = int(raw["seed"])
         except KeyError as exc:
             raise ConfigError(f"missing required config key: {exc}") from exc
+        _reject_unknown(raw, TOP_LEVEL_KEYS, "the config root")
         weight_spec = raw.get("weight", {"kind": "constant", "value": 1.0,
                                          "domain": [0.0, 1.0]})
         cfg = cls(
@@ -55,6 +81,11 @@ class ExperimentConfig:
             audits=raw.get("audits", {}),
             selection=list(raw.get("selection", KNOWN_GROUPS)),
         )
+        if not isinstance(cfg.audits, dict):
+            raise ConfigError("the audits section must be an object")
+        _reject_unknown(cfg.audits, AUDIT_KEYS, "audits")
+        for group, known in AUDIT_KEYS.items():
+            _reject_unknown(cfg.audit_params(group), known, f"audits.{group}")
         cfg.build_weight()  # validate the weight spec eagerly
         cfg.check_groups(cfg.selection)
         cfg.manufactured_grid()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionFailed
+from .errors import EmptyRegion, PreconditionFailed
 from .geometry import (
     SpaceTimePoint,
     WeightedCylinder,
@@ -140,11 +140,16 @@ def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
     """
     if len(radii) == 0:
         raise ValueError("radius grid must be non-empty")
+    if not np.all(np.asarray(radii, float) > 0.0):
+        raise ValueError(f"radii must be positive, got {radii}")
     X, T = np.asarray(X, float), np.asarray(T, float)
     gabs = g.abs_field()
     best = np.zeros_like(X)
     for rho in radii:
         h = _height_vec(beta, X, np.full_like(X, rho), ctx)
+        if not np.all(h > 0.0):
+            raise EmptyRegion(f"cylinders of radius {rho} have zero height "
+                              "where the weight has no mass")
         a, b = X - rho, X + rho
         s, e = T - 0.5 * h, T + 0.5 * h
         if window is not None:

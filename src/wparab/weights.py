@@ -140,20 +140,34 @@ class Weight:
     @classmethod
     def from_function_2d(cls, fn, domain, shape: tuple[int, int],
                          singular=None, depth: int = 6) -> "Weight":
-        """Sample a 2D function as cell means; refine cells near a singularity."""
+        """Sample a 2D function as cell means; refine cells near a singularity.
+
+        A cell's mean is the average of ``fn`` over a 4x4 grid of midpoint
+        nodes. A cell whose center lies within two cells of ``singular`` is
+        bisected ``depth - 1`` times per axis; its mean is built from the
+        leaf means by averaging quadrants, coarsest last.
+        """
         domain = _as_domain(domain)
         (x0, x1), (y0, y1) = domain
         ny, nx = shape
         xe = np.linspace(x0, x1, nx + 1)
         ye = np.linspace(y0, y1, ny + 1)
-        vals = np.empty((ny, nx))
-        for j in range(ny):
-            for i in range(nx):
-                near = singular is not None and (
-                    abs(singular[0] - 0.5 * (xe[i] + xe[i + 1])) < 2 * (xe[1] - xe[0])
-                    and abs(singular[1] - 0.5 * (ye[j] + ye[j + 1])) < 2 * (ye[1] - ye[0]))
-                d = depth if near else 1
-                vals[j, i] = _cell_mean_2d(fn, xe[i], xe[i + 1], ye[j], ye[j + 1], d)
+        vals = _node_means(fn, xe, ye)
+        if singular is None:
+            return cls.sampled(vals, domain)
+        xm, ym = 0.5 * (xe[:-1] + xe[1:]), 0.5 * (ye[:-1] + ye[1:])
+        near_x = np.abs(singular[0] - xm) < 2 * (xe[1] - xe[0])
+        near_y = np.abs(singular[1] - ym) < 2 * (ye[1] - ye[0])
+        for j in np.flatnonzero(near_y):
+            for i in np.flatnonzero(near_x):
+                xs, ys = xe[i:i + 2], ye[j:j + 2]
+                for _ in range(depth - 1):
+                    xs, ys = _bisect_edges(xs), _bisect_edges(ys)
+                means = _node_means(fn, xs, ys)
+                while means.size > 1:
+                    means = 0.25 * (means[0::2, 0::2] + means[0::2, 1::2]
+                                    + means[1::2, 0::2] + means[1::2, 1::2])
+                vals[j, i] = means[0, 0]
         return cls.sampled(vals, domain)
 
     # -- basic queries -----------------------------------------------------
@@ -430,18 +444,29 @@ def _as_domain(domain) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in arr)
 
 
-def _cell_mean_2d(fn, x0, x1, y0, y1, depth: int) -> float:
-    if depth <= 1:
-        xs = x0 + (x1 - x0) * (np.arange(4) + 0.5) / 4
-        ys = y0 + (y1 - y0) * (np.arange(4) + 0.5) / 4
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        return float(np.mean(fn(pts)))
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return 0.25 * (_cell_mean_2d(fn, x0, xm, y0, ym, depth - 1)
-                   + _cell_mean_2d(fn, xm, x1, y0, ym, depth - 1)
-                   + _cell_mean_2d(fn, x0, xm, ym, y1, depth - 1)
-                   + _cell_mean_2d(fn, xm, x1, ym, y1, depth - 1))
+def _bisect_edges(edges: np.ndarray) -> np.ndarray:
+    """Cell edges with the midpoint 0.5 * (lo + hi) of every cell inserted."""
+    out = np.empty(2 * edges.size - 1)
+    out[0::2] = edges
+    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    return out
+
+
+def _node_means(fn, xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
+    """Mean of ``fn`` over the 4x4 midpoint nodes of each cell, in one call.
+
+    Returns shape (len(ye) - 1, len(xe) - 1). Each cell's 16 values are
+    contiguous, y-major like a ``meshgrid`` of its nodes.
+    """
+    off = np.arange(4) + 0.5
+    xs = xe[:-1, None] + (xe[1:] - xe[:-1])[:, None] * off / 4  # (nx, 4)
+    ys = ye[:-1, None] + (ye[1:] - ye[:-1])[:, None] * off / 4  # (ny, 4)
+    ny, nx = len(ys), len(xs)
+    pts = np.empty((ny, nx, 4, 4, 2))
+    pts[..., 0] = xs[None, :, None, :]
+    pts[..., 1] = ys[:, None, :, None]
+    vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
+    return vals.reshape(ny, nx, 16).mean(axis=-1)
 
 
 def _cell_coverage(c: np.ndarray, r: float, x0, x1, y0, y1, nx, ny,

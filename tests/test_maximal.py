@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wparab.errors import PreconditionFailed
+from wparab.errors import EmptyRegion, PreconditionFailed
 from wparab.geometry import SpaceTimePoint, WeightedCylinder, height
 from wparab.maximal import (
     CoveringFamily,
@@ -159,6 +159,23 @@ class TestWeakOneOne:
             rep = weak_1_1_audit(f, beta, [0.25, 0.5, 1.0], CTX, budget=100.0)
             assert rep.passed
             assert np.isfinite(rep.rows[-1].constant)
+
+    def test_zero_radius_rejected(self):
+        # a zero radius made 0/0 = NaN, and NaN > lambda let the audit pass
+        beta = Weight.constant(1.0, (-1.0, 1.0))
+        f = make_field(np.random.default_rng(3).random((8, 8)))
+        with pytest.raises(ValueError):
+            weak_1_1_audit(f, beta, [0.25, 1.0], CTX, radii=np.array([0.0]),
+                           budget=1e-9)
+
+    def test_zero_height_rejected(self):
+        # the sampled weight has no mass left of x = 0, so the small
+        # cylinders centered there have zero height
+        beta = Weight.sampled(np.ones(4), (0.0, 1.0))
+        f = make_field(np.random.default_rng(3).random((8, 8)))
+        with pytest.raises(EmptyRegion):
+            weak_1_1_audit(f, beta, [0.25, 1.0], CTX, radii=np.array([0.1]),
+                           budget=1e-9)
 
 
 class TestVitali:

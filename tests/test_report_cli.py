@@ -165,7 +165,8 @@ class TestCliExits:
                 {"grid": {"nx": 1, "nt": 64, "t_final": 0.1}},
                 {"weight": sampled, "selection": ["solve"]},
                 {"weight": sampled, "selection": ["audit"]},
-                {"weight": sampled, "selection": ["levelset"]}):
+                {"weight": sampled, "selection": ["levelset"]},
+                {"audits": {"audit": {"energy_budjet": 5.0}}}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -173,6 +174,7 @@ class TestCliExits:
         assert run_experiment(str(cfg), str(tmp_path / "out"), groups=["solve"]) == 2
         err = capsys.readouterr().err
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
+        assert "energy_budjet" in err
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data

@@ -109,7 +109,8 @@ class TestManufactured:
             for t in (0.0, 0.3):
                 ref = (math.pi ** 2 - 1) * math.exp(-t) * (-math.cos(math.pi * x)
                                                            / math.pi)
-                assert case.forcing(x, t) == pytest.approx(ref, rel=1e-12)
+                assert (math.exp(-t) * case.profile(x)
+                        == pytest.approx(ref, rel=1e-12))
 
     def test_power_sin_antiderivative_series(self):
         # independent oracle: adaptive quadrature with the kink declared

@@ -281,3 +281,63 @@ class TestWeightValidation:
             BallFamily.default(DOM, n_centers=0)
         with pytest.raises(EmptyRegion):
             BallFamily.default(DOM, n_radii=0)
+
+
+def recursive_cell_mean(fn, x0, x1, y0, y1, depth):
+    """Reference for Weight.from_function_2d: one fn call per leaf cell."""
+    if depth <= 1:
+        xs = x0 + (x1 - x0) * (np.arange(4) + 0.5) / 4
+        ys = y0 + (y1 - y0) * (np.arange(4) + 0.5) / 4
+        gx, gy = np.meshgrid(xs, ys)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        return float(np.mean(fn(pts)))
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return 0.25 * (recursive_cell_mean(fn, x0, xm, y0, ym, depth - 1)
+                   + recursive_cell_mean(fn, xm, x1, y0, ym, depth - 1)
+                   + recursive_cell_mean(fn, x0, xm, ym, y1, depth - 1)
+                   + recursive_cell_mean(fn, xm, x1, ym, y1, depth - 1))
+
+
+def recursive_samples(fn, domain, shape, singular, depth):
+    (x0, x1), (y0, y1) = domain
+    ny, nx = shape
+    xe = np.linspace(x0, x1, nx + 1)
+    ye = np.linspace(y0, y1, ny + 1)
+    vals = np.empty((ny, nx))
+    for j in range(ny):
+        for i in range(nx):
+            near = singular is not None and (
+                abs(singular[0] - 0.5 * (xe[i] + xe[i + 1])) < 2 * (xe[1] - xe[0])
+                and abs(singular[1] - 0.5 * (ye[j] + ye[j + 1])) < 2 * (ye[1] - ye[0]))
+            d = depth if near else 1
+            vals[j, i] = recursive_cell_mean(fn, xe[i], xe[i + 1], ye[j], ye[j + 1], d)
+    return vals
+
+
+class TestCellSampling2D:
+    DOM2 = ((-1.0, 0.5), (-0.75, 1.0))
+    SING = (0.1, -0.2)
+
+    @staticmethod
+    def fn(pts):
+        # singular at SING and not symmetric in x and y
+        w = Weight.power(0.3, TestCellSampling2D.SING, TestCellSampling2D.DOM2)
+        return w(pts) * (1.0 + 0.5 * pts[:, 0]) + 0.25 * pts[:, 1]
+
+    @pytest.mark.parametrize("singular", [None, SING])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_batched_matches_recursive_bitwise(self, singular, depth):
+        shape = (5, 7)  # ny != nx catches a transposed index
+        w = Weight.from_function_2d(self.fn, self.DOM2, shape,
+                                    singular=singular, depth=depth)
+        ref = recursive_samples(self.fn, self.DOM2, shape, singular, depth)
+        assert w.samples.shape == shape
+        assert np.array_equal(w.samples, ref)
+
+    def test_refinement_changes_near_cells_only(self):
+        shape = (5, 7)
+        plain = Weight.from_function_2d(self.fn, self.DOM2, shape)
+        refined = Weight.from_function_2d(self.fn, self.DOM2, shape,
+                                          singular=self.SING, depth=3)
+        changed = plain.samples != refined.samples
+        assert changed.any() and not changed.all()
