@@ -31,12 +31,27 @@ AUDIT_KEYS = {
     "flatten": frozenset({"deltas", "alpha", "M0", "delta", "R", "t0", "Lambda"}),
 }
 
+# The numeric parameters ``coefficient_fn`` and ``manufactured_grid`` read.
+COEFFICIENT_KEYS = frozenset({"base", "oscillation", "frequency"})
+GRID_KEYS = frozenset({"nx", "nt", "t_final"})
+
 
 def _reject_unknown(keys, known, where: str) -> None:
     unknown = sorted(set(keys) - set(known))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; "
                           f"known keys are {sorted(known)}")
+
+
+def _check_numbers(section, known, where: str) -> None:
+    """A flat object of known keys with numeric values."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {where} section must be an object")
+    _reject_unknown(section, known, where)
+    for key, value in section.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -86,7 +101,10 @@ class ExperimentConfig:
         _reject_unknown(cfg.audits, AUDIT_KEYS, "audits")
         for group, known in AUDIT_KEYS.items():
             _reject_unknown(cfg.audit_params(group), known, f"audits.{group}")
-        cfg.build_weight()  # validate the weight spec eagerly
+        _check_numbers(cfg.coefficient, COEFFICIENT_KEYS, "coefficient")
+        _check_numbers(cfg.grid, GRID_KEYS, "grid")
+        cfg.build_weight()  # validate the weight and coefficient specs eagerly
+        cfg.coefficient_fn()
         cfg.check_groups(cfg.selection)
         cfg.manufactured_grid()
         return cfg
@@ -153,6 +171,6 @@ class ExperimentConfig:
             raise ConfigError("oscillation amplitude must stay below the base")
 
         def a_fun(x, t):
-            return base + osc * math.sin(freq * math.pi * x)
+            return base + osc * np.sin(freq * math.pi * x)
 
         return a_fun

@@ -142,7 +142,7 @@ def smooth_random_forcing(seed: int, n_modes: int = 6):
     def fn(x, t):
         val = 0.0
         for k in range(n_modes):
-            val += cx[k] * math.sin((k + 1) * math.pi * x) * math.cos(ct[k] * t)
+            val += cx[k] * np.sin((k + 1) * math.pi * x) * np.cos(ct[k] * t)
         return val
 
     return fn
@@ -150,6 +150,12 @@ def smooth_random_forcing(seed: int, n_modes: int = 6):
 
 def solve_driven(beta: Weight, forcing_fn, nx: int, nt: int, t_final: float,
                  a_fun=None) -> SolutionField:
+    """Solve with zero initial data, forcing ``forcing_fn`` and conductivity
+    ``a_fun`` (unit by default) on the unit interval.
+
+    Both callables must broadcast like numpy ufuncs over (x, t) arrays; see
+    ``forcing_from_callable``.
+    """
     grid = Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
     A = CoefficientField.from_callable(a_fun or (lambda x, t: 1.0), grid)
     F = forcing_from_callable(forcing_fn, grid)
@@ -158,7 +164,7 @@ def solve_driven(beta: Weight, forcing_fn, nx: int, nt: int, t_final: float,
 
 def oscillating_coefficient(amplitude: float, frequency: float = 8.0):
     def a_fun(x, t):
-        return 1.0 + amplitude * math.sin(frequency * math.pi * x)
+        return 1.0 + amplitude * np.sin(frequency * math.pi * x)
 
     return a_fun
 

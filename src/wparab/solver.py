@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -33,9 +34,18 @@ from .report import AuditReport, AuditRow
 from .weights import Weight
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform space-time grid on [x0, x1] x [0, t_final]."""
+    """Uniform space-time grid on [x0, x1] x [0, t_final].
+
+    The node, face and time arrays are built once per grid and shared by
+    every reader, so they are read-only.
+    """
 
     x0: float
     x1: float
@@ -57,17 +67,17 @@ class Grid:
     def tau(self) -> float:
         return self.t_final / self.nt
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x0, self.x1, self.nx + 1)
+        return _read_only(np.linspace(self.x0, self.x1, self.nx + 1))
 
-    @property
+    @cached_property
     def faces(self) -> np.ndarray:
-        return self.x[:-1] + 0.5 * self.h
+        return _read_only(self.x[:-1] + 0.5 * self.h)
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.nt + 1)
+        return _read_only(np.linspace(0.0, self.t_final, self.nt + 1))
 
 
 @dataclass
@@ -88,7 +98,14 @@ class CoefficientField:
 
     @classmethod
     def from_callable(cls, fn, grid: Grid, nu: float | None = None) -> "CoefficientField":
-        vals = np.asarray([[fn(x, t) for x in grid.faces] for t in grid.t], dtype=float)
+        """Sample a conductivity a(x, t) at faces for every time level.
+
+        ``fn`` must broadcast like a numpy ufunc: it is called once, as
+        ``fn(grid.faces[None, :], grid.t[:, None])``, and its result (a
+        scalar is fine) must broadcast to shape (nt + 1, nx). Without
+        ``nu`` the ellipticity constant is read off the sampled range.
+        """
+        vals = _sample_faces(fn, grid)
         if nu is None:
             lo, hi = float(vals.min()), float(vals.max())
             if lo <= 0.0:
@@ -97,9 +114,25 @@ class CoefficientField:
         return cls(values=vals, nu=nu)
 
 
+def _sample_faces(fn, grid: Grid) -> np.ndarray:
+    """fn at every (face, time level) of the grid from one broadcasting call."""
+    vals = np.asarray(fn(grid.faces[None, :], grid.t[:, None]), dtype=float)
+    shape = (grid.nt + 1, grid.nx)
+    try:
+        return np.array(np.broadcast_to(vals, shape))
+    except ValueError as exc:
+        raise ValueError(f"callable returned shape {vals.shape}, which does not "
+                         f"broadcast to the grid's {shape}") from exc
+
+
 def forcing_from_callable(fn, grid: Grid) -> np.ndarray:
-    """Sample a forcing F(x, t) at faces for every time level."""
-    return np.asarray([[fn(x, t) for x in grid.faces] for t in grid.t], dtype=float)
+    """Sample a forcing F(x, t) at faces for every time level.
+
+    ``fn`` must broadcast like a numpy ufunc: it is called once, as
+    ``fn(grid.faces[None, :], grid.t[:, None])``, and its result (a scalar
+    is fine) must broadcast to shape (nt + 1, nx).
+    """
+    return _sample_faces(fn, grid)
 
 
 def cell_averaged_weight(beta: Weight, grid: Grid) -> np.ndarray:
@@ -187,15 +220,27 @@ class SolutionField:
 
 
 def write_solution_csv(path, u: SolutionField):
-    """Column dump (x, t, u), row-major over time then space."""
-    from .report import write_csv
+    """Column dump (x, t, u), row-major over time then space.
 
-    rows = []
+    Floats are written as ``report.fmt_float`` renders them. The x and t
+    strings are formatted once; the lines of each time level are streamed
+    to the file as they are formatted.
+    """
+    from pathlib import Path
+
+    from .report import fmt_float
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     grid = u.grid
-    for k, t in enumerate(grid.t):
-        for i, x in enumerate(grid.x):
-            rows.append([float(x), float(t), float(u.u[k, i])])
-    return write_csv(path, ["x", "t", "u"], rows)
+    xs = [fmt_float(x) for x in grid.x.tolist()]
+    with open(path, "w") as fh:
+        fh.write("x,t,u\n")
+        for t, row in zip(grid.t.tolist(), u.u):
+            ts = fmt_float(t)
+            fh.write("".join(f"{x},{ts},{fmt_float(v)}\n"
+                             for x, v in zip(xs, row.tolist())))
+    return path
 
 
 def write_solution_binary(path, u: SolutionField):
@@ -444,7 +489,8 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     Normalizes u so the mean-square gradient over the 4r cylinder is one,
     solves the frozen problem there with u's boundary data, and reports the
     root-mean-square gradient gap over the 2r cylinder together with the
-    oscillation + forcing smallness of the inputs.
+    oscillation + forcing smallness of the inputs. ``A_fun(x, t)`` must
+    broadcast over an array of nodes x (a scalar result is fine).
     """
     r = cyl_base.r
     x0 = cyl_base.z0.x
@@ -467,8 +513,12 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     beta_bar = beta.mean_global(1.0, x0, 4.0 * r)
     xs_quad = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
 
+    def a_quad(t) -> np.ndarray:
+        return np.broadcast_to(np.asarray(A_fun(xs_quad, t), dtype=float),
+                               xs_quad.shape)
+
     def a_bar(t):
-        return float(np.mean([A_fun(xx, t) for xx in xs_quad]))
+        return float(np.mean(a_quad(t)))
 
     problem = FrozenProblem(
         beta_bar=beta_bar, a_bar=a_bar,
@@ -491,7 +541,7 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     ts = np.linspace(s2, cyl4.t_interval[1], 17)
     th_a = 0.0
     for t in ts:
-        vals = np.array([A_fun(xx, t) for xx in xs_quad])
+        vals = a_quad(t)
         th_a += float(np.mean((vals - vals.mean()) ** 2))
     th_a /= len(ts)
     f_ms = u_hat.lp(u_hat.F, 2.0, reg4) ** 2 / size4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -89,6 +90,36 @@ class TestSolutionDumps:
         assert lines[0] == "x,t,u"
         assert len(lines) == 1 + 9 * 9
 
+    def old_solution_csv(self, path, u):
+        """The former dump: one row list per node, written by write_csv."""
+        rows = []
+        for k, t in enumerate(u.grid.t):
+            for i, x in enumerate(u.grid.x):
+                rows.append([float(x), float(t), float(u.u[k, i])])
+        return write_csv(path, ["x", "t", "u"], rows)
+
+    def test_csv_bytes_match_row_list_writer(self, tmp_path):
+        case = ManufacturedCase(Weight.constant(1.0, (0.0, 1.0)))
+        u, _ = case.solve(8, 4, 0.1)
+        bad = dataclasses.replace(u, u=u.u.copy())
+        bad.u[1, 2], bad.u[2, 3], bad.u[4, 0] = math.nan, math.inf, -math.inf
+        for sol, name in ((u, "finite"), (bad, "nonfinite")):
+            got = write_solution_csv(tmp_path / f"{name}.csv", sol).read_bytes()
+            ref = self.old_solution_csv(tmp_path / f"{name}-ref.csv", sol)
+            assert got == ref.read_bytes(), name
+        assert b"NaN" in got and b",Infinity" in got and b"-Infinity" in got
+
+    def test_csv_parses_back_to_binary_payload(self, tmp_path):
+        case = ManufacturedCase(Weight.constant(1.0, (0.0, 1.0)))
+        u, _ = case.solve(8, 4, 0.1)
+        lines = write_solution_csv(tmp_path / "sol.csv", u).read_text().splitlines()
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        blob = write_solution_binary(tmp_path / "sol.bin", u).read_bytes()
+        payload = np.frombuffer(blob[struct.calcsize("<4sBcIIdddd"):], dtype="<f8")
+        assert np.array_equal(table[:, 2], payload)
+        assert np.array_equal(table[:, 0], np.tile(u.grid.x, u.grid.nt + 1))
+        assert np.array_equal(table[:, 1], np.repeat(u.grid.t, u.grid.nx + 1))
+
     def test_binary_header_roundtrip(self, tmp_path):
         u = self.solution()
         path = write_solution_binary(tmp_path / "sol.bin", u)
@@ -166,7 +197,9 @@ class TestCliExits:
                 {"weight": sampled, "selection": ["solve"]},
                 {"weight": sampled, "selection": ["audit"]},
                 {"weight": sampled, "selection": ["levelset"]},
-                {"audits": {"audit": {"energy_budjet": 5.0}}}):
+                {"audits": {"audit": {"energy_budjet": 5.0}}},
+                {"coefficient": {"base": "abc"}, "selection": ["audit"]},
+                {"coefficient": {"base": 1.0, "oscilation": 0.3}}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -175,6 +208,7 @@ class TestCliExits:
         err = capsys.readouterr().err
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
         assert "energy_budjet" in err
+        assert "coefficient.base" in err and "oscilation" in err
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data

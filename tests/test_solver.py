@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wparab.config import ExperimentConfig
 from wparab.errors import EllipticityViolation, GateFailed
 from wparab.experiments import (
     CTX1,
     ManufacturedCase,
     convergence_study,
     int_power_sin,
+    oscillating_coefficient,
     smooth_random_forcing,
     solve_driven,
 )
@@ -60,7 +62,7 @@ class TestScheme:
         # summing the scheme against ones leaves only boundary fluxes
         grid = small_grid(nx=16, nt=8)
         A = CoefficientField.from_callable(lambda x, t: 1.0 + 0.2 * x, grid)
-        F = forcing_from_callable(lambda x, t: math.sin(3 * x + t), grid)
+        F = forcing_from_callable(lambda x, t: np.sin(3 * x + t), grid)
         u = solve_ivbp(BETA_POW, A, F, grid, initial=np.sin(math.pi * grid.x))
         g = u.grad()
         for k in range(1, grid.nt + 1):
@@ -84,8 +86,8 @@ class TestScheme:
         beta = Weight.power(0.3, 0.0, (0.0, 1.0))
         psi_r = beta.mean_global(1.0, [0.0], r)  # n0/2 = 1 in one dimension
         grid_big = Grid(x0=0.0, x1=1.0, nx=nx, t_final=0.1, nt=nt)
-        a_fun = lambda x, t: 1.0 + 0.3 * math.sin(2 * x + t)
-        f_fun = lambda x, t: math.cos(4 * x) * (1 + t)
+        a_fun = lambda x, t: 1.0 + 0.3 * np.sin(2 * x + t)
+        f_fun = lambda x, t: np.cos(4 * x) * (1 + t)
         grid_small = Grid(x0=0.0, x1=r, nx=nx,
                           t_final=0.1 * r * r * psi_r, nt=nt)
         A_big = CoefficientField.from_callable(
@@ -100,6 +102,66 @@ class TestScheme:
         beta_small = Weight.power(0.3, 0.0, (0.0, r))
         u_orig = solve_ivbp(beta_small, A_small, F_small, grid_small)
         assert np.allclose(u_tilde.u, u_orig.u, atol=1e-12)
+
+
+def pointwise_samples(fn, grid):
+    """The former sampler: one call per (face, time level) point."""
+    return np.asarray([[fn(x, t) for x in grid.faces] for t in grid.t], dtype=float)
+
+
+def oscillating_config_coefficient():
+    cfg = ExperimentConfig.from_dict({
+        "name": "osc", "seed": 1, "selection": ["weights"],
+        "coefficient": {"base": 1.0, "oscillation": 0.3, "frequency": 8.0}})
+    return cfg.coefficient_fn()
+
+
+class TestGridCache:
+    def test_arrays_built_once(self):
+        grid = small_grid(nx=8, nt=4)
+        assert grid.x is grid.x
+        assert grid.t is grid.t
+        assert grid.faces is grid.faces
+
+    def test_arrays_read_only(self):
+        grid = small_grid(nx=8, nt=4)
+        for arr in (grid.x, grid.t, grid.faces):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+class TestBroadcastSampling:
+    @pytest.mark.parametrize("make_fn", [
+        lambda: smooth_random_forcing(7),
+        lambda: oscillating_coefficient(0.3),
+        oscillating_config_coefficient,
+    ], ids=["smooth-forcing", "oscillating", "config-coefficient"])
+    def test_matches_pointwise(self, make_fn):
+        fn = make_fn()
+        grid = Grid(x0=0.0, x1=1.0, nx=37, t_final=0.25, nt=29)
+        ref = pointwise_samples(fn, grid)
+        tol = 1e-15 * np.abs(ref).max()
+        np.testing.assert_allclose(forcing_from_callable(fn, grid), ref,
+                                   rtol=0, atol=tol)
+        if ref.min() > 0.0:  # the signed forcing is no conductivity
+            A = CoefficientField.from_callable(fn, grid)
+            np.testing.assert_allclose(A.values, ref, rtol=0, atol=tol)
+
+    def test_scalar_result_fills_grid(self):
+        grid = small_grid(nx=8, nt=4)
+        F = forcing_from_callable(lambda x, t: 0.5, grid)
+        assert F.shape == (grid.nt + 1, grid.nx) and np.all(F == 0.5)
+        A = CoefficientField.from_callable(lambda x, t: 2.0, grid)
+        assert A.values.shape == (grid.nt + 1, grid.nx) and np.all(A.values == 2.0)
+        assert A.nu == 0.5
+
+    def test_wrong_shape_rejected(self):
+        grid = small_grid(nx=8, nt=4)
+        with pytest.raises(ValueError):
+            forcing_from_callable(lambda x, t: np.ones(3), grid)
+        with pytest.raises(ValueError):
+            CoefficientField.from_callable(lambda x, t: np.ones((grid.nt + 1, 3)),
+                                           grid)
 
 
 class TestManufactured:
@@ -323,7 +385,7 @@ class TestFreezeCompare:
             grid = Grid(x0=0.0, x1=1.0, nx=128, t_final=0.05, nt=64)
             A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
             F = forcing_from_callable(
-                lambda x, t, a=f_amp: a * math.sin(2 * math.pi * x), grid)
+                lambda x, t, a=f_amp: a * np.sin(2 * math.pi * x), grid)
             u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
             cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1, CTX1)
             gaps.append(freeze_compare(u, lambda x, t: 1.0, cyl).rows[0].lhs)
