@@ -2,9 +2,10 @@
 
 ``tests/golden/<config>/`` holds every JSON report and every sweep CSV that
 ``wparab all`` writes for ``src/wparab/configs/<config>.json`` at the config
-seed. The solution dumps and the SVG plots are left out. Floats compare
-within a relative tolerance of 1e-12; verdicts, labels, integers and the
-file set must match exactly.
+seed, except the solution dumps and the SVG plots. Floats compare within a
+relative tolerance of 1e-12; verdicts, labels, integers and the file set
+must match exactly. The solution dumps are checked byte for byte through
+their SHA-256 digests in ``solution.sha256``.
 
 Regenerate the goldens only for a change that is meant to alter reports:
 
@@ -13,6 +14,7 @@ Regenerate the goldens only for a change that is meant to alter reports:
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -24,6 +26,8 @@ CONFIG_DIR = ROOT / "src" / "wparab" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CONFIGS = ("identity", "power_weight")
 RTOL = 1e-12
+SOLUTION_DUMPS = ("solution.csv", "solution.bin")
+SOLUTION_DIGESTS = "solution.sha256"
 
 
 def golden_files(out_dir: Path) -> list[str]:
@@ -31,6 +35,19 @@ def golden_files(out_dir: Path) -> list[str]:
     return sorted(p.name for p in Path(out_dir).iterdir()
                   if p.suffix == ".json"
                   or (p.suffix == ".csv" and p.name != "solution.csv"))
+
+
+def solution_digests(out_dir: Path) -> str:
+    """``sha256sum``-style lines for the solution dumps of a run."""
+    lines = []
+    for name in SOLUTION_DUMPS:
+        path = Path(out_dir) / name
+        if path.is_file():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            digest = "missing"
+        lines.append(f"{digest}  {name}\n")
+    return "".join(lines)
 
 
 def _as_float(text: str) -> float | None:
@@ -83,6 +100,8 @@ def compare_to_golden(out_dir: Path, config: str) -> list[str]:
     if got_files != want_files:
         return [f"{config}: report files {got_files} != golden {want_files}"]
     problems: list[str] = []
+    if solution_digests(out_dir) != (golden / SOLUTION_DIGESTS).read_text():
+        problems.append(f"{config}: solution dumps differ from {SOLUTION_DIGESTS}")
     for name in want_files:
         _diff(_load(Path(out_dir) / name), _load(golden / name),
               f"{config}/{name}", problems)
@@ -102,6 +121,7 @@ def regenerate() -> None:
             target.mkdir(parents=True)
             for name in golden_files(Path(tmp)):
                 shutil.copyfile(Path(tmp) / name, target / name)
+            (target / SOLUTION_DIGESTS).write_text(solution_digests(Path(tmp)))
 
 
 if __name__ == "__main__":
