@@ -54,6 +54,14 @@ def _check_numbers(section, known, where: str) -> None:
             raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
 
 
+def _integer(value, where: str) -> int:
+    """An integral JSON number (16 or 16.0); anything else is a ConfigError."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment file: data specs, audit selection, budgets."""
@@ -119,13 +127,17 @@ class ExperimentConfig:
             raise ConfigError(f"groups {manufactured} solve the manufactured problem, "
                               "which is not defined for sampled weights")
         levels = self.audit_params("solve").get("levels", [32, 64, 128])
-        if "solve" in groups and (not levels or min(int(v) for v in levels) < 2):
-            raise ConfigError(f"audits.solve.levels needs levels >= 2, got {levels}")
+        if "solve" in groups:
+            if not isinstance(levels, list):
+                raise ConfigError(f"audits.solve.levels must be a list, got {levels!r}")
+            nxs = [_integer(v, "each of audits.solve.levels") for v in levels]
+            if not nxs or min(nxs) < 2:
+                raise ConfigError(f"audits.solve.levels needs levels >= 2, got {levels}")
 
     def manufactured_grid(self) -> tuple[int, int, float]:
         """(nx, nt, t_final) of the grid section."""
-        nx = int(self.grid.get("nx", 64))
-        nt = int(self.grid.get("nt", max(int(round(0.25 * nx * nx)), 4)))
+        nx = _integer(self.grid.get("nx", 64), "grid.nx")
+        nt = _integer(self.grid.get("nt", max(int(round(0.25 * nx * nx)), 4)), "grid.nt")
         t_final = float(self.grid.get("t_final", 0.25))
         if nx < 2 or nt < 1 or not t_final > 0.0:
             raise ConfigError(f"grid needs nx >= 2, nt >= 1 and t_final > 0, "

@@ -93,31 +93,39 @@ class SpaceTimeField:
             self._sat = sat
         return self._sat
 
-    def _sat_at(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Bilinear evaluation of the cumulative integral; exact for the
-        piecewise-constant field, zero extension outside the grid."""
+    @staticmethod
+    def _locate(edges: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and fraction of ``v`` along one grid axis, with ``v``
+        clipped to the grid."""
+        v = np.minimum(np.maximum(v, edges[0]), edges[-1])
+        # v >= edges[0] already keeps the index >= 0
+        i = np.minimum(np.searchsorted(edges, v, side="right") - 1, len(edges) - 2)
+        return i, (v - edges.take(i)) / np.diff(edges).take(i)
+
+    def _sat_at(self, x, t) -> np.ndarray:
+        """Bilinear evaluation of the cumulative integral at located points
+        ``x = (ix, fx)`` and ``t = (it, ft)``; exact for the piecewise-constant
+        field, zero extension outside the grid."""
         sat = self._sat_nodes()
-        x = np.clip(x, self.x_edges[0], self.x_edges[-1])
-        t = np.clip(t, self.t_edges[0], self.t_edges[-1])
-        ix = np.clip(np.searchsorted(self.x_edges, x, side="right") - 1,
-                     0, len(self.x_edges) - 2)
-        it = np.clip(np.searchsorted(self.t_edges, t, side="right") - 1,
-                     0, len(self.t_edges) - 2)
-        fx = (x - self.x_edges[ix]) / (self.x_edges[ix + 1] - self.x_edges[ix])
-        ft = (t - self.t_edges[it]) / (self.t_edges[it + 1] - self.t_edges[it])
-        s00 = sat[it, ix]
-        s01 = sat[it, ix + 1]
-        s10 = sat[it + 1, ix]
-        s11 = sat[it + 1, ix + 1]
-        return ((1 - ft) * ((1 - fx) * s00 + fx * s01)
-                + ft * ((1 - fx) * s10 + fx * s11))
+        (ix, fx), (it, ft) = x, t
+        flat, row = sat.ravel(), sat.shape[1]
+        k = it * row + ix
+        s00 = flat.take(k)
+        s01 = flat.take(k + 1)
+        s10 = flat.take(k + row)
+        s11 = flat.take(k + row + 1)
+        gx = 1 - fx
+        return ((1 - ft) * (gx * s00 + fx * s01)
+                + ft * (gx * s10 + fx * s11))
 
     def integral(self, a, b, s, e) -> np.ndarray:
         """Exact integral over rectangles [a, b] x [s, e]; vectorized."""
-        a, b = np.asarray(a, float), np.asarray(b, float)
-        s, e = np.asarray(s, float), np.asarray(e, float)
-        return (self._sat_at(b, e) - self._sat_at(a, e)
-                - self._sat_at(b, s) + self._sat_at(a, s))
+        a, b = (self._locate(self.x_edges, np.asarray(v, float)) for v in (a, b))
+        # locating one time coordinate at a time keeps fewer arrays alive
+        t = self._locate(self.t_edges, np.asarray(e, float))
+        total = self._sat_at(b, t) - self._sat_at(a, t)
+        t = self._locate(self.t_edges, np.asarray(s, float))
+        return total - self._sat_at(b, t) + self._sat_at(a, t)
 
 
 def maximal_function(g: SpaceTimeField, beta: Weight, z: SpaceTimePoint,

@@ -63,10 +63,14 @@ def theta_A_ms(A_fun, beta: Weight, z0, r: float, mask, ctx: WeightContext,
                n_space: int = 33, n_time: int = 17) -> float:
     """Squared partial mean oscillation of the matrix on one cylinder.
 
-    ``A_fun(x, t)`` returns a scalar or a matrix. The cylinder Q_{r,beta}(z0)
-    is clipped to ``mask`` = (x_lo, x_hi, t_lo, t_hi); within each time slice
-    the matrix is centered around its spatial average over B_r(x0) ∩ Omega,
-    and the squared Frobenius deviation is averaged over the clipped cylinder.
+    ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
+    ``A_fun(xs[None, :], ts[:, None])`` on the space and time nodes, and
+    returns a scalar field that broadcasts to (n_time, n_space) or a matrix
+    field of shape (n_time, n_space, d, d) (leading axes may broadcast).
+    The cylinder Q_{r,beta}(z0) is clipped to ``mask`` = (x_lo, x_hi, t_lo,
+    t_hi); within each time slice the matrix is centered around its spatial
+    average over B_r(x0) ∩ Omega, and the squared Frobenius deviation is
+    averaged over the clipped cylinder.
     """
     x0 = np.atleast_1d(np.asarray(z0[0] if isinstance(z0, tuple) else z0.x, float))
     t0 = float(z0[1] if isinstance(z0, tuple) else z0.t)
@@ -81,16 +85,32 @@ def theta_A_ms(A_fun, beta: Weight, z0, r: float, mask, ctx: WeightContext,
     # midpoint nodes: a genuine midpoint rule in space and time
     xs = a + (b - a) * (np.arange(n_space) + 0.5) / n_space
     ts = s_lo + (s_hi - s_lo) * (np.arange(n_time) + 0.5) / n_time
+    vals = _sample_nodes(A_fun, xs, ts)
+    dev = vals - vals.mean(axis=1, keepdims=True)
+    sq = dev ** 2
+    if sq.ndim == 4:
+        sq = np.sum(sq, axis=(2, 3))
+    # summed in time order from 0.0: np.sum adds pairwise, which moves the last bits
     total = 0.0
-    for t in ts:
-        vals = np.asarray([np.asarray(A_fun(x, t), dtype=float) for x in xs])
-        mean = vals.mean(axis=0)
-        dev = vals - mean
-        if dev.ndim == 1:
-            total += float(np.mean(dev ** 2))
-        else:
-            total += float(np.mean(np.sum(dev ** 2, axis=tuple(range(1, dev.ndim)))))
+    for slice_mean in np.mean(sq, axis=1).tolist():
+        total += slice_mean
     return total / len(ts)
+
+
+def _sample_nodes(A_fun, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """A_fun on the (time, space) node grid as a contiguous (n_time, n_space)
+    or (n_time, n_space, d, d) array, from one broadcasting call."""
+    vals = np.asarray(A_fun(xs[None, :], ts[:, None]), dtype=float)
+    shape = (ts.size, xs.size)
+    if vals.ndim == 4 and vals.shape[2] == vals.shape[3]:
+        shape += vals.shape[2:]
+    try:
+        # C order: each row is reduced as one contiguous slice, like a 1D array
+        return np.array(np.broadcast_to(vals, shape), order="C")
+    except ValueError as exc:
+        raise ValueError(f"coefficient returned shape {vals.shape}, which is neither "
+                         f"a scalar field broadcasting to {shape[:2]} nor a "
+                         "(n_time, n_space, d, d) matrix field") from exc
 
 
 def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import EllipticityViolation, GateFailed, PreconditionFailed, SingularSystem
 from .geometry import WeightedCylinder
@@ -264,16 +264,28 @@ def write_solution_binary(path, u: SolutionField):
     return Path(path)
 
 
+def _check_finite(*arrays) -> None:
+    """The finiteness check ``scipy.linalg.solve_banded`` makes on its inputs;
+    the solvers run it on what their implicit steps are built from."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _implicit_step(beta_cells, a_faces, h, tau, rhs, step: int) -> np.ndarray:
-    """Interior values after one backward Euler step (SPD tridiagonal solve)."""
-    m = beta_cells.size - 2
-    ab = np.zeros((3, m))
-    ab[0, 1:] = ab[2, :-1] = -a_faces[1:-1] / h ** 2
-    ab[1, :] = beta_cells[1:-1] / tau + (a_faces[1:] + a_faces[:-1]) / h ** 2
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularSystem(f"step {step} failed to factor") from exc
+    """Interior values after one backward Euler step (SPD tridiagonal solve).
+
+    Calls LAPACK ``dgtsv`` with the diagonals ``solve_banded((1, 1), ...)``
+    would pass it; the caller checks that the inputs are finite.
+    """
+    off = -a_faces[1:-1] / h ** 2
+    diag = beta_cells[1:-1] / tau + (a_faces[1:] + a_faces[:-1]) / h ** 2
+    if diag.size == 1:  # the dgtsv wrapper rejects empty off-diagonals
+        return rhs / diag
+    _, _, _, x, info = dgtsv(off, diag, off.copy(), rhs, overwrite_dl=1,
+                             overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise SingularSystem(f"step {step} failed to factor (dgtsv info {info})")
+    return x
 
 
 def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
@@ -294,12 +306,18 @@ def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
         u[0, :] = np.asarray(initial, dtype=float)
         u[0, 0] = 0.0
         u[0, -1] = 0.0
+    _check_finite(beta_cells[1:-1], A.values[1:], F[1:], u[0, 1:-1])
     h, tau = grid.h, grid.tau
+    mass = beta_cells[1:-1] / tau
     for k in range(grid.nt):
-        rhs = beta_cells[1:-1] / tau * u[k, 1:-1] + np.diff(F[k + 1]) / h
+        f = F[k + 1]
+        rhs = mass * u[k, 1:-1] + (f[1:] - f[:-1]) / h
         u[k + 1, 1:-1] = _implicit_step(beta_cells, A.values[k + 1], h, tau, rhs, k + 1)
-        if not np.all(np.isfinite(u[k + 1])):
-            raise SingularSystem(f"step {k + 1} produced non-finite values")
+    # finite inputs stay finite through a step unless it overflows; report
+    # the first step that did
+    bad = ~np.isfinite(u).all(axis=1)
+    if bad.any():
+        raise SingularSystem(f"step {int(np.argmax(bad))} produced non-finite values")
     return SolutionField(grid=grid, u=u, beta=beta, beta_cells=beta_cells,
                          A=A, F=F)
 
@@ -344,11 +362,13 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
     u[0, :] = data(x, ts[0])
     if problem.left_zero:
         u[0, 0] = 0.0
+    _check_finite(beta_cells[1:-1], A.values[1:], u[0, 1:-1])
     h, tau = grid.h, grid.tau
     for k in range(grid.nt):
         t_next = ts[k + 1]
         left = 0.0 if problem.left_zero else float(data(np.array([a]), t_next)[0])
         right = float(data(np.array([b]), t_next)[0])
+        _check_finite(left, right)
         a_faces = A.values[k + 1]
         rhs = beta_cells[1:-1] / tau * u[k, 1:-1]
         rhs[0] += a_faces[0] * left / h ** 2

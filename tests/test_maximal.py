@@ -43,7 +43,51 @@ def brute_rect_integral(f, a, b, s, e):
     return total
 
 
+def sat_at_reference(f, x, t):
+    """The cumulative-integral lookup as it was before integral() shared its
+    coordinate lookups: clip, search and interpolate at every corner."""
+    sat = f._sat_nodes()
+    x = np.clip(x, f.x_edges[0], f.x_edges[-1])
+    t = np.clip(t, f.t_edges[0], f.t_edges[-1])
+    ix = np.clip(np.searchsorted(f.x_edges, x, side="right") - 1,
+                 0, len(f.x_edges) - 2)
+    it = np.clip(np.searchsorted(f.t_edges, t, side="right") - 1,
+                 0, len(f.t_edges) - 2)
+    fx = (x - f.x_edges[ix]) / (f.x_edges[ix + 1] - f.x_edges[ix])
+    ft = (t - f.t_edges[it]) / (f.t_edges[it + 1] - f.t_edges[it])
+    s00 = sat[it, ix]
+    s01 = sat[it, ix + 1]
+    s10 = sat[it + 1, ix]
+    s11 = sat[it + 1, ix + 1]
+    return ((1 - ft) * ((1 - fx) * s00 + fx * s01)
+            + ft * ((1 - fx) * s10 + fx * s11))
+
+
+def integral_reference(f, a, b, s, e):
+    return (sat_at_reference(f, b, e) - sat_at_reference(f, a, e)
+            - sat_at_reference(f, b, s) + sat_at_reference(f, a, s))
+
+
 class TestFieldIntegrator:
+    def test_equals_per_corner_lookup(self):
+        rng = np.random.default_rng(5)
+        f = make_field(rng.random((7, 11)), x_span=(-0.3, 0.8), t_span=(0.1, 0.45))
+        n = 400
+        a = rng.uniform(-0.5, 1.0, n)            # inside and outside the grid
+        b = a + rng.uniform(0.0, 0.7, n)
+        s = rng.uniform(0.0, 0.5, n)
+        e = s + rng.uniform(0.0, 0.3, n)
+        # exactly on cell edges, on the grid ends, and beyond both ends
+        a[:11], b[:11] = f.x_edges[:11], f.x_edges[1:12]
+        s[11:19], e[11:19] = f.t_edges[:8], f.t_edges[:8] + 0.05
+        a[19:22], b[19:22] = (-1.0, -0.3, 0.8), (-0.5, 0.8, 2.0)
+        s[19:22], e[19:22] = (0.0, 0.1, 0.45), (0.05, 0.45, 1.0)
+        got = f.integral(a, b, s, e)
+        assert got.shape == (n,)
+        assert np.array_equal(got, integral_reference(f, a, b, s, e))
+        # scalar arguments keep working
+        assert f.integral(0.0, 0.5, 0.2, 0.3) == integral_reference(f, 0.0, 0.5, 0.2, 0.3)
+
     @settings(max_examples=30, deadline=None)
     @given(
         a=st.floats(min_value=-1.4, max_value=1.4),

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wparab.config import ExperimentConfig
+from wparab.errors import EmptyRegion
+from wparab.geometry import height
 from wparab.oscillation import (
     OscillationConfig,
     oscillation_supremum,
@@ -14,6 +19,7 @@ from wparab.weights import Weight, WeightContext
 DOM = (-1.0, 1.0)
 CTX = WeightContext(n=1, M0=10.0)
 MASK = (-1.0, 1.0, -1.0, 0.0)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wparab" / "configs"
 
 
 def theta_beta_quadrature(profile, x0, r, n=200000):
@@ -82,7 +88,7 @@ class TestThetaA:
         beta = Weight.constant(1.0, DOM)
 
         def A(x, t):
-            return 2.0 if x >= 0.0 else 1.0
+            return np.where(x >= 0.0, 2.0, 1.0)
 
         # symmetric ball: mean 1.5, squared deviation 0.25 everywhere
         got = theta_A_ms(A, beta, ([0.0], 0.0), 0.5, MASK, CTX, n_space=34)
@@ -105,10 +111,115 @@ class TestThetaA:
         beta = Weight.constant(1.0, DOM)
 
         def A(x, t):
-            return np.array([[1.0 + 0.1 * x, 0.0], [0.0, 1.0]])
+            a11 = 1.0 + 0.1 * np.asarray(x)
+            zero, one = np.zeros_like(a11), np.ones_like(a11)
+            return np.stack([np.stack([a11, zero], -1), np.stack([zero, one], -1)], -2)
 
         got = theta_A_ms(A, beta, ([0.0], 0.0), 0.5, MASK, CTX)
         assert got == pytest.approx(0.01 * 0.25 / 3.0, rel=5e-2)
+
+
+def theta_A_per_node(A_fun, beta, z0, r, mask, ctx, n_space=33, n_time=17):
+    """theta_A_ms as it was before the broadcasting call: one A_fun call per
+    node, one reduction per time slice. Kept as the exact reference."""
+    x0, t0 = z0[0][0], z0[1]
+    x_lo, x_hi, t_lo, t_hi = mask
+    a = max(x0 - r, x_lo)
+    b = min(x0 + r, x_hi)
+    h = height(beta, np.atleast_1d(float(x0)), r, ctx)
+    s_lo = max(t0 - h, t_lo)
+    s_hi = min(t0, t_hi)
+    if a >= b or s_lo >= s_hi:
+        raise EmptyRegion("cylinder does not meet the masked domain")
+    xs = a + (b - a) * (np.arange(n_space) + 0.5) / n_space
+    ts = s_lo + (s_hi - s_lo) * (np.arange(n_time) + 0.5) / n_time
+    total = 0.0
+    for t in ts:
+        vals = np.asarray([np.asarray(A_fun(x, t), dtype=float) for x in xs])
+        dev = vals - vals.mean(axis=0)
+        if dev.ndim == 1:
+            total += float(np.mean(dev ** 2))
+        else:
+            total += float(np.mean(np.sum(dev ** 2, axis=tuple(range(1, dev.ndim)))))
+    return total / len(ts)
+
+
+def config_coefficient():
+    return ExperimentConfig.from_dict({
+        "name": "osc", "seed": 0,
+        "coefficient": {"base": 1.0, "oscillation": 0.3}}).coefficient_fn()
+
+
+def bundled_power_weight():
+    return ExperimentConfig.load(CONFIG_DIR / "power_weight.json").build_weight()
+
+
+def matrix_coefficient(x, t):
+    x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+    a11 = 1.0 + 0.3 * np.sin(5.0 * x) + 0.1 * t
+    off = 0.1 * np.cos(3.0 * x + t)
+    return np.stack([np.stack([a11, off], -1),
+                     np.stack([off, 1.0 + 0.2 * x * x], -1)], -2)
+
+
+class TestThetaAWholeArray:
+    """theta_A_ms equals the per-node loop bit for bit."""
+
+    @pytest.mark.parametrize("make_beta", [
+        lambda: Weight.constant(1.0, (0.0, 1.0)), bundled_power_weight])
+    def test_config_coefficient_exact(self, make_beta):
+        beta = make_beta()
+        a_fun = config_coefficient()
+        mask = (0.0, 1.0, 0.0, 0.25)
+        for x0 in (0.1, 0.37, 0.5, 0.83):
+            for r in (0.05, 0.13, 0.3):
+                for tc in (0.0625, 0.2, 0.25):
+                    z0 = ([x0], tc)
+                    assert (theta_A_ms(a_fun, beta, z0, r, mask, CTX)
+                            == theta_A_per_node(a_fun, beta, z0, r, mask, CTX))
+
+    @pytest.mark.parametrize("x0, tc", [
+        (-0.9, -0.5),   # clipped on the left
+        (0.9, -0.5),    # clipped on the right
+        (0.0, -0.95),   # clipped at the bottom
+        (0.0, 0.02),    # clipped at the top
+        (-0.95, -0.98), # clipped left and bottom
+    ])
+    def test_masked_cylinders_exact(self, x0, tc):
+        beta = Weight.power(0.2, 0.0, DOM)
+        a_fun = config_coefficient()
+        z0 = ([x0], tc)
+        got = theta_A_ms(a_fun, beta, z0, 0.3, MASK, CTX)
+        assert got == theta_A_per_node(a_fun, beta, z0, 0.3, MASK, CTX)
+        assert got > 0.0
+
+    def test_matrix_valued_exact(self):
+        beta = Weight.power(0.2, 0.0, DOM)
+        for x0, tc, r in ((0.0, -0.2, 0.5), (0.7, -0.5, 0.4), (-0.3, -0.9, 0.2)):
+            z0 = ([x0], tc)
+            got = theta_A_ms(matrix_coefficient, beta, z0, r, MASK, CTX, n_space=20)
+            assert got == theta_A_per_node(matrix_coefficient, beta, z0, r, MASK,
+                                           CTX, n_space=20)
+
+    def test_time_independent_matrix_broadcasts(self):
+        beta = Weight.constant(1.0, DOM)
+
+        def A(x, t):
+            return matrix_coefficient(x, 0.0)
+
+        z0 = ([0.1], -0.2)
+        assert (theta_A_ms(A, beta, z0, 0.4, MASK, CTX)
+                == theta_A_per_node(A, beta, z0, 0.4, MASK, CTX))
+
+    @pytest.mark.parametrize("A", [
+        lambda x, t: np.ones(5),
+        lambda x, t: np.ones(np.broadcast(x, t).shape + (2,)),
+        lambda x, t: np.ones(np.broadcast(x, t).shape + (2, 3)),
+    ])
+    def test_wrong_shape_rejected(self, A):
+        beta = Weight.constant(1.0, DOM)
+        with pytest.raises(ValueError, match="coefficient returned shape"):
+            theta_A_ms(A, beta, ([0.0], -0.2), 0.3, MASK, CTX)
 
 
 class TestSupremum:

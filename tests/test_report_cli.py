@@ -199,7 +199,11 @@ class TestCliExits:
                 {"weight": sampled, "selection": ["levelset"]},
                 {"audits": {"audit": {"energy_budjet": 5.0}}},
                 {"coefficient": {"base": "abc"}, "selection": ["audit"]},
-                {"coefficient": {"base": 1.0, "oscilation": 0.3}}):
+                {"coefficient": {"base": 1.0, "oscilation": 0.3}},
+                {"grid": {"nx": 16.7, "nt": 64, "t_final": 0.1}},
+                {"grid": {"nx": 16, "nt": 100.5, "t_final": 0.1}},
+                {"selection": ["solve"], "audits": {"solve": {"levels": [16.5, 32]}}},
+                {"selection": ["solve"], "audits": {"solve": {"levels": 32}}}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -209,6 +213,9 @@ class TestCliExits:
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
         assert "energy_budjet" in err
         assert "coefficient.base" in err and "oscilation" in err
+        assert "grid.nx must be an integer, got 16.7" in err
+        assert "grid.nt must be an integer, got 100.5" in err
+        assert "levels must be an integer, got 16.5" in err
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data

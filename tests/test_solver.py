@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from wparab.config import ExperimentConfig
-from wparab.errors import EllipticityViolation, GateFailed
+from wparab.errors import EllipticityViolation, GateFailed, SingularSystem
 from wparab.experiments import (
     CTX1,
     ManufacturedCase,
@@ -18,6 +19,7 @@ from wparab.experiments import (
 )
 from wparab.geometry import SpaceTimePoint, WeightedCylinder
 from wparab.solver import (
+    _implicit_step,
     CoefficientField,
     FrozenProblem,
     Grid,
@@ -192,6 +194,73 @@ class TestManufactured:
         rows, _ = convergence_study(BETA_POW, [16, 32, 64], t_final=0.2)
         orders = [r["order"] for r in rows[1:]]
         assert min(orders) >= 1.0
+
+
+def implicit_step_banded(beta_cells, a_faces, h, tau, rhs):
+    """The implicit step as it was before the direct LAPACK call."""
+    m = beta_cells.size - 2
+    ab = np.zeros((3, m))
+    ab[0, 1:] = ab[2, :-1] = -a_faces[1:-1] / h ** 2
+    ab[1, :] = beta_cells[1:-1] / tau + (a_faces[1:] + a_faces[:-1]) / h ** 2
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestImplicitStep:
+    @pytest.mark.parametrize("m", [1, 2, 7, 127])
+    def test_equals_solve_banded(self, m):
+        rng = np.random.default_rng(m)
+        beta_cells = rng.uniform(0.01, 3.0, m + 2)
+        a_faces = rng.uniform(0.2, 5.0, m + 1)
+        rhs = rng.standard_normal(m)
+        h, tau = 1.0 / (m + 1), 0.37 / (m + 1) ** 2
+        kept = (beta_cells.copy(), a_faces.copy(), rhs.copy())
+        got = _implicit_step(beta_cells, a_faces, h, tau, rhs, 1)
+        assert np.array_equal(got, implicit_step_banded(beta_cells, a_faces, h, tau, rhs))
+        # the inputs are left as they were
+        for before, after in zip(kept, (beta_cells, a_faces, rhs)):
+            assert np.array_equal(before, after)
+
+    def test_singular_system_raises(self):
+        with pytest.raises(SingularSystem, match="step 3"):
+            _implicit_step(np.zeros(6), np.zeros(5), 0.2, 0.1, np.ones(4), 3)
+
+    def test_overflow_reports_first_step(self):
+        grid = small_grid(nx=8, nt=4)
+        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
+        F = np.zeros((grid.nt + 1, grid.nx))
+        with pytest.raises(SingularSystem, match="step 1 produced non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            solve_ivbp(BETA1, A, F, grid, initial=np.full(grid.nx + 1, 1e308))
+
+    def test_non_finite_inputs_raise(self):
+        grid = small_grid(nx=16, nt=8)
+        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
+        F = forcing_from_callable(smooth_random_forcing(3), grid)
+        solve_ivbp(BETA1, A, F, grid)
+        bad_F = F.copy()
+        bad_F[5, 3] = np.nan
+        bad_A = A.values.copy()
+        bad_A[8, 0] = np.nan
+        init = np.ones(grid.nx + 1)
+        init[4] = np.inf
+        for args, kwargs in (((BETA1, A, bad_F, grid), {}),
+                             ((BETA1, CoefficientField(bad_A, A.nu), F, grid), {}),
+                             ((BETA1, A, F, grid), {"initial": init})):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_ivbp(*args, **kwargs)
+
+        def a_bar(t):
+            return np.nan if t > 0.2 else 1.0
+
+        def data(x, t):
+            return np.cos(np.asarray(x)) + (np.nan if t > 0.3 else 0.0)
+
+        smooth = lambda x, t: np.cos(np.asarray(x))
+        for a, d in ((a_bar, smooth), (1.0, data)):
+            prob = FrozenProblem(beta_bar=1.0, a_bar=a, x_span=(0.0, 1.0),
+                                 t_span=(0.0, 0.4), nx=8, nt=8)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_frozen(prob, d)
 
 
 class TestFrozen:
