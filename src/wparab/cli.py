@@ -9,6 +9,7 @@ still written), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -17,84 +18,58 @@ import numpy as np
 
 from .config import KNOWN_GROUPS, ExperimentConfig
 from .errors import ConfigError, ToolkitError
-from .experiments import (
-    ManufacturedCase,
-    convergence_study,
-    fit_loglog_slope,
-    freeze_compare_sweep,
-    smooth_random_forcing,
-    solve_driven,
-)
-from .flattening import (
-    BoundaryChart,
-    admissible_radius_search,
-    b_norm_delta_sweep,
-    inclusion_audit,
-    oscillation_delta_sweep,
-    pushforward_coefficients,
-    pushforward_weight_audit,
-)
-from .geometry import (
-    SpaceTimePoint,
-    WeightedCylinder,
-    cylinder_relations_audit,
-    estimate_quasi_params,
-    quasi_triangle_audit,
-)
-from .inequalities import (
-    SpaceTimeTestFunction,
-    TestFunction,
-    interpolation_audit,
-    weighted_embedding_audit,
-    weighted_lq_control_audit,
-)
-from .maximal import (
-    SpaceTimeField,
-    five_rho_cover_audit,
-    levelset_decay_audit,
-    vitali_select,
-    weak_1_1_audit,
-)
+from .experiments import (ManufacturedCase, convergence_study, fit_loglog_slope,
+                          freeze_compare_sweep, smooth_random_forcing, solve_driven)
+from .flattening import (BoundaryChart, admissible_radius_search, b_norm_delta_sweep,
+                         inclusion_audit, oscillation_delta_sweep,
+                         pushforward_coefficients, pushforward_weight_audit)
+from .geometry import (SpaceTimePoint, WeightedCylinder, cylinder_relations_audit,
+                       estimate_quasi_params, quasi_triangle_audit)
+from .inequalities import (SpaceTimeTestFunction, TestFunction, interpolation_audit,
+                           weighted_embedding_audit, weighted_lq_control_audit)
+from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit,
+                      vitali_select, weak_1_1_audit)
 from .oscillation import OscillationConfig, oscillation_supremum
 from .report import AuditReport, AuditRow, write_csv, write_json, write_svg_curves
-from .solver import (
-    FrozenProblem,
-    apriori_ratio,
-    energy_audit,
-    lipschitz_audit,
-    poincare_audit,
-    solve_frozen,
-    time_shift_audit,
-    write_solution_binary,
-    write_solution_csv,
-)
-from .weights import (
-    BallFamily,
-    Weight,
-    WeightContext,
-    check_beta_condition,
-    doubling_report,
-    reverse_holder_gamma,
-)
+from .solver import (FrozenProblem, apriori_ratio, energy_audit, lipschitz_audit,
+                     poincare_audit, solve_frozen, time_shift_audit,
+                     write_solution_binary, write_solution_csv)
+from .weights import (BallFamily, Weight, WeightContext, check_beta_condition,
+                      doubling_report, reverse_holder_gamma)
 
 
-def _ctx_for(cfg: ExperimentConfig) -> WeightContext:
-    m0 = float(cfg.audit_params("weights").get("M0", 10.0))
-    return WeightContext(n=1, M0=m0)
+class RunContext:
+    """What the audit groups of one run share.
+
+    Holds the config (whose ``audits[group]`` are the typed parameters),
+    the seed, the output directory, the weight, the 1D ``WeightContext``
+    and the coefficient function, each built once per run. The
+    manufactured solution at the config grid is solved on first use, so
+    ``audit`` and ``levelset`` share one solve and a run without them
+    makes none.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
+        self.cfg, self.seed, self.out = cfg, seed, out
+        self.weight = cfg.build_weight()
+        self.ctx = WeightContext(n=1, M0=cfg.audits["weights"].M0)
+        self.a_fun = cfg.coefficient_fn()
+
+    @functools.cached_property
+    def manufactured(self):
+        g = self.cfg.grid
+        nt = g.nt if g.nt is not None else max(round(0.25 * g.nx * g.nx), 4)
+        u, _ = ManufacturedCase(self.weight).solve(g.nx, nt, g.t_final)
+        return u
 
 
-def run_weights(cfg: ExperimentConfig, seed: int) -> list[AuditReport]:
-    w = cfg.build_weight()
-    ctx = _ctx_for(cfg)
-    params = cfg.audit_params("weights")
-    fam = BallFamily.default(w.domain, n_centers=int(params.get("n_centers", 9)))
-    reports = [check_beta_condition(w, ctx, fam,
-                                    tol_quad=float(params.get("tol_quad", 1e-6)))]
-    theta = float(params.get("theta", 0.5))
-    reports.append(doubling_report(w, 1.0, fam, theta, ctx,
-                                   n1_budget=float(params.get("n1_budget",
-                                                              math.inf))))
-    budget = float(params.get("rh_budget", 2.0))
+def run_weights(run: RunContext) -> list[AuditReport]:
+    w, ctx, p = run.weight, run.ctx, run.cfg.audits["weights"]
+    fam = BallFamily.default(w.domain, n_centers=p.n_centers)
+    reports = [check_beta_condition(w, ctx, fam, tol_quad=p.tol_quad)]
+    reports.append(doubling_report(w, 1.0, fam, p.theta, ctx,
+                                   n1_budget=p.n1_budget))
+    budget = p.rh_budget
     gamma = reverse_holder_gamma(w, fam, budget)
     reports.append(AuditReport.from_rows(
         "reverse-holder-exponent",
@@ -104,28 +79,23 @@ def run_weights(cfg: ExperimentConfig, seed: int) -> list[AuditReport]:
     return reports
 
 
-def run_geometry(cfg: ExperimentConfig, seed: int) -> list[AuditReport]:
-    w = cfg.build_weight()
-    ctx = _ctx_for(cfg)
-    params = cfg.audit_params("geometry")
+def run_geometry(run: RunContext) -> list[AuditReport]:
+    w, ctx, p = run.weight, run.ctx, run.cfg.audits["geometry"]
     qp = estimate_quasi_params(w, ctx)
-    samples = int(params.get("samples", 100000))
-    reports = [quasi_triangle_audit(w, qp, samples, ctx, seed=seed)]
+    reports = [quasi_triangle_audit(w, qp, p.samples, ctx, seed=run.seed)]
     lo, hi = w.domain[0]
-    x0 = float(params.get("relations_x0", 0.5 * (lo + hi)))
-    r = float(params.get("relations_r", 0.25 * (hi - lo)))
+    x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
+    r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
     reports.append(cylinder_relations_audit(
         w, SpaceTimePoint([x0], 0.0), r, ctx))
     return reports
 
 
-def run_solve(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
-    w = cfg.build_weight()
-    params = cfg.audit_params("solve")
-    levels = [int(v) for v in params.get("levels", [32, 64, 128])]
-    _, _, t_final = cfg.manufactured_grid()
-    is_constant = w.kind == "power" and w.alpha == 0.0
-    order_budget = float(params.get("order_min", 1.9 if is_constant else 1.0))
+def run_solve(run: RunContext) -> list[AuditReport]:
+    w, out, p = run.weight, run.out, run.cfg.audits["solve"]
+    levels, t_final = p.levels, run.cfg.grid.t_final
+    order_budget = p.order_min if p.order_min is not None else (
+        1.9 if w.kind == "power" and w.alpha == 0.0 else 1.0)
     rows, finest = convergence_study(w, levels, t_final=t_final)
     write_solution_csv(out / "solution.csv", finest)
     write_solution_binary(out / "solution.bin", finest)
@@ -148,85 +118,66 @@ def run_solve(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
                 "errors": [r["error"] for r in rows]})]
 
     # a-priori ratio stability across refinements (one solve per level)
-    p_values = [float(p) for p in params.get("p_values", [2.0, 4.0])]
-    stability_budget = float(params.get("stability", 0.10))
-    ratio_budget = float(params.get("ratio_budget", 50.0))
-    forcing = smooth_random_forcing(seed)
-    ratio_table: dict[float, list[float]] = {p: [] for p in p_values}
+    forcing = smooth_random_forcing(run.seed)
+    ratio_table: dict[float, list[float]] = {q: [] for q in p.p_values}
     for row in rows:  # the grids of the convergence study
         u = solve_driven(w, forcing, nx=row["nx"], nt=row["nt"], t_final=t_final,
-                         a_fun=cfg.coefficient_fn())
-        for p in p_values:
-            ratio_table[p].append(apriori_ratio(u, p).ratio)
-    for p in p_values:
-        ratios = ratio_table[p]
+                         a_fun=run.a_fun)
+        for q in p.p_values:
+            ratio_table[q].append(apriori_ratio(u, q).ratio)
+    for q in p.p_values:
+        ratios = ratio_table[q]
         spread = (max(ratios) - min(ratios)) / min(ratios) if min(ratios) > 0 else 0.0
         rows_p = [
-            AuditRow(label="ratio-bounded", lhs=max(ratios), rhs=ratio_budget,
-                     constant=max(ratios), budget=ratio_budget,
-                     passed=bool(max(ratios) <= ratio_budget)),
+            AuditRow(label="ratio-bounded", lhs=max(ratios), rhs=p.ratio_budget,
+                     constant=max(ratios), budget=p.ratio_budget,
+                     passed=bool(max(ratios) <= p.ratio_budget)),
             AuditRow(label="refinement-stability", lhs=spread,
-                     rhs=stability_budget, constant=spread,
-                     budget=stability_budget,
-                     passed=bool(spread <= stability_budget),
+                     rhs=p.stability, constant=spread, budget=p.stability,
+                     passed=bool(spread <= p.stability),
                      extra={"ratios": ratios}),
         ]
         reports.append(AuditReport.from_rows(
-            f"apriori-ratio-p{p:g}", rows_p, params={"p": p, "levels": levels},
-            seed=seed))
+            f"apriori-ratio-p{q:g}", rows_p, params={"p": q, "levels": levels},
+            seed=run.seed))
     return reports
 
 
-def _manufactured_solution(cfg: ExperimentConfig):
-    w = cfg.build_weight()
-    nx, nt, t_final = cfg.manufactured_grid()
-    u, _ = ManufacturedCase(w).solve(nx, nt, t_final)
-    return w, u, t_final
-
-
-def run_audit(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
-    ctx = _ctx_for(cfg)
-    params = cfg.audit_params("audit")
-    w, u, t_final = _manufactured_solution(cfg)
+def run_audit(run: RunContext) -> list[AuditReport]:
+    w, ctx, out, p = run.weight, run.ctx, run.out, run.cfg.audits["audit"]
+    u, t_final = run.manufactured, run.cfg.grid.t_final
     lo, hi = w.domain[0]
     mask = (lo, hi, 0.0, t_final)
 
-    osc_cfg = OscillationConfig(R0=float(params.get("R0", 0.5)),
-                                delta=float(params.get("delta", 0.5)))
-    reports = [oscillation_supremum(cfg.coefficient_fn(), w, osc_cfg, mask, ctx)]
+    osc_cfg = OscillationConfig(R0=p.R0, delta=p.delta)
+    reports = [oscillation_supremum(run.a_fun, w, osc_cfg, mask, ctx)]
 
     center = 0.5 * (lo + hi)
     z0 = SpaceTimePoint([center], t_final)
-    r_base = float(params.get("cylinder_r", 0.125 * (hi - lo)))
+    r_base = p.cylinder_r if p.cylinder_r is not None else 0.125 * (hi - lo)
     inner = WeightedCylinder(z0, 1.5 * r_base, w, ctx, variant="Q")
     outer = WeightedCylinder(z0, 2.0 * r_base, w, ctx, variant="Q")
-    reports.append(energy_audit(u, inner, outer,
-                                budget=float(params.get("energy_budget", 100.0))))
-
-    cyl = WeightedCylinder(z0, 2.0 * r_base, w, ctx, variant="Q")
-    reports.append(poincare_audit(u, cyl, variant="interior",
-                                  budget=float(params.get("poincare_budget", 10.0))))
+    reports.append(energy_audit(u, inner, outer, budget=p.energy_budget))
+    reports.append(poincare_audit(u, outer, variant="interior",
+                                  budget=p.poincare_budget))
     bcyl = WeightedCylinder(SpaceTimePoint([lo], t_final), 2.0 * r_base, w, ctx,
                             variant="Q+")
     reports.append(poincare_audit(u, bcyl, variant="boundary",
-                                  budget=float(params.get("poincare_budget", 10.0))))
+                                  budget=p.poincare_budget))
 
     # frozen-solution Lipschitz audit on a caloric profile
     beta_bar = w.mean_global(1.0, [center], 2.0 * r_base)
-    f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5,
-                               Weight.constant(beta_bar, (-1.0, 1.0)), ctx)
-    f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25,
-                               Weight.constant(beta_bar, (-1.0, 1.0)), ctx)
+    frozen = Weight.constant(beta_bar, (-1.0, 1.0))
+    f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen, ctx)
+    f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen, ctx)
     prob = FrozenProblem(beta_bar=beta_bar, a_bar=1.0,
                          x_span=f_outer.x_interval(0), t_span=f_outer.t_interval,
                          nx=48, nt=48)
     v = solve_frozen(prob, lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
     reports.append(lipschitz_audit(v, f_inner, f_outer, beta_bar,
-                                   budget=float(params.get("lipschitz_budget",
-                                                           100.0))))
+                                   budget=p.lipschitz_budget))
 
-    amplitudes = [float(a) for a in params.get("freeze_amplitudes",
-                                               [0.4, 0.2, 0.1, 0.05, 0.0])]
+    amplitudes = p.freeze_amplitudes
     sweep = freeze_compare_sweep(w, amplitudes)
     write_csv(out / "freeze_sweep.csv", ["amplitude", "eps_emp", "delta_emp"],
               [[r["amplitude"], r["eps_emp"], r["delta_emp"]] for r in sweep])
@@ -237,10 +188,9 @@ def run_audit(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
     eps = [r["eps_emp"] for r in sweep]
     nonzero = [e for a, e in zip(amplitudes, eps) if a > 0.0]
     baseline = next((e for a, e in zip(amplitudes, eps) if a == 0.0), None)
-    rows = [AuditRow(label="strictly-decreasing",
-                     lhs=0.0 if all(b < a for a, b in zip(nonzero, nonzero[1:]))
-                     else 1.0, rhs=0.0, constant=0.0, budget=0.0,
-                     passed=all(b < a for a, b in zip(nonzero, nonzero[1:])))]
+    decreasing = all(b < a for a, b in zip(nonzero, nonzero[1:]))
+    rows = [AuditRow(label="strictly-decreasing", lhs=0.0 if decreasing else 1.0,
+                     rhs=0.0, constant=0.0, budget=0.0, passed=decreasing)]
     if baseline is not None and nonzero:
         ratio = nonzero[-1] / baseline if baseline > 0 else math.inf
         rows.append(AuditRow(label="smallest-amplitude-near-baseline",
@@ -252,72 +202,60 @@ def run_audit(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
 
     phi = np.clip(1.0 - ((u.grid.x - center) / (0.35 * (hi - lo))) ** 2,
                   0.0, None) ** 2
-    reports.append(time_shift_audit(
-        u, phi, 2, budget=float(params.get("timeshift_budget", 10.0))))
+    reports.append(time_shift_audit(u, phi, 2, budget=p.timeshift_budget))
 
     # weighted-inequality lab on synthetic descriptors
     lab_dom = (-1.0, 1.0)
     fam = BallFamily.default(lab_dom)
     mu = Weight.power(0.2, 0.0, lab_dom)
     g = TestFunction.polynomial([0.3, 1.0])
-    g.validate_gradient(lab_dom, seed=seed)
+    g.validate_gradient(lab_dom, seed=run.seed)
     reports.append(weighted_lq_control_audit(
-        g, mu, 2.0, (0.0, 0.0, 0.8), 0.1, ctx, fam,
-        budget=float(params.get("lab_budget", 100.0))))
-    reports.append(weighted_embedding_audit(
-        g, mu, "low", 0.5, budget=float(params.get("lab_budget", 100.0))))
+        g, mu, 2.0, (0.0, 0.0, 0.8), 0.1, ctx, fam, budget=p.lab_budget))
+    reports.append(weighted_embedding_audit(g, mu, "low", 0.5,
+                                            budget=p.lab_budget))
     u_fn = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
-    reports.append(interpolation_audit(
-        u_fn, mu, 0.0, 0.8, (0.0, 1.0),
-        budget=float(params.get("lab_budget", 100.0))))
+    reports.append(interpolation_audit(u_fn, mu, 0.0, 0.8, (0.0, 1.0),
+                                       budget=p.lab_budget))
     return reports
 
 
-def run_levelset(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
-    ctx = _ctx_for(cfg)
-    params = cfg.audit_params("levelset")
-    w, u, t_final = _manufactured_solution(cfg)
+def run_levelset(run: RunContext) -> list[AuditReport]:
+    w, ctx, seed, p = run.weight, run.ctx, run.seed, run.cfg.audits["levelset"]
     lo, hi = w.domain[0]
 
     reports = []
-    lambdas = [float(v) for v in params.get("lambdas", [0.25, 0.5, 1.0, 2.0])]
-    budget = float(params.get("weak11_budget", 100.0))
-    n_fields = int(params.get("n_fields", 5))
-    for i in range(n_fields):
+    for i in range(p.n_fields):
         rng = np.random.default_rng(seed + i)
         vals = rng.random((16, 16))
         field = SpaceTimeField(np.linspace(lo, hi, 17),
                                np.linspace(-1.0, 0.0, 17), vals)
-        rep = weak_1_1_audit(field, w, lambdas, ctx, budget=budget)
+        rep = weak_1_1_audit(field, w, p.lambdas, ctx, budget=p.weak11_budget)
         rep.check = f"maximal-weak-1-1-field{i}"
         rep.seed = seed + i
         reports.append(rep)
 
     rng = np.random.default_rng(seed + 100)
-    n_cyl = int(params.get("n_cylinders", 100))
     cyls = [WeightedCylinder(
         SpaceTimePoint([rng.uniform(lo + 0.1, hi - 0.1)],
                        rng.uniform(-0.8, -0.2)),
         float(rng.uniform(0.02, 0.15)), w, ctx, variant="C")
-        for _ in range(n_cyl)]
+        for _ in range(p.n_cylinders)]
     fam = vitali_select(cyls, w)
     cover = five_rho_cover_audit(fam, w, ctx)
     cover.seed = seed + 100
     reports.append(cover)
 
-    grad_sq = u.gradient_squared_field()
-    force_sq = u.forcing_squared_field()
+    u = run.manufactured
     decay = levelset_decay_audit(
-        grad_sq, force_sq, w, K=float(params.get("K", 4.0)),
-        q0=float(params.get("q0", 0.5)), m_max=int(params.get("m_max", 5)),
-        ctx=ctx, center=0.5 * (lo + hi), t_top=t_final,
-        r_unit=float(params.get("r_unit", 0.1)),
-        delta_hat=float(params.get("delta_hat", 0.05)))
-    table = decay.params.get("table", [])
-    write_csv(out / "levelset_decay.csv", ["m", "lhs", "rhs", "gamma1_fit"],
+        u.gradient_squared_field(), u.forcing_squared_field(), w, K=p.K,
+        q0=p.q0, m_max=p.m_max, ctx=ctx, center=0.5 * (lo + hi),
+        t_top=run.cfg.grid.t_final, r_unit=p.r_unit, delta_hat=p.delta_hat)
+    table = decay.params["table"]
+    write_csv(run.out / "levelset_decay.csv", ["m", "lhs", "rhs", "gamma1_fit"],
               table)
     if table:
-        write_svg_curves(out / "levelset_decay.svg",
+        write_svg_curves(run.out / "levelset_decay.svg",
                          [("lhs", [r[0] for r in table], [r[1] for r in table]),
                           ("rhs", [r[0] for r in table], [r[2] for r in table])],
                          title="level-set decay")
@@ -325,23 +263,20 @@ def run_levelset(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditRepor
     return reports
 
 
-def run_flatten(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport]:
-    params = cfg.audit_params("flatten")
-    deltas = [float(d) for d in params.get("deltas", [0.05, 0.1, 0.2])]
-    alpha = float(params.get("alpha", 0.1))
-    m0 = float(params.get("M0", 10.0))
-    ctx2 = WeightContext(n=2, M0=m0)
+def run_flatten(run: RunContext) -> list[AuditReport]:
+    out, p = run.out, run.cfg.audits["flatten"]
+    ctx2 = WeightContext(n=2, M0=p.M0)
     dom2 = ((-1.0, 1.0), (-1.0, 1.0))
 
-    chart = BoundaryChart(kind="affine", delta=deltas[-1])
+    chart = BoundaryChart(kind="affine", delta=p.deltas[-1])
     reports = [inclusion_audit(chart, [0.2, 0.1], 0.5)]
     _, _, coef_rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
     reports.append(coef_rep)
 
-    b_rows = b_norm_delta_sweep(deltas)
+    b_rows = b_norm_delta_sweep(p.deltas)
     slope_b = fit_loglog_slope([r["delta"] for r in b_rows],
                                [r["b_norm"] for r in b_rows])
-    osc_rows = oscillation_delta_sweep(deltas, ctx2)
+    osc_rows = oscillation_delta_sweep(p.deltas, ctx2)
     slope_o = fit_loglog_slope([r["delta"] for r in osc_rows],
                                [r["oscillation_sq"] for r in osc_rows])
     write_csv(out / "flatten_sweeps.csv",
@@ -361,24 +296,21 @@ def run_flatten(cfg: ExperimentConfig, seed: int, out: Path) -> list[AuditReport
                   constant=slope_b, budget=0.9, passed=bool(slope_b >= 0.9)),
          AuditRow(label="oscillation-exponent", lhs=slope_o, rhs=1.8,
                   constant=slope_o, budget=1.8, passed=bool(slope_o >= 1.8))],
-        params={"deltas": deltas}))
+        params={"deltas": p.deltas}))
 
-    beta2 = Weight.power(alpha, (0.0, 0.0), dom2)
+    beta2 = Weight.power(p.alpha, (0.0, 0.0), dom2)
     fam2 = BallFamily.default(dom2, n_centers=5, n_radii=8)
-    reports.append(pushforward_weight_audit(
-        BoundaryChart(kind="affine", delta=float(params.get("delta", 0.2))),
-        beta2, ctx2, fam2, shape=(32, 32)))
-    reports.append(admissible_radius_search(
-        BoundaryChart(kind="affine", delta=float(params.get("delta", 0.2))),
-        beta2, ctx2, R=float(params.get("R", 0.8)),
-        t0=float(params.get("t0", 0.5)),
-        Lambda=float(params.get("Lambda", 2.0))))
+    chart2 = BoundaryChart(kind="affine", delta=p.delta)
+    reports.append(pushforward_weight_audit(chart2, beta2, ctx2, fam2,
+                                            shape=(32, 32)))
+    reports.append(admissible_radius_search(chart2, beta2, ctx2, R=p.R, t0=p.t0,
+                                            Lambda=p.Lambda))
     return reports
 
 
 RUNNERS = {
-    "weights": lambda cfg, seed, out: run_weights(cfg, seed),
-    "geometry": lambda cfg, seed, out: run_geometry(cfg, seed),
+    "weights": run_weights,
+    "geometry": run_geometry,
     "solve": run_solve,
     "audit": run_audit,
     "levelset": run_levelset,
@@ -398,11 +330,11 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    use_seed = int(seed) if seed is not None else cfg.seed
     all_passed = True
     try:
+        run = RunContext(cfg, seed if seed is not None else cfg.seed, out)
         for group in selected:
-            reports = RUNNERS[group](cfg, use_seed, out)
+            reports = RUNNERS[group](run)
             for rep in reports:
                 write_json(out / f"{group}__{rep.check}.json", rep)
                 status = "pass" if rep.passed else "FAIL"

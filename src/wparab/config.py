@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,62 +18,158 @@ KNOWN_GROUPS = ("weights", "geometry", "solve", "audit", "levelset", "flatten")
 TOP_LEVEL_KEYS = frozenset({"name", "seed", "weight", "coefficient", "grid",
                             "audits", "selection"})
 
-# The parameters each group's runner in ``cli`` reads from ``audits.<group>``.
-AUDIT_KEYS = {
-    "weights": frozenset({"M0", "n_centers", "tol_quad", "theta", "n1_budget",
-                          "rh_budget"}),
-    "geometry": frozenset({"samples", "relations_x0", "relations_r"}),
-    "solve": frozenset({"levels", "order_min", "p_values", "stability",
-                        "ratio_budget"}),
-    "audit": frozenset({"R0", "delta", "cylinder_r", "energy_budget",
-                        "poincare_budget", "lipschitz_budget", "freeze_amplitudes",
-                        "timeshift_budget", "lab_budget"}),
-    "levelset": frozenset({"lambdas", "weak11_budget", "n_fields", "n_cylinders",
-                           "K", "q0", "m_max", "r_unit", "delta_hat"}),
-    "flatten": frozenset({"deltas", "alpha", "M0", "delta", "R", "t0", "Lambda"}),
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_NOUN = {"int": "an integer", "float": "a finite number", "budget": "a number"}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config key: its type, its default and the range its consumer needs.
+
+    ``kind`` is ``"int"``, ``"float"`` (finite), ``"budget"`` (a pass
+    threshold, which may also be ``Infinity``: no bound), or ``"ints"`` /
+    ``"floats"`` for a non-empty list whose every entry is in range. A
+    ``None`` default depends on the weight or the grid and is worked out
+    where it is used.
+    """
+
+    kind: str
+    default: object = None
+    gt: float | None = None
+    ge: float | None = None
+    lt: float | None = None
+
+    def parse(self, value, name: str):
+        """The typed value of the key ``name``; ConfigError if it is not one."""
+        if self.kind in ("ints", "floats"):
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{name} must be a non-empty list of numbers, "
+                                  f"got {value!r}")
+            return [self._number(v, self.kind[:-1], name, f"each of {name}")
+                    for v in value]
+        return self._number(value, self.kind, name, name)
+
+    def _number(self, raw, kind: str, name: str, where: str):
+        ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        if ok and isinstance(raw, float):  # 16.0 is an integer; inf only a budget
+            ok = ((math.isfinite(raw) or math.isinf(raw) and kind == "budget")
+                  and (kind != "int" or raw.is_integer()))
+        if not ok:
+            raise ConfigError(f"{where} must be {_NOUN[kind]}, got {raw!r}")
+        value = int(raw) if kind == "int" else float(raw)
+        bounds = [(op, b) for op, b in ((">", self.gt), (">=", self.ge),
+                                        ("<", self.lt)) if b is not None]
+        if not all(_COMPARE[op](value, b) for op, b in bounds):
+            key = name.rsplit(".", 1)[-1]
+            text = " and ".join(f"{key} {op} {b:g}" for op, b in bounds)
+            raise ConfigError(f"{where} must satisfy {text}, got {raw!r}")
+        return value
+
+
+# Every key each section accepts, with the type, default and range its
+# consumer needs: ``audits.<group>`` for the runners in ``cli``,
+# ``coefficient`` for ``coefficient_fn`` and ``grid`` for the manufactured
+# solve (``nt`` defaults to about nx^2 / 4 there).
+PARAMS: dict[str, dict[str, Param]] = {
+    "audits.weights": {
+        "M0": Param("budget", 10.0, ge=1.0),
+        "n_centers": Param("int", 9, ge=1),
+        "tol_quad": Param("budget", 1e-6),
+        "theta": Param("float", 0.5, gt=0.0, lt=1.0),
+        "n1_budget": Param("budget", math.inf),
+        "rh_budget": Param("budget", 2.0, ge=1.0),
+    },
+    "audits.geometry": {
+        "samples": Param("int", 100000, ge=1),
+        "relations_x0": Param("float"),
+        "relations_r": Param("float", gt=0.0),
+    },
+    "audits.solve": {
+        "levels": Param("ints", [32, 64, 128], ge=2),
+        "order_min": Param("budget"),
+        "p_values": Param("floats", [2.0, 4.0], ge=2.0),
+        "stability": Param("budget", 0.10),
+        "ratio_budget": Param("budget", 50.0),
+    },
+    "audits.audit": {
+        "R0": Param("float", 0.5, gt=0.0, lt=1.0),
+        "delta": Param("budget", 0.5, ge=0.0),
+        "cylinder_r": Param("float", gt=0.0),
+        "energy_budget": Param("budget", 100.0),
+        "poincare_budget": Param("budget", 10.0),
+        "lipschitz_budget": Param("budget", 100.0),
+        "freeze_amplitudes": Param("floats", [0.4, 0.2, 0.1, 0.05, 0.0]),
+        "timeshift_budget": Param("budget", 10.0),
+        "lab_budget": Param("budget", 100.0),
+    },
+    "audits.levelset": {
+        "lambdas": Param("floats", [0.25, 0.5, 1.0, 2.0]),
+        "weak11_budget": Param("budget", 100.0),
+        "n_fields": Param("int", 5, ge=1),
+        "n_cylinders": Param("int", 100, ge=1),
+        "K": Param("float", 4.0, gt=1.0),
+        "q0": Param("float", 0.5, gt=0.0, lt=1.0),
+        "m_max": Param("int", 5, ge=1),
+        "r_unit": Param("float", 0.1, ge=0.0),
+        "delta_hat": Param("float", 0.05),
+    },
+    "audits.flatten": {
+        "deltas": Param("floats", [0.05, 0.1, 0.2], ge=0.0, lt=1.0),
+        "alpha": Param("float", 0.1, gt=-2.0),
+        "M0": Param("budget", 10.0, ge=1.0),
+        "delta": Param("float", 0.2, ge=0.0, lt=1.0),
+        "R": Param("float", 0.8, gt=0.0),
+        "t0": Param("budget", 0.5),
+        "Lambda": Param("float", 2.0, gt=0.0),
+    },
+    "coefficient": {
+        "base": Param("float", 1.0, gt=0.0),
+        "oscillation": Param("float", 0.0),
+        "frequency": Param("float", 8.0),
+    },
+    "grid": {
+        "nx": Param("int", 64, ge=2),
+        "nt": Param("int", ge=1),
+        "t_final": Param("float", 0.25, gt=0.0),
+    },
 }
 
-# The numeric parameters ``coefficient_fn`` and ``manufactured_grid`` read.
-COEFFICIENT_KEYS = frozenset({"base", "oscillation", "frequency"})
-GRID_KEYS = frozenset({"nx", "nt", "t_final"})
 
-
-def _reject_unknown(keys, known, where: str) -> None:
-    unknown = sorted(set(keys) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
-                          f"known keys are {sorted(known)}")
-
-
-def _check_numbers(section, known, where: str) -> None:
-    """A flat object of known keys with numeric values."""
+def _object(section, known, name: str) -> dict:
+    """``section`` if it is a JSON object of known keys; ConfigError if not."""
     if not isinstance(section, dict):
-        raise ConfigError(f"the {where} section must be an object")
-    _reject_unknown(section, known, where)
-    for key, value in section.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be an object")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {name}; "
+                          f"known keys are {sorted(known)}")
+    return section
 
 
-def _integer(value, where: str) -> int:
-    """An integral JSON number (16 or 16.0); anything else is a ConfigError."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+def _typed(section, name: str) -> SimpleNamespace:
+    """The keys of ``PARAMS[name]`` read from ``section``, typed and defaulted."""
+    _object(section, PARAMS[name], name)
+    return SimpleNamespace(**{  # a derived (None) default stays None
+        key: param.parse(section.get(key, param.default), f"{name}.{key}")
+        if key in section or param.default is not None else None
+        for key, param in PARAMS[name].items()})
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment file: data specs, audit selection, budgets."""
+    """Parsed experiment file: data specs, audit selection, typed parameters.
+
+    ``coefficient``, ``grid`` and each ``audits[group]`` hold the keys of
+    their ``PARAMS`` section as typed, range-checked, defaulted attributes.
+    """
 
     name: str
     seed: int
     weight_spec: dict
-    coefficient: dict
-    grid: dict
-    audits: dict
+    coefficient: SimpleNamespace
+    grid: SimpleNamespace
+    audits: dict[str, SimpleNamespace]
     selection: list[str]
 
     @classmethod
@@ -87,34 +185,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
+        """Validate every section, selected groups or not; ConfigError if bad."""
+        _object(raw, TOP_LEVEL_KEYS, "the config root")
         try:
             name = str(raw["name"])
             seed = int(raw["seed"])
         except KeyError as exc:
             raise ConfigError(f"missing required config key: {exc}") from exc
-        _reject_unknown(raw, TOP_LEVEL_KEYS, "the config root")
-        weight_spec = raw.get("weight", {"kind": "constant", "value": 1.0,
-                                         "domain": [0.0, 1.0]})
+        audits = _object(raw.get("audits", {}), KNOWN_GROUPS, "audits")
         cfg = cls(
-            name=name, seed=seed, weight_spec=weight_spec,
-            coefficient=raw.get("coefficient", {"base": 1.0, "oscillation": 0.0}),
-            grid=raw.get("grid", {"nx": 64, "nt": 1024, "t_final": 0.25}),
-            audits=raw.get("audits", {}),
+            name=name, seed=seed,
+            weight_spec=raw.get("weight", {"kind": "constant", "value": 1.0,
+                                           "domain": [0.0, 1.0]}),
+            coefficient=_typed(raw.get("coefficient", {}), "coefficient"),
+            grid=_typed(raw.get("grid", {}), "grid"),
+            audits={group: _typed(audits.get(group, {}), f"audits.{group}")
+                    for group in KNOWN_GROUPS},
             selection=list(raw.get("selection", KNOWN_GROUPS)),
         )
-        if not isinstance(cfg.audits, dict):
-            raise ConfigError("the audits section must be an object")
-        _reject_unknown(cfg.audits, AUDIT_KEYS, "audits")
-        for group, known in AUDIT_KEYS.items():
-            _reject_unknown(cfg.audit_params(group), known, f"audits.{group}")
-        _check_numbers(cfg.coefficient, COEFFICIENT_KEYS, "coefficient")
-        _check_numbers(cfg.grid, GRID_KEYS, "grid")
         cfg.build_weight()  # validate the weight and coefficient specs eagerly
         cfg.coefficient_fn()
         cfg.check_groups(cfg.selection)
-        cfg.manufactured_grid()
         return cfg
 
     def check_groups(self, groups) -> None:
@@ -123,32 +214,9 @@ class ExperimentConfig:
             if group not in KNOWN_GROUPS:
                 raise ConfigError(f"unknown audit group {group!r}")
         manufactured = [g for g in ("solve", "audit", "levelset") if g in groups]
-        if manufactured and self.build_weight().kind == "sampled":
+        if manufactured and self.weight_spec.get("kind") == "sampled":
             raise ConfigError(f"groups {manufactured} solve the manufactured problem, "
                               "which is not defined for sampled weights")
-        levels = self.audit_params("solve").get("levels", [32, 64, 128])
-        if "solve" in groups:
-            if not isinstance(levels, list):
-                raise ConfigError(f"audits.solve.levels must be a list, got {levels!r}")
-            nxs = [_integer(v, "each of audits.solve.levels") for v in levels]
-            if not nxs or min(nxs) < 2:
-                raise ConfigError(f"audits.solve.levels needs levels >= 2, got {levels}")
-
-    def manufactured_grid(self) -> tuple[int, int, float]:
-        """(nx, nt, t_final) of the grid section."""
-        nx = _integer(self.grid.get("nx", 64), "grid.nx")
-        nt = _integer(self.grid.get("nt", max(int(round(0.25 * nx * nx)), 4)), "grid.nt")
-        t_final = float(self.grid.get("t_final", 0.25))
-        if nx < 2 or nt < 1 or not t_final > 0.0:
-            raise ConfigError(f"grid needs nx >= 2, nt >= 1 and t_final > 0, "
-                              f"got {nx}, {nt}, {t_final}")
-        return nx, nt, t_final
-
-    def audit_params(self, group: str) -> dict:
-        params = self.audits.get(group, {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"audit section {group!r} must be an object")
-        return params
 
     def build_weight(self) -> Weight:
         spec = self.weight_spec
@@ -174,13 +242,11 @@ class ExperimentConfig:
         raise ConfigError(f"unknown weight kind {kind!r}")
 
     def coefficient_fn(self):
-        base = float(self.coefficient.get("base", 1.0))
-        osc = float(self.coefficient.get("oscillation", 0.0))
-        freq = float(self.coefficient.get("frequency", 8.0))
-        if base <= 0.0:
-            raise ConfigError("coefficient base must be positive")
+        c = self.coefficient
+        base, osc, freq = c.base, c.oscillation, c.frequency
         if abs(osc) >= base:
-            raise ConfigError("oscillation amplitude must stay below the base")
+            raise ConfigError("coefficient.oscillation amplitude must stay "
+                              "below the base")
 
         def a_fun(x, t):
             return base + osc * np.sin(freq * math.pi * x)

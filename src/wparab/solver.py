@@ -119,7 +119,7 @@ def _sample_faces(fn, grid: Grid) -> np.ndarray:
     vals = np.asarray(fn(grid.faces[None, :], grid.t[:, None]), dtype=float)
     shape = (grid.nt + 1, grid.nx)
     try:
-        return np.array(np.broadcast_to(vals, shape))
+        return np.array(np.broadcast_to(vals, shape), order="C")
     except ValueError as exc:
         raise ValueError(f"callable returned shape {vals.shape}, which does not "
                          f"broadcast to the grid's {shape}") from exc

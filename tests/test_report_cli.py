@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wparab.cli import run_experiment
-from wparab.config import ExperimentConfig
+from wparab.config import PARAMS, ExperimentConfig
 from wparab.errors import ConfigError
 from wparab.report import (
     AuditReport,
@@ -155,6 +155,15 @@ class TestConfig:
                 {"name": "x", "seed": 1,
                  "weight": {"kind": "power", "domain": [0, 1]}})
 
+    def test_closed_bound_and_infinite_budget_accepted(self):
+        cfg = ExperimentConfig.from_dict({"name": "x", "seed": 1, "audits": {
+            "weights": {"n1_budget": math.inf}, "audit": {"delta": 0}}})
+        assert cfg.audits["weights"].n1_budget == math.inf
+        assert cfg.audits["audit"].delta == 0.0
+        with pytest.raises(ConfigError, match="grid.t_final must be a finite"):
+            ExperimentConfig.from_dict({"name": "x", "seed": 1,
+                                        "grid": {"t_final": math.inf}})
+
     def test_weight_builders(self):
         cfg = ExperimentConfig.from_dict(
             {"name": "x", "seed": 1,
@@ -162,6 +171,20 @@ class TestConfig:
                         "domain": [0.0, 1.0]}})
         w = cfg.build_weight()
         assert w.kind == "power" and w.alpha == 0.2
+
+
+def bad_values(section, key, param):
+    """(section, key, value) cases the table must reject: a string, an empty
+    list for a list key, and a value just outside each bound of the range."""
+    many = param.kind in ("ints", "floats")
+    outside = [bound for bound in (param.gt, param.lt) if bound is not None]
+    if param.ge is not None:
+        outside.append(param.ge - 1 if param.kind in ("int", "ints")
+                       else math.nextafter(param.ge, -math.inf))
+    values = ["abc"] + ([[]] if many else [])
+    values += [[v] if many else v for v in outside]
+    return [pytest.param(section, key, v, id=f"{section}.{key}={v!r}")
+            for v in values]
 
 
 class TestCliExits:
@@ -203,7 +226,18 @@ class TestCliExits:
                 {"grid": {"nx": 16.7, "nt": 64, "t_final": 0.1}},
                 {"grid": {"nx": 16, "nt": 100.5, "t_final": 0.1}},
                 {"selection": ["solve"], "audits": {"solve": {"levels": [16.5, 32]}}},
-                {"selection": ["solve"], "audits": {"solve": {"levels": 32}}}):
+                {"selection": ["solve"], "audits": {"solve": {"levels": 32}}},
+                {"audits": {"levelset": {"K": "abc"}}},
+                {"audits": {"audit": {"R0": -1}}},
+                {"audits": {"geometry": {"samples": 0}}},
+                {"audits": {"audit": {"freeze_amplitudes": "x"}}},
+                {"audits": {"solve": {"p_values": [0]}}},
+                {"audits": {"flatten": {"deltas": []}}},
+                {"audits": {"weights": {"M0": 0}}},
+                {"audits": {"weights": {"n_centers": 2.5}}},
+                {"audits": {"levelset": {"m_max": 2.5}}},
+                {"audits": {"weights": {"theta": "0.5"}}},
+                {"audits": {"levelset": {"lambdas": []}}}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -216,6 +250,32 @@ class TestCliExits:
         assert "grid.nx must be an integer, got 16.7" in err
         assert "grid.nt must be an integer, got 100.5" in err
         assert "levels must be an integer, got 16.5" in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        case for section, table in PARAMS.items() for key, param in table.items()
+        for case in bad_values(section, key, param)])
+    def test_exit_two_on_bad_table_value(self, tmp_path, capsys, section, key,
+                                         value):
+        if section.startswith("audits."):
+            overrides = {"audits": {section.split(".")[1]: {key: value}}}
+        else:
+            overrides = {section: {key: value}}
+        cfg = self.write_config(tmp_path, overrides)
+        assert run_experiment(str(cfg), str(tmp_path / "out")) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_audit_and_levelset_share_one_solve(self, tmp_path, monkeypatch):
+        calls = []
+        solve = ManufacturedCase.solve
+
+        def counted(case, *args):
+            calls.append(args)
+            return solve(case, *args)
+
+        monkeypatch.setattr(ManufacturedCase, "solve", counted)
+        cfg = self.write_config(tmp_path, {"selection": ["audit", "levelset"]})
+        assert run_experiment(str(cfg), str(tmp_path / "out")) == 0
+        assert calls == [(16, 64, 0.1)]
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data

@@ -149,6 +149,16 @@ class TestBroadcastSampling:
             A = CoefficientField.from_callable(fn, grid)
             np.testing.assert_allclose(A.values, ref, rtol=0, atol=tol)
 
+    def test_time_broadcast_result_is_c_ordered(self):
+        # the solver reads one row A.values[k] per step, so rows must be
+        # contiguous also when the callable's result broadcasts along time
+        fn = oscillating_config_coefficient()
+        grid = Grid(x0=0.0, x1=1.0, nx=64, t_final=0.25, nt=1024)
+        A = CoefficientField.from_callable(fn, grid)
+        ref = np.broadcast_to(fn(grid.faces[None, :], grid.t[:, None]),
+                              (grid.nt + 1, grid.nx))
+        assert A.values.flags.c_contiguous and np.array_equal(A.values, ref)
+
     def test_scalar_result_fills_grid(self):
         grid = small_grid(nx=8, nt=4)
         F = forcing_from_callable(lambda x, t: 0.5, grid)
