@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import KNOWN_GROUPS, ExperimentConfig
+from .config import KNOWN_GROUPS, SEED, ExperimentConfig
 from .errors import ConfigError, ToolkitError
 from .experiments import (ManufacturedCase, convergence_study, fit_loglog_slope,
                           freeze_compare_sweep, smooth_random_forcing, solve_driven)
@@ -323,6 +323,8 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
     """Run the selected audit groups; returns the process exit code."""
     try:
         cfg = ExperimentConfig.load(config_path)
+        if seed is not None:
+            seed = SEED.parse(seed, "--seed")
         selected = groups if groups else cfg.selection
         cfg.check_groups(selected)
     except ConfigError as exc:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonIntegrable
 from .weights import Weight
 
 KNOWN_GROUPS = ("weights", "geometry", "solve", "audit", "levelset", "flatten")
@@ -136,6 +136,11 @@ PARAMS: dict[str, dict[str, Param]] = {
 }
 
 
+# The root seed, from the config or from ``--seed``: numpy's generators
+# take only non-negative integers.
+SEED = Param("int", ge=0)
+
+
 def _object(section, known, name: str) -> dict:
     """``section`` if it is a JSON object of known keys; ConfigError if not."""
     if not isinstance(section, dict):
@@ -189,7 +194,7 @@ class ExperimentConfig:
         _object(raw, TOP_LEVEL_KEYS, "the config root")
         try:
             name = str(raw["name"])
-            seed = int(raw["seed"])
+            seed = SEED.parse(raw["seed"], "seed")
         except KeyError as exc:
             raise ConfigError(f"missing required config key: {exc}") from exc
         audits = _object(raw.get("audits", {}), KNOWN_GROUPS, "audits")
@@ -237,7 +242,7 @@ class ExperimentConfig:
             raise
         except KeyError as exc:
             raise ConfigError(f"weight spec missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, NonIntegrable) as exc:
             raise ConfigError(f"invalid weight spec: {exc}") from exc
         raise ConfigError(f"unknown weight kind {kind!r}")
 

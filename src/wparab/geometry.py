@@ -35,6 +35,9 @@ from .weights import BallFamily, Weight, WeightContext
 
 TOL_BISECT = 1e-10
 MAX_BISECT = 80
+# Points per block of the vectorized bisection: small enough that one
+# block's height evaluation stays in cache.
+BISECT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,9 @@ def _height_vec(beta: Weight, x0: np.ndarray, r: np.ndarray,
     r = np.asarray(r, dtype=float)
     clip = beta.kind == "sampled"
     mass = beta.mass_1d_vec(ctx.n0 / 2.0, x0 - r, x0 + r, clip=clip)
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    out[pos] = r[pos] ** 2 * (mass[pos] / (2.0 * r[pos])) ** (2.0 / ctx.n0)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 maps to 0
+        h = r ** 2 * (mass / (2.0 * r)) ** (2.0 / ctx.n0)
+    return np.where(r > 0.0, h, 0.0)
 
 
 def height_inverse(beta: Weight, x0, s: float, ctx: WeightContext,
@@ -116,7 +118,12 @@ def height_inverse(beta: Weight, x0, s: float, ctx: WeightContext,
 
 def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
                        ctx: WeightContext, tol: float = TOL_BISECT) -> np.ndarray:
-    """Vectorized inverse heights for 1D weights."""
+    """Vectorized inverse heights for 1D weights.
+
+    Every point takes the same bracket doublings and bisection steps; each
+    step walks the points in blocks of ``BISECT_BLOCK``, so the heights
+    and their temporaries stay cache-sized.
+    """
     x0 = np.asarray(x0, dtype=float)
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
@@ -124,10 +131,11 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
     if not np.any(active):
         return out
     xa, sa = x0[active], s[active]
+    blocks = [slice(k, k + BISECT_BLOCK) for k in range(0, sa.size, BISECT_BLOCK)]
     hi = np.ones_like(sa)
     for _ in range(200):
-        vals = _height_vec(beta, xa, hi, ctx)
-        need = vals < sa
+        need = np.concatenate([_height_vec(beta, xa[b], hi[b], ctx) < sa[b]
+                               for b in blocks])
         if not np.any(need):
             break
         if np.any(hi >= 2.0 ** 60):
@@ -137,11 +145,15 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
         raise NoBracket("height never reaches a requested value")
     lo = np.zeros_like(sa)
     for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        below = _height_vec(beta, xa, mid, ctx) < sa
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= tol * np.maximum(hi, 1e-300)):
+        converged = True
+        for b in blocks:
+            lo_b, hi_b = lo[b], hi[b]
+            mid = 0.5 * (lo_b + hi_b)
+            below = _height_vec(beta, xa[b], mid, ctx) < sa[b]
+            np.copyto(lo_b, mid, where=below)
+            np.copyto(hi_b, mid, where=~below)
+            converged &= bool(np.all(hi_b - lo_b <= tol * np.maximum(hi_b, 1e-300)))
+        if converged:
             break
     out[active] = 0.5 * (lo + hi)
     return out

@@ -153,11 +153,14 @@ def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
     X, T = np.asarray(X, float), np.asarray(T, float)
     gabs = g.abs_field()
     best = np.zeros_like(X)
+    # fields on a grid repeat each x once per time row: heights depend on x only
+    xu, inverse = np.unique(X, return_inverse=True)
     for rho in radii:
-        h = _height_vec(beta, X, np.full_like(X, rho), ctx)
-        if not np.all(h > 0.0):
+        hu = _height_vec(beta, xu, np.full_like(xu, rho), ctx)
+        if not np.all(hu > 0.0):
             raise EmptyRegion(f"cylinders of radius {rho} have zero height "
                               "where the weight has no mass")
+        h = hu[inverse]
         a, b = X - rho, X + rho
         s, e = T - 0.5 * h, T + 0.5 * h
         if window is not None:

@@ -235,11 +235,13 @@ class Weight:
         if a >= b:
             return 0.0
         if self.quadrature == "midpoint":
-            edges, cum = self._cum_1d(p)
+            edges, cum, _ = self._cum_1d(p)
             return float(np.interp(b, edges, cum) - np.interp(a, edges, cum))
-        return self._mass_1d_trapezoid(p, a, b)
+        return float(self._trapezoid_masses(p, np.array([a]), np.array([b]))[0])
 
-    def _cum_1d(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+    def _cum_1d(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell edges, cumulative masses of w^p at the edges, and the slopes
+        of the cumulative masses on each cell (midpoint rule)."""
         key = ("cum", p)
         if key not in self._cum_cache:
             (lo, hi), = self.domain
@@ -247,21 +249,50 @@ class Weight:
             edges = np.linspace(lo, hi, nc + 1)
             dx = (hi - lo) / nc
             cum = np.concatenate([[0.0], np.cumsum(self.samples ** p * dx)])
-            self._cum_cache[key] = (edges, cum)
+            self._cum_cache[key] = (edges, cum, _slopes(edges, cum))
         return self._cum_cache[key]
 
-    def _mass_1d_trapezoid(self, p: float, a: float, b: float) -> float:
-        (lo, hi), = self.domain
-        nodes = np.linspace(lo, hi, self.samples.size)
-        total = 0.0
-        for i in range(self.samples.size - 1):
-            aa, bb = _interval_overlap(a, b, nodes[i], nodes[i + 1])
-            if aa >= bb:
-                continue
-            mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
-            xq = mid + half * _GL16_NODES
-            lin = np.interp(xq, nodes, self.samples)
-            total += half * float(np.sum(_GL16_WEIGHTS * lin ** p))
+    def _trapezoid_cells(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, slopes of the linear interpolant between them, and the
+        GL16 integral of w^p over each full cell (trapezoid rule)."""
+        key = ("gl16", p)
+        if key not in self._cum_cache:
+            (lo, hi), = self.domain
+            nodes = np.linspace(lo, hi, self.samples.size)
+            slopes = _slopes(nodes, self.samples)
+            full = self._gl16(p, nodes[:-1], nodes[1:], nodes, slopes)
+            self._cum_cache[key] = (nodes, slopes, full)
+        return self._cum_cache[key]
+
+    def _gl16(self, p: float, aa: np.ndarray, bb: np.ndarray, nodes: np.ndarray,
+              slopes: np.ndarray) -> np.ndarray:
+        """GL16 integrals of (linearly interpolated w)^p over each [aa, bb]."""
+        mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
+        xq = mid[:, None] + half[:, None] * _GL16_NODES
+        lin = _interp_uniform(xq, nodes, self.samples, slopes)
+        return half * np.sum(_GL16_WEIGHTS * lin ** p, axis=-1)
+
+    def _trapezoid_masses(self, p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Masses of w^p over [a, b] inside the domain, summed cell by cell.
+
+        Each interval adds its first (partial) cell, then every full cell,
+        then its last (partial) cell, in that order; a full cell's GL16
+        value is the same number for every interval that covers it.
+        """
+        nodes, slopes, full = self._trapezoid_cells(p)
+        last_cell = full.size - 1
+        hit = a < b
+        i0 = np.minimum(np.searchsorted(nodes, a, side="right") - 1, last_cell)
+        i1 = np.maximum(np.searchsorted(nodes, b, side="left") - 1, 0)
+        span = np.where(hit, i1 - i0, 0)
+        first = self._gl16(p, a, np.minimum(b, nodes[i0 + 1]), nodes, slopes)
+        total = np.where(hit, first, 0.0)
+        steps = int(span.max(initial=0))
+        if steps:
+            last = self._gl16(p, np.maximum(a, nodes[i1]), b, nodes, slopes)
+            for m in range(1, steps + 1):
+                inner = full[np.minimum(i0 + m, last_cell)]
+                total += np.where(m < span, inner, np.where(m == span, last, 0.0))
         return total
 
     def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray,
@@ -280,9 +311,10 @@ class Weight:
         a, b = np.maximum(a, lo), np.minimum(b, hi)
         b = np.maximum(a, b)
         if self.quadrature == "midpoint":
-            edges, cum = self._cum_1d(p)
-            return np.interp(b, edges, cum) - np.interp(a, edges, cum)
-        return np.array([self._mass_1d_trapezoid(p, aa, bb) for aa, bb in zip(a, b)])
+            edges, cum, slopes = self._cum_1d(p)
+            return (_interp_uniform(b, edges, cum, slopes)
+                    - _interp_uniform(a, edges, cum, slopes))
+        return self._trapezoid_masses(p, a, b)
 
     # -- nD interface --------------------------------------------------------
 
@@ -442,6 +474,34 @@ def _as_domain(domain) -> tuple[tuple[float, float], ...]:
     if arr.ndim == 1:
         arr = arr[None, :]
     return tuple((float(lo), float(hi)) for lo, hi in arr)
+
+
+def _slopes(xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Slopes of the piecewise-linear table on each interval, as
+    ``np.interp`` computes them, and a zero slope past ``xp[-1]``."""
+    return np.append((fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]), 0.0)
+
+
+def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
+                    slopes: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` bit for bit, for uniformly spaced ``xp``.
+
+    The cell is located arithmetically and corrected by one step in each
+    direction against ``xp``, so no binary search runs. The value is
+    numpy's own ``slopes[j] * (x - xp[j]) + fp[j]``; ``x`` is clipped to
+    ``xp``, and the zero slope of ``_slopes`` past ``xp[-1]`` gives
+    ``fp[-1]`` there. ``fp`` must be finite and ``x`` free of NaN.
+    """
+    nc = xp.size - 1
+    x = np.clip(x, xp[0], xp[-1])
+    j = ((x - xp[0]) * (nc / (xp[-1] - xp[0]))).astype(np.intp)
+    np.minimum(j, nc - 1, out=j)
+    j -= x < xp[j]
+    j += x >= xp[1:][j]
+    out = x - xp[j]
+    out *= slopes[j]
+    out += fp[j]
+    return out
 
 
 def _bisect_edges(edges: np.ndarray) -> np.ndarray:

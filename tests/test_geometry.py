@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from wparab.errors import NoBracket
 from wparab.geometry import (
+    BISECT_BLOCK,
+    MAX_BISECT,
+    TOL_BISECT,
     QuasiMetricParams,
     SpaceTimePoint,
     WeightedCylinder,
     cylinder_relations_audit,
     dilated_weight,
     estimate_quasi_params,
+    _height_vec,
     height,
     height_inverse,
+    height_inverse_vec,
     psi,
     quasi_distance,
     quasi_distance_batch,
@@ -106,6 +111,76 @@ class TestHeightInverse:
         ctx2 = WeightContext(n=2, M0=10.0)
         with pytest.raises(NoBracket):
             height_inverse(w, [0.0, 0.0], 1e9, ctx2)
+
+
+
+def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
+    """Reference for the blocked bisection: every step evaluates the
+    heights of all points at once."""
+    out = np.zeros_like(s)
+    active = s > 0.0
+    xa, sa = x0[active], s[active]
+    hi = np.ones_like(sa)
+    for _ in range(200):
+        need = _height_vec(beta, xa, hi, ctx) < sa
+        if not np.any(need):
+            break
+        if np.any(hi >= 2.0 ** 60):
+            raise NoBracket("height never reaches a requested value")
+        hi = np.where(need, 2.0 * hi, hi)
+    else:
+        raise NoBracket("height never reaches a requested value")
+    lo = np.zeros_like(sa)
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        below = _height_vec(beta, xa, mid, ctx) < sa
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo <= tol * np.maximum(hi, 1e-300)):
+            break
+    out[active] = 0.5 * (lo + hi)
+    return out
+
+
+class TestBlockedBisection:
+    WEIGHTS = {
+        "power": Weight.power(0.4, 0.1, DOM),
+        "constant": Weight.constant(2.5, DOM),
+        "sampled": Weight.sampled(
+            np.random.default_rng(3).lognormal(0.0, 0.5, 256), DOM),
+    }
+
+    @staticmethod
+    def points(n):
+        """More than three blocks plus a remainder; the tiny gaps sit in the
+        last block only, so it needs more steps than the others."""
+        rng = np.random.default_rng(11)
+        x0 = rng.uniform(-1.2, 1.2, n)
+        s = rng.uniform(0.0, 2.0, n) ** 2
+        s[::97] = 0.0
+        s[-50:] = rng.uniform(0.5e-9, 2e-9, 50)
+        return x0, s
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_same_bits_as_unblocked_loop(self, kind):
+        n = 3 * BISECT_BLOCK + 1234
+        x0, s = self.points(n)
+        beta = self.WEIGHTS[kind]
+        got = height_inverse_vec(beta, x0, s, CTX)
+        assert np.array_equal(got, height_inverse_reference(beta, x0, s, CTX))
+        assert np.all(got[s == 0.0] == 0.0) and np.all(got[s > 0.0] > 0.0)
+
+    def test_unreachable_height_raises(self):
+        # the height of the zero-extended sampled weight outside its domain
+        # stays 0 until the ball reaches the domain
+        x0, s = self.points(2 * BISECT_BLOCK + 10)
+        x0[BISECT_BLOCK + 5] = 50.0
+        s[BISECT_BLOCK + 5] = 1e30
+        beta = self.WEIGHTS["sampled"]
+        with pytest.raises(NoBracket):
+            height_inverse_reference(beta, x0, s, CTX)
+        with pytest.raises(NoBracket, match="height never reaches a requested value"):
+            height_inverse_vec(beta, x0, s, CTX)
 
 
 class TestQuasiDistance:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wparab.errors import EmptyRegion, PreconditionFailed
-from wparab.geometry import SpaceTimePoint, WeightedCylinder, height
+from wparab.geometry import SpaceTimePoint, WeightedCylinder, _height_vec, height
 from wparab.maximal import (
     CoveringFamily,
     SpaceTimeField,
@@ -107,6 +107,25 @@ class TestFieldIntegrator:
         assert f.l1_norm() == pytest.approx(2.0 * 2.0)
 
 
+
+def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
+    """Reference for maximal_function_batch: a height per point, even where
+    points share their x."""
+    gabs = g.abs_field()
+    best = np.zeros_like(X)
+    for rho in radii:
+        h = _height_vec(beta, X, np.full_like(X, rho), ctx)
+        a, b = X - rho, X + rho
+        s, e = T - 0.5 * h, T + 0.5 * h
+        if window is not None:
+            w_a, w_b, w_s, w_e = window
+            a, b = np.maximum(a, w_a), np.minimum(b, w_b)
+            s, e = np.maximum(s, w_s), np.minimum(e, w_e)
+            b, e = np.maximum(a, b), np.maximum(s, e)
+        best = np.maximum(best, gabs.integral(a, b, s, e) / (2.0 * rho * h))
+    return best
+
+
 class TestMaximalFunction:
     def test_constant_field(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
@@ -166,6 +185,19 @@ class TestMaximalFunction:
         m1 = maximal_function_batch(f, beta, X, T, radii, CTX)
         m2 = maximal_function_batch(g, beta, X, T, radii, CTX)
         assert np.all(ms <= m1 + m2 + 1e-12)
+
+    @pytest.mark.parametrize("beta", [
+        Weight.power(0.3, 0.2, (-1.0, 1.0)),
+        Weight.sampled(np.random.default_rng(4).lognormal(0.0, 0.5, 32), (-1.0, 1.0))])
+    @pytest.mark.parametrize("window", [None, (-0.6, 0.7, -0.8, -0.1)])
+    def test_distinct_x_heights_match_per_point(self, beta, window):
+        rng = np.random.default_rng(9)
+        f = make_field(rng.standard_normal((40, 24)))
+        radii = default_radius_grid(f)
+        X, T = f.cell_centers()
+        got = maximal_function_batch(f, beta, X, T, radii, CTX, window=window)
+        assert np.array_equal(
+            got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
 
     def test_dominates_pointwise_values(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))

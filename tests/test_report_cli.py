@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from wparab.cli import run_experiment
+from wparab.cli import main, run_experiment
 from wparab.config import PARAMS, ExperimentConfig
 from wparab.errors import ConfigError
 from wparab.report import (
@@ -237,13 +237,28 @@ class TestCliExits:
                 {"audits": {"weights": {"n_centers": 2.5}}},
                 {"audits": {"levelset": {"m_max": 2.5}}},
                 {"audits": {"weights": {"theta": "0.5"}}},
-                {"audits": {"levelset": {"lambdas": []}}}):
+                {"audits": {"levelset": {"lambdas": []}}},
+                {"seed": "abc"},
+                {"seed": -1},
+                {"seed": 2.5},
+                {"seed": True},
+                {"weight": {"kind": "power", "alpha": -1.5, "domain": [0.0, 1.0]}}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
         cfg = self.write_config(tmp_path, {"weight": sampled})
         assert run_experiment(str(cfg), str(tmp_path / "out"), groups=["solve"]) == 2
+        # and so is a seed given on the command line
+        cfg = self.write_config(tmp_path, {})
+        assert main(["weights", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 2
         err = capsys.readouterr().err
+        assert "seed must be an integer, got 'abc'" in err
+        assert "seed must satisfy seed >= 0, got -1" in err
+        assert "seed must be an integer, got 2.5" in err
+        assert "seed must be an integer, got True" in err
+        assert "--seed must satisfy --seed >= 0, got -1" in err
+        assert "invalid weight spec: alpha = -1.5" in err
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
         assert "energy_budjet" in err
         assert "coefficient.base" in err and "oscilation" in err

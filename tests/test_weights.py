@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from wparab.errors import EmptyBall, EmptyRegion, NonIntegrable
 from wparab.weights import (
+    _GL16_NODES,
+    _GL16_WEIGHTS,
     BallFamily,
     Weight,
     WeightContext,
+    _interp_uniform,
     aq_characteristic,
     check_beta_condition,
     doubling_eta,
@@ -70,6 +73,93 @@ class TestBallAverage:
         w = Weight.sampled(nodes, DOM, quadrature="trapezoid")
         got = w.mean(1.0, 0.0, 1.0)
         assert got == pytest.approx(2.0, rel=1e-12)
+
+
+
+def lookup_probes(edges: np.ndarray, rng) -> np.ndarray:
+    """Random points, every edge, both float neighbours of every edge (so
+    also just outside both domain ends) and the two ends themselves."""
+    lo, hi = edges[0], edges[-1]
+    return np.concatenate([rng.uniform(lo, hi, 500), edges,
+                           np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                           [lo, hi]])
+
+
+class TestCumulativeLookup:
+    """The arithmetic cell lookup of the midpoint-rule masses against
+    ``np.interp``, which the masses used to call."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("nc", [1, 3, 256])
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 1.0), (-3.7, 12.2)])
+    def test_same_bits_as_interp(self, p, nc, domain):
+        rng = np.random.default_rng(nc)
+        w = Weight.sampled(rng.lognormal(0.0, 1.0, nc), domain)
+        edges, cum, slopes = w._cum_1d(p)
+        x = lookup_probes(edges, rng)
+        assert np.array_equal(_interp_uniform(x, edges, cum, slopes),
+                              np.interp(x, edges, cum))
+        a = np.clip(x, *domain)
+        b = np.clip(a + rng.uniform(0.0, 0.4 * (domain[1] - domain[0]), a.size),
+                    *domain)
+        ref = np.interp(b, edges, cum) - np.interp(a, edges, cum)
+        vec = w.mass_1d_vec(p, a, b)
+        assert np.array_equal(vec, ref)
+        # the scalar path stays on np.interp and agrees bit for bit
+        assert np.array_equal(vec, [w._mass_1d(p, aa, bb) for aa, bb in zip(a, b)])
+
+    def test_whole_and_empty_intervals(self):
+        w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)
+        edges, cum, _ = w._cum_1d(1.0)
+        a = np.array([-5.0, -1.0, 0.5, 1.0, 3.0, 0.25])
+        b = np.array([5.0, 1.0, 0.5, 2.0, 4.0, -0.5])
+        assert np.array_equal(w.mass_1d_vec(1.0, a, b), [cum[-1], cum[-1], 0, 0, 0, 0])
+
+
+def trapezoid_mass_reference(w: Weight, p: float, a: float, b: float) -> float:
+    """Reference for the trapezoid-rule masses: the per-interval loop over
+    every cell, with ``np.interp`` at the GL16 nodes of each overlap."""
+    (lo, hi), = w.domain
+    a, b = max(a, lo), min(b, hi)
+    nodes = np.linspace(lo, hi, w.samples.size)
+    total = 0.0
+    for i in range(w.samples.size - 1):
+        aa, bb = max(a, nodes[i]), min(b, nodes[i + 1])
+        if aa >= bb:
+            continue
+        mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
+        lin = np.interp(mid + half * _GL16_NODES, nodes, w.samples)
+        total += half * float(np.sum(_GL16_WEIGHTS * lin ** p))
+    return total
+
+
+class TestTrapezoidMasses:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 65])
+    def test_same_bits_as_per_interval_loop(self, p, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        domain = (-0.3, 1.9)
+        w = Weight.sampled(rng.lognormal(0.0, 1.0, n_nodes), domain,
+                           quadrature="trapezoid")
+        nodes = np.linspace(*domain, n_nodes)
+        width = domain[1] - domain[0]
+        a_rand = rng.uniform(domain[0] - 0.2 * width, domain[1], 300)
+        a = np.concatenate([
+            a_rand,                     # partial cells, spans of full cells
+            nodes, nodes,               # intervals starting on a node
+            [domain[0] - 1.0, domain[1] + 0.5, domain[0] - 2.0],  # outside
+            [0.4, 0.4, domain[0]],      # degenerate: a == b, a > b, a == b == lo
+        ])
+        b = np.concatenate([
+            a_rand + rng.uniform(0.0, 0.8 * width, 300),
+            np.roll(nodes, -1), nodes + 0.37 * width,
+            [domain[1] + 1.0, domain[1] + 0.7, domain[0] - 1.0],
+            [0.4, 0.1, domain[0]],
+        ])
+        vec = w.mass_1d_vec(p, a, b)
+        ref = [trapezoid_mass_reference(w, p, aa, bb) for aa, bb in zip(a, b)]
+        assert np.array_equal(vec, ref)
+        assert np.array_equal(vec, [w._mass_1d(p, aa, bb) for aa, bb in zip(a, b)])
 
 
 class TestAqCharacteristic:
