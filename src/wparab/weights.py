@@ -107,6 +107,9 @@ class Weight:
                 raise ValueError("sampled weight requires samples")
             if self.quadrature not in ("midpoint", "trapezoid"):
                 raise ValueError(f"unknown quadrature {self.quadrature!r}")
+            if self.samples.size < (2 if self.quadrature == "trapezoid" else 1):
+                raise ValueError(f"{self.quadrature} weight has too few samples "
+                                 "(trapezoid needs two nodes, midpoint one cell)")
             if np.any(self.samples < SAMPLE_FLOOR):
                 raise ValueError(
                     f"sample values below {SAMPLE_FLOOR} are rejected: "
@@ -281,7 +284,7 @@ class Weight:
         """
         nodes, slopes, full = self._trapezoid_cells(p)
         last_cell = full.size - 1
-        hit = a < b
+        hit = ~(a >= b)  # a NaN endpoint goes through and gives NaN
         i0 = np.minimum(np.searchsorted(nodes, a, side="right") - 1, last_cell)
         i1 = np.maximum(np.searchsorted(nodes, b, side="left") - 1, 0)
         span = np.where(hit, i1 - i0, 0)
@@ -416,7 +419,7 @@ class Weight:
             if a >= b:
                 raise EmptyBall("ball misses the domain")
             if self.quadrature == "midpoint":
-                edges, _ = self._cum_1d(1.0)
+                edges = self._cum_1d(1.0)[0]
                 i0 = int(np.searchsorted(edges, a, side="right")) - 1
                 i1 = int(np.searchsorted(edges, b, side="left"))
                 vals = self.samples[max(i0, 0):i1]
@@ -490,12 +493,14 @@ def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
     direction against ``xp``, so no binary search runs. The value is
     numpy's own ``slopes[j] * (x - xp[j]) + fp[j]``; ``x`` is clipped to
     ``xp``, and the zero slope of ``_slopes`` past ``xp[-1]`` gives
-    ``fp[-1]`` there. ``fp`` must be finite and ``x`` free of NaN.
+    ``fp[-1]`` there. ``fp`` must be finite and ``xp`` hold at least two
+    nodes; a NaN in ``x`` gives NaN, as in ``np.interp``.
     """
     nc = xp.size - 1
     x = np.clip(x, xp[0], xp[-1])
-    j = ((x - xp[0]) * (nc / (xp[-1] - xp[0]))).astype(np.intp)
-    np.minimum(j, nc - 1, out=j)
+    with np.errstate(invalid="ignore"):
+        j = ((x - xp[0]) * (nc / (xp[-1] - xp[0]))).astype(np.intp)
+    np.clip(j, 0, nc - 1, out=j)
     j -= x < xp[j]
     j += x >= xp[1:][j]
     out = x - xp[j]

@@ -115,6 +115,25 @@ class TestCumulativeLookup:
         b = np.array([5.0, 1.0, 0.5, 2.0, 4.0, -0.5])
         assert np.array_equal(w.mass_1d_vec(1.0, a, b), [cum[-1], cum[-1], 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("quadrature", ["midpoint", "trapezoid"])
+    def test_nan_endpoint_gives_nan(self, quadrature):
+        # as np.interp and the per-interval loop did, rather than a bad index
+        w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM, quadrature=quadrature)
+        out = w.mass_1d_vec(1.0, np.array([-0.5, np.nan, 0.2]),
+                            np.array([0.5, 0.6, np.nan]))
+        assert out[0] > 0.0 and np.isnan(out[1:]).all()
+
+    def test_ess_range_and_a1_on_midpoint_weight(self):
+        w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)
+        assert w.ess_range(0.0, 1.0) == (1.0, 4.0)
+        assert w.ess_range(0.6, 0.1) == (2.0, 2.0)
+        assert w.ess_range(-0.5, 0.5) == (1.0, 2.0)
+        # the whole domain: mean 9/4 over essential infimum 1
+        fam = BallFamily.centered(0.0, np.array([1.0]))
+        assert aq_characteristic(w, 1.0, fam) == pytest.approx(2.25, rel=1e-14)
+        fam = BallFamily.default(DOM, n_centers=7, n_radii=8)
+        assert aq_characteristic(w, 1.0, fam) >= 2.25
+
 
 def trapezoid_mass_reference(w: Weight, p: float, a: float, b: float) -> float:
     """Reference for the trapezoid-rule masses: the per-interval loop over
@@ -349,6 +368,14 @@ class TestWeightValidation:
     def test_tiny_samples_rejected(self):
         with pytest.raises(ValueError):
             Weight.sampled(np.array([1.0, 1e-310, 2.0]), DOM)
+
+    def test_too_few_samples_rejected(self):
+        with pytest.raises(ValueError, match="too few samples"):
+            Weight.sampled(np.array([1.0]), DOM, quadrature="trapezoid")
+        with pytest.raises(ValueError, match="too few samples"):
+            Weight.sampled(np.array([]), DOM)
+        Weight.sampled(np.array([1.0]), DOM)
+        Weight.sampled(np.array([1.0, 2.0]), DOM, quadrature="trapezoid")
 
     def test_alpha_bound(self):
         with pytest.raises(NonIntegrable):
