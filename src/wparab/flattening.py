@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllipticityViolation, GateFailed
+from .errors import EllipticityViolation, EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
 from .weights import BallFamily, Weight, WeightContext, aq_characteristic
 
@@ -224,13 +224,20 @@ def _transformed_weight(chart: BoundaryChart, beta: Weight,
 
 
 def _sup_ball_oscillation(w: Weight, fam: BallFamily) -> float:
-    """sup over the family of (w)_B (w^{-1})_B - 1 (squared oscillation)."""
+    """sup over the family of (w)_B (w^{-1})_B - 1 (squared oscillation).
+
+    Balls outside the domain are skipped; a ball that meets the domain but
+    holds no sample still raises :class:`EmptyBall`.
+    """
     best = 0.0
     for c, r in fam.balls():
-        if w.ball_measure(c, r) <= 0.0:
-            continue
-        val = w.mean(1.0, c, r) * w.mean(-1.0, c, r) - 1.0
-        best = max(best, val)
+        try:
+            b, b_inv = w.means((1.0, -1.0), c, r)
+        except EmptyBall:
+            if w.ball_measure(c, r) <= 0.0:
+                continue
+            raise
+        best = max(best, b * b_inv - 1.0)
     return best
 
 

@@ -121,6 +121,11 @@ class SpaceTimeField:
     def integral(self, a, b, s, e) -> np.ndarray:
         """Exact integral over rectangles [a, b] x [s, e]; vectorized."""
         a, b = (self._locate(self.x_edges, np.asarray(v, float)) for v in (a, b))
+        return self._integral_located(a, b, s, e)
+
+    def _integral_located(self, a, b, s, e) -> np.ndarray:
+        """:meth:`integral` with the x bounds already located, as
+        ``(index, fraction)`` pairs from :meth:`_locate`."""
         # locating one time coordinate at a time keeps fewer arrays alive
         t = self._locate(self.t_edges, np.asarray(e, float))
         total = self._sat_at(b, t) - self._sat_at(a, t)
@@ -161,14 +166,18 @@ def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
             raise EmptyRegion(f"cylinders of radius {rho} have zero height "
                               "where the weight has no mass")
         h = hu[inverse]
-        a, b = X - rho, X + rho
+        # spatial bounds depend on x only too: locate them once per distinct x
+        a, b = xu - rho, xu + rho
         s, e = T - 0.5 * h, T + 0.5 * h
         if window is not None:
             w_a, w_b, w_s, w_e = window
             a, b = np.maximum(a, w_a), np.minimum(b, w_b)
             s, e = np.maximum(s, w_s), np.minimum(e, w_e)
             b, e = np.maximum(a, b), np.maximum(s, e)
-        num = gabs.integral(a, b, s, e)
+        ia, fa = gabs._locate(gabs.x_edges, a)
+        ib, fb = gabs._locate(gabs.x_edges, b)
+        num = gabs._integral_located((ia[inverse], fa[inverse]),
+                                     (ib[inverse], fb[inverse]), s, e)
         best = np.maximum(best, num / (2.0 * rho * h))
     return best
 

@@ -55,8 +55,8 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     zero for constant weights.
     """
     beta.check_power_integrable(-1.0)
-    val = beta.mean(1.0, x0, r) * beta.mean(-1.0, x0, r) - 1.0
-    return max(val, 0.0)
+    b, b_inv = beta.means((1.0, -1.0), x0, r)
+    return max(b * b_inv - 1.0, 0.0)
 
 
 def theta_A_ms(A_fun, beta: Weight, z0, r: float, mask, ctx: WeightContext,

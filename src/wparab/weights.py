@@ -29,6 +29,9 @@ from .report import AuditReport, AuditRow
 SAMPLE_FLOOR = 1e-300
 # Default relative tolerance for comparisons between quadrature values.
 TOL_QUAD = 1e-6
+# Subcells per axis of a grid cell in disc coverage; the uint8 subcell
+# counts of _cell_coverage hold at most 15 * 15.
+COVERAGE_SUB = 4
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,8 @@ class Weight:
             if self.samples.size < (2 if self.quadrature == "trapezoid" else 1):
                 raise ValueError(f"{self.quadrature} weight has too few samples "
                                  "(trapezoid needs two nodes, midpoint one cell)")
+            if not np.all(np.isfinite(self.samples)):
+                raise ValueError("sample values must be finite (no NaN or inf)")
             if np.any(self.samples < SAMPLE_FLOOR):
                 raise ValueError(
                     f"sample values below {SAMPLE_FLOOR} are rejected: "
@@ -345,31 +350,41 @@ class Weight:
         return _disc_box_area(c, r, self.domain)
 
     def mean(self, p: float, center, r: float) -> float:
-        """Mean of w^p over B_r(center) ∩ domain.
+        """Mean of w^p over B_r(center) ∩ domain."""
+        return self.means((p,), center, r)[0]
 
-        In two dimensions the measure is computed with the same coverage
-        discretization as the mass, so the ratio of two means over one
-        ball is free of coverage jitter.
+    def means(self, ps, center, r: float) -> list[float]:
+        """Means of w^p over B_r(center) ∩ domain, one per exponent in ``ps``.
+
+        The ball's measure (and, for a 2D sampled weight, its cell coverage)
+        is computed once and shared by every exponent. In two dimensions
+        the measure uses the same coverage discretization as the mass, so
+        the ratio of two means over one ball is free of coverage jitter.
         """
-        self.check_power_integrable(p)
+        for p in ps:
+            self.check_power_integrable(p)
         c = np.atleast_1d(np.asarray(center, dtype=float))
         if self.n == 1:
             meas = self.ball_measure(c, r)
-            if meas <= 0.0:
-                raise EmptyBall(f"ball B_{r}({center}) misses the domain")
-            return self.mass(p, c, r) / meas
-        if self.kind == "sampled":
+
+            def mass(p):
+                return self.mass(p, c, r)
+        elif self.kind == "sampled":
             (x0, x1), (y0, y1) = self.domain
             ny, nx = self.samples.shape
             frac = _cell_coverage(c, r, x0, x1, y0, y1, nx, ny)
             meas = float(frac.sum())
-            if meas <= 0.0:
-                raise EmptyBall(f"ball B_{r}({center}) misses the domain")
-            return float(np.sum(self.samples ** p * frac)) / meas
-        meas = self._power_mass_2d(0.0, c, r)
+
+            def mass(p):
+                return float(np.sum(self.samples ** p * frac))
+        else:
+            meas = self._power_mass_2d(0.0, c, r)
+
+            def mass(p):
+                return self._power_mass_2d(p, c, r)
         if meas <= 0.0:
             raise EmptyBall(f"ball B_{r}({center}) misses the domain")
-        return self._power_mass_2d(p, c, r) / meas
+        return [mass(p) / meas for p in ps]
 
     def mean_global(self, p: float, center, r: float) -> float:
         """Mean of w^p over the full ball B_r(center).
@@ -534,17 +549,26 @@ def _node_means(fn, xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
     return vals.reshape(ny, nx, 16).mean(axis=-1)
 
 
-def _cell_coverage(c: np.ndarray, r: float, x0, x1, y0, y1, nx, ny,
-                   sub: int = 4) -> np.ndarray:
-    """Fraction of each grid cell covered by the disc B_r(c), via subcells."""
+def _cell_coverage(c: np.ndarray, r: float, x0, x1, y0, y1, nx, ny) -> np.ndarray:
+    """Fraction of each grid cell covered by the disc B_r(c), via subcells.
+
+    Each cell holds COVERAGE_SUB x COVERAGE_SUB subcell centres. The inside
+    test is reduced by adding integer slices, first over the sub-rows and
+    then over the sub-columns, and the count is divided once. The counts
+    are exact integers, so the fractions carry the same bits as the mean
+    of the boolean test over the subcells.
+    """
+    sub = COVERAGE_SUB
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
     off = (np.arange(sub) + 0.5) / sub
     sub_x = x0 + (np.arange(nx)[:, None] + off[None, :]) * dx  # (nx, sub)
     sub_y = y0 + (np.arange(ny)[:, None] + off[None, :]) * dy
     DX = (sub_x.reshape(1, 1, nx, sub) - c[0]) ** 2
     DY = (sub_y.reshape(ny, sub, 1, 1) - c[1]) ** 2
-    inside = (DX + DY) <= r * r  # (ny, sub, nx, sub)
-    return inside.mean(axis=(1, 3))
+    inside = ((DX + DY) <= r * r).view(np.uint8)  # (ny, sub, nx, sub)
+    rows = sum(inside[:, k] for k in range(sub))  # (ny, nx, sub)
+    count = sum(rows[..., k] for k in range(sub))
+    return count / (sub * sub)
 
 
 def _disc_box_area(c: np.ndarray, r: float, domain, sub: int = 64) -> float:
@@ -553,7 +577,7 @@ def _disc_box_area(c: np.ndarray, r: float, domain, sub: int = 64) -> float:
     ry0, ry1 = max(c[1] - r, y0), min(c[1] + r, y1)
     if rx0 >= rx1 or ry0 >= ry1:
         return 0.0
-    frac = _cell_coverage(c, r, rx0, rx1, ry0, ry1, sub, sub, sub=4)
+    frac = _cell_coverage(c, r, rx0, rx1, ry0, ry1, sub, sub)
     return float(frac.sum() * (rx1 - rx0) / sub * (ry1 - ry0) / sub)
 
 
@@ -646,9 +670,10 @@ class BallFamily:
 
 def _aq_ball(w: Weight, s: float, q: float, center, r: float) -> float:
     """A_q quantity of the weight w^s on one ball."""
-    m = w.mean(s, center, r)
     if q > 1.0:
-        return m * w.mean(-s / (q - 1.0), center, r) ** (q - 1.0)
+        m, m_dual = w.means((s, -s / (q - 1.0)), center, r)
+        return m * m_dual ** (q - 1.0)
+    m = w.mean(s, center, r)
     if s == 0.0:
         return m
     # A_1 branch: esssup of w^{-s} over the ball.
@@ -734,8 +759,8 @@ def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float,
             continue
         ok = True
         for c, r in fam.balls():
-            lhs = w.mean(1.0 + g, c, r) ** (1.0 / (1.0 + g))
-            if lhs > budget * w.mean(1.0, c, r) * (1.0 + 1e-12):
+            m_g, m = w.means((1.0 + g, 1.0), c, r)
+            if m_g ** (1.0 / (1.0 + g)) > budget * m * (1.0 + 1e-12):
                 ok = False
                 break
         if ok:

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wparab.errors import GateFailed
+from wparab import weights
+from wparab.errors import EmptyBall, GateFailed
 from wparab.experiments import fit_loglog_slope
 from wparab.flattening import (
     BoundaryChart,
+    _sup_ball_oscillation,
+    _transformed_weight,
     b_matrix,
     b_norm_delta_sweep,
     inclusion_audit,
@@ -158,6 +161,62 @@ class TestWeightPushforward:
         slope = fit_loglog_slope([r["delta"] for r in rows],
                                  [r["oscillation_sq"] for r in rows])
         assert slope >= 1.8, rows
+
+
+def count_calls(monkeypatch, name):
+    """Replace weights.<name> by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(weights, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(weights, name, counted)
+    return calls
+
+
+class TestSupBallOscillation:
+    CHART = BoundaryChart(kind="affine", delta=0.2)
+
+    def weight(self):
+        beta = Weight.power(0.1, (0.0, 0.0), DOM2)
+        return _transformed_weight(self.CHART, beta, (24, 24))
+
+    @staticmethod
+    def two_pass(w, fam):
+        """The supremum with one mean per exponent, for reference."""
+        return max(w.mean(1.0, c, r) * w.mean(-1.0, c, r) - 1.0
+                   for c, r in fam.balls() if w.ball_measure(c, r) > 0.0)
+
+    def test_one_coverage_per_ball(self, monkeypatch):
+        w = self.weight()
+        fam = BallFamily.default(DOM2, n_centers=5, n_radii=8)
+        ref = self.two_pass(w, fam)
+        coverage = count_calls(monkeypatch, "_cell_coverage")
+        areas = count_calls(monkeypatch, "_disc_box_area")
+        osc = _sup_ball_oscillation(w, fam)
+        assert osc == ref and osc > 0.0
+        assert len(coverage) == 5 * 5 * 8
+        assert areas == []  # every ball of the family meets the domain
+
+    def test_ball_outside_domain_skipped(self, monkeypatch):
+        w = self.weight()
+        inside = BallFamily.centered((0.3, -0.2), np.array([0.2, 0.5]))
+        mixed = BallFamily(centers=np.array([[0.3, -0.2], [5.0, 5.0]]),
+                           radii=np.array([0.2, 0.5]))
+        areas = count_calls(monkeypatch, "_disc_box_area")
+        assert _sup_ball_oscillation(w, mixed) == _sup_ball_oscillation(w, inside)
+        assert len(areas) == 2  # measured only for the two balls that miss
+
+    def test_ball_without_subcell_centre_raises(self):
+        # a 2x2 grid on DOM2 has its outermost subcell centres at x = +-0.875;
+        # this ball overlaps the strip x > 0.95 of the box but holds none
+        w = Weight.sampled(np.array([[1.0, 2.0], [3.0, 4.0]]), DOM2)
+        fam = BallFamily.centered((1.05, 0.0), np.array([0.1]))
+        assert w.ball_measure((1.05, 0.0), 0.1) > 0.0
+        with pytest.raises(EmptyBall):
+            _sup_ball_oscillation(w, fam)
 
 
 class TestAdmissibleRadius:

@@ -199,6 +199,20 @@ class TestMaximalFunction:
         assert np.array_equal(
             got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
 
+    @pytest.mark.parametrize("window", [None, (-0.6, 0.7, -0.8, -0.1)])
+    def test_scattered_points_match_per_point_integral(self, window):
+        # repeated x in random order, some outside the grid, odd time rows
+        rng = np.random.default_rng(12)
+        beta = Weight.power(0.3, 0.2, (-1.0, 1.0))  # heights beyond the grid too
+        f = make_field(rng.standard_normal((20, 16)))
+        xs = np.concatenate([rng.uniform(-1.0, 1.0, 9), [-1.0, 1.0, -1.3, 1.2]])
+        X = rng.choice(xs, 400)
+        T = rng.uniform(-1.2, 0.1, 400)
+        radii = default_radius_grid(f, n=6)
+        got = maximal_function_batch(f, beta, X, T, radii, CTX, window=window)
+        assert np.array_equal(
+            got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
+
     def test_dominates_pointwise_values(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((12, 12), 1.7))

@@ -244,7 +244,10 @@ class TestCliExits:
                 {"seed": True},
                 {"weight": {"kind": "power", "alpha": -1.5, "domain": [0.0, 1.0]}},
                 {"weight": {"kind": "sampled", "quadrature": "trapezoid",
-                            "domain": [0.0, 1.0], "samples": [1.0]}}):
+                            "domain": [0.0, 1.0], "samples": [1.0]}},
+                {"weight": {"kind": "sampled", "domain": [0.0, 1.0],
+                            "samples": [1.0, "NaN", 2.0, 1.0]},
+                 "selection": ["weights", "geometry"]}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -262,6 +265,7 @@ class TestCliExits:
         assert "--seed must satisfy --seed >= 0, got -1" in err
         assert "invalid weight spec: alpha = -1.5" in err
         assert "invalid weight spec: trapezoid weight has too few samples" in err
+        assert "invalid weight spec: sample values must be finite" in err
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
         assert "energy_budjet" in err
         assert "coefficient.base" in err and "oscilation" in err

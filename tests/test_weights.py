@@ -12,6 +12,8 @@ from wparab.weights import (
     BallFamily,
     Weight,
     WeightContext,
+    _cell_coverage,
+    _disc_box_area,
     _interp_uniform,
     aq_characteristic,
     check_beta_condition,
@@ -365,6 +367,14 @@ class TestWeightValidation:
         with pytest.raises(ValueError):
             Weight.sampled(np.array([1.0, -0.5, 2.0]), DOM)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        # NaN compares False against the floor, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            Weight.sampled(np.array([1.0, bad, 2.0, 1.0]), DOM)
+        with pytest.raises(ValueError, match="finite"):
+            Weight.sampled(np.array([[1.0, 2.0], [bad, 1.0]]), (DOM, DOM))
+
     def test_tiny_samples_rejected(self):
         with pytest.raises(ValueError):
             Weight.sampled(np.array([1.0, 1e-310, 2.0]), DOM)
@@ -458,3 +468,117 @@ class TestCellSampling2D:
                                           singular=self.SING, depth=3)
         changed = plain.samples != refined.samples
         assert changed.any() and not changed.all()
+
+
+def coverage_reference(c, r, x0, x1, y0, y1, nx, ny, sub=4):
+    """Reference for _cell_coverage: the mean of the boolean subcell test."""
+    dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
+    off = (np.arange(sub) + 0.5) / sub
+    sub_x = x0 + (np.arange(nx)[:, None] + off[None, :]) * dx
+    sub_y = y0 + (np.arange(ny)[:, None] + off[None, :]) * dy
+    DX = (sub_x.reshape(1, 1, nx, sub) - c[0]) ** 2
+    DY = (sub_y.reshape(ny, sub, 1, 1) - c[1]) ** 2
+    inside = (DX + DY) <= r * r
+    return inside.mean(axis=(1, 3))
+
+
+class TestCellCoverage:
+    BOX = (-1.0, 0.5, -0.75, 1.0)  # not square, not centred
+
+    def probes(self, n):
+        """Centres and radii: random, at the corners, on the edges, outside."""
+        x0, x1, y0, y1 = self.BOX
+        rng = np.random.default_rng(n)
+        balls = [(rng.uniform(-1.5, 1.0, 2), float(np.exp(rng.uniform(-5.0, 0.5))))
+                 for _ in range(40)]
+        corners = [(x, y) for x in (x0, x1) for y in (y0, y1)]
+        edges = [(x0, 0.1), (x1, 0.1), (-0.3, y0), (-0.3, y1)]
+        outside = [(x0 - 0.2, 0.1), (-0.3, y1 + 0.1), (x1 + 0.1, y0 - 0.1)]
+        for c in corners + edges + outside:
+            for r in (0.05, 0.3, 2.0):
+                balls.append((np.array(c), r))
+        return balls
+
+    @pytest.mark.parametrize("n", [32, 40, 48, 64])
+    def test_matches_boolean_mean_bitwise(self, n):
+        x0, x1, y0, y1 = self.BOX
+        for ny, nx in ((n, n), (n, n // 2 + 3)):  # ny != nx catches a transpose
+            for c, r in self.probes(n):
+                got = _cell_coverage(c, r, x0, x1, y0, y1, nx, ny)
+                ref = coverage_reference(c, r, x0, x1, y0, y1, nx, ny)
+                assert got.shape == (ny, nx)
+                assert np.array_equal(got, ref), (c, r, nx, ny)
+
+    def test_disc_box_area_matches_reference(self):
+        x0, x1, y0, y1 = self.BOX
+        dom = ((x0, x1), (y0, y1))
+        for c, r in self.probes(7):
+            rx0, rx1 = max(c[0] - r, x0), min(c[0] + r, x1)
+            ry0, ry1 = max(c[1] - r, y0), min(c[1] + r, y1)
+            if rx0 >= rx1 or ry0 >= ry1:
+                ref = 0.0
+            else:
+                frac = coverage_reference(c, r, rx0, rx1, ry0, ry1, 64, 64)
+                ref = float(frac.sum() * (rx1 - rx0) / 64 * (ry1 - ry0) / 64)
+            assert _disc_box_area(c, r, dom) == ref, (c, r)
+
+    def test_radius_below_subcell_spacing(self):
+        # a 4x4 grid on [0, 4]^2 has subcell centres at odd multiples of 1/8
+        c = np.array([1.125, 2.375])
+        got = _cell_coverage(c, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4)
+        assert np.array_equal(got, coverage_reference(c, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4))
+        assert got[2, 1] == 1.0 / 16.0 and got.sum() == 1.0 / 16.0
+        # between subcell centres the same radius covers none
+        off = _cell_coverage(c + 0.125, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4)
+        assert not off.any()
+
+    def test_ball_missing_the_box(self):
+        x0, x1, y0, y1 = self.BOX
+        c = np.array([x1 + 1.0, y1 + 1.0])
+        got = _cell_coverage(c, 0.5, x0, x1, y0, y1, 48, 48)
+        assert got.shape == (48, 48) and not got.any()
+        assert _disc_box_area(c, 0.5, ((x0, x1), (y0, y1))) == 0.0
+
+
+class TestMeans:
+    PS = (1.0, -1.0, 0.5, -0.5, 2.0)
+
+    @staticmethod
+    def weights():
+        rng = np.random.default_rng(21)
+        dom2 = ((-1.0, 1.0), (-0.5, 1.5))
+        return [
+            Weight.power(0.3, 0.2, DOM),
+            Weight.sampled(rng.lognormal(0.0, 0.5, 33), DOM),
+            Weight.sampled(rng.lognormal(0.0, 0.5, 17), DOM, quadrature="trapezoid"),
+            Weight.sampled(rng.lognormal(0.0, 0.5, (12, 16)), dom2),
+            Weight.power(0.2, (0.1, 0.3), dom2),
+        ]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_one_mean_per_exponent(self, k):
+        w = self.weights()[k]
+        balls = [(np.full(w.n, 0.1), 0.3), (np.full(w.n, -0.9), 0.6),
+                 (np.full(w.n, 0.95), 1.2)]
+        ps = self.PS
+        if w.kind == "power" and w.n == 2:  # adaptive quadrature: keep it short
+            balls, ps = balls[1:2], ps[:2]
+        for c, r in balls:
+            got = w.means(ps, c, r)
+            assert got == [w.mean(p, c, r) for p in ps]
+            assert all(isinstance(m, float) for m in got)
+
+    def test_sampled_2d_against_reference_coverage(self):
+        w = self.weights()[3]
+        (x0, x1), (y0, y1) = w.domain
+        ny, nx = w.samples.shape
+        for c, r in ((np.array([0.2, 0.4]), 0.3), (np.array([-1.0, 1.5]), 0.7)):
+            frac = coverage_reference(c, r, x0, x1, y0, y1, nx, ny)
+            ref = [float(np.sum(w.samples ** p * frac)) / float(frac.sum())
+                   for p in self.PS]
+            assert w.means(self.PS, c, r) == ref
+
+    def test_empty_ball_raises(self):
+        w = self.weights()[3]
+        with pytest.raises(EmptyBall):
+            w.means((1.0, -1.0), np.array([5.0, 5.0]), 0.5)
