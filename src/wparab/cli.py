@@ -46,7 +46,8 @@ class RunContext:
     and the coefficient function, each built once per run. The
     manufactured solution at the config grid is solved on first use, so
     ``audit`` and ``levelset`` share one solve and a run without them
-    makes none.
+    makes none; the quasi-metric parameters are fitted on first use in the
+    same way, for ``geometry`` and ``levelset``.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
@@ -61,6 +62,10 @@ class RunContext:
         nt = g.nt if g.nt is not None else max(round(0.25 * g.nx * g.nx), 4)
         u, _ = ManufacturedCase(self.weight).solve(g.nx, nt, g.t_final)
         return u
+
+    @functools.cached_property
+    def quasi_params(self):
+        return estimate_quasi_params(self.weight, self.ctx)
 
 
 def run_weights(run: RunContext) -> list[AuditReport]:
@@ -81,8 +86,8 @@ def run_weights(run: RunContext) -> list[AuditReport]:
 
 def run_geometry(run: RunContext) -> list[AuditReport]:
     w, ctx, p = run.weight, run.ctx, run.cfg.audits["geometry"]
-    qp = estimate_quasi_params(w, ctx)
-    reports = [quasi_triangle_audit(w, qp, p.samples, ctx, seed=run.seed)]
+    reports = [quasi_triangle_audit(w, run.quasi_params, p.samples, ctx,
+                                    seed=run.seed)]
     lo, hi = w.domain[0]
     x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
     r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
@@ -249,7 +254,8 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     u = run.manufactured
     decay = levelset_decay_audit(
         u.gradient_squared_field(), u.forcing_squared_field(), w, K=p.K,
-        q0=p.q0, m_max=p.m_max, ctx=ctx, center=0.5 * (lo + hi),
+        q0=p.q0, m_max=p.m_max, ctx=ctx, quasi=run.quasi_params,
+        center=0.5 * (lo + hi),
         t_top=run.cfg.grid.t_final, r_unit=p.r_unit, delta_hat=p.delta_hat)
     table = decay.params["table"]
     write_csv(run.out / "levelset_decay.csv", ["m", "lhs", "rhs", "gamma1_fit"],

@@ -228,6 +228,9 @@ class ExperimentConfig:
         kind = spec.get("kind", "constant")
         domain = spec.get("domain", [0.0, 1.0])
         try:
+            if np.ndim(domain) > 1 and len(domain) != 1:  # every group is 1D
+                raise ValueError(f"domain must be one interval [lo, hi], "
+                                 f"got {len(domain)} axes")
             if kind == "constant":
                 return Weight.constant(float(spec.get("value", 1.0)), domain)
             if kind == "power":

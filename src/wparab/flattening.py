@@ -232,7 +232,7 @@ def _sup_ball_oscillation(w: Weight, fam: BallFamily) -> float:
     best = 0.0
     for c, r in fam.balls():
         try:
-            b, b_inv = w.means((1.0, -1.0), c, r)
+            b, b_inv = w.means((1.0, -1.0), c, r)[:, 0].tolist()
         except EmptyBall:
             if w.ball_measure(c, r) <= 0.0:
                 continue

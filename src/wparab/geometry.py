@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NoBracket
 from .report import AuditReport, AuditRow
-from .weights import BallFamily, Weight, WeightContext
+from .weights import BallFamily, Weight, WeightContext, ball_grid
 
 TOL_BISECT = 1e-10
 MAX_BISECT = 80
@@ -77,8 +77,7 @@ def _height_vec(beta: Weight, x0: np.ndarray, r: np.ndarray,
     """Vectorized heights for 1D weights (per-sample centers allowed)."""
     x0 = np.asarray(x0, dtype=float)
     r = np.asarray(r, dtype=float)
-    clip = beta.kind == "sampled"
-    mass = beta.mass_1d_vec(ctx.n0 / 2.0, x0 - r, x0 + r, clip=clip)
+    mass = beta.mass_1d_vec(ctx.n0 / 2.0, x0 - r, x0 + r, clip=False)
     with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 maps to 0
         h = r ** 2 * (mass / (2.0 * r)) ** (2.0 / ctx.n0)
     return np.where(r > 0.0, h, 0.0)
@@ -220,15 +219,6 @@ class WeightedCylinder:
         """(a, b, s, e): the first spatial interval and the time interval."""
         return (*self.x_interval(0), *self.t_interval)
 
-    def measure(self) -> float:
-        vol = 1.0
-        for axis in range(len(self.z0.x)):
-            lo, hi = self.x_interval(axis)
-            vol *= max(0.0, hi - lo)
-        if len(self.z0.x) == 2 and self.variant != "Q+":
-            vol = math.pi * self.r ** 2
-        return vol * self.h
-
     def contains(self, z: SpaceTimePoint, tol: float = 0.0) -> bool:
         """Membership with closed comparisons on the boundary."""
         for axis in range(len(self.z0.x)):
@@ -265,37 +255,33 @@ class QuasiMetricParams:
 
 def estimate_quasi_params(beta: Weight, ctx: WeightContext,
                           fam: BallFamily | None = None) -> QuasiMetricParams:
-    """Fit (zeta0, N2) from measured nested-ball mass ratios.
+    """Fit (zeta0, N2) from measured nested-ball mass ratios of a 1D weight.
 
     For nested balls S1 in S2 collects m = w(S1)/w(S2) against
     s = |S1|/|S2| with w = beta^{n0/2}, then picks the zeta0 on a grid
     whose implied N2 = max(m / s^zeta0) minimizes the resulting Lambda.
+    S1 is centred in S2 or touches either end; each set of masses is one call.
     """
+    if beta.n != 1:
+        raise ValueError("the quasi-parameter fit takes a 1D weight")
     if fam is None:
         fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
     p = ctx.n0 / 2.0
-    clip = beta.kind == "sampled"
-    pairs: list[tuple[float, float]] = []
-    fractions = (0.15, 0.3, 0.5, 0.75)
-    for c, r in fam.balls():
-        m2 = beta.mass(p, c, r, clip=clip)
-        if m2 <= 0.0:
-            continue
-        for f in fractions:
-            r1 = f * r
-            shifts = [np.zeros(ctx.n)]
-            e0 = np.zeros(ctx.n)
-            e0[0] = r - r1
-            shifts.append(e0)
-            shifts.append(-e0)
-            for sh in shifts:
-                m1 = beta.mass(p, np.atleast_1d(c) + sh, r1, clip=clip)
-                if m1 > 0.0:
-                    pairs.append((f ** ctx.n, m1 / m2))
-    if not pairs:
+    c, r = ball_grid(fam.centers, fam.radii)
+    x = c[:, 0]
+    m2 = beta.mass_1d_vec(p, x - r, x + r, clip=False)
+    fractions = np.array([0.15, 0.3, 0.5, 0.75])
+    r1 = fractions * r[:, None]  # (balls, fractions)
+    gap = r[:, None] - r1
+    x1 = x[:, None, None] + np.stack([np.zeros_like(gap), gap, -gap], axis=-1)
+    r1 = np.broadcast_to(r1[..., None], x1.shape)
+    m1 = beta.mass_1d_vec(p, (x1 - r1).ravel(), (x1 + r1).ravel(),
+                          clip=False).reshape(x1.shape)
+    keep = ~(m2[:, None, None] <= 0.0) & (m1 > 0.0)
+    if not keep.any():
         raise ValueError("no usable nested-ball pairs in the family")
-    s_arr = np.array([p_[0] for p_ in pairs])
-    m_arr = np.array([p_[1] for p_ in pairs])
+    s_arr = np.broadcast_to((fractions ** ctx.n)[:, None], x1.shape)[keep]
+    m_arr = m1[keep] / np.broadcast_to(m2[:, None, None], x1.shape)[keep]
     best: QuasiMetricParams | None = None
     for zeta0 in np.linspace(0.05, 0.95, 19):
         n2 = float(np.max(m_arr / s_arr ** zeta0))

@@ -23,13 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyRegion, PreconditionFailed
-from .geometry import (
-    SpaceTimePoint,
-    WeightedCylinder,
-    _height_vec,
-    estimate_quasi_params,
-    height,
-)
+from .geometry import (QuasiMetricParams, SpaceTimePoint, WeightedCylinder,
+                       _height_vec, height)
 from .report import AuditReport, AuditRow
 from .weights import Weight, WeightContext
 
@@ -308,15 +303,17 @@ def _levelset_measure(values: np.ndarray, mask: np.ndarray, threshold: float,
 
 def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
                          beta: Weight, K: float, q0: float, m_max: int,
-                         ctx: WeightContext, center: float, t_top: float,
+                         ctx: WeightContext, quasi: QuasiMetricParams,
+                         center: float, t_top: float,
                          r_unit: float, delta_hat: float = 0.05,
                          radii: np.ndarray | None = None) -> AuditReport:
     """Level-set decay table for the maximal function of |grad u|^2.
 
-    Evaluates M(g chi_U) on U = Q_{2 Lambda r}(z_top) restricted to the unit
-    cylinder Q_r(z_top), normalizes so the base density condition holds (the
-    raw condition is reported), and fits the smallest gamma1 for which the
-    decay recursion holds for every m = 1..m_max.
+    Evaluates M(g chi_U) on U = Q_{2 Lambda r}(z_top), with Lambda from the
+    fitted ``quasi``, restricted to the unit cylinder Q_r(z_top), normalizes
+    so the base density condition holds (the raw condition is reported),
+    and fits the smallest gamma1 for which the decay recursion holds for
+    every m = 1..m_max.
     """
     if K <= 1.0:
         raise PreconditionFailed(f"threshold base K must exceed 1, got {K}")
@@ -324,8 +321,7 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
         raise PreconditionFailed("density fraction q0 must lie in (0, 1)")
     if m_max < 1:
         raise PreconditionFailed("m_max must be at least 1")
-    params = estimate_quasi_params(beta, ctx)
-    lam = params.Lambda
+    lam = quasi.Lambda
     big_r = 2.0 * lam * r_unit
     h_big = height(beta, [center], big_r, ctx)
     window = (center - big_r, center + big_r, t_top - h_big, t_top)

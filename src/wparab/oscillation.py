@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyRegion
 from .geometry import height
 from .report import AuditReport, AuditRow
-from .weights import Weight, WeightContext
+from .weights import Weight, WeightContext, first_sup
 
 
 @dataclass
@@ -55,7 +55,7 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     zero for constant weights.
     """
     beta.check_power_integrable(-1.0)
-    b, b_inv = beta.means((1.0, -1.0), x0, r)
+    b, b_inv = beta.means((1.0, -1.0), x0, r)[:, 0].tolist()
     return max(b * b_inv - 1.0, 0.0)
 
 
@@ -131,17 +131,17 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     r_min_default = 2.0 * (x_hi - x_lo) / max(len(grid_points) - 1, 1)
     radii = cfg.radius_grid(r_min_default)
 
+    # theta_beta_ms of every lattice ball at once
+    b, b_inv = beta.means((1.0, -1.0), grid_points, radii)
+    sup_b, k = first_sup(np.maximum(b * b_inv - 1.0, 0.0))
+    worst_b = None if k is None else (float(grid_points[k // radii.size]),
+                                      float(radii[k % radii.size]))
     sup_a = 0.0
     worst_a = None
-    sup_b = 0.0
-    worst_b = None
     t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
-    for x0 in grid_points:
-        for r in radii:
-            th_b = theta_beta_ms(beta, [x0], r)
-            if th_b > sup_b:
-                sup_b, worst_b = th_b, (float(x0), float(r))
-            if A_fun is not None:
+    if A_fun is not None:
+        for x0 in grid_points:
+            for r in radii:
                 for tc in t_centers:
                     try:
                         th_a = theta_A_ms(A_fun, beta, ([x0], tc), r, mask, ctx)

@@ -140,8 +140,7 @@ def cell_averaged_weight(beta: Weight, grid: Grid) -> np.ndarray:
     x = grid.x
     a = np.maximum(x - 0.5 * grid.h, grid.x0)
     b = np.minimum(x + 0.5 * grid.h, grid.x1)
-    clip = beta.kind == "sampled"
-    mass = beta.mass_1d_vec(1.0, a, b, clip=clip)
+    mass = beta.mass_1d_vec(1.0, a, b, clip=False)
     vals = mass / (b - a)
     if np.any(vals <= 0.0):
         raise SingularSystem("weight cell averages must be positive")
@@ -596,11 +595,6 @@ class NormReport:
                      "weighted_l2", "sup_energy", "ratio"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("p", "u_norm", "grad_norm", "proxy_norm", "forcing_norm",
-                 "weighted_l2", "sup_energy", "ratio")}
 
 
 def apriori_ratio(u: SolutionField, p: float) -> NormReport:

@@ -229,24 +229,6 @@ class Weight:
 
     # -- 1D mass machinery ---------------------------------------------------
 
-    def _mass_1d(self, p: float, a: float, b: float, clip: bool = True) -> float:
-        if self.kind == "power":
-            if clip:
-                (lo, hi), = self.domain
-                a, b = _interval_overlap(a, b, lo, hi)
-                if a >= b:
-                    return 0.0
-            return float(self.scale ** p
-                         * power_interval_integral(a, b, self.center[0], p * self.alpha))
-        (lo, hi), = self.domain
-        a, b = _interval_overlap(a, b, lo, hi)
-        if a >= b:
-            return 0.0
-        if self.quadrature == "midpoint":
-            edges, cum, _ = self._cum_1d(p)
-            return float(np.interp(b, edges, cum) - np.interp(a, edges, cum))
-        return float(self._trapezoid_masses(p, np.array([a]), np.array([b]))[0])
-
     def _cum_1d(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell edges, cumulative masses of w^p at the edges, and the slopes
         of the cumulative masses on each cell (midpoint rule)."""
@@ -305,7 +287,9 @@ class Weight:
 
     def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray,
                     clip: bool = True) -> np.ndarray:
-        """Vectorized interval masses of w^p; used by the geometry fast path."""
+        """Masses of w^p over the intervals [a, b]: every 1D mass. ``clip``
+        (to the domain) applies only to power weights; a sampled weight is
+        zero outside its domain."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == "power":
@@ -327,11 +311,11 @@ class Weight:
     # -- nD interface --------------------------------------------------------
 
     def mass(self, p: float, center, r: float, clip: bool = True) -> float:
-        """Integral of w^p over the ball B_r(center) (clipped to the domain)."""
+        """Integral of w^p over B_r(center), clipped as in :meth:`mass_1d_vec`."""
         self.check_power_integrable(p)
         c = np.atleast_1d(np.asarray(center, dtype=float))
         if self.n == 1:
-            return self._mass_1d(p, c[0] - r, c[0] + r, clip=clip)
+            return float(self.mass_1d_vec(p, c[:1] - r, c[:1] + r, clip=clip)[0])
         if self.kind == "power":
             return self._power_mass_2d(p, c, r, clip=clip)
         return self._sampled_mass_2d(p, c, r)
@@ -351,40 +335,49 @@ class Weight:
 
     def mean(self, p: float, center, r: float) -> float:
         """Mean of w^p over B_r(center) ∩ domain."""
-        return self.means((p,), center, r)[0]
+        return float(self.means((p,), center, r)[0, 0])
 
-    def means(self, ps, center, r: float) -> list[float]:
-        """Means of w^p over B_r(center) ∩ domain, one per exponent in ``ps``.
+    def means(self, ps, centers, radii) -> np.ndarray:
+        """Means of w^p over B_r(c) ∩ domain for every centre c with every
+        radius r (centre-major, as ``BallFamily.balls()``): shape
+        (len(ps), balls), one row per exponent in ``ps``.
 
-        The ball's measure (and, for a 2D sampled weight, its cell coverage)
-        is computed once and shared by every exponent. In two dimensions
-        the measure uses the same coverage discretization as the mass, so
-        the ratio of two means over one ball is free of coverage jitter.
+        In 1D each exponent is one :meth:`mass_1d_vec` call over the family.
+        In 2D each ball's measure (and, for a sampled weight, its cell
+        coverage) is computed once and shared by every exponent, with the
+        coverage discretization of the mass, so the ratio of two means over
+        one ball is free of coverage jitter. EmptyBall if a ball misses the
+        domain.
         """
         for p in ps:
             self.check_power_integrable(p)
-        c = np.atleast_1d(np.asarray(center, dtype=float))
+        centers = np.asarray(centers, dtype=float).reshape(-1, self.n)
+        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        c, r = ball_grid(centers, radii)
         if self.n == 1:
-            meas = self.ball_measure(c, r)
-
-            def mass(p):
-                return self.mass(p, c, r)
-        elif self.kind == "sampled":
-            (x0, x1), (y0, y1) = self.domain
-            ny, nx = self.samples.shape
-            frac = _cell_coverage(c, r, x0, x1, y0, y1, nx, ny)
-            meas = float(frac.sum())
-
-            def mass(p):
-                return float(np.sum(self.samples ** p * frac))
+            (lo, hi), = self.domain
+            x = c[:, 0]
+            meas = np.maximum(np.minimum(x + r, hi) - np.maximum(x - r, lo), 0.0)
+            masses = np.array([self.mass_1d_vec(p, x - r, x + r) for p in ps])
         else:
-            meas = self._power_mass_2d(0.0, c, r)
-
-            def mass(p):
-                return self._power_mass_2d(p, c, r)
-        if meas <= 0.0:
-            raise EmptyBall(f"ball B_{r}({center}) misses the domain")
-        return [mass(p) / meas for p in ps]
+            meas, masses = np.empty(r.size), np.empty((len(ps), r.size))
+            if self.kind == "sampled":
+                (x0, x1), (y0, y1) = self.domain
+                ny, nx = self.samples.shape
+                powers = [self.samples ** p for p in ps]
+            for i in range(r.size):
+                if self.kind == "sampled":
+                    frac = _cell_coverage(c[i], r[i], x0, x1, y0, y1, nx, ny)
+                    meas[i] = frac.sum()
+                    masses[:, i] = [np.sum(w_p * frac) for w_p in powers]
+                else:
+                    meas[i] = self._power_mass_2d(0.0, c[i], r[i])
+                    masses[:, i] = [self._power_mass_2d(p, c[i], r[i]) for p in ps]
+        empty = np.flatnonzero(meas <= 0.0)
+        if empty.size:
+            i = empty[0]
+            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
+        return masses / meas
 
     def mean_global(self, p: float, center, r: float) -> float:
         """Mean of w^p over the full ball B_r(center).
@@ -394,8 +387,7 @@ class Weight:
         """
         self.check_power_integrable(p)
         c = np.atleast_1d(np.asarray(center, dtype=float))
-        clip = self.kind == "sampled"
-        return self.mass(p, c, r, clip=clip) / self.ball_measure(c, r, clip=False)
+        return self.mass(p, c, r, clip=False) / self.ball_measure(c, r, clip=False)
 
     def _power_dist_range(self, center, r: float) -> tuple[float, float]:
         """Min and max distance from the profile center over B ∩ domain."""
@@ -522,6 +514,24 @@ def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
     out *= slopes[j]
     out += fp[j]
     return out
+
+
+def ball_grid(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre (balls, n) and radius (balls,) of every centre with every
+    radius, centre-major as ``BallFamily.balls()`` yields them."""
+    return np.repeat(centers, radii.size, axis=0), np.tile(radii, len(centers))
+
+
+def first_sup(vals) -> tuple[float, int | None]:
+    """The largest of ``vals`` above zero and the index of its first
+    occurrence, or (0.0, None): the loop ``if v > best: best, at = v, i``
+    from ``best = 0``, so NaN never wins and a tie keeps the earlier ball."""
+    vals = np.asarray(vals, dtype=float)
+    above = vals > 0.0
+    if not above.any():
+        return 0.0, None
+    best = vals[above].max()
+    return float(best), int(np.argmax(vals == best))
 
 
 def _bisect_edges(edges: np.ndarray) -> np.ndarray:
@@ -659,29 +669,8 @@ class BallFamily:
             for r in self.radii:
                 yield c, float(r)
 
-    def validate_against(self, w: Weight) -> None:
-        for c, r in self.balls():
-            if w.ball_measure(c, r) <= 0.0:
-                raise EmptyBall(f"ball B_{r}({c}) misses the weight's domain")
-
 
 # -- operations -------------------------------------------------------------
-
-
-def _aq_ball(w: Weight, s: float, q: float, center, r: float) -> float:
-    """A_q quantity of the weight w^s on one ball."""
-    if q > 1.0:
-        m, m_dual = w.means((s, -s / (q - 1.0)), center, r)
-        return m * m_dual ** (q - 1.0)
-    m = w.mean(s, center, r)
-    if s == 0.0:
-        return m
-    # A_1 branch: esssup of w^{-s} over the ball.
-    lo, hi = w.ess_range(center, r)
-    base = lo if s > 0 else hi
-    if base == 0.0 or not math.isfinite(base):
-        return math.inf
-    return m * base ** (-s)
 
 
 def aq_characteristic(w: Weight, q: float, fam: BallFamily, power: float = 1.0) -> float:
@@ -695,12 +684,17 @@ def aq_characteristic(w: Weight, q: float, fam: BallFamily, power: float = 1.0) 
     w.check_power_integrable(power)
     if q > 1.0:
         w.check_power_integrable(-power / (q - 1.0))
-    best = 0.0
-    for c, r in fam.balls():
-        val = _aq_ball(w, power, q, c, r)
-        if val > best:
-            best = val
-    return best
+        m, m_dual = w.means((power, -power / (q - 1.0)), fam.centers, fam.radii)
+        return first_sup(m * m_dual ** (q - 1.0))[0]
+    vals, = w.means((power,), fam.centers, fam.radii)
+    if power != 0.0:
+        # A_1 branch: esssup of w^{-power} over each ball
+        for i, (c, r) in enumerate(fam.balls()):
+            lo, hi = w.ess_range(c, r)
+            base = lo if power > 0 else hi
+            vals[i] = (math.inf if base == 0.0 or not math.isfinite(base)
+                       else vals[i] * base ** (-power))
+    return first_sup(vals)[0]
 
 
 def check_beta_condition(beta: Weight, ctx: WeightContext, fam: BallFamily,
@@ -753,17 +747,14 @@ def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float,
         raise ValueError("reverse Hölder budget must be >= 1")
     if candidates is None:
         candidates = default_gamma_candidates(w)
+    cands = [g for g in sorted(float(g) for g in candidates)
+             if not (w.kind == "power" and (1.0 + g) * w.alpha <= -w.n)]
+    if not cands:
+        return 0.0
+    m, *m_gs = w.means((1.0, *(1.0 + g for g in cands)), fam.centers, fam.radii)
     best = 0.0
-    for g in sorted(float(g) for g in candidates):
-        if w.kind == "power" and (1.0 + g) * w.alpha <= -w.n:
-            continue
-        ok = True
-        for c, r in fam.balls():
-            m_g, m = w.means((1.0 + g, 1.0), c, r)
-            if m_g ** (1.0 / (1.0 + g)) > budget * m * (1.0 + 1e-12):
-                ok = False
-                break
-        if ok:
+    for g, m_g in zip(cands, m_gs):
+        if not np.any(m_g ** (1.0 / (1.0 + g)) > budget * m * (1.0 + 1e-12)):
             best = g
     return best
 
@@ -785,44 +776,44 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
     w^p(S1) <= eta * w^p(S2) with eta from :func:`doubling_eta`.
     """
     w.check_power_integrable(p)
-    n1 = 0.0
-    worst = None
-    for c, r in fam.balls():
-        m1 = w.mass(p, c, r)
-        if m1 <= 0.0:
-            continue
-        ratio = w.mass(p, c, 2.0 * r) / m1
-        if ratio > n1:
-            n1, worst = ratio, (tuple(np.atleast_1d(c).tolist()), r)
-    eta = doubling_eta(theta, ctx)
-    max_pair_ratio = 0.0
+    c, r = ball_grid(fam.centers, fam.radii)
+    x = c[:, 0]
     if w.n == 1:
-        (dlo, dhi), = w.domain
-        for c, r in fam.balls():
-            x0 = float(np.atleast_1d(c)[0])
-            a2, b2 = _interval_overlap(x0 - r, x0 + r, dlo, dhi)
-            L2 = b2 - a2
-            if L2 <= 0.0:
-                continue
-            L1 = theta * L2
-            m2 = w._mass_1d(p, a2, b2)
-            if m2 <= 0.0:
-                continue
-            starts = [a2, 0.5 * (a2 + b2) - 0.5 * L1, b2 - L1]
-            if w.kind == "power" and a2 <= w.center[0] <= b2:
-                starts.append(min(max(w.center[0] - 0.5 * L1, a2), b2 - L1))
-            for s in starts:
-                m1 = w._mass_1d(p, s, s + L1)
-                max_pair_ratio = max(max_pair_ratio, m1 / m2)
+        m1 = w.mass_1d_vec(p, x - r, x + r)
+        m2 = w.mass_1d_vec(p, x - 2.0 * r, x + 2.0 * r)
     else:
-        for c, r in fam.balls():
-            m2 = w.mass(p, c, r)
-            if m2 <= 0.0:
+        m1 = np.array([w.mass(p, ci, ri) for ci, ri in zip(c, r)])
+        m2 = np.array([w.mass(p, ci, 2.0 * ri) for ci, ri in zip(c, r)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1, k = first_sup(np.where(m1 > 0.0, m2 / m1, np.nan))
+    worst = None if k is None else (tuple(c[k].tolist()), float(r[k]))
+    eta = doubling_eta(theta, ctx)
+    if w.n == 1:
+        # S2 is the ball clipped to the domain (mass m1); S1, of length
+        # theta |S2|, sits at its left end, middle and right end and, for a
+        # power weight centred in S2, on that centre as far as S2 allows
+        (lo, hi), = w.domain
+        a2, b2 = np.maximum(x - r, lo), np.minimum(x + r, hi)
+        L1 = theta * (b2 - a2)
+        starts = [a2, 0.5 * (a2 + b2) - 0.5 * L1, b2 - L1]
+        use = [~(b2 - a2 <= 0.0) & ~(m1 <= 0.0)] * 3
+        if w.kind == "power":
+            cx = w.center[0]
+            starts.append(np.minimum(np.maximum(cx - 0.5 * L1, a2), b2 - L1))
+            use.append(use[0] & (a2 <= cx) & (cx <= b2))
+        s = np.column_stack(starts)
+        m_s = w.mass_1d_vec(p, s.ravel(), (s + L1[:, None]).ravel()).reshape(s.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(np.column_stack(use), m_s / m1[:, None], np.nan)
+        max_pair_ratio = first_sup(ratios)[0]
+    else:
+        max_pair_ratio = 0.0
+        for ci, ri, m_big in zip(c, r, m1):
+            if m_big <= 0.0:
                 continue
-            r1 = r * math.sqrt(theta)  # |B_{r1}| = theta |B_r| in 2D
-            for shift in (np.zeros(2), np.array([r - r1, 0.0]), np.array([0.0, r - r1])):
-                m1 = w.mass(p, np.atleast_1d(c) + shift, r1)
-                max_pair_ratio = max(max_pair_ratio, m1 / m2)
+            r1 = ri * math.sqrt(theta)  # |B_{r1}| = theta |B_r| in 2D
+            for shift in (np.zeros(2), np.array([ri - r1, 0.0]), np.array([0.0, ri - r1])):
+                max_pair_ratio = max(max_pair_ratio, w.mass(p, ci + shift, r1) / m_big)
     rows = [
         AuditRow(label="doubling-constant", lhs=n1, rhs=n1_budget, constant=n1,
                  budget=n1_budget, passed=bool(math.isfinite(n1) and n1 <= n1_budget),
@@ -834,3 +825,4 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
     return AuditReport.from_rows(
         "weighted-measure-doubling", rows,
         params={"p": p, "theta": theta, "eta": eta, "M0": ctx.M0, "n0": ctx.n0})
+

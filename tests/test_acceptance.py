@@ -238,7 +238,8 @@ class TestAcceptance:
         u, _ = case.solve(64, 1024, 0.25)
         decay = levelset_decay_audit(
             u.gradient_squared_field(), u.forcing_squared_field(), beta,
-            K=4.0, q0=0.5, m_max=5, ctx=ctx, center=0.5, t_top=0.25,
+            K=4.0, q0=0.5, m_max=5, ctx=ctx,
+            quasi=estimate_quasi_params(beta, ctx), center=0.5, t_top=0.25,
             r_unit=0.1, delta_hat=0.05)
         table = decay.params["table"]
         lhs = [row[1] for row in table]

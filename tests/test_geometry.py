@@ -25,7 +25,7 @@ from wparab.geometry import (
     quasi_distance_batch,
     quasi_triangle_audit,
 )
-from wparab.weights import Weight, WeightContext
+from wparab.weights import BallFamily, Weight, WeightContext
 
 DOM = (-1.0, 1.0)
 CTX = WeightContext(n=1, M0=10.0)
@@ -258,12 +258,62 @@ class TestQuasiTriangle:
         assert rep.passed
         assert params.Lambda >= 2.0
 
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.3, 0.0, DOM), Weight.power(-0.4, 0.35, DOM),
+        Weight.sampled(np.exp(np.cos(np.linspace(0.0, 7.0, 30))), DOM)])
+    def test_quasi_fit_matches_per_ball_loop(self, w, monkeypatch):
+        sizes = []
+        kernel = Weight.mass_1d_vec
+
+        def counted(self, p, a, b, clip=True):
+            sizes.append(np.size(a))
+            return kernel(self, p, a, b, clip)
+
+        monkeypatch.setattr(Weight, "mass_1d_vec", counted)
+        got = estimate_quasi_params(w, CTX)
+        assert sizes == [40, 40 * 12]  # one call for the balls, one for S1
+        monkeypatch.undo()
+        ref = quasi_params_per_ball(w, CTX)
+        assert got.zeta0 == ref.zeta0
+        assert got.N2 == pytest.approx(ref.N2, rel=1e-13)
+
+    def test_quasi_fit_rejects_2d_weight(self):
+        w = Weight.power(0.2, (0.0, 0.0), (DOM, DOM))
+        with pytest.raises(ValueError, match="1D"):
+            estimate_quasi_params(w, WeightContext(n=2))
+
     def test_deterministic_given_seed(self):
         w = Weight.power(0.3, 0.0, DOM)
         params = estimate_quasi_params(w, CTX)
         r1 = quasi_triangle_audit(w, params, samples=500, ctx=CTX, seed=9)
         r2 = quasi_triangle_audit(w, params, samples=500, ctx=CTX, seed=9)
         assert r1.to_json() == r2.to_json()
+
+
+def quasi_params_per_ball(beta, ctx):
+    """Reference for the quasi-parameter fit: the per-ball loop of scalar
+    masses it replaced, on the default 5 x 8 family."""
+    fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
+    p = ctx.n0 / 2.0
+    pairs = []
+    for c, r in fam.balls():
+        m2 = beta.mass(p, c, r, clip=False)
+        if m2 <= 0.0:
+            continue
+        for f in (0.15, 0.3, 0.5, 0.75):
+            r1 = f * r
+            for sh in (0.0, r - r1, -(r - r1)):
+                m1 = beta.mass(p, c + sh, r1, clip=False)
+                if m1 > 0.0:
+                    pairs.append((f ** ctx.n, m1 / m2))
+    s_arr, m_arr = np.array(pairs).T
+    best = None
+    for zeta0 in np.linspace(0.05, 0.95, 19):
+        n2 = max(float(np.max(m_arr / s_arr ** zeta0)), 1.0 + 1e-9)
+        cand = QuasiMetricParams(n=ctx.n, zeta0=float(zeta0), N2=n2)
+        if best is None or cand.Lambda < best.Lambda:
+            best = cand
+    return best
 
 
 class TestCylinders:

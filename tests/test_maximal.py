@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wparab.errors import EmptyRegion, PreconditionFailed
-from wparab.geometry import SpaceTimePoint, WeightedCylinder, _height_vec, height
+from wparab.geometry import (SpaceTimePoint, WeightedCylinder, _height_vec,
+                             estimate_quasi_params, height)
 from wparab.maximal import (
     CoveringFamily,
     SpaceTimeField,
@@ -323,6 +324,7 @@ class TestLevelsetDecay:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         g = make_field(np.full((16, 16), 1e-290))
         rep = levelset_decay_audit(g, g, beta, K=4.0, q0=0.1, m_max=4, ctx=CTX,
+                                   quasi=estimate_quasi_params(beta, CTX),
                                    center=0.0, t_top=0.0, r_unit=0.2)
         assert rep.passed
 
@@ -331,6 +333,7 @@ class TestLevelsetDecay:
         g = make_field(np.ones((8, 8)))
         with pytest.raises(PreconditionFailed):
             levelset_decay_audit(g, g, beta, K=0.5, q0=0.1, m_max=3, ctx=CTX,
+                                 quasi=estimate_quasi_params(beta, CTX),
                                  center=0.0, t_top=0.0, r_unit=0.2)
 
     def test_smooth_field_monotone_table(self):
@@ -342,6 +345,7 @@ class TestLevelsetDecay:
         f = SpaceTimeField.from_function(
             lambda x, t: 0.2 * np.ones_like(x), xe, te)
         rep = levelset_decay_audit(g, f, beta, K=2.0, q0=0.5, m_max=4, ctx=CTX,
+                                   quasi=estimate_quasi_params(beta, CTX),
                                    center=0.0, t_top=0.0, r_unit=0.2)
         assert rep.passed
         table = rep.params["table"]

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +257,22 @@ class TestSupremum:
         sup_c = oscillation_supremum(None, beta, coarse, MASK, CTX).rows[1].lhs
         sup_f = oscillation_supremum(None, beta, fine, MASK, CTX).rows[1].lhs
         assert sup_f >= sup_c - 1e-15
+
+    @pytest.mark.parametrize("beta", [
+        Weight.power(0.3, 0.17, DOM),
+        Weight.sampled(np.exp(np.sin(np.linspace(0.0, 9.0, 40))), DOM),
+        Weight.constant(2.0, DOM)])
+    def test_weight_lattice_matches_per_ball_loop(self, beta):
+        # the lattice evaluated at once against the per-ball loop it
+        # replaced: first maximal ball kept, no worst ball at zero
+        cfg = OscillationConfig(R0=0.5, delta=1.0)
+        row = oscillation_supremum(None, beta, cfg, MASK, CTX).rows[1]
+        radii = cfg.radius_grid(2.0 * 2.0 / 16)
+        best, worst = 0.0, None
+        for x0 in np.linspace(-1.0, 1.0, 17):
+            for r in radii:
+                th = theta_beta_ms(beta, [x0], r)
+                if th > best:
+                    best, worst = th, (float(x0), float(r))
+        assert row.lhs == pytest.approx(math.sqrt(best), rel=1e-13, abs=1e-15)
+        assert row.extra["worst"] == worst

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from wparab import cli, geometry, maximal
 from wparab.cli import main, run_experiment
 from wparab.config import PARAMS, ExperimentConfig
 from wparab.errors import ConfigError
@@ -247,7 +248,13 @@ class TestCliExits:
                             "domain": [0.0, 1.0], "samples": [1.0]}},
                 {"weight": {"kind": "sampled", "domain": [0.0, 1.0],
                             "samples": [1.0, "NaN", 2.0, 1.0]},
-                 "selection": ["weights", "geometry"]}):
+                 "selection": ["weights", "geometry"]},
+                # every run group is one-dimensional
+                {"weight": {"kind": "power", "alpha": 0.2, "center": [0.5, 0.5],
+                            "domain": [[0, 1], [0, 1]]},
+                 "selection": ["weights", "geometry", "audit"]},
+                {"weight": {"kind": "sampled", "samples": [[1.0, 2.0], [2.0, 1.0]],
+                            "domain": [[0, 1], [0, 1]]}}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -266,6 +273,8 @@ class TestCliExits:
         assert "invalid weight spec: alpha = -1.5" in err
         assert "invalid weight spec: trapezoid weight has too few samples" in err
         assert "invalid weight spec: sample values must be finite" in err
+        assert err.count("invalid weight spec: domain must be one interval "
+                         "[lo, hi], got 2 axes") == 2
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
         assert "energy_budjet" in err
         assert "coefficient.base" in err and "oscilation" in err
@@ -298,6 +307,21 @@ class TestCliExits:
         cfg = self.write_config(tmp_path, {"selection": ["audit", "levelset"]})
         assert run_experiment(str(cfg), str(tmp_path / "out")) == 0
         assert calls == [(16, 64, 0.1)]
+
+    def test_geometry_and_levelset_share_one_quasi_fit(self, tmp_path, monkeypatch):
+        calls = []
+        fit = geometry.estimate_quasi_params
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        for module in (cli, geometry, maximal):
+            monkeypatch.setattr(module, "estimate_quasi_params", counted,
+                                raising=False)
+        cfg = self.write_config(tmp_path, {"selection": ["geometry", "levelset"]})
+        assert run_experiment(str(cfg), str(tmp_path / "out")) == 0
+        assert len(calls) == 1
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data
