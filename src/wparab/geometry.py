@@ -18,6 +18,13 @@ point has the later time. rho_b satisfies a triangle inequality up to
 
 where (zeta0, N2) quantify how the measure b^{n0/2} shrinks on nested sets.
 
+In 1D the inverse height is a safeguarded Newton iteration per point, in
+log-log variables (h' = h/r + r (b(x0 + r) + b(x0 - r))/2), that falls back
+to bisection of a bracket found by doubling. Every radius it returns is the
+midpoint of a bracket [lo, hi] with h(lo) < s <= h(hi) and
+hi - lo <= tol * hi, and depends only on its own (x0, s), not on the other
+points of the call.
+
 Analytic (power) weights extend beyond their stated domain; sampled weights
 are extended by zero, so their height map can plateau and the inversion
 reports NoBracket past the reachable range.
@@ -35,7 +42,10 @@ from .weights import BallFamily, Weight, WeightContext, ball_grid
 
 TOL_BISECT = 1e-10
 MAX_BISECT = 80
-# Points per block of the vectorized bisection: small enough that one
+# Iteration cap of the safeguarded Newton inversion: room for a bisection
+# on every other step of a full-length bisection.
+MAX_NEWTON = 2 * MAX_BISECT
+# Points per block of the vectorized inversion: small enough that one
 # block's height evaluation stays in cache.
 BISECT_BLOCK = 8192
 
@@ -85,9 +95,10 @@ def _height_vec(beta: Weight, x0: np.ndarray, r: np.ndarray,
 
 def height_inverse(beta: Weight, x0, s: float, ctx: WeightContext,
                    tol: float = TOL_BISECT) -> float:
-    """Invert the height map: the r with h_{x0}(r) = s, by bisection."""
-    if s < 0.0:
-        raise ValueError("height values are non-negative")
+    """Invert the height map: the r with h_{x0}(r) = s; 1D weights go
+    through :func:`height_inverse_vec`, 2D weights are bisected."""
+    if not s >= 0.0:
+        raise ValueError("height values must be non-negative numbers")
     if s == 0.0:
         return 0.0
     if beta.n == 1:
@@ -117,44 +128,90 @@ def height_inverse(beta: Weight, x0, s: float, ctx: WeightContext,
 
 def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
                        ctx: WeightContext, tol: float = TOL_BISECT) -> np.ndarray:
-    """Vectorized inverse heights for 1D weights.
+    """Vectorized inverse heights for 1D weights: the r with h_{x0}(r) = s.
 
-    Every point takes the same bracket doublings and bisection steps; each
-    step walks the points in blocks of ``BISECT_BLOCK``, so the heights
-    and their temporaries stay cache-sized.
+    Each point doubles ``hi`` from 1 until h(hi) >= s, then runs Newton's
+    method on log h(r) = log s in log r, safeguarded by its bracket as in
+    Numerical Recipes' ``rtsafe``: an iterate that leaves the open bracket,
+    or a step that fails to halve the step from two iterations earlier,
+    becomes a bisection. Once the Newton step falls below tol * r / 4, the
+    next evaluation probes the far side of the root (first at the Newton
+    step's distance, at least tol * r / 256, then 4 times further after
+    each probe that does not cross, up to tol * r / 4), so the bracket
+    closes. Each result is the midpoint of a bracket [lo, hi] with
+    h(lo) < s <= h(hi) and hi - lo <= tol * hi, and 0 where s == 0.
+
+    Points stop on their own and run in blocks of ``BISECT_BLOCK`` (the
+    heights stay cache-sized), so a result depends only on that point's
+    (x0, s), never on the other points of the call. NaN or negative ``s``
+    raise ``ValueError``; a height the weight never reaches raises
+    ``NoBracket``.
     """
     x0 = np.asarray(x0, dtype=float)
     s = np.asarray(s, dtype=float)
+    if not np.all(s >= 0.0):
+        raise ValueError("height values must be non-negative numbers")
     out = np.zeros_like(s)
     active = s > 0.0
-    if not np.any(active):
-        return out
     xa, sa = x0[active], s[active]
-    blocks = [slice(k, k + BISECT_BLOCK) for k in range(0, sa.size, BISECT_BLOCK)]
-    hi = np.ones_like(sa)
-    for _ in range(200):
-        need = np.concatenate([_height_vec(beta, xa[b], hi[b], ctx) < sa[b]
-                               for b in blocks])
-        if not np.any(need):
-            break
-        if np.any(hi >= 2.0 ** 60):
+    ra = np.empty_like(sa)
+    for k in range(0, sa.size, BISECT_BLOCK):
+        b = slice(k, k + BISECT_BLOCK)
+        ra[b] = _newton_block(beta, xa[b], sa[b], ctx, tol)
+    out[active] = ra
+    return out
+
+
+def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
+                  ctx: WeightContext, tol: float) -> np.ndarray:
+    """Inverse heights of one block of points with s > 0, as described in
+    :func:`height_inverse_vec`."""
+    lo = np.zeros_like(s)
+    hi = np.ones_like(s)
+    h = _height_vec(beta, x0, hi, ctx)
+    need = np.flatnonzero(h < s)
+    while need.size:
+        if np.any(hi[need] >= 2.0 ** 60):
             raise NoBracket("height never reaches a requested value")
-        hi = np.where(need, 2.0 * hi, hi)
-    else:
-        raise NoBracket("height never reaches a requested value")
-    lo = np.zeros_like(sa)
-    for _ in range(MAX_BISECT):
-        converged = True
-        for b in blocks:
-            lo_b, hi_b = lo[b], hi[b]
-            mid = 0.5 * (lo_b + hi_b)
-            below = _height_vec(beta, xa[b], mid, ctx) < sa[b]
-            np.copyto(lo_b, mid, where=below)
-            np.copyto(hi_b, mid, where=~below)
-            converged &= bool(np.all(hi_b - lo_b <= tol * np.maximum(hi_b, 1e-300)))
-        if converged:
-            break
-    out[active] = 0.5 * (lo + hi)
+        lo[need] = hi[need]
+        hi[need] *= 2.0
+        h[need] = _height_vec(beta, x0[need], hi[need], ctx)
+        need = need[h[need] < s[need]]
+    out = np.empty_like(s)
+    pos = np.arange(s.size)  # where each remaining point goes in ``out``
+    r = hi.copy()  # the last iterate, always one end of its bracket; h = h(r)
+    step = step_old = np.full_like(s, np.inf)  # the last two steps taken
+    reach = np.zeros_like(s)  # distance of the last step if it was a probe
+    for _ in range(MAX_NEWTON):
+        done = hi - lo <= tol * hi
+        if done.any():
+            out[pos[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            pos, x0, s, lo, hi, r, h, step, step_old, reach = (
+                a[keep] for a in (pos, x0, s, lo, hi, r, h, step, step_old, reach))
+            if not pos.size:
+                return out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # d log h / d log r = r h'(r) / h(r) with n0 = 2 in 1D; a zero
+            # height gives NaN here and so a bisection below
+            slope = 1.0 + r * r * (beta(x0 + r) + beta(x0 - r)) / (2.0 * h)
+            nxt = r * np.exp((np.log(s) - np.log(h)) / slope)
+        dr = np.abs(nxt - r)
+        cap = 0.25 * tol * r
+        probe = dr < cap
+        reach = np.where(probe, np.minimum(np.maximum(np.maximum(dr, cap / 64.0),
+                                                      4.0 * reach), cap), 0.0)
+        nxt = np.where(probe, nxt + np.where(h < s, reach, -reach), nxt)
+        newton = (nxt > lo) & (nxt < hi) & (2.0 * dr <= np.abs(step_old))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        reach = np.where(newton, reach, 0.0)
+        step_old, step = step, nxt - r
+        r = nxt
+        h = _height_vec(beta, x0, r, ctx)
+        below = h < s
+        lo = np.where(below, r, lo)
+        hi = np.where(below, hi, r)
+    out[pos] = 0.5 * (lo + hi)
     return out
 
 

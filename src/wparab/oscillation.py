@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion
-from .geometry import height
+from .geometry import _height_vec
 from .report import AuditReport, AuditRow
-from .weights import Weight, WeightContext, first_sup
+from .weights import Weight, WeightContext, ball_grid, first_sup
 
 
 @dataclass
@@ -59,25 +59,27 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     return max(b * b_inv - 1.0, 0.0)
 
 
-def theta_A_ms(A_fun, beta: Weight, z0, r: float, mask, ctx: WeightContext,
-               n_space: int = 33, n_time: int = 17) -> float:
+def theta_A_ms(A_fun, z0, r: float, h: float, mask, n_space: int = 33,
+               n_time: int = 17) -> float:
     """Squared partial mean oscillation of the matrix on one cylinder.
+
+    The cylinder Q_{r,beta}(z0) is B_r(x0) times (t0 - h, t0], where h is the
+    weight's cylinder height h_{x0}(r) (``geometry.height``).
 
     ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
     ``A_fun(xs[None, :], ts[:, None])`` on the space and time nodes, and
     returns a scalar field that broadcasts to (n_time, n_space) or a matrix
     field of shape (n_time, n_space, d, d) (leading axes may broadcast).
-    The cylinder Q_{r,beta}(z0) is clipped to ``mask`` = (x_lo, x_hi, t_lo,
-    t_hi); within each time slice the matrix is centered around its spatial
-    average over B_r(x0) ∩ Omega, and the squared Frobenius deviation is
-    averaged over the clipped cylinder.
+    The cylinder is clipped to ``mask`` = (x_lo, x_hi, t_lo, t_hi); within
+    each time slice the matrix is centered around its spatial average over
+    B_r(x0) ∩ Omega, and the squared Frobenius deviation is averaged over
+    the clipped cylinder.
     """
     x0 = np.atleast_1d(np.asarray(z0[0] if isinstance(z0, tuple) else z0.x, float))
     t0 = float(z0[1] if isinstance(z0, tuple) else z0.t)
     x_lo, x_hi, t_lo, t_hi = mask
     a = max(x0[0] - r, x_lo)
     b = min(x0[0] + r, x_hi)
-    h = height(beta, x0, r, ctx)
     s_lo = max(t0 - h, t_lo)
     s_hi = min(t0, t_hi)
     if a >= b or s_lo >= s_hi:
@@ -140,15 +142,17 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     worst_a = None
     t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
     if A_fun is not None:
-        for x0 in grid_points:
-            for r in radii:
-                for tc in t_centers:
-                    try:
-                        th_a = theta_A_ms(A_fun, beta, ([x0], tc), r, mask, ctx)
-                    except EmptyRegion:
-                        continue
-                    if th_a > sup_a:
-                        sup_a, worst_a = th_a, (float(x0), float(tc), float(r))
+        # one height per (center, radius), shared by its time centres
+        centers, rs = ball_grid(grid_points[:, None], radii)
+        heights = _height_vec(beta, centers[:, 0], rs, ctx)
+        for x0, r, h in zip(centers[:, 0], rs, heights.tolist()):
+            for tc in t_centers:
+                try:
+                    th_a = theta_A_ms(A_fun, ([x0], tc), r, h, mask)
+                except EmptyRegion:
+                    continue
+                if th_a > sup_a:
+                    sup_a, worst_a = th_a, (float(x0), float(tc), float(r))
     theta_a = float(np.sqrt(sup_a))
     theta_b = float(np.sqrt(sup_b))
     total = theta_a + theta_b

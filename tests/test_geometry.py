@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wparab import geometry
 from wparab.errors import NoBracket
 from wparab.geometry import (
     BISECT_BLOCK,
@@ -115,14 +116,14 @@ class TestHeightInverse:
 
 
 def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
-    """Reference for the blocked bisection: every step evaluates the
-    heights of all points at once."""
+    """Reference bisection: every step evaluates the heights of all points
+    at once, for as many steps as the slowest point needs."""
     out = np.zeros_like(s)
     active = s > 0.0
     xa, sa = x0[active], s[active]
     hi = np.ones_like(sa)
     for _ in range(200):
-        need = _height_vec(beta, xa, hi, ctx) < sa
+        need = geometry._height_vec(beta, xa, hi, ctx) < sa
         if not np.any(need):
             break
         if np.any(hi >= 2.0 ** 60):
@@ -133,7 +134,7 @@ def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
     lo = np.zeros_like(sa)
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        below = _height_vec(beta, xa, mid, ctx) < sa
+        below = geometry._height_vec(beta, xa, mid, ctx) < sa
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.all(hi - lo <= tol * np.maximum(hi, 1e-300)):
@@ -143,32 +144,81 @@ def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
 
 
 class TestBlockedBisection:
+    """The blocked, per-point safeguarded Newton inversion against the
+    reference bisection."""
+
+    SINGULAR_CENTRE = 0.3
     WEIGHTS = {
         "power": Weight.power(0.4, 0.1, DOM),
         "constant": Weight.constant(2.5, DOM),
         "sampled": Weight.sampled(
             np.random.default_rng(3).lognormal(0.0, 0.5, 256), DOM),
+        "trapezoid": Weight.sampled(
+            np.random.default_rng(4).lognormal(0.0, 0.5, 65), DOM, "trapezoid"),
+        "singular": Weight.power(-0.5, SINGULAR_CENTRE, DOM),
+        "alternating": Weight.sampled(np.tile([1e-6, 1e3], 32), DOM),
     }
 
-    @staticmethod
-    def points(n):
-        """More than three blocks plus a remainder; the tiny gaps sit in the
-        last block only, so it needs more steps than the others."""
+    @classmethod
+    def points(cls, n, kind=None):
+        """More than three blocks plus a remainder, centres outside the
+        sampled domain too; the tiny gaps sit in the last block only, so it
+        needs more steps than the others. The singular weight is inverted
+        at its centre."""
         rng = np.random.default_rng(11)
         x0 = rng.uniform(-1.2, 1.2, n)
+        if kind == "singular":
+            x0[:] = cls.SINGULAR_CENTRE
         s = rng.uniform(0.0, 2.0, n) ** 2
         s[::97] = 0.0
         s[-50:] = rng.uniform(0.5e-9, 2e-9, 50)
         return x0, s
 
     @pytest.mark.parametrize("kind", sorted(WEIGHTS))
-    def test_same_bits_as_unblocked_loop(self, kind):
-        n = 3 * BISECT_BLOCK + 1234
-        x0, s = self.points(n)
+    def test_bracket_postcondition(self, kind):
         beta = self.WEIGHTS[kind]
+        x0, s = self.points(3 * BISECT_BLOCK + 1234, kind)
         got = height_inverse_vec(beta, x0, s, CTX)
-        assert np.array_equal(got, height_inverse_reference(beta, x0, s, CTX))
-        assert np.all(got[s == 0.0] == 0.0) and np.all(got[s > 0.0] > 0.0)
+        ref = height_inverse_reference(beta, x0, s, CTX)
+        tol = TOL_BISECT
+        pos = s > 0.0
+        assert np.array_equal(got == 0.0, ~pos)
+        assert np.all(_height_vec(beta, x0, got * (1.0 - tol), CTX)[pos] < s[pos])
+        assert np.all(s[pos] <= _height_vec(beta, x0, got * (1.0 + tol), CTX)[pos])
+        assert np.all(np.abs(got - ref) <= tol * ref)
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_result_independent_of_batch(self, kind):
+        beta = self.WEIGHTS[kind]
+        x0, s = self.points(3 * BISECT_BLOCK + 1234, kind)
+        got = height_inverse_vec(beta, x0, s, CTX)
+        for i in (1, BISECT_BLOCK + 7, 2 * BISECT_BLOCK + 500, s.size - 1):
+            alone = height_inverse_vec(beta, x0[i:i + 1], s[i:i + 1], CTX)
+            assert alone.tobytes() == got[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_no_more_height_evaluations_than_bisection(self, kind, monkeypatch):
+        beta = self.WEIGHTS[kind]
+        x0, s = self.points(BISECT_BLOCK + 1234, kind)
+        evals = []
+
+        def counted(beta, x0, r, ctx):
+            evals.append(np.size(r))
+            return _height_vec(beta, x0, r, ctx)
+
+        monkeypatch.setattr(geometry, "_height_vec", counted)
+        height_inverse_vec(beta, x0, s, CTX)
+        newton = sum(evals)
+        evals.clear()
+        height_inverse_reference(beta, x0, s, CTX)
+        assert 0 < newton <= sum(evals)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3])
+    def test_nan_or_negative_height_rejected(self, bad):
+        x0, s = self.points(100)
+        s[40] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            height_inverse_vec(self.WEIGHTS["power"], x0, s, CTX)
 
     def test_unreachable_height_raises(self):
         # the height of the zero-extended sampled weight outside its domain

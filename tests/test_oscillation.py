@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wparab import oscillation
 from wparab.config import ExperimentConfig
 from wparab.errors import EmptyRegion
 from wparab.geometry import height
@@ -32,6 +33,11 @@ def theta_beta_quadrature(profile, x0, r, n=200000):
     mean = np.sum(b) * dx / (2 * r)
     mass = np.sum(b) * dx
     return float(np.sum((b - mean) ** 2 / b) * dx / mass)
+
+
+def theta_A(A_fun, beta, z0, r, mask, **kw):
+    """theta_A_ms on the cylinder of beta's height h_{x0}(r)."""
+    return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r, CTX), mask, **kw)
 
 
 class TestThetaBeta:
@@ -72,7 +78,7 @@ class TestThetaA:
         def A(x, t):
             return 2.0 + np.sin(17.0 * t)
 
-        got = theta_A_ms(A, beta, ([0.0], 0.0), 0.5, MASK, CTX)
+        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
         assert got == pytest.approx(0.0, abs=1e-24)
 
     def test_linear_in_space_order(self):
@@ -81,7 +87,7 @@ class TestThetaA:
             def A(x, t, e=eps):
                 return 1.0 + e * x
 
-            got = theta_A_ms(A, beta, ([0.0], 0.0), 0.5, MASK, CTX)
+            got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
             # per-slice variance of e*x over (-r, r) is e^2 r^2 / 3
             assert got == pytest.approx(eps ** 2 * 0.25 / 3.0, rel=5e-2)
 
@@ -92,7 +98,7 @@ class TestThetaA:
             return np.where(x >= 0.0, 2.0, 1.0)
 
         # symmetric ball: mean 1.5, squared deviation 0.25 everywhere
-        got = theta_A_ms(A, beta, ([0.0], 0.0), 0.5, MASK, CTX, n_space=34)
+        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK, n_space=34)
         assert got == pytest.approx(0.25, rel=5e-2)
 
     def test_time_shift_invariance(self):
@@ -104,8 +110,8 @@ class TestThetaA:
         def A2(x, t):
             return 1.0 + 0.3 * np.sin(3 * x) + 5.0 * np.cos(t)
 
-        v1 = theta_A_ms(A1, beta, ([0.1], -0.1), 0.4, MASK, CTX)
-        v2 = theta_A_ms(A2, beta, ([0.1], -0.1), 0.4, MASK, CTX)
+        v1 = theta_A(A1, beta, ([0.1], -0.1), 0.4, MASK)
+        v2 = theta_A(A2, beta, ([0.1], -0.1), 0.4, MASK)
         assert v2 == pytest.approx(v1, rel=1e-10)
 
     def test_matrix_valued(self):
@@ -116,7 +122,7 @@ class TestThetaA:
             zero, one = np.zeros_like(a11), np.ones_like(a11)
             return np.stack([np.stack([a11, zero], -1), np.stack([zero, one], -1)], -2)
 
-        got = theta_A_ms(A, beta, ([0.0], 0.0), 0.5, MASK, CTX)
+        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
         assert got == pytest.approx(0.01 * 0.25 / 3.0, rel=5e-2)
 
 
@@ -176,7 +182,7 @@ class TestThetaAWholeArray:
             for r in (0.05, 0.13, 0.3):
                 for tc in (0.0625, 0.2, 0.25):
                     z0 = ([x0], tc)
-                    assert (theta_A_ms(a_fun, beta, z0, r, mask, CTX)
+                    assert (theta_A(a_fun, beta, z0, r, mask)
                             == theta_A_per_node(a_fun, beta, z0, r, mask, CTX))
 
     @pytest.mark.parametrize("x0, tc", [
@@ -190,7 +196,7 @@ class TestThetaAWholeArray:
         beta = Weight.power(0.2, 0.0, DOM)
         a_fun = config_coefficient()
         z0 = ([x0], tc)
-        got = theta_A_ms(a_fun, beta, z0, 0.3, MASK, CTX)
+        got = theta_A(a_fun, beta, z0, 0.3, MASK)
         assert got == theta_A_per_node(a_fun, beta, z0, 0.3, MASK, CTX)
         assert got > 0.0
 
@@ -198,7 +204,7 @@ class TestThetaAWholeArray:
         beta = Weight.power(0.2, 0.0, DOM)
         for x0, tc, r in ((0.0, -0.2, 0.5), (0.7, -0.5, 0.4), (-0.3, -0.9, 0.2)):
             z0 = ([x0], tc)
-            got = theta_A_ms(matrix_coefficient, beta, z0, r, MASK, CTX, n_space=20)
+            got = theta_A(matrix_coefficient, beta, z0, r, MASK, n_space=20)
             assert got == theta_A_per_node(matrix_coefficient, beta, z0, r, MASK,
                                            CTX, n_space=20)
 
@@ -209,7 +215,7 @@ class TestThetaAWholeArray:
             return matrix_coefficient(x, 0.0)
 
         z0 = ([0.1], -0.2)
-        assert (theta_A_ms(A, beta, z0, 0.4, MASK, CTX)
+        assert (theta_A(A, beta, z0, 0.4, MASK)
                 == theta_A_per_node(A, beta, z0, 0.4, MASK, CTX))
 
     @pytest.mark.parametrize("A", [
@@ -220,7 +226,7 @@ class TestThetaAWholeArray:
     def test_wrong_shape_rejected(self, A):
         beta = Weight.constant(1.0, DOM)
         with pytest.raises(ValueError, match="coefficient returned shape"):
-            theta_A_ms(A, beta, ([0.0], -0.2), 0.3, MASK, CTX)
+            theta_A(A, beta, ([0.0], -0.2), 0.3, MASK)
 
 
 class TestSupremum:
@@ -257,6 +263,29 @@ class TestSupremum:
         sup_c = oscillation_supremum(None, beta, coarse, MASK, CTX).rows[1].lhs
         sup_f = oscillation_supremum(None, beta, fine, MASK, CTX).rows[1].lhs
         assert sup_f >= sup_c - 1e-15
+
+    @pytest.mark.parametrize("make_beta", [
+        bundled_power_weight,
+        lambda: Weight.sampled(np.exp(np.sin(np.linspace(0.0, 9.0, 40))),
+                               (0.0, 1.0))])
+    def test_one_height_per_lattice_ball(self, make_beta, monkeypatch):
+        # every time centre of a (x0, r) gets the bits of the scalar height,
+        # and theta_A_ms still runs once per cylinder
+        beta = make_beta()
+        seen = []
+
+        def recorded(A_fun, z0, r, h, mask, **kw):
+            seen.append((float(z0[0][0]), float(r), h))
+            return theta_A_ms(A_fun, z0, r, h, mask, **kw)
+
+        monkeypatch.setattr(oscillation, "theta_A_ms", recorded)
+        cfg = OscillationConfig(R0=0.5, delta=1.0)
+        oscillation_supremum(config_coefficient(), beta, cfg,
+                             (0.0, 1.0, 0.0, 0.25), CTX)
+        assert len(seen) == 17 * cfg.n_radii * 4
+        assert len({(x0, r) for x0, r, _ in seen}) == 17 * cfg.n_radii
+        for x0, r, h in seen:
+            assert h == height(beta, [x0], r, CTX)
 
     @pytest.mark.parametrize("beta", [
         Weight.power(0.3, 0.17, DOM),
