@@ -79,7 +79,7 @@ def run_weights(run: RunContext) -> list[AuditReport]:
     reports.append(AuditReport.from_rows(
         "reverse-holder-exponent",
         [AuditRow(label="largest-passing-gamma", lhs=gamma, rhs=budget,
-                  constant=gamma, budget=budget, passed=gamma >= 0.0)],
+                  constant=gamma, budget=budget, passed=gamma > 0.0)],
         params={"budget": budget}))
     return reports
 

@@ -18,9 +18,10 @@ point has the later time. rho_b satisfies a triangle inequality up to
 
 where (zeta0, N2) quantify how the measure b^{n0/2} shrinks on nested sets.
 
-In 1D the inverse height is a safeguarded Newton iteration per point, in
-log-log variables (h' = h/r + r (b(x0 + r) + b(x0 - r))/2), that falls back
-to bisection of a bracket found by doubling. Every radius it returns is the
+Heights and their inverse take 1D weights only; a 2D weight raises
+ValueError. The inverse height is a safeguarded Newton iteration per point,
+in log-log variables (h' = h/r + r (b(x0 + r) + b(x0 - r))/2), that falls
+back to bisection of a bracket found by doubling. Every radius it returns is the
 midpoint of a bracket [lo, hi] with h(lo) < s <= h(hi) and
 hi - lo <= tol * hi, and depends only on its own (x0, s), not on the other
 points of the call.
@@ -67,24 +68,11 @@ class SpaceTimePoint:
         return len(self.x)
 
 
-def psi(beta: Weight, x0, r: float, ctx: WeightContext) -> float:
-    """Time-height profile ((beta^{n0/2})_{B_r(x0)})^{2/n0}."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    n0 = ctx.n0
-    return beta.mean_global(n0 / 2.0, x0, r) ** (2.0 / n0)
-
-
-def height(beta: Weight, x0, r: float, ctx: WeightContext) -> float:
-    """Cylinder height h_{x0}(r) = r^2 Psi_{beta,x0}(r); h(0) = 0."""
-    if r == 0.0:
-        return 0.0
-    return r * r * psi(beta, x0, r, ctx)
-
-
-def _height_vec(beta: Weight, x0: np.ndarray, r: np.ndarray,
-                ctx: WeightContext) -> np.ndarray:
-    """Vectorized heights for 1D weights (per-sample centers allowed)."""
+def height(beta: Weight, x0, r, ctx: WeightContext) -> np.ndarray:
+    """Cylinder heights h_{x0}(r) = r^2 Psi_{beta,x0}(r) of a 1D weight,
+    broadcast over ``x0`` and ``r``; h = 0 where r <= 0."""
+    if beta.n != 1:
+        raise ValueError("cylinder heights take a 1D weight")
     x0 = np.asarray(x0, dtype=float)
     r = np.asarray(r, dtype=float)
     mass = beta.mass_1d_vec(ctx.n0 / 2.0, x0 - r, x0 + r, clip=False)
@@ -95,35 +83,9 @@ def _height_vec(beta: Weight, x0: np.ndarray, r: np.ndarray,
 
 def height_inverse(beta: Weight, x0, s: float, ctx: WeightContext,
                    tol: float = TOL_BISECT) -> float:
-    """Invert the height map: the r with h_{x0}(r) = s; 1D weights go
-    through :func:`height_inverse_vec`, 2D weights are bisected."""
-    if not s >= 0.0:
-        raise ValueError("height values must be non-negative numbers")
-    if s == 0.0:
-        return 0.0
-    if beta.n == 1:
-        return float(height_inverse_vec(beta, np.atleast_1d(np.asarray(x0, float))[:1],
-                                        np.array([s]), ctx, tol)[0])
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if height(beta, x0, hi, ctx) >= s:
-            break
-        hi *= 2.0
-        if hi > 2.0 ** 60:
-            raise NoBracket(f"height never reaches {s}")
-    else:
-        raise NoBracket(f"height never reaches {s}")
-    prev = math.inf
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if height(beta, x0, mid, ctx) < s:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= tol * max(hi, 1e-300) and abs(hi - prev) == 0.0:
-            break
-        prev = hi
-    return 0.5 * (lo + hi)
+    """The r with h_{x0}(r) = s: a one-point call of :func:`height_inverse_vec`."""
+    return float(height_inverse_vec(beta, np.atleast_1d(np.asarray(x0, float))[:1],
+                                    np.array([s], dtype=float), ctx, tol)[0])
 
 
 def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
@@ -168,14 +130,14 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
     :func:`height_inverse_vec`."""
     lo = np.zeros_like(s)
     hi = np.ones_like(s)
-    h = _height_vec(beta, x0, hi, ctx)
+    h = height(beta, x0, hi, ctx)
     need = np.flatnonzero(h < s)
     while need.size:
         if np.any(hi[need] >= 2.0 ** 60):
             raise NoBracket("height never reaches a requested value")
         lo[need] = hi[need]
         hi[need] *= 2.0
-        h[need] = _height_vec(beta, x0[need], hi[need], ctx)
+        h[need] = height(beta, x0[need], hi[need], ctx)
         need = need[h[need] < s[need]]
     out = np.empty_like(s)
     pos = np.arange(s.size)  # where each remaining point goes in ``out``
@@ -207,22 +169,12 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
         reach = np.where(newton, reach, 0.0)
         step_old, step = step, nxt - r
         r = nxt
-        h = _height_vec(beta, x0, r, ctx)
+        h = height(beta, x0, r, ctx)
         below = h < s
         lo = np.where(below, r, lo)
         hi = np.where(below, hi, r)
     out[pos] = 0.5 * (lo + hi)
     return out
-
-
-def quasi_distance(beta: Weight, z: SpaceTimePoint, z0: SpaceTimePoint,
-                   ctx: WeightContext) -> float:
-    """The quasi-distance rho_beta(z, z0); symmetric, zero iff z == z0."""
-    dx = float(np.linalg.norm(np.asarray(z.x) - np.asarray(z0.x)))
-    if z.t == z0.t:
-        return dx
-    base = z0.x if z.t <= z0.t else z.x
-    return max(dx, height_inverse(beta, base, abs(z.t - z0.t), ctx))
 
 
 def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
@@ -238,7 +190,8 @@ def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
 
 @dataclass
 class WeightedCylinder:
-    """A weighted parabolic cylinder: backward Q, centered C, or half Q+.
+    """A weighted parabolic cylinder of a 1D weight: backward Q, centered
+    C, or half Q+.
 
     The backward variant occupies B_r(x0) x (t0 - h, t0], the centered one
     B_r(x0) x (t0 - h/2, t0 + h/2), with h = r^2 Psi_{beta,x0}(r). The half
@@ -256,7 +209,7 @@ class WeightedCylinder:
             raise ValueError("cylinder radius must be positive")
         if self.variant not in ("Q", "C", "Q+"):
             raise ValueError(f"unknown cylinder variant {self.variant!r}")
-        self.h = height(self.beta, self.z0.x, self.r, self.ctx)
+        self.h = height(self.beta, self.z0.x, self.r, self.ctx).item()
 
     @property
     def t_interval(self) -> tuple[float, float]:
@@ -281,10 +234,6 @@ class WeightedCylinder:
         for axis in range(len(self.z0.x)):
             lo, hi = self.x_interval(axis)
             if not lo - tol <= z.x[axis] <= hi + tol:
-                return False
-        if len(self.z0.x) == 2:
-            dx = np.linalg.norm(np.asarray(z.x) - np.asarray(self.z0.x))
-            if dx > self.r + tol:
                 return False
         t_lo, t_hi = self.t_interval
         return t_lo - tol <= z.t <= t_hi + tol
@@ -386,7 +335,7 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
     rng = np.random.default_rng(seed)
     (lo, hi), = beta.domain[:1]
     if t_span is None:
-        t_span = height(beta, np.array([0.5 * (lo + hi)]), 0.5 * (hi - lo), ctx)
+        t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo), ctx).item()
     xs = rng.uniform(lo, hi, size=(samples, 3))
     ts = rng.uniform(-t_span, 0.0, size=(samples, 3))
     xs_adv, ts_adv = _adversarial_triples(beta, ctx, lo, hi, t_span)
@@ -458,9 +407,7 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
 
     # {rho <= r} subset closure(C_{2r}(z0)): lattice the candidate region
     sx = np.linspace(x0 - r, x0 + r, nx)
-    st_lo = z0.t - height(beta, z0.x, r, ctx)
-    st_hi = z0.t + 0.5 * height(beta, z0.x, 2.0 * r, ctx)
-    stt = np.linspace(st_lo, st_hi, nt)
+    stt = np.linspace(q.t_interval[0], c2.t_interval[1], nt)
     mx, mt = np.meshgrid(sx, stt)
     px, pt = mx.ravel(), mt.ravel()
     d = quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
@@ -496,19 +443,3 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
         params={"r": r, "z0": [list(z0.x), z0.t], "lattice": list(lattice),
                 "failures": failures[:5]})
 
-
-def dilated_weight(beta: Weight, r: float, ctx: WeightContext) -> Weight:
-    """The rescaled weight Psi_beta(r)^{-1} * beta(r * .), origin-anchored.
-
-    Under x -> r x, t -> r^2 Psi_beta(r) t this weight drives the dilated
-    problem on the unit cylinder and satisfies Psi(1) = 1.
-    """
-    scale_factor = 1.0 / psi(beta, np.zeros(beta.n), r, ctx)
-    if beta.kind == "power":
-        new_center = tuple(c / r for c in beta.center)
-        new_domain = tuple((lo / r, hi / r) for lo, hi in beta.domain)
-        return Weight(kind="power", domain=new_domain, alpha=beta.alpha,
-                      center=new_center,
-                      scale=beta.scale * r ** beta.alpha * scale_factor)
-    new_domain = tuple((lo / r, hi / r) for lo, hi in beta.domain)
-    return Weight.sampled(beta.samples * scale_factor, new_domain, beta.quadrature)

@@ -12,10 +12,9 @@ Three checks, each reporting an empirical constant:
     (1/(b)_B) avg_Q u^2 b <= N (avg u^2)^{1-th} [(avg u^2)^th
                                   + r^{2th} (avg |grad u|^2)^th].
 
-Integrals of polynomial descriptors against power weights use exact
-monomial antiderivatives; everything else falls back to composite
-16-point Gauss-Legendre on a mesh graded toward the weight's singular
-point.
+Weighted integrals use composite 16-point Gauss-Legendre on a mesh graded
+toward the weight's singular point, with the innermost slab integrated in
+closed form; no audit uses exact monomial antiderivatives.
 """
 from __future__ import annotations
 
@@ -176,30 +175,6 @@ def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
                   * (eps_l ** (1.0 + q_eff) + eps_r ** (1.0 + q_eff))
                   / (1.0 + q_eff))
     return total
-
-
-def poly_power_moment(coeffs, alpha: float, center: float, a: float, b: float) -> float:
-    """Exact int_a^b p(x) |x - center|^alpha dx for a polynomial p.
-
-    The polynomial is re-expanded in powers of u = x - center; each
-    monomial integrates to sign(u)^{k+1} |u|^{k+1+alpha} / (k+1+alpha).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = len(coeffs)
-    shifted = np.zeros(n)
-    for k in range(n):
-        for j in range(k + 1):
-            shifted[j] += coeffs[k] * math.comb(k, j) * center ** (k - j)
-
-    def m_k(y: float, k: int) -> float:
-        if y == 0.0:
-            return 0.0
-        power = k + 1 + alpha
-        sign = 1.0 if (y > 0 or (k + 1) % 2 == 0) else -1.0
-        return sign * abs(y) ** power / power
-
-    return float(sum(c * (m_k(b - center, k) - m_k(a - center, k))
-                     for k, c in enumerate(shifted)))
 
 
 def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,

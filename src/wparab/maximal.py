@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyRegion, PreconditionFailed
-from .geometry import (QuasiMetricParams, SpaceTimePoint, WeightedCylinder,
-                       _height_vec, height)
+from .geometry import QuasiMetricParams, WeightedCylinder, height
 from .report import AuditReport, AuditRow
 from .weights import Weight, WeightContext
 
@@ -48,15 +47,6 @@ class SpaceTimeField:
             raise ValueError("edge arrays do not match the value grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    @classmethod
-    def from_function(cls, fn, x_edges, t_edges) -> "SpaceTimeField":
-        x_edges = np.asarray(x_edges, dtype=float)
-        t_edges = np.asarray(t_edges, dtype=float)
-        xm = 0.5 * (x_edges[:-1] + x_edges[1:])
-        tm = 0.5 * (t_edges[:-1] + t_edges[1:])
-        gx, gt = np.meshgrid(xm, tm)
-        return cls(x_edges, t_edges, np.asarray(fn(gx, gt), dtype=float))
 
     @property
     def cell_area(self) -> float:
@@ -128,15 +118,6 @@ class SpaceTimeField:
         return total - self._sat_at(b, t) + self._sat_at(a, t)
 
 
-def maximal_function(g: SpaceTimeField, beta: Weight, z: SpaceTimePoint,
-                     radii: np.ndarray, ctx: WeightContext,
-                     window: tuple[float, float, float, float] | None = None) -> float:
-    """Maximal average of |g| over centered cylinders C_rho(z) on the grid."""
-    vals = maximal_function_batch(g, beta, np.array([z.x[0]]), np.array([z.t]),
-                                  radii, ctx, window)
-    return float(vals[0])
-
-
 def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
                            T: np.ndarray, radii: np.ndarray, ctx: WeightContext,
                            window: tuple[float, float, float, float] | None = None,
@@ -156,7 +137,7 @@ def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
     # fields on a grid repeat each x once per time row: heights depend on x only
     xu, inverse = np.unique(X, return_inverse=True)
     for rho in radii:
-        hu = _height_vec(beta, xu, np.full_like(xu, rho), ctx)
+        hu = height(beta, xu, rho, ctx)
         if not np.all(hu > 0.0):
             raise EmptyRegion(f"cylinders of radius {rho} have zero height "
                               "where the weight has no mass")
@@ -323,7 +304,7 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
         raise PreconditionFailed("m_max must be at least 1")
     lam = quasi.Lambda
     big_r = 2.0 * lam * r_unit
-    h_big = height(beta, [center], big_r, ctx)
+    h_big = height(beta, center, big_r, ctx).item()
     window = (center - big_r, center + big_r, t_top - h_big, t_top)
     if radii is None:
         radii = default_radius_grid(grad_sq)
@@ -331,7 +312,7 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
     X, T = grad_sq.cell_centers()
     mg = maximal_function_batch(grad_sq, beta, X, T, radii, ctx, window=window)
     mf = maximal_function_batch(force_sq, beta, X, T, radii, ctx, window=window)
-    h_unit = height(beta, [center], r_unit, ctx)
+    h_unit = height(beta, center, r_unit, ctx).item()
     in_q1 = ((np.abs(X - center) <= r_unit)
              & (T <= t_top) & (T > t_top - h_unit))
     area = grad_sq.cell_area

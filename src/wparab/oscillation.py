@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion
-from .geometry import _height_vec
+from .geometry import height
 from .report import AuditReport, AuditRow
 from .weights import Weight, WeightContext, ball_grid, first_sup
 
@@ -144,7 +144,7 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     if A_fun is not None:
         # one height per (center, radius), shared by its time centres
         centers, rs = ball_grid(grid_points[:, None], radii)
-        heights = _height_vec(beta, centers[:, 0], rs, ctx)
+        heights = height(beta, centers[:, 0], rs, ctx)
         for x0, r, h in zip(centers[:, 0], rs, heights.tolist()):
             for tc in t_centers:
                 try:

@@ -582,17 +582,13 @@ class NormReport:
     """Norm bundle for the a-priori estimate audit."""
 
     p: float
-    u_norm: float
     grad_norm: float
     proxy_norm: float
     forcing_norm: float
-    weighted_l2: float
-    sup_energy: float
     ratio: float
 
     def __post_init__(self) -> None:
-        for name in ("u_norm", "grad_norm", "proxy_norm", "forcing_norm",
-                     "weighted_l2", "sup_energy", "ratio"):
+        for name in ("grad_norm", "proxy_norm", "forcing_norm", "ratio"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -610,15 +606,10 @@ def apriori_ratio(u: SolutionField, p: float) -> NormReport:
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
     grad_norm = u.lp(u.grad(), p, region)
     proxy_norm = u.lp(u.flux_proxy(), p, region)
-    u_norm = u.lp(u.u, p, region)
     f_norm = u.lp(u.F, p, region)
-    w_l2 = math.sqrt(float(np.sum(u.u[1:] ** 2 * u.beta_cells[None, :])
-                           * grid.h * grid.tau))
-    sup_e = u.sup_weighted_energy(region)
     ratio = (grad_norm + proxy_norm) / f_norm if f_norm > 0 else 0.0
-    return NormReport(p=p, u_norm=u_norm, grad_norm=grad_norm,
-                      proxy_norm=proxy_norm, forcing_norm=f_norm,
-                      weighted_l2=w_l2, sup_energy=sup_e, ratio=ratio)
+    return NormReport(p=p, grad_norm=grad_norm, proxy_norm=proxy_norm,
+                      forcing_norm=f_norm, ratio=ratio)
 
 
 def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,

@@ -184,13 +184,6 @@ class Weight:
     def n(self) -> int:
         return len(self.domain)
 
-    def rescaled(self, factor: float) -> "Weight":
-        """The weight factor * w (pointwise multiple)."""
-        if self.kind == "power":
-            return Weight(kind="power", domain=self.domain, alpha=self.alpha,
-                          center=self.center, scale=self.scale * factor)
-        return Weight.sampled(self.samples * factor, self.domain, self.quadrature)
-
     def __call__(self, x) -> np.ndarray:
         """Pointwise values (sampled weights are zero outside the domain)."""
         x = np.asarray(x, dtype=float)
@@ -287,26 +280,33 @@ class Weight:
 
     def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray,
                     clip: bool = True) -> np.ndarray:
-        """Masses of w^p over the intervals [a, b]: every 1D mass. ``clip``
-        (to the domain) applies only to power weights; a sampled weight is
-        zero outside its domain."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        """Masses of w^p over the intervals [a, b], in the broadcast shape of
+        ``a`` and ``b``: every 1D mass. ``clip`` (to the domain) applies only
+        to power weights; a sampled weight is zero outside its domain."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        shape = a.shape
+        # flat arrays: the sampled kernels index them, and a scalar interval
+        # takes the same array loops (and bits) as a one-element call
+        a, b = a.ravel(), b.ravel()
         if self.kind == "power":
             if clip:
                 (lo, hi), = self.domain
                 a, b = np.maximum(a, lo), np.minimum(b, hi)
                 b = np.maximum(a, b)
-            return (self.scale ** p
-                    * power_interval_integral(a, b, self.center[0], p * self.alpha))
+            out = (self.scale ** p
+                   * power_interval_integral(a, b, self.center[0], p * self.alpha))
+            return out.reshape(shape)
         (lo, hi), = self.domain
         a, b = np.maximum(a, lo), np.minimum(b, hi)
         b = np.maximum(a, b)
         if self.quadrature == "midpoint":
             edges, cum, slopes = self._cum_1d(p)
-            return (_interp_uniform(b, edges, cum, slopes)
-                    - _interp_uniform(a, edges, cum, slopes))
-        return self._trapezoid_masses(p, a, b)
+            out = (_interp_uniform(b, edges, cum, slopes)
+                   - _interp_uniform(a, edges, cum, slopes))
+        else:
+            out = self._trapezoid_masses(p, a, b)
+        return out.reshape(shape)
 
     # -- nD interface --------------------------------------------------------
 

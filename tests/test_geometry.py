@@ -15,14 +15,10 @@ from wparab.geometry import (
     SpaceTimePoint,
     WeightedCylinder,
     cylinder_relations_audit,
-    dilated_weight,
     estimate_quasi_params,
-    _height_vec,
     height,
     height_inverse,
     height_inverse_vec,
-    psi,
-    quasi_distance,
     quasi_distance_batch,
     quasi_triangle_audit,
 )
@@ -37,23 +33,29 @@ def h_power_oracle(alpha, r):
     return r ** (2.0 + alpha) / (1.0 + alpha)
 
 
+def quasi_distance(beta, z, z0, ctx):
+    """rho_beta(z, z0) of two space-time points, as a one-point batch."""
+    return quasi_distance_batch(beta, [z.x[0]], [z.t], [z0.x[0]], [z0.t], ctx).item()
+
+
 class TestHeights:
     def test_psi_identity_weight(self):
+        # Psi = h / r^2
         w = Weight.constant(1.0, DOM)
         for r in (0.1, 0.5, 2.0):
-            assert psi(w, [0.3], r, CTX) == pytest.approx(1.0, abs=1e-14)
+            assert height(w, 0.3, r, CTX) / r ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_height_linear_weight(self):
         # |x|^1 average over (-r, r) is r/2, so h = r^3/2
         w = Weight.power(1.0, 0.0, (-4.0, 4.0))
-        assert psi(w, [0.0], 2.0, CTX) == pytest.approx(1.0, rel=1e-14)
-        assert height(w, [0.0], 2.0, CTX) == pytest.approx(4.0, rel=1e-14)
+        assert height(w, 0.0, 2.0, CTX) / 4.0 == pytest.approx(1.0, rel=1e-14)
+        assert height(w, 0.0, 2.0, CTX) == pytest.approx(4.0, rel=1e-14)
 
     def test_height_sqrt_weight(self):
         # |x|^{1/2}: h(r) = r^{5/2}/(3/2) = (2/3) r^{5/2}
         w = Weight.power(0.5, 0.0, DOM)
         for r in (0.2, 0.7, 1.0):
-            assert height(w, [0.0], r, CTX) == pytest.approx(
+            assert height(w, 0.0, r, CTX) == pytest.approx(
                 h_power_oracle(0.5, r), rel=1e-13)
 
     def test_one_dim_mass_identity(self):
@@ -61,15 +63,37 @@ class TestHeights:
         w = Weight.power(0.3, 0.1, DOM)
         r, x0 = 0.4, 0.25
         mass = w.mass(1.0, [x0], r, clip=False)
-        assert height(w, [x0], r, CTX) == pytest.approx(0.5 * r * mass, rel=1e-13)
+        assert height(w, x0, r, CTX) == pytest.approx(0.5 * r * mass, rel=1e-13)
 
     def test_monotone_on_radius_grid(self):
         rng = np.random.default_rng(3)
         vals = 0.5 + rng.random(48)
         w = Weight.sampled(vals, DOM)
         radii = np.geomspace(0.02, 3.0, 40)
-        hs = [height(w, [0.2], r, CTX) for r in radii]
+        hs = height(w, 0.2, radii, CTX)
         assert all(b > a for a, b in zip(hs, hs[1:]))
+
+    def test_broadcasts_and_zero_at_nonpositive_radius(self):
+        # each element carries the bits of its own one-point call
+        for w in (Weight.power(0.3, 0.1, DOM),
+                  Weight.sampled(0.5 + np.random.default_rng(3).random(48), DOM),
+                  Weight.sampled(0.5 + np.random.default_rng(4).random(17), DOM,
+                                 "trapezoid")):
+            x0 = np.array([[-0.4], [0.2], [0.9]])
+            r = np.array([-0.1, 0.0, 0.05, 0.7])
+            got = height(w, x0, r, CTX)
+            assert got.shape == (3, 4)
+            assert np.all(got[:, :2] == 0.0) and np.all(got[:, 2:] > 0.0)
+            for i in range(3):
+                for j in range(4):
+                    one = height(w, x0[i, 0], r[j], CTX)
+                    assert one.shape == ()
+                    assert one.tobytes() == got[i, j].tobytes()
+
+    def test_rejects_2d_weight(self):
+        w = Weight.power(0.2, (0.0, 0.0), (DOM, DOM))
+        with pytest.raises(ValueError, match="1D"):
+            height(w, [0.0, 0.0], 0.5, WeightContext(n=2))
 
 
 class TestHeightInverse:
@@ -102,16 +126,8 @@ class TestHeightInverse:
     )
     def test_roundtrip(self, alpha, r):
         w = Weight.power(alpha, 0.0, DOM)
-        s = height(w, [0.0], r, CTX)
+        s = height(w, 0.0, r, CTX)
         assert height_inverse(w, [0.0], s, CTX) == pytest.approx(r, rel=1e-8)
-
-    def test_plateau_raises(self):
-        # 2D sampled: mass saturates, so large heights are unreachable
-        vals = np.ones((8, 8))
-        w = Weight.sampled(vals, ((-1.0, 1.0), (-1.0, 1.0)))
-        ctx2 = WeightContext(n=2, M0=10.0)
-        with pytest.raises(NoBracket):
-            height_inverse(w, [0.0, 0.0], 1e9, ctx2)
 
 
 
@@ -123,7 +139,7 @@ def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
     xa, sa = x0[active], s[active]
     hi = np.ones_like(sa)
     for _ in range(200):
-        need = geometry._height_vec(beta, xa, hi, ctx) < sa
+        need = geometry.height(beta, xa, hi, ctx) < sa
         if not np.any(need):
             break
         if np.any(hi >= 2.0 ** 60):
@@ -134,7 +150,7 @@ def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
     lo = np.zeros_like(sa)
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        below = geometry._height_vec(beta, xa, mid, ctx) < sa
+        below = geometry.height(beta, xa, mid, ctx) < sa
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.all(hi - lo <= tol * np.maximum(hi, 1e-300)):
@@ -183,8 +199,8 @@ class TestBlockedBisection:
         tol = TOL_BISECT
         pos = s > 0.0
         assert np.array_equal(got == 0.0, ~pos)
-        assert np.all(_height_vec(beta, x0, got * (1.0 - tol), CTX)[pos] < s[pos])
-        assert np.all(s[pos] <= _height_vec(beta, x0, got * (1.0 + tol), CTX)[pos])
+        assert np.all(height(beta, x0, got * (1.0 - tol), CTX)[pos] < s[pos])
+        assert np.all(s[pos] <= height(beta, x0, got * (1.0 + tol), CTX)[pos])
         assert np.all(np.abs(got - ref) <= tol * ref)
 
     @pytest.mark.parametrize("kind", sorted(WEIGHTS))
@@ -204,9 +220,9 @@ class TestBlockedBisection:
 
         def counted(beta, x0, r, ctx):
             evals.append(np.size(r))
-            return _height_vec(beta, x0, r, ctx)
+            return height(beta, x0, r, ctx)
 
-        monkeypatch.setattr(geometry, "_height_vec", counted)
+        monkeypatch.setattr(geometry, "height", counted)
         height_inverse_vec(beta, x0, s, CTX)
         newton = sum(evals)
         evals.clear()
@@ -277,15 +293,16 @@ class TestQuasiDistance:
         assert np.all(d >= np.abs(X - X0) - 1e-12)
 
     def test_batch_matches_scalar(self):
+        # each distance depends only on its own pair of points
         w = Weight.power(0.45, -0.25, DOM)
         rng = np.random.default_rng(17)
         X, X0 = rng.uniform(-1, 1, (2, 20))
         T, T0 = rng.uniform(-0.3, 0.0, (2, 20))
         batch = quasi_distance_batch(w, X, T, X0, T0, CTX)
         for i in range(20):
-            ref = quasi_distance(w, SpaceTimePoint([X[i]], T[i]),
-                                 SpaceTimePoint([X0[i]], T0[i]), CTX)
-            assert batch[i] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+            one = slice(i, i + 1)
+            ref = quasi_distance_batch(w, X[one], T[one], X0[one], T0[one], CTX)
+            assert batch[one].tobytes() == ref.tobytes()
 
 
 class TestQuasiTriangle:
@@ -375,7 +392,7 @@ class TestCylinders:
     def test_height_recomputable(self):
         w = Weight.power(0.2, 0.0, DOM)
         cyl = WeightedCylinder(SpaceTimePoint([0.1], -0.1), 0.3, w, CTX)
-        assert cyl.h == pytest.approx(height(w, [0.1], 0.3, CTX))
+        assert cyl.h == pytest.approx(height(w, 0.1, 0.3, CTX))
 
     def test_relations_identity(self):
         w = Weight.constant(1.0, DOM)
@@ -393,17 +410,3 @@ class TestCylinders:
         assert cyl.contains(SpaceTimePoint([0.5], 0.0))
         assert cyl.contains(SpaceTimePoint([0.0], -0.25))
 
-
-class TestDilation:
-    def test_unit_height_after_rescaling(self):
-        for alpha in (0.0, 0.3, -0.4):
-            w = Weight.power(alpha, 0.0, DOM)
-            for r in (0.25, 0.5):
-                wt = dilated_weight(w, r, CTX)
-                assert psi(wt, np.zeros(1), 1.0, CTX) == pytest.approx(1.0, rel=1e-12)
-
-    def test_sampled_rescaling(self):
-        rng = np.random.default_rng(23)
-        w = Weight.sampled(0.5 + rng.random(32), DOM)
-        wt = dilated_weight(w, 0.5, CTX)
-        assert psi(wt, np.zeros(1), 1.0, CTX) == pytest.approx(1.0, rel=1e-12)

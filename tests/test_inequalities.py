@@ -10,7 +10,6 @@ from wparab.inequalities import (
     SpaceTimeTestFunction,
     TestFunction,
     interpolation_audit,
-    poly_power_moment,
     weighted_embedding_audit,
     weighted_integral,
     weighted_lq_control_audit,
@@ -47,18 +46,6 @@ class TestDescriptors:
 
 
 class TestQuadrature:
-    @settings(max_examples=20, deadline=None)
-    @given(alpha=st.floats(min_value=-0.8, max_value=0.9))
-    def test_poly_power_moment_exact(self, alpha):
-        # oracle: the weighted_integral graded quadrature
-        coeffs = [0.5, -1.0, 2.0]
-        w = Weight.power(alpha, 0.2, DOM)
-        ref = weighted_integral(
-            lambda x: np.polynomial.polynomial.polyval(x, coeffs), w,
-            (-0.7, 0.9), n_cells=96)
-        got = poly_power_moment(coeffs, alpha, 0.2, -0.7, 0.9)
-        assert got == pytest.approx(ref, rel=1e-7)
-
     def test_weighted_integral_closed_form(self):
         # int_{-1}^{1} x^2 |x|^{1/2} dx = 2 * int_0^1 x^{2.5} = 2/3.5
         w = Weight.power(0.5, 0.0, DOM)
@@ -170,7 +157,8 @@ class TestEmbedding:
         g = TestFunction.polynomial([1.0, 0.5])
         beta = Weight.power(0.3, 0.1, DOM)
         r1 = weighted_embedding_audit(g, beta, "low", 0.4)
-        r2 = weighted_embedding_audit(g, beta.rescaled(13.0), "low", 0.4)
+        r2 = weighted_embedding_audit(g, Weight.power(0.3, 0.1, DOM, scale=13.0),
+                                      "low", 0.4)
         assert r1.rows[0].constant == pytest.approx(r2.rows[0].constant, rel=1e-10)
 
 

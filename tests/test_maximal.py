@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wparab.errors import EmptyRegion, PreconditionFailed
-from wparab.geometry import (SpaceTimePoint, WeightedCylinder, _height_vec,
+from wparab.geometry import (SpaceTimePoint, WeightedCylinder,
                              estimate_quasi_params, height)
 from wparab.maximal import (
     CoveringFamily,
@@ -12,7 +12,6 @@ from wparab.maximal import (
     default_radius_grid,
     five_rho_cover_audit,
     levelset_decay_audit,
-    maximal_function,
     maximal_function_batch,
     vitali_select,
     weak_1_1_audit,
@@ -115,7 +114,7 @@ def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
     gabs = g.abs_field()
     best = np.zeros_like(X)
     for rho in radii:
-        h = _height_vec(beta, X, np.full_like(X, rho), ctx)
+        h = height(beta, X, rho, ctx)
         a, b = X - rho, X + rho
         s, e = T - 0.5 * h, T + 0.5 * h
         if window is not None:
@@ -125,6 +124,11 @@ def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
             b, e = np.maximum(a, b), np.maximum(s, e)
         best = np.maximum(best, gabs.integral(a, b, s, e) / (2.0 * rho * h))
     return best
+
+
+def maximal_function(g, beta, z, radii, ctx):
+    """The maximal function at one space-time point, as a one-point batch."""
+    return maximal_function_batch(g, beta, [z.x[0]], [z.t], radii, ctx).item()
 
 
 class TestMaximalFunction:
@@ -338,12 +342,9 @@ class TestLevelsetDecay:
 
     def test_smooth_field_monotone_table(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
-        xe = np.linspace(-1, 1, 33)
-        te = np.linspace(-1, 0, 33)
-        g = SpaceTimeField.from_function(
-            lambda x, t: 4.0 * np.exp(-8 * (x ** 2)) * (1.1 + t), xe, te)
-        f = SpaceTimeField.from_function(
-            lambda x, t: 0.2 * np.ones_like(x), xe, te)
+        x, t = make_field(np.zeros((32, 32))).cell_centers()
+        g = make_field((4.0 * np.exp(-8 * (x ** 2)) * (1.1 + t)).reshape(32, 32))
+        f = make_field(np.full((32, 32), 0.2))
         rep = levelset_decay_audit(g, f, beta, K=2.0, q0=0.5, m_max=4, ctx=CTX,
                                    quasi=estimate_quasi_params(beta, CTX),
                                    center=0.0, t_top=0.0, r_unit=0.2)

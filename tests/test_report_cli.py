@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +337,19 @@ class TestCliExits:
             (out / "audit__oscillation-smallness-gate.json").read_text())
         assert not gate["passed"]
         assert any(r["label"] == "smallness-gate" for r in gate["rows"])
+
+    def test_exit_one_when_no_reverse_holder_exponent_passes(self, tmp_path):
+        # budget 1 admits no gamma > 0 for a non-constant weight, so gamma = 0
+        cfg = json.loads((Path(cli.__file__).parent / "configs"
+                          / "power_weight.json").read_text())
+        cfg["audits"]["weights"]["rh_budget"] = 1.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_experiment(str(path), str(out), groups=["weights"]) == 1
+        rep = json.loads((out / "weights__reverse-holder-exponent.json").read_text())
+        assert not rep["passed"]
+        assert rep["rows"][0]["constant"] == "0"
 
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = self.write_config(tmp_path, {"selection": ["geometry"]})

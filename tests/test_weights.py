@@ -124,6 +124,21 @@ class TestCumulativeLookup:
                             np.array([0.5, 0.6, np.nan]))
         assert out[0] > 0.0 and np.isnan(out[1:]).all()
 
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.4, 0.1, DOM),
+        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM),
+        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM, quadrature="trapezoid")],
+        ids=["power", "midpoint", "trapezoid"])
+    def test_scalar_endpoints_match_one_element_call(self, w):
+        for a, b in ((-0.7, 0.3), (-3.0, 5.0), (0.2, 0.2), (0.9, -0.5)):
+            for clip in (True, False):
+                got = w.mass_1d_vec(1.0, a, b, clip=clip)
+                ref = w.mass_1d_vec(1.0, np.array([a]), np.array([b]), clip=clip)
+                assert np.shape(got) == ()
+                assert np.asarray(got).tobytes() == ref.tobytes()
+        # the result takes the broadcast shape of (a, b)
+        assert w.mass_1d_vec(1.0, -0.5, np.array([[0.0], [0.5]])).shape == (2, 1)
+
     def test_ess_range_and_a1_on_midpoint_weight(self):
         w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)
         assert w.ess_range(0.0, 1.0) == (1.0, 4.0)
@@ -221,7 +236,7 @@ class TestAqCharacteristic:
         assume(alpha < 0.95 * (q - 1.0))
         fam = BallFamily.default(DOM, n_centers=5, n_radii=6)
         w1 = Weight.power(alpha, 0.1, DOM)
-        w2 = w1.rescaled(scale)
+        w2 = Weight.power(alpha, 0.1, DOM, scale=scale)
         v1 = aq_characteristic(w1, q, fam)
         v2 = aq_characteristic(w2, q, fam)
         assert v2 == pytest.approx(v1, rel=1e-11)
