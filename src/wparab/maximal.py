@@ -18,6 +18,7 @@ with l0 = gamma1 * q0, and fits the smallest gamma1 making every row hold.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,11 @@ class SpaceTimeField:
         nt, nx = self.values.shape
         if self.x_edges.size != nx + 1 or self.t_edges.size != nt + 1:
             raise ValueError("edge arrays do not match the value grid")
+        # cell_area, l1_norm and the level-set measures take every cell as equal
+        for name, edges in (("x", self.x_edges), ("t", self.t_edges)):
+            d = np.diff(edges)
+            if not (np.all(d > 0.0) and np.allclose(d, d[0], rtol=1e-9, atol=0.0)):
+                raise ValueError(f"{name} edges must be increasing and uniform")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
@@ -62,9 +68,6 @@ class SpaceTimeField:
     def abs_field(self) -> "SpaceTimeField":
         return SpaceTimeField(self.x_edges, self.t_edges, np.abs(self.values))
 
-    def scaled(self, c: float) -> "SpaceTimeField":
-        return SpaceTimeField(self.x_edges, self.t_edges, self.values * c)
-
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.cell_area)
 
@@ -78,62 +81,41 @@ class SpaceTimeField:
             self._sat = sat
         return self._sat
 
-    @staticmethod
-    def _locate(edges: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index and fraction of ``v`` along one grid axis, with ``v``
-        clipped to the grid."""
-        v = np.minimum(np.maximum(v, edges[0]), edges[-1])
-        # v >= edges[0] already keeps the index >= 0
-        i = np.minimum(np.searchsorted(edges, v, side="right") - 1, len(edges) - 2)
-        return i, (v - edges.take(i)) / np.diff(edges).take(i)
 
-    def _sat_at(self, x, t) -> np.ndarray:
-        """Bilinear evaluation of the cumulative integral at located points
-        ``x = (ix, fx)`` and ``t = (it, ft)``; exact for the piecewise-constant
-        field, zero extension outside the grid."""
-        sat = self._sat_nodes()
-        (ix, fx), (it, ft) = x, t
-        flat, row = sat.ravel(), sat.shape[1]
-        k = it * row + ix
-        s00 = flat.take(k)
-        s01 = flat.take(k + 1)
-        s10 = flat.take(k + row)
-        s11 = flat.take(k + row + 1)
-        gx = 1 - fx
-        return ((1 - ft) * (gx * s00 + fx * s01)
-                + ft * (gx * s10 + fx * s11))
-
-    def integral(self, a, b, s, e) -> np.ndarray:
-        """Exact integral over rectangles [a, b] x [s, e]; vectorized."""
-        a, b = (self._locate(self.x_edges, np.asarray(v, float)) for v in (a, b))
-        return self._integral_located(a, b, s, e)
-
-    def _integral_located(self, a, b, s, e) -> np.ndarray:
-        """:meth:`integral` with the x bounds already located, as
-        ``(index, fraction)`` pairs from :meth:`_locate`."""
-        # locating one time coordinate at a time keeps fewer arrays alive
-        t = self._locate(self.t_edges, np.asarray(e, float))
-        total = self._sat_at(b, t) - self._sat_at(a, t)
-        t = self._locate(self.t_edges, np.asarray(s, float))
-        return total - self._sat_at(b, t) + self._sat_at(a, t)
+def _locate(edges: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index and fraction of ``v`` along one grid axis, with ``v``
+    clipped to the grid."""
+    v = np.minimum(np.maximum(v, edges[0]), edges[-1])
+    # v >= edges[0] already keeps the index >= 0
+    i = np.minimum(np.searchsorted(edges, v, side="right") - 1, len(edges) - 2)
+    return i, (v - edges.take(i)) / np.diff(edges).take(i)
 
 
-def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
-                           T: np.ndarray, radii: np.ndarray, ctx: WeightContext,
+def maximal_function_batch(fields: Sequence[SpaceTimeField], beta: Weight,
+                           X: np.ndarray, T: np.ndarray, radii: np.ndarray,
+                           ctx: WeightContext,
                            window: tuple[float, float, float, float] | None = None,
                            ) -> np.ndarray:
-    """Vectorized maximal function at many points.
+    """Vectorized maximal function of several fields at many points.
+
+    The fields share their grid, so every cylinder bound is located once for
+    all of them. Returns shape ``(len(fields),) + X.shape``.
 
     ``window`` restricts the field to a rectangle (the chi_U convention);
     the cylinder measure in the denominator is never restricted.
     """
+    if len(fields) == 0 or not all(np.array_equal(f.x_edges, fields[0].x_edges)
+                                   and np.array_equal(f.t_edges, fields[0].t_edges)
+                                   for f in fields[1:]):
+        raise ValueError("fields must be a non-empty sequence on one grid")
+    x_edges, t_edges = fields[0].x_edges, fields[0].t_edges
     if len(radii) == 0:
         raise ValueError("radius grid must be non-empty")
     if not np.all(np.asarray(radii, float) > 0.0):
         raise ValueError(f"radii must be positive, got {radii}")
     X, T = np.asarray(X, float), np.asarray(T, float)
-    gabs = g.abs_field()
-    best = np.zeros_like(X)
+    sats = [f.abs_field()._sat_nodes() for f in fields]
+    best = np.zeros((len(fields),) + X.shape)
     # fields on a grid repeat each x once per time row: heights depend on x only
     xu, inverse = np.unique(X, return_inverse=True)
     for rho in radii:
@@ -150,11 +132,24 @@ def maximal_function_batch(g: SpaceTimeField, beta: Weight, X: np.ndarray,
             a, b = np.maximum(a, w_a), np.minimum(b, w_b)
             s, e = np.maximum(s, w_s), np.minimum(e, w_e)
             b, e = np.maximum(a, b), np.maximum(s, e)
-        ia, fa = gabs._locate(gabs.x_edges, a)
-        ib, fb = gabs._locate(gabs.x_edges, b)
-        num = gabs._integral_located((ia[inverse], fa[inverse]),
-                                     (ib[inverse], fb[inverse]), s, e)
-        best = np.maximum(best, num / (2.0 * rho * h))
+        ia, fa = _locate(x_edges, a)
+        ib, fb = _locate(x_edges, b)
+        # each table interpolated in x once per distinct x, at b and at a
+        cols = [[((1 - f) * sat[:, i] + f * sat[:, i + 1]).ravel()
+                 for i, f in ((ib, fb), (ia, fa))] for sat in sats]
+        # ((S(b,e) - S(a,e)) - S(b,s)) + S(a,s) by time bound; 0 + S and -S
+        # are exact (S >= 0), so the sum rounds as that expression does
+        num = np.zeros_like(best)
+        for sign, t in ((1.0, e), (-1.0, s)):
+            it, ft = _locate(t_edges, t)
+            lo = it * xu.size + inverse  # flat index of the node below in cols
+            hi, gt = lo + xu.size, 1 - ft
+            for num_k, (cb, ca) in zip(num, cols):
+                num_k += sign * (gt * cb.take(lo) + ft * cb.take(hi))
+                num_k -= sign * (gt * ca.take(lo) + ft * ca.take(hi))
+        del cols, it, ft, lo, hi, gt  # free them before the next radius
+        num /= 2.0 * rho * h
+        np.maximum(best, num, out=best)
     return best
 
 
@@ -177,7 +172,7 @@ def weak_1_1_audit(g: SpaceTimeField, beta: Weight, lambdas, ctx: WeightContext,
     if radii is None:
         radii = default_radius_grid(g)
     X, T = g.cell_centers()
-    mg = maximal_function_batch(g, beta, X, T, radii, ctx)
+    (mg,) = maximal_function_batch([g], beta, X, T, radii, ctx)
     l1 = g.l1_norm()
     area = g.cell_area
     rows = []
@@ -310,8 +305,8 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
         radii = default_radius_grid(grad_sq)
 
     X, T = grad_sq.cell_centers()
-    mg = maximal_function_batch(grad_sq, beta, X, T, radii, ctx, window=window)
-    mf = maximal_function_batch(force_sq, beta, X, T, radii, ctx, window=window)
+    mg, mf = maximal_function_batch([grad_sq, force_sq], beta, X, T, radii, ctx,
+                                    window=window)
     h_unit = height(beta, center, r_unit, ctx).item()
     in_q1 = ((np.abs(X - center) <= r_unit)
              & (T <= t_top) & (T > t_top - h_unit))

@@ -221,9 +221,11 @@ class SolutionField:
 def write_solution_csv(path, u: SolutionField):
     """Column dump (x, t, u), row-major over time then space.
 
-    Floats are written as ``report.fmt_float`` renders them. The x and t
-    strings are formatted once; the lines of each time level are streamed
-    to the file as they are formatted.
+    Floats are written as ``report.fmt_float`` renders them. The x strings
+    are baked into one ``%``-template; each time level puts its t string in
+    and formats its values with ``%.17g``, which agrees with ``fmt_float``
+    on finite doubles, and the non-finite spellings are renamed after
+    formatting. Each time level is written as soon as it is formatted.
     """
     from pathlib import Path
 
@@ -232,13 +234,13 @@ def write_solution_csv(path, u: SolutionField):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     grid = u.grid
-    xs = [fmt_float(x) for x in grid.x.tolist()]
+    # finite x strings hold no '%', so "%s" marks only the t slots
+    template = "".join(fmt_float(x) + ",%s,%.17g\n" for x in grid.x.tolist())
     with open(path, "w") as fh:
         fh.write("x,t,u\n")
         for t, row in zip(grid.t.tolist(), u.u):
-            ts = fmt_float(t)
-            fh.write("".join(f"{x},{ts},{fmt_float(v)}\n"
-                             for x, v in zip(xs, row.tolist())))
+            level = template.replace("%s", fmt_float(t)) % tuple(row.tolist())
+            fh.write(level.replace("nan", "NaN").replace("inf", "Infinity"))
     return path
 
 

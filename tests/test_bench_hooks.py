@@ -4,7 +4,9 @@ only traced runs. This test installs those hooks on the real package and
 takes them out again."""
 from pathlib import Path
 
-from wparab import cli, geometry, solver, weights
+import numpy as np
+
+from wparab import cli, geometry, maximal, solver, weights
 from wparab.weights import Weight, WeightContext
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +29,16 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
         assert abs(r - 2.0) <= 1e-9
         assert tracer.counts["geometry.height_inverse_queries"] >= 1
         assert tracer.counts["weights.mass_queries"] >= 1
+        # the count reads result.size * len(radii): a batch of two fields
+        # must count two evaluations per point and radius
+        edges = np.linspace(-1.0, 1.0, 9)
+        fields = [maximal.SpaceTimeField(edges, edges, np.ones((8, 8))),
+                  maximal.SpaceTimeField(edges, edges, np.zeros((8, 8)))]
+        X, T = fields[0].cell_centers()
+        radii = [0.25, 0.5, 1.0]
+        maximal.maximal_function_batch(fields, Weight.constant(1.0, (-1.0, 1.0)),
+                                       X, T, radii, WeightContext(n=1))
+        assert tracer.counts["maximal.batch_evals"] == 2 * X.size * len(radii)
     finally:
         tracer.restore()
     after = (geometry.height_inverse, geometry.height_inverse_vec,

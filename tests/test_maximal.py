@@ -44,8 +44,8 @@ def brute_rect_integral(f, a, b, s, e):
 
 
 def sat_at_reference(f, x, t):
-    """The cumulative-integral lookup as it was before integral() shared its
-    coordinate lookups: clip, search and interpolate at every corner."""
+    """The cumulative integral at points (x, t): clip, search and
+    interpolate at every corner of every point."""
     sat = f._sat_nodes()
     x = np.clip(x, f.x_edges[0], f.x_edges[-1])
     t = np.clip(t, f.t_edges[0], f.t_edges[-1])
@@ -64,15 +64,27 @@ def sat_at_reference(f, x, t):
 
 
 def integral_reference(f, a, b, s, e):
+    """Integral of the field over the rectangles [a, b] x [s, e]."""
     return (sat_at_reference(f, b, e) - sat_at_reference(f, a, e)
             - sat_at_reference(f, b, s) + sat_at_reference(f, a, s))
+
+
+def windowed_average(f, beta, rect, big_r=50.0):
+    """The batch at one point and one radius so large that the window is
+    the whole cylinder: the average of |f| over ``rect`` with the cylinder
+    measure 2 R h as denominator."""
+    a, b, s, e = rect
+    got = maximal_function_batch([f], beta, [0.5 * (a + b)], [0.5 * (s + e)],
+                                 [big_r], CTX, window=rect)
+    return got.item(), 2.0 * big_r * height(beta, 0.5 * (a + b), big_r, CTX).item()
 
 
 class TestFieldIntegrator:
     def test_equals_per_corner_lookup(self):
         rng = np.random.default_rng(5)
         f = make_field(rng.random((7, 11)), x_span=(-0.3, 0.8), t_span=(0.1, 0.45))
-        n = 400
+        beta = Weight.constant(1.0, (-1.0, 1.0))
+        n = 200
         a = rng.uniform(-0.5, 1.0, n)            # inside and outside the grid
         b = a + rng.uniform(0.0, 0.7, n)
         s = rng.uniform(0.0, 0.5, n)
@@ -82,35 +94,55 @@ class TestFieldIntegrator:
         s[11:19], e[11:19] = f.t_edges[:8], f.t_edges[:8] + 0.05
         a[19:22], b[19:22] = (-1.0, -0.3, 0.8), (-0.5, 0.8, 2.0)
         s[19:22], e[19:22] = (0.0, 0.1, 0.45), (0.05, 0.45, 1.0)
-        got = f.integral(a, b, s, e)
-        assert got.shape == (n,)
-        assert np.array_equal(got, integral_reference(f, a, b, s, e))
-        # scalar arguments keep working
-        assert f.integral(0.0, 0.5, 0.2, 0.3) == integral_reference(f, 0.0, 0.5, 0.2, 0.3)
+        for rect in zip(a, b, s, e):
+            got, measure = windowed_average(f, beta, rect)
+            ref = integral_reference(f, *rect) / measure
+            assert got == max(ref, 0.0), rect
 
     @settings(max_examples=30, deadline=None)
     @given(
-        a=st.floats(min_value=-1.4, max_value=1.4),
-        w=st.floats(min_value=0.01, max_value=1.5),
-        s=st.floats(min_value=-1.4, max_value=0.4),
-        d=st.floats(min_value=0.01, max_value=1.2),
+        x0=st.floats(min_value=-1.4, max_value=1.4),
+        t0=st.floats(min_value=-1.4, max_value=0.4),
+        rho=st.floats(min_value=0.01, max_value=1.5),
     )
-    def test_matches_brute_force(self, a, w, s, d):
+    def test_matches_brute_force(self, x0, t0, rho):
+        # one radius, no window: the average of |f| over the centered cylinder
         rng = np.random.default_rng(19)
-        f = make_field(rng.random((6, 9)))
-        got = float(f.integral(a, a + w, s, s + d))
-        ref = brute_rect_integral(f, a, a + w, s, s + d)
-        assert got == pytest.approx(ref, rel=1e-12, abs=1e-13)
+        f = make_field(rng.standard_normal((6, 9)))
+        beta = Weight.power(0.3, 0.2, (-1.0, 1.0))
+        got = maximal_function_batch([f], beta, [x0], [t0], [rho], CTX).item()
+        h = height(beta, x0, rho, CTX).item()
+        ref = brute_rect_integral(f.abs_field(), x0 - rho, x0 + rho,
+                                  t0 - 0.5 * h, t0 + 0.5 * h)
+        assert got * (2.0 * rho * h) == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
     def test_l1_norm(self):
         f = make_field(np.full((4, 4), 2.0))
         assert f.l1_norm() == pytest.approx(2.0 * 2.0)
 
+    @pytest.mark.parametrize("x_edges", [
+        [0.0, 0.5, 0.25, 1.0],                 # not increasing
+        [0.0, 0.25, 0.25, 1.0],                # a zero-width cell
+        [0.0, 0.2, 0.5, 1.0],                  # increasing, not uniform
+        [0.0, 1.0 / 3.0 * (1 + 1e-8), 2.0 / 3.0, 1.0],
+        [0.0, np.nan, 2.0 / 3.0, 1.0],
+    ])
+    def test_bad_edges_rejected(self, x_edges):
+        with pytest.raises(ValueError):
+            SpaceTimeField(x_edges, np.linspace(0.0, 1.0, 3), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            SpaceTimeField(np.linspace(0.0, 1.0, 3), x_edges, np.ones((3, 2)))
+
+    def test_uniform_edges_accepted(self):
+        # linspace rounding and a rounding-level perturbation stay uniform
+        x = np.linspace(-0.3, 0.8, 12)
+        x[5] *= 1 + 1e-12
+        SpaceTimeField(x, np.linspace(0.1, 0.45, 1025), np.ones((1024, 11)))
 
 
 def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
-    """Reference for maximal_function_batch: a height per point, even where
-    points share their x."""
+    """Reference for maximal_function_batch: a height and a per-corner
+    integral per point, even where points share their x."""
     gabs = g.abs_field()
     best = np.zeros_like(X)
     for rho in radii:
@@ -122,13 +154,13 @@ def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
             a, b = np.maximum(a, w_a), np.minimum(b, w_b)
             s, e = np.maximum(s, w_s), np.minimum(e, w_e)
             b, e = np.maximum(a, b), np.maximum(s, e)
-        best = np.maximum(best, gabs.integral(a, b, s, e) / (2.0 * rho * h))
+        best = np.maximum(best, integral_reference(gabs, a, b, s, e) / (2.0 * rho * h))
     return best
 
 
 def maximal_function(g, beta, z, radii, ctx):
     """The maximal function at one space-time point, as a one-point batch."""
-    return maximal_function_batch(g, beta, [z.x[0]], [z.t], radii, ctx).item()
+    return maximal_function_batch([g], beta, [z.x[0]], [z.t], radii, ctx).item()
 
 
 class TestMaximalFunction:
@@ -174,8 +206,8 @@ class TestMaximalFunction:
         f = make_field(rng.random((8, 8)))
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        m1 = maximal_function_batch(f, beta, X, T, radii, CTX)
-        m2 = maximal_function_batch(f.scaled(c), beta, X, T, radii, CTX)
+        m1, m2 = maximal_function_batch([f, make_field(c * f.values)], beta, X, T,
+                                        radii, CTX)
         assert np.allclose(m2, c * m1, rtol=1e-12)
 
     def test_subadditivity(self):
@@ -186,9 +218,7 @@ class TestMaximalFunction:
         fg = make_field(f.values + g.values)
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        ms = maximal_function_batch(fg, beta, X, T, radii, CTX)
-        m1 = maximal_function_batch(f, beta, X, T, radii, CTX)
-        m2 = maximal_function_batch(g, beta, X, T, radii, CTX)
+        ms, m1, m2 = maximal_function_batch([fg, f, g], beta, X, T, radii, CTX)
         assert np.all(ms <= m1 + m2 + 1e-12)
 
     @pytest.mark.parametrize("beta", [
@@ -200,7 +230,7 @@ class TestMaximalFunction:
         f = make_field(rng.standard_normal((40, 24)))
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        got = maximal_function_batch(f, beta, X, T, radii, CTX, window=window)
+        (got,) = maximal_function_batch([f], beta, X, T, radii, CTX, window=window)
         assert np.array_equal(
             got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
 
@@ -214,16 +244,48 @@ class TestMaximalFunction:
         X = rng.choice(xs, 400)
         T = rng.uniform(-1.2, 0.1, 400)
         radii = default_radius_grid(f, n=6)
-        got = maximal_function_batch(f, beta, X, T, radii, CTX, window=window)
+        (got,) = maximal_function_batch([f], beta, X, T, radii, CTX, window=window)
         assert np.array_equal(
             got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
+
+    @pytest.mark.parametrize("window", [None, (-0.6, 0.7, -0.8, -0.1)])
+    def test_fields_share_one_pass(self, window):
+        # a batch of fields gives each field's own batch, bit for bit
+        rng = np.random.default_rng(17)
+        beta = Weight.power(0.3, 0.2, (-1.0, 1.0))
+        f = make_field(rng.standard_normal((40, 24)))
+        g = make_field(rng.random((40, 24)) ** 4)
+        radii = default_radius_grid(f)
+        X, T = f.cell_centers()
+        both = maximal_function_batch([f, g], beta, X, T, radii, CTX, window=window)
+        assert both.shape == (2,) + X.shape
+        for got, field in zip(both, (f, g)):
+            (alone,) = maximal_function_batch([field], beta, X, T, radii, CTX,
+                                              window=window)
+            assert np.array_equal(got, alone)
+        grid = np.stack([X, T]).reshape(2, 40, 24)
+        assert maximal_function_batch([f, g], beta, grid[0], grid[1], radii,
+                                      CTX).shape == (2, 40, 24)
+
+    @pytest.mark.parametrize("other", [
+        dict(x_span=(-1.0, 0.9)), dict(t_span=(-1.0, 0.1)), dict(shape=(40, 23))])
+    def test_fields_on_different_grids_rejected(self, other):
+        beta = Weight.constant(1.0, (-1.0, 1.0))
+        f = make_field(np.ones((40, 24)))
+        shape = other.pop("shape", (40, 24))
+        g = make_field(np.ones(shape), **other)
+        X, T = f.cell_centers()
+        with pytest.raises(ValueError):
+            maximal_function_batch([f, g], beta, X, T, [0.1], CTX)
+        with pytest.raises(ValueError):
+            maximal_function_batch([], beta, X, T, [0.1], CTX)
 
     def test_dominates_pointwise_values(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((12, 12), 1.7))
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        m = maximal_function_batch(f, beta, X, T, radii, CTX)
+        (m,) = maximal_function_batch([f], beta, X, T, radii, CTX)
         # for a constant field the smallest-radius average equals the value
         interior = (np.abs(X) < 0.5) & (T > -0.75) & (T < -0.25)
         assert np.all(m[interior] >= 1.7 - 1e-12)

@@ -105,11 +105,22 @@ class TestSolutionDumps:
         u, _ = case.solve(8, 4, 0.1)
         bad = dataclasses.replace(u, u=u.u.copy())
         bad.u[1, 2], bad.u[2, 3], bad.u[4, 0] = math.nan, math.inf, -math.inf
-        for sol, name in ((u, "finite"), (bad, "nonfinite")):
+        # signed zero, subnormal, tiny, huge and integer-valued doubles
+        edge = dataclasses.replace(u, u=u.u.copy())
+        edge.u[0, :5] = -0.0, 5e-324, 1e-300, 1e22, 123456789.0
+        edge.u[3, 1:3] = -5e-324, -1e22
+        # x strings in exponent form on both ends of the range
+        wide = dataclasses.replace(
+            edge, grid=dataclasses.replace(u.grid, x0=1e-20, x1=1e22))
+        assert "e-" in fmt_float(wide.grid.x[0])
+        assert "e+" in fmt_float(wide.grid.x[1])
+        for sol, name in ((u, "finite"), (bad, "nonfinite"), (edge, "edge"),
+                          (wide, "wide")):
             got = write_solution_csv(tmp_path / f"{name}.csv", sol).read_bytes()
             ref = self.old_solution_csv(tmp_path / f"{name}-ref.csv", sol)
             assert got == ref.read_bytes(), name
-        assert b"NaN" in got and b",Infinity" in got and b"-Infinity" in got
+            if name == "nonfinite":
+                assert b"NaN" in got and b",Infinity" in got and b"-Infinity" in got
 
     def test_csv_parses_back_to_binary_payload(self, tmp_path):
         case = ManufacturedCase(Weight.constant(1.0, (0.0, 1.0)))
