@@ -84,7 +84,7 @@ class TestFieldIntegrator:
         rng = np.random.default_rng(5)
         f = make_field(rng.random((7, 11)), x_span=(-0.3, 0.8), t_span=(0.1, 0.45))
         beta = Weight.constant(1.0, (-1.0, 1.0))
-        n = 200
+        n = 400
         a = rng.uniform(-0.5, 1.0, n)            # inside and outside the grid
         b = a + rng.uniform(0.0, 0.7, n)
         s = rng.uniform(0.0, 0.5, n)
@@ -124,8 +124,8 @@ class TestFieldIntegrator:
         [0.0, 0.5, 0.25, 1.0],                 # not increasing
         [0.0, 0.25, 0.25, 1.0],                # a zero-width cell
         [0.0, 0.2, 0.5, 1.0],                  # increasing, not uniform
-        [0.0, 1.0 / 3.0 * (1 + 1e-8), 2.0 / 3.0, 1.0],
-        [0.0, np.nan, 2.0 / 3.0, 1.0],
+        [0.0, 1.0 / 3.0 * (1 + 1e-8), 2.0 / 3.0, 1.0],  # uniform only to 1e-8
+        [0.0, np.nan, 2.0 / 3.0, 1.0],         # not a number
     ])
     def test_bad_edges_rejected(self, x_edges):
         with pytest.raises(ValueError):
