@@ -171,7 +171,9 @@ def run_audit(run: RunContext) -> list[AuditReport]:
                                   budget=p.poincare_budget))
 
     # frozen-solution Lipschitz audit on a caloric profile
-    beta_bar = w.mean_global(1.0, [center], 2.0 * r_base)
+    # mean over the whole ball B_R, not its part inside the domain
+    R = 2.0 * r_base
+    beta_bar = float(w.mass_1d_vec(1.0, center - R, center + R, clip=False)) / (2.0 * R)
     frozen = Weight.constant(beta_bar, (-1.0, 1.0))
     f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen, ctx)
     f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen, ctx)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GateFailed
+from .errors import EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
 from .weights import (
     _GL16_NODES,
@@ -177,6 +177,16 @@ def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
     return total
 
 
+def _ball_interval(w: Weight, x0: float, r: float,
+                   floor: float = -math.inf) -> tuple[float, float]:
+    """B_r(x0) ∩ domain ∩ [floor, inf) as (a, b); EmptyBall if it is empty."""
+    a = max(x0 - r, w.domain[0][0], floor)
+    b = min(x0 + r, w.domain[0][1])
+    if not a < b:
+        raise EmptyBall(f"ball B_{r}({x0}) misses the domain")
+    return a, b
+
+
 def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
                               ball: tuple[float, float, float], gamma: float,
                               ctx: WeightContext, fam: BallFamily,
@@ -204,14 +214,11 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
     exp_low = 2.0 / (q - gamma)
     for d in dilations:
         r = r0 * d
-        a, b = x0 - r, x0 + r
-        meas = mu.ball_measure([x0], r)
-        lhs = (weighted_integral(lambda x: np.abs(g(x)) ** exp_low, None,
-                                 (max(a, mu.domain[0][0]), min(b, mu.domain[0][1])))
-               / meas) ** ((q - gamma) / 2.0)
-        mu_mass = mu.mass(1.0, [x0], r)
-        wsq = weighted_integral(lambda x: g(x) ** 2, mu,
-                                (max(a, mu.domain[0][0]), min(b, mu.domain[0][1])))
+        a, b = _ball_interval(mu, x0, r)
+        lhs = (weighted_integral(lambda x: np.abs(g(x)) ** exp_low, None, (a, b))
+               / (b - a)) ** ((q - gamma) / 2.0)
+        mu_mass = float(mu.mass_1d_vec(1.0, x0 - r, x0 + r))
+        wsq = weighted_integral(lambda x: g(x) ** 2, mu, (a, b))
         rhs = math.sqrt(wsq / mu_mass)
         n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
         consts.append(n_emp)
@@ -247,9 +254,8 @@ def weighted_embedding_audit(g: TestFunction, beta: Weight, case: str,
     else:
         raise ValueError(f"unknown case {case!r}")
     x0, r = ball
-    a = max(x0 - r, beta.domain[0][0])
-    b = min(x0 + r, beta.domain[0][1])
-    mass = beta.mass(1.0, [x0], r)
+    a, b = _ball_interval(beta, x0, r)
+    mass = float(beta.mass_1d_vec(1.0, x0 - r, x0 + r))
     lhs = weighted_integral(lambda x: g(x) ** 2, beta, (a, b)) / mass
     rhs = (weighted_integral(lambda x: np.abs(g(x)) ** s, None, (a, b))
            / (b - a)) ** (2.0 / s)
@@ -291,10 +297,7 @@ def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
     """
     if thetas is None:
         thetas = np.linspace(0.05, 0.95, 19)
-    a = max(x0 - r, beta.domain[0][0])
-    b = min(x0 + r, beta.domain[0][1])
-    if half:
-        a = max(a, 0.0)
+    a, b = _ball_interval(beta, x0, r, 0.0 if half else -math.inf)
     s_t, e_t = t_span
     nt = 12
     tq = s_t + (e_t - s_t) * (np.arange(nt) + 0.5) / nt
@@ -302,7 +305,7 @@ def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
     def time_avg(fn) -> float:
         return float(np.mean([fn(t) for t in tq]))
 
-    beta_mean = beta.mass(1.0, [x0], r) / beta.ball_measure([x0], r)
+    beta_mean = beta.mean(1.0, x0, r)
     length = b - a
     avg_u2b = time_avg(lambda t: weighted_integral(
         lambda x: u(x, t) ** 2, beta, (a, b)) / length)

@@ -272,9 +272,8 @@ def five_rho_cover_audit(family: CoveringFamily, beta: Weight, ctx: WeightContex
                         "the continuum statement ranges over all cylinders"})
 
 
-def _levelset_measure(values: np.ndarray, mask: np.ndarray, threshold: float,
-                      area: float) -> float:
-    return float(np.sum((values > threshold) & mask) * area)
+def _levelset_measure(values: np.ndarray, threshold: float, area: float) -> float:
+    return float(np.sum(values > threshold) * area)
 
 
 def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
@@ -304,30 +303,32 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
     if radii is None:
         radii = default_radius_grid(grad_sq)
 
+    # every measure below is taken on Q_1, and each point's value depends on
+    # its own (x, t) only: evaluate the Q_1 cells alone
     X, T = grad_sq.cell_centers()
-    mg, mf = maximal_function_batch([grad_sq, force_sq], beta, X, T, radii, ctx,
-                                    window=window)
     h_unit = height(beta, center, r_unit, ctx).item()
     in_q1 = ((np.abs(X - center) <= r_unit)
              & (T <= t_top) & (T > t_top - h_unit))
+    mg, mf = maximal_function_batch([grad_sq, force_sq], beta, X[in_q1], T[in_q1],
+                                    radii, ctx, window=window)
     area = grad_sq.cell_area
     q1_measure = 2.0 * r_unit * h_unit
 
-    raw_s = _levelset_measure(mg, in_q1, K, area)
+    raw_s = _levelset_measure(mg, K, area)
     precondition_ok = raw_s <= q0 * q1_measure
     norm = 1.0
     if not precondition_ok:
         # doubling normalization, mirroring the division of u and F by N0
-        while _levelset_measure(mg / norm, in_q1, K, area) > q0 * q1_measure:
+        while _levelset_measure(mg / norm, K, area) > q0 * q1_measure:
             norm *= 2.0
             if norm > 2.0 ** 120:
                 raise PreconditionFailed("normalization failed to shrink the level set")
     mg_n = mg / norm
     mf_n = mf / norm
 
-    lhs = [_levelset_measure(mg_n, in_q1, K ** m, area) for m in range(1, m_max + 1)]
-    base = _levelset_measure(mg_n, in_q1, 1.0, area)
-    f_meas = {j: _levelset_measure(mf_n, in_q1, (K ** j) * delta_hat ** 2, area)
+    lhs = [_levelset_measure(mg_n, K ** m, area) for m in range(1, m_max + 1)]
+    base = _levelset_measure(mg_n, 1.0, area)
+    f_meas = {j: _levelset_measure(mf_n, (K ** j) * delta_hat ** 2, area)
               for j in range(0, m_max)}
 
     def rhs(gamma1: float, m: int) -> float:

@@ -531,7 +531,9 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     lam = math.sqrt(grad_ms)
     u_hat = u.scaled(1.0 / lam)
 
-    beta_bar = beta.mean_global(1.0, x0, 4.0 * r)
+    # mean over the whole ball B_R, not its part inside the domain
+    R = 4.0 * r
+    beta_bar = float(beta.mass_1d_vec(1.0, x0[0] - R, x0[0] + R, clip=False)) / (2.0 * R)
     xs_quad = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
 
     def a_quad(t) -> np.ndarray:

@@ -62,10 +62,6 @@ def power_interval_integral(a, b, c: float, q: float):
     return _power_antideriv(np.asarray(b) - c, q) - _power_antideriv(np.asarray(a) - c, q)
 
 
-def _interval_overlap(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
-    return max(a, lo), min(b, hi)
-
-
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -77,6 +73,10 @@ class Weight:
                      the profile extends beyond the stated domain.
     kind='sampled' : cell values (midpoint rule) or node values (trapezoid
                      rule) on a uniform grid over the domain; zero outside.
+
+    Every 1D mass goes through :meth:`mass_1d_vec`. A 2D weight is sampled
+    (:meth:`from_function_2d`) before any mean is taken; the A_1 branch and
+    the doubling audit take 1D weights only.
     """
 
     kind: str
@@ -308,30 +308,12 @@ class Weight:
             out = self._trapezoid_masses(p, a, b)
         return out.reshape(shape)
 
-    # -- nD interface --------------------------------------------------------
+    # -- ball means ----------------------------------------------------------
 
-    def mass(self, p: float, center, r: float, clip: bool = True) -> float:
-        """Integral of w^p over B_r(center), clipped as in :meth:`mass_1d_vec`."""
-        self.check_power_integrable(p)
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if self.n == 1:
-            return float(self.mass_1d_vec(p, c[:1] - r, c[:1] + r, clip=clip)[0])
-        if self.kind == "power":
-            return self._power_mass_2d(p, c, r, clip=clip)
-        return self._sampled_mass_2d(p, c, r)
-
-    def ball_measure(self, center, r: float, clip: bool = True) -> float:
-        """Measure of B_r(center) intersected with the domain (if clipping)."""
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if self.n == 1:
-            if not clip:
-                return 2.0 * r
-            (lo, hi), = self.domain
-            a, b = _interval_overlap(c[0] - r, c[0] + r, lo, hi)
-            return max(0.0, b - a)
-        if not clip:
-            return math.pi * r * r
-        return _disc_box_area(c, r, self.domain)
+    def ball_measure(self, center, r: float) -> float:
+        """Area of the disc B_r(center) inside the box domain of a 2D weight."""
+        return _disc_box_area(np.atleast_1d(np.asarray(center, dtype=float)), r,
+                              self.domain)
 
     def mean(self, p: float, center, r: float) -> float:
         """Mean of w^p over B_r(center) ∩ domain."""
@@ -343,12 +325,14 @@ class Weight:
         (len(ps), balls), one row per exponent in ``ps``.
 
         In 1D each exponent is one :meth:`mass_1d_vec` call over the family.
-        In 2D each ball's measure (and, for a sampled weight, its cell
-        coverage) is computed once and shared by every exponent, with the
-        coverage discretization of the mass, so the ratio of two means over
-        one ball is free of coverage jitter. EmptyBall if a ball misses the
-        domain.
+        A 2D weight must be sampled: each ball's cell coverage is computed
+        once and shared by every exponent, and the measure is the coverage
+        itself, so the ratio of two means over one ball is free of coverage
+        jitter. EmptyBall if a ball misses the domain.
         """
+        if self.n > 1 and self.kind == "power":
+            raise ValueError("means of a 2D power weight: sample it first "
+                             "(Weight.from_function_2d)")
         for p in ps:
             self.check_power_integrable(p)
         centers = np.asarray(centers, dtype=float).reshape(-1, self.n)
@@ -361,55 +345,29 @@ class Weight:
             masses = np.array([self.mass_1d_vec(p, x - r, x + r) for p in ps])
         else:
             meas, masses = np.empty(r.size), np.empty((len(ps), r.size))
-            if self.kind == "sampled":
-                (x0, x1), (y0, y1) = self.domain
-                ny, nx = self.samples.shape
-                powers = [self.samples ** p for p in ps]
+            (x0, x1), (y0, y1) = self.domain
+            ny, nx = self.samples.shape
+            powers = [self.samples ** p for p in ps]
             for i in range(r.size):
-                if self.kind == "sampled":
-                    frac = _cell_coverage(c[i], r[i], x0, x1, y0, y1, nx, ny)
-                    meas[i] = frac.sum()
-                    masses[:, i] = [np.sum(w_p * frac) for w_p in powers]
-                else:
-                    meas[i] = self._power_mass_2d(0.0, c[i], r[i])
-                    masses[:, i] = [self._power_mass_2d(p, c[i], r[i]) for p in ps]
+                frac = _cell_coverage(c[i], r[i], x0, x1, y0, y1, nx, ny)
+                meas[i] = frac.sum()
+                masses[:, i] = [np.sum(w_p * frac) for w_p in powers]
         empty = np.flatnonzero(meas <= 0.0)
         if empty.size:
             i = empty[0]
             raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
         return masses / meas
 
-    def mean_global(self, p: float, center, r: float) -> float:
-        """Mean of w^p over the full ball B_r(center).
-
-        Analytic weights extend beyond the domain; sampled weights are
-        extended by zero. This is the convention for cylinder heights.
-        """
-        self.check_power_integrable(p)
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        return self.mass(p, c, r, clip=False) / self.ball_measure(c, r, clip=False)
-
-    def _power_dist_range(self, center, r: float) -> tuple[float, float]:
-        """Min and max distance from the profile center over B ∩ domain."""
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if self.n == 1:
-            (lo, hi), = self.domain
-            a, b = _interval_overlap(c[0] - r, c[0] + r, lo, hi)
-            if a >= b:
-                raise EmptyBall("ball misses the domain")
-            cx = self.center[0]
-            dmin = 0.0 if a <= cx <= b else min(abs(a - cx), abs(b - cx))
-            dmax = max(abs(a - cx), abs(b - cx))
-            return dmin, dmax
-        pts = _disc_probe_points(c, r, self.domain)
-        if pts.size == 0:
-            raise EmptyBall("ball misses the domain")
-        d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
-        return float(d.min()), float(d.max())
-
     def ess_range(self, center, r: float) -> tuple[float, float]:
-        """Essential (inf, sup) of w over B_r(center) ∩ domain (grid-based)."""
+        """Essential (inf, sup) of a 1D weight over B_r(center) ∩ domain:
+        exact for a power profile, grid-based for a sampled weight."""
+        if self.n != 1:
+            raise ValueError(f"ess_range takes a 1D weight, got n = {self.n}")
         c = np.atleast_1d(np.asarray(center, dtype=float))
+        (lo, hi), = self.domain
+        a, b = max(c[0] - r, lo), min(c[0] + r, hi)
+        if a >= b:
+            raise EmptyBall("ball misses the domain")
         if self.kind == "power":
             def at(dist: float) -> float:
                 if dist == 0.0 and self.alpha < 0:
@@ -417,66 +375,21 @@ class Weight:
                 return self.scale * dist ** self.alpha if dist > 0 else (
                     0.0 if self.alpha > 0 else self.scale)
 
-            dmin, dmax = self._power_dist_range(center, r)
-            near, far = at(dmin), at(dmax)
+            cx = self.center[0]
+            dmin = 0.0 if a <= cx <= b else min(abs(a - cx), abs(b - cx))
+            near, far = at(dmin), at(max(abs(a - cx), abs(b - cx)))
             return (near, far) if self.alpha >= 0 else (far, near)
-        if self.n == 1:
-            (lo, hi), = self.domain
-            a, b = _interval_overlap(c[0] - r, c[0] + r, lo, hi)
-            if a >= b:
-                raise EmptyBall("ball misses the domain")
-            if self.quadrature == "midpoint":
-                edges = self._cum_1d(1.0)[0]
-                i0 = int(np.searchsorted(edges, a, side="right")) - 1
-                i1 = int(np.searchsorted(edges, b, side="left"))
-                vals = self.samples[max(i0, 0):i1]
-            else:
-                nodes = np.linspace(lo, hi, self.samples.size)
-                sel = (nodes >= a) & (nodes <= b)
-                vals = np.concatenate([np.interp([a, b], nodes, self.samples),
-                                       self.samples[sel]])
+        if self.quadrature == "midpoint":
+            edges = self._cum_1d(1.0)[0]
+            i0 = int(np.searchsorted(edges, a, side="right")) - 1
+            i1 = int(np.searchsorted(edges, b, side="left"))
+            vals = self.samples[max(i0, 0):i1]
         else:
-            pts = _disc_probe_points(c, r, self.domain)
-            if pts.size == 0:
-                raise EmptyBall("ball misses the domain")
-            vals = self(pts)
+            nodes = np.linspace(lo, hi, self.samples.size)
+            sel = (nodes >= a) & (nodes <= b)
+            vals = np.concatenate([np.interp([a, b], nodes, self.samples),
+                                   self.samples[sel]])
         return float(np.min(vals)), float(np.max(vals))
-
-    # -- 2D helpers ----------------------------------------------------------
-
-    def _sampled_mass_2d(self, p: float, c: np.ndarray, r: float) -> float:
-        (x0, x1), (y0, y1) = self.domain
-        ny, nx = self.samples.shape
-        frac = _cell_coverage(c, r, x0, x1, y0, y1, nx, ny)
-        cell_area = (x1 - x0) / nx * (y1 - y0) / ny
-        return float(np.sum(self.samples ** p * frac) * cell_area)
-
-    def _power_mass_2d(self, p: float, c: np.ndarray, r: float,
-                       clip: bool = True) -> float:
-        q = p * self.alpha
-        sing = np.asarray(self.center)
-
-        def f(pts: np.ndarray) -> np.ndarray:
-            return np.linalg.norm(pts - sing, axis=1) ** q
-
-        if clip:
-            (x0, x1), (y0, y1) = self.domain
-            rx0, rx1 = max(c[0] - r, x0), min(c[0] + r, x1)
-            ry0, ry1 = max(c[1] - r, y0), min(c[1] + r, y1)
-        else:
-            rx0, rx1 = c[0] - r, c[0] + r
-            ry0, ry1 = c[1] - r, c[1] + r
-        if rx0 >= rx1 or ry0 >= ry1:
-            return 0.0
-        total = 0.0
-        base = 8
-        xs = np.linspace(rx0, rx1, base + 1)
-        ys = np.linspace(ry0, ry1, base + 1)
-        for j in range(base):
-            for i in range(base):
-                total += _quadtree_disc_integral(
-                    f, xs[i], xs[i + 1], ys[j], ys[j + 1], c, r, sing, depth=5)
-        return self.scale ** p * total
 
 
 def _as_domain(domain) -> tuple[tuple[float, float], ...]:
@@ -589,45 +502,6 @@ def _disc_box_area(c: np.ndarray, r: float, domain, sub: int = 64) -> float:
         return 0.0
     frac = _cell_coverage(c, r, rx0, rx1, ry0, ry1, sub, sub)
     return float(frac.sum() * (rx1 - rx0) / sub * (ry1 - ry0) / sub)
-
-
-def _disc_probe_points(c: np.ndarray, r: float, domain, k: int = 24) -> np.ndarray:
-    (x0, x1), (y0, y1) = domain
-    xs = np.linspace(max(c[0] - r, x0), min(c[0] + r, x1), k)
-    ys = np.linspace(max(c[1] - r, y0), min(c[1] + r, y1), k)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    keep = np.linalg.norm(pts - c, axis=1) <= r
-    return pts[keep]
-
-
-def _quadtree_disc_integral(f, x0, x1, y0, y1, c, r, sing, depth: int) -> float:
-    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
-    d = np.linalg.norm(corners - c, axis=1)
-    dmin_x = 0.0 if x0 <= c[0] <= x1 else min(abs(x0 - c[0]), abs(x1 - c[0]))
-    dmin_y = 0.0 if y0 <= c[1] <= y1 else min(abs(y0 - c[1]), abs(y1 - c[1]))
-    dmin = math.hypot(dmin_x, dmin_y)
-    if dmin >= r:
-        return 0.0
-    diag = math.hypot(x1 - x0, y1 - y0)
-    fully_inside = d.max() <= r
-    near_sing = (x0 - diag <= sing[0] <= x1 + diag) and (y0 - diag <= sing[1] <= y1 + diag)
-    if depth <= 0 or (fully_inside and not near_sing):
-        xs = x0 + (x1 - x0) * (np.arange(4) + 0.5) / 4
-        ys = y0 + (y1 - y0) * (np.arange(4) + 0.5) / 4
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        keep = np.linalg.norm(pts - c, axis=1) <= r
-        if not np.any(keep):
-            return 0.0
-        area = (x1 - x0) * (y1 - y0) / 16.0
-        vals = f(pts[keep])
-        return float(np.sum(vals[np.isfinite(vals)]) * area)
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return (_quadtree_disc_integral(f, x0, xm, y0, ym, c, r, sing, depth - 1)
-            + _quadtree_disc_integral(f, xm, x1, y0, ym, c, r, sing, depth - 1)
-            + _quadtree_disc_integral(f, x0, xm, ym, y1, c, r, sing, depth - 1)
-            + _quadtree_disc_integral(f, xm, x1, ym, y1, c, r, sing, depth - 1))
 
 
 @dataclass
@@ -773,47 +647,37 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
 
     Row 1: N1 estimate, the max of w^p(B_{2r})/w^p(B_r) over the family.
     Row 2: for nested test pairs S1 ⊂ S2 with |S1| <= theta*|S2|, checks
-    w^p(S1) <= eta * w^p(S2) with eta from :func:`doubling_eta`.
+    w^p(S1) <= eta * w^p(S2) with eta from :func:`doubling_eta`. The
+    weight must be 1D.
     """
+    if w.n != 1:
+        raise ValueError(f"doubling_report takes a 1D weight, got n = {w.n}")
     w.check_power_integrable(p)
     c, r = ball_grid(fam.centers, fam.radii)
     x = c[:, 0]
-    if w.n == 1:
-        m1 = w.mass_1d_vec(p, x - r, x + r)
-        m2 = w.mass_1d_vec(p, x - 2.0 * r, x + 2.0 * r)
-    else:
-        m1 = np.array([w.mass(p, ci, ri) for ci, ri in zip(c, r)])
-        m2 = np.array([w.mass(p, ci, 2.0 * ri) for ci, ri in zip(c, r)])
+    m1 = w.mass_1d_vec(p, x - r, x + r)
+    m2 = w.mass_1d_vec(p, x - 2.0 * r, x + 2.0 * r)
     with np.errstate(divide="ignore", invalid="ignore"):
         n1, k = first_sup(np.where(m1 > 0.0, m2 / m1, np.nan))
     worst = None if k is None else (tuple(c[k].tolist()), float(r[k]))
     eta = doubling_eta(theta, ctx)
-    if w.n == 1:
-        # S2 is the ball clipped to the domain (mass m1); S1, of length
-        # theta |S2|, sits at its left end, middle and right end and, for a
-        # power weight centred in S2, on that centre as far as S2 allows
-        (lo, hi), = w.domain
-        a2, b2 = np.maximum(x - r, lo), np.minimum(x + r, hi)
-        L1 = theta * (b2 - a2)
-        starts = [a2, 0.5 * (a2 + b2) - 0.5 * L1, b2 - L1]
-        use = [~(b2 - a2 <= 0.0) & ~(m1 <= 0.0)] * 3
-        if w.kind == "power":
-            cx = w.center[0]
-            starts.append(np.minimum(np.maximum(cx - 0.5 * L1, a2), b2 - L1))
-            use.append(use[0] & (a2 <= cx) & (cx <= b2))
-        s = np.column_stack(starts)
-        m_s = w.mass_1d_vec(p, s.ravel(), (s + L1[:, None]).ravel()).reshape(s.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(np.column_stack(use), m_s / m1[:, None], np.nan)
-        max_pair_ratio = first_sup(ratios)[0]
-    else:
-        max_pair_ratio = 0.0
-        for ci, ri, m_big in zip(c, r, m1):
-            if m_big <= 0.0:
-                continue
-            r1 = ri * math.sqrt(theta)  # |B_{r1}| = theta |B_r| in 2D
-            for shift in (np.zeros(2), np.array([ri - r1, 0.0]), np.array([0.0, ri - r1])):
-                max_pair_ratio = max(max_pair_ratio, w.mass(p, ci + shift, r1) / m_big)
+    # S2 is the ball clipped to the domain (mass m1); S1, of length
+    # theta |S2|, sits at its left end, middle and right end and, for a
+    # power weight centred in S2, on that centre as far as S2 allows
+    (lo, hi), = w.domain
+    a2, b2 = np.maximum(x - r, lo), np.minimum(x + r, hi)
+    L1 = theta * (b2 - a2)
+    starts = [a2, 0.5 * (a2 + b2) - 0.5 * L1, b2 - L1]
+    use = [~(b2 - a2 <= 0.0) & ~(m1 <= 0.0)] * 3
+    if w.kind == "power":
+        cx = w.center[0]
+        starts.append(np.minimum(np.maximum(cx - 0.5 * L1, a2), b2 - L1))
+        use.append(use[0] & (a2 <= cx) & (cx <= b2))
+    s = np.column_stack(starts)
+    m_s = w.mass_1d_vec(p, s.ravel(), (s + L1[:, None]).ravel()).reshape(s.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(np.column_stack(use), m_s / m1[:, None], np.nan)
+    max_pair_ratio = first_sup(ratios)[0]
     rows = [
         AuditRow(label="doubling-constant", lhs=n1, rhs=n1_budget, constant=n1,
                  budget=n1_budget, passed=bool(math.isfinite(n1) and n1 <= n1_budget),

@@ -61,7 +61,7 @@ class TestHeights:
         # h(r) = r * beta(B_r(x0)) / 2 in one dimension
         w = Weight.power(0.3, 0.1, DOM)
         r, x0 = 0.4, 0.25
-        mass = w.mass(1.0, [x0], r, clip=False)
+        mass = float(w.mass_1d_vec(1.0, x0 - r, x0 + r, clip=False))
         assert height(w, x0, r, CTX) == pytest.approx(0.5 * r * mass, rel=1e-13)
 
     def test_monotone_on_radius_grid(self):
@@ -363,13 +363,14 @@ def quasi_params_per_ball(beta, ctx):
     p = ctx.n0 / 2.0
     pairs = []
     for c, r in fam.balls():
-        m2 = beta.mass(p, c, r, clip=False)
+        m2 = float(beta.mass_1d_vec(p, c[0] - r, c[0] + r, clip=False))
         if m2 <= 0.0:
             continue
         for f in (0.15, 0.3, 0.5, 0.75):
             r1 = f * r
             for sh in (0.0, r - r1, -(r - r1)):
-                m1 = beta.mass(p, c + sh, r1, clip=False)
+                m1 = float(beta.mass_1d_vec(p, c[0] + sh - r1, c[0] + sh + r1,
+                                            clip=False))
                 if m1 > 0.0:
                     pairs.append((f ** ctx.n, m1 / m2))
     s_arr, m_arr = np.array(pairs).T

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wparab.errors import GateFailed
+from wparab.errors import EmptyBall, GateFailed
 from wparab.inequalities import (
     SpaceTimeTestFunction,
     TestFunction,
@@ -196,3 +196,21 @@ class TestInterpolation:
         assert math.isfinite(rep_half.rows[0].constant)
         assert rep_half.rows[0].constant != pytest.approx(
             rep_full.rows[0].constant)
+
+
+SIN_U = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("audit", [
+    lambda w: weighted_lq_control_audit(TestFunction.polynomial([1.0]), w, 2.0,
+                                        (5.0, 0.0, 0.5), 0.1, CTX,
+                                        BallFamily.default(DOM, 5, 4)),
+    lambda w: weighted_embedding_audit(TestFunction.polynomial([1.0]), w, "low",
+                                       0.5, ball=(5.0, 0.5)),
+    lambda w: interpolation_audit(SIN_U, w, 5.0, 0.5, (0.0, 1.0)),
+    # the half ball B_r(x0) ∩ {x > 0} is empty although B_r(x0) is not
+    lambda w: interpolation_audit(SIN_U, w, -0.5, 0.25, (0.0, 1.0), half=True),
+], ids=["lq-control", "embedding", "interpolation", "interpolation-half"])
+def test_ball_outside_domain_raises_empty_ball(audit):
+    with pytest.raises(EmptyBall):
+        audit(Weight.power(0.2, 0.0, DOM))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wparab import maximal
 from wparab.errors import EmptyRegion, PreconditionFailed
 from wparab.geometry import (SpaceTimePoint, WeightedCylinder,
                              estimate_quasi_params, height)
@@ -415,3 +416,46 @@ class TestLevelsetDecay:
         lhs = [row[1] for row in table]
         assert all(b <= a for a, b in zip(lhs, lhs[1:]))
         assert np.isfinite(table[0][3])
+
+    def q1_case(self):
+        # 70 of the 4,096 cells lie in Q_1; the report is normalized (by 8)
+        # and has a nonzero level set
+        beta = Weight.power(0.3, 0.1, (-1.0, 1.0))
+        shape, t_span = (128, 32), (-0.25, 0.0)
+        x, t = make_field(np.zeros(shape), t_span=t_span).cell_centers()
+        g = make_field((20.0 * np.exp(-50 * (x - 0.1) ** 2) * (1.1 + t)).reshape(shape),
+                       t_span=t_span)
+        f = make_field((0.2 + 0.1 * np.cos(3 * x)).reshape(shape), t_span=t_span)
+        kw = dict(K=1.5, q0=0.5, m_max=4, ctx=CTX,
+                  quasi=estimate_quasi_params(beta, CTX),
+                  center=0.1, t_top=-0.01, r_unit=0.2)
+        h_unit = height(beta, 0.1, 0.2, CTX).item()
+        in_q1 = (np.abs(x - 0.1) <= 0.2) & (t <= -0.01) & (t > -0.01 - h_unit)
+        assert in_q1.sum() == 70
+        return g, f, beta, kw, in_q1
+
+    def test_batch_gets_the_q1_cells_only(self, monkeypatch):
+        g, f, beta, kw, in_q1 = self.q1_case()
+        batch, calls = maximal.maximal_function_batch, []
+
+        def recorded(fields, beta, X, T, *args, **kwargs):
+            calls.append((X, T))
+            return batch(fields, beta, X, T, *args, **kwargs)
+
+        monkeypatch.setattr(maximal, "maximal_function_batch", recorded)
+        levelset_decay_audit(g, f, beta, **kw)
+        (X, T), = calls
+        x, t = g.cell_centers()
+        assert np.array_equal(X, x[in_q1]) and np.array_equal(T, t[in_q1])
+
+    def test_same_report_as_every_cell_then_mask(self, monkeypatch):
+        g, f, beta, kw, in_q1 = self.q1_case()
+        got = levelset_decay_audit(g, f, beta, **kw).to_json()
+        batch = maximal.maximal_function_batch
+
+        def every_cell_then_mask(fields, beta, X, T, *args, **kwargs):
+            full = batch(fields, beta, *fields[0].cell_centers(), *args, **kwargs)
+            return full[:, in_q1]
+
+        monkeypatch.setattr(maximal, "maximal_function_batch", every_cell_then_mask)
+        assert levelset_decay_audit(g, f, beta, **kw).to_json() == got

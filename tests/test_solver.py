@@ -86,7 +86,8 @@ class TestScheme:
         r = 0.5
         nx, nt = 24, 16
         beta = Weight.power(0.3, 0.0, (0.0, 1.0))
-        psi_r = beta.mean_global(1.0, [0.0], r)  # n0/2 = 1 in one dimension
+        # the full-ball mean; n0/2 = 1 in one dimension
+        psi_r = float(beta.mass_1d_vec(1.0, -r, r, clip=False)) / (2.0 * r)
         grid_big = Grid(x0=0.0, x1=1.0, nx=nx, t_final=0.1, nt=nt)
         a_fun = lambda x, t: 1.0 + 0.3 * np.sin(2 * x + t)
         f_fun = lambda x, t: np.cos(4 * x) * (1 + t)

@@ -557,17 +557,14 @@ class TestMeans:
             Weight.sampled(rng.lognormal(0.0, 0.5, 33), DOM),
             Weight.sampled(rng.lognormal(0.0, 0.5, 17), DOM, quadrature="trapezoid"),
             Weight.sampled(rng.lognormal(0.0, 0.5, (12, 16)), dom2),
-            Weight.power(0.2, (0.1, 0.3), dom2),
         ]
 
-    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("k", range(4))
     def test_matches_one_mean_per_exponent(self, k):
         w = self.weights()[k]
         balls = [(np.full(w.n, 0.1), 0.3), (np.full(w.n, -0.9), 0.6),
                  (np.full(w.n, 0.95), 1.2)]
         ps = self.PS
-        if w.kind == "power" and w.n == 2:  # adaptive quadrature: keep it short
-            balls, ps = balls[1:2], ps[:2]
         for c, r in balls:
             got = w.means(ps, c, r)
             assert got.shape == (len(ps), 1)
@@ -595,20 +592,34 @@ class TestMeans:
         with pytest.raises(EmptyBall, match="9.0"):
             w.means((1.0,), np.array([[0.0], [9.0]]), np.array([0.25, 0.5]))
 
+    def test_2d_weight_paths_refused(self):
+        # a 2D weight is sampled before any mean; A_1 and doubling take 1D
+        dom2 = ((-1.0, 1.0), (-0.5, 1.5))
+        power = Weight.power(0.2, (0.1, 0.3), dom2)
+        sampled = self.weights()[3]
+        with pytest.raises(ValueError, match="sample it first"):
+            power.means((1.0,), (0.1, 0.3), 0.5)
+        fam = BallFamily.default(dom2, n_centers=2, n_radii=2)
+        for w in (power, sampled):
+            with pytest.raises(ValueError, match="1D weight"):
+                w.ess_range((0.1, 0.3), 0.5)
+            with pytest.raises(ValueError, match="1D weight"):
+                doubling_report(w, 1.0, fam, 0.5, WeightContext(n=2))
+        with pytest.raises(ValueError, match="1D weight"):
+            aq_characteristic(sampled, 1.0, fam)
+
     @staticmethod
     def family(w):
         if w.n == 1:
             return np.linspace(-1.0, 1.0, 7), np.geomspace(0.01, 1.5, 9)
-        if w.kind == "power":  # adaptive quadrature: keep it short
-            return np.array([[0.1, 0.3], [-0.9, 1.4]]), np.array([0.2, 0.7])
         return (np.array([[x, y] for x in (-1.0, 0.1, 0.9) for y in (-0.5, 0.4, 1.5)]),
                 np.array([0.05, 0.3, 1.2]))
 
-    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("k", range(4))
     def test_family_matches_per_ball_loop(self, k):
         w = self.weights()[k]
         centers, radii = self.family(w)
-        ps = self.PS[:2] if w.kind == "power" and w.n == 2 else self.PS
+        ps = self.PS
         got = w.means(ps, centers, radii)
         ref, cond = means_per_ball(w, ps, centers, radii)
         assert got.shape == (len(ps), len(centers) * len(radii))
@@ -654,15 +665,12 @@ def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarra
                                             - np.interp(a, edges, cum)))
                 else:
                     masses = [trapezoid_mass_reference(w, p, a, b) for p in ps]
-            elif w.kind == "sampled":
+            else:
                 (x0, x1), (y0, y1) = w.domain
                 ny, nx = w.samples.shape
                 frac = coverage_reference(c, r, x0, x1, y0, y1, nx, ny)
                 meas = float(frac.sum())
                 masses = [float(np.sum(w.samples ** p * frac)) for p in ps]
-            else:
-                meas = w._power_mass_2d(0.0, c, r)
-                masses = [w._power_mass_2d(p, c, r) for p in ps]
             rows.append([m / meas for m in masses])
             conds.append(cond)
     return np.array(rows).T, np.array(conds).T
