@@ -26,6 +26,13 @@ midpoint of a bracket [lo, hi] with h(lo) < s <= h(hi) and
 hi - lo <= tol * hi, and depends only on its own (x0, s), not on the other
 points of the call.
 
+A pair whose time gap lies within the height of a slightly shorter spatial
+gap, |t - t0| <= h(|x - x0| (1 - SCREEN_MARGIN)), gets rho_b = |x - x0|
+without an inversion, provided |x - x0| is at least SCREEN_FLOOR of the
+domain width: h is increasing, so the bracket's midpoint lies below
+|x - x0| (1 - SCREEN_MARGIN) / (1 - TOL_BISECT) < |x - x0|, and the max
+would discard it. Only the other pairs are inverted, with the same bits.
+
 Analytic (power) weights extend beyond their stated domain; sampled weights
 are extended by zero, so their height map can plateau and the inversion
 reports NoBracket past the reachable range.
@@ -49,6 +56,14 @@ MAX_NEWTON = 2 * MAX_BISECT
 # Points per block of the vectorized inversion: small enough that one
 # block's height evaluation stays in cache.
 BISECT_BLOCK = 8192
+# Relative shrink of the spatial gap before the screen in
+# quasi_distance_batch compares heights: far above TOL_BISECT, so a screened
+# pair's inverse height lies strictly below its spatial gap.
+SCREEN_MARGIN = 1e-6
+# Smallest screened spatial gap, as a fraction of the domain width: heights of
+# smaller radii lose digits to cancellation in the mass (about 1e-10 relative
+# at r = 1e-6), which must stay far below SCREEN_MARGIN.
+SCREEN_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -180,12 +195,30 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
 def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
                          X0: np.ndarray, T0: np.ndarray,
                          ctx: WeightContext) -> np.ndarray:
-    """Vectorized quasi-distances for 1D weights."""
-    X, T = np.asarray(X, float), np.asarray(T, float)
-    X0, T0 = np.asarray(X0, float), np.asarray(T0, float)
-    base = np.where(T <= T0, X0, X)
-    gap = np.abs(T - T0)
-    return np.maximum(np.abs(X - X0), height_inverse_vec(beta, base, gap, ctx))
+    """Vectorized quasi-distances for 1D weights.
+
+    A pair with |x - x0| >= SCREEN_FLOOR * (domain width) and
+    |t - t0| <= h(|x - x0| (1 - SCREEN_MARGIN)) gets |x - x0| without an
+    inversion: its inverse height is below |x - x0|, so the max would
+    return |x - x0| anyway. Every other pair, NaN gaps included, goes to one
+    :func:`height_inverse_vec` call, and the result has the bits of
+    ``max(|x - x0|, height_inverse_vec(...))`` for every pair.
+    """
+    X, T, X0, T0 = np.broadcast_arrays(*(np.asarray(a, float)
+                                         for a in (X, T, X0, T0)))
+    base = np.where(T <= T0, X0, X).ravel()
+    gap = np.abs(T - T0).ravel()
+    dx = np.abs(X - X0).ravel()
+    (lo, hi), = beta.domain[:1]
+    need = np.empty(dx.shape, dtype=bool)
+    for k in range(0, dx.size, BISECT_BLOCK):
+        b = slice(k, k + BISECT_BLOCK)
+        reach = height(beta, base[b], dx[b] * (1.0 - SCREEN_MARGIN), ctx)
+        # written as a negation so that a NaN gap is inverted, and raises there
+        need[b] = ~((dx[b] >= SCREEN_FLOOR * (hi - lo)) & (gap[b] <= reach))
+    inv = height_inverse_vec(beta, base[need], gap[need], ctx)
+    dx[need] = np.maximum(dx[need], inv)
+    return dx.reshape(X.shape)
 
 
 @dataclass
@@ -298,7 +331,7 @@ def estimate_quasi_params(beta: Weight, ctx: WeightContext,
     return best
 
 
-def _adversarial_triples(beta: Weight, ctx: WeightContext, lo: float, hi: float,
+def _adversarial_triples(lo: float, hi: float,
                          t_span: float) -> tuple[np.ndarray, np.ndarray]:
     """Structured triples probing the bottom-of-cylinder regime.
 
@@ -338,7 +371,7 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo), ctx).item()
     xs = rng.uniform(lo, hi, size=(samples, 3))
     ts = rng.uniform(-t_span, 0.0, size=(samples, 3))
-    xs_adv, ts_adv = _adversarial_triples(beta, ctx, lo, hi, t_span)
+    xs_adv, ts_adv = _adversarial_triples(lo, hi, t_span)
     xs = np.vstack([xs, xs_adv])
     ts = np.vstack([ts, ts_adv])
     d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0], ctx)

@@ -225,7 +225,8 @@ def write_solution_csv(path, u: SolutionField):
     are baked into one ``%``-template; each time level puts its t string in
     and formats its values with ``%.17g``, which agrees with ``fmt_float``
     on finite doubles, and the non-finite spellings are renamed after
-    formatting. Each time level is written as soon as it is formatted.
+    formatting, only in a dump that holds any. Each time level is written as
+    soon as it is formatted.
     """
     from pathlib import Path
 
@@ -236,11 +237,14 @@ def write_solution_csv(path, u: SolutionField):
     grid = u.grid
     # finite x strings hold no '%', so "%s" marks only the t slots
     template = "".join(fmt_float(x) + ",%s,%.17g\n" for x in grid.x.tolist())
+    finite = bool(np.isfinite(u.u).all())
     with open(path, "w") as fh:
         fh.write("x,t,u\n")
         for t, row in zip(grid.t.tolist(), u.u):
             level = template.replace("%s", fmt_float(t)) % tuple(row.tolist())
-            fh.write(level.replace("nan", "NaN").replace("inf", "Infinity"))
+            if not finite:
+                level = level.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write(level)
     return path
 
 

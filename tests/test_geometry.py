@@ -304,6 +304,94 @@ class TestQuasiDistance:
             assert batch[one].tobytes() == ref.tobytes()
 
 
+def quasi_distance_unscreened(beta, X, T, X0, T0, ctx):
+    """Reference: every pair's height inverted, then the max with |X - X0|."""
+    base = np.where(T <= T0, X0, X)
+    inv = height_inverse_vec(beta, base, np.abs(T - T0), ctx)
+    return np.maximum(np.abs(X - X0), inv)
+
+
+class TestHeightScreen:
+    """Pairs whose spatial gap decides the quasi-distance skip the inversion
+    and keep its bits."""
+
+    @staticmethod
+    def pairs(beta, kind):
+        """Random pairs, then pairs on the edges of the screen: gaps at the
+        height of the spatial gap and at the screened height, spatial gaps
+        on either side of the floor and far below it, and zero gaps of
+        either kind."""
+        rng = np.random.default_rng(23)
+        n = 3000
+        X, X0 = rng.uniform(-1.0, 1.0, (2, n))
+        T, T0 = rng.uniform(-1.0, 0.0, (2, n))
+        if kind == "singular":
+            X0[::3] = TestBlockedBisection.SINGULAR_CENTRE
+        floor = geometry.SCREEN_FLOOR * (DOM[1] - DOM[0])
+        X[:200] = X0[:200] + floor * rng.choice([-1.0, 1.0], 200) * np.repeat(
+            [1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0], 50)
+        X[200:250] = X0[200:250]
+        X[250:300] = X0[250:300] + 10.0 ** rng.uniform(-13.0, -9.0, 50)
+        T[300:400] = T0[300:400]
+        edge = slice(0, 1200)
+        dx = np.abs(X[edge] - X0[edge])
+        base = np.where(T[edge] <= T0[edge], X0[edge], X[edge])
+        at_dx = height(beta, base, dx, CTX)
+        at_screen = height(beta, base, dx * (1.0 - geometry.SCREEN_MARGIN), CTX)
+        gap = np.choose(np.arange(1200) % 6, [
+            at_dx * (1.0 - 1e-9), at_dx * (1.0 + 1e-9), at_screen,
+            at_screen * (1.0 - 1e-12), at_screen * (1.0 + 1e-12), at_dx])
+        T[edge] = np.where(T[edge] <= T0[edge], T0[edge] - gap, T0[edge] + gap)
+        return X, T, X0, T0
+
+    @pytest.fixture
+    def inverted(self, monkeypatch):
+        """The number of points of each height_inverse_vec call."""
+        sizes = []
+
+        def counted(beta, x0, s, ctx):
+            sizes.append(np.size(s))
+            return height_inverse_vec(beta, x0, s, ctx)
+
+        monkeypatch.setattr(geometry, "height_inverse_vec", counted)
+        return sizes
+
+    @pytest.mark.parametrize("kind", sorted(TestBlockedBisection.WEIGHTS))
+    def test_matches_unscreened_inversion(self, kind, inverted):
+        beta = TestBlockedBisection.WEIGHTS[kind]
+        X, T, X0, T0 = self.pairs(beta, kind)
+        ref = quasi_distance_unscreened(beta, X, T, X0, T0, CTX)
+        got = quasi_distance_batch(beta, X, T, X0, T0, CTX)
+        assert np.array_equal(got, ref)
+        assert len(inverted) == 1 and 0 < inverted[0] < X.size
+
+    def test_most_audit_pairs_skip_the_inversion(self, inverted):
+        w = Weight.power(0.3, 0.0, DOM)
+        samples = 2000
+        quasi_triangle_audit(w, estimate_quasi_params(w, CTX), samples=samples,
+                             ctx=CTX, seed=7)
+        # three legs of every random and every adversarial triple
+        pairs = 3 * (samples + 13 * 13 * 10)
+        assert len(inverted) == 3
+        assert sum(inverted) < 0.6 * pairs
+
+    def test_nan_time_rejected(self):
+        X, T, X0, T0 = np.zeros((4, 5))
+        X[:] = 0.5
+        T[2] = math.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            quasi_distance_batch(Weight.power(0.3, 0.0, DOM), X, T, X0, T0, CTX)
+
+    def test_unreachable_gap_raises(self):
+        # the zero-extended sampled weight has zero height far outside its
+        # domain, so the spatial gap cannot screen the pair
+        beta = TestBlockedBisection.WEIGHTS["sampled"]
+        X, T, X0, T0 = np.zeros((4, 5))
+        X[3], X0[3], T[3] = 50.0, 49.0, -1e30
+        with pytest.raises(NoBracket):
+            quasi_distance_batch(beta, X, T, X0, T0, CTX)
+
+
 class TestQuasiTriangle:
     def test_lambda_formula(self):
         p = QuasiMetricParams(n=1, zeta0=0.5, N2=1.5)
