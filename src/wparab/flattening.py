@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import EllipticityViolation, EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
-from .weights import BallFamily, Weight, WeightContext, aq_characteristic
+from .weights import (BallFamily, Weight, WeightContext, aq_characteristic,
+                      ball_grid, first_sup)
 
 # max |s'(y)| for the bump profile s(y) = y^2 (1 - y^2)^2 on [-1, 1]
 _BUMP_SLOPE = max(abs(2 * y * (1 - y * y) * (1 - 3 * y * y))
@@ -226,19 +227,20 @@ def _transformed_weight(chart: BoundaryChart, beta: Weight,
 def _sup_ball_oscillation(w: Weight, fam: BallFamily) -> float:
     """sup over the family of (w)_B (w^{-1})_B - 1 (squared oscillation).
 
-    Balls outside the domain are skipped; a ball that meets the domain but
-    holds no sample still raises :class:`EmptyBall`.
+    Both means of every ball come from one pass over the family, which
+    shares the family's cell coverage on the weight's grid. A ball that
+    covers no sample is skipped when it lies outside the domain; the first
+    one, in ball order, that meets the domain raises :class:`EmptyBall`.
     """
-    best = 0.0
-    for c, r in fam.balls():
-        try:
-            b, b_inv = w.means((1.0, -1.0), c, r)[:, 0].tolist()
-        except EmptyBall:
-            if w.ball_measure(c, r) <= 0.0:
-                continue
-            raise
-        best = max(best, b * b_inv - 1.0)
-    return best
+    masses, meas = w.ball_masses((1.0, -1.0), fam)
+    hit = meas > 0.0
+    if not hit.all():
+        c, r = ball_grid(fam.centers, fam.radii)
+        for i in np.flatnonzero(~hit):
+            if w.ball_measure(c[i], r[i]) > 0.0:
+                raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
+    b, b_inv = masses[:, hit] / meas[hit]
+    return first_sup(b * b_inv - 1.0)[0]
 
 
 def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyRegion
 from .geometry import height
 from .report import AuditReport, AuditRow
-from .weights import Weight, WeightContext, ball_grid, first_sup
+from .weights import BallFamily, Weight, WeightContext, ball_grid, first_sup
 
 
 @dataclass
@@ -55,7 +55,7 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     zero for constant weights.
     """
     beta.check_power_integrable(-1.0)
-    b, b_inv = beta.means((1.0, -1.0), x0, r)[:, 0].tolist()
+    b, b_inv = beta.means((1.0, -1.0), BallFamily.centered(x0, [r]))[:, 0].tolist()
     return max(b * b_inv - 1.0, 0.0)
 
 
@@ -134,7 +134,8 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     radii = cfg.radius_grid(r_min_default)
 
     # theta_beta_ms of every lattice ball at once
-    b, b_inv = beta.means((1.0, -1.0), grid_points, radii)
+    fam = BallFamily(grid_points[:, None], radii)
+    b, b_inv = beta.means((1.0, -1.0), fam)
     sup_b, k = first_sup(np.maximum(b * b_inv - 1.0, 0.0))
     worst_b = None if k is None else (float(grid_points[k // radii.size]),
                                       float(radii[k % radii.size]))

@@ -30,8 +30,17 @@ SAMPLE_FLOOR = 1e-300
 # Default relative tolerance for comparisons between quadrature values.
 TOL_QUAD = 1e-6
 # Subcells per axis of a grid cell in disc coverage; the uint8 subcell
-# counts of _cell_coverage hold at most 15 * 15.
+# counts of _coverage hold at most 15 * 15.
 COVERAGE_SUB = 4
+# Balls per block of _coverage. Its reused buffer holds COVERAGE_BLOCK * ny *
+# nx * COVERAGE_SUB**2 floats (2 MB on a 64 x 64 grid) whatever the family
+# size; blocks of 4 ran fastest on 32 x 32 to 64 x 64 grids, where one ball
+# per block pays numpy's per-call overhead once per ball.
+COVERAGE_BLOCK = 4
+# Cells per axis of the grid over a disc's bounding box in the domain, in
+# _disc_box_area. The grid scales with the box, so a disc that only grazes
+# the domain is still resolved to 1/64 of the overlap's extent per axis.
+DISC_AREA_SUB = 64
 
 
 @dataclass(frozen=True)
@@ -190,7 +199,9 @@ class Weight:
         if self.kind == "power":
             if self.n == 1:
                 return self.scale * np.abs(x - self.center[0]) ** self.alpha
-            d = np.linalg.norm(x - np.asarray(self.center), axis=-1)
+            d = x - np.asarray(self.center)
+            # the norm's sum of squares, without a reduction over a short axis
+            d = np.sqrt(sum(d[..., k] * d[..., k] for k in range(self.n)))
             return self.scale * d ** self.alpha
         if self.n == 1:
             (lo, hi), = self.domain
@@ -317,46 +328,50 @@ class Weight:
 
     def mean(self, p: float, center, r: float) -> float:
         """Mean of w^p over B_r(center) ∩ domain."""
-        return float(self.means((p,), center, r)[0, 0])
+        return float(self.means((p,), BallFamily.centered(center, [r]))[0, 0])
 
-    def means(self, ps, centers, radii) -> np.ndarray:
-        """Means of w^p over B_r(c) ∩ domain for every centre c with every
-        radius r (centre-major, as ``BallFamily.balls()``): shape
-        (len(ps), balls), one row per exponent in ``ps``.
+    def means(self, ps, fam: BallFamily) -> np.ndarray:
+        """Means of w^p over B ∩ domain for every ball B of the family, in
+        the order of ``BallFamily.balls()``: shape (len(ps), balls), one row
+        per exponent in ``ps``. EmptyBall if a ball misses the domain.
+        """
+        masses, meas = self.ball_masses(ps, fam)
+        empty = np.flatnonzero(meas <= 0.0)
+        if empty.size:
+            c, r = ball_grid(fam.centers, fam.radii)
+            i = empty[0]
+            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
+        return masses / meas
+
+    def ball_masses(self, ps, fam: BallFamily) -> tuple[np.ndarray, np.ndarray]:
+        """Masses of w^p over B ∩ domain for every ball B of the family,
+        shape (len(ps), balls), and each ball's measure (zero for a ball
+        that misses the domain).
 
         In 1D each exponent is one :meth:`mass_1d_vec` call over the family.
-        A 2D weight must be sampled: each ball's cell coverage is computed
-        once and shared by every exponent, and the measure is the coverage
-        itself, so the ratio of two means over one ball is free of coverage
-        jitter. EmptyBall if a ball misses the domain.
+        A 2D weight must be sampled: the family's cell coverage on the
+        weight's grid (:meth:`BallFamily.coverage`, computed once per family
+        and grid) is shared by every exponent and every weight on that grid,
+        and the measure is the coverage itself, so the ratio of two means
+        over one ball is free of coverage jitter.
         """
         if self.n > 1 and self.kind == "power":
             raise ValueError("means of a 2D power weight: sample it first "
                              "(Weight.from_function_2d)")
         for p in ps:
             self.check_power_integrable(p)
-        centers = np.asarray(centers, dtype=float).reshape(-1, self.n)
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        c, r = ball_grid(centers, radii)
         if self.n == 1:
             (lo, hi), = self.domain
+            c, r = ball_grid(fam.centers, fam.radii)
             x = c[:, 0]
             meas = np.maximum(np.minimum(x + r, hi) - np.maximum(x - r, lo), 0.0)
             masses = np.array([self.mass_1d_vec(p, x - r, x + r) for p in ps])
-        else:
-            meas, masses = np.empty(r.size), np.empty((len(ps), r.size))
-            (x0, x1), (y0, y1) = self.domain
-            ny, nx = self.samples.shape
-            powers = [self.samples ** p for p in ps]
-            for i in range(r.size):
-                frac = _cell_coverage(c[i], r[i], x0, x1, y0, y1, nx, ny)
-                meas[i] = frac.sum()
-                masses[:, i] = [np.sum(w_p * frac) for w_p in powers]
-        empty = np.flatnonzero(meas <= 0.0)
-        if empty.size:
-            i = empty[0]
-            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
-        return masses / meas
+            return masses, meas
+        frac, meas = fam.coverage(self.domain, self.samples.shape)
+        prod = np.empty_like(frac)
+        masses = np.array([np.multiply(frac, (self.samples ** p).ravel(), out=prod)
+                           .sum(axis=1) for p in ps])
+        return masses, meas
 
     def ess_range(self, center, r: float) -> tuple[float, float]:
         """Essential (inf, sup) of a 1D weight over B_r(center) ∩ domain:
@@ -472,48 +487,70 @@ def _node_means(fn, xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
     return vals.reshape(ny, nx, 16).mean(axis=-1)
 
 
-def _cell_coverage(c: np.ndarray, r: float, x0, x1, y0, y1, nx, ny) -> np.ndarray:
-    """Fraction of each grid cell covered by the disc B_r(c), via subcells.
+def _coverage(c: np.ndarray, r: np.ndarray, x0, x1, y0, y1, nx, ny
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction of each grid cell covered by each disc B_r[k](c[k]), via
+    subcells: shape (balls, ny * nx), cells row-major, and each ball's
+    measure in cells (the sum of its fractions).
 
-    Each cell holds COVERAGE_SUB x COVERAGE_SUB subcell centres. The inside
-    test is reduced by adding integer slices, first over the sub-rows and
-    then over the sub-columns, and the count is divided once. The counts
-    are exact integers, so the fractions carry the same bits as the mean
-    of the boolean test over the subcells.
+    Each cell holds COVERAGE_SUB x COVERAGE_SUB subcell centres, and a
+    subcell is inside when (DX + DY) <= r * r. The balls run in blocks of
+    COVERAGE_BLOCK through one reused buffer. The test is reduced by adding
+    integer slices, first over the sub-rows and then over the sub-columns,
+    and the count is divided once. The counts are exact integers, so the
+    fractions carry the same bits as the mean of the boolean test over the
+    subcells, ball by ball.
     """
     sub = COVERAGE_SUB
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
     off = (np.arange(sub) + 0.5) / sub
-    sub_x = x0 + (np.arange(nx)[:, None] + off[None, :]) * dx  # (nx, sub)
-    sub_y = y0 + (np.arange(ny)[:, None] + off[None, :]) * dy
-    DX = (sub_x.reshape(1, 1, nx, sub) - c[0]) ** 2
-    DY = (sub_y.reshape(ny, sub, 1, 1) - c[1]) ** 2
-    inside = ((DX + DY) <= r * r).view(np.uint8)  # (ny, sub, nx, sub)
-    rows = sum(inside[:, k] for k in range(sub))  # (ny, nx, sub)
-    count = sum(rows[..., k] for k in range(sub))
-    return count / (sub * sub)
+    sub_x = (x0 + (np.arange(nx)[:, None] + off[None, :]) * dx).ravel()
+    sub_y = (y0 + (np.arange(ny)[:, None] + off[None, :]) * dy).ravel()
+    DX = (sub_x - c[:, 0:1]) ** 2  # (balls, nx * sub)
+    DY = (sub_y - c[:, 1:2]) ** 2  # (balls, ny * sub)
+    r2 = (r * r)[:, None, None]
+    frac = np.empty((r.size, ny * nx))
+    d2 = np.empty((min(r.size, COVERAGE_BLOCK), ny * sub, nx * sub))
+    inside = np.empty(d2.shape, dtype=bool)
+    for k in range(0, r.size, COVERAGE_BLOCK):
+        b = slice(k, k + COVERAGE_BLOCK)
+        m = DX[b].shape[0]
+        np.add(DY[b, :, None], DX[b, None, :], out=d2[:m])
+        np.less_equal(d2[:m], r2[b], out=inside[:m])
+        test = inside[:m].view(np.uint8).reshape(m, ny, sub, nx, sub)
+        rows = sum(test[:, :, j] for j in range(sub))  # (m, ny, nx, sub)
+        count = sum(rows[..., j] for j in range(sub))
+        np.divide(count.reshape(m, ny * nx), sub * sub, out=frac[b])
+    return frac, frac.sum(axis=1)
 
 
-def _disc_box_area(c: np.ndarray, r: float, domain, sub: int = 64) -> float:
+def _disc_box_area(c: np.ndarray, r: float, domain) -> float:
+    """Area of B_r(c) inside the box ``domain``: the disc's coverage of a
+    DISC_AREA_SUB x DISC_AREA_SUB grid over its bounding box in the domain,
+    as a family of one ball."""
     (x0, x1), (y0, y1) = domain
     rx0, rx1 = max(c[0] - r, x0), min(c[0] + r, x1)
     ry0, ry1 = max(c[1] - r, y0), min(c[1] + r, y1)
     if rx0 >= rx1 or ry0 >= ry1:
         return 0.0
-    frac = _cell_coverage(c, r, rx0, rx1, ry0, ry1, sub, sub)
-    return float(frac.sum() * (rx1 - rx0) / sub * (ry1 - ry0) / sub)
+    sub = DISC_AREA_SUB
+    _, cells = _coverage(c[None, :], np.array([r]), rx0, rx1, ry0, ry1, sub, sub)
+    return float(cells[0] * (rx1 - rx0) / sub * (ry1 - ry0) / sub)
 
 
 @dataclass
 class BallFamily:
     """Finite family of balls discretizing the supremum over all balls."""
 
-    centers: np.ndarray  # (m, n)
-    radii: np.ndarray    # (k,), strictly increasing
+    centers: np.ndarray  # (m, n), read-only
+    radii: np.ndarray    # (k,), strictly increasing, read-only
+    _coverage_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        self.radii = np.asarray(self.radii, dtype=float)
+        # private read-only copies, so a stored coverage cannot go stale
+        self.centers = np.array(self.centers, dtype=float, ndmin=2)
+        self.radii = np.array(self.radii, dtype=float)
+        self.centers.flags.writeable = self.radii.flags.writeable = False
         if self.centers.size == 0 or self.radii.size == 0:
             raise EmptyRegion("ball family needs at least one center and one radius")
         if np.any(np.diff(self.radii) <= 0.0) or np.any(self.radii <= 0.0):
@@ -543,6 +580,21 @@ class BallFamily:
             for r in self.radii:
                 yield c, float(r)
 
+    def coverage(self, domain, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Cell coverage fractions (balls, ny * nx) of every ball on the
+        ny x nx cell grid over the 2D box ``domain``, and each ball's measure
+        (see :func:`_coverage`). Computed once per grid and kept on the
+        family, so every weight sampled on that grid shares one pass."""
+        key = (tuple(domain), tuple(shape))
+        if key not in self._coverage_cache:
+            (x0, x1), (y0, y1) = domain
+            ny, nx = shape
+            c, r = ball_grid(self.centers, self.radii)
+            frac, meas = _coverage(c, r, x0, x1, y0, y1, nx, ny)
+            frac.flags.writeable = meas.flags.writeable = False
+            self._coverage_cache[key] = frac, meas
+        return self._coverage_cache[key]
+
 
 # -- operations -------------------------------------------------------------
 
@@ -558,9 +610,9 @@ def aq_characteristic(w: Weight, q: float, fam: BallFamily, power: float = 1.0) 
     w.check_power_integrable(power)
     if q > 1.0:
         w.check_power_integrable(-power / (q - 1.0))
-        m, m_dual = w.means((power, -power / (q - 1.0)), fam.centers, fam.radii)
+        m, m_dual = w.means((power, -power / (q - 1.0)), fam)
         return first_sup(m * m_dual ** (q - 1.0))[0]
-    vals, = w.means((power,), fam.centers, fam.radii)
+    vals, = w.means((power,), fam)
     if power != 0.0:
         # A_1 branch: esssup of w^{-power} over each ball
         for i, (c, r) in enumerate(fam.balls()):
@@ -625,7 +677,7 @@ def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float,
              if not (w.kind == "power" and (1.0 + g) * w.alpha <= -w.n)]
     if not cands:
         return 0.0
-    m, *m_gs = w.means((1.0, *(1.0 + g for g in cands)), fam.centers, fam.radii)
+    m, *m_gs = w.means((1.0, *(1.0 + g for g in cands)), fam)
     best = 0.0
     for g, m_g in zip(cands, m_gs):
         if not np.any(m_g ** (1.0 / (1.0 + g)) > budget * m * (1.0 + 1e-12)):

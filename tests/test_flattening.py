@@ -193,12 +193,22 @@ class TestSupBallOscillation:
         w = self.weight()
         fam = BallFamily.default(DOM2, n_centers=5, n_radii=8)
         ref = self.two_pass(w, fam)
-        coverage = count_calls(monkeypatch, "_cell_coverage")
+        coverage = count_calls(monkeypatch, "_coverage")
         areas = count_calls(monkeypatch, "_disc_box_area")
         osc = _sup_ball_oscillation(w, fam)
         assert osc == ref and osc > 0.0
-        assert len(coverage) == 5 * 5 * 8
+        assert len(coverage) == 1 and coverage[0][1].size == 5 * 5 * 8
         assert areas == []  # every ball of the family meets the domain
+        # the audit's three uses of one family on one grid (both A_q
+        # characteristics and the oscillation) share one coverage pass
+        coverage.clear()
+        beta = Weight.power(0.1, (0.0, 0.0), DOM2)
+        pushforward_weight_audit(self.CHART, beta, CTX2, fam, shape=(16, 16))
+        assert [args[-2:] for args in coverage] == [(16, 16)]
+        # so do the three weights of the delta sweep, on a family of its own
+        coverage.clear()
+        oscillation_delta_sweep([0.05, 0.1, 0.2], CTX2, shape=(16, 16))
+        assert len(coverage) == 1
 
     def test_ball_outside_domain_skipped(self, monkeypatch):
         w = self.weight()

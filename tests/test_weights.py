@@ -1,21 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wparab import weights
 from wparab.errors import EmptyBall, EmptyRegion, NonIntegrable
 from wparab.weights import (
+    COVERAGE_BLOCK,
     _GL16_NODES,
     _GL16_WEIGHTS,
     BallFamily,
     Weight,
     WeightContext,
-    _cell_coverage,
+    _coverage,
     _disc_box_area,
     _interp_uniform,
     aq_characteristic,
+    ball_grid,
     check_beta_condition,
     doubling_eta,
     doubling_report,
@@ -475,8 +479,32 @@ class TestCellSampling2D:
         assert changed.any() and not changed.all()
 
 
+class TestPowerProfile2D:
+    CENTER = (0.3, -0.2)
+
+    @pytest.mark.parametrize("alpha", [-1.5, -0.3, 0.2, 1.7])
+    def test_matches_norm_bitwise(self, alpha):
+        w = Weight.power(alpha, self.CENTER, ((-1.0, 1.0), (-0.5, 1.5)), scale=1.3)
+        c = np.array(self.CENTER)
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([
+            rng.uniform(-1.0, 1.5, (4000, 2)),         # in and around the box
+            rng.normal(0.0, 1e3, (500, 2)),            # far away
+            c + rng.normal(0.0, 1e-160, (200, 2)),     # squares that underflow
+            np.array([self.CENTER, self.CENTER]),      # at the centre
+        ])
+        with np.errstate(divide="ignore"):
+            ref = 1.3 * np.linalg.norm(pts - c, axis=-1) ** alpha
+            got = w(pts)
+            grid = w(pts[:12].reshape(3, 4, 2))
+        assert np.array_equal(got, ref)
+        assert got[-1] == (math.inf if alpha < 0 else 0.0)
+        assert np.array_equal(grid, ref[:12].reshape(3, 4))
+
+
 def coverage_reference(c, r, x0, x1, y0, y1, nx, ny, sub=4):
-    """Reference for _cell_coverage: the mean of the boolean subcell test."""
+    """Reference for the coverage of one ball: the mean of the boolean
+    subcell test."""
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
     off = (np.arange(sub) + 0.5) / sub
     sub_x = x0 + (np.arange(nx)[:, None] + off[None, :]) * dx
@@ -485,6 +513,13 @@ def coverage_reference(c, r, x0, x1, y0, y1, nx, ny, sub=4):
     DY = (sub_y.reshape(ny, sub, 1, 1) - c[1]) ** 2
     inside = (DX + DY) <= r * r
     return inside.mean(axis=(1, 3))
+
+
+def cover_one(c, r, x0, x1, y0, y1, nx, ny):
+    """The kernel's coverage of a family of one ball, as an (ny, nx) grid."""
+    frac, meas = _coverage(np.asarray(c)[None, :], np.array([r]), x0, x1, y0, y1, nx, ny)
+    assert meas[0] == frac[0].sum()
+    return frac[0].reshape(ny, nx)
 
 
 class TestCellCoverage:
@@ -507,12 +542,17 @@ class TestCellCoverage:
     @pytest.mark.parametrize("n", [32, 40, 48, 64])
     def test_matches_boolean_mean_bitwise(self, n):
         x0, x1, y0, y1 = self.BOX
+        balls = self.probes(n)
+        assert len(balls) % COVERAGE_BLOCK != 0  # a short last block
+        c = np.array([b[0] for b in balls])
+        r = np.array([b[1] for b in balls])
         for ny, nx in ((n, n), (n, n // 2 + 3)):  # ny != nx catches a transpose
-            for c, r in self.probes(n):
-                got = _cell_coverage(c, r, x0, x1, y0, y1, nx, ny)
-                ref = coverage_reference(c, r, x0, x1, y0, y1, nx, ny)
-                assert got.shape == (ny, nx)
-                assert np.array_equal(got, ref), (c, r, nx, ny)
+            frac, meas = _coverage(c, r, x0, x1, y0, y1, nx, ny)
+            assert frac.shape == (len(balls), ny * nx) and meas.shape == (len(balls),)
+            for k, (ck, rk) in enumerate(balls):
+                ref = coverage_reference(ck, rk, x0, x1, y0, y1, nx, ny)
+                assert np.array_equal(frac[k].reshape(ny, nx), ref), (ck, rk, nx, ny)
+                assert meas[k] == ref.sum()
 
     def test_disc_box_area_matches_reference(self):
         x0, x1, y0, y1 = self.BOX
@@ -530,19 +570,68 @@ class TestCellCoverage:
     def test_radius_below_subcell_spacing(self):
         # a 4x4 grid on [0, 4]^2 has subcell centres at odd multiples of 1/8
         c = np.array([1.125, 2.375])
-        got = _cell_coverage(c, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4)
+        got = cover_one(c, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4)
         assert np.array_equal(got, coverage_reference(c, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4))
         assert got[2, 1] == 1.0 / 16.0 and got.sum() == 1.0 / 16.0
         # between subcell centres the same radius covers none
-        off = _cell_coverage(c + 0.125, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4)
+        off = cover_one(c + 0.125, 0.1, 0.0, 4.0, 0.0, 4.0, 4, 4)
         assert not off.any()
+        # the four subcell centres at distance exactly 0.25 count as inside
+        edge = cover_one(c, 0.25, 0.0, 4.0, 0.0, 4.0, 4, 4)
+        assert edge[2, 1] == 4.0 / 16.0 and edge[2, 0] == 1.0 / 16.0
+        assert edge.sum() == 5.0 / 16.0
 
     def test_ball_missing_the_box(self):
         x0, x1, y0, y1 = self.BOX
         c = np.array([x1 + 1.0, y1 + 1.0])
-        got = _cell_coverage(c, 0.5, x0, x1, y0, y1, 48, 48)
+        got = cover_one(c, 0.5, x0, x1, y0, y1, 48, 48)
         assert got.shape == (48, 48) and not got.any()
         assert _disc_box_area(c, 0.5, ((x0, x1), (y0, y1))) == 0.0
+
+    def test_family_coverage_once_per_grid(self, monkeypatch):
+        x0, x1, y0, y1 = self.BOX
+        dom = ((x0, x1), (y0, y1))
+        fam = BallFamily.default(dom, n_centers=3, n_radii=5)
+        passes = []
+        kernel = weights._coverage
+
+        def counted(*args):
+            passes.append(args[-2:])
+            return kernel(*args)
+
+        monkeypatch.setattr(weights, "_coverage", counted)
+        frac, meas = fam.coverage(dom, (12, 16))
+        assert fam.coverage(dom, (12, 16))[0] is frac
+        fam.coverage(dom, (16, 12))
+        assert passes == [(16, 12), (12, 16)]  # (nx, ny) of each grid, once
+        c, r = ball_grid(fam.centers, fam.radii)
+        assert np.array_equal(frac, kernel(c, r, x0, x1, y0, y1, 16, 12)[0])
+        # the stored coverage and the balls it was computed for are read-only
+        for arr in (frac, meas, fam.centers, fam.radii):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_family_copies_its_balls(self):
+        centers, radii = np.zeros((2, 2)), np.array([0.1, 0.2])
+        fam = BallFamily(centers, radii)
+        centers[0, 0] = radii[0] = 5.0  # the caller's arrays stay writable
+        assert fam.centers[0, 0] == 0.0 and fam.radii[0] == 0.1
+
+    def test_block_bounds_kernel_memory(self):
+        # 400 balls on a 64 x 64 grid: the (balls, cells) result is 13 MB,
+        # the inside test of all 400 balls at once would be 210 MB more
+        x0, x1, y0, y1 = self.BOX
+        fam = BallFamily.default(((x0, x1), (y0, y1)), n_centers=5, n_radii=16)
+        c, r = ball_grid(fam.centers, fam.radii)
+        assert r.size == 400
+        tracemalloc.start()
+        try:
+            frac, meas = _coverage(c, r, x0, x1, y0, y1, 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work = peak - frac.nbytes - meas.nbytes
+        assert work < 6e6, f"{work / 1e6:.1f} MB beyond the result"
 
 
 class TestMeans:
@@ -566,7 +655,7 @@ class TestMeans:
                  (np.full(w.n, 0.95), 1.2)]
         ps = self.PS
         for c, r in balls:
-            got = w.means(ps, c, r)
+            got = w.means(ps, BallFamily.centered(c, [r]))
             assert got.shape == (len(ps), 1)
             assert got[:, 0].tolist() == [w.mean(p, c, r) for p in ps]
             assert all(isinstance(w.mean(p, c, r), float) for p in ps)
@@ -579,18 +668,18 @@ class TestMeans:
             frac = coverage_reference(c, r, x0, x1, y0, y1, nx, ny)
             ref = [float(np.sum(w.samples ** p * frac)) / float(frac.sum())
                    for p in self.PS]
-            assert w.means(self.PS, c, r)[:, 0].tolist() == ref
+            assert w.means(self.PS, BallFamily.centered(c, [r]))[:, 0].tolist() == ref
 
     def test_empty_ball_raises(self):
         w = self.weights()[3]
         with pytest.raises(EmptyBall):
-            w.means((1.0, -1.0), np.array([5.0, 5.0]), 0.5)
+            w.means((1.0, -1.0), BallFamily.centered((5.0, 5.0), [0.5]))
         # a 1D ball far outside the domain, alone or inside a family
         w = Weight.power(0.3, 0.0, DOM)
         with pytest.raises(EmptyBall):
-            w.means((1.0,), 9.0, 0.5)
+            w.means((1.0,), BallFamily.centered(9.0, [0.5]))
         with pytest.raises(EmptyBall, match="9.0"):
-            w.means((1.0,), np.array([[0.0], [9.0]]), np.array([0.25, 0.5]))
+            w.means((1.0,), BallFamily(np.array([[0.0], [9.0]]), np.array([0.25, 0.5])))
 
     def test_2d_weight_paths_refused(self):
         # a 2D weight is sampled before any mean; A_1 and doubling take 1D
@@ -598,7 +687,7 @@ class TestMeans:
         power = Weight.power(0.2, (0.1, 0.3), dom2)
         sampled = self.weights()[3]
         with pytest.raises(ValueError, match="sample it first"):
-            power.means((1.0,), (0.1, 0.3), 0.5)
+            power.means((1.0,), BallFamily.centered((0.1, 0.3), [0.5]))
         fam = BallFamily.default(dom2, n_centers=2, n_radii=2)
         for w in (power, sampled):
             with pytest.raises(ValueError, match="1D weight"):
@@ -611,7 +700,7 @@ class TestMeans:
     @staticmethod
     def family(w):
         if w.n == 1:
-            return np.linspace(-1.0, 1.0, 7), np.geomspace(0.01, 1.5, 9)
+            return np.linspace(-1.0, 1.0, 7)[:, None], np.geomspace(0.01, 1.5, 9)
         return (np.array([[x, y] for x in (-1.0, 0.1, 0.9) for y in (-0.5, 0.4, 1.5)]),
                 np.array([0.05, 0.3, 1.2]))
 
@@ -620,7 +709,7 @@ class TestMeans:
         w = self.weights()[k]
         centers, radii = self.family(w)
         ps = self.PS
-        got = w.means(ps, centers, radii)
+        got = w.means(ps, BallFamily(centers, radii))
         ref, cond = means_per_ball(w, ps, centers, radii)
         assert got.shape == (len(ps), len(centers) * len(radii))
         if w.kind == "sampled":
