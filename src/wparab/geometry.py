@@ -262,14 +262,15 @@ class WeightedCylinder:
         """(a, b, s, e): the first spatial interval and the time interval."""
         return (*self.x_interval(0), *self.t_interval)
 
-    def contains(self, z: SpaceTimePoint, tol: float = 0.0) -> bool:
-        """Membership with closed comparisons on the boundary."""
-        for axis in range(len(self.z0.x)):
-            lo, hi = self.x_interval(axis)
-            if not lo - tol <= z.x[axis] <= hi + tol:
-                return False
+    def contains(self, x, t, tol=0.0) -> np.ndarray:
+        """Membership of the points (x, t) with closed comparisons on the
+        boundary, widened by ``tol``; broadcast over ``x``, ``t`` and
+        ``tol``."""
+        x, t, tol = (np.asarray(v, dtype=float) for v in (x, t, tol))
+        lo, hi = self.x_interval(0)
         t_lo, t_hi = self.t_interval
-        return t_lo - tol <= z.t <= t_hi + tol
+        return ((lo - tol <= x) & (x <= hi + tol)
+                & (t_lo - tol <= t) & (t <= t_hi + tol))
 
 
 @dataclass(frozen=True)
@@ -412,65 +413,48 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
     C_r(z0) is within quasi-distance 2r of z0.
     """
     nx, nt = lattice
-    q = WeightedCylinder(z0, r, beta, ctx, variant="Q")
-    c2 = WeightedCylinder(z0, 2.0 * r, beta, ctx, variant="C")
-    c1 = WeightedCylinder(z0, r, beta, ctx, variant="C")
     x0 = z0.x[0]
-
-    def lattice_points(cyl: WeightedCylinder) -> tuple[np.ndarray, np.ndarray]:
-        xlo, xhi = cyl.x_interval(0)
-        tlo, thi = cyl.t_interval
-        gx = np.linspace(xlo, xhi, nx)
-        gt = np.linspace(tlo, thi, nt)
-        mx, mt = np.meshgrid(gx, gt)
-        return mx.ravel(), mt.ravel()
-
     failures: list[dict] = []
 
+    def lattice_rho(xlo, xhi, tlo, thi):
+        """The nx x nt lattice of a box and its quasi-distances to z0."""
+        mx, mt = np.meshgrid(np.linspace(xlo, xhi, nx), np.linspace(tlo, thi, nt))
+        px, pt = mx.ravel(), mt.ravel()
+        return px, pt, quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
+                                            np.full_like(pt, z0.t), ctx)
+
+    def n_farther(cyl: WeightedCylinder, bound: float, relation: str) -> int:
+        """Lattice points of ``cyl`` farther than ``bound`` from z0; the
+        farthest one goes to ``failures``."""
+        px, pt, d = lattice_rho(*cyl.region())
+        n_bad = int(np.sum(d > bound * (1.0 + tol)))
+        if n_bad:
+            i = int(np.argmax(d))
+            failures.append({"relation": relation, "x": float(px[i]),
+                             "t": float(pt[i]), "rho": float(d[i])})
+        return n_bad
+
     # Q_r(z0) subset {rho <= r}
-    px, pt = lattice_points(q)
-    d = quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
-                             np.full_like(pt, z0.t), ctx)
-    bad = d > r * (1.0 + tol)
-    n_bad_1 = int(np.sum(bad))
-    if n_bad_1:
-        i = int(np.argmax(d))
-        failures.append({"relation": "cylinder-in-ball", "x": float(px[i]),
-                         "t": float(pt[i]), "rho": float(d[i])})
-
-    # {rho <= r} subset closure(C_{2r}(z0)): lattice the candidate region
-    sx = np.linspace(x0 - r, x0 + r, nx)
-    stt = np.linspace(q.t_interval[0], c2.t_interval[1], nt)
-    mx, mt = np.meshgrid(sx, stt)
-    px, pt = mx.ravel(), mt.ravel()
-    d = quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
-                             np.full_like(pt, z0.t), ctx)
-    inside_ball = d <= r * (1.0 + tol)
-    n_bad_2 = 0
-    for xx, tt in zip(px[inside_ball], pt[inside_ball]):
-        if not c2.contains(SpaceTimePoint([xx], tt), tol=tol * max(1.0, abs(tt))):
-            n_bad_2 += 1
-            failures.append({"relation": "ball-in-centered", "x": float(xx),
-                             "t": float(tt)})
+    n_bad_1 = n_farther(WeightedCylinder(z0, r, beta, ctx, variant="Q"), r,
+                        "cylinder-in-ball")
+    # {rho <= r} subset closure(C_{2r}(z0)): lattice B_r(x0) over twice the
+    # time span of C_{2r}, so that points outside C_{2r} are tested too
+    c2 = WeightedCylinder(z0, 2.0 * r, beta, ctx, variant="C")
+    px, pt, d = lattice_rho(x0 - r, x0 + r, z0.t - c2.h, z0.t + c2.h)
+    out = (d <= r * (1.0 + tol)) & ~c2.contains(
+        px, pt, tol=tol * np.maximum(1.0, np.abs(pt)))
+    n_bad_2 = int(np.count_nonzero(out))
+    failures += [{"relation": "ball-in-centered", "x": float(xx), "t": float(tt)}
+                 for xx, tt in zip(px[out], pt[out])]
     # C_r(z0): all points within quasi-distance 2r
-    px, pt = lattice_points(c1)
-    d = quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
-                             np.full_like(pt, z0.t), ctx)
-    bad = d > 2.0 * r * (1.0 + tol)
-    n_bad_3 = int(np.sum(bad))
-    if n_bad_3:
-        i = int(np.argmax(d))
-        failures.append({"relation": "centered-within-2r", "x": float(px[i]),
-                         "t": float(pt[i]), "rho": float(d[i])})
+    n_bad_3 = n_farther(WeightedCylinder(z0, r, beta, ctx, variant="C"), 2.0 * r,
+                        "centered-within-2r")
 
-    rows = [
-        AuditRow(label="cylinder-in-ball", lhs=float(n_bad_1), rhs=0.0,
-                 constant=float(n_bad_1), budget=0.0, passed=n_bad_1 == 0),
-        AuditRow(label="ball-in-centered-cylinder", lhs=float(n_bad_2), rhs=0.0,
-                 constant=float(n_bad_2), budget=0.0, passed=n_bad_2 == 0),
-        AuditRow(label="centered-cylinder-within-2r", lhs=float(n_bad_3), rhs=0.0,
-                 constant=float(n_bad_3), budget=0.0, passed=n_bad_3 == 0),
-    ]
+    rows = [AuditRow(label=label, lhs=float(n), rhs=0.0, constant=float(n),
+                     budget=0.0, passed=n == 0)
+            for label, n in (("cylinder-in-ball", n_bad_1),
+                             ("ball-in-centered-cylinder", n_bad_2),
+                             ("centered-cylinder-within-2r", n_bad_3))]
     return AuditReport.from_rows(
         "cylinder-ball-relations", rows,
         params={"r": r, "z0": [list(z0.x), z0.t], "lattice": list(lattice),

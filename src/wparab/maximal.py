@@ -246,19 +246,15 @@ def five_rho_cover_audit(family: CoveringFamily, beta: Weight, ctx: WeightContex
                 overlaps += 1
     dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r, beta, ctx, variant="C")
                for i in family.selected]
-    dil_extents = [d.region() for d in dilated]
+    # each lattice point (cylinder, x, t) against each dilated cylinder
+    a, b, s, e = np.array([c.region() for c in cyls]).reshape(-1, 4).T
+    da, db, ds, de = np.array([d.region() for d in dilated]).reshape(-1, 4).T
     nx, nt = lattice
-    uncovered = 0
-    for cyl in cyls:
-        a, b, s, e = cyl.region()
-        gx = np.linspace(a, b, nx)
-        gt = np.linspace(s, e, nt)
-        for xx in gx:
-            for tt in gt:
-                hit = any(da <= xx <= db and ds <= tt <= de
-                          for da, db, ds, de in dil_extents)
-                if not hit:
-                    uncovered += 1
+    gx = np.linspace(a, b, nx, axis=-1)[:, :, None, None]
+    gt = np.linspace(s, e, nt, axis=-1)[:, None, :, None]
+    in_x = (da <= gx) & (gx <= db)
+    in_t = (ds <= gt) & (gt <= de)
+    uncovered = int(np.count_nonzero(~(in_x & in_t).any(axis=-1)))
     rows = [
         AuditRow(label="selected-pairwise-disjoint", lhs=float(overlaps), rhs=0.0,
                  constant=float(overlaps), budget=0.0, passed=overlaps == 0),

@@ -63,8 +63,9 @@ def theta_A_ms(A_fun, z0, r: float, h: float, mask, n_space: int = 33,
                n_time: int = 17) -> float:
     """Squared partial mean oscillation of the matrix on one cylinder.
 
-    The cylinder Q_{r,beta}(z0) is B_r(x0) times (t0 - h, t0], where h is the
-    weight's cylinder height h_{x0}(r) (``geometry.height``).
+    The cylinder Q_{r,beta}(z0) is B_r(x0) times (t0 - h, t0], with
+    z0 = (x0, t0), where h is the weight's cylinder height h_{x0}(r)
+    (``geometry.height``).
 
     ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
     ``A_fun(xs[None, :], ts[:, None])`` on the space and time nodes, and
@@ -75,8 +76,8 @@ def theta_A_ms(A_fun, z0, r: float, h: float, mask, n_space: int = 33,
     B_r(x0) ∩ Omega, and the squared Frobenius deviation is averaged over
     the clipped cylinder.
     """
-    x0 = np.atleast_1d(np.asarray(z0[0] if isinstance(z0, tuple) else z0.x, float))
-    t0 = float(z0[1] if isinstance(z0, tuple) else z0.t)
+    x0 = np.atleast_1d(np.asarray(z0[0], float))
+    t0 = float(z0[1])
     x_lo, x_hi, t_lo, t_hi = mask
     a = max(x0[0] - r, x_lo)
     b = min(x0[0] + r, x_hi)

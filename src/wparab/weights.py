@@ -83,9 +83,10 @@ class Weight:
     kind='sampled' : cell values (midpoint rule) or node values (trapezoid
                      rule) on a uniform grid over the domain; zero outside.
 
-    Every 1D mass goes through :meth:`mass_1d_vec`. A 2D weight is sampled
-    (:meth:`from_function_2d`) before any mean is taken; the A_1 branch and
-    the doubling audit take 1D weights only.
+    Every 1D mass goes through :meth:`mass_1d_vec`, which reads a sampled
+    weight's masses from one table per exponent (:meth:`_cum_1d`). A 2D
+    weight is sampled (:meth:`from_function_2d`) before any mean is taken;
+    the A_1 branch and the doubling audit take 1D weights only.
     """
 
     kind: str
@@ -234,28 +235,25 @@ class Weight:
     # -- 1D mass machinery ---------------------------------------------------
 
     def _cum_1d(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cell edges, cumulative masses of w^p at the edges, and the slopes
-        of the cumulative masses on each cell (midpoint rule)."""
+        """Grid, masses ``cum[k]`` of w^p over [lo, grid[k]], and slopes of
+        the table the rule interpolates: cell edges, ``samples ** p * dx``
+        sums and the slopes of ``cum`` (midpoint rule); nodes, GL16 sums of
+        the full cells and the slopes of w itself (trapezoid rule)."""
         key = ("cum", p)
         if key not in self._cum_cache:
             (lo, hi), = self.domain
-            nc = self.samples.size
-            edges = np.linspace(lo, hi, nc + 1)
-            dx = (hi - lo) / nc
-            cum = np.concatenate([[0.0], np.cumsum(self.samples ** p * dx)])
-            self._cum_cache[key] = (edges, cum, _slopes(edges, cum))
-        return self._cum_cache[key]
-
-    def _trapezoid_cells(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, slopes of the linear interpolant between them, and the
-        GL16 integral of w^p over each full cell (trapezoid rule)."""
-        key = ("gl16", p)
-        if key not in self._cum_cache:
-            (lo, hi), = self.domain
-            nodes = np.linspace(lo, hi, self.samples.size)
-            slopes = _slopes(nodes, self.samples)
-            full = self._gl16(p, nodes[:-1], nodes[1:], nodes, slopes)
-            self._cum_cache[key] = (nodes, slopes, full)
+            if self.quadrature == "midpoint":
+                nc = self.samples.size
+                grid = np.linspace(lo, hi, nc + 1)
+                dx = (hi - lo) / nc
+                cum = np.concatenate([[0.0], np.cumsum(self.samples ** p * dx)])
+                slopes = _slopes(grid, cum)
+            else:
+                grid = np.linspace(lo, hi, self.samples.size)
+                slopes = _slopes(grid, self.samples)
+                full = self._gl16(p, grid[:-1], grid[1:], grid, slopes)
+                cum = np.concatenate([[0.0], np.cumsum(full)])
+            self._cum_cache[key] = (grid, cum, slopes)
         return self._cum_cache[key]
 
     def _gl16(self, p: float, aa: np.ndarray, bb: np.ndarray, nodes: np.ndarray,
@@ -267,27 +265,19 @@ class Weight:
         return half * np.sum(_GL16_WEIGHTS * lin ** p, axis=-1)
 
     def _trapezoid_masses(self, p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Masses of w^p over [a, b] inside the domain, summed cell by cell.
-
-        Each interval adds its first (partial) cell, then every full cell,
-        then its last (partial) cell, in that order; a full cell's GL16
-        value is the same number for every interval that covers it.
-        """
-        nodes, slopes, full = self._trapezoid_cells(p)
-        last_cell = full.size - 1
-        hit = ~(a >= b)  # a NaN endpoint goes through and gives NaN
-        i0 = np.minimum(np.searchsorted(nodes, a, side="right") - 1, last_cell)
-        i1 = np.maximum(np.searchsorted(nodes, b, side="left") - 1, 0)
-        span = np.where(hit, i1 - i0, 0)
+        """Masses of w^p over [a, b] inside the domain (trapezoid rule): one
+        GL16 integral for an interval inside one cell, else GL16 over its
+        part of the first cell, plus ``cum[i1] - cum[i0 + 1]`` for the full
+        cells between, plus GL16 over its part of the last cell."""
+        nodes, cum, slopes = self._cum_1d(p)
+        i0 = np.minimum(_locate(a, nodes), nodes.size - 2)
+        # the cell left of b, so that a b on a node ends the cell before it
+        i1 = _locate(b, nodes)
+        i1 = np.maximum(i1 - (b == nodes[i1]), 0)
         first = self._gl16(p, a, np.minimum(b, nodes[i0 + 1]), nodes, slopes)
-        total = np.where(hit, first, 0.0)
-        steps = int(span.max(initial=0))
-        if steps:
-            last = self._gl16(p, np.maximum(a, nodes[i1]), b, nodes, slopes)
-            for m in range(1, steps + 1):
-                inner = full[np.minimum(i0 + m, last_cell)]
-                total += np.where(m < span, inner, np.where(m == span, last, 0.0))
-        return total
+        last = self._gl16(p, np.maximum(a, nodes[i1]), b, nodes, slopes)
+        total = np.where(i1 > i0, first + (cum[i1] - cum[i0 + 1]) + last, first)
+        return np.where(a >= b, 0.0, total)
 
     def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray,
                     clip: bool = True) -> np.ndarray:
@@ -300,18 +290,14 @@ class Weight:
         # flat arrays: the sampled kernels index them, and a scalar interval
         # takes the same array loops (and bits) as a one-element call
         a, b = a.ravel(), b.ravel()
+        if clip or self.kind == "sampled":
+            (lo, hi), = self.domain
+            a, b = np.maximum(a, lo), np.minimum(b, hi)
+            b = np.maximum(a, b)
         if self.kind == "power":
-            if clip:
-                (lo, hi), = self.domain
-                a, b = np.maximum(a, lo), np.minimum(b, hi)
-                b = np.maximum(a, b)
             out = (self.scale ** p
                    * power_interval_integral(a, b, self.center[0], p * self.alpha))
-            return out.reshape(shape)
-        (lo, hi), = self.domain
-        a, b = np.maximum(a, lo), np.minimum(b, hi)
-        b = np.maximum(a, b)
-        if self.quadrature == "midpoint":
+        elif self.quadrature == "midpoint":
             edges, cum, slopes = self._cum_1d(p)
             out = (_interp_uniform(b, edges, cum, slopes)
                    - _interp_uniform(a, edges, cum, slopes))
@@ -420,24 +406,32 @@ def _slopes(xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return np.append((fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]), 0.0)
 
 
-def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
-                    slopes: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp)`` bit for bit, for uniformly spaced ``xp``.
-
-    The cell is located arithmetically and corrected by one step in each
-    direction against ``xp``, so no binary search runs. The value is
-    numpy's own ``slopes[j] * (x - xp[j]) + fp[j]``; ``x`` is clipped to
-    ``xp``, and the zero slope of ``_slopes`` past ``xp[-1]`` gives
-    ``fp[-1]`` there. ``fp`` must be finite and ``xp`` hold at least two
-    nodes; a NaN in ``x`` gives NaN, as in ``np.interp``.
-    """
+def _locate(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(xp, x, side="right") - 1`` for uniformly spaced
+    ``xp`` (two nodes or more) and ``x`` in [xp[0], xp[-1]], without a
+    binary search: an arithmetic guess corrected by one step each way. A
+    NaN in ``x`` gets some index in range."""
     nc = xp.size - 1
-    x = np.clip(x, xp[0], xp[-1])
     with np.errstate(invalid="ignore"):
         j = ((x - xp[0]) * (nc / (xp[-1] - xp[0]))).astype(np.intp)
     np.clip(j, 0, nc - 1, out=j)
     j -= x < xp[j]
     j += x >= xp[1:][j]
+    return j
+
+
+def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
+                    slopes: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` bit for bit, for uniformly spaced ``xp``.
+
+    The value is numpy's own ``slopes[j] * (x - xp[j]) + fp[j]`` on the cell
+    :func:`_locate` finds; ``x`` is clipped to ``xp``, and the zero slope of
+    ``_slopes`` past ``xp[-1]`` gives ``fp[-1]`` there. ``fp`` must be
+    finite and ``xp`` hold at least two nodes; a NaN in ``x`` gives NaN, as
+    in ``np.interp``.
+    """
+    x = np.clip(x, xp[0], xp[-1])
+    j = _locate(x, xp)
     out = x - xp[j]
     out *= slopes[j]
     out += fp[j]

@@ -495,6 +495,28 @@ class TestCylinders:
     def test_boundary_point_counts_as_inside(self):
         w = Weight.constant(1.0, DOM)
         cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w, CTX)
-        assert cyl.contains(SpaceTimePoint([0.5], 0.0))
-        assert cyl.contains(SpaceTimePoint([0.0], -0.25))
+        assert cyl.contains(0.5, 0.0)
+        assert cyl.contains(0.0, -0.25)
+        # broadcast over the points, with a per-point tolerance
+        got = cyl.contains(np.array([0.5, 0.5 + 1e-9, 0.0, 0.0]),
+                           np.array([0.0, 0.0, -0.25 - 1e-9, 0.1]),
+                           tol=np.array([0.0, 0.0, 2e-9, 0.0]))
+        assert got.tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("w", [Weight.constant(1.0, DOM),
+                                   Weight.power(0.5, 0.0, DOM)],
+                             ids=["identity", "power"])
+    def test_relations_fail_on_a_wrong_distance(self, w, monkeypatch):
+        # a distance three times too large puts cylinder points outside
+        # the ball; one three times too small puts ball points outside
+        # C_{2r}: each row fails under one of them
+        exact = geometry.quasi_distance_batch
+        failed = set()
+        for factor in (3.0, 1.0 / 3.0):
+            monkeypatch.setattr(geometry, "quasi_distance_batch",
+                                lambda *args, f=factor: f * exact(*args))
+            rep = cylinder_relations_audit(w, SpaceTimePoint([0.1], 0.0), 0.3, CTX)
+            failed |= {row.label for row in rep.rows if not row.passed}
+        assert failed == {"cylinder-in-ball", "ball-in-centered-cylinder",
+                          "centered-cylinder-within-2r"}
 

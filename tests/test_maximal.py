@@ -372,6 +372,53 @@ class TestVitali:
                        and _rect_intersect(c.region(), cyls[j].region())
                        for j in fam.selected), f"cylinder {i} uncovered"
 
+    @staticmethod
+    def uncovered_per_point(fam, beta, lattice=(7, 7)) -> int:
+        """Reference count: each lattice point of each cylinder against each
+        selected cylinder dilated to five times its radius, one at a time."""
+        dilated = [WeightedCylinder(fam.cylinders[i].z0, 5.0 * fam.cylinders[i].r,
+                                    beta, CTX, variant="C").region()
+                   for i in fam.selected]
+        count = 0
+        for cyl in fam.cylinders:
+            a, b, s, e = cyl.region()
+            for xx in np.linspace(a, b, lattice[0]):
+                for tt in np.linspace(s, e, lattice[1]):
+                    count += not any(da <= xx <= db and ds <= tt <= de
+                                     for da, db, ds, de in dilated)
+        return count
+
+    def test_uncovered_cylinder_fails(self):
+        # only the first cylinder is selected; its 5x dilation covers part
+        # of the second cylinder in x and none of the third
+        beta = Weight.power(0.3, 0.0, (-1.0, 1.0))
+        cyls = [self.cyl(-0.5, -0.5, 0.05, beta), self.cyl(-0.27, -0.5, 0.05, beta),
+                self.cyl(0.5, -0.5, 0.05, beta)]
+        fam = CoveringFamily(cylinders=cyls, selected=[0], discarded=[1, 2])
+        rep = five_rho_cover_audit(fam, beta, CTX)
+        row = {r.label: r for r in rep.rows}["five-rho-cover"]
+        expected = self.uncovered_per_point(fam, beta)
+        assert 49 < expected < 98  # all of the third, part of the second
+        assert not row.passed and row.lhs == expected
+        # nothing selected: every lattice point is uncovered
+        rep = five_rho_cover_audit(CoveringFamily(cyls, [], [0, 1, 2]), beta, CTX)
+        assert rep.rows[1].lhs == 3 * 49 == self.uncovered_per_point(
+            CoveringFamily(cyls, [], [0, 1, 2]), beta)
+
+    def test_cover_count_matches_per_point_loop(self):
+        beta = Weight.power(-0.4, 0.1, (-1.0, 1.0))
+        rng = np.random.default_rng(31)
+        cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
+                         rng.uniform(0.02, 0.1), beta) for _ in range(30)]
+        fam = vitali_select(cyls, beta)
+        counts = []
+        for sel in (fam.selected, fam.selected[::2], fam.selected[:1]):
+            part = CoveringFamily(cyls, sel, [])
+            rep = five_rho_cover_audit(part, beta, CTX, lattice=(5, 6))
+            counts.append(self.uncovered_per_point(part, beta, (5, 6)))
+            assert rep.rows[1].lhs == counts[-1]
+        assert counts[0] == 0 < counts[1] < counts[2]
+
     def test_permutation_invariance_up_to_radius_ties(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         rng = np.random.default_rng(29)

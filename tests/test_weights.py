@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,10 +173,51 @@ def trapezoid_mass_reference(w: Weight, p: float, a: float, b: float) -> float:
     return total
 
 
+def trapezoid_tolerance(w: Weight, p: float, a: float, b: float) -> float:
+    """Allowed gap between a trapezoid mass and the per-interval loop.
+
+    Zero for an interval inside one cell, degenerate, outside the domain or
+    with a NaN endpoint: the kernel takes those from one GL16 integral, as
+    the loop does. An interval with a node strictly inside it adds its full
+    cells as ``cum[i1] - cum[i0 + 1]``, with ``cum[i1]`` the mass over
+    [lo, last node inside]; the rounding of those two table values plus
+    that of the loop's sequential sum stays within 4 eps cum[i1].
+    """
+    (lo, hi), = w.domain
+    a, b = max(a, lo), min(b, hi)
+    nodes = np.linspace(lo, hi, w.samples.size)
+    inner = nodes[(nodes > a) & (nodes < b)]
+    if inner.size == 0:
+        return 0.0
+    return 4.0 * np.finfo(float).eps * trapezoid_mass_reference(w, p, lo, inner[-1])
+
+
+def trapezoid_exact_mass(w: Weight, p: int, a: float, b: float) -> Fraction:
+    """Closed-form integral of the p-th power (p = 1 or 2) of the linear
+    interpolant of the nodes over [a, b] inside the domain, in rational
+    arithmetic: the integral of a linear f over [u, v] is
+    (v - u)(f(u) + f(v))/2, and that of f^2 is (v - u)(f(u)^2 + f(u) f(v)
+    + f(v)^2)/3."""
+    (lo, hi), = w.domain
+    nodes = [Fraction(x) for x in np.linspace(lo, hi, w.samples.size)]
+    ys = [Fraction(y) for y in w.samples]
+    a, b = Fraction(max(a, lo)), Fraction(min(b, hi))
+    total = Fraction(0)
+    for x0, x1, y0, y1 in zip(nodes, nodes[1:], ys, ys[1:]):
+        u, v = max(a, x0), min(b, x1)
+        if u >= v:
+            continue
+        fu, fv = (y0 + (y1 - y0) * (z - x0) / (x1 - x0) for z in (u, v))
+        total += (v - u) * ((fu + fv) / 2 if p == 1 else (fu * fu + fu * fv + fv * fv) / 3)
+    return total
+
+
 class TestTrapezoidMasses:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n_nodes", [2, 3, 65])
     def test_same_bits_as_per_interval_loop(self, p, n_nodes):
+        """Bit for bit where the kernel takes one GL16 integral, and within
+        :func:`trapezoid_tolerance` where it reads the cumulative table."""
         rng = np.random.default_rng(n_nodes)
         domain = (-0.3, 1.9)
         w = Weight.sampled(rng.lognormal(0.0, 1.0, n_nodes), domain,
@@ -188,16 +230,56 @@ class TestTrapezoidMasses:
             nodes, nodes,               # intervals starting on a node
             [domain[0] - 1.0, domain[1] + 0.5, domain[0] - 2.0],  # outside
             [0.4, 0.4, domain[0]],      # degenerate: a == b, a > b, a == b == lo
+            [np.nan, 0.2, np.nan],      # NaN endpoints
         ])
         b = np.concatenate([
             a_rand + rng.uniform(0.0, 0.8 * width, 300),
             np.roll(nodes, -1), nodes + 0.37 * width,
             [domain[1] + 1.0, domain[1] + 0.7, domain[0] - 1.0],
             [0.4, 0.1, domain[0]],
+            [0.5, np.nan, np.nan],
         ])
         vec = w.mass_1d_vec(p, a, b)
-        ref = [trapezoid_mass_reference(w, p, aa, bb) for aa, bb in zip(a, b)]
-        assert np.array_equal(vec, ref)
+        ref = np.array([trapezoid_mass_reference(w, p, aa, bb) for aa, bb in zip(a, b)])
+        tol = np.array([trapezoid_tolerance(w, p, aa, bb) for aa, bb in zip(a, b)])
+        one_step = tol == 0.0
+        assert np.isnan(vec[-3:]).all()
+        assert np.array_equal(vec[one_step], ref[one_step], equal_nan=True)
+        assert np.all(np.abs(vec - ref)[~one_step] <= tol[~one_step])
+        if n_nodes > 2:
+            assert (~one_step).sum() > 100  # the table is exercised
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_exact_for_linear_interpolant(self, p):
+        """GL16 integrates polynomials of degree <= 31 exactly, so for p = 1
+        and 2 only rounding separates a mass from the closed form. Its
+        condition has two factors: rounding moves a GL16 abscissa x by
+        eps |x|, which moves w^p by p |x| |w'| / w relative; and a table
+        read adds and subtracts two cumulative masses up to the last node
+        inside the interval."""
+        rng = np.random.default_rng(5)
+        domain = (-0.3, 1.9)
+        w = Weight.sampled(rng.lognormal(0.0, 0.5, 33), domain,
+                           quadrature="trapezoid")
+        nodes = np.linspace(*domain, 33)
+        h = nodes[1] - nodes[0]
+        cell = rng.integers(0, 32, 100)
+        inside = nodes[cell, None] + np.sort(rng.uniform(0.0, h, (100, 2)), axis=1)
+        starts = rng.uniform(domain[0], domain[1] - 0.2, 100)
+        i, j = np.sort(rng.integers(0, 33, (2, 100)), axis=0)
+        a = np.concatenate([inside[:, 0], starts, nodes[i], [domain[0]]])
+        b = np.concatenate([inside[:, 1], starts + rng.uniform(0.1, 2.0, 100),
+                            nodes[j], [domain[1]]])
+        got = w.mass_1d_vec(float(p), a, b)
+        slope = np.abs(np.diff(w.samples) / np.diff(nodes)).max()
+        cond_x = 1.0 + p * max(map(abs, domain)) * slope / w.samples.min()
+        for g, aa, bb in zip(got, a, b):
+            exact = trapezoid_exact_mass(w, p, aa, bb)
+            inner = nodes[(nodes > aa) & (nodes < bb)]
+            table = (2 * trapezoid_exact_mass(w, p, domain[0], inner[-1])
+                     if inner.size else 0)
+            bound = 2 * np.finfo(float).eps * cond_x * float(exact + table)
+            assert abs(Fraction(g) - exact) <= bound, (aa, bb)
 
 
 class TestAqCharacteristic:
@@ -710,14 +792,11 @@ class TestMeans:
         centers, radii = self.family(w)
         ps = self.PS
         got = w.means(ps, BallFamily(centers, radii))
-        ref, cond = means_per_ball(w, ps, centers, radii)
+        ref, tol = means_per_ball(w, ps, centers, radii)
         assert got.shape == (len(ps), len(centers) * len(radii))
-        if w.kind == "sampled":
-            assert np.array_equal(got, ref)
-        else:
-            # numpy's array pow and the scalar pow may differ in the last
-            # bit, which the closed form's difference amplifies by cond
-            assert np.all(np.abs(got - ref) <= 1e-14 * cond * np.abs(ref))
+        exact = tol == 0.0
+        assert np.array_equal(got[exact], ref[exact])
+        assert np.all(np.abs(got - ref) <= tol)
 
 
 def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -726,26 +805,30 @@ def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarra
     midpoint weight, the per-cell loop for a trapezoid one, the closed form
     for a 1D power weight, the reference coverage for a 2D sampled one).
 
-    Also returns each mean's condition number: 1, or for a 1D power weight
-    (|F(a)| + |F(b)|) / |F(b) - F(a)| with F the antiderivative, the factor
-    by which a last-bit change in F moves the mass.
+    Also returns each mean's allowed gap; zero means the same bits.
+    - A 1D power weight: numpy's array pow and the scalar pow may differ in
+      the last bit, which the closed form's difference F(b) - F(a)
+      amplifies by its condition (|F(a)| + |F(b)|) / |F(b) - F(a)|.
+    - A trapezoid weight: :func:`trapezoid_tolerance` of the mass over the
+      ball's measure, plus one rounding of the division.
     """
-    rows, conds = [], []
+    eps = np.finfo(float).eps
+    rows, tols = [], []
     for c in np.asarray(centers, dtype=float).reshape(-1, w.n):
         for r in radii:
-            r, cond = float(r), [1.0] * len(ps)
+            r, gaps = float(r), [0.0] * len(ps)
             if w.n == 1:
                 (lo, hi), = w.domain
                 a, b = max(c[0] - r, lo), min(c[0] + r, hi)
                 meas = b - a
                 if w.kind == "power":
-                    cx, masses, cond = w.center[0], [], []
+                    cx, masses, gaps = w.center[0], [], []
                     for p in ps:
                         q = p * w.alpha
                         masses.append(w.scale ** p * float(
                             power_interval_integral(a, b, cx, q)))
                         ends = (abs(a - cx) ** (q + 1) + abs(b - cx) ** (q + 1)) / (q + 1)
-                        cond.append(w.scale ** p * ends / abs(masses[-1]))
+                        gaps.append(1e-14 * w.scale ** p * ends / meas)
                 elif w.quadrature == "midpoint":
                     masses = []
                     for p in ps:
@@ -754,6 +837,9 @@ def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarra
                                             - np.interp(a, edges, cum)))
                 else:
                     masses = [trapezoid_mass_reference(w, p, a, b) for p in ps]
+                    gaps = [trapezoid_tolerance(w, p, a, b) / meas for p in ps]
+                    gaps = [g + eps * m / meas if g else 0.0
+                            for g, m in zip(gaps, masses)]
             else:
                 (x0, x1), (y0, y1) = w.domain
                 ny, nx = w.samples.shape
@@ -761,8 +847,8 @@ def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarra
                 meas = float(frac.sum())
                 masses = [float(np.sum(w.samples ** p * frac)) for p in ps]
             rows.append([m / meas for m in masses])
-            conds.append(cond)
-    return np.array(rows).T, np.array(conds).T
+            tols.append(gaps)
+    return np.array(rows).T, np.array(tols).T
 
 
 def count_kernel_calls(monkeypatch) -> list[int]:
