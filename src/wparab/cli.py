@@ -178,7 +178,7 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen, ctx)
     f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen, ctx)
     prob = FrozenProblem(beta_bar=beta_bar, a_bar=1.0,
-                         x_span=f_outer.x_interval(0), t_span=f_outer.t_interval,
+                         x_span=f_outer.x_interval, t_span=f_outer.t_interval,
                          nx=48, nt=48)
     v = solve_frozen(prob, lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
     reports.append(lipschitz_audit(v, f_inner, f_outer, beta_bar,

@@ -251,23 +251,24 @@ class WeightedCylinder:
             return (t0 - 0.5 * self.h, t0 + 0.5 * self.h)
         return (t0 - self.h, t0)
 
-    def x_interval(self, axis: int = 0) -> tuple[float, float]:
-        c = self.z0.x[axis]
+    @property
+    def x_interval(self) -> tuple[float, float]:
+        c = self.z0.x[0]
         lo, hi = c - self.r, c + self.r
-        if self.variant == "Q+" and axis == len(self.z0.x) - 1:
+        if self.variant == "Q+":
             lo = max(lo, 0.0)
         return (lo, hi)
 
     def region(self) -> tuple[float, float, float, float]:
-        """(a, b, s, e): the first spatial interval and the time interval."""
-        return (*self.x_interval(0), *self.t_interval)
+        """(a, b, s, e): the spatial interval and the time interval."""
+        return (*self.x_interval, *self.t_interval)
 
     def contains(self, x, t, tol=0.0) -> np.ndarray:
         """Membership of the points (x, t) with closed comparisons on the
         boundary, widened by ``tol``; broadcast over ``x``, ``t`` and
         ``tol``."""
         x, t, tol = (np.asarray(v, dtype=float) for v in (x, t, tol))
-        lo, hi = self.x_interval(0)
+        lo, hi = self.x_interval
         t_lo, t_hi = self.t_interval
         return ((lo - tol <= x) & (x <= hi + tol)
                 & (t_lo - tol <= t) & (t <= t_hi + tol))

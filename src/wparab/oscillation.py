@@ -48,6 +48,15 @@ class OscillationConfig:
         return np.geomspace(r_min, self.R0 * (1.0 - 1e-9), self.n_radii)
 
 
+# Cylinders per theta_A_ms pass in oscillation_supremum. At the default
+# 17 x 33 nodes a scalar coefficient takes 4.5 KB per cylinder and node
+# array, so 32 cylinders keep a pass's traced peak near 0.5 MB (1 MB at 64,
+# 23 MB for the whole 1,632-cylinder lattice at once). On a 2-vCPU VM the
+# power-weight supremum took 12-23 ms at 32 to 128 cylinders a pass and
+# 28-29 ms at 256.
+CYLINDER_BLOCK = 32
+
+
 def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     """Ball-wise squared weighted mean oscillation of the weight.
 
@@ -59,61 +68,71 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     return max(b * b_inv - 1.0, 0.0)
 
 
-def theta_A_ms(A_fun, z0, r: float, h: float, mask, n_space: int = 33,
-               n_time: int = 17) -> float:
-    """Squared partial mean oscillation of the matrix on one cylinder.
+def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
+    """Squared partial mean oscillation of the matrix on a batch of cylinders.
 
     The cylinder Q_{r,beta}(z0) is B_r(x0) times (t0 - h, t0], with
     z0 = (x0, t0), where h is the weight's cylinder height h_{x0}(r)
-    (``geometry.height``).
+    (``geometry.height``). The centres ``x0`` (their one coordinate on the
+    last axis), ``t0``, ``r`` and ``h`` broadcast over cylinders.
 
     ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
-    ``A_fun(xs[None, :], ts[:, None])`` on the space and time nodes, and
-    returns a scalar field that broadcasts to (n_time, n_space) or a matrix
-    field of shape (n_time, n_space, d, d) (leading axes may broadcast).
-    The cylinder is clipped to ``mask`` = (x_lo, x_hi, t_lo, t_hi); within
+    ``A_fun(xs[:, None, :], ts[:, :, None])`` on the space and time nodes of
+    every cylinder, and returns a scalar field that broadcasts to
+    (cylinders, n_time, n_space) or a matrix field of shape
+    (cylinders, n_time, n_space, d, d) (leading axes may broadcast).
+    Each cylinder is clipped to ``mask`` = (x_lo, x_hi, t_lo, t_hi); within
     each time slice the matrix is centered around its spatial average over
     B_r(x0) ∩ Omega, and the squared Frobenius deviation is averaged over
     the clipped cylinder.
+
+    One cylinder gives a float and raises ``EmptyRegion`` if it misses the
+    mask; a batch gives an array holding NaN for such cylinders.
     """
-    x0 = np.atleast_1d(np.asarray(z0[0], float))
-    t0 = float(z0[1])
+    x0 = np.asarray(z0[0], dtype=float)[..., 0]
+    x0, t0, r, h = np.broadcast_arrays(x0, *(np.asarray(v, dtype=float)
+                                             for v in (z0[1], r, h)))
     x_lo, x_hi, t_lo, t_hi = mask
-    a = max(x0[0] - r, x_lo)
-    b = min(x0[0] + r, x_hi)
-    s_lo = max(t0 - h, t_lo)
-    s_hi = min(t0, t_hi)
-    if a >= b or s_lo >= s_hi:
+    a = np.maximum(x0 - r, x_lo)
+    b = np.minimum(x0 + r, x_hi)
+    s_lo = np.maximum(t0 - h, t_lo)
+    s_hi = np.minimum(t0, t_hi)
+    met = (a < b) & (s_lo < s_hi)
+    if x0.ndim == 0 and not met:
         raise EmptyRegion("cylinder does not meet the masked domain")
+    a, b, s_lo, s_hi = (v[met][:, None] for v in (a, b, s_lo, s_hi))
     # midpoint nodes: a genuine midpoint rule in space and time
     xs = a + (b - a) * (np.arange(n_space) + 0.5) / n_space
     ts = s_lo + (s_hi - s_lo) * (np.arange(n_time) + 0.5) / n_time
     vals = _sample_nodes(A_fun, xs, ts)
-    dev = vals - vals.mean(axis=1, keepdims=True)
+    dev = vals - vals.mean(axis=2, keepdims=True)
     sq = dev ** 2
-    if sq.ndim == 4:
-        sq = np.sum(sq, axis=(2, 3))
+    if sq.ndim == 5:
+        sq = np.sum(sq, axis=(3, 4))
     # summed in time order from 0.0: np.sum adds pairwise, which moves the last bits
     total = 0.0
-    for slice_mean in np.mean(sq, axis=1).tolist():
-        total += slice_mean
-    return total / len(ts)
+    for slice_mean in np.mean(sq, axis=2).T:
+        total = total + slice_mean
+    out = np.full(x0.shape, np.nan)
+    out[met] = total / n_time
+    return float(out) if out.ndim == 0 else out
 
 
 def _sample_nodes(A_fun, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """A_fun on the (time, space) node grid as a contiguous (n_time, n_space)
-    or (n_time, n_space, d, d) array, from one broadcasting call."""
-    vals = np.asarray(A_fun(xs[None, :], ts[:, None]), dtype=float)
-    shape = (ts.size, xs.size)
-    if vals.ndim == 4 and vals.shape[2] == vals.shape[3]:
-        shape += vals.shape[2:]
+    """A_fun on the (cylinder, time, space) node grid as a contiguous
+    (cylinders, n_time, n_space) or (cylinders, n_time, n_space, d, d) array,
+    from one broadcasting call."""
+    vals = np.asarray(A_fun(xs[:, None, :], ts[:, :, None]), dtype=float)
+    shape = (xs.shape[0], ts.shape[1], xs.shape[1])
+    if vals.ndim == 5 and vals.shape[3] == vals.shape[4]:
+        shape += vals.shape[3:]
     try:
         # C order: each row is reduced as one contiguous slice, like a 1D array
         return np.array(np.broadcast_to(vals, shape), order="C")
     except ValueError as exc:
         raise ValueError(f"coefficient returned shape {vals.shape}, which is neither "
-                         f"a scalar field broadcasting to {shape[:2]} nor a "
-                         "(n_time, n_space, d, d) matrix field") from exc
+                         f"a scalar field broadcasting to {shape[:3]} nor a "
+                         "(cylinders, n_time, n_space, d, d) matrix field") from exc
 
 
 def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
@@ -144,17 +163,21 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     worst_a = None
     t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
     if A_fun is not None:
-        # one height per (center, radius), shared by its time centres
+        # one height per (center, radius), shared by its time centres; the
+        # cylinders run centre-major, then radius, then time centre
         centers, rs = ball_grid(grid_points[:, None], radii)
         heights = height(beta, centers[:, 0], rs, ctx)
-        for x0, r, h in zip(centers[:, 0], rs, heights.tolist()):
-            for tc in t_centers:
-                try:
-                    th_a = theta_A_ms(A_fun, ([x0], tc), r, h, mask)
-                except EmptyRegion:
-                    continue
-                if th_a > sup_a:
-                    sup_a, worst_a = th_a, (float(x0), float(tc), float(r))
+        x0s = np.repeat(centers, t_centers.size, axis=0)
+        rs, heights = (np.repeat(v, t_centers.size) for v in (rs, heights))
+        tcs = np.tile(t_centers, len(centers))
+        th_a = np.concatenate([
+            theta_A_ms(A_fun, (x0s[i:i + CYLINDER_BLOCK], tcs[i:i + CYLINDER_BLOCK]),
+                       rs[i:i + CYLINDER_BLOCK], heights[i:i + CYLINDER_BLOCK], mask)
+            for i in range(0, tcs.size, CYLINDER_BLOCK)])
+        # cylinders that miss the mask hold NaN, which never wins
+        sup_a, k = first_sup(th_a)
+        if k is not None:
+            worst_a = (float(x0s[k, 0]), float(tcs[k]), float(rs[k]))
     theta_a = float(np.sqrt(sup_a))
     theta_b = float(np.sqrt(sup_b))
     total = theta_a + theta_b

@@ -269,13 +269,14 @@ class TestSupremum:
         lambda: Weight.sampled(np.exp(np.sin(np.linspace(0.0, 9.0, 40))),
                                (0.0, 1.0))])
     def test_one_height_per_lattice_ball(self, make_beta, monkeypatch):
-        # every time centre of a (x0, r) gets the bits of the scalar height,
-        # and theta_A_ms still runs once per cylinder
+        # every time centre of a (x0, r) gets the bits of the scalar height
+        # in the batched theta_A_ms, and every cylinder reaches it once
         beta = make_beta()
         seen = []
 
         def recorded(A_fun, z0, r, h, mask, **kw):
-            seen.append((float(z0[0][0]), float(r), h))
+            seen.extend(zip(np.ravel(z0[0]).tolist(), np.ravel(r).tolist(),
+                            np.ravel(h).tolist()))
             return theta_A_ms(A_fun, z0, r, h, mask, **kw)
 
         monkeypatch.setattr(oscillation, "theta_A_ms", recorded)
@@ -286,6 +287,63 @@ class TestSupremum:
         assert len({(x0, r) for x0, r, _ in seen}) == 17 * cfg.n_radii
         for x0, r, h in seen:
             assert h == height(beta, x0, r, CTX).item()
+
+    @pytest.mark.parametrize("case, A_fun, centers", [
+        # centres near and beyond the mask's ends: clipped cylinders, and
+        # small balls that miss it entirely
+        ("clipped", config_coefficient(), [-0.95, -0.6, 0.0, 0.45, 0.9]),
+        # constant in time: the four time centres of a ball tie exactly
+        ("ties", lambda x, t: 1.0 + 0.3 * np.sin(5.0 * x) + 0.2 * x * x,
+         [-0.6, 0.1, 0.7]),
+        # no oscillation at all: no worst cylinder
+        ("zero", lambda x, t: 1.5, [-0.5, 0.0, 0.5]),
+        ("matrix", matrix_coefficient, [-0.8, 0.2, 0.9]),
+    ])
+    def test_matrix_row_matches_per_cylinder_loop(self, case, A_fun, centers):
+        beta = Weight.power(0.2, 0.1, DOM)
+        cfg = OscillationConfig(R0=0.5, delta=1.0, centers=np.array(centers),
+                                n_radii=5)
+        mask = (-0.5, 0.5, -1.0, 0.0)
+        row = oscillation_supremum(A_fun, beta, cfg, mask, CTX).rows[0]
+        radii = cfg.radius_grid(2.0 * 1.0 / (len(centers) - 1))
+        t_lo, t_hi = mask[2:]
+        t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
+        best, worst, values = 0.0, None, []
+        for x0 in centers:
+            for r in radii:
+                for tc in t_centers:
+                    try:
+                        th = theta_A_per_node(A_fun, beta, ([x0], tc), r, mask, CTX)
+                    except EmptyRegion:
+                        continue
+                    values.append(th)
+                    if th > best:
+                        best, worst = th, (float(x0), float(tc), float(r))
+        assert row.lhs == math.sqrt(best)
+        assert row.extra["worst"] == worst
+        if case == "clipped":
+            assert len(values) < len(centers) * radii.size * t_centers.size
+        if case == "ties":
+            assert values.count(best) == t_centers.size
+            assert worst[1] == t_centers[0]
+        assert (worst is None) == (case == "zero")
+
+    def test_batch_equals_scalar_calls(self):
+        beta = Weight.power(0.2, 0.1, DOM)
+        a_fun = config_coefficient()
+        x0 = np.array([-1.4, -0.9, 0.0, 0.3, 1.2])
+        tc = np.array([-0.5, -0.9, 0.0, -0.25, -0.1])
+        r = np.array([0.2, 0.3, 0.5, 0.1, 0.3])
+        h = height(beta, x0, r, CTX)
+        got = theta_A_ms(a_fun, (x0[:, None], tc), r, h, MASK)
+        for i in range(x0.size):
+            z0 = ([x0[i]], tc[i])
+            if x0[i] + r[i] <= -1.0 or x0[i] - r[i] >= 1.0:
+                assert np.isnan(got[i])
+                with pytest.raises(EmptyRegion):
+                    theta_A_ms(a_fun, z0, r[i], h[i], MASK)
+            else:
+                assert got[i] == theta_A_ms(a_fun, z0, r[i], h[i], MASK)
 
     @pytest.mark.parametrize("beta", [
         Weight.power(0.3, 0.17, DOM),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from wparab.config import ExperimentConfig
 from wparab.errors import EllipticityViolation, GateFailed, SingularSystem
@@ -19,6 +20,7 @@ from wparab.experiments import (
 )
 from wparab.geometry import SpaceTimePoint, WeightedCylinder
 from wparab.solver import (
+    STEP_BLOCK,
     _implicit_step,
     CoefficientField,
     FrozenProblem,
@@ -224,16 +226,16 @@ class TestImplicitStep:
         a_faces = rng.uniform(0.2, 5.0, m + 1)
         rhs = rng.standard_normal(m)
         h, tau = 1.0 / (m + 1), 0.37 / (m + 1) ** 2
-        kept = (beta_cells.copy(), a_faces.copy(), rhs.copy())
-        got = _implicit_step(beta_cells, a_faces, h, tau, rhs, 1)
-        assert np.array_equal(got, implicit_step_banded(beta_cells, a_faces, h, tau, rhs))
-        # the inputs are left as they were
-        for before, after in zip(kept, (beta_cells, a_faces, rhs)):
-            assert np.array_equal(before, after)
+        dl = -a_faces[1:-1] / h ** 2
+        d = beta_cells[1:-1] / tau + (a_faces[1:] + a_faces[:-1]) / h ** 2
+        x = rhs.copy()
+        _implicit_step(dl, d, dl.copy(), x, 1)
+        # the right-hand side is overwritten with the solution
+        assert np.array_equal(x, implicit_step_banded(beta_cells, a_faces, h, tau, rhs))
 
     def test_singular_system_raises(self):
         with pytest.raises(SingularSystem, match="step 3"):
-            _implicit_step(np.zeros(6), np.zeros(5), 0.2, 0.1, np.ones(4), 3)
+            _implicit_step(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4), 3)
 
     def test_overflow_reports_first_step(self):
         grid = small_grid(nx=8, nt=4)
@@ -272,6 +274,77 @@ class TestImplicitStep:
                                  t_span=(0.0, 0.4), nx=8, nt=8)
             with pytest.raises(ValueError, match="infs or NaNs"):
                 solve_frozen(prob, d)
+
+
+def march_per_step(beta_cells, a_values, u0, h, tau, F=None, left=None, right=None):
+    """Backward Euler with one dgtsv call per step on diagonals built for that
+    step: the reference the blocked marcher must equal bit for bit."""
+    nt = a_values.shape[0] - 1
+    u = np.zeros((nt + 1, u0.size))
+    u[0] = u0
+    for k in range(nt):
+        a = a_values[k + 1]
+        rhs = beta_cells[1:-1] / tau * u[k, 1:-1]
+        if F is not None:
+            rhs = rhs + (F[k + 1, 1:] - F[k + 1, :-1]) / h
+        if left is not None:
+            rhs[0] += a[0] * left[k] / h ** 2
+            rhs[-1] += a[-1] * right[k] / h ** 2
+            u[k + 1, 0], u[k + 1, -1] = left[k], right[k]
+        off = -a[1:-1] / h ** 2
+        diag = beta_cells[1:-1] / tau + (a[1:] + a[:-1]) / h ** 2
+        if diag.size == 1:
+            u[k + 1, 1:-1] = rhs / diag
+        else:
+            u[k + 1, 1:-1] = dgtsv(off, diag, off.copy(), rhs)[3]
+    return u
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestBlockedMarching:
+    """solve_ivbp and solve_frozen equal the per-step loop bit for bit."""
+
+    @pytest.mark.parametrize("nx, nt", [
+        (2, 9), (16, 5), (16, STEP_BLOCK), (9, 2 * STEP_BLOCK + 37)])
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    @pytest.mark.parametrize("initial", [False, True])
+    def test_solve_ivbp_equals_per_step(self, nx, nt, time_dependent, initial):
+        grid = small_grid(nx=nx, nt=nt)
+        if time_dependent:
+            A = CoefficientField.from_callable(
+                lambda x, t: 1.0 + 0.3 * np.sin(7.0 * x) * (1.0 + 2.0 * t), grid)
+        else:
+            A = CoefficientField.from_callable(lambda x, t: 1.0 + 0.2 * x, grid)
+        F = forcing_from_callable(smooth_random_forcing(5), grid)
+        u0 = np.sin(math.pi * grid.x) - 0.25 if initial else np.zeros(nx + 1)
+        u0[[0, -1]] = 0.0
+        got = solve_ivbp(BETA_POW, A, F, grid, initial=u0 if initial else None)
+        ref = march_per_step(got.beta_cells, A.values, u0, grid.h, grid.tau, F=F)
+        assert same_bits(got.u, ref)
+
+    @pytest.mark.parametrize("nx, nt", [(2, 7), (12, STEP_BLOCK + 1)])
+    @pytest.mark.parametrize("left_zero", [False, True])
+    def test_solve_frozen_equals_per_step(self, nx, nt, left_zero):
+        prob = FrozenProblem(beta_bar=0.7, a_bar=lambda t: 1.0 + 0.3 * t,
+                             x_span=(-0.4, 0.6), t_span=(0.1, 0.5), nx=nx, nt=nt,
+                             left_zero=left_zero)
+
+        def data(x, t):
+            return np.asarray(x) ** 2 + 2.0 * t - 0.3
+
+        got = solve_frozen(prob, data)
+        ts = 0.1 + got.grid.t[1:]
+        left = np.zeros(nt) if left_zero else np.array([data(-0.4, t) for t in ts])
+        right = np.array([data(0.6, t) for t in ts])
+        u0 = data(got.grid.x, 0.1)
+        if left_zero:
+            u0[0] = 0.0
+        ref = march_per_step(got.beta_cells, got.A.values, u0, got.grid.h,
+                             got.grid.tau, left=left, right=right)
+        assert same_bits(got.u, ref)
 
 
 class TestFrozen:
@@ -401,7 +474,7 @@ class TestLipschitz:
         outer = WeightedCylinder(z0, 0.5, beta, CTX1, variant="Q")
         inner = WeightedCylinder(z0, 0.25, beta, CTX1, variant="Q")
         prob = FrozenProblem(beta_bar=beta_bar, a_bar=1.0,
-                             x_span=outer.x_interval(0), t_span=outer.t_interval,
+                             x_span=outer.x_interval, t_span=outer.t_interval,
                              nx=nx, nt=nt)
         v = solve_frozen(prob, lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
         return v, inner, outer, beta_bar
@@ -411,7 +484,7 @@ class TestLipschitz:
         z0 = SpaceTimePoint([0.0], 0.0)
         outer = WeightedCylinder(z0, 0.5, beta, CTX1, variant="Q")
         inner = WeightedCylinder(z0, 0.25, beta, CTX1, variant="Q")
-        prob = FrozenProblem(beta_bar=1.0, a_bar=1.0, x_span=outer.x_interval(0),
+        prob = FrozenProblem(beta_bar=1.0, a_bar=1.0, x_span=outer.x_interval,
                              t_span=outer.t_interval, nx=16, nt=16)
         v = solve_frozen(prob, lambda x, t: np.full_like(np.asarray(x, float), 3.0))
         rep = lipschitz_audit(v, inner, outer, beta_bar=1.0)
@@ -437,7 +510,7 @@ class TestLipschitz:
             outer = WeightedCylinder(z0, 2 * r, beta, CTX1, variant="Q")
             inner = WeightedCylinder(z0, r, beta, CTX1, variant="Q")
             prob = FrozenProblem(beta_bar=1.0, a_bar=1.0,
-                                 x_span=outer.x_interval(0),
+                                 x_span=outer.x_interval,
                                  t_span=outer.t_interval, nx=48, nt=48)
             v = solve_frozen(prob, lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
             consts.append(lipschitz_audit(v, inner, outer, 1.0).rows[0].constant)
@@ -550,6 +623,56 @@ class TestTimeShift:
             lhss.append(rep.rows[0].lhs)
         slope = np.polyfit(np.log(hs), np.log(lhss), 1)[0]
         assert slope >= 0.5
+
+    @pytest.mark.parametrize("steps", [1, 3, 32])
+    def test_lhs_equals_level_loop(self, steps):
+        u, _ = make_manufactured(nx=32, nt=32, beta=BETA_POW)
+        phi = self.cutoff(u.grid)
+        lhs = 0.0
+        for k in range(u.grid.nt + 1 - steps):
+            diff = (u.u[k + steps] - u.u[k]) * phi
+            lhs += float(np.sum(diff ** 2 * u.beta_cells) * u.grid.h) * u.grid.tau
+        assert time_shift_audit(u, phi, steps).rows[0].lhs == lhs
+
+
+class TestArrayPasses:
+    """Whole-array forms of the per-level loops keep every bit."""
+
+    def test_l2_error_equals_level_loop(self):
+        u, err = make_manufactured(nx=32, nt=40, beta=BETA_POW)
+        exact = ManufacturedCase(BETA_POW).exact
+        total = 0.0
+        for k in range(1, u.grid.nt + 1):
+            diff = u.u[k] - exact(u.grid.x, u.grid.t[k])
+            total += float(np.sum(diff ** 2)) * u.grid.h * u.grid.tau
+        assert err == math.sqrt(total)
+
+    def test_exact_broadcasts_with_per_level_bits(self):
+        case = ManufacturedCase(BETA_POW)
+        x, t = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 0.3, 5)
+        grid_vals = case.exact(x[None, :], t[:, None])
+        for k, tk in enumerate(t):
+            assert np.array_equal(grid_vals[k], np.sin(math.pi * x) * math.exp(-tk))
+
+    @pytest.mark.parametrize("region", [
+        (0.2, 0.61, 0.03, 0.2), (0.0, 1.0, 0.0, 0.25), (0.5, 0.5, 0.1, 0.1),
+        (0.7, 0.3, 0.0, 0.25), (-1.0, 2.0, -1.0, 2.0), (0.25, 0.75, 0.1, 0.13)])
+    def test_block_is_the_masked_selection(self, region):
+        u, _ = make_manufactured(nx=32, nt=40, beta=BETA_POW)
+        a, b, s, e = region
+        t = u.grid.t
+        fuzz = 1e-12 * max(1.0, abs(e))
+        ks = np.nonzero((t > s + fuzz) & (t <= e + fuzz) & (np.arange(t.size) >= 1))[0]
+        for values, cols in (
+                (u.u, (u.grid.x >= a - 1e-12) & (u.grid.x <= b + 1e-12)),
+                (u.F, (u.grid.faces >= a) & (u.grid.faces <= b))):
+            got = u.block(values, region)
+            ref = values[ks][:, cols]
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            assert got.size == 0 or np.shares_memory(got, values)
+            # the norm sums the block column by column, as over that copy
+            assert u.lp(values, 2.0, region) == float(
+                (np.sum(np.abs(ref) ** 2.0) * u.grid.h * u.grid.tau) ** 0.5)
 
 
 class TestWeightCells:
