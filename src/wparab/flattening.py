@@ -27,8 +27,9 @@ from .weights import (BallFamily, Weight, WeightContext, aq_characteristic,
                       ball_grid, first_sup)
 
 # max |s'(y)| for the bump profile s(y) = y^2 (1 - y^2)^2 on [-1, 1]
-_BUMP_SLOPE = max(abs(2 * y * (1 - y * y) * (1 - 3 * y * y))
-                  for y in np.linspace(-1.0, 1.0, 20001))
+_y = np.linspace(-1.0, 1.0, 20001)
+_BUMP_SLOPE = np.abs(2 * _y * (1 - _y * _y) * (1 - 3 * _y * _y)).max()
+del _y
 
 
 @dataclass

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
+from .solver import sum_in_order
 from .weights import (
     _GL16_NODES,
     _GL16_WEIGHTS,
@@ -152,18 +153,19 @@ def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
         c = weight.center[0]
         singular = c if a < c < b else None
     edges = _graded_cells(a, b, singular, n_cells)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if singular is not None and lo < singular < hi:
-            continue  # the slab cell is handled in closed form below
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if half <= 0.0:
-            continue
-        xq = mid + half * _GL16_NODES
-        vals = np.asarray(fn(xq), dtype=float)
-        if weight is not None:
-            vals = vals * weight(xq) ** power
-        total += half * float(np.sum(_GL16_WEIGHTS * vals))
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    keep = half > 0.0
+    if singular is not None:
+        keep &= ~((lo < singular) & (singular < hi))  # the slab cell, below
+    mid, half = mid[keep], half[keep]
+    # all kept cells' nodes in one (cells, 16) array; each cell's nodes are a
+    # contiguous row, so the row sums add as a per-cell np.sum does
+    xq = mid[:, None] + half[:, None] * _GL16_NODES
+    vals = np.asarray(fn(xq), dtype=float)
+    if weight is not None:
+        vals = vals * weight(xq) ** power
+    total = sum_in_order(half * np.sum(_GL16_WEIGHTS * vals, axis=-1))
     if singular is not None:
         q_eff = weight.alpha * power
         if q_eff <= -1.0:

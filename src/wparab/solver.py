@@ -14,10 +14,12 @@ Discretization: backward Euler in time, central face fluxes in space,
 The weight enters through cell averages b_i over dual cells, so a weight
 vanishing at a node never zeroes a row; the implicit operator is an
 M-matrix and each step is one tridiagonal SPD solve (LAPACK ``dgtsv``, in
-place on the new time level). The diagonals and the forcing differences are
-built as whole arrays for blocks of ``STEP_BLOCK`` time levels, so a step
-only forms its right-hand side and solves. The time derivative's
-negative-order norm is represented throughout by the flux proxy
+place on the new time level). scipy provides ``dgtsv``; it is loaded on the
+first implicit step, so importing this module, and every command that runs
+no march, leaves ``scipy.linalg`` unloaded. The diagonals and the forcing
+differences are built as whole arrays for blocks of ``STEP_BLOCK`` time
+levels, so a step only forms its right-hand side and solves. The time
+derivative's negative-order norm is represented throughout by the flux proxy
 || a u_x + F ||_{L^p}, which is exactly the bound the energy identities use.
 """
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import EllipticityViolation, GateFailed, PreconditionFailed, SingularSystem
 from .geometry import WeightedCylinder
@@ -298,6 +299,19 @@ def _check_finite(*arrays) -> None:
 # all of nt = 4096 would add about 17 MB.
 STEP_BLOCK = 128
 
+_DGTSV = None
+
+
+def _dgtsv():
+    """LAPACK ``dgtsv``, imported on the first call: importing scipy.linalg
+    takes about 0.3 s on a 2-vCPU Xeon VM, which a run that never marches
+    should not pay."""
+    global _DGTSV
+    if _DGTSV is None:
+        from scipy.linalg.lapack import dgtsv
+        _DGTSV = dgtsv
+    return _DGTSV
+
 
 def _implicit_step(dl, d, du, x, step: int) -> None:
     """One backward Euler step (SPD tridiagonal solve), in place.
@@ -310,8 +324,8 @@ def _implicit_step(dl, d, du, x, step: int) -> None:
     if d.size == 1:  # the dgtsv wrapper rejects empty off-diagonals
         x /= d
         return
-    info = dgtsv(dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                 overwrite_b=1)[-1]
+    info = _dgtsv()(dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                    overwrite_b=1)[-1]
     if info != 0:
         raise SingularSystem(f"step {step} failed to factor (dgtsv info {info})")
 

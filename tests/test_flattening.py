@@ -9,6 +9,7 @@ from wparab import weights
 from wparab.errors import EmptyBall, GateFailed
 from wparab.experiments import fit_loglog_slope
 from wparab.flattening import (
+    _BUMP_SLOPE,
     BoundaryChart,
     _sup_ball_oscillation,
     _transformed_weight,
@@ -65,6 +66,14 @@ class TestChart:
             chart = BoundaryChart(kind=kind, delta=0.3)
             xs = np.linspace(-2.0, 2.0, 4001)
             assert np.max(np.abs(chart.grad_phi(xs))) <= 0.3 + 1e-12
+
+    def test_bump_slope_is_the_sampled_maximum(self):
+        # the maximum over the same 20,001 samples taken one numpy scalar at
+        # a time, as a generator
+        want = max(abs(2 * y * (1 - y * y) * (1 - 3 * y * y))
+                   for y in np.linspace(-1.0, 1.0, 20001))
+        assert type(_BUMP_SLOPE) is type(want) is np.float64
+        assert _BUMP_SLOPE == want == 0.5523603656919336
 
     def test_delta_at_least_one_rejected(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from wparab.errors import EmptyBall, GateFailed
 from wparab.inequalities import (
+    _SLAB,
     SpaceTimeTestFunction,
     TestFunction,
+    _graded_cells,
     interpolation_audit,
     weighted_embedding_audit,
     weighted_integral,
     weighted_lq_control_audit,
 )
-from wparab.weights import BallFamily, Weight, WeightContext
+from wparab.weights import _GL16_NODES, _GL16_WEIGHTS, BallFamily, Weight, WeightContext
 
 DOM = (-1.0, 1.0)
 CTX = WeightContext(n=1, M0=10.0)
@@ -51,6 +53,68 @@ class TestQuadrature:
         w = Weight.power(0.5, 0.0, DOM)
         got = weighted_integral(lambda x: x ** 2, w, (-1.0, 1.0))
         assert got == pytest.approx(2.0 / 3.5, rel=1e-10)
+
+    @pytest.mark.parametrize("weight, power, interval", [
+        (Weight.power(0.5, 0.0, DOM), 1.0, (-0.6, 0.8)),    # singular inside
+        (Weight.power(-0.4, 0.0, DOM), 1.0, (-0.3, 0.9)),
+        (Weight.power(0.3, 0.2, DOM), 2.0, (-1.0, 1.0)),
+        (Weight.power(-0.5, 0.0, DOM), 1.0, (0.0, 0.7)),    # at an endpoint
+        (Weight.power(0.5, 0.0, DOM), 0.5, (-0.9, 0.0)),
+        (Weight.power(0.2, -0.5, DOM), 1.0, (0.1, 0.95)),   # outside
+        (None, 1.0, (-1.0, 1.0)),
+        (None, 1.0, (0.25, 0.6)),
+        (Weight.power(0.5, 0.0, DOM), 1.0, (0.4, 0.4)),     # degenerate
+        (None, 1.0, (0.4, 0.4)),
+    ])
+    @pytest.mark.parametrize("fn", [
+        TestFunction.polynomial([0.3, -1.0, 2.0, 0.7]),
+        TestFunction.trig(1.3, 2.5, phase=0.4, offset=0.2),
+        TestFunction.piecewise([-1.0, -0.2, 0.5], [[1.0, 2.0], [0.6, 0.0, -1.0],
+                                                  [0.1, 0.3]]),
+    ], ids=["polynomial", "trig", "piecewise"])
+    def test_weighted_integral_matches_cell_loop(self, fn, weight, power, interval):
+        assert weighted_integral(fn, weight, interval, power) == \
+            weighted_integral_cell_loop(fn, weight, interval, power)
+
+    @pytest.mark.parametrize("interval, calls", [((-0.6, 0.8), 2), ((0.0, 0.7), 1)])
+    def test_weighted_integral_one_call_per_integral(self, interval, calls):
+        # one call on every cell's nodes, plus one at the singular point
+        seen = []
+        g = TestFunction.trig(1.0, 1.0)
+        weighted_integral(lambda x: seen.append(np.shape(x)) or g(x),
+                          Weight.power(0.5, 0.0, DOM), interval)
+        assert len(seen) == calls
+        assert len(seen[0]) == 2 and seen[0][1] == 16
+
+
+def weighted_integral_cell_loop(fn, weight, interval, power):
+    """weighted_integral with fn and the weight evaluated cell by cell and the
+    cell terms added left to right."""
+    a, b = interval
+    singular = None
+    if weight is not None and a < weight.center[0] < b:
+        singular = weight.center[0]
+    edges = _graded_cells(a, b, singular)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if singular is not None and lo < singular < hi:
+            continue
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if half <= 0.0:
+            continue
+        xq = mid + half * _GL16_NODES
+        vals = np.asarray(fn(xq), dtype=float)
+        if weight is not None:
+            vals = vals * weight(xq) ** power
+        total += half * float(np.sum(_GL16_WEIGHTS * vals))
+    if singular is not None:
+        q_eff = weight.alpha * power
+        eps_l, eps_r = (singular - a) * _SLAB, (b - singular) * _SLAB
+        f_c = float(np.asarray(fn(np.array([singular]))).ravel()[0])
+        total += (f_c * weight.scale ** power
+                  * (eps_l ** (1.0 + q_eff) + eps_r ** (1.0 + q_eff))
+                  / (1.0 + q_eff))
+    return total
 
 
 class TestLqControl:
