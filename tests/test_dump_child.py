@@ -170,7 +170,6 @@ def test_solve_twice_writes_one_dump_at_a_time(tmp_path):
 
 def test_inline_dump_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(os, "waitpid", None)  # the inline path reaps nothing
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert run_experiment(str(config), str(out)) == 0
