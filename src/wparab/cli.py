@@ -7,21 +7,24 @@ Exit codes: 0 all selected audits passed, 1 an audit failed (reports are
 still written) or the solution dump failed, 2 configuration error (an
 unusable --out included).
 
-The solve group's ``solution.csv`` is written by a child forked right after
-the convergence study, so its ``%.17g`` formatting runs while the later
-groups do; ``run_experiment`` returns only after the child has finished, on
-every path. That saves wall time only when a second core is free. Where
-``os.fork`` is missing the dump is written inline. Python 3.12 and later
-warn when a process with live BLAS threads forks; the child runs no BLAS
-code, so the deadlock the warning guards against cannot happen.
+``Forked`` runs work in a child while later groups go on: solve's
+``solution.csv``, and ``flatten`` when a group precedes it. That child is
+niced, so the CSV child keeps its core; it stages its files under ``--out``
+for the run to move in at flatten's turn, so outputs, print order, exit codes
+and messages match an inline run. The gain is wall time and needs a second
+free core; ``run_experiment`` returns after every child has finished.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
+import pickle
+import shutil
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
@@ -49,6 +52,60 @@ from .weights import (BallFamily, Weight, WeightContext, check_beta_condition,
                       doubling_report, reverse_holder_gamma)
 
 
+class Forked:
+    """``work()`` run at once in a forked child, inline where ``os.fork`` is
+    missing or fails; ``result()`` reaps it and returns its value or raises
+    its exception. The child, niced by ``nice``, pickles that outcome into a
+    pipe and leaves through ``os._exit``: it never returns into the caller."""
+
+    def __init__(self, work, nice: int = 0):
+        self.pid = None
+        if hasattr(os, "fork"):
+            rfd, wfd = os.pipe()
+            try:
+                self.pid = os.fork()
+            except OSError:  # EAGAIN, ENOMEM: run inline
+                os.close(rfd)
+                os.close(wfd)
+        if self.pid is None:
+            self.outcome = self._outcome(work)
+        elif self.pid == 0:
+            code = 1
+            try:
+                os.close(rfd)
+                os.nice(nice)
+                with open(wfd, "wb") as pipe:
+                    pickle.dump(self._outcome(work), pipe)
+                code = 0
+            except BaseException:
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        else:
+            os.close(wfd)
+            self.pipe = open(rfd, "rb")
+
+    def result(self):
+        if self.pid is not None:
+            with self.pipe:  # drained before the wait, so no outcome blocks
+                data = self.pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            self.outcome = pickle.loads(data) if code == 0 else (False, ToolkitError(
+                f"forked child exited with code {code} before sending its result"))
+        ok, value = self.outcome
+        if not ok:
+            raise value
+        return value
+
+    @staticmethod
+    def _outcome(work) -> tuple[bool, object]:
+        try:
+            return True, work()
+        except Exception as exc:
+            return False, exc
+
+
 class RunContext:
     """What the audit groups of one run share.
 
@@ -58,8 +115,7 @@ class RunContext:
     manufactured solution at the config grid is solved on first use, so
     ``audit`` and ``levelset`` share one solve and a run without them
     makes none; the quasi-metric parameters are fitted on first use in the
-    same way, for ``geometry`` and ``levelset``. ``dump_pid`` is the child
-    that writes ``solution.csv``, until ``wait_for_dump`` reaps it.
+    same way, for ``geometry`` and ``levelset``. ``dump`` writes solution.csv.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
@@ -67,40 +123,7 @@ class RunContext:
         self.weight = cfg.build_weight()
         self.ctx = WeightContext(n=1, M0=cfg.audits["weights"].M0)
         self.a_fun = cfg.coefficient_fn()
-        self.dump_pid: int | None = None
-        self.dump_ok = True
-
-    def write_csv_dump(self, u) -> None:
-        """Write ``solution.csv`` from a forked child, inline without fork.
-
-        The child leaves through ``os._exit``, so it never returns into the
-        caller, runs no ``atexit`` handler and flushes none of the parent's
-        stdio buffers; a failure prints its traceback straight to fd 2.
-        """
-        path = self.out / "solution.csv"
-        if not hasattr(os, "fork"):
-            write_solution_csv(path, u)
-            return
-        self.wait_for_dump()  # a selection may list solve twice
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                write_solution_csv(path, u)
-                code = 0
-            except BaseException:
-                os.write(2, traceback.format_exc().encode())
-            finally:
-                os._exit(code)
-        self.dump_pid = pid
-
-    def wait_for_dump(self) -> bool:
-        """Reap the dump child if one runs; False once any dump has failed."""
-        if self.dump_pid is not None:
-            _, status = os.waitpid(self.dump_pid, 0)
-            self.dump_pid = None
-            self.dump_ok = self.dump_ok and os.waitstatus_to_exitcode(status) == 0
-        return self.dump_ok
+        self.dump: Forked | None = None
 
     @functools.cached_property
     def manufactured(self):
@@ -148,7 +171,7 @@ def run_solve(run: RunContext) -> list[AuditReport]:
     order_budget = p.order_min if p.order_min is not None else (
         1.9 if w.kind == "power" and w.alpha == 0.0 else 1.0)
     rows, finest = convergence_study(w, levels, t_final=t_final)
-    run.write_csv_dump(finest)
+    run.dump = Forked(functools.partial(write_solution_csv, out / "solution.csv", finest))
     write_solution_binary(out / "solution.bin", finest)
     del finest  # not kept alive through the a-priori sweep
     write_csv(out / "convergence.csv", ["nx", "nt", "error", "order"],
@@ -391,11 +414,22 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         print(f"config error: output directory {out}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    all_passed, code, run = True, None, None
+    all_passed, code, run, flatten, stage = True, None, None, None, None
     try:
         run = RunContext(cfg, seed if seed is not None else cfg.seed, out)
+        if "flatten" in selected[1:]:  # overlaps only the groups before it
+            stage = Path(tempfile.mkdtemp(dir=out))
+            flatten = Forked(lambda: RUNNERS["flatten"](RunContext(cfg, run.seed, stage)),
+                             nice=10)
         for group in selected:
-            reports = RUNNERS[group](run)
+            if group == "flatten" and flatten is not None:
+                try:
+                    reports = flatten.result()
+                finally:
+                    for path in stage.iterdir():
+                        os.replace(path, out / path.name)
+            else:
+                reports = RUNNERS[group](run)
             for rep in reports:
                 write_json(out / f"{group}__{rep.check}.json", rep)
                 status = "pass" if rep.passed else "FAIL"
@@ -409,10 +443,17 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         print(f"audit error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 1
     finally:
-        if run is not None and not run.wait_for_dump():
-            print(f"dump error: writing {out / 'solution.csv'} failed",
-                  file=sys.stderr)
-            code = code or 1
+        if stage is not None:
+            with contextlib.suppress(Exception):
+                flatten.result()  # reaped; its outcome matters at its turn only
+            shutil.rmtree(stage, ignore_errors=True)
+        if run is not None and run.dump is not None:
+            try:
+                run.dump.result()
+            except Exception as exc:
+                print(f"dump error: writing {out / 'solution.csv'} failed: {exc}",
+                      file=sys.stderr)
+                code = code or 1
     return code
 
 

@@ -214,10 +214,12 @@ class ExperimentConfig:
         return cfg
 
     def check_groups(self, groups) -> None:
-        """Reject unknown groups and inputs a selected group cannot run on."""
-        for group in groups:
+        """Reject unknown or repeated groups and inputs a group cannot run on."""
+        for i, group in enumerate(groups):
             if group not in KNOWN_GROUPS:
                 raise ConfigError(f"unknown audit group {group!r}")
+            if group in groups[:i]:
+                raise ConfigError(f"audit group {group!r} is listed twice")
         manufactured = [g for g in ("solve", "audit", "levelset") if g in groups]
         if manufactured and self.weight_spec.get("kind") == "sampled":
             raise ConfigError(f"groups {manufactured} solve the manufactured problem, "

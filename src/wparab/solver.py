@@ -235,11 +235,8 @@ def write_solution_csv(path, u: SolutionField):
     formatting, only in a dump that holds any. Each time level is written as
     soon as it is formatted.
 
-    This is the synchronous reference. A ``wparab`` run calls it in a child
-    forked by ``cli.RunContext.write_csv_dump``, so the formatting runs
-    while the later audit groups do (a wall-time gain only when a second
-    core is free); ``run_experiment`` returns after the child has finished,
-    and where ``os.fork`` is missing it calls this inline.
+    A ``wparab`` run calls it through ``cli.Forked``, in a child that runs
+    while the later audit groups do.
     """
     from pathlib import Path
 

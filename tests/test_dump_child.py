@@ -1,9 +1,12 @@
 """The solve group writes ``solution.csv`` from a forked child.
 
 ``run_experiment`` must wait for that child on every path, report a failed
-dump, and leave no process behind; the child must not print the parent's
-buffered output a second time. An unusable ``--out`` is a usage error.
+dump, and leave no process behind (``conftest.py`` checks that after every
+test); the child must not print the parent's buffered output a second
+time. Where ``os.fork`` is missing or fails, the dump is written inline. An
+unusable ``--out`` is a usage error, and so is a group listed twice.
 """
+import errno
 import json
 import os
 import re
@@ -12,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import assert_no_child
 
 from wparab import cli
 from wparab.cli import main, run_experiment
@@ -36,21 +40,6 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base))
     return path
-
-
-@pytest.fixture(autouse=True)
-def child_never_returns():
-    """A dump child that came back into a test ends here, so it cannot run
-    the rest of the suite (and fork again); the parent sees it fail."""
-    pid = os.getpid()
-    yield
-    if os.getpid() != pid:
-        os._exit(70)
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def reference_csv(config, path):
@@ -159,13 +148,13 @@ def test_unexpected_exception_still_reaps(tmp_path, monkeypatch):
     assert_no_child()
 
 
-def test_solve_twice_writes_one_dump_at_a_time(tmp_path):
-    config = write_config(tmp_path, selection=["solve", "solve"])
+def test_duplicate_group_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, selection=["solve", "weights", "solve"])
     out = tmp_path / "out"
-    assert run_experiment(str(config), str(out)) == 0
-    assert_no_child()
-    assert (out / "solution.csv").read_bytes() == reference_csv(
-        config, tmp_path / "ref.csv")
+    assert run_experiment(str(config), str(out)) == 2
+    assert capsys.readouterr().err == (
+        "config error: audit group 'solve' is listed twice\n")
+    assert not out.exists()
 
 
 def test_inline_dump_without_fork(tmp_path, monkeypatch):
@@ -173,6 +162,21 @@ def test_inline_dump_without_fork(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert run_experiment(str(config), str(out)) == 0
+    monkeypatch.undo()
+    assert (out / "solution.csv").read_bytes() == reference_csv(
+        config, tmp_path / "ref.csv")
+
+
+def test_fork_failure_dumps_inline(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert run_experiment(str(config), str(out)) == 0
+    assert sorted(os.listdir("/proc/self/fd")) == fds  # the unused pipe is closed
     monkeypatch.undo()
     assert (out / "solution.csv").read_bytes() == reference_csv(
         config, tmp_path / "ref.csv")
