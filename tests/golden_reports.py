@@ -1,15 +1,20 @@
 """Golden reports of the bundled configs and a tolerance-aware comparator.
 
 ``tests/golden/<config>/`` holds every JSON report and every sweep CSV that
-``wparab all`` writes for ``src/wparab/configs/<config>.json`` at the config
-seed, except the solution dumps and the SVG plots. Floats compare within a
+``wparab all`` writes for the config at :func:`config_path` at its seed,
+except the solution dumps and the SVG plots. The configs are the two
+bundled ones, ``src/wparab/configs/<config>.json``, and ``sampled``
+(``tests/configs/sampled.json``): the weights and geometry groups on a
+256-cell midpoint weight, |x - 1/2|^0.2 times a seeded log-normal factor,
+with its samples written out. Floats compare within a
 relative tolerance of 1e-12; verdicts, labels, integers and the file set
 must match exactly. The solution dumps are checked byte for byte through
 their SHA-256 digests in ``solution.sha256``.
 
-Regenerate the goldens only for a change that is meant to alter reports:
+Regenerate the goldens only for a change that is meant to alter reports,
+and only those of the configs it alters (all of them when none is named):
 
-    PYTHONPATH=src python tests/golden_reports.py
+    PYTHONPATH=src python tests/golden_reports.py [CONFIG ...]
 """
 from __future__ import annotations
 
@@ -18,16 +23,24 @@ import hashlib
 import json
 import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "wparab" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-CONFIGS = ("identity", "power_weight")
+TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
+CONFIGS = ("identity", "power_weight", "sampled")
 RTOL = 1e-12
 SOLUTION_DUMPS = ("solution.csv", "solution.bin")
 SOLUTION_DIGESTS = "solution.sha256"
+
+
+def config_path(config: str) -> Path:
+    """The config file whose goldens sit in ``tests/golden/<config>/``."""
+    bundled = CONFIG_DIR / f"{config}.json"
+    return bundled if bundled.is_file() else TEST_CONFIG_DIR / f"{config}.json"
 
 
 def golden_files(out_dir: Path) -> list[str]:
@@ -108,12 +121,15 @@ def compare_to_golden(out_dir: Path, config: str) -> list[str]:
     return problems
 
 
-def regenerate() -> None:
+def regenerate(configs=CONFIGS) -> None:
     from wparab.cli import run_experiment
 
-    for config in CONFIGS:
+    unknown = sorted(set(configs) - set(CONFIGS))
+    if unknown:
+        raise SystemExit(f"unknown golden configs {unknown}; known: {list(CONFIGS)}")
+    for config in configs:
         with tempfile.TemporaryDirectory() as tmp:
-            code = run_experiment(str(CONFIG_DIR / f"{config}.json"), tmp)
+            code = run_experiment(str(config_path(config)), tmp)
             if code != 0:
                 raise SystemExit(f"{config}: wparab all exited {code}")
             target = GOLDEN_DIR / config
@@ -125,4 +141,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or CONFIGS)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden_reports import CONFIGS as GOLDEN_CONFIGS, compare_to_golden
+from golden_reports import CONFIGS as GOLDEN_CONFIGS, compare_to_golden, config_path
 
 from wparab.cli import run_experiment
 from wparab.experiments import (
@@ -293,7 +293,7 @@ class TestAcceptance:
             outs = []
             for tag in ("a", "b"):
                 out = tmp_path / f"{config}_{tag}"
-                code = run_experiment(str(CONFIG_DIR / f"{config}.json"), str(out))
+                code = run_experiment(str(config_path(config)), str(out))
                 ok = ok and code == 0
                 outs.append(out)
             drift += compare_to_golden(outs[0], config)
