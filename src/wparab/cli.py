@@ -114,8 +114,10 @@ class RunContext:
     and the coefficient function, each built once per run. The
     manufactured solution at the config grid is solved on first use, so
     ``audit`` and ``levelset`` share one solve and a run without them
-    makes none; the quasi-metric parameters are fitted on first use in the
-    same way, for ``geometry`` and ``levelset``. ``dump`` writes solution.csv.
+    makes none; when ``solve`` has already run a convergence level on that
+    grid, its solution is used instead (:meth:`keep_manufactured`). The
+    quasi-metric parameters are fitted on first use in the same way, for
+    ``geometry`` and ``levelset``. ``dump`` writes solution.csv.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
@@ -124,13 +126,21 @@ class RunContext:
         self.ctx = WeightContext(n=1, M0=cfg.audits["weights"].M0)
         self.a_fun = cfg.coefficient_fn()
         self.dump: Forked | None = None
+        g = cfg.grid
+        self.manufactured_grid = (
+            g.nx, g.nt if g.nt is not None else max(round(0.25 * g.nx * g.nx), 4),
+            g.t_final)
 
     @functools.cached_property
     def manufactured(self):
-        g = self.cfg.grid
-        nt = g.nt if g.nt is not None else max(round(0.25 * g.nx * g.nx), 4)
-        u, _ = ManufacturedCase(self.weight).solve(g.nx, nt, g.t_final)
+        u, _ = ManufacturedCase(self.weight).solve(*self.manufactured_grid)
         return u
+
+    def keep_manufactured(self, grid: tuple[int, int, float], u) -> None:
+        """Use ``u``, solved on ``grid`` = (nx, nt, t_final), as the
+        manufactured solution if that is the config grid."""
+        if grid == self.manufactured_grid:
+            self.__dict__.setdefault("manufactured", u)  # the cached value
 
     @functools.cached_property
     def quasi_params(self):
@@ -170,7 +180,11 @@ def run_solve(run: RunContext) -> list[AuditReport]:
     levels, t_final = p.levels, run.cfg.grid.t_final
     order_budget = p.order_min if p.order_min is not None else (
         1.9 if w.kind == "power" and w.alpha == 0.0 else 1.0)
-    rows, finest = convergence_study(w, levels, t_final=t_final)
+    rows, solutions = convergence_study(w, levels, t_final=t_final)
+    for row, u in zip(rows, solutions):
+        run.keep_manufactured((row["nx"], row["nt"], t_final), u)
+    finest = solutions[-1]
+    del solutions
     run.dump = Forked(functools.partial(write_solution_csv, out / "solution.csv", finest))
     write_solution_binary(out / "solution.bin", finest)
     del finest  # not kept alive through the a-priori sweep

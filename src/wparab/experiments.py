@@ -114,23 +114,25 @@ def space_time_l2_error(u: SolutionField, exact) -> float:
 
 
 def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2,
-                      tau_factor: float = 1.0) -> tuple[list[dict], SolutionField]:
+                      tau_factor: float = 1.0) -> tuple[list[dict], list[SolutionField]]:
     """Dyadic refinement sweep with tau proportional to h^2.
 
     Returns one row per level with the space-time L^2 error and, from the
     second level on, the observed order against the previous level; and
-    the solution at the last (finest) level.
+    the solution of every level, in the same order.
     """
     case = ManufacturedCase(beta)
     rows: list[dict] = []
+    solutions: list[SolutionField] = []
     prev_err = None
     for nx in levels:
         nt = max(int(round(t_final * nx * nx / tau_factor)), 4)
         u, err = case.solve(nx, nt, t_final)
         order = math.log2(prev_err / err) if prev_err is not None else float("nan")
         rows.append({"nx": nx, "nt": nt, "error": err, "order": order})
+        solutions.append(u)
         prev_err = err
-    return rows, u
+    return rows, solutions
 
 
 def smooth_random_forcing(seed: int, n_modes: int = 6):

@@ -20,11 +20,13 @@ where (zeta0, N2) quantify how the measure b^{n0/2} shrinks on nested sets.
 
 Heights and their inverse take 1D weights only; a 2D weight raises
 ValueError. The inverse height is a safeguarded Newton iteration per point,
-in log-log variables (h' = h/r + r (b(x0 + r) + b(x0 - r))/2), that falls
-back to bisection of a bracket found by doubling. Every radius it returns is the
-midpoint of a bracket [lo, hi] with h(lo) < s <= h(hi) and
-hi - lo <= tol * hi, and depends only on its own (x0, s), not on the other
-points of the call.
+in log-log variables (h' = h/r + r (b(x0 + r) + b(x0 - r))/2). It starts at
+the root sqrt(s / b(x0)) of the small-ball model h(r) = b(x0) r^2, searches
+upward (Newton steps, doubling where a step is rejected) until a height
+reaches s, and then keeps to the bracket it has found, falling back to
+bisection. Every radius it returns is the midpoint of a bracket [lo, hi]
+with h(lo) < s <= h(hi) and hi - lo <= tol * hi, and depends only on its
+own (x0, s), not on the other points of the call.
 
 A pair whose time gap lies within the height of a slightly shorter spatial
 gap, |t - t0| <= h(|x - x0| (1 - SCREEN_MARGIN)), gets rho_b = |x - x0|
@@ -53,6 +55,9 @@ MAX_BISECT = 80
 # Iteration cap of the safeguarded Newton inversion: room for a bisection
 # on every other step of a full-length bisection.
 MAX_NEWTON = 2 * MAX_BISECT
+# Largest radius the inversion tries: a height the weight does not reach by
+# then raises NoBracket.
+MAX_RADIUS = 2.0 ** 60
 # Points per block of the vectorized inversion: small enough that one
 # block's height evaluation stays in cache.
 BISECT_BLOCK = 8192
@@ -107,8 +112,13 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
                        ctx: WeightContext, tol: float = TOL_BISECT) -> np.ndarray:
     """Vectorized inverse heights for 1D weights: the r with h_{x0}(r) = s.
 
-    Each point doubles ``hi`` from 1 until h(hi) >= s, then runs Newton's
-    method on log h(r) = log s in log r, safeguarded by its bracket as in
+    Each point starts at r0 = sqrt(s / beta(x0)), the root of the
+    small-ball model h(r) = beta(x0) r^2, or at 1 where r0 is not in (0, 1]
+    (beta(x0) = 0 or infinite, say). If h(r0) >= s, r0 is the top of its
+    bracket [0, r0]; otherwise the bracket [r0, inf) has no top yet, and the
+    point searches upward with the same Newton steps, doubling r where a
+    step is rejected, until a height reaches s. Inside the bracket it runs
+    Newton's method on log h(r) = log s in log r, safeguarded as in
     Numerical Recipes' ``rtsafe``: an iterate that leaves the open bracket,
     or a step that fails to halve the step from two iterations earlier,
     becomes a bisection. Once the Newton step falls below tol * r / 4, the
@@ -121,21 +131,18 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
     Points stop on their own and run in blocks of ``BISECT_BLOCK`` (the
     heights stay cache-sized), so a result depends only on that point's
     (x0, s), never on the other points of the call. NaN or negative ``s``
-    raise ``ValueError``; a height the weight never reaches raises
-    ``NoBracket``.
+    raise ``ValueError``; a height the weight does not reach by the radius
+    ``MAX_RADIUS`` raises ``NoBracket``.
     """
     x0 = np.asarray(x0, dtype=float)
     s = np.asarray(s, dtype=float)
     if not np.all(s >= 0.0):
         raise ValueError("height values must be non-negative numbers")
-    out = np.zeros_like(s)
-    active = s > 0.0
-    xa, sa = x0[active], s[active]
-    ra = np.empty_like(sa)
-    for k in range(0, sa.size, BISECT_BLOCK):
-        b = slice(k, k + BISECT_BLOCK)
-        ra[b] = _newton_block(beta, xa[b], sa[b], ctx, tol)
-    out[active] = ra
+    out = np.zeros(s.shape)
+    active = np.flatnonzero(s > 0.0)
+    for k in range(0, active.size, BISECT_BLOCK):
+        b = active[k:k + BISECT_BLOCK]
+        out.reshape(-1)[b] = _newton_block(beta, x0.take(b), s.take(b), ctx, tol)
     return out
 
 
@@ -143,51 +150,61 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
                   ctx: WeightContext, tol: float) -> np.ndarray:
     """Inverse heights of one block of points with s > 0, as described in
     :func:`height_inverse_vec`."""
-    lo = np.zeros_like(s)
-    hi = np.ones_like(s)
-    h = height(beta, x0, hi, ctx)
-    need = np.flatnonzero(h < s)
-    while need.size:
-        if np.any(hi[need] >= 2.0 ** 60):
-            raise NoBracket("height never reaches a requested value")
-        lo[need] = hi[need]
-        hi[need] *= 2.0
-        h[need] = height(beta, x0[need], hi[need], ctx)
-        need = need[h[need] < s[need]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.sqrt(s / beta(x0))  # the root of the model h(r) = beta(x0) r^2
+    r[~((r > 0.0) & (r <= 1.0))] = 1.0  # NaN and infinite starts included
+    h = height(beta, x0, r, ctx)
+    below = h < s
+    lo, hi = np.where(below, r, 0.0), np.where(below, np.inf, r)  # inf: no bracket
+    searching = bool(below.any())
     out = np.empty_like(s)
     pos = np.arange(s.size)  # where each remaining point goes in ``out``
-    r = hi.copy()  # the last iterate, always one end of its bracket; h = h(r)
+    log_s = np.log(s)
     step = step_old = np.full_like(s, np.inf)  # the last two steps taken
-    reach = np.zeros_like(s)  # distance of the last step if it was a probe
+    reach = 0.0  # distance of the last step where it was a probe
     for _ in range(MAX_NEWTON):
         done = hi - lo <= tol * hi
+        if searching:
+            done &= hi < np.inf
         if done.any():
-            out[pos[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            pos, x0, s, lo, hi, r, h, step, step_old, reach = (
-                a[keep] for a in (pos, x0, s, lo, hi, r, h, step, step_old, reach))
-            if not pos.size:
+            fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out[pos.take(fin)] = 0.5 * (lo.take(fin) + hi.take(fin))
+            if not keep.size:
                 return out
+            pos, x0, s, log_s, lo, hi, r, h, step, step_old = (
+                a.take(keep) for a in (pos, x0, s, log_s, lo, hi, r, h, step, step_old))
+            reach = reach.take(keep) if np.ndim(reach) else reach
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # d log h / d log r = r h'(r) / h(r) with n0 = 2 in 1D; a zero
-            # height gives NaN here and so a bisection below
+            # height gives NaN here and so a bisection or a doubling below
             slope = 1.0 + r * r * (beta(x0 + r) + beta(x0 - r)) / (2.0 * h)
-            nxt = r * np.exp((np.log(s) - np.log(h)) / slope)
+            nxt = r * np.exp((log_s - np.log(h)) / slope)
         dr = np.abs(nxt - r)
         cap = 0.25 * tol * r
         probe = dr < cap
-        reach = np.where(probe, np.minimum(np.maximum(np.maximum(dr, cap / 64.0),
-                                                      4.0 * reach), cap), 0.0)
-        nxt = np.where(probe, nxt + np.where(h < s, reach, -reach), nxt)
+        if probe.any():
+            reach = np.where(probe, np.minimum(np.maximum(np.maximum(dr, cap / 64.0),
+                                                          4.0 * reach), cap), 0.0)
+            nxt = np.where(probe, nxt + np.where(h < s, reach, -reach), nxt)
+        else:
+            reach = 0.0
         newton = (nxt > lo) & (nxt < hi) & (2.0 * dr <= np.abs(step_old))
-        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        reach = np.where(newton, reach, 0.0)
+        if not newton.all():  # bisect, or double r while it has no bracket
+            nxt = np.where(newton, nxt, np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * lo))
+            reach = np.where(newton, reach, 0.0)
+        if searching:
+            np.minimum(nxt, MAX_RADIUS, out=nxt)
         step_old, step = step, nxt - r
         r = nxt
+        del slope, dr, cap, probe, newton, nxt  # not kept alive through height
         h = height(beta, x0, r, ctx)
         below = h < s
-        lo = np.where(below, r, lo)
-        hi = np.where(below, hi, r)
+        lo, hi = np.where(below, r, lo), np.where(below, hi, r)
+        if searching and np.any(lo >= MAX_RADIUS):
+            break
+        searching = searching and bool(np.any(hi == np.inf))
+    if searching:
+        raise NoBracket("height never reaches a requested value")
     out[pos] = 0.5 * (lo + hi)
     return out
 

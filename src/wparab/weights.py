@@ -207,16 +207,12 @@ class Weight:
         if self.n == 1:
             (lo, hi), = self.domain
             xx = np.atleast_1d(x)
-            out = np.zeros_like(xx)
-            inside = (xx >= lo) & (xx <= hi)
-            if self.quadrature == "midpoint":
-                nc = self.samples.size
-                idx = np.clip(((xx - lo) / (hi - lo) * nc).astype(int), 0, nc - 1)
-                out[inside] = self.samples[idx[inside]]
+            if self.quadrature == "midpoint":  # the cell index, clipped to the cells
+                idx = ((xx - lo) / (hi - lo) * self.samples.size).astype(int)
+                vals = self.samples.take(idx, mode="clip")
             else:
-                nodes = np.linspace(lo, hi, self.samples.size)
-                out[inside] = np.interp(xx[inside], nodes, self.samples)
-            return out.reshape(np.shape(x))
+                vals = np.interp(xx, np.linspace(lo, hi, self.samples.size), self.samples)
+            return np.where((xx >= lo) & (xx <= hi), vals, 0.0).reshape(np.shape(x))
         (x0, x1), (y0, y1) = self.domain
         pts = np.atleast_2d(x)
         ny, nx = self.samples.shape
@@ -251,17 +247,29 @@ class Weight:
             else:
                 grid = np.linspace(lo, hi, self.samples.size)
                 slopes = _slopes(grid, self.samples)
-                full = self._gl16(p, grid[:-1], grid[1:], grid, slopes)
+                full = self._gl16(p, grid[:-1], grid[1:], np.arange(grid.size - 1),
+                                  grid, slopes)
                 cum = np.concatenate([[0.0], np.cumsum(full)])
             self._cum_cache[key] = (grid, cum, slopes)
         return self._cum_cache[key]
 
-    def _gl16(self, p: float, aa: np.ndarray, bb: np.ndarray, nodes: np.ndarray,
-              slopes: np.ndarray) -> np.ndarray:
-        """GL16 integrals of (linearly interpolated w)^p over each [aa, bb]."""
+    def _gl16(self, p: float, aa: np.ndarray, bb: np.ndarray, cell: np.ndarray,
+              nodes: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """GL16 integrals of (linearly interpolated w)^p over each [aa, bb]
+        inside the cell [nodes[cell], nodes[cell + 1]], read once per
+        interval; an abscissa rounded onto or past an edge of that cell goes
+        to :func:`_interp_uniform`, so every value keeps its bits."""
         mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
         xq = mid[:, None] + half[:, None] * _GL16_NODES
-        lin = _interp_uniform(xq, nodes, self.samples, slopes)
+        left = nodes.take(cell)[:, None]
+        lin = xq - left
+        lin *= slopes.take(cell)[:, None]
+        lin += self.samples.take(cell)[:, None]
+        # a cell past the last node (an empty interval above the domain) has
+        # no right edge: every abscissa of it is off
+        off = (xq < left) | (xq >= nodes.take(cell + 1, mode="clip")[:, None])
+        if off.any():
+            lin[off] = _interp_uniform(xq[off], nodes, self.samples, slopes)
         return half * np.sum(_GL16_WEIGHTS * lin ** p, axis=-1)
 
     def _trapezoid_masses(self, p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,8 +282,8 @@ class Weight:
         # the cell left of b, so that a b on a node ends the cell before it
         i1 = _locate(b, nodes)
         i1 = np.maximum(i1 - (b == nodes[i1]), 0)
-        first = self._gl16(p, a, np.minimum(b, nodes[i0 + 1]), nodes, slopes)
-        last = self._gl16(p, np.maximum(a, nodes[i1]), b, nodes, slopes)
+        first = self._gl16(p, a, np.minimum(b, nodes[i0 + 1]), i0, nodes, slopes)
+        last = self._gl16(p, np.maximum(a, nodes[i1]), b, i1, nodes, slopes)
         total = np.where(i1 > i0, first + (cum[i1] - cum[i0 + 1]) + last, first)
         return np.where(a >= b, 0.0, total)
 
@@ -299,8 +307,8 @@ class Weight:
                    * power_interval_integral(a, b, self.center[0], p * self.alpha))
         elif self.quadrature == "midpoint":
             edges, cum, slopes = self._cum_1d(p)
-            out = (_interp_uniform(b, edges, cum, slopes)
-                   - _interp_uniform(a, edges, cum, slopes))
+            ends = _interp_uniform(np.stack((a, b)), edges, cum, slopes)
+            out = ends[1] - ends[0]
         else:
             out = self._trapezoid_masses(p, a, b)
         return out.reshape(shape)
@@ -414,9 +422,10 @@ def _locate(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     nc = xp.size - 1
     with np.errstate(invalid="ignore"):
         j = ((x - xp[0]) * (nc / (xp[-1] - xp[0]))).astype(np.intp)
-    np.clip(j, 0, nc - 1, out=j)
-    j -= x < xp[j]
-    j += x >= xp[1:][j]
+    np.maximum(j, 0, out=j)
+    np.minimum(j, nc - 1, out=j)
+    j -= x < xp.take(j)
+    j += x >= xp[1:].take(j)
     return j
 
 
@@ -430,11 +439,11 @@ def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
     finite and ``xp`` hold at least two nodes; a NaN in ``x`` gives NaN, as
     in ``np.interp``.
     """
-    x = np.clip(x, xp[0], xp[-1])
-    j = _locate(x, xp)
-    out = x - xp[j]
-    out *= slopes[j]
-    out += fp[j]
+    out = np.minimum(np.maximum(x, xp[0]), xp[-1])
+    j = _locate(out, xp)
+    out -= xp.take(j)
+    out *= slopes.take(j)
+    out += fp.take(j)
     return out
 
 

@@ -45,9 +45,9 @@ def write_config(tmp_path, **overrides):
 def reference_csv(config, path):
     """``solution.csv`` written in process from the run's finest solution."""
     cfg = ExperimentConfig.load(str(config))
-    _, finest = convergence_study(cfg.build_weight(), cfg.audits["solve"].levels,
-                                  t_final=cfg.grid.t_final)
-    return write_solution_csv(path, finest).read_bytes()
+    _, solutions = convergence_study(cfg.build_weight(), cfg.audits["solve"].levels,
+                                     t_final=cfg.grid.t_final)
+    return write_solution_csv(path, solutions[-1]).read_bytes()
 
 
 @pytest.mark.parametrize("make_out", [
