@@ -196,7 +196,6 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
             np.minimum(nxt, MAX_RADIUS, out=nxt)
         step_old, step = step, nxt - r
         r = nxt
-        del slope, dr, cap, probe, newton, nxt  # not kept alive through height
         h = height(beta, x0, r, ctx)
         below = h < s
         lo, hi = np.where(below, r, lo), np.where(below, hi, r)

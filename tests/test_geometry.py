@@ -22,7 +22,7 @@ from wparab.geometry import (
     quasi_distance_batch,
     quasi_triangle_audit,
 )
-from wparab.weights import BallFamily, Weight, WeightContext
+from wparab.weights import SAMPLE_FLOOR, BallFamily, Weight, WeightContext
 
 DOM = (-1.0, 1.0)
 CTX = WeightContext(n=1, M0=10.0)
@@ -246,6 +246,102 @@ class TestBlockedBisection:
             height_inverse_reference(beta, x0, s, CTX)
         with pytest.raises(NoBracket, match="height never reaches a requested value"):
             height_inverse_vec(beta, x0, s, CTX)
+
+
+class TestModelStart:
+    """Each point starts at r0 = sqrt(s / beta(x0)), the root of the
+    small-ball model h(r) = beta(x0) r^2, or at 1 where r0 is not in (0, 1],
+    and searches upward while no height has reached s."""
+
+    S = np.geomspace(1e-9, 50.0, 41)  # roots far below and above 1
+
+    @staticmethod
+    def starts(beta, x0, s, monkeypatch):
+        """The inverse heights and the radii of the first height evaluation,
+        with the bracket postcondition and the reference checked."""
+        first = []
+
+        def recorded(beta, x0, r, ctx):
+            if not first:
+                first.append(np.array(r, dtype=float))
+            return height(beta, x0, r, ctx)
+
+        monkeypatch.setattr(geometry, "height", recorded)
+        got = height_inverse_vec(beta, x0, s, CTX)
+        monkeypatch.undo()
+        tol = TOL_BISECT
+        assert np.all(height(beta, x0, got * (1.0 - tol), CTX) < s)
+        assert np.all(s <= height(beta, x0, got * (1.0 + tol), CTX))
+        ref = height_inverse_reference(beta, x0, s, CTX)
+        assert np.all(np.abs(got - ref) <= tol * ref)
+        return got, first[0]
+
+    def test_model_root_where_it_lies_in_the_unit_interval(self, monkeypatch):
+        beta = TestBlockedBisection.WEIGHTS["sampled"]
+        x0 = np.linspace(-0.9, 0.9, self.S.size)
+        _, r0 = self.starts(beta, x0, self.S, monkeypatch)
+        model = np.sqrt(self.S / beta(x0))
+        inside = model <= 1.0
+        assert inside.any() and not inside.all()
+        assert np.array_equal(r0, np.where(inside, model, 1.0))
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.5])
+    def test_power_weight_at_its_centre(self, alpha, monkeypatch):
+        # beta(x0) is 0 for alpha > 0 and infinite for alpha < 0, so the
+        # model root is infinite or 0 and every point starts at 1
+        beta = Weight.power(alpha, 0.1, DOM)
+        with np.errstate(divide="ignore"):
+            assert beta(0.1) == (0.0 if alpha > 0 else math.inf)
+        got, r0 = self.starts(beta, np.full(self.S.size, 0.1), self.S, monkeypatch)
+        assert np.all(r0 == 1.0)
+        # h(r) = r^(2 + alpha) / (1 + alpha) at the centre
+        assert np.allclose(got, ((1.0 + alpha) * self.S) ** (1.0 / (2.0 + alpha)),
+                           rtol=1e-8, atol=0.0)
+
+    def test_sampled_cell_at_the_floor(self, monkeypatch):
+        # a cell at SAMPLE_FLOOR puts the model root far above 1
+        vals = np.random.default_rng(5).lognormal(0.0, 0.5, 64)
+        vals[20:24] = SAMPLE_FLOOR
+        beta = Weight.sampled(vals, DOM)
+        x0 = np.full(self.S.size, DOM[0] + 22.5 / 64 * (DOM[1] - DOM[0]))
+        assert np.all(beta(x0) == SAMPLE_FLOOR)
+        _, r0 = self.starts(beta, x0, self.S, monkeypatch)
+        assert np.all(r0 == 1.0)
+
+    def test_start_on_the_zero_height_plateau(self, monkeypatch):
+        # outside the domain the zero-extended weight is 0, and B_1(3) does
+        # not reach the domain, so h = 0 at the start and the point must
+        # search upward
+        beta = TestBlockedBisection.WEIGHTS["sampled"]
+        x0 = np.full(self.S.size, 3.0)
+        assert np.all(height(beta, x0, 1.0, CTX) == 0.0)
+        got, r0 = self.starts(beta, x0, self.S, monkeypatch)
+        assert np.all(r0 == 1.0) and np.all(got > 2.0)
+
+    def test_unreachable_from_the_plateau(self):
+        beta = TestBlockedBisection.WEIGHTS["sampled"]
+        x0, s = np.array([0.2, 3.0, -0.4]), np.array([0.5, 1e30, 0.5])
+        with pytest.raises(NoBracket, match="height never reaches a requested value"):
+            height_inverse_vec(beta, x0, s, CTX)
+
+    # Height point-evaluations (screen included) of quasi_triangle_audit with
+    # 2,000 samples at seed 7. A start at r = 1 takes 12-23% more.
+    AUDIT_EVALS = {"power": 31863, "constant": 20933, "sampled": 41267}
+
+    @pytest.mark.parametrize("kind", sorted(AUDIT_EVALS))
+    def test_audit_height_evaluations(self, kind, monkeypatch):
+        beta = TestBlockedBisection.WEIGHTS[kind]
+        evals = []
+
+        def counted(beta, x0, r, ctx):
+            out = height(beta, x0, r, ctx)
+            evals.append(out.size)
+            return out
+
+        monkeypatch.setattr(geometry, "height", counted)
+        quasi_triangle_audit(beta, estimate_quasi_params(beta, CTX), samples=2000,
+                             ctx=CTX, seed=7)
+        assert 0 < sum(evals) <= 1.05 * self.AUDIT_EVALS[kind]
 
 
 class TestQuasiDistance:
