@@ -249,6 +249,22 @@ class TestTrapezoidMasses:
         if n_nodes > 2:
             assert (~one_step).sum() > 100  # the table is exercised
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_abscissae_rounded_onto_a_node(self, p):
+        """Intervals a few ulps wide on either side of a node: some GL16
+        abscissae round onto the node, which is the next cell's left edge,
+        and must be read there, as ``np.interp`` reads them."""
+        domain = (-0.3, 1.9)
+        w = Weight.sampled(np.random.default_rng(8).lognormal(0.0, 1.0, 17), domain,
+                           quadrature="trapezoid")
+        nodes = np.linspace(*domain, 17)[1:-1]
+        below = np.nextafter(np.nextafter(nodes, -np.inf), -np.inf)
+        above = np.nextafter(np.nextafter(nodes, np.inf), np.inf)
+        a = np.concatenate([below, nodes])
+        b = np.concatenate([nodes, above])
+        ref = np.array([trapezoid_mass_reference(w, p, aa, bb) for aa, bb in zip(a, b)])
+        assert np.array_equal(w.mass_1d_vec(p, a, b), ref)
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_exact_for_linear_interpolant(self, p):
         """GL16 integrates polynomials of degree <= 31 exactly, so for p = 1
