@@ -136,11 +136,11 @@ class RunContext:
         u, _ = ManufacturedCase(self.weight).solve(*self.manufactured_grid)
         return u
 
-    def keep_manufactured(self, grid: tuple[int, int, float], u) -> None:
-        """Use ``u``, solved on ``grid`` = (nx, nt, t_final), as the
-        manufactured solution if that is the config grid."""
-        if grid == self.manufactured_grid:
-            self.__dict__.setdefault("manufactured", u)  # the cached value
+    def keep_manufactured(self, solved: dict) -> None:
+        """Take the manufactured solution on the config grid from ``solved``
+        (solutions by (nx, nt, t_final)) unless one is already at hand."""
+        if self.manufactured_grid in solved:  # into the cached property's slot
+            self.__dict__.setdefault("manufactured", solved[self.manufactured_grid])
 
     @functools.cached_property
     def quasi_params(self):
@@ -181,8 +181,8 @@ def run_solve(run: RunContext) -> list[AuditReport]:
     order_budget = p.order_min if p.order_min is not None else (
         1.9 if w.kind == "power" and w.alpha == 0.0 else 1.0)
     rows, solutions = convergence_study(w, levels, t_final=t_final)
-    for row, u in zip(rows, solutions):
-        run.keep_manufactured((row["nx"], row["nt"], t_final), u)
+    run.keep_manufactured({(r["nx"], r["nt"], t_final): u
+                           for r, u in zip(rows, solutions)})
     finest = solutions[-1]
     del solutions
     run.dump = Forked(functools.partial(write_solution_csv, out / "solution.csv", finest))
@@ -213,6 +213,7 @@ def run_solve(run: RunContext) -> list[AuditReport]:
                          a_fun=run.a_fun)
         for q in p.p_values:
             ratio_table[q].append(apriori_ratio(u, q).ratio)
+        del u  # not kept alive through the next level's solve
     for q in p.p_values:
         ratios = ratio_table[q]
         spread = (max(ratios) - min(ratios)) / min(ratios) if min(ratios) > 0 else 0.0
