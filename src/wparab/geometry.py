@@ -22,9 +22,9 @@ Heights and their inverse take 1D weights only; a 2D weight raises
 ValueError. The inverse height is a safeguarded Newton iteration per point,
 in log-log variables (h' = h/r + r (b(x0 + r) + b(x0 - r))/2). It starts at
 the root sqrt(s / b(x0)) of the small-ball model h(r) = b(x0) r^2, searches
-upward (Newton steps, doubling where a step is rejected) until a height
-reaches s, and then keeps to the bracket it has found, falling back to
-bisection. Every radius it returns is the midpoint of a bracket [lo, hi]
+upward (Newton steps, doubling to 1 at least where a step is rejected) until
+a height reaches s, and then keeps to the bracket it has found, falling back
+to bisection. Every radius it returns is the midpoint of a bracket [lo, hi]
 with h(lo) < s <= h(hi) and hi - lo <= tol * hi, and depends only on its
 own (x0, s), not on the other points of the call.
 
@@ -116,8 +116,9 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
     small-ball model h(r) = beta(x0) r^2, or at 1 where r0 is not in (0, 1]
     (beta(x0) = 0 or infinite, say). If h(r0) >= s, r0 is the top of its
     bracket [0, r0]; otherwise the bracket [r0, inf) has no top yet, and the
-    point searches upward with the same Newton steps, doubling r where a
-    step is rejected, until a height reaches s. Inside the bracket it runs
+    point searches upward with the same Newton steps, doubling r (to 1 at
+    least: a tiny start can sit where the computed h is 0) where a step is
+    rejected, until a height reaches s. Inside the bracket it runs
     Newton's method on log h(r) = log s in log r, safeguarded as in
     Numerical Recipes' ``rtsafe``: an iterate that leaves the open bracket,
     or a step that fails to halve the step from two iterations earlier,
@@ -189,8 +190,9 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
         else:
             reach = 0.0
         newton = (nxt > lo) & (nxt < hi) & (2.0 * dr <= np.abs(step_old))
-        if not newton.all():  # bisect, or double r while it has no bracket
-            nxt = np.where(newton, nxt, np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * lo))
+        if not newton.all():  # bisect, or double r (to 1 at least) while it has no bracket
+            nxt = np.where(newton, nxt, np.where(hi < np.inf, 0.5 * (lo + hi),
+                                                 np.maximum(2.0 * lo, 1.0)))
             reach = np.where(newton, reach, 0.0)
         if searching:
             np.minimum(nxt, MAX_RADIUS, out=nxt)

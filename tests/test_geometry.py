@@ -237,7 +237,8 @@ class TestBlockedBisection:
 
     def test_unreachable_height_raises(self):
         # the height of the zero-extended sampled weight outside its domain
-        # stays 0 until the ball reaches the domain
+        # stays 0 until the ball reaches the domain; beta(50) = 0, so that
+        # point starts at r = 1, on the plateau, and searches upward
         x0, s = self.points(2 * BISECT_BLOCK + 10)
         x0[BISECT_BLOCK + 5] = 50.0
         s[BISECT_BLOCK + 5] = 1e30
@@ -318,11 +319,19 @@ class TestModelStart:
         got, r0 = self.starts(beta, x0, self.S, monkeypatch)
         assert np.all(r0 == 1.0) and np.all(got > 2.0)
 
-    def test_unreachable_from_the_plateau(self):
-        beta = TestBlockedBisection.WEIGHTS["sampled"]
-        x0, s = np.array([0.2, 3.0, -0.4]), np.array([0.5, 1e30, 0.5])
-        with pytest.raises(NoBracket, match="height never reaches a requested value"):
-            height_inverse_vec(beta, x0, s, CTX)
+    def test_start_where_the_height_underflows(self):
+        # 0.1 from the profile centre the mass of a ball of radius r0 ~ 1e-155
+        # cancels to 0, and so does every height up to r ~ 1e-17: the first
+        # rejected search step goes to r = 1 instead of doubling ~450 times.
+        # The computed h is not monotone there, so only the bracket is checked.
+        beta = Weight.power(0.3, 0.1, DOM)
+        s = np.array([5e-324, 2.2e-309, 1e-200, 1e-40])
+        x0 = np.zeros(s.size)
+        r0 = np.sqrt(s / beta(x0))
+        assert np.all(r0 < 1e-15) and np.all(height(beta, x0, r0, CTX) == 0.0)
+        got = height_inverse_vec(beta, x0, s, CTX)
+        assert np.all(height(beta, x0, got * (1.0 - TOL_BISECT), CTX) < s)
+        assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT), CTX))
 
     # Height point-evaluations (screen included) of quasi_triangle_audit with
     # 2,000 samples at seed 7. A start at r = 1 takes 12-23% more.
