@@ -334,7 +334,7 @@ class TestModelStart:
         assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT), CTX))
 
     # Height point-evaluations (screen included) of quasi_triangle_audit with
-    # 2,000 samples at seed 7. A start at r = 1 takes 12-23% more.
+    # 2,000 samples at seed 7. A start at r = 1 takes 8-23% more.
     AUDIT_EVALS = {"power": 31863, "constant": 20933, "sampled": 41267}
 
     @pytest.mark.parametrize("kind", sorted(AUDIT_EVALS))
