@@ -315,16 +315,13 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     w, ctx, seed, p = run.weight, run.ctx, run.seed, run.cfg.audits["levelset"]
     lo, hi = w.domain[0]
 
-    reports = []
-    for i in range(p.n_fields):
-        rng = np.random.default_rng(seed + i)
-        vals = rng.random((16, 16))
-        field = SpaceTimeField(np.linspace(lo, hi, 17),
-                               np.linspace(-1.0, 0.0, 17), vals)
-        rep = weak_1_1_audit(field, w, p.lambdas, ctx, budget=p.weak11_budget)
+    fields = [SpaceTimeField(np.linspace(lo, hi, 17), np.linspace(-1.0, 0.0, 17),
+                             np.random.default_rng(seed + i).random((16, 16)))
+              for i in range(p.n_fields)]
+    reports = weak_1_1_audit(fields, w, p.lambdas, ctx, budget=p.weak11_budget)
+    for i, rep in enumerate(reports):
         rep.check = f"maximal-weak-1-1-field{i}"
         rep.seed = seed + i
-        reports.append(rep)
 
     rng = np.random.default_rng(seed + 100)
     cyls = [WeightedCylinder(

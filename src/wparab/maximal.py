@@ -160,38 +160,40 @@ def default_radius_grid(g: SpaceTimeField, n: int = 24) -> np.ndarray:
     return np.geomspace(2.0 * dx, width, n)
 
 
-def weak_1_1_audit(g: SpaceTimeField, beta: Weight, lambdas, ctx: WeightContext,
-                   radii: np.ndarray | None = None,
-                   budget: float = math.inf) -> AuditReport:
-    """Weak (1,1) bound of the maximal operator on one field.
+def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
+                   ctx: WeightContext, radii: np.ndarray | None = None,
+                   budget: float = math.inf) -> list[AuditReport]:
+    """Weak (1,1) bound of the maximal operator, one report per field; the
+    fields share one grid and one :func:`maximal_function_batch` call.
 
     For each level lambda reports lambda * |{Mg > lambda}| against the L^1
     norm of g; the audit constant is the worst ratio and is recorded, not
     asserted against any theoretical value (unless a budget is supplied).
     """
     if radii is None:
-        radii = default_radius_grid(g)
-    X, T = g.cell_centers()
-    (mg,) = maximal_function_batch([g], beta, X, T, radii, ctx)
-    l1 = g.l1_norm()
-    area = g.cell_area
-    rows = []
-    worst = 0.0
-    for lam in lambdas:
-        meas = float(np.sum(mg > lam) * area)
-        ratio = lam * meas / l1 if l1 > 0 else 0.0
-        worst = max(worst, ratio)
-        rows.append(AuditRow(
-            label=f"level-{lam:g}", lhs=lam * meas, rhs=l1, constant=ratio,
-            budget=budget, passed=bool(ratio <= budget),
-            extra={"lambda": float(lam), "levelset_measure": meas}))
-    rows.append(AuditRow(label="weak-11-constant", lhs=worst, rhs=budget,
-                         constant=worst, budget=budget,
-                         passed=bool(worst <= budget)))
-    return AuditReport.from_rows(
-        "maximal-weak-1-1", rows,
-        params={"n_points": int(X.size), "n_radii": int(len(radii)),
-                "l1_norm": l1})
+        radii = default_radius_grid(fields[0])
+    X, T = fields[0].cell_centers()
+    reports = []
+    for g, mg in zip(fields, maximal_function_batch(fields, beta, X, T, radii, ctx)):
+        l1 = g.l1_norm()
+        rows = []
+        worst = 0.0
+        for lam in lambdas:
+            meas = float(np.sum(mg > lam) * g.cell_area)
+            ratio = lam * meas / l1 if l1 > 0 else 0.0
+            worst = max(worst, ratio)
+            rows.append(AuditRow(
+                label=f"level-{lam:g}", lhs=lam * meas, rhs=l1, constant=ratio,
+                budget=budget, passed=bool(ratio <= budget),
+                extra={"lambda": float(lam), "levelset_measure": meas}))
+        rows.append(AuditRow(label="weak-11-constant", lhs=worst, rhs=budget,
+                             constant=worst, budget=budget,
+                             passed=bool(worst <= budget)))
+        reports.append(AuditReport.from_rows(
+            "maximal-weak-1-1", rows,
+            params={"n_points": int(X.size), "n_radii": int(len(radii)),
+                    "l1_norm": l1}))
+    return reports
 
 
 @dataclass

@@ -207,8 +207,8 @@ class Weight:
         if self.n == 1:
             (lo, hi), = self.domain
             xx = np.atleast_1d(x)
-            if self.quadrature == "midpoint":  # the cell index, clipped to the cells
-                idx = ((xx - lo) / (hi - lo) * self.samples.size).astype(int)
+            if self.quadrature == "midpoint":  # the mass table's cell, hi in the last
+                idx = _locate(np.minimum(np.maximum(xx, lo), hi), self._cum_1d(1.0)[0])
                 vals = self.samples.take(idx, mode="clip")
             else:
                 vals = np.interp(xx, np.linspace(lo, hi, self.samples.size), self.samples)

@@ -221,8 +221,8 @@ class TestAcceptance:
             field = SpaceTimeField(np.linspace(0.0, 1.0, 17),
                                    np.linspace(-1.0, 0.0, 17),
                                    rng.random((16, 16)))
-            rep = weak_1_1_audit(field, beta, [0.25, 0.5, 1.0, 2.0], ctx,
-                                 budget=100.0)
+            rep, = weak_1_1_audit([field], beta, [0.25, 0.5, 1.0, 2.0], ctx,
+                                  budget=100.0)
             ok = ok and rep.passed
         for fam_seed in (97, 98):
             rng = np.random.default_rng(fam_seed)

@@ -11,6 +11,7 @@ from wparab.geometry import (
     BISECT_BLOCK,
     MAX_BISECT,
     TOL_BISECT,
+    TRIPLE_BLOCK,
     QuasiMetricParams,
     SpaceTimePoint,
     WeightedCylinder,
@@ -547,6 +548,98 @@ class TestQuasiTriangle:
         r1 = quasi_triangle_audit(w, params, samples=500, ctx=CTX, seed=9)
         r2 = quasi_triangle_audit(w, params, samples=500, ctx=CTX, seed=9)
         assert r1.to_json() == r2.to_json()
+
+
+def quasi_triangle_whole(beta, params, samples, ctx, seed):
+    """Reference for the blocked audit: every triple drawn and measured at
+    once, the first argmax of the whole ratio vector reported."""
+    rng = np.random.default_rng(seed)
+    (lo, hi), = beta.domain[:1]
+    t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo), ctx).item()
+    xs = rng.uniform(lo, hi, size=(samples, 3))
+    ts = rng.uniform(-t_span, 0.0, size=(samples, 3))
+    xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
+    xs = np.vstack([xs, xs_adv])
+    ts = np.vstack([ts, ts_adv])
+    d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0], ctx)
+    d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0], ctx)
+    d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1], ctx)
+    denom = d_leg1 + d_leg2
+    ratios = np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
+    worst = int(np.argmax(ratios))
+    max_ratio = float(ratios[worst])
+    return max_ratio, {
+        "z0": [float(xs[worst, 0]), float(ts[worst, 0])],
+        "z1": [float(xs[worst, 1]), float(ts[worst, 1])],
+        "zbar": [float(xs[worst, 2]), float(ts[worst, 2])],
+    }, t_span, int(np.count_nonzero(ratios == max_ratio))
+
+
+class TestBlockedTriangleAudit:
+    """The audit walks its triples in blocks of TRIPLE_BLOCK and reports
+    what the whole-array audit reported."""
+
+    N_ADV = 13 * 13 * 10
+    WEIGHTS = {"power": Weight.power(0.4, 0.1, DOM),
+               "sampled": TestBlockedBisection.WEIGHTS["sampled"]}
+
+    def check(self, beta, samples, seed):
+        """The blocked report against the reference, field by field; the
+        number of triples at the worst ratio."""
+        params = estimate_quasi_params(beta, CTX)
+        rep = quasi_triangle_audit(beta, params, samples, CTX, seed=seed)
+        ratio, triple, t_span, ties = quasi_triangle_whole(beta, params, samples,
+                                                           CTX, seed)
+        row, = rep.rows
+        assert row.constant == row.lhs == ratio
+        assert row.extra["worst_triple"] == triple
+        assert rep.params == {"samples": samples, "Lambda": params.Lambda,
+                              "t_span": t_span}
+        assert row.passed == (ratio <= params.Lambda)
+        return ties
+
+    @pytest.mark.parametrize("seed", [5, 2026])
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    @pytest.mark.parametrize("samples", [1, TRIPLE_BLOCK - N_ADV - 1,
+                                         TRIPLE_BLOCK - N_ADV,
+                                         TRIPLE_BLOCK - N_ADV + 1])
+    def test_matches_whole_array_audit(self, kind, samples, seed):
+        self.check(self.WEIGHTS[kind], samples, seed)
+
+    @pytest.mark.parametrize("block", [TRIPLE_BLOCK, 16])
+    def test_ties_report_the_first_worst_triple(self, block, monkeypatch):
+        # the constant weight: every triple collinear in x reaches ratio 1;
+        # with 16-triple blocks the first of them sits in a later block
+        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", block)
+        samples = 300 if block == 16 else TRIPLE_BLOCK + 5
+        assert self.check(Weight.constant(1.0, DOM), samples, seed=1) > 10
+
+    @pytest.mark.parametrize("samples", [1, 999, 1000, 2500])
+    def test_block_draws_are_the_one_shot_draws(self, samples, monkeypatch):
+        # each block's triples, read off the first two legs it measures
+        legs = []
+
+        def recorded(beta, X, T, X0, T0, ctx):
+            legs.append((X, T, X0, T0))
+            return quasi_distance_batch(beta, X, T, X0, T0, ctx)
+
+        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 1000)
+        monkeypatch.setattr(geometry, "quasi_distance_batch", recorded)
+        beta = self.WEIGHTS["power"]
+        rep = quasi_triangle_audit(beta, estimate_quasi_params(beta, CTX),
+                                   samples, CTX, seed=11)
+        blocks = [(np.column_stack([x0, x1, x2]), np.column_stack([t0, t1, t2]))
+                  for (x2, t2, x0, t0), (x1, t1, _, _) in zip(legs[0::3], legs[1::3])]
+        assert len(legs) == 3 * len(blocks)
+        assert [len(x) for x, _ in blocks[:-1]] == [1000] * (len(blocks) - 1)
+        (lo, hi), = beta.domain
+        t_span = rep.params["t_span"]
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(lo, hi, size=(samples, 3))
+        ts = rng.uniform(-t_span, 0.0, size=(samples, 3))
+        xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
+        assert np.array_equal(np.vstack([x for x, _ in blocks]), np.vstack([xs, xs_adv]))
+        assert np.array_equal(np.vstack([t for _, t in blocks]), np.vstack([ts, ts_adv]))
 
 
 def quasi_params_per_ball(beta, ctx):

@@ -296,7 +296,7 @@ class TestWeakOneOne:
     def test_zero_field(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((8, 8), 1e-299))
-        rep = weak_1_1_audit(f, beta, [0.5, 1.0], CTX)
+        rep, = weak_1_1_audit([f], beta, [0.5, 1.0], CTX)
         for row in rep.rows[:-1]:
             assert row.extra["levelset_measure"] == 0.0
 
@@ -304,7 +304,7 @@ class TestWeakOneOne:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         rng = np.random.default_rng(11)
         f = make_field(rng.random((16, 16)))
-        rep = weak_1_1_audit(f, beta, [0.25, 0.5, 1.0, 2.0, 1e6], CTX)
+        rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0, 2.0, 1e6], CTX)
         measures = [r.extra["levelset_measure"] for r in rep.rows[:-1]]
         assert all(b <= a for a, b in zip(measures, measures[1:]))
         assert measures[-1] == 0.0
@@ -314,7 +314,7 @@ class TestWeakOneOne:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             f = make_field(rng.random((16, 16)))
-            rep = weak_1_1_audit(f, beta, [0.25, 0.5, 1.0], CTX, budget=100.0)
+            rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0], CTX, budget=100.0)
             assert rep.passed
             assert np.isfinite(rep.rows[-1].constant)
 
@@ -323,7 +323,7 @@ class TestWeakOneOne:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.random.default_rng(3).random((8, 8)))
         with pytest.raises(ValueError):
-            weak_1_1_audit(f, beta, [0.25, 1.0], CTX, radii=np.array([0.0]),
+            weak_1_1_audit([f], beta, [0.25, 1.0], CTX, radii=np.array([0.0]),
                            budget=1e-9)
 
     def test_zero_height_rejected(self):
@@ -332,7 +332,7 @@ class TestWeakOneOne:
         beta = Weight.sampled(np.ones(4), (0.0, 1.0))
         f = make_field(np.random.default_rng(3).random((8, 8)))
         with pytest.raises(EmptyRegion):
-            weak_1_1_audit(f, beta, [0.25, 1.0], CTX, radii=np.array([0.1]),
+            weak_1_1_audit([f], beta, [0.25, 1.0], CTX, radii=np.array([0.1]),
                            budget=1e-9)
 
 

@@ -1,9 +1,11 @@
-"""Peak traced memory of the blocked solver and oscillation passes.
+"""Peak traced memory of the blocked solver, oscillation and quasi-triangle
+passes.
 
-Each bound is the peak that the per-step and per-cylinder loops reached
-(measured with ``tracemalloc`` on the same inputs) plus a stated margin, so
-building the diagonals or the coefficient samples for the whole problem at
-once fails: that took 20.9 MB for the solve and 23 MB for the lattice.
+Each bound is the peak that the per-step, per-cylinder and per-block loops
+reached (measured with ``tracemalloc`` on the same inputs) plus a stated
+margin, so building the diagonals, the coefficient samples or the triples
+for the whole problem at once fails: that took 20.9 MB for the solve, 23 MB
+for the lattice and 22.7 MB for the triples.
 """
 import tracemalloc
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from wparab.config import ExperimentConfig
+from wparab.geometry import estimate_quasi_params, quasi_triangle_audit
 from wparab.oscillation import OscillationConfig, oscillation_supremum
 from wparab.solver import CoefficientField, Grid, forcing_from_callable, solve_ivbp
 from wparab.weights import Weight, WeightContext
@@ -52,3 +55,14 @@ def test_oscillation_supremum_peak():
     # the per-cylinder loop peaked at 0.05 MB on this 17 x 24 x 4 lattice;
     # margin 1 MB
     assert peak < 0.05 * MB + 1.0 * MB
+
+
+def test_quasi_triangle_audit_peak():
+    beta = ExperimentConfig.load(CONFIG_DIR / "power_weight.json").build_weight()
+    ctx = WeightContext(n=1, M0=10.0)
+    params = estimate_quasi_params(beta, ctx)
+    peak = traced_peak(lambda: quasi_triangle_audit(beta, params, 200_000, ctx,
+                                                    seed=7))
+    # blocks of 32,768 triples peaked at 6.07 MB, at 2e5 samples as at 5e5;
+    # all triples at once took 22.7 MB here. Margin about 4 MB
+    assert peak < 10.0 * MB

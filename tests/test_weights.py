@@ -114,6 +114,19 @@ class TestCumulativeLookup:
         ref = np.interp(b, edges, cum) - np.interp(a, edges, cum)
         assert np.array_equal(w.mass_1d_vec(p, a, b), ref)
 
+    def test_point_values_read_the_table_cell(self):
+        # the points on and one ulp beside each cell edge: the floored cell
+        # index differed from the table's cell at 81 of these 769 points
+        w = Weight.sampled(np.random.default_rng(1).uniform(0.5, 2.0, 256), (-0.3, 1.9))
+        edges = w._cum_1d(1.0)[0]
+        x = np.concatenate([np.nextafter(edges, -np.inf), edges,
+                            np.nextafter(edges, np.inf)])
+        inside = (x >= -0.3) & (x <= 1.9)
+        assert np.count_nonzero(inside) == 769
+        cell = np.minimum(np.searchsorted(edges, x[inside], side="right") - 1, 255)
+        assert np.array_equal(w(x[inside]), w.samples[cell])
+        assert np.all(w(x[~inside]) == 0.0)
+
     def test_whole_and_empty_intervals(self):
         w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)
         edges, cum, _ = w._cum_1d(1.0)
