@@ -3,10 +3,12 @@
 ``tests/golden/<config>/`` holds every JSON report and every sweep CSV that
 ``wparab all`` writes for the config at :func:`config_path` at its seed,
 except the solution dumps and the SVG plots. The configs are the two
-bundled ones, ``src/wparab/configs/<config>.json``, and ``sampled``
+bundled ones, ``src/wparab/configs/<config>.json``, ``sampled``
 (``tests/configs/sampled.json``): the weights and geometry groups on a
 256-cell midpoint weight, |x - 1/2|^0.2 times a seeded log-normal factor,
-with its samples written out. Floats compare within a
+with its samples written out, and ``trapezoid``: the same samples as
+256 nodes of a trapezoid-rule weight, with 20,000 quasi-triangle samples.
+Floats compare within a
 relative tolerance of 1e-12; verdicts, labels, integers and the file set
 must match exactly. The solution dumps are checked byte for byte through
 their SHA-256 digests in ``solution.sha256``.
@@ -31,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "wparab" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
-CONFIGS = ("identity", "power_weight", "sampled")
+CONFIGS = ("identity", "power_weight", "sampled", "trapezoid")
 RTOL = 1e-12
 SOLUTION_DUMPS = ("solution.csv", "solution.bin")
 SOLUTION_DIGESTS = "solution.sha256"
