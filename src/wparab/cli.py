@@ -36,7 +36,7 @@ from .experiments import (ManufacturedCase, convergence_study, fit_loglog_slope,
                           freeze_compare_sweep, smooth_random_forcing, solve_driven)
 from .flattening import (BoundaryChart, admissible_radius_search, b_norm_delta_sweep,
                          inclusion_audit, oscillation_delta_sweep,
-                         pushforward_coefficients, pushforward_weight_audit)
+                         pushforward_weight_audit)
 from .geometry import (SpaceTimePoint, WeightedCylinder, cylinder_relations_audit,
                        estimate_quasi_params, quasi_triangle_audit)
 from .inequalities import (SpaceTimeTestFunction, TestFunction, interpolation_audit,
@@ -303,8 +303,7 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     g.validate_gradient(lab_dom, seed=run.seed)
     reports.append(weighted_lq_control_audit(
         g, mu, 2.0, (0.0, 0.0, 0.8), 0.1, ctx, fam, budget=p.lab_budget))
-    reports.append(weighted_embedding_audit(g, mu, "low", 0.5,
-                                            budget=p.lab_budget))
+    reports.append(weighted_embedding_audit(g, mu, 0.5, budget=p.lab_budget))
     u_fn = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
     reports.append(interpolation_audit(u_fn, mu, 0.0, 0.8, (0.0, 1.0),
                                        budget=p.lab_budget))
@@ -357,12 +356,10 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
     ctx2 = WeightContext(n=2, M0=p.M0)
     dom2 = ((-1.0, 1.0), (-1.0, 1.0))
 
-    chart = BoundaryChart(kind="affine", delta=p.deltas[-1])
-    reports = [inclusion_audit(chart, [0.2, 0.1], 0.5)]
-    _, _, coef_rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
-    reports.append(coef_rep)
-
+    reports = [inclusion_audit(BoundaryChart(delta=p.deltas[-1]), [0.2, 0.1], 0.5)]
+    # the sweep's last chart is the coefficient-pushforward audit's chart
     b_rows = b_norm_delta_sweep(p.deltas)
+    reports.append(b_rows[-1]["report"])
     slope_b = fit_loglog_slope([r["delta"] for r in b_rows],
                                [r["b_norm"] for r in b_rows])
     osc_rows = oscillation_delta_sweep(p.deltas, ctx2)
@@ -389,7 +386,7 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
 
     beta2 = Weight.power(p.alpha, (0.0, 0.0), dom2)
     fam2 = BallFamily.default(dom2, n_centers=5, n_radii=8)
-    chart2 = BoundaryChart(kind="affine", delta=p.delta)
+    chart2 = BoundaryChart(delta=p.delta)
     reports.append(pushforward_weight_audit(chart2, beta2, ctx2, fam2,
                                             shape=(32, 32)))
     reports.append(admissible_radius_search(chart2, beta2, ctx2, R=p.R, t0=p.t0,

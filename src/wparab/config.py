@@ -224,6 +224,11 @@ class ExperimentConfig:
         if manufactured and self.weight_spec.get("kind") == "sampled":
             raise ConfigError(f"groups {manufactured} solve the manufactured problem, "
                               "which is not defined for sampled weights")
+        domain = np.ravel(self.weight_spec.get("domain", [0.0, 1.0])).tolist()
+        if manufactured and domain != [0.0, 1.0]:
+            raise ConfigError(f"groups {manufactured} solve the manufactured problem "
+                              f"on (0, 1) only, and the weight domain is {domain} "
+                              "(ROADMAP item 10: one domain for every solve)")
 
     def build_weight(self) -> Weight:
         spec = self.weight_spec

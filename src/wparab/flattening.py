@@ -1,9 +1,10 @@
 """Boundary flattening: the graph map, coefficient pushforward, and the
 weight-class and oscillation inflation audits.
 
-The chart is Phi(x', x_n) = (x', x_n - phi(x')) with Lipschitz bound
-||grad phi|| <= delta < 1; its inverse adds phi back, both have unit
-Jacobian determinant. Coefficients push forward by congruence,
+The chart is Phi(x', x_n) = (x', x_n - phi(x')) with the affine graph
+phi(x') = delta * x', so ||grad phi|| = delta < 1; its inverse adds phi
+back, both have unit Jacobian determinant. Coefficients push forward by
+congruence,
 
     A~ = (grad Phi) A (grad Phi)^T = A + B,
 
@@ -26,50 +27,22 @@ from .report import AuditReport, AuditRow
 from .weights import (BallFamily, Weight, WeightContext, aq_characteristic,
                       ball_grid, first_sup)
 
-# max |s'(y)| for the bump profile s(y) = y^2 (1 - y^2)^2 on [-1, 1]
-_y = np.linspace(-1.0, 1.0, 20001)
-_BUMP_SLOPE = np.abs(2 * _y * (1 - _y * _y) * (1 - 3 * _y * _y)).max()
-del _y
-
-
 @dataclass
 class BoundaryChart:
-    """Graph chart phi of a boundary patch, with exact gradient.
+    """Affine graph chart phi(x') = delta * x' of a boundary patch (the
+    Lipschitz test chart), with exact gradient."""
 
-    kind='affine': phi(x') = delta * x' (Lipschitz test chart).
-    kind='bump':   a compactly supported profile with phi(base) = 0 and
-                   grad phi(base) = 0, scaled so sup |grad phi| = delta.
-    """
-
-    kind: str
     delta: float
-    base: float = 0.0
-    width: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("affine", "bump"):
-            raise ValueError(f"unknown chart kind {self.kind!r}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("chart slope delta must lie in [0, 1)")
-        if self.width <= 0.0:
-            raise ValueError("bump width must be positive")
 
     def phi(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        if self.kind == "affine":
-            return self.delta * xp
-        y = (xp - self.base) / self.width
-        s = np.where(np.abs(y) < 1.0, y ** 2 * (1.0 - y ** 2) ** 2, 0.0)
-        return self.delta * self.width / _BUMP_SLOPE * s
+        return self.delta * np.asarray(xp, dtype=float)
 
     def grad_phi(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        if self.kind == "affine":
-            return np.full_like(xp, self.delta)
-        y = (xp - self.base) / self.width
-        ds = np.where(np.abs(y) < 1.0,
-                      2.0 * y * (1.0 - y ** 2) * (1.0 - 3.0 * y ** 2), 0.0)
-        return self.delta / _BUMP_SLOPE * ds
+        return np.full_like(np.asarray(xp, dtype=float), self.delta)
 
 
 def phi_map(chart: BoundaryChart, x) -> np.ndarray:
@@ -255,7 +228,7 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
     """
     n = ctx.n
     q = 1.0 + 2.0 / ctx.n0
-    beta_grid = _transformed_weight(BoundaryChart(kind="affine", delta=0.0),
+    beta_grid = _transformed_weight(BoundaryChart(delta=0.0),
                                     beta, shape)  # same sampling for fairness
     est_orig = aq_characteristic(beta_grid, q, fam, power=-1.0)
     if est_orig > ctx.M0:
@@ -284,8 +257,7 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
 def oscillation_delta_sweep(deltas, ctx: WeightContext,
                             domain=((-1.0, 1.0), (-1.0, 1.0)),
                             alpha_ratio: float = 0.5,
-                            shape: tuple[int, int] = (40, 40),
-                            kind: str = "affine") -> list[dict]:
+                            shape: tuple[int, int] = (40, 40)) -> list[dict]:
     """Coupled sweep: chart slope delta with weight |x|^{alpha_ratio*delta}.
 
     Under the smallness hypothesis the chart slope and the weight's own
@@ -295,7 +267,7 @@ def oscillation_delta_sweep(deltas, ctx: WeightContext,
     fam = BallFamily.default(domain, n_centers=5, n_radii=8)
     rows = []
     for d in deltas:
-        chart = BoundaryChart(kind=kind, delta=float(d))
+        chart = BoundaryChart(delta=float(d))
         beta = Weight.power(alpha_ratio * float(d), (0.0, 0.25), domain)
         wt = _transformed_weight(chart, beta, shape)
         osc = _sup_ball_oscillation(wt, fam)
@@ -304,15 +276,16 @@ def oscillation_delta_sweep(deltas, ctx: WeightContext,
 
 
 def b_norm_delta_sweep(deltas, a_fun=None, nu: float = 0.5) -> list[dict]:
-    """Max correction norm ||B|| per chart slope, for the exponent fit."""
+    """Max correction norm ||B|| per chart slope, for the exponent fit, with
+    the ``coefficient-pushforward`` report it was read from."""
     rows = []
     for d in deltas:
-        chart = BoundaryChart(kind="affine", delta=float(d))
+        chart = BoundaryChart(delta=float(d))
         fn = a_fun or (lambda x, t: np.eye(2))
         _, _, rep = pushforward_coefficients(chart, fn, nu)
         row = next(r for r in rep.rows
                    if r.label == "correction-norm-linear-in-delta")
-        rows.append({"delta": float(d), "b_norm": row.lhs})
+        rows.append({"delta": float(d), "b_norm": row.lhs, "report": rep})
     return rows
 
 

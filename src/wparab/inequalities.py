@@ -6,8 +6,7 @@ Three checks, each reporting an empirical constant:
   * unweighted L^{2/(q-gamma)} control by the weighted L^2 norm for an
     A_q weight,
   * the weighted L^2 embedding against a higher unweighted power with
-    exponent s = 2n/(n(1+gamma)-2) (higher dimensions) or
-    s = 2(1+gamma)/gamma (n <= 2),
+    exponent s = 2(1+gamma)/gamma, the case n <= 2 of the paper,
   * the space-time interpolation bound
     (1/(b)_B) avg_Q u^2 b <= N (avg u^2)^{1-th} [(avg u^2)^th
                                   + r^{2th} (avg |grad u|^2)^th].
@@ -48,11 +47,9 @@ class TestFunction:
     frequency: float = 1.0
     phase: float = 0.0
     offset: float = 0.0
-    breaks: np.ndarray | None = None
-    piece_coeffs: list | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("polynomial", "trig", "piecewise"):
+        if self.kind not in ("polynomial", "trig"):
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         self.coeffs = np.asarray(self.coeffs, dtype=float)
 
@@ -66,42 +63,20 @@ class TestFunction:
         return cls(kind="trig", coeffs=np.array([amplitude]),
                    frequency=frequency, phase=phase, offset=offset)
 
-    @classmethod
-    def piecewise(cls, breaks, piece_coeffs) -> "TestFunction":
-        return cls(kind="piecewise", breaks=np.asarray(breaks, dtype=float),
-                   piece_coeffs=[np.asarray(c, dtype=float) for c in piece_coeffs])
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             return np.polynomial.polynomial.polyval(x, self.coeffs)
-        if self.kind == "trig":
-            return (self.offset + self.coeffs[0]
-                    * np.sin(self.frequency * math.pi * x + self.phase))
-        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
-                      0, len(self.piece_coeffs) - 1)
-        out = np.empty_like(x)
-        for i, c in enumerate(self.piece_coeffs):
-            m = idx == i
-            out[m] = np.polynomial.polynomial.polyval(x[m], c)
-        return out
+        return (self.offset + self.coeffs[0]
+                * np.sin(self.frequency * math.pi * x + self.phase))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             d = np.polynomial.polynomial.polyder(self.coeffs)
             return np.polynomial.polynomial.polyval(x, d)
-        if self.kind == "trig":
-            w = self.frequency * math.pi
-            return self.coeffs[0] * w * np.cos(w * x + self.phase)
-        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
-                      0, len(self.piece_coeffs) - 1)
-        out = np.empty_like(x)
-        for i, c in enumerate(self.piece_coeffs):
-            m = idx == i
-            d = np.polynomial.polynomial.polyder(c)
-            out[m] = np.polynomial.polynomial.polyval(x[m], d)
-        return out
+        w = self.frequency * math.pi
+        return self.coeffs[0] * w * np.cos(w * x + self.phase)
 
     def validate_gradient(self, interval, seed: int = 0, n: int = 16,
                           tol: float = 1e-6) -> None:
@@ -109,9 +84,6 @@ class TestFunction:
         rng = np.random.default_rng(seed)
         lo, hi = interval
         pts = rng.uniform(lo + 1e-3, hi - 1e-3, n)
-        if self.kind == "piecewise":
-            for b in self.breaks:
-                pts = pts[np.abs(pts - b) > 1e-2]
         eps = 1e-6 * (hi - lo)
         fd = (self(pts + eps) - self(pts - eps)) / (2 * eps)
         g = self.grad(pts)
@@ -236,25 +208,16 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
                 "reverse_holder_gamma": rh, "gamma_exceeds_estimate": gamma_flag})
 
 
-def weighted_embedding_audit(g: TestFunction, beta: Weight, case: str,
-                             gamma: float, ball: tuple[float, float] = (0.0, 1.0),
-                             budget: float = math.inf, n_dim: int = 3) -> AuditReport:
-    """Weighted L^2 mass controlled by a higher unweighted power.
-
-    case 'high' uses s = 2n/(n(1+gamma)-2) (valid for gamma < 2/n);
-    case 'low' uses s = 2(1+gamma)/gamma. lhs = (1/b(B)) int g^2 b,
-    rhs = (avg |g|^s)^{2/s}.
+def weighted_embedding_audit(g: TestFunction, beta: Weight, gamma: float,
+                             ball: tuple[float, float] = (0.0, 1.0),
+                             budget: float = math.inf) -> AuditReport:
+    """Weighted L^2 mass controlled by a higher unweighted power, in the
+    low-dimensional case (n <= 2) of the paper: s = 2(1+gamma)/gamma,
+    lhs = (1/b(B)) int g^2 b, rhs = (avg |g|^s)^{2/s}.
     """
-    if case == "high":
-        if not 0.0 < gamma < 2.0 / n_dim:
-            raise GateFailed(f"gamma must lie in (0, 2/n) for the high case")
-        s = 2.0 * n_dim / (n_dim * (1.0 + gamma) - 2.0)
-    elif case == "low":
-        if gamma <= 0.0:
-            raise GateFailed("gamma must be positive for the low case")
-        s = 2.0 * (1.0 + gamma) / gamma
-    else:
-        raise ValueError(f"unknown case {case!r}")
+    if gamma <= 0.0:
+        raise GateFailed("gamma must be positive for the low case")
+    s = 2.0 * (1.0 + gamma) / gamma
     x0, r = ball
     a, b = _ball_interval(beta, x0, r)
     mass = float(beta.mass_1d_vec(1.0, x0 - r, x0 + r))
@@ -262,12 +225,12 @@ def weighted_embedding_audit(g: TestFunction, beta: Weight, case: str,
     rhs = (weighted_integral(lambda x: np.abs(g(x)) ** s, None, (a, b))
            / (b - a)) ** (2.0 / s)
     n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
-    row = AuditRow(label=f"embedding-{case}", lhs=lhs, rhs=rhs, constant=n_emp,
+    row = AuditRow(label="embedding-low", lhs=lhs, rhs=rhs, constant=n_emp,
                    budget=budget,
                    passed=bool(math.isfinite(n_emp) and n_emp <= budget))
     return AuditReport.from_rows(
         "weighted-embedding", [row],
-        params={"case": case, "gamma": gamma, "s": s})
+        params={"case": "low", "gamma": gamma, "s": s})
 
 
 @dataclass

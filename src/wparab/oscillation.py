@@ -1,14 +1,14 @@
-"""Mean-oscillation functionals for the coefficient matrix and the weight.
+"""Mean-oscillation functionals for the coefficient and the weight.
 
 For the weight, the ball-wise squared oscillation
 
     theta_beta(B) = (1/b(B)) ∫_B |b - (b)_B|^2 b^{-1} dx
 
 collapses algebraically to (b)_B (b^{-1})_B - 1, so it is computed from the
-same moments as the A_2 quantity. For the coefficient matrix the average is
-partial: on a cylinder the matrix is centered per time slice around its
-spatial mean over B_rho(x0) ∩ Omega, so purely time-dependent coefficients
-register zero oscillation.
+same moments as the A_2 quantity. For the coefficient, a scalar in
+this 1D code, the average is partial: on a cylinder the coefficient is
+centered per time slice around its spatial mean over B_rho(x0) ∩ Omega, so
+purely time-dependent coefficients register zero oscillation.
 
 The supremal functionals discretize the sup over centers and radii on a
 finite lattice and are therefore lower bounds; the smallness gate compares
@@ -69,7 +69,8 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
 
 
 def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
-    """Squared partial mean oscillation of the matrix on a batch of cylinders.
+    """Squared partial mean oscillation of the coefficient on a batch of
+    cylinders.
 
     The cylinder Q_{r,beta}(z0) is B_r(x0) times (t0 - h, t0], with
     z0 = (x0, t0), where h is the weight's cylinder height h_{x0}(r)
@@ -79,12 +80,10 @@ def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
     ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
     ``A_fun(xs[:, None, :], ts[:, :, None])`` on the space and time nodes of
     every cylinder, and returns a scalar field that broadcasts to
-    (cylinders, n_time, n_space) or a matrix field of shape
-    (cylinders, n_time, n_space, d, d) (leading axes may broadcast).
-    Each cylinder is clipped to ``mask`` = (x_lo, x_hi, t_lo, t_hi); within
-    each time slice the matrix is centered around its spatial average over
-    B_r(x0) ∩ Omega, and the squared Frobenius deviation is averaged over
-    the clipped cylinder.
+    (cylinders, n_time, n_space). Each cylinder is clipped to ``mask`` =
+    (x_lo, x_hi, t_lo, t_hi); within each time slice the coefficient is
+    centered around its spatial average over B_r(x0) ∩ Omega, and the
+    squared deviation is averaged over the clipped cylinder.
 
     One cylinder gives a float and raises ``EmptyRegion`` if it misses the
     mask; a batch gives an array holding NaN for such cylinders.
@@ -107,8 +106,6 @@ def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
     vals = _sample_nodes(A_fun, xs, ts)
     dev = vals - vals.mean(axis=2, keepdims=True)
     sq = dev ** 2
-    if sq.ndim == 5:
-        sq = np.sum(sq, axis=(3, 4))
     # summed in time order from 0.0: np.sum adds pairwise, which moves the last bits
     total = 0.0
     for slice_mean in np.mean(sq, axis=2).T:
@@ -120,19 +117,15 @@ def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
 
 def _sample_nodes(A_fun, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """A_fun on the (cylinder, time, space) node grid as a contiguous
-    (cylinders, n_time, n_space) or (cylinders, n_time, n_space, d, d) array,
-    from one broadcasting call."""
+    (cylinders, n_time, n_space) array, from one broadcasting call."""
     vals = np.asarray(A_fun(xs[:, None, :], ts[:, :, None]), dtype=float)
     shape = (xs.shape[0], ts.shape[1], xs.shape[1])
-    if vals.ndim == 5 and vals.shape[3] == vals.shape[4]:
-        shape += vals.shape[3:]
     try:
         # C order: each row is reduced as one contiguous slice, like a 1D array
         return np.array(np.broadcast_to(vals, shape), order="C")
     except ValueError as exc:
-        raise ValueError(f"coefficient returned shape {vals.shape}, which is neither "
-                         f"a scalar field broadcasting to {shape[:3]} nor a "
-                         "(cylinders, n_time, n_space, d, d) matrix field") from exc
+        raise ValueError(f"coefficient returned shape {vals.shape}, which is not "
+                         f"a scalar field broadcasting to {shape}") from exc
 
 
 def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,

@@ -405,7 +405,6 @@ class FrozenProblem:
     t_span: tuple[float, float]
     nx: int
     nt: int
-    left_zero: bool = False  # half-cylinder variant: clamp the flat side
 
 
 def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
@@ -433,10 +432,7 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
     beta_cells = np.full(grid.nx + 1, problem.beta_bar)
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     u[0, :] = data(x, ts[0])
-    if problem.left_zero:
-        u[0, 0] = 0.0
-    left = (np.zeros(grid.nt) if problem.left_zero
-            else np.array([float(data(np.array([a]), t)[0]) for t in ts[1:]]))
+    left = np.array([float(data(np.array([a]), t)[0]) for t in ts[1:]])
     right = np.array([float(data(np.array([b]), t)[0]) for t in ts[1:]])
     _check_finite(beta_cells[1:-1], A.values[1:], u[0, 1:-1], left, right)
     lateral = A.values[1:, [0, -1]] * np.stack([left, right], axis=1) / grid.h ** 2

@@ -5,7 +5,6 @@ or a grid of samples with a declared quadrature rule. The central quantity
 is the A_q characteristic
 
     [w]_{A_q} = sup_B (w)_B ((w^{-1/(q-1)})_B)^{q-1},     q > 1,
-    [w]_{A_1} = sup_B (w)_B esssup_B(w^{-1}),
 
 where (f)_B is the average over a ball B. The supremum over all balls is
 discretized by a finite :class:`BallFamily`, so every characteristic this
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -85,8 +83,8 @@ class Weight:
 
     Every 1D mass goes through :meth:`mass_1d_vec`, which reads a sampled
     weight's masses from one table per exponent (:meth:`_cum_1d`). A 2D
-    weight is sampled (:meth:`from_function_2d`) before any mean is taken;
-    the A_1 branch and the doubling audit take 1D weights only.
+    weight is sampled (:meth:`from_function_2d`) before any mean is taken,
+    and has no point values; the doubling audit takes 1D weights only.
     """
 
     kind: str
@@ -204,24 +202,17 @@ class Weight:
             # the norm's sum of squares, without a reduction over a short axis
             d = np.sqrt(sum(d[..., k] * d[..., k] for k in range(self.n)))
             return self.scale * d ** self.alpha
-        if self.n == 1:
-            (lo, hi), = self.domain
-            xx = np.atleast_1d(x)
-            if self.quadrature == "midpoint":  # the mass table's cell, hi in the last
-                idx = _locate(np.minimum(np.maximum(xx, lo), hi), self._cum_1d(1.0)[0])
-                vals = self.samples.take(idx, mode="clip")
-            else:
-                vals = np.interp(xx, np.linspace(lo, hi, self.samples.size), self.samples)
-            return np.where((xx >= lo) & (xx <= hi), vals, 0.0).reshape(np.shape(x))
-        (x0, x1), (y0, y1) = self.domain
-        pts = np.atleast_2d(x)
-        ny, nx = self.samples.shape
-        i = np.clip(((pts[:, 0] - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
-        j = np.clip(((pts[:, 1] - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
-        out = self.samples[j, i]
-        inside = ((pts[:, 0] >= x0) & (pts[:, 0] <= x1)
-                  & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
-        return np.where(inside, out, 0.0)
+        if self.n > 1:
+            raise ValueError("point values of a 2D sampled weight: take its "
+                             "means over balls (Weight.means)")
+        (lo, hi), = self.domain
+        xx = np.atleast_1d(x)
+        if self.quadrature == "midpoint":  # the mass table's cell, hi in the last
+            idx = _locate(np.minimum(np.maximum(xx, lo), hi), self._cum_1d(1.0)[0])
+            vals = self.samples.take(idx, mode="clip")
+        else:
+            vals = np.interp(xx, np.linspace(lo, hi, self.samples.size), self.samples)
+        return np.where((xx >= lo) & (xx <= hi), vals, 0.0).reshape(np.shape(x))
 
     def check_power_integrable(self, p: float) -> None:
         if self.kind == "power" and p * self.alpha <= -self.n:
@@ -326,7 +317,7 @@ class Weight:
 
     def means(self, ps, fam: BallFamily) -> np.ndarray:
         """Means of w^p over B ∩ domain for every ball B of the family, in
-        the order of ``BallFamily.balls()``: shape (len(ps), balls), one row
+        the order of :func:`ball_grid`: shape (len(ps), balls), one row
         per exponent in ``ps``. EmptyBall if a ball misses the domain.
         """
         masses, meas = self.ball_masses(ps, fam)
@@ -366,39 +357,6 @@ class Weight:
         masses = np.array([np.multiply(frac, (self.samples ** p).ravel(), out=prod)
                            .sum(axis=1) for p in ps])
         return masses, meas
-
-    def ess_range(self, center, r: float) -> tuple[float, float]:
-        """Essential (inf, sup) of a 1D weight over B_r(center) ∩ domain:
-        exact for a power profile, grid-based for a sampled weight."""
-        if self.n != 1:
-            raise ValueError(f"ess_range takes a 1D weight, got n = {self.n}")
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        (lo, hi), = self.domain
-        a, b = max(c[0] - r, lo), min(c[0] + r, hi)
-        if a >= b:
-            raise EmptyBall("ball misses the domain")
-        if self.kind == "power":
-            def at(dist: float) -> float:
-                if dist == 0.0 and self.alpha < 0:
-                    return math.inf
-                return self.scale * dist ** self.alpha if dist > 0 else (
-                    0.0 if self.alpha > 0 else self.scale)
-
-            cx = self.center[0]
-            dmin = 0.0 if a <= cx <= b else min(abs(a - cx), abs(b - cx))
-            near, far = at(dmin), at(max(abs(a - cx), abs(b - cx)))
-            return (near, far) if self.alpha >= 0 else (far, near)
-        if self.quadrature == "midpoint":
-            edges = self._cum_1d(1.0)[0]
-            i0 = int(np.searchsorted(edges, a, side="right")) - 1
-            i1 = int(np.searchsorted(edges, b, side="left"))
-            vals = self.samples[max(i0, 0):i1]
-        else:
-            nodes = np.linspace(lo, hi, self.samples.size)
-            sel = (nodes >= a) & (nodes <= b)
-            vals = np.concatenate([np.interp([a, b], nodes, self.samples),
-                                   self.samples[sel]])
-        return float(np.min(vals)), float(np.max(vals))
 
 
 def _as_domain(domain) -> tuple[tuple[float, float], ...]:
@@ -449,7 +407,7 @@ def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
 
 def ball_grid(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre (balls, n) and radius (balls,) of every centre with every
-    radius, centre-major as ``BallFamily.balls()`` yields them."""
+    radius, centre-major: the ball order of every family audit."""
     return np.repeat(centers, radii.size, axis=0), np.tile(radii, len(centers))
 
 
@@ -578,11 +536,6 @@ class BallFamily:
         return cls(centers=np.atleast_2d(np.asarray(center, dtype=float)),
                    radii=np.asarray(radii, dtype=float))
 
-    def balls(self) -> Iterator[tuple[np.ndarray, float]]:
-        for c in self.centers:
-            for r in self.radii:
-                yield c, float(r)
-
     def coverage(self, domain, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Cell coverage fractions (balls, ny * nx) of every ball on the
         ny x nx cell grid over the 2D box ``domain``, and each ball's measure
@@ -603,27 +556,12 @@ class BallFamily:
 
 
 def aq_characteristic(w: Weight, q: float, fam: BallFamily, power: float = 1.0) -> float:
-    """Lower estimate of the A_q characteristic of w^power over the family.
-
-    For q = 1 the essential-sup branch of the definition is evaluated on the
-    grid. The result is >= 1 up to quadrature error.
-    """
-    if q < 1.0:
-        raise ValueError("A_q requires q >= 1")
-    w.check_power_integrable(power)
-    if q > 1.0:
-        w.check_power_integrable(-power / (q - 1.0))
-        m, m_dual = w.means((power, -power / (q - 1.0)), fam)
-        return first_sup(m * m_dual ** (q - 1.0))[0]
-    vals, = w.means((power,), fam)
-    if power != 0.0:
-        # A_1 branch: esssup of w^{-power} over each ball
-        for i, (c, r) in enumerate(fam.balls()):
-            lo, hi = w.ess_range(c, r)
-            base = lo if power > 0 else hi
-            vals[i] = (math.inf if base == 0.0 or not math.isfinite(base)
-                       else vals[i] * base ** (-power))
-    return first_sup(vals)[0]
+    """Lower estimate of the A_q characteristic (q > 1) of w^power over the
+    family. The result is >= 1 up to quadrature error."""
+    if not q > 1.0:
+        raise ValueError(f"A_q requires q > 1, got {q}")
+    m, m_dual = w.means((power, -power / (q - 1.0)), fam)
+    return first_sup(m * m_dual ** (q - 1.0))[0]
 
 
 def check_beta_condition(beta: Weight, ctx: WeightContext, fam: BallFamily,
@@ -632,14 +570,21 @@ def check_beta_condition(beta: Weight, ctx: WeightContext, fam: BallFamily,
 
     Rows: the characteristic of beta^{-1} in A_{1+2/n0} against the budget
     M0; the duality identity tying it to the characteristic of beta^{n0/2}
-    in A_{1+n0/2}; and the A_2 bound for beta itself.
+    in A_{1+n0/2}; and the A_2 bound for beta itself. All three come from
+    one pass of means over the family.
     """
     n0 = ctx.n0
     q_inv = 1.0 + 2.0 / n0
     q_dual = 1.0 + n0 / 2.0
-    est_inv = aq_characteristic(beta, q_inv, fam, power=-1.0)
-    est_dual = aq_characteristic(beta, q_dual, fam, power=n0 / 2.0)
-    est_a2 = aq_characteristic(beta, 2.0, fam, power=1.0)
+    # beta^-1 and its A_{q_inv} dual, beta^{n0/2} and its A_{q_dual} dual,
+    # and beta, whose A_2 dual is beta^-1; each exponent is written as
+    # aq_characteristic forms it, so each sup keeps its bits
+    m_inv, m_inv_dual, m_pow, m_pow_dual, m = beta.means(
+        (-1.0, 1.0 / (q_inv - 1.0), n0 / 2.0, -(n0 / 2.0) / (q_dual - 1.0), 1.0),
+        fam)
+    est_inv = first_sup(m_inv * m_inv_dual ** (q_inv - 1.0))[0]
+    est_dual = first_sup(m_pow * m_pow_dual ** (q_dual - 1.0))[0]
+    est_a2 = first_sup(m * m_inv)[0]
 
     dual_target = est_inv ** (n0 / 2.0)
     dual_gap = abs(est_dual - dual_target) / max(1.0, abs(dual_target))

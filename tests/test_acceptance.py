@@ -70,7 +70,7 @@ class TestAcceptance:
         one = Weight.constant(1.0, (-1.0, 1.0))
         fam = BallFamily.default((-1.0, 1.0))
         ok = all(abs(aq_characteristic(one, q, fam) - 1.0) <= 1e-12
-                 for q in (1.0, 2.0, 3.0))
+                 for q in (2.0, 3.0))
         sqrt_w = Weight.power(0.5, 0.0, (-1.0, 1.0))
         centered = BallFamily.centered(0.0, np.geomspace(0.05, 1.0, 16))
         a2 = aq_characteristic(sqrt_w, 2.0, centered)
@@ -256,11 +256,11 @@ class TestAcceptance:
         pts = rng.uniform(-2.0, 2.0, (200, 2))
         ok = True
         for delta in (0.05, 0.2, 0.9):
-            chart = BoundaryChart(kind="affine", delta=delta)
+            chart = BoundaryChart(delta=delta)
             back = phi_inverse(chart, phi_map(chart, pts))
             ok = ok and bool(np.max(np.abs(back - pts)) <= 1e-15 * 4.0)
         delta = 0.3
-        chart = BoundaryChart(kind="affine", delta=delta)
+        chart = BoundaryChart(delta=delta)
         B = b_matrix(chart, np.eye(2), 0.0)
         ok = ok and np.allclose(B, [[0.0, -delta], [-delta, delta ** 2]],
                                 atol=1e-15)
@@ -272,7 +272,7 @@ class TestAcceptance:
         beta2 = Weight.power(0.1, (0.0, 0.0), ((-1.0, 1.0), (-1.0, 1.0)))
         fam2 = BallFamily.default(((-1.0, 1.0), (-1.0, 1.0)),
                                   n_centers=5, n_radii=8)
-        wrep = pushforward_weight_audit(BoundaryChart(kind="affine", delta=0.2),
+        wrep = pushforward_weight_audit(BoundaryChart(delta=0.2),
                                         beta2, ctx2, fam2, shape=(32, 32))
         ok = ok and wrep.rows[0].passed
         osc_rows = oscillation_delta_sweep([0.05, 0.1, 0.2], ctx2, shape=(32, 32))

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wparab import weights
+from wparab import cli, flattening, weights
+from wparab.config import ExperimentConfig
 from wparab.errors import EmptyBall, GateFailed
 from wparab.experiments import fit_loglog_slope
 from wparab.flattening import (
-    _BUMP_SLOPE,
     BoundaryChart,
     _sup_ball_oscillation,
     _transformed_weight,
@@ -22,7 +22,7 @@ from wparab.flattening import (
     pushforward_coefficients,
     pushforward_weight_audit,
 )
-from wparab.weights import BallFamily, Weight, WeightContext
+from wparab.weights import BallFamily, Weight, WeightContext, ball_grid
 
 DOM2 = ((-1.0, 1.0), (-1.0, 1.0))
 CTX2 = WeightContext(n=2, M0=10.0)
@@ -30,13 +30,13 @@ CTX2 = WeightContext(n=2, M0=10.0)
 
 class TestChart:
     def test_zero_chart_is_identity(self):
-        chart = BoundaryChart(kind="affine", delta=0.0)
+        chart = BoundaryChart(delta=0.0)
         pts = np.array([[0.3, -0.2], [1.0, 1.0]])
         assert np.allclose(phi_map(chart, pts), pts)
         assert np.allclose(phi_inverse(chart, pts), pts)
 
     def test_affine_direct_substitution(self):
-        chart = BoundaryChart(kind="affine", delta=0.25)
+        chart = BoundaryChart(delta=0.25)
         out = phi_map(chart, np.array([[1.0, 1.0]]))
         assert np.allclose(out, [[1.0, 0.75]])
 
@@ -45,61 +45,40 @@ class TestChart:
         delta=st.floats(min_value=0.0, max_value=0.9),
         x=st.floats(min_value=-2.0, max_value=2.0),
         y=st.floats(min_value=-2.0, max_value=2.0),
-        bump=st.booleans(),
     )
-    def test_roundtrip_exact(self, delta, x, y, bump):
-        kind = "bump" if bump else "affine"
-        chart = BoundaryChart(kind=kind, delta=delta)
+    def test_roundtrip_exact(self, delta, x, y):
+        chart = BoundaryChart(delta=delta)
         p = np.array([[x, y]])
         # exact up to one rounding of the chart offset
         tol = 1e-15 * (1.0 + abs(float(chart.phi(np.array([x]))[0])))
         assert np.allclose(phi_inverse(chart, phi_map(chart, p)), p, atol=tol)
         assert np.allclose(phi_map(chart, phi_inverse(chart, p)), p, atol=tol)
 
-    def test_bump_vanishes_at_base_with_flat_gradient(self):
-        chart = BoundaryChart(kind="bump", delta=0.5, base=0.2)
-        assert chart.phi(np.array([0.2]))[0] == 0.0
-        assert chart.grad_phi(np.array([0.2]))[0] == 0.0
-
     def test_lipschitz_bound_tight(self):
-        for kind in ("affine", "bump"):
-            chart = BoundaryChart(kind=kind, delta=0.3)
-            xs = np.linspace(-2.0, 2.0, 4001)
-            assert np.max(np.abs(chart.grad_phi(xs))) <= 0.3 + 1e-12
-
-    def test_bump_slope_is_the_sampled_maximum(self):
-        # the maximum over the same 20,001 samples taken one numpy scalar at
-        # a time, as a generator
-        want = max(abs(2 * y * (1 - y * y) * (1 - 3 * y * y))
-                   for y in np.linspace(-1.0, 1.0, 20001))
-        assert type(_BUMP_SLOPE) is type(want) is np.float64
-        assert _BUMP_SLOPE == want == 0.5523603656919336
+        chart = BoundaryChart(delta=0.3)
+        xs = np.linspace(-2.0, 2.0, 4001)
+        assert np.max(np.abs(chart.grad_phi(xs))) <= 0.3 + 1e-12
 
     def test_delta_at_least_one_rejected(self):
         with pytest.raises(ValueError):
-            BoundaryChart(kind="affine", delta=1.0)
+            BoundaryChart(delta=1.0)
 
 
 class TestInclusions:
     def test_zero_chart(self):
-        chart = BoundaryChart(kind="affine", delta=0.0)
+        chart = BoundaryChart(delta=0.0)
         rep = inclusion_audit(chart, [0.0, 0.0], 0.5)
         assert rep.passed
 
     def test_steep_chart_still_passes(self):
-        chart = BoundaryChart(kind="affine", delta=0.9)
+        chart = BoundaryChart(delta=0.9)
         rep = inclusion_audit(chart, [0.4, -0.3], 0.7)
-        assert rep.passed
-
-    def test_bump_chart(self):
-        chart = BoundaryChart(kind="bump", delta=0.6)
-        rep = inclusion_audit(chart, [0.1, 0.2], 0.4)
         assert rep.passed
 
 
 class TestCoefficients:
     def test_zero_chart_no_correction(self):
-        chart = BoundaryChart(kind="affine", delta=0.0)
+        chart = BoundaryChart(delta=0.0)
         a_t, b_f, rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
         assert rep.passed
         assert np.allclose(b_f(np.array([0.3, 0.1]), 0.0), 0.0)
@@ -107,19 +86,19 @@ class TestCoefficients:
 
     def test_identity_affine_closed_form(self):
         delta = 0.3
-        chart = BoundaryChart(kind="affine", delta=delta)
+        chart = BoundaryChart(delta=delta)
         B = b_matrix(chart, np.eye(2), 0.0)
         assert np.allclose(B, [[0.0, -delta], [-delta, delta ** 2]])
 
     def test_symmetry_preserved(self):
-        chart = BoundaryChart(kind="affine", delta=0.4)
+        chart = BoundaryChart(delta=0.4)
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         a_t, _, _ = pushforward_coefficients(chart, lambda x, t: A, 0.4)
         At = a_t(np.array([0.2, 0.3]), 0.0)
         assert np.allclose(At, At.T)
 
     def test_decomposition_identity(self):
-        chart = BoundaryChart(kind="bump", delta=0.5)
+        chart = BoundaryChart(delta=0.5)
 
         def A(x, t):
             return np.array([[1.5 + 0.2 * math.sin(x[0]), 0.1],
@@ -135,13 +114,26 @@ class TestCoefficients:
                                  [r["b_norm"] for r in rows])
         assert slope >= 0.9
 
+    def test_flatten_group_pushes_forward_once_per_delta(self, tmp_path, monkeypatch):
+        # the coefficient-pushforward report is the sweep's last one
+        charts = []
+        real = flattening.pushforward_coefficients
+        monkeypatch.setattr(flattening, "pushforward_coefficients",
+                            lambda chart, *a: charts.append(chart.delta) or real(chart, *a))
+        cfg = ExperimentConfig.from_dict({"name": "flat", "seed": 3,
+                                          "selection": ["flatten"]})
+        reports = cli.run_flatten(cli.RunContext(cfg, cfg.seed, tmp_path))
+        assert charts == cfg.audits["flatten"].deltas == [0.05, 0.1, 0.2]
+        coef, = [r for r in reports if r.check == "coefficient-pushforward"]
+        assert coef.params["delta"] == 0.2
+
 
 class TestWeightPushforward:
     def fam(self):
         return BallFamily.default(DOM2, n_centers=5, n_radii=8)
 
     def test_zero_chart_no_inflation(self):
-        chart = BoundaryChart(kind="affine", delta=0.0)
+        chart = BoundaryChart(delta=0.0)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
         rep = pushforward_weight_audit(chart, beta, CTX2, self.fam(),
                                        shape=(32, 32))
@@ -150,7 +142,7 @@ class TestWeightPushforward:
         assert row.constant == pytest.approx(1.0, rel=1e-9)
 
     def test_shifted_chart_within_budget(self):
-        chart = BoundaryChart(kind="affine", delta=0.2)
+        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
         rep = pushforward_weight_audit(chart, beta, CTX2, self.fam(),
                                        shape=(32, 32))
@@ -159,7 +151,7 @@ class TestWeightPushforward:
         assert row.lhs >= 1.0 - 1e-9
 
     def test_gate_on_base_budget(self):
-        chart = BoundaryChart(kind="affine", delta=0.2)
+        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.9, (0.0, 0.0), DOM2)
         tight = WeightContext(n=2, M0=1.0)
         with pytest.raises(GateFailed):
@@ -186,7 +178,7 @@ def count_calls(monkeypatch, name):
 
 
 class TestSupBallOscillation:
-    CHART = BoundaryChart(kind="affine", delta=0.2)
+    CHART = BoundaryChart(delta=0.2)
 
     def weight(self):
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
@@ -196,7 +188,8 @@ class TestSupBallOscillation:
     def two_pass(w, fam):
         """The supremum with one mean per exponent, for reference."""
         return max(w.mean(1.0, c, r) * w.mean(-1.0, c, r) - 1.0
-                   for c, r in fam.balls() if w.ball_measure(c, r) > 0.0)
+                   for c, r in zip(*ball_grid(fam.centers, fam.radii))
+                   if w.ball_measure(c, r) > 0.0)
 
     def test_one_coverage_per_ball(self, monkeypatch):
         w = self.weight()
@@ -242,7 +235,7 @@ class TestAdmissibleRadius:
     def test_radius_found_and_within_cap(self):
         from wparab.flattening import admissible_radius_search
 
-        chart = BoundaryChart(kind="affine", delta=0.2)
+        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
         rep = admissible_radius_search(chart, beta, CTX2, R=0.8, t0=0.5,
                                        Lambda=2.0)
@@ -253,7 +246,7 @@ class TestAdmissibleRadius:
     def test_tiny_time_budget_shrinks_radius(self):
         from wparab.flattening import admissible_radius_search
 
-        chart = BoundaryChart(kind="affine", delta=0.2)
+        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
         big = admissible_radius_search(chart, beta, CTX2, R=0.8, t0=0.5,
                                        Lambda=2.0).rows[0].constant
@@ -265,22 +258,21 @@ class TestAdmissibleRadius:
 class TestJacobian:
     def test_gradient_chain_bound(self):
         # pulled-back gradients grow by at most 1 + delta < 2
-        chart = BoundaryChart(kind="affine", delta=0.9)
+        chart = BoundaryChart(delta=0.9)
         M = np.array([[1.0, 0.0], [-0.9, 1.0]])
         sigma_max = np.linalg.svd(M, compute_uv=False)[0]
         assert sigma_max <= 2.0
 
     def test_unit_determinant(self):
         # the chart is a shear: numeric Jacobian determinant is one
-        for kind in ("affine", "bump"):
-            chart = BoundaryChart(kind=kind, delta=0.4)
-            eps = 1e-6
-            for p in ([0.3, -0.2], [0.0, 0.5]):
-                p = np.asarray(p)
-                J = np.empty((2, 2))
-                for j in range(2):
-                    dp = np.zeros(2)
-                    dp[j] = eps
-                    J[:, j] = (phi_map(chart, (p + dp)[None, :])[0]
-                               - phi_map(chart, (p - dp)[None, :])[0]) / (2 * eps)
-                assert np.linalg.det(J) == pytest.approx(1.0, rel=1e-7)
+        chart = BoundaryChart(delta=0.4)
+        eps = 1e-6
+        for p in ([0.3, -0.2], [0.0, 0.5]):
+            p = np.asarray(p)
+            J = np.empty((2, 2))
+            for j in range(2):
+                dp = np.zeros(2)
+                dp[j] = eps
+                J[:, j] = (phi_map(chart, (p + dp)[None, :])[0]
+                           - phi_map(chart, (p - dp)[None, :])[0]) / (2 * eps)
+            assert np.linalg.det(J) == pytest.approx(1.0, rel=1e-7)

@@ -23,7 +23,7 @@ from wparab.geometry import (
     quasi_distance_batch,
     quasi_triangle_audit,
 )
-from wparab.weights import SAMPLE_FLOOR, BallFamily, Weight, WeightContext
+from wparab.weights import SAMPLE_FLOOR, BallFamily, Weight, WeightContext, ball_grid
 
 DOM = (-1.0, 1.0)
 CTX = WeightContext(n=1, M0=10.0)
@@ -648,7 +648,7 @@ def quasi_params_per_ball(beta, ctx):
     fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
     p = ctx.n0 / 2.0
     pairs = []
-    for c, r in fam.balls():
+    for c, r in zip(*ball_grid(fam.centers, fam.radii)):
         m2 = float(beta.mass_1d_vec(p, c[0] - r, c[0] + r, clip=False))
         if m2 <= 0.0:
             continue

@@ -22,6 +22,47 @@ DOM = (-1.0, 1.0)
 CTX = WeightContext(n=1, M0=10.0)
 
 
+class Piecewise:
+    """Piecewise polynomial test function with its exact gradient: piece i
+    (coefficients ``piece_coeffs[i]``, lowest degree first) holds from
+    ``breaks[i]`` on. The audits take it wherever they take a TestFunction."""
+
+    def __init__(self, breaks, piece_coeffs):
+        self.breaks = np.asarray(breaks, dtype=float)
+        self.pieces = [np.asarray(c, dtype=float) for c in piece_coeffs]
+
+    def _eval(self, x, deriv: bool):
+        x = np.asarray(x, dtype=float)
+        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
+                      0, len(self.pieces) - 1)
+        out = np.empty_like(x)
+        for i, c in enumerate(self.pieces):
+            m = idx == i
+            c = np.polynomial.polynomial.polyder(c) if deriv else c
+            out[m] = np.polynomial.polynomial.polyval(x[m], c)
+        return out
+
+    def __call__(self, x):
+        return self._eval(x, False)
+
+    def grad(self, x):
+        return self._eval(x, True)
+
+    def validate_gradient(self, interval, seed: int = 0, n: int = 16,
+                          tol: float = 1e-6) -> None:
+        """TestFunction.validate_gradient at points away from the breaks."""
+        rng = np.random.default_rng(seed)
+        lo, hi = interval
+        pts = rng.uniform(lo + 1e-3, hi - 1e-3, n)
+        for b in self.breaks:
+            pts = pts[np.abs(pts - b) > 1e-2]
+        eps = 1e-6 * (hi - lo)
+        fd = (self(pts + eps) - self(pts - eps)) / (2 * eps)
+        g = self.grad(pts)
+        if np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1.0)) > tol:
+            raise ValueError("descriptor and gradient are inconsistent")
+
+
 class TestDescriptors:
     def test_polynomial_eval_grad(self):
         f = TestFunction.polynomial([1.0, 2.0, 3.0])  # 1 + 2x + 3x^2
@@ -35,7 +76,7 @@ class TestDescriptors:
         f.validate_gradient(DOM)
 
     def test_piecewise(self):
-        f = TestFunction.piecewise([-1.0, 0.0], [[0.0, -1.0], [0.0, 1.0]])
+        f = Piecewise([-1.0, 0.0], [[0.0, -1.0], [0.0, 1.0]])
         assert f(-0.5) == pytest.approx(0.5)
         assert f(0.5) == pytest.approx(0.5)
         f.validate_gradient(DOM)
@@ -69,8 +110,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("fn", [
         TestFunction.polynomial([0.3, -1.0, 2.0, 0.7]),
         TestFunction.trig(1.3, 2.5, phase=0.4, offset=0.2),
-        TestFunction.piecewise([-1.0, -0.2, 0.5], [[1.0, 2.0], [0.6, 0.0, -1.0],
-                                                  [0.1, 0.3]]),
+        Piecewise([-1.0, -0.2, 0.5], [[1.0, 2.0], [0.6, 0.0, -1.0], [0.1, 0.3]]),
     ], ids=["polynomial", "trig", "piecewise"])
     def test_weighted_integral_matches_cell_loop(self, fn, weight, power, interval):
         assert weighted_integral(fn, weight, interval, power) == \
@@ -162,8 +202,7 @@ class TestLqControl:
 
     def test_vanishing_on_weight_concentration(self):
         # g zero near the singular mass of mu: constants stay finite
-        g = TestFunction.piecewise([-1.0, -0.1, 0.1],
-                                   [[0.45, 1.0], [0.0], [-0.05, 1.0]])
+        g = Piecewise([-1.0, -0.1, 0.1], [[0.45, 1.0], [0.0], [-0.05, 1.0]])
         mu = Weight.power(-0.5, 0.0, DOM)
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.8), 0.05,
                                         CTX, BallFamily.centered(0.0, [0.4, 0.8]))
@@ -186,14 +225,13 @@ class TestEmbedding:
     def test_constant_gives_one(self):
         g = TestFunction.polynomial([1.0])
         beta = Weight.constant(1.0, DOM)
-        for case in ("high", "low"):
-            rep = weighted_embedding_audit(g, beta, case, 0.5, ball=(0.0, 1.0))
-            assert rep.rows[0].constant == pytest.approx(1.0, rel=1e-9)
+        rep = weighted_embedding_audit(g, beta, 0.5, ball=(0.0, 1.0))
+        assert rep.rows[0].constant == pytest.approx(1.0, rel=1e-9)
 
     def test_power_weight_low_case(self):
         g = TestFunction.polynomial([1.0, 1.0])  # 1 + x
         beta = Weight.power(0.2, 0.0, DOM)
-        rep = weighted_embedding_audit(g, beta, "low", 0.5, ball=(0.0, 1.0))
+        rep = weighted_embedding_audit(g, beta, 0.5, ball=(0.0, 1.0))
         row = rep.rows[0]
         # lhs oracle from closed-form moments:
         # int (1+x)^2 |x|^0.2 = int (1 + 2x + x^2)|x|^0.2 over (-1,1)
@@ -204,7 +242,7 @@ class TestEmbedding:
     def test_oscillatory_persists(self):
         g = TestFunction.trig(amplitude=1.0, frequency=32.0)
         beta = Weight.power(0.2, 0.0, DOM)
-        rep = weighted_embedding_audit(g, beta, "low", 0.5, ball=(0.0, 1.0),
+        rep = weighted_embedding_audit(g, beta, 0.5, ball=(0.0, 1.0),
                                        budget=100.0)
         assert rep.passed
         assert rep.rows[0].constant > 0.0
@@ -213,16 +251,13 @@ class TestEmbedding:
         g = TestFunction.polynomial([1.0])
         beta = Weight.constant(1.0, DOM)
         with pytest.raises(GateFailed):
-            weighted_embedding_audit(g, beta, "high", 0.9, n_dim=3)
-        with pytest.raises(GateFailed):
-            weighted_embedding_audit(g, beta, "low", -0.1)
+            weighted_embedding_audit(g, beta, -0.1)
 
     def test_weight_scale_invariance(self):
         g = TestFunction.polynomial([1.0, 0.5])
         beta = Weight.power(0.3, 0.1, DOM)
-        r1 = weighted_embedding_audit(g, beta, "low", 0.4)
-        r2 = weighted_embedding_audit(g, Weight.power(0.3, 0.1, DOM, scale=13.0),
-                                      "low", 0.4)
+        r1 = weighted_embedding_audit(g, beta, 0.4)
+        r2 = weighted_embedding_audit(g, Weight.power(0.3, 0.1, DOM, scale=13.0), 0.4)
         assert r1.rows[0].constant == pytest.approx(r2.rows[0].constant, rel=1e-10)
 
 
@@ -269,8 +304,8 @@ SIN_U = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
     lambda w: weighted_lq_control_audit(TestFunction.polynomial([1.0]), w, 2.0,
                                         (5.0, 0.0, 0.5), 0.1, CTX,
                                         BallFamily.default(DOM, 5, 4)),
-    lambda w: weighted_embedding_audit(TestFunction.polynomial([1.0]), w, "low",
-                                       0.5, ball=(5.0, 0.5)),
+    lambda w: weighted_embedding_audit(TestFunction.polynomial([1.0]), w, 0.5,
+                                       ball=(5.0, 0.5)),
     lambda w: interpolation_audit(SIN_U, w, 5.0, 0.5, (0.0, 1.0)),
     # the half ball B_r(x0) ∩ {x > 0} is empty although B_r(x0) is not
     lambda w: interpolation_audit(SIN_U, w, -0.5, 0.25, (0.0, 1.0), half=True),

@@ -115,6 +115,7 @@ class TestThetaA:
         assert v2 == pytest.approx(v1, rel=1e-10)
 
     def test_matrix_valued(self):
+        # the 1D coefficient is a scalar: a 2 x 2 matrix field is refused
         beta = Weight.constant(1.0, DOM)
 
         def A(x, t):
@@ -122,8 +123,8 @@ class TestThetaA:
             zero, one = np.zeros_like(a11), np.ones_like(a11)
             return np.stack([np.stack([a11, zero], -1), np.stack([zero, one], -1)], -2)
 
-        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
-        assert got == pytest.approx(0.01 * 0.25 / 3.0, rel=5e-2)
+        with pytest.raises(ValueError, match="not a scalar field"):
+            theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
 
 
 def theta_A_per_node(A_fun, beta, z0, r, mask, ctx, n_space=33, n_time=17):
@@ -144,10 +145,7 @@ def theta_A_per_node(A_fun, beta, z0, r, mask, ctx, n_space=33, n_time=17):
     for t in ts:
         vals = np.asarray([np.asarray(A_fun(x, t), dtype=float) for x in xs])
         dev = vals - vals.mean(axis=0)
-        if dev.ndim == 1:
-            total += float(np.mean(dev ** 2))
-        else:
-            total += float(np.mean(np.sum(dev ** 2, axis=tuple(range(1, dev.ndim)))))
+        total += float(np.mean(dev ** 2))
     return total / len(ts)
 
 
@@ -159,14 +157,6 @@ def config_coefficient():
 
 def bundled_power_weight():
     return ExperimentConfig.load(CONFIG_DIR / "power_weight.json").build_weight()
-
-
-def matrix_coefficient(x, t):
-    x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-    a11 = 1.0 + 0.3 * np.sin(5.0 * x) + 0.1 * t
-    off = 0.1 * np.cos(3.0 * x + t)
-    return np.stack([np.stack([a11, off], -1),
-                     np.stack([off, 1.0 + 0.2 * x * x], -1)], -2)
 
 
 class TestThetaAWholeArray:
@@ -199,24 +189,6 @@ class TestThetaAWholeArray:
         got = theta_A(a_fun, beta, z0, 0.3, MASK)
         assert got == theta_A_per_node(a_fun, beta, z0, 0.3, MASK, CTX)
         assert got > 0.0
-
-    def test_matrix_valued_exact(self):
-        beta = Weight.power(0.2, 0.0, DOM)
-        for x0, tc, r in ((0.0, -0.2, 0.5), (0.7, -0.5, 0.4), (-0.3, -0.9, 0.2)):
-            z0 = ([x0], tc)
-            got = theta_A(matrix_coefficient, beta, z0, r, MASK, n_space=20)
-            assert got == theta_A_per_node(matrix_coefficient, beta, z0, r, MASK,
-                                           CTX, n_space=20)
-
-    def test_time_independent_matrix_broadcasts(self):
-        beta = Weight.constant(1.0, DOM)
-
-        def A(x, t):
-            return matrix_coefficient(x, 0.0)
-
-        z0 = ([0.1], -0.2)
-        assert (theta_A(A, beta, z0, 0.4, MASK)
-                == theta_A_per_node(A, beta, z0, 0.4, MASK, CTX))
 
     @pytest.mark.parametrize("A", [
         lambda x, t: np.ones(5),
@@ -297,7 +269,6 @@ class TestSupremum:
          [-0.6, 0.1, 0.7]),
         # no oscillation at all: no worst cylinder
         ("zero", lambda x, t: 1.5, [-0.5, 0.0, 0.5]),
-        ("matrix", matrix_coefficient, [-0.8, 0.2, 0.9]),
     ])
     def test_matrix_row_matches_per_cylinder_loop(self, case, A_fun, centers):
         beta = Weight.power(0.2, 0.1, DOM)

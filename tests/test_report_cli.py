@@ -294,6 +294,22 @@ class TestCliExits:
         assert "grid.nt must be an integer, got 100.5" in err
         assert "levels must be an integer, got 16.5" in err
 
+    @pytest.mark.parametrize("group", ["solve", "audit", "levelset"])
+    def test_exit_two_on_moved_domain(self, tmp_path, capsys, group):
+        # the manufactured problem is solved on (0, 1) only; a weight on
+        # [3, 4] made its solve group fail and the audit group stop with an
+        # EmptyBall error
+        moved = {"kind": "power", "alpha": 0.2, "center": 3.5, "domain": [3.0, 4.0]}
+        cfg = self.write_config(tmp_path, {"weight": moved})
+        out = tmp_path / "out"
+        assert main([group, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert "[3.0, 4.0]" in err and "ROADMAP item 10" in err
+        assert not out.exists()
+        # the groups without a solve take the weight's domain
+        assert main(["weights", "--config", str(cfg), "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("section,key,value", [
         case for section, table in PARAMS.items() for key, param in table.items()
         for case in bad_values(section, key, param)])

@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wparab"
 
 KEPT = {
     "geometry.height_inverse": "perfbench/layers.py wraps it by name",
-    "inequalities.TestFunction.piecewise": "test fixture",
 }
 
 

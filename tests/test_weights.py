@@ -157,17 +157,6 @@ class TestCumulativeLookup:
         # the result takes the broadcast shape of (a, b)
         assert w.mass_1d_vec(1.0, -0.5, np.array([[0.0], [0.5]])).shape == (2, 1)
 
-    def test_ess_range_and_a1_on_midpoint_weight(self):
-        w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)
-        assert w.ess_range(0.0, 1.0) == (1.0, 4.0)
-        assert w.ess_range(0.6, 0.1) == (2.0, 2.0)
-        assert w.ess_range(-0.5, 0.5) == (1.0, 2.0)
-        # the whole domain: mean 9/4 over essential infimum 1
-        fam = BallFamily.centered(0.0, np.array([1.0]))
-        assert aq_characteristic(w, 1.0, fam) == pytest.approx(2.25, rel=1e-14)
-        fam = BallFamily.default(DOM, n_centers=7, n_radii=8)
-        assert aq_characteristic(w, 1.0, fam) >= 2.25
-
 
 def trapezoid_mass_reference(w: Weight, p: float, a: float, b: float) -> float:
     """Reference for the trapezoid-rule masses: the per-interval loop over
@@ -315,8 +304,12 @@ class TestAqCharacteristic:
     def test_identity_is_one(self):
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM)
-        for q in (1.0, 2.0, 3.0):
+        for q in (2.0, 3.0):
             assert aq_characteristic(w, q, fam) == pytest.approx(1.0, abs=1e-12)
+        # A_q takes q > 1: the essential-sup class A_1 has no branch
+        for q in (1.0, 0.5):
+            with pytest.raises(ValueError, match="q > 1"):
+                aq_characteristic(w, q, fam)
 
     def test_power_half_centered_a2(self):
         # (r^a/(1+a)) * (r^-a/(1-a)) = 1/(1-a^2) = 4/3 for a = 1/2
@@ -364,19 +357,6 @@ class TestAqCharacteristic:
         fam = BallFamily.default(DOM, n_centers=7, n_radii=8)
         assert aq_characteristic(w, 2.0, fam) >= 1.0 - 1e-12
 
-    def test_a1_negative_power_closed_form(self):
-        # A_1 of |x|^{-0.3} on centered balls: mean r^{-0.3}/0.7 times
-        # esssup |x|^{0.3} = r^{0.3}, so the product is 1/0.7
-        w = Weight.power(-0.3, 0.0, DOM)
-        fam = BallFamily.centered(0.0, np.array([0.25, 0.5, 1.0]))
-        assert aq_characteristic(w, 1.0, fam) == pytest.approx(1.0 / 0.7,
-                                                               rel=1e-12)
-
-    def test_a1_positive_power_is_infinite(self):
-        # a vanishing weight has unbounded reciprocal near its zero
-        w = Weight.power(0.3, 0.0, DOM)
-        fam = BallFamily.centered(0.0, np.array([0.5]))
-        assert aq_characteristic(w, 1.0, fam) == math.inf
 
 
 class TestBetaCondition:
@@ -414,6 +394,25 @@ class TestBetaCondition:
         with pytest.raises(NonIntegrable):
             w = Weight.power(-3.0, 0.0, DOM)
             check_beta_condition(w, ctx, BallFamily.default(DOM))
+
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.3, 0.2, DOM), Weight.power(-0.4, -0.1, DOM),
+        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM),
+        Weight.sampled([1.0, 2.0, 4.0, 2.0, 0.5], DOM, quadrature="trapezoid")])
+    def test_one_pass_matches_three_characteristics(self, w, monkeypatch):
+        # one means pass over five exponents; each row keeps the bits of
+        # its own aq_characteristic, n0 = 3 included (1/(q - 1) is not 1.5)
+        fam = BallFamily.default(DOM)
+        for n in (1, 2, 3, 4):
+            ctx = WeightContext(n=n, M0=50.0)
+            n0 = ctx.n0
+            calls = count_kernel_calls(monkeypatch)
+            rows = check_beta_condition(w, ctx, fam).rows
+            assert calls == [288] * 5
+            assert [r.lhs for r in rows] == [
+                aq_characteristic(w, 1.0 + 2.0 / n0, fam, power=-1.0),
+                aq_characteristic(w, 1.0 + n0 / 2.0, fam, power=n0 / 2.0),
+                aq_characteristic(w, 2.0, fam, power=1.0)]
 
 
 class TestReverseHolder:
@@ -793,20 +792,19 @@ class TestMeans:
             w.means((1.0,), BallFamily(np.array([[0.0], [9.0]]), np.array([0.25, 0.5])))
 
     def test_2d_weight_paths_refused(self):
-        # a 2D weight is sampled before any mean; A_1 and doubling take 1D
+        # a 2D weight is sampled before any mean, and a sampled one has no
+        # point values; doubling takes 1D
         dom2 = ((-1.0, 1.0), (-0.5, 1.5))
         power = Weight.power(0.2, (0.1, 0.3), dom2)
         sampled = self.weights()[3]
         with pytest.raises(ValueError, match="sample it first"):
             power.means((1.0,), BallFamily.centered((0.1, 0.3), [0.5]))
+        with pytest.raises(ValueError, match="2D sampled weight"):
+            sampled(np.array([[0.1, 0.3]]))
         fam = BallFamily.default(dom2, n_centers=2, n_radii=2)
         for w in (power, sampled):
             with pytest.raises(ValueError, match="1D weight"):
-                w.ess_range((0.1, 0.3), 0.5)
-            with pytest.raises(ValueError, match="1D weight"):
                 doubling_report(w, 1.0, fam, 0.5, WeightContext(n=2))
-        with pytest.raises(ValueError, match="1D weight"):
-            aq_characteristic(sampled, 1.0, fam)
 
     @staticmethod
     def family(w):
@@ -965,7 +963,7 @@ def doubling_per_ball(w: Weight, p: float, fam: BallFamily, theta: float):
 
     (lo, hi), = w.domain
     n1, worst, pair = 0.0, None, 0.0
-    for c, r in fam.balls():
+    for c, r in zip(*ball_grid(fam.centers, fam.radii)):
         x = float(c[0])
         m1 = mass(x - r, x + r)
         if m1 <= 0.0:
