@@ -334,7 +334,7 @@ class TestBlockedMarching:
 
         def data(x, t):
             x = np.asarray(x)
-            return (x + 0.4) * (x - 0.3) if left_zero else x ** 2 + 2.0 * t - 0.3
+            return (x + 0.4) * (x - 0.3 + t) if left_zero else x ** 2 + 2.0 * t - 0.3
 
         got = solve_frozen(prob, data)
         ts = 0.1 + got.grid.t[1:]
