@@ -48,8 +48,8 @@ from .report import AuditReport, AuditRow, write_csv, write_json, write_svg_curv
 from .solver import (FrozenProblem, apriori_ratio, energy_audit, lipschitz_audit,
                      poincare_audit, solve_frozen, time_shift_audit,
                      write_solution_binary, write_solution_csv)
-from .weights import (BallFamily, Weight, WeightContext, check_beta_condition,
-                      doubling_report, reverse_holder_gamma)
+from .weights import (BallFamily, Weight, check_beta_condition, doubling_report,
+                      reverse_holder_gamma)
 
 
 class Forked:
@@ -110,20 +110,19 @@ class RunContext:
     """What the audit groups of one run share.
 
     Holds the config (whose ``audits[group]`` are the typed parameters),
-    the seed, the output directory, the weight, the 1D ``WeightContext``
-    and the coefficient function, each built once per run. The
-    manufactured solution at the config grid is solved on first use, so
-    ``audit`` and ``levelset`` share one solve and a run without them
-    makes none; when ``solve`` has already run a convergence level on that
-    grid, its solution is used instead (:meth:`keep_manufactured`). The
-    quasi-metric parameters are fitted on first use in the same way, for
-    ``geometry`` and ``levelset``. ``dump`` writes solution.csv.
+    the seed, the output directory, the weight and the coefficient
+    function, each built once per run. The manufactured solution at the
+    config grid is solved on first use, so ``audit`` and ``levelset``
+    share one solve and a run without them makes none; when ``solve`` has
+    already run a convergence level on that grid, its solution is used
+    instead (:meth:`keep_manufactured`). The quasi-metric parameters are
+    fitted on first use in the same way, for ``geometry`` and
+    ``levelset``. ``dump`` writes solution.csv.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
         self.cfg, self.seed, self.out = cfg, seed, out
         self.weight = cfg.build_weight()
-        self.ctx = WeightContext(n=1, M0=cfg.audits["weights"].M0)
         self.a_fun = cfg.coefficient_fn()
         self.dump: Forked | None = None
         g = cfg.grid
@@ -144,14 +143,14 @@ class RunContext:
 
     @functools.cached_property
     def quasi_params(self):
-        return estimate_quasi_params(self.weight, self.ctx)
+        return estimate_quasi_params(self.weight)
 
 
 def run_weights(run: RunContext) -> list[AuditReport]:
-    w, ctx, p = run.weight, run.ctx, run.cfg.audits["weights"]
+    w, p = run.weight, run.cfg.audits["weights"]
     fam = BallFamily.default(w.domain, n_centers=p.n_centers)
-    reports = [check_beta_condition(w, ctx, fam, tol_quad=p.tol_quad)]
-    reports.append(doubling_report(w, 1.0, fam, p.theta, ctx,
+    reports = [check_beta_condition(w, p.M0, fam, tol_quad=p.tol_quad)]
+    reports.append(doubling_report(w, 1.0, fam, p.theta, p.M0,
                                    n1_budget=p.n1_budget))
     budget = p.rh_budget
     gamma = reverse_holder_gamma(w, fam, budget)
@@ -164,14 +163,14 @@ def run_weights(run: RunContext) -> list[AuditReport]:
 
 
 def run_geometry(run: RunContext) -> list[AuditReport]:
-    w, ctx, p = run.weight, run.ctx, run.cfg.audits["geometry"]
-    reports = [quasi_triangle_audit(w, run.quasi_params, p.samples, ctx,
+    w, p = run.weight, run.cfg.audits["geometry"]
+    reports = [quasi_triangle_audit(w, run.quasi_params, p.samples,
                                     seed=run.seed)]
     lo, hi = w.domain[0]
     x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
     r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
     reports.append(cylinder_relations_audit(
-        w, SpaceTimePoint([x0], 0.0), r, ctx))
+        w, SpaceTimePoint([x0], 0.0), r))
     return reports
 
 
@@ -233,24 +232,23 @@ def run_solve(run: RunContext) -> list[AuditReport]:
 
 
 def run_audit(run: RunContext) -> list[AuditReport]:
-    w, ctx, out, p = run.weight, run.ctx, run.out, run.cfg.audits["audit"]
+    w, out, p = run.weight, run.out, run.cfg.audits["audit"]
     u, t_final = run.manufactured, run.cfg.grid.t_final
     lo, hi = w.domain[0]
     mask = (lo, hi, 0.0, t_final)
 
     osc_cfg = OscillationConfig(R0=p.R0, delta=p.delta)
-    reports = [oscillation_supremum(run.a_fun, w, osc_cfg, mask, ctx)]
+    reports = [oscillation_supremum(run.a_fun, w, osc_cfg, mask)]
 
     center = 0.5 * (lo + hi)
     z0 = SpaceTimePoint([center], t_final)
     r_base = p.cylinder_r if p.cylinder_r is not None else 0.125 * (hi - lo)
-    inner = WeightedCylinder(z0, 1.5 * r_base, w, ctx, variant="Q")
-    outer = WeightedCylinder(z0, 2.0 * r_base, w, ctx, variant="Q")
+    inner = WeightedCylinder(z0, 1.5 * r_base, w, variant="Q")
+    outer = WeightedCylinder(z0, 2.0 * r_base, w, variant="Q")
     reports.append(energy_audit(u, inner, outer, budget=p.energy_budget))
     reports.append(poincare_audit(u, outer, variant="interior",
                                   budget=p.poincare_budget))
-    bcyl = WeightedCylinder(SpaceTimePoint([lo], t_final), 2.0 * r_base, w, ctx,
-                            variant="Q+")
+    bcyl = WeightedCylinder(SpaceTimePoint([lo], t_final), 2.0 * r_base, w, variant="Q+")
     reports.append(poincare_audit(u, bcyl, variant="boundary",
                                   budget=p.poincare_budget))
 
@@ -259,8 +257,8 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     R = 2.0 * r_base
     beta_bar = float(w.mass_1d_vec(1.0, center - R, center + R, clip=False)) / (2.0 * R)
     frozen = Weight.constant(beta_bar, (-1.0, 1.0))
-    f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen, ctx)
-    f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen, ctx)
+    f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen)
+    f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen)
     prob = FrozenProblem(beta_bar=beta_bar, a_bar=1.0,
                          x_span=f_outer.x_interval, t_span=f_outer.t_interval,
                          nx=48, nt=48)
@@ -302,7 +300,8 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     g = TestFunction.polynomial([0.3, 1.0])
     g.validate_gradient(lab_dom, seed=run.seed)
     reports.append(weighted_lq_control_audit(
-        g, mu, 2.0, (0.0, 0.0, 0.8), 0.1, ctx, fam, budget=p.lab_budget))
+        g, mu, 2.0, (0.0, 0.0, 0.8), 0.1, run.cfg.audits["weights"].M0, fam,
+        budget=p.lab_budget))
     reports.append(weighted_embedding_audit(g, mu, 0.5, budget=p.lab_budget))
     u_fn = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
     reports.append(interpolation_audit(u_fn, mu, 0.0, 0.8, (0.0, 1.0),
@@ -311,13 +310,13 @@ def run_audit(run: RunContext) -> list[AuditReport]:
 
 
 def run_levelset(run: RunContext) -> list[AuditReport]:
-    w, ctx, seed, p = run.weight, run.ctx, run.seed, run.cfg.audits["levelset"]
+    w, seed, p = run.weight, run.seed, run.cfg.audits["levelset"]
     lo, hi = w.domain[0]
 
     fields = [SpaceTimeField(np.linspace(lo, hi, 17), np.linspace(-1.0, 0.0, 17),
                              np.random.default_rng(seed + i).random((16, 16)))
               for i in range(p.n_fields)]
-    reports = weak_1_1_audit(fields, w, p.lambdas, ctx, budget=p.weak11_budget)
+    reports = weak_1_1_audit(fields, w, p.lambdas, budget=p.weak11_budget)
     for i, rep in enumerate(reports):
         rep.check = f"maximal-weak-1-1-field{i}"
         rep.seed = seed + i
@@ -326,17 +325,17 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     cyls = [WeightedCylinder(
         SpaceTimePoint([rng.uniform(lo + 0.1, hi - 0.1)],
                        rng.uniform(-0.8, -0.2)),
-        float(rng.uniform(0.02, 0.15)), w, ctx, variant="C")
+        float(rng.uniform(0.02, 0.15)), w, variant="C")
         for _ in range(p.n_cylinders)]
-    fam = vitali_select(cyls, w)
-    cover = five_rho_cover_audit(fam, w, ctx)
+    fam = vitali_select(cyls)
+    cover = five_rho_cover_audit(fam, w)
     cover.seed = seed + 100
     reports.append(cover)
 
     u = run.manufactured
     decay = levelset_decay_audit(
         u.gradient_squared_field(), u.forcing_squared_field(), w, K=p.K,
-        q0=p.q0, m_max=p.m_max, ctx=ctx, quasi=run.quasi_params,
+        q0=p.q0, m_max=p.m_max, quasi=run.quasi_params,
         center=0.5 * (lo + hi),
         t_top=run.cfg.grid.t_final, r_unit=p.r_unit, delta_hat=p.delta_hat)
     table = decay.params["table"]
@@ -353,7 +352,6 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
 
 def run_flatten(run: RunContext) -> list[AuditReport]:
     out, p = run.out, run.cfg.audits["flatten"]
-    ctx2 = WeightContext(n=2, M0=p.M0)
     dom2 = ((-1.0, 1.0), (-1.0, 1.0))
 
     reports = [inclusion_audit(BoundaryChart(delta=p.deltas[-1]), [0.2, 0.1], 0.5)]
@@ -362,7 +360,7 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
     reports.append(b_rows[-1]["report"])
     slope_b = fit_loglog_slope([r["delta"] for r in b_rows],
                                [r["b_norm"] for r in b_rows])
-    osc_rows = oscillation_delta_sweep(p.deltas, ctx2)
+    osc_rows = oscillation_delta_sweep(p.deltas)
     slope_o = fit_loglog_slope([r["delta"] for r in osc_rows],
                                [r["oscillation_sq"] for r in osc_rows])
     write_csv(out / "flatten_sweeps.csv",
@@ -387,9 +385,9 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
     beta2 = Weight.power(p.alpha, (0.0, 0.0), dom2)
     fam2 = BallFamily.default(dom2, n_centers=5, n_radii=8)
     chart2 = BoundaryChart(delta=p.delta)
-    reports.append(pushforward_weight_audit(chart2, beta2, ctx2, fam2,
+    reports.append(pushforward_weight_audit(chart2, beta2, p.M0, fam2,
                                             shape=(32, 32)))
-    reports.append(admissible_radius_search(chart2, beta2, ctx2, R=p.R, t0=p.t0,
+    reports.append(admissible_radius_search(chart2, beta2, R=p.R, t0=p.t0,
                                             Lambda=p.Lambda))
     return reports
 

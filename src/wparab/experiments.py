@@ -27,9 +27,7 @@ from .solver import (
     solve_ivbp,
     sum_in_order,
 )
-from .weights import Weight, WeightContext
-
-CTX1 = WeightContext(n=1, M0=10.0)
+from .weights import Weight
 
 
 def _series_int_pow_trig(alpha: float, y: float, odd: bool, terms: int = 24) -> float:
@@ -196,7 +194,7 @@ def freeze_compare_sweep(beta: Weight, amplitudes: list[float], r: float = 0.05,
         A = CoefficientField.from_callable(a_fun, grid)
         F = np.zeros((nt + 1, nx))
         u = solve_ivbp(beta, A, F, grid, initial=initial)
-        cyl = WeightedCylinder(z0, r, beta, CTX1, variant="Q")
+        cyl = WeightedCylinder(z0, r, beta, variant="Q")
         rep = freeze_compare(u, a_fun, cyl, nx_local=nx_local, nt_local=nt_local)
         row = rep.rows[0]
         rows.append({"amplitude": a, "eps_emp": row.lhs,

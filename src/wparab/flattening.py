@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import EllipticityViolation, EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
-from .weights import (BallFamily, Weight, WeightContext, aq_characteristic,
-                      ball_grid, first_sup)
+from .weights import N0, BallFamily, Weight, aq_characteristic, ball_grid, first_sup
 
 @dataclass
 class BoundaryChart:
@@ -204,21 +203,25 @@ def _sup_ball_oscillation(w: Weight, fam: BallFamily) -> float:
     Both means of every ball come from one pass over the family, which
     shares the family's cell coverage on the weight's grid. A ball that
     covers no sample is skipped when it lies outside the domain; the first
-    one, in ball order, that meets the domain raises :class:`EmptyBall`.
+    one, in ball order, that meets the domain (its centre is closer than r
+    to the box) raises :class:`EmptyBall`.
     """
     masses, meas = w.ball_masses((1.0, -1.0), fam)
     hit = meas > 0.0
     if not hit.all():
         c, r = ball_grid(fam.centers, fam.radii)
-        for i in np.flatnonzero(~hit):
-            if w.ball_measure(c[i], r[i]) > 0.0:
-                raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
+        lo, hi = np.array(w.domain).T
+        gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)  # centre to box, per axis
+        meets = ~hit & (np.hypot(gap[:, 0], gap[:, 1]) < r)
+        if meets.any():
+            i = np.argmax(meets)
+            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
     b, b_inv = masses[:, hit] / meas[hit]
     return first_sup(b * b_inv - 1.0)[0]
 
 
 def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
-                             ctx: WeightContext, fam: BallFamily,
+                             M0: float, fam: BallFamily,
                              shape: tuple[int, int] = (48, 48)) -> AuditReport:
     """Class and oscillation inflation of the transformed weight.
 
@@ -226,17 +229,16 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
     satisfied by b. Row 2: the sup-ball squared oscillation of b~ with the
     fitted constant sup/delta^2.
     """
-    n = ctx.n
-    q = 1.0 + 2.0 / ctx.n0
+    q = 1.0 + 2.0 / N0
     beta_grid = _transformed_weight(BoundaryChart(delta=0.0),
                                     beta, shape)  # same sampling for fairness
     est_orig = aq_characteristic(beta_grid, q, fam, power=-1.0)
-    if est_orig > ctx.M0:
+    if est_orig > M0:
         raise GateFailed(
-            f"base weight characteristic {est_orig} exceeds budget {ctx.M0}")
+            f"base weight characteristic {est_orig} exceeds budget {M0}")
     wt = _transformed_weight(chart, beta, shape)
     est_tilde = aq_characteristic(wt, q, fam, power=-1.0)
-    budget = 2.0 ** (n + 2) * ctx.M0
+    budget = 2.0 ** (beta.n + 2) * M0
     osc = _sup_ball_oscillation(wt, fam)
     n1_fit = math.sqrt(osc) / chart.delta if chart.delta > 0 else 0.0
     rows = [
@@ -250,39 +252,38 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
     ]
     return AuditReport.from_rows(
         "weight-pushforward", rows,
-        params={"delta": chart.delta, "M0": ctx.M0, "q": q,
+        params={"delta": chart.delta, "M0": M0, "q": q,
                 "grid_shape": list(shape)})
 
 
-def oscillation_delta_sweep(deltas, ctx: WeightContext,
-                            domain=((-1.0, 1.0), (-1.0, 1.0)),
-                            alpha_ratio: float = 0.5,
-                            shape: tuple[int, int] = (40, 40)) -> list[dict]:
-    """Coupled sweep: chart slope delta with weight |x|^{alpha_ratio*delta}.
+def oscillation_delta_sweep(deltas, shape: tuple[int, int] = (40, 40)) -> list[dict]:
+    """Coupled sweep: chart slope delta with weight |x|^{delta/2} on the
+    square (-1, 1)^2.
 
     Under the smallness hypothesis the chart slope and the weight's own
     oscillation sit under the same delta, so the transformed weight's
     squared oscillation should decay like delta^2.
     """
+    domain = ((-1.0, 1.0), (-1.0, 1.0))
     fam = BallFamily.default(domain, n_centers=5, n_radii=8)
     rows = []
     for d in deltas:
         chart = BoundaryChart(delta=float(d))
-        beta = Weight.power(alpha_ratio * float(d), (0.0, 0.25), domain)
+        beta = Weight.power(0.5 * float(d), (0.0, 0.25), domain)
         wt = _transformed_weight(chart, beta, shape)
         osc = _sup_ball_oscillation(wt, fam)
         rows.append({"delta": float(d), "oscillation_sq": osc})
     return rows
 
 
-def b_norm_delta_sweep(deltas, a_fun=None, nu: float = 0.5) -> list[dict]:
-    """Max correction norm ||B|| per chart slope, for the exponent fit, with
-    the ``coefficient-pushforward`` report it was read from."""
+def b_norm_delta_sweep(deltas) -> list[dict]:
+    """Max correction norm ||B|| per chart slope for the unit coefficient
+    (ellipticity nu = 1/2), for the exponent fit, with the
+    ``coefficient-pushforward`` report it was read from."""
     rows = []
     for d in deltas:
         chart = BoundaryChart(delta=float(d))
-        fn = a_fun or (lambda x, t: np.eye(2))
-        _, _, rep = pushforward_coefficients(chart, fn, nu)
+        _, _, rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
         row = next(r for r in rep.rows
                    if r.label == "correction-norm-linear-in-delta")
         rows.append({"delta": float(d), "b_norm": row.lhs, "report": rep})
@@ -290,7 +291,7 @@ def b_norm_delta_sweep(deltas, a_fun=None, nu: float = 0.5) -> list[dict]:
 
 
 def admissible_radius_search(chart: BoundaryChart, beta: Weight,
-                             ctx: WeightContext, R: float, t0: float,
+                             R: float, t0: float,
                              Lambda: float, n_grid: int = 24,
                              samples: int = 17) -> AuditReport:
     """First radius on a decreasing grid satisfying the chart inclusions.
@@ -310,8 +311,8 @@ def admissible_radius_search(chart: BoundaryChart, beta: Weight,
                                 r_big * np.abs(np.sin(angles))])
         pulled = phi_inverse(chart, ring)
         inside = bool(np.max(np.linalg.norm(pulled, axis=1)) <= R)
-        p0 = ctx.n0 / 2.0
-        h_big = r_big ** 2 * wt.mean(p0, np.zeros(2), r_big) ** (2.0 / ctx.n0)
+        p0 = N0 / 2.0
+        h_big = r_big ** 2 * wt.mean(p0, np.zeros(2), r_big) ** (2.0 / N0)
         if inside and h_big <= t0:
             found = float(rho)
             break

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NoBracket
 from .report import AuditReport, AuditRow
-from .weights import BallFamily, Weight, WeightContext, ball_grid
+from .weights import N0, BallFamily, Weight, ball_grid
 
 TOL_BISECT = 1e-10
 MAX_BISECT = 80
@@ -91,28 +91,27 @@ class SpaceTimePoint:
         return len(self.x)
 
 
-def height(beta: Weight, x0, r, ctx: WeightContext) -> np.ndarray:
+def height(beta: Weight, x0, r) -> np.ndarray:
     """Cylinder heights h_{x0}(r) = r^2 Psi_{beta,x0}(r) of a 1D weight,
     broadcast over ``x0`` and ``r``; h = 0 where r <= 0."""
     if beta.n != 1:
         raise ValueError("cylinder heights take a 1D weight")
     x0 = np.asarray(x0, dtype=float)
     r = np.asarray(r, dtype=float)
-    mass = beta.mass_1d_vec(ctx.n0 / 2.0, x0 - r, x0 + r, clip=False)
+    mass = beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r, clip=False)
     with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 maps to 0
-        h = r ** 2 * (mass / (2.0 * r)) ** (2.0 / ctx.n0)
+        h = r ** 2 * (mass / (2.0 * r)) ** (2.0 / N0)
     return np.where(r > 0.0, h, 0.0)
 
 
-def height_inverse(beta: Weight, x0, s: float, ctx: WeightContext,
-                   tol: float = TOL_BISECT) -> float:
+def height_inverse(beta: Weight, x0, s: float, tol: float = TOL_BISECT) -> float:
     """The r with h_{x0}(r) = s: a one-point call of :func:`height_inverse_vec`."""
     return float(height_inverse_vec(beta, np.atleast_1d(np.asarray(x0, float))[:1],
-                                    np.array([s], dtype=float), ctx, tol)[0])
+                                    np.array([s], dtype=float), tol)[0])
 
 
 def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
-                       ctx: WeightContext, tol: float = TOL_BISECT) -> np.ndarray:
+                       tol: float = TOL_BISECT) -> np.ndarray:
     """Vectorized inverse heights for 1D weights: the r with h_{x0}(r) = s.
 
     Each point starts at r0 = sqrt(s / beta(x0)), the root of the
@@ -146,18 +145,18 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
     active = np.flatnonzero(s > 0.0)
     for k in range(0, active.size, BISECT_BLOCK):
         b = active[k:k + BISECT_BLOCK]
-        out.reshape(-1)[b] = _newton_block(beta, x0.take(b), s.take(b), ctx, tol)
+        out.reshape(-1)[b] = _newton_block(beta, x0.take(b), s.take(b), tol)
     return out
 
 
 def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
-                  ctx: WeightContext, tol: float) -> np.ndarray:
+                  tol: float) -> np.ndarray:
     """Inverse heights of one block of points with s > 0, as described in
     :func:`height_inverse_vec`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.sqrt(s / beta(x0))  # the root of the model h(r) = beta(x0) r^2
     r[~((r > 0.0) & (r <= 1.0))] = 1.0  # NaN and infinite starts included
-    h = height(beta, x0, r, ctx)
+    h = height(beta, x0, r)
     below = h < s
     lo, hi = np.where(below, r, 0.0), np.where(below, np.inf, r)  # inf: no bracket
     searching = bool(below.any())
@@ -201,7 +200,7 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
             np.minimum(nxt, MAX_RADIUS, out=nxt)
         step_old, step = step, nxt - r
         r = nxt
-        h = height(beta, x0, r, ctx)
+        h = height(beta, x0, r)
         below = h < s
         lo, hi = np.where(below, r, lo), np.where(below, hi, r)
         if searching and np.any(lo >= MAX_RADIUS):
@@ -214,8 +213,7 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
 
 
 def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
-                         X0: np.ndarray, T0: np.ndarray,
-                         ctx: WeightContext) -> np.ndarray:
+                         X0: np.ndarray, T0: np.ndarray) -> np.ndarray:
     """Vectorized quasi-distances for 1D weights.
 
     A pair with |x - x0| >= SCREEN_FLOOR * (domain width) and
@@ -234,10 +232,10 @@ def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
     need = np.empty(dx.shape, dtype=bool)
     for k in range(0, dx.size, BISECT_BLOCK):
         b = slice(k, k + BISECT_BLOCK)
-        reach = height(beta, base[b], dx[b] * (1.0 - SCREEN_MARGIN), ctx)
+        reach = height(beta, base[b], dx[b] * (1.0 - SCREEN_MARGIN))
         # written as a negation so that a NaN gap is inverted, and raises there
         need[b] = ~((dx[b] >= SCREEN_FLOOR * (hi - lo)) & (gap[b] <= reach))
-    inv = height_inverse_vec(beta, base[need], gap[need], ctx)
+    inv = height_inverse_vec(beta, base[need], gap[need])
     dx[need] = np.maximum(dx[need], inv)
     return dx.reshape(X.shape)
 
@@ -255,7 +253,6 @@ class WeightedCylinder:
     z0: SpaceTimePoint
     r: float
     beta: Weight
-    ctx: WeightContext
     variant: str = "Q"
 
     def __post_init__(self) -> None:
@@ -263,7 +260,7 @@ class WeightedCylinder:
             raise ValueError("cylinder radius must be positive")
         if self.variant not in ("Q", "C", "Q+"):
             raise ValueError(f"unknown cylinder variant {self.variant!r}")
-        self.h = height(self.beta, self.z0.x, self.r, self.ctx).item()
+        self.h = height(self.beta, self.z0.x, self.r).item()
 
     @property
     def t_interval(self) -> tuple[float, float]:
@@ -315,8 +312,7 @@ class QuasiMetricParams:
                    * self.N2 ** (1.0 / (self.n * self.zeta0)), 2.0)
 
 
-def estimate_quasi_params(beta: Weight, ctx: WeightContext,
-                          fam: BallFamily | None = None) -> QuasiMetricParams:
+def estimate_quasi_params(beta: Weight, fam: BallFamily | None = None) -> QuasiMetricParams:
     """Fit (zeta0, N2) from measured nested-ball mass ratios of a 1D weight.
 
     For nested balls S1 in S2 collects m = w(S1)/w(S2) against
@@ -328,7 +324,7 @@ def estimate_quasi_params(beta: Weight, ctx: WeightContext,
         raise ValueError("the quasi-parameter fit takes a 1D weight")
     if fam is None:
         fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
-    p = ctx.n0 / 2.0
+    p = N0 / 2.0
     c, r = ball_grid(fam.centers, fam.radii)
     x = c[:, 0]
     m2 = beta.mass_1d_vec(p, x - r, x + r, clip=False)
@@ -342,13 +338,13 @@ def estimate_quasi_params(beta: Weight, ctx: WeightContext,
     keep = ~(m2[:, None, None] <= 0.0) & (m1 > 0.0)
     if not keep.any():
         raise ValueError("no usable nested-ball pairs in the family")
-    s_arr = np.broadcast_to((fractions ** ctx.n)[:, None], x1.shape)[keep]
+    s_arr = np.broadcast_to((fractions ** beta.n)[:, None], x1.shape)[keep]
     m_arr = m1[keep] / np.broadcast_to(m2[:, None, None], x1.shape)[keep]
     best: QuasiMetricParams | None = None
     for zeta0 in np.linspace(0.05, 0.95, 19):
         n2 = float(np.max(m_arr / s_arr ** zeta0))
         n2 = max(n2, 1.0 + 1e-9)
-        cand = QuasiMetricParams(n=ctx.n, zeta0=float(zeta0), N2=n2)
+        cand = QuasiMetricParams(n=beta.n, zeta0=float(zeta0), N2=n2)
         if best is None or cand.Lambda < best.Lambda:
             best = cand
     return best
@@ -377,7 +373,7 @@ def _adversarial_triples(lo: float, hi: float,
 
 
 def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
-                         ctx: WeightContext, seed: int,
+                         seed: int,
                          t_span: float | None = None) -> AuditReport:
     """Empirical quasi-triangle check on seeded triples.
 
@@ -393,7 +389,7 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         raise ValueError("need at least one sample")
     (lo, hi), = beta.domain[:1]
     if t_span is None:
-        t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo), ctx).item()
+        t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
     xs_adv, ts_adv = _adversarial_triples(lo, hi, t_span)
     rng_x = np.random.default_rng(seed)
     rng_t = np.random.Generator(np.random.PCG64(seed))
@@ -406,9 +402,9 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         adv = slice(max(start - samples, 0), max(stop - samples, 0))
         xs = np.vstack([rng_x.uniform(lo, hi, size=(n_rand, 3)), xs_adv[adv]])
         ts = np.vstack([rng_t.uniform(-t_span, 0.0, size=(n_rand, 3)), ts_adv[adv]])
-        d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0], ctx)
-        d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0], ctx)
-        d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1], ctx)
+        d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0])
+        d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0])
+        d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1])
         denom = d_leg1 + d_leg2
         ratios = np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
         i = int(np.argmax(ratios))
@@ -433,7 +429,6 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
 
 
 def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
-                             ctx: WeightContext,
                              lattice: tuple[int, int] = (25, 25),
                              tol: float = 1e-9) -> AuditReport:
     """Containment relations between cylinders and quasi-distance balls.
@@ -451,7 +446,7 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
         mx, mt = np.meshgrid(np.linspace(xlo, xhi, nx), np.linspace(tlo, thi, nt))
         px, pt = mx.ravel(), mt.ravel()
         return px, pt, quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
-                                            np.full_like(pt, z0.t), ctx)
+                                            np.full_like(pt, z0.t))
 
     def n_farther(cyl: WeightedCylinder, bound: float, relation: str) -> int:
         """Lattice points of ``cyl`` farther than ``bound`` from z0; the
@@ -465,11 +460,11 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
         return n_bad
 
     # Q_r(z0) subset {rho <= r}
-    n_bad_1 = n_farther(WeightedCylinder(z0, r, beta, ctx, variant="Q"), r,
+    n_bad_1 = n_farther(WeightedCylinder(z0, r, beta, variant="Q"), r,
                         "cylinder-in-ball")
     # {rho <= r} subset closure(C_{2r}(z0)): lattice B_r(x0) over twice the
     # time span of C_{2r}, so that points outside C_{2r} are tested too
-    c2 = WeightedCylinder(z0, 2.0 * r, beta, ctx, variant="C")
+    c2 = WeightedCylinder(z0, 2.0 * r, beta, variant="C")
     px, pt, d = lattice_rho(x0 - r, x0 + r, z0.t - c2.h, z0.t + c2.h)
     out = (d <= r * (1.0 + tol)) & ~c2.contains(
         px, pt, tol=tol * np.maximum(1.0, np.abs(pt)))
@@ -477,7 +472,7 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
     failures += [{"relation": "ball-in-centered", "x": float(xx), "t": float(tt)}
                  for xx, tt in zip(px[out], pt[out])]
     # C_r(z0): all points within quasi-distance 2r
-    n_bad_3 = n_farther(WeightedCylinder(z0, r, beta, ctx, variant="C"), 2.0 * r,
+    n_bad_3 = n_farther(WeightedCylinder(z0, r, beta, variant="C"), 2.0 * r,
                         "centered-within-2r")
 
     rows = [AuditRow(label=label, lhs=float(n), rhs=0.0, constant=float(n),

@@ -30,7 +30,6 @@ from .weights import (
     _GL16_WEIGHTS,
     BallFamily,
     Weight,
-    WeightContext,
     aq_characteristic,
     reverse_holder_gamma,
 )
@@ -163,7 +162,7 @@ def _ball_interval(w: Weight, x0: float, r: float,
 
 def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
                               ball: tuple[float, float, float], gamma: float,
-                              ctx: WeightContext, fam: BallFamily,
+                              M0: float, fam: BallFamily,
                               budget: float = math.inf,
                               dilations=(1.0, 0.5, 0.25)) -> AuditReport:
     """Unweighted low-exponent average controlled by the weighted L^2 norm.
@@ -171,15 +170,15 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
     lhs = (avg_B |g|^{2/(q-gamma)})^{(q-gamma)/2},
     rhs = ((1/mu(B)) int_B g^2 mu)^{1/2}; the constant must stay finite and
     stable under dilations of the ball. Requires mu in A_q within the
-    context budget and gamma below q - 1.
+    budget M0 and gamma below q - 1.
     """
     if not 1.0 < q <= 2.0:
         raise GateFailed("exponent q must lie in (1, 2]")
     if not 0.0 < gamma < q - 1.0:
         raise GateFailed(f"gamma must lie in (0, q-1); got {gamma}")
     char = aq_characteristic(mu, q, fam)
-    if char > ctx.M0:
-        raise GateFailed(f"A_q characteristic {char} exceeds budget {ctx.M0}")
+    if char > M0:
+        raise GateFailed(f"A_q characteristic {char} exceeds budget {M0}")
     rh = reverse_holder_gamma(mu, fam, budget=2.0 * max(char, 1.0))
     gamma_flag = gamma > rh > 0.0
     x0, _, r0 = ball

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EmptyRegion, PreconditionFailed
 from .geometry import QuasiMetricParams, WeightedCylinder, height
 from .report import AuditReport, AuditRow
-from .weights import Weight, WeightContext
+from .weights import Weight
 
 
 @dataclass
@@ -93,7 +93,6 @@ def _locate(edges: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def maximal_function_batch(fields: Sequence[SpaceTimeField], beta: Weight,
                            X: np.ndarray, T: np.ndarray, radii: np.ndarray,
-                           ctx: WeightContext,
                            window: tuple[float, float, float, float] | None = None,
                            ) -> np.ndarray:
     """Vectorized maximal function of several fields at many points.
@@ -119,7 +118,7 @@ def maximal_function_batch(fields: Sequence[SpaceTimeField], beta: Weight,
     # fields on a grid repeat each x once per time row: heights depend on x only
     xu, inverse = np.unique(X, return_inverse=True)
     for rho in radii:
-        hu = height(beta, xu, rho, ctx)
+        hu = height(beta, xu, rho)
         if not np.all(hu > 0.0):
             raise EmptyRegion(f"cylinders of radius {rho} have zero height "
                               "where the weight has no mass")
@@ -161,7 +160,7 @@ def default_radius_grid(g: SpaceTimeField, n: int = 24) -> np.ndarray:
 
 
 def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
-                   ctx: WeightContext, radii: np.ndarray | None = None,
+                   radii: np.ndarray | None = None,
                    budget: float = math.inf) -> list[AuditReport]:
     """Weak (1,1) bound of the maximal operator, one report per field; the
     fields share one grid and one :func:`maximal_function_batch` call.
@@ -174,7 +173,7 @@ def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
         radii = default_radius_grid(fields[0])
     X, T = fields[0].cell_centers()
     reports = []
-    for g, mg in zip(fields, maximal_function_batch(fields, beta, X, T, radii, ctx)):
+    for g, mg in zip(fields, maximal_function_batch(fields, beta, X, T, radii)):
         l1 = g.l1_norm()
         rows = []
         worst = 0.0
@@ -212,7 +211,7 @@ def _rect_intersect(r1, r2) -> bool:
     return a1 < b2 and a2 < b1 and s1 < e2 and s2 < e1
 
 
-def vitali_select(cylinders: list[WeightedCylinder], beta: Weight) -> CoveringFamily:
+def vitali_select(cylinders: list[WeightedCylinder]) -> CoveringFamily:
     """Greedy Vitali selection in decreasing radius order.
 
     Selected cylinders are pairwise disjoint (exact interval arithmetic);
@@ -232,7 +231,7 @@ def vitali_select(cylinders: list[WeightedCylinder], beta: Weight) -> CoveringFa
                           discarded=discarded)
 
 
-def five_rho_cover_audit(family: CoveringFamily, beta: Weight, ctx: WeightContext,
+def five_rho_cover_audit(family: CoveringFamily, beta: Weight,
                          lattice: tuple[int, int] = (7, 7)) -> AuditReport:
     """Verify disjointness and the 5-rho covering property by sampling.
 
@@ -246,7 +245,7 @@ def five_rho_cover_audit(family: CoveringFamily, beta: Weight, ctx: WeightContex
         for j in family.selected[i_pos + 1:]:
             if _rect_intersect(cyls[i].region(), cyls[j].region()):
                 overlaps += 1
-    dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r, beta, ctx, variant="C")
+    dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r, beta, variant="C")
                for i in family.selected]
     # each lattice point (cylinder, x, t) against each dilated cylinder
     a, b, s, e = np.array([c.region() for c in cyls]).reshape(-1, 4).T
@@ -276,7 +275,7 @@ def _levelset_measure(values: np.ndarray, threshold: float, area: float) -> floa
 
 def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
                          beta: Weight, K: float, q0: float, m_max: int,
-                         ctx: WeightContext, quasi: QuasiMetricParams,
+                         quasi: QuasiMetricParams,
                          center: float, t_top: float,
                          r_unit: float, delta_hat: float = 0.05,
                          radii: np.ndarray | None = None) -> AuditReport:
@@ -296,7 +295,7 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
         raise PreconditionFailed("m_max must be at least 1")
     lam = quasi.Lambda
     big_r = 2.0 * lam * r_unit
-    h_big = height(beta, center, big_r, ctx).item()
+    h_big = height(beta, center, big_r).item()
     window = (center - big_r, center + big_r, t_top - h_big, t_top)
     if radii is None:
         radii = default_radius_grid(grad_sq)
@@ -304,11 +303,11 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
     # every measure below is taken on Q_1, and each point's value depends on
     # its own (x, t) only: evaluate the Q_1 cells alone
     X, T = grad_sq.cell_centers()
-    h_unit = height(beta, center, r_unit, ctx).item()
+    h_unit = height(beta, center, r_unit).item()
     in_q1 = ((np.abs(X - center) <= r_unit)
              & (T <= t_top) & (T > t_top - h_unit))
     mg, mf = maximal_function_batch([grad_sq, force_sq], beta, X[in_q1], T[in_q1],
-                                    radii, ctx, window=window)
+                                    radii, window=window)
     area = grad_sq.cell_area
     q1_measure = 2.0 * r_unit * h_unit
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyRegion
 from .geometry import height
 from .report import AuditReport, AuditRow
-from .weights import BallFamily, Weight, WeightContext, ball_grid, first_sup
+from .weights import BallFamily, Weight, ball_grid, first_sup
 
 
 @dataclass
@@ -32,7 +32,6 @@ class OscillationConfig:
 
     R0: float
     delta: float
-    centers: np.ndarray | None = None
     n_radii: int = 24
     r_min: float | None = None
 
@@ -129,7 +128,6 @@ def _sample_nodes(A_fun, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
-                         ctx: WeightContext,
                          grid_points: np.ndarray | None = None) -> AuditReport:
     """Supremal oscillation functionals and the smallness gate.
 
@@ -139,8 +137,6 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     x_lo, x_hi, t_lo, t_hi = mask
     if grid_points is None:
         grid_points = np.linspace(x_lo, x_hi, 17)
-    if cfg.centers is not None:
-        grid_points = np.asarray(cfg.centers, dtype=float)
     if grid_points.size == 0:
         raise EmptyRegion("empty center lattice")
     r_min_default = 2.0 * (x_hi - x_lo) / max(len(grid_points) - 1, 1)
@@ -159,7 +155,7 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
         # one height per (center, radius), shared by its time centres; the
         # cylinders run centre-major, then radius, then time centre
         centers, rs = ball_grid(grid_points[:, None], radii)
-        heights = height(beta, centers[:, 0], rs, ctx)
+        heights = height(beta, centers[:, 0], rs)
         x0s = np.repeat(centers, t_centers.size, axis=0)
         rs, heights = (np.repeat(v, t_centers.size) for v in (rs, heights))
         tcs = np.tile(t_centers, len(centers))

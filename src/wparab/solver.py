@@ -578,10 +578,9 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     """
     r = cyl_base.r
     x0 = cyl_base.z0.x
-    ctx = cyl_base.ctx
     beta = u.beta
-    cyl4 = WeightedCylinder(cyl_base.z0, 4.0 * r, beta, ctx, variant="Q")
-    cyl2 = WeightedCylinder(cyl_base.z0, 2.0 * r, beta, ctx, variant="Q")
+    cyl4 = WeightedCylinder(cyl_base.z0, 4.0 * r, beta, variant="Q")
+    cyl2 = WeightedCylinder(cyl_base.z0, 2.0 * r, beta, variant="Q")
     reg4 = cyl4.region()
     size4 = u.region_measure(reg4)
     grad_ms = u.lp(u.grad(), 2.0, reg4) ** 2 / size4 if size4 > 0 else 0.0

@@ -35,28 +35,9 @@ COVERAGE_SUB = 4
 # size; blocks of 4 ran fastest on 32 x 32 to 64 x 64 grids, where one ball
 # per block pays numpy's per-call overhead once per ball.
 COVERAGE_BLOCK = 4
-# Cells per axis of the grid over a disc's bounding box in the domain, in
-# _disc_box_area. The grid scales with the box, so a disc that only grazes
-# the domain is still resolved to 1/64 of the overlap's extent per axis.
-DISC_AREA_SUB = 64
-
-
-@dataclass(frozen=True)
-class WeightContext:
-    """Dimension and A_q budget shared by the weight-condition audits."""
-
-    n: int
-    M0: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"spatial dimension must be >= 1, got {self.n}")
-        if self.M0 < 1.0:
-            raise ValueError(f"A_q budget M0 must be >= 1, got {self.M0}")
-
-    @property
-    def n0(self) -> int:
-        return max(self.n, 2)
+# The paper's n0 = max{n, 2} in every height, class exponent and shrink
+# factor: a weight has n <= 2 axes (Weight rejects more), so n0 is 2.
+N0 = 2
 
 
 def _power_antideriv(t: np.ndarray | float, q: float) -> np.ndarray | float:
@@ -99,6 +80,8 @@ class Weight:
     def __post_init__(self) -> None:
         if self.kind not in ("power", "sampled"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if not 1 <= self.n <= N0:
+            raise ValueError(f"a weight domain has one or two axes, got {self.n}")
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ValueError(f"degenerate domain axis ({lo}, {hi})")
@@ -306,11 +289,6 @@ class Weight:
 
     # -- ball means ----------------------------------------------------------
 
-    def ball_measure(self, center, r: float) -> float:
-        """Area of the disc B_r(center) inside the box domain of a 2D weight."""
-        return _disc_box_area(np.atleast_1d(np.asarray(center, dtype=float)), r,
-                              self.domain)
-
     def mean(self, p: float, center, r: float) -> float:
         """Mean of w^p over B_r(center) ∩ domain."""
         return float(self.means((p,), BallFamily.centered(center, [r]))[0, 0])
@@ -485,20 +463,6 @@ def _coverage(c: np.ndarray, r: np.ndarray, x0, x1, y0, y1, nx, ny
     return frac, frac.sum(axis=1)
 
 
-def _disc_box_area(c: np.ndarray, r: float, domain) -> float:
-    """Area of B_r(c) inside the box ``domain``: the disc's coverage of a
-    DISC_AREA_SUB x DISC_AREA_SUB grid over its bounding box in the domain,
-    as a family of one ball."""
-    (x0, x1), (y0, y1) = domain
-    rx0, rx1 = max(c[0] - r, x0), min(c[0] + r, x1)
-    ry0, ry1 = max(c[1] - r, y0), min(c[1] + r, y1)
-    if rx0 >= rx1 or ry0 >= ry1:
-        return 0.0
-    sub = DISC_AREA_SUB
-    _, cells = _coverage(c[None, :], np.array([r]), rx0, rx1, ry0, ry1, sub, sub)
-    return float(cells[0] * (rx1 - rx0) / sub * (ry1 - ry0) / sub)
-
-
 @dataclass
 class BallFamily:
     """Finite family of balls discretizing the supremum over all balls."""
@@ -564,43 +528,36 @@ def aq_characteristic(w: Weight, q: float, fam: BallFamily, power: float = 1.0) 
     return first_sup(m * m_dual ** (q - 1.0))[0]
 
 
-def check_beta_condition(beta: Weight, ctx: WeightContext, fam: BallFamily,
+def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
                          tol_quad: float = TOL_QUAD) -> AuditReport:
     """Audit the A-class condition on a volumetric heat capacity weight.
 
     Rows: the characteristic of beta^{-1} in A_{1+2/n0} against the budget
     M0; the duality identity tying it to the characteristic of beta^{n0/2}
-    in A_{1+n0/2}; and the A_2 bound for beta itself. All three come from
-    one pass of means over the family.
+    in A_{1+n0/2}; and the A_2 bound for beta itself. With n0 = 2 both
+    classes are A_2, so every row reads the sup of (beta)_B (beta^{-1})_B
+    from one pass of means over the family.
     """
-    n0 = ctx.n0
-    q_inv = 1.0 + 2.0 / n0
-    q_dual = 1.0 + n0 / 2.0
-    # beta^-1 and its A_{q_inv} dual, beta^{n0/2} and its A_{q_dual} dual,
-    # and beta, whose A_2 dual is beta^-1; each exponent is written as
-    # aq_characteristic forms it, so each sup keeps its bits
-    m_inv, m_inv_dual, m_pow, m_pow_dual, m = beta.means(
-        (-1.0, 1.0 / (q_inv - 1.0), n0 / 2.0, -(n0 / 2.0) / (q_dual - 1.0), 1.0),
-        fam)
-    est_inv = first_sup(m_inv * m_inv_dual ** (q_inv - 1.0))[0]
-    est_dual = first_sup(m_pow * m_pow_dual ** (q_dual - 1.0))[0]
-    est_a2 = first_sup(m * m_inv)[0]
+    q_inv = 1.0 + 2.0 / N0
+    q_dual = 1.0 + N0 / 2.0
+    m_inv, m = beta.means((-1.0, 1.0), fam)
+    est = first_sup(m_inv * m)[0]
 
-    dual_target = est_inv ** (n0 / 2.0)
-    dual_gap = abs(est_dual - dual_target) / max(1.0, abs(dual_target))
+    dual_target = est ** (N0 / 2.0)
+    dual_gap = abs(est - dual_target) / max(1.0, abs(dual_target))
     rows = [
-        AuditRow(label="inverse-weight-class", lhs=est_inv, rhs=ctx.M0,
-                 constant=est_inv, budget=ctx.M0, passed=bool(est_inv <= ctx.M0)),
-        AuditRow(label="duality-identity", lhs=est_dual, rhs=dual_target,
+        AuditRow(label="inverse-weight-class", lhs=est, rhs=M0,
+                 constant=est, budget=M0, passed=bool(est <= M0)),
+        AuditRow(label="duality-identity", lhs=est, rhs=dual_target,
                  constant=dual_gap, budget=tol_quad, passed=bool(dual_gap <= tol_quad)),
-        AuditRow(label="a2-bound", lhs=est_a2, rhs=est_inv,
-                 constant=est_a2 / est_inv if est_inv > 0 else math.inf,
+        AuditRow(label="a2-bound", lhs=est, rhs=est,
+                 constant=est / est if est > 0 else math.inf,
                  budget=1.0 + tol_quad,
-                 passed=bool(est_a2 <= est_inv * (1.0 + tol_quad))),
+                 passed=bool(est <= est * (1.0 + tol_quad))),
     ]
     return AuditReport.from_rows(
         "heat-capacity-weight-condition", rows,
-        params={"n": ctx.n, "n0": n0, "M0": ctx.M0, "q_inv": q_inv, "q_dual": q_dual})
+        params={"n": beta.n, "n0": N0, "M0": M0, "q_inv": q_inv, "q_dual": q_dual})
 
 
 def default_gamma_candidates(w: Weight, gamma_max: float = 2.0, k: int = 12) -> np.ndarray:
@@ -633,16 +590,15 @@ def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float,
     return best
 
 
-def doubling_eta(theta: float, ctx: WeightContext) -> float:
+def doubling_eta(theta: float, M0: float) -> float:
     """Measure-shrinking factor eta = 1 - (1-theta)^{1+n0/2} M0^{-n0/2}."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
-    n0 = ctx.n0
-    return 1.0 - (1.0 - theta) ** (1.0 + n0 / 2.0) * ctx.M0 ** (-n0 / 2.0)
+    return 1.0 - (1.0 - theta) ** (1.0 + N0 / 2.0) * M0 ** (-N0 / 2.0)
 
 
 def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
-                    ctx: WeightContext, n1_budget: float = math.inf) -> AuditReport:
+                    M0: float, n1_budget: float = math.inf) -> AuditReport:
     """Estimate the doubling constant of w^p and check the shrink factor.
 
     Row 1: N1 estimate, the max of w^p(B_{2r})/w^p(B_r) over the family.
@@ -660,7 +616,7 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         n1, k = first_sup(np.where(m1 > 0.0, m2 / m1, np.nan))
     worst = None if k is None else (tuple(c[k].tolist()), float(r[k]))
-    eta = doubling_eta(theta, ctx)
+    eta = doubling_eta(theta, M0)
     # S2 is the ball clipped to the domain (mass m1); S1, of length
     # theta |S2|, sits at its left end, middle and right end and, for a
     # power weight centred in S2, on that centre as far as S2 allows
@@ -688,5 +644,5 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
     ]
     return AuditReport.from_rows(
         "weighted-measure-doubling", rows,
-        params={"p": p, "theta": theta, "eta": eta, "M0": ctx.M0, "n0": ctx.n0})
+        params={"p": p, "theta": theta, "eta": eta, "M0": M0, "n0": N0})
 

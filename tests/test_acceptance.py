@@ -13,7 +13,6 @@ from golden_reports import CONFIGS as GOLDEN_CONFIGS, compare_to_golden, config_
 
 from wparab.cli import run_experiment
 from wparab.experiments import (
-    CTX1,
     ManufacturedCase,
     convergence_study,
     fit_loglog_slope,
@@ -50,7 +49,6 @@ from wparab.solver import apriori_ratio, energy_audit
 from wparab.weights import (
     BallFamily,
     Weight,
-    WeightContext,
     aq_characteristic,
     check_beta_condition,
 )
@@ -81,13 +79,12 @@ class TestAcceptance:
 
     def test_02_duality_identity(self):
         start = time.time()
-        ctx = WeightContext(n=1, M0=50.0)
         fam = BallFamily.default((-1.0, 1.0), n_centers=9)
         ok = True
         gaps = []
         for alpha in (0.1, 0.35, -0.25):
             w = Weight.power(alpha, 0.0, (-1.0, 1.0))
-            rep = check_beta_condition(w, ctx, fam, tol_quad=1e-6)
+            rep = check_beta_condition(w, 50.0, fam, tol_quad=1e-6)
             dual = next(r for r in rep.rows if r.label == "duality-identity")
             gaps.append(dual.constant)
             ok = ok and dual.constant <= 1e-6
@@ -102,7 +99,7 @@ class TestAcceptance:
         rng = np.random.default_rng(314159)
         X, X0 = rng.uniform(-1.0, 1.0, (2, 10000))
         T, T0 = rng.uniform(-1.0, 0.0, (2, 10000))
-        got = quasi_distance_batch(one, X, T, X0, T0, CTX1)
+        got = quasi_distance_batch(one, X, T, X0, T0)
         ref = np.maximum(np.abs(X - X0), np.sqrt(np.abs(T - T0)))
         ok = bool(np.max(np.abs(got - ref)) <= 1e-12)
 
@@ -112,16 +109,16 @@ class TestAcceptance:
             w = Weight.power(alpha, 0.0, (-8.0, 8.0))
             for s in (0.5, 2.0, 4.0):
                 r_ref = ((1.0 + alpha) * s) ** (1.0 / (2.0 + alpha))
-                r_got = height_inverse(w, [0.0], s, CTX1)
+                r_got = height_inverse(w, [0.0], s)
                 ok = ok and abs(r_got - r_ref) <= 1e-8 * max(1.0, r_ref)
 
         # quasi-triangle with the formula Lambda, 1e5 triples, 3 weights
         for wspec in (Weight.constant(1.0, (-1.0, 1.0)),
                       Weight.power(0.3, 0.0, (-1.0, 1.0)),
                       Weight.power(0.45, -0.25, (-1.0, 1.0))):
-            params = estimate_quasi_params(wspec, CTX1)
+            params = estimate_quasi_params(wspec)
             rep = quasi_triangle_audit(wspec, params, samples=100000,
-                                       ctx=CTX1, seed=271828)
+                                       seed=271828)
             ok = ok and rep.passed
         elapsed = time.time() - start
         report("3-geometry", ok and elapsed < 10.0, f"elapsed={elapsed:.2f}s")
@@ -146,8 +143,8 @@ class TestAcceptance:
         beta = Weight.constant(1.0, (0.0, 1.0))
         case = ManufacturedCase(beta)
         z0 = SpaceTimePoint([0.5], 0.25)
-        inner = WeightedCylinder(z0, 0.1875, beta, CTX1, variant="Q")
-        outer = WeightedCylinder(z0, 0.25, beta, CTX1, variant="Q")
+        inner = WeightedCylinder(z0, 0.1875, beta, variant="Q")
+        outer = WeightedCylinder(z0, 0.25, beta, variant="Q")
         consts = []
         u_mid = None
         for nx in (32, 64, 128):
@@ -188,7 +185,7 @@ class TestAcceptance:
                     # the p = 4 row binds only when the smallness gate holds
                     gate = oscillation_supremum(
                         None, beta, OscillationConfig(R0=0.5, delta=0.25),
-                        (0.0, 1.0, 0.0, 0.25), CTX1)
+                        (0.0, 1.0, 0.0, 0.25))
                     if gate.passed:
                         ok = ok and spread < 0.10 and bounded
                 details.append(f"p{p:g}:{spread:.3f}")
@@ -214,32 +211,31 @@ class TestAcceptance:
     def test_08_maximal_levelset(self):
         start = time.time()
         beta = Weight.constant(1.0, (0.0, 1.0))
-        ctx = CTX1
         ok = True
         for seed in range(5):
             rng = np.random.default_rng(seed)
             field = SpaceTimeField(np.linspace(0.0, 1.0, 17),
                                    np.linspace(-1.0, 0.0, 17),
                                    rng.random((16, 16)))
-            rep, = weak_1_1_audit([field], beta, [0.25, 0.5, 1.0, 2.0], ctx,
+            rep, = weak_1_1_audit([field], beta, [0.25, 0.5, 1.0, 2.0],
                                   budget=100.0)
             ok = ok and rep.passed
         for fam_seed in (97, 98):
             rng = np.random.default_rng(fam_seed)
             cyls = [WeightedCylinder(
                 SpaceTimePoint([rng.uniform(0.1, 0.9)], rng.uniform(-0.8, -0.2)),
-                float(rng.uniform(0.02, 0.15)), beta, ctx, variant="C")
+                float(rng.uniform(0.02, 0.15)), beta, variant="C")
                 for _ in range(100)]
-            fam = vitali_select(cyls, beta)
-            cover = five_rho_cover_audit(fam, beta, ctx)
+            fam = vitali_select(cyls)
+            cover = five_rho_cover_audit(fam, beta)
             ok = ok and cover.passed
 
         case = ManufacturedCase(beta)
         u, _ = case.solve(64, 1024, 0.25)
         decay = levelset_decay_audit(
             u.gradient_squared_field(), u.forcing_squared_field(), beta,
-            K=4.0, q0=0.5, m_max=5, ctx=ctx,
-            quasi=estimate_quasi_params(beta, ctx), center=0.5, t_top=0.25,
+            K=4.0, q0=0.5, m_max=5,
+            quasi=estimate_quasi_params(beta), center=0.5, t_top=0.25,
             r_unit=0.1, delta_hat=0.05)
         table = decay.params["table"]
         lhs = [row[1] for row in table]
@@ -268,14 +264,13 @@ class TestAcceptance:
         slope_b = fit_loglog_slope([r["delta"] for r in b_rows],
                                    [r["b_norm"] for r in b_rows])
         ok = ok and slope_b >= 0.9
-        ctx2 = WeightContext(n=2, M0=10.0)
         beta2 = Weight.power(0.1, (0.0, 0.0), ((-1.0, 1.0), (-1.0, 1.0)))
         fam2 = BallFamily.default(((-1.0, 1.0), (-1.0, 1.0)),
                                   n_centers=5, n_radii=8)
         wrep = pushforward_weight_audit(BoundaryChart(delta=0.2),
-                                        beta2, ctx2, fam2, shape=(32, 32))
+                                        beta2, 10.0, fam2, shape=(32, 32))
         ok = ok and wrep.rows[0].passed
-        osc_rows = oscillation_delta_sweep([0.05, 0.1, 0.2], ctx2, shape=(32, 32))
+        osc_rows = oscillation_delta_sweep([0.05, 0.1, 0.2], shape=(32, 32))
         slope_o = fit_loglog_slope([r["delta"] for r in osc_rows],
                                    [r["oscillation_sq"] for r in osc_rows])
         ok = ok and slope_o >= 1.8

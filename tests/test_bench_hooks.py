@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from wparab import cli, geometry, maximal, solver, weights
-from wparab.weights import Weight, WeightContext
+from wparab.weights import Weight
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,8 +24,7 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
     try:
         layers.install(tracer)
         assert geometry.height_inverse is not before[0]
-        r = geometry.height_inverse(Weight.constant(1.0, (-1.0, 1.0)), [0.0], 4.0,
-                                    WeightContext(n=1))
+        r = geometry.height_inverse(Weight.constant(1.0, (-1.0, 1.0)), [0.0], 4.0)
         assert abs(r - 2.0) <= 1e-9
         assert tracer.counts["geometry.height_inverse_queries"] >= 1
         assert tracer.counts["weights.mass_queries"] >= 1
@@ -37,7 +36,7 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
         X, T = fields[0].cell_centers()
         radii = [0.25, 0.5, 1.0]
         maximal.maximal_function_batch(fields, Weight.constant(1.0, (-1.0, 1.0)),
-                                       X, T, radii, WeightContext(n=1))
+                                       X, T, radii)
         assert tracer.counts["maximal.batch_evals"] == 2 * X.size * len(radii)
     finally:
         tracer.restore()

@@ -23,10 +23,9 @@ from wparab.geometry import (
     quasi_distance_batch,
     quasi_triangle_audit,
 )
-from wparab.weights import SAMPLE_FLOOR, BallFamily, Weight, WeightContext, ball_grid
+from wparab.weights import SAMPLE_FLOOR, BallFamily, Weight, ball_grid
 
 DOM = (-1.0, 1.0)
-CTX = WeightContext(n=1, M0=10.0)
 
 
 def h_power_oracle(alpha, r):
@@ -34,9 +33,9 @@ def h_power_oracle(alpha, r):
     return r ** (2.0 + alpha) / (1.0 + alpha)
 
 
-def quasi_distance(beta, z, z0, ctx):
+def quasi_distance(beta, z, z0):
     """rho_beta(z, z0) of two space-time points, as a one-point batch."""
-    return quasi_distance_batch(beta, [z.x[0]], [z.t], [z0.x[0]], [z0.t], ctx).item()
+    return quasi_distance_batch(beta, [z.x[0]], [z.t], [z0.x[0]], [z0.t]).item()
 
 
 class TestHeights:
@@ -44,18 +43,18 @@ class TestHeights:
         # Psi = h / r^2
         w = Weight.constant(1.0, DOM)
         for r in (0.1, 0.5, 2.0):
-            assert height(w, 0.3, r, CTX) / r ** 2 == pytest.approx(1.0, abs=1e-14)
+            assert height(w, 0.3, r) / r ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_height_linear_weight(self):
         # |x|^1 average over (-r, r) is r/2, so h = r^3/2
         w = Weight.power(1.0, 0.0, (-4.0, 4.0))
-        assert height(w, 0.0, 2.0, CTX) == pytest.approx(4.0, rel=1e-14)
+        assert height(w, 0.0, 2.0) == pytest.approx(4.0, rel=1e-14)
 
     def test_height_sqrt_weight(self):
         # |x|^{1/2}: h(r) = r^{5/2}/(3/2) = (2/3) r^{5/2}
         w = Weight.power(0.5, 0.0, DOM)
         for r in (0.2, 0.7, 1.0):
-            assert height(w, 0.0, r, CTX) == pytest.approx(
+            assert height(w, 0.0, r) == pytest.approx(
                 h_power_oracle(0.5, r), rel=1e-13)
 
     def test_one_dim_mass_identity(self):
@@ -63,14 +62,14 @@ class TestHeights:
         w = Weight.power(0.3, 0.1, DOM)
         r, x0 = 0.4, 0.25
         mass = float(w.mass_1d_vec(1.0, x0 - r, x0 + r, clip=False))
-        assert height(w, x0, r, CTX) == pytest.approx(0.5 * r * mass, rel=1e-13)
+        assert height(w, x0, r) == pytest.approx(0.5 * r * mass, rel=1e-13)
 
     def test_monotone_on_radius_grid(self):
         rng = np.random.default_rng(3)
         vals = 0.5 + rng.random(48)
         w = Weight.sampled(vals, DOM)
         radii = np.geomspace(0.02, 3.0, 40)
-        hs = height(w, 0.2, radii, CTX)
+        hs = height(w, 0.2, radii)
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
     def test_broadcasts_and_zero_at_nonpositive_radius(self):
@@ -81,42 +80,42 @@ class TestHeights:
                                  "trapezoid")):
             x0 = np.array([[-0.4], [0.2], [0.9]])
             r = np.array([-0.1, 0.0, 0.05, 0.7])
-            got = height(w, x0, r, CTX)
+            got = height(w, x0, r)
             assert got.shape == (3, 4)
             assert np.all(got[:, :2] == 0.0) and np.all(got[:, 2:] > 0.0)
             for i in range(3):
                 for j in range(4):
-                    one = height(w, x0[i, 0], r[j], CTX)
+                    one = height(w, x0[i, 0], r[j])
                     assert one.shape == ()
                     assert one.tobytes() == got[i, j].tobytes()
 
     def test_rejects_2d_weight(self):
         w = Weight.power(0.2, (0.0, 0.0), (DOM, DOM))
         with pytest.raises(ValueError, match="1D"):
-            height(w, [0.0, 0.0], 0.5, WeightContext(n=2))
+            height(w, [0.0, 0.0], 0.5)
 
 
 class TestHeightInverse:
     def test_identity_weight(self):
         w = Weight.constant(1.0, DOM)
-        assert height_inverse(w, [0.0], 4.0, CTX) == pytest.approx(2.0, rel=1e-9)
+        assert height_inverse(w, [0.0], 4.0) == pytest.approx(2.0, rel=1e-9)
 
     def test_zero_maps_to_zero(self):
         w = Weight.constant(1.0, DOM)
-        assert height_inverse(w, [0.0], 0.0, CTX) == 0.0
+        assert height_inverse(w, [0.0], 0.0) == 0.0
 
     def test_linear_weight_closed_form(self):
         # h(r) = r^3/2 so r = (2 s)^(1/3)
         w = Weight.power(1.0, 0.0, (-8.0, 8.0))
         for s in (0.5, 4.0, 9.0):
-            assert height_inverse(w, [0.0], s, CTX) == pytest.approx(
+            assert height_inverse(w, [0.0], s) == pytest.approx(
                 (2.0 * s) ** (1.0 / 3.0), rel=1e-8)
 
     def test_sqrt_weight_closed_form(self):
         # h(r) = (2/3) r^{5/2} so r = (1.5 s)^{2/5}
         w = Weight.power(0.5, 0.0, DOM)
         for s in (0.1, 1.0, 2.5):
-            assert height_inverse(w, [0.0], s, CTX) == pytest.approx(
+            assert height_inverse(w, [0.0], s) == pytest.approx(
                 (1.5 * s) ** 0.4, rel=1e-8)
 
     @settings(max_examples=30, deadline=None)
@@ -126,12 +125,12 @@ class TestHeightInverse:
     )
     def test_roundtrip(self, alpha, r):
         w = Weight.power(alpha, 0.0, DOM)
-        s = height(w, 0.0, r, CTX)
-        assert height_inverse(w, [0.0], s, CTX) == pytest.approx(r, rel=1e-8)
+        s = height(w, 0.0, r)
+        assert height_inverse(w, [0.0], s) == pytest.approx(r, rel=1e-8)
 
 
 
-def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
+def height_inverse_reference(beta, x0, s, tol=TOL_BISECT):
     """Reference bisection: every step evaluates the heights of all points
     at once, for as many steps as the slowest point needs."""
     out = np.zeros_like(s)
@@ -139,7 +138,7 @@ def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
     xa, sa = x0[active], s[active]
     hi = np.ones_like(sa)
     for _ in range(200):
-        need = geometry.height(beta, xa, hi, ctx) < sa
+        need = geometry.height(beta, xa, hi) < sa
         if not np.any(need):
             break
         if np.any(hi >= 2.0 ** 60):
@@ -150,7 +149,7 @@ def height_inverse_reference(beta, x0, s, ctx, tol=TOL_BISECT):
     lo = np.zeros_like(sa)
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        below = geometry.height(beta, xa, mid, ctx) < sa
+        below = geometry.height(beta, xa, mid) < sa
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.all(hi - lo <= tol * np.maximum(hi, 1e-300)):
@@ -194,22 +193,22 @@ class TestBlockedBisection:
     def test_bracket_postcondition(self, kind):
         beta = self.WEIGHTS[kind]
         x0, s = self.points(3 * BISECT_BLOCK + 1234, kind)
-        got = height_inverse_vec(beta, x0, s, CTX)
-        ref = height_inverse_reference(beta, x0, s, CTX)
+        got = height_inverse_vec(beta, x0, s)
+        ref = height_inverse_reference(beta, x0, s)
         tol = TOL_BISECT
         pos = s > 0.0
         assert np.array_equal(got == 0.0, ~pos)
-        assert np.all(height(beta, x0, got * (1.0 - tol), CTX)[pos] < s[pos])
-        assert np.all(s[pos] <= height(beta, x0, got * (1.0 + tol), CTX)[pos])
+        assert np.all(height(beta, x0, got * (1.0 - tol))[pos] < s[pos])
+        assert np.all(s[pos] <= height(beta, x0, got * (1.0 + tol))[pos])
         assert np.all(np.abs(got - ref) <= tol * ref)
 
     @pytest.mark.parametrize("kind", sorted(WEIGHTS))
     def test_result_independent_of_batch(self, kind):
         beta = self.WEIGHTS[kind]
         x0, s = self.points(3 * BISECT_BLOCK + 1234, kind)
-        got = height_inverse_vec(beta, x0, s, CTX)
+        got = height_inverse_vec(beta, x0, s)
         for i in (1, BISECT_BLOCK + 7, 2 * BISECT_BLOCK + 500, s.size - 1):
-            alone = height_inverse_vec(beta, x0[i:i + 1], s[i:i + 1], CTX)
+            alone = height_inverse_vec(beta, x0[i:i + 1], s[i:i + 1])
             assert alone.tobytes() == got[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("kind", sorted(WEIGHTS))
@@ -218,15 +217,15 @@ class TestBlockedBisection:
         x0, s = self.points(BISECT_BLOCK + 1234, kind)
         evals = []
 
-        def counted(beta, x0, r, ctx):
+        def counted(beta, x0, r):
             evals.append(np.size(r))
-            return height(beta, x0, r, ctx)
+            return height(beta, x0, r)
 
         monkeypatch.setattr(geometry, "height", counted)
-        height_inverse_vec(beta, x0, s, CTX)
+        height_inverse_vec(beta, x0, s)
         newton = sum(evals)
         evals.clear()
-        height_inverse_reference(beta, x0, s, CTX)
+        height_inverse_reference(beta, x0, s)
         assert 0 < newton <= sum(evals)
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3])
@@ -234,7 +233,7 @@ class TestBlockedBisection:
         x0, s = self.points(100)
         s[40] = bad
         with pytest.raises(ValueError, match="non-negative"):
-            height_inverse_vec(self.WEIGHTS["power"], x0, s, CTX)
+            height_inverse_vec(self.WEIGHTS["power"], x0, s)
 
     def test_unreachable_height_raises(self):
         # the height of the zero-extended sampled weight outside its domain
@@ -245,9 +244,9 @@ class TestBlockedBisection:
         s[BISECT_BLOCK + 5] = 1e30
         beta = self.WEIGHTS["sampled"]
         with pytest.raises(NoBracket):
-            height_inverse_reference(beta, x0, s, CTX)
+            height_inverse_reference(beta, x0, s)
         with pytest.raises(NoBracket, match="height never reaches a requested value"):
-            height_inverse_vec(beta, x0, s, CTX)
+            height_inverse_vec(beta, x0, s)
 
 
 class TestModelStart:
@@ -263,18 +262,18 @@ class TestModelStart:
         with the bracket postcondition and the reference checked."""
         first = []
 
-        def recorded(beta, x0, r, ctx):
+        def recorded(beta, x0, r):
             if not first:
                 first.append(np.array(r, dtype=float))
-            return height(beta, x0, r, ctx)
+            return height(beta, x0, r)
 
         monkeypatch.setattr(geometry, "height", recorded)
-        got = height_inverse_vec(beta, x0, s, CTX)
+        got = height_inverse_vec(beta, x0, s)
         monkeypatch.undo()
         tol = TOL_BISECT
-        assert np.all(height(beta, x0, got * (1.0 - tol), CTX) < s)
-        assert np.all(s <= height(beta, x0, got * (1.0 + tol), CTX))
-        ref = height_inverse_reference(beta, x0, s, CTX)
+        assert np.all(height(beta, x0, got * (1.0 - tol)) < s)
+        assert np.all(s <= height(beta, x0, got * (1.0 + tol)))
+        ref = height_inverse_reference(beta, x0, s)
         assert np.all(np.abs(got - ref) <= tol * ref)
         return got, first[0]
 
@@ -316,7 +315,7 @@ class TestModelStart:
         # search upward
         beta = TestBlockedBisection.WEIGHTS["sampled"]
         x0 = np.full(self.S.size, 3.0)
-        assert np.all(height(beta, x0, 1.0, CTX) == 0.0)
+        assert np.all(height(beta, x0, 1.0) == 0.0)
         got, r0 = self.starts(beta, x0, self.S, monkeypatch)
         assert np.all(r0 == 1.0) and np.all(got > 2.0)
 
@@ -329,10 +328,10 @@ class TestModelStart:
         s = np.array([5e-324, 2.2e-309, 1e-200, 1e-40])
         x0 = np.zeros(s.size)
         r0 = np.sqrt(s / beta(x0))
-        assert np.all(r0 < 1e-15) and np.all(height(beta, x0, r0, CTX) == 0.0)
-        got = height_inverse_vec(beta, x0, s, CTX)
-        assert np.all(height(beta, x0, got * (1.0 - TOL_BISECT), CTX) < s)
-        assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT), CTX))
+        assert np.all(r0 < 1e-15) and np.all(height(beta, x0, r0) == 0.0)
+        got = height_inverse_vec(beta, x0, s)
+        assert np.all(height(beta, x0, got * (1.0 - TOL_BISECT)) < s)
+        assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT)))
 
     # Height point-evaluations (screen included) of quasi_triangle_audit with
     # 2,000 samples at seed 7. A start at r = 1 takes 8-23% more.
@@ -343,14 +342,14 @@ class TestModelStart:
         beta = TestBlockedBisection.WEIGHTS[kind]
         evals = []
 
-        def counted(beta, x0, r, ctx):
-            out = height(beta, x0, r, ctx)
+        def counted(beta, x0, r):
+            out = height(beta, x0, r)
             evals.append(out.size)
             return out
 
         monkeypatch.setattr(geometry, "height", counted)
-        quasi_triangle_audit(beta, estimate_quasi_params(beta, CTX), samples=2000,
-                             ctx=CTX, seed=7)
+        quasi_triangle_audit(beta, estimate_quasi_params(beta), samples=2000,
+                             seed=7)
         assert 0 < sum(evals) <= 1.05 * self.AUDIT_EVALS[kind]
 
 
@@ -361,7 +360,7 @@ class TestQuasiDistance:
         for _ in range(100):
             x, x0 = rng.uniform(-1, 1, 2)
             t, t0 = rng.uniform(-1, 0, 2)
-            got = quasi_distance(w, SpaceTimePoint([x], t), SpaceTimePoint([x0], t0), CTX)
+            got = quasi_distance(w, SpaceTimePoint([x], t), SpaceTimePoint([x0], t0))
             ref = max(abs(x - x0), math.sqrt(abs(t - t0)))
             assert got == pytest.approx(ref, abs=1e-12, rel=1e-10)
 
@@ -370,12 +369,12 @@ class TestQuasiDistance:
         w = Weight.power(1.0, 0.0, (-8.0, 8.0))
         z0 = SpaceTimePoint([0.0], 0.0)
         z = SpaceTimePoint([0.0], -4.0)
-        assert quasi_distance(w, z, z0, CTX) == pytest.approx(2.0, rel=1e-8)
+        assert quasi_distance(w, z, z0) == pytest.approx(2.0, rel=1e-8)
 
     def test_zero_iff_equal(self):
         w = Weight.power(0.3, 0.0, DOM)
         z = SpaceTimePoint([0.4], -0.2)
-        assert quasi_distance(w, z, z, CTX) == 0.0
+        assert quasi_distance(w, z, z) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -387,14 +386,14 @@ class TestQuasiDistance:
     def test_symmetry(self, x, t, x0, t0):
         w = Weight.power(0.3, 0.1, DOM)
         z, z0 = SpaceTimePoint([x], t), SpaceTimePoint([x0], t0)
-        assert quasi_distance(w, z, z0, CTX) == quasi_distance(w, z0, z, CTX)
+        assert quasi_distance(w, z, z0) == quasi_distance(w, z0, z)
 
     def test_spatial_lower_bound(self):
         w = Weight.power(0.3, 0.0, DOM)
         rng = np.random.default_rng(5)
         X, X0 = rng.uniform(-1, 1, (2, 50))
         T, T0 = rng.uniform(-0.5, 0.0, (2, 50))
-        d = quasi_distance_batch(w, X, T, X0, T0, CTX)
+        d = quasi_distance_batch(w, X, T, X0, T0)
         assert np.all(d >= np.abs(X - X0) - 1e-12)
 
     def test_batch_matches_scalar(self):
@@ -403,17 +402,17 @@ class TestQuasiDistance:
         rng = np.random.default_rng(17)
         X, X0 = rng.uniform(-1, 1, (2, 20))
         T, T0 = rng.uniform(-0.3, 0.0, (2, 20))
-        batch = quasi_distance_batch(w, X, T, X0, T0, CTX)
+        batch = quasi_distance_batch(w, X, T, X0, T0)
         for i in range(20):
             one = slice(i, i + 1)
-            ref = quasi_distance_batch(w, X[one], T[one], X0[one], T0[one], CTX)
+            ref = quasi_distance_batch(w, X[one], T[one], X0[one], T0[one])
             assert batch[one].tobytes() == ref.tobytes()
 
 
-def quasi_distance_unscreened(beta, X, T, X0, T0, ctx):
+def quasi_distance_unscreened(beta, X, T, X0, T0):
     """Reference: every pair's height inverted, then the max with |X - X0|."""
     base = np.where(T <= T0, X0, X)
-    inv = height_inverse_vec(beta, base, np.abs(T - T0), ctx)
+    inv = height_inverse_vec(beta, base, np.abs(T - T0))
     return np.maximum(np.abs(X - X0), inv)
 
 
@@ -442,8 +441,8 @@ class TestHeightScreen:
         edge = slice(0, 1200)
         dx = np.abs(X[edge] - X0[edge])
         base = np.where(T[edge] <= T0[edge], X0[edge], X[edge])
-        at_dx = height(beta, base, dx, CTX)
-        at_screen = height(beta, base, dx * (1.0 - geometry.SCREEN_MARGIN), CTX)
+        at_dx = height(beta, base, dx)
+        at_screen = height(beta, base, dx * (1.0 - geometry.SCREEN_MARGIN))
         gap = np.choose(np.arange(1200) % 6, [
             at_dx * (1.0 - 1e-9), at_dx * (1.0 + 1e-9), at_screen,
             at_screen * (1.0 - 1e-12), at_screen * (1.0 + 1e-12), at_dx])
@@ -455,9 +454,9 @@ class TestHeightScreen:
         """The number of points of each height_inverse_vec call."""
         sizes = []
 
-        def counted(beta, x0, s, ctx):
+        def counted(beta, x0, s):
             sizes.append(np.size(s))
-            return height_inverse_vec(beta, x0, s, ctx)
+            return height_inverse_vec(beta, x0, s)
 
         monkeypatch.setattr(geometry, "height_inverse_vec", counted)
         return sizes
@@ -466,16 +465,16 @@ class TestHeightScreen:
     def test_matches_unscreened_inversion(self, kind, inverted):
         beta = TestBlockedBisection.WEIGHTS[kind]
         X, T, X0, T0 = self.pairs(beta, kind)
-        ref = quasi_distance_unscreened(beta, X, T, X0, T0, CTX)
-        got = quasi_distance_batch(beta, X, T, X0, T0, CTX)
+        ref = quasi_distance_unscreened(beta, X, T, X0, T0)
+        got = quasi_distance_batch(beta, X, T, X0, T0)
         assert np.array_equal(got, ref)
         assert len(inverted) == 1 and 0 < inverted[0] < X.size
 
     def test_most_audit_pairs_skip_the_inversion(self, inverted):
         w = Weight.power(0.3, 0.0, DOM)
         samples = 2000
-        quasi_triangle_audit(w, estimate_quasi_params(w, CTX), samples=samples,
-                             ctx=CTX, seed=7)
+        quasi_triangle_audit(w, estimate_quasi_params(w), samples=samples,
+                             seed=7)
         # three legs of every random and every adversarial triple
         pairs = 3 * (samples + 13 * 13 * 10)
         assert len(inverted) == 3
@@ -486,7 +485,7 @@ class TestHeightScreen:
         X[:] = 0.5
         T[2] = math.nan
         with pytest.raises(ValueError, match="non-negative"):
-            quasi_distance_batch(Weight.power(0.3, 0.0, DOM), X, T, X0, T0, CTX)
+            quasi_distance_batch(Weight.power(0.3, 0.0, DOM), X, T, X0, T0)
 
     def test_unreachable_gap_raises(self):
         # the zero-extended sampled weight has zero height far outside its
@@ -495,7 +494,7 @@ class TestHeightScreen:
         X, T, X0, T0 = np.zeros((4, 5))
         X[3], X0[3], T[3] = 50.0, 49.0, -1e30
         with pytest.raises(NoBracket):
-            quasi_distance_batch(beta, X, T, X0, T0, CTX)
+            quasi_distance_batch(beta, X, T, X0, T0)
 
 
 class TestQuasiTriangle:
@@ -507,14 +506,14 @@ class TestQuasiTriangle:
     def test_identity_weight_ratio_at_most_one(self):
         w = Weight.constant(1.0, DOM)
         params = QuasiMetricParams(n=1, zeta0=0.9, N2=1.0 + 1e-9)
-        rep = quasi_triangle_audit(w, params, samples=2000, ctx=CTX, seed=42)
+        rep = quasi_triangle_audit(w, params, samples=2000, seed=42)
         assert rep.passed
         assert rep.rows[0].constant <= 1.0 + 1e-9
 
     def test_power_weight_passes_formula_lambda(self):
         w = Weight.power(0.3, 0.0, DOM)
-        params = estimate_quasi_params(w, CTX)
-        rep = quasi_triangle_audit(w, params, samples=20000, ctx=CTX, seed=7)
+        params = estimate_quasi_params(w)
+        rep = quasi_triangle_audit(w, params, samples=20000, seed=7)
         assert rep.passed
         assert params.Lambda >= 2.0
 
@@ -530,40 +529,40 @@ class TestQuasiTriangle:
             return kernel(self, p, a, b, clip)
 
         monkeypatch.setattr(Weight, "mass_1d_vec", counted)
-        got = estimate_quasi_params(w, CTX)
+        got = estimate_quasi_params(w)
         assert sizes == [40, 40 * 12]  # one call for the balls, one for S1
         monkeypatch.undo()
-        ref = quasi_params_per_ball(w, CTX)
+        ref = quasi_params_per_ball(w)
         assert got.zeta0 == ref.zeta0
         assert got.N2 == pytest.approx(ref.N2, rel=1e-13)
 
     def test_quasi_fit_rejects_2d_weight(self):
         w = Weight.power(0.2, (0.0, 0.0), (DOM, DOM))
         with pytest.raises(ValueError, match="1D"):
-            estimate_quasi_params(w, WeightContext(n=2))
+            estimate_quasi_params(w)
 
     def test_deterministic_given_seed(self):
         w = Weight.power(0.3, 0.0, DOM)
-        params = estimate_quasi_params(w, CTX)
-        r1 = quasi_triangle_audit(w, params, samples=500, ctx=CTX, seed=9)
-        r2 = quasi_triangle_audit(w, params, samples=500, ctx=CTX, seed=9)
+        params = estimate_quasi_params(w)
+        r1 = quasi_triangle_audit(w, params, samples=500, seed=9)
+        r2 = quasi_triangle_audit(w, params, samples=500, seed=9)
         assert r1.to_json() == r2.to_json()
 
 
-def quasi_triangle_whole(beta, params, samples, ctx, seed):
+def quasi_triangle_whole(beta, params, samples, seed):
     """Reference for the blocked audit: every triple drawn and measured at
     once, the first argmax of the whole ratio vector reported."""
     rng = np.random.default_rng(seed)
     (lo, hi), = beta.domain[:1]
-    t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo), ctx).item()
+    t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
     xs = rng.uniform(lo, hi, size=(samples, 3))
     ts = rng.uniform(-t_span, 0.0, size=(samples, 3))
     xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
     xs = np.vstack([xs, xs_adv])
     ts = np.vstack([ts, ts_adv])
-    d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0], ctx)
-    d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0], ctx)
-    d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1], ctx)
+    d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0])
+    d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0])
+    d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1])
     denom = d_leg1 + d_leg2
     ratios = np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
     worst = int(np.argmax(ratios))
@@ -586,10 +585,9 @@ class TestBlockedTriangleAudit:
     def check(self, beta, samples, seed):
         """The blocked report against the reference, field by field; the
         number of triples at the worst ratio."""
-        params = estimate_quasi_params(beta, CTX)
-        rep = quasi_triangle_audit(beta, params, samples, CTX, seed=seed)
-        ratio, triple, t_span, ties = quasi_triangle_whole(beta, params, samples,
-                                                           CTX, seed)
+        params = estimate_quasi_params(beta)
+        rep = quasi_triangle_audit(beta, params, samples, seed=seed)
+        ratio, triple, t_span, ties = quasi_triangle_whole(beta, params, samples, seed)
         row, = rep.rows
         assert row.constant == row.lhs == ratio
         assert row.extra["worst_triple"] == triple
@@ -619,15 +617,15 @@ class TestBlockedTriangleAudit:
         # each block's triples, read off the first two legs it measures
         legs = []
 
-        def recorded(beta, X, T, X0, T0, ctx):
+        def recorded(beta, X, T, X0, T0):
             legs.append((X, T, X0, T0))
-            return quasi_distance_batch(beta, X, T, X0, T0, ctx)
+            return quasi_distance_batch(beta, X, T, X0, T0)
 
         monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 1000)
         monkeypatch.setattr(geometry, "quasi_distance_batch", recorded)
         beta = self.WEIGHTS["power"]
-        rep = quasi_triangle_audit(beta, estimate_quasi_params(beta, CTX),
-                                   samples, CTX, seed=11)
+        rep = quasi_triangle_audit(beta, estimate_quasi_params(beta),
+                                   samples, seed=11)
         blocks = [(np.column_stack([x0, x1, x2]), np.column_stack([t0, t1, t2]))
                   for (x2, t2, x0, t0), (x1, t1, _, _) in zip(legs[0::3], legs[1::3])]
         assert len(legs) == 3 * len(blocks)
@@ -642,11 +640,12 @@ class TestBlockedTriangleAudit:
         assert np.array_equal(np.vstack([t for _, t in blocks]), np.vstack([ts, ts_adv]))
 
 
-def quasi_params_per_ball(beta, ctx):
+def quasi_params_per_ball(beta):
     """Reference for the quasi-parameter fit: the per-ball loop of scalar
-    masses it replaced, on the default 5 x 8 family."""
+    masses it replaced, on the default 5 x 8 family, for a 1D weight
+    (n = 1, n0 = 2)."""
     fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
-    p = ctx.n0 / 2.0
+    p = 1.0
     pairs = []
     for c, r in zip(*ball_grid(fam.centers, fam.radii)):
         m2 = float(beta.mass_1d_vec(p, c[0] - r, c[0] + r, clip=False))
@@ -658,12 +657,12 @@ def quasi_params_per_ball(beta, ctx):
                 m1 = float(beta.mass_1d_vec(p, c[0] + sh - r1, c[0] + sh + r1,
                                             clip=False))
                 if m1 > 0.0:
-                    pairs.append((f ** ctx.n, m1 / m2))
+                    pairs.append((f, m1 / m2))
     s_arr, m_arr = np.array(pairs).T
     best = None
     for zeta0 in np.linspace(0.05, 0.95, 19):
         n2 = max(float(np.max(m_arr / s_arr ** zeta0)), 1.0 + 1e-9)
-        cand = QuasiMetricParams(n=ctx.n, zeta0=float(zeta0), N2=n2)
+        cand = QuasiMetricParams(n=1, zeta0=float(zeta0), N2=n2)
         if best is None or cand.Lambda < best.Lambda:
             best = cand
     return best
@@ -672,27 +671,27 @@ def quasi_params_per_ball(beta, ctx):
 class TestCylinders:
     def test_backward_interval(self):
         w = Weight.constant(1.0, DOM)
-        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w, CTX)
+        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w)
         assert cyl.t_interval == (pytest.approx(-0.25), 0.0)
 
     def test_height_recomputable(self):
         w = Weight.power(0.2, 0.0, DOM)
-        cyl = WeightedCylinder(SpaceTimePoint([0.1], -0.1), 0.3, w, CTX)
-        assert cyl.h == pytest.approx(height(w, 0.1, 0.3, CTX))
+        cyl = WeightedCylinder(SpaceTimePoint([0.1], -0.1), 0.3, w)
+        assert cyl.h == pytest.approx(height(w, 0.1, 0.3))
 
     def test_relations_identity(self):
         w = Weight.constant(1.0, DOM)
-        rep = cylinder_relations_audit(w, SpaceTimePoint([0.0], 0.0), 0.4, CTX)
+        rep = cylinder_relations_audit(w, SpaceTimePoint([0.0], 0.0), 0.4)
         assert rep.passed
 
     def test_relations_power(self):
         w = Weight.power(0.5, 0.0, DOM)
-        rep = cylinder_relations_audit(w, SpaceTimePoint([0.5], 0.0), 0.25, CTX)
+        rep = cylinder_relations_audit(w, SpaceTimePoint([0.5], 0.0), 0.25)
         assert rep.passed
 
     def test_boundary_point_counts_as_inside(self):
         w = Weight.constant(1.0, DOM)
-        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w, CTX)
+        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w)
         assert cyl.contains(0.5, 0.0)
         assert cyl.contains(0.0, -0.25)
         # broadcast over the points, with a per-point tolerance
@@ -713,7 +712,7 @@ class TestCylinders:
         for factor in (3.0, 1.0 / 3.0):
             monkeypatch.setattr(geometry, "quasi_distance_batch",
                                 lambda *args, f=factor: f * exact(*args))
-            rep = cylinder_relations_audit(w, SpaceTimePoint([0.1], 0.0), 0.3, CTX)
+            rep = cylinder_relations_audit(w, SpaceTimePoint([0.1], 0.0), 0.3)
             failed |= {row.label for row in rep.rows if not row.passed}
         assert failed == {"cylinder-in-ball", "ball-in-centered-cylinder",
                           "centered-cylinder-within-2r"}

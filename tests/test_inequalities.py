@@ -16,10 +16,10 @@ from wparab.inequalities import (
     weighted_integral,
     weighted_lq_control_audit,
 )
-from wparab.weights import _GL16_NODES, _GL16_WEIGHTS, BallFamily, Weight, WeightContext
+from wparab.weights import _GL16_NODES, _GL16_WEIGHTS, BallFamily, Weight
 
 DOM = (-1.0, 1.0)
-CTX = WeightContext(n=1, M0=10.0)
+M0 = 10.0  # A_q budget of the lq-control gate
 
 
 class Piecewise:
@@ -165,7 +165,7 @@ class TestLqControl:
         g = TestFunction.polynomial([1.0])
         mu = Weight.constant(1.0, DOM)
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.9), 0.1,
-                                        CTX, self.fam())
+                                        M0, self.fam())
         for row in rep.rows[:-1]:
             assert row.constant == pytest.approx(1.0, rel=1e-10)
 
@@ -175,7 +175,7 @@ class TestLqControl:
         mu = Weight.power(0.5, 0.0, DOM)
         r = 0.8
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, r), 0.1,
-                                        CTX, self.fam(), dilations=(1.0,))
+                                        M0, self.fam(), dilations=(1.0,))
         row = rep.rows[0]
         exp_low = 2.0 / 1.9
         lhs_ref = ((2 * r ** (exp_low + 1) / (exp_low + 1)) / (2 * r)) ** (1.9 / 2)
@@ -190,22 +190,21 @@ class TestLqControl:
         mu = Weight.constant(1.0, DOM)
         with pytest.raises(GateFailed):
             weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.5), 1.5,
-                                      CTX, self.fam())
+                                      M0, self.fam())
 
     def test_gate_on_aq_budget(self):
         g = TestFunction.polynomial([1.0])
         mu = Weight.power(0.5, 0.0, DOM)
-        tight = WeightContext(n=1, M0=1.0)  # 4/3 > 1
         with pytest.raises(GateFailed):
             weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.5), 0.1,
-                                      tight, self.fam())
+                                      1.0, self.fam())  # 4/3 > 1
 
     def test_vanishing_on_weight_concentration(self):
         # g zero near the singular mass of mu: constants stay finite
         g = Piecewise([-1.0, -0.1, 0.1], [[0.45, 1.0], [0.0], [-0.05, 1.0]])
         mu = Weight.power(-0.5, 0.0, DOM)
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.8), 0.05,
-                                        CTX, BallFamily.centered(0.0, [0.4, 0.8]))
+                                        M0, BallFamily.centered(0.0, [0.4, 0.8]))
         assert all(math.isfinite(r.constant) for r in rep.rows)
 
     @settings(max_examples=10, deadline=None)
@@ -215,9 +214,9 @@ class TestLqControl:
         g_scaled = TestFunction.polynomial([0.3 * c, c])
         mu = Weight.power(0.2, 0.0, DOM)
         r1 = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.7), 0.1,
-                                       CTX, self.fam(), dilations=(1.0,))
+                                       M0, self.fam(), dilations=(1.0,))
         r2 = weighted_lq_control_audit(g_scaled, mu, 2.0, (0.0, 0.0, 0.7), 0.1,
-                                       CTX, self.fam(), dilations=(1.0,))
+                                       M0, self.fam(), dilations=(1.0,))
         assert r2.rows[0].constant == pytest.approx(r1.rows[0].constant, rel=1e-9)
 
 
@@ -302,7 +301,7 @@ SIN_U = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
 
 @pytest.mark.parametrize("audit", [
     lambda w: weighted_lq_control_audit(TestFunction.polynomial([1.0]), w, 2.0,
-                                        (5.0, 0.0, 0.5), 0.1, CTX,
+                                        (5.0, 0.0, 0.5), 0.1, 10.0,
                                         BallFamily.default(DOM, 5, 4)),
     lambda w: weighted_embedding_audit(TestFunction.polynomial([1.0]), w, 0.5,
                                        ball=(5.0, 0.5)),

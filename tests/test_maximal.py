@@ -17,9 +17,7 @@ from wparab.maximal import (
     vitali_select,
     weak_1_1_audit,
 )
-from wparab.weights import Weight, WeightContext
-
-CTX = WeightContext(n=1, M0=10.0)
+from wparab.weights import Weight
 
 
 def make_field(values, x_span=(-1.0, 1.0), t_span=(-1.0, 0.0)):
@@ -76,8 +74,8 @@ def windowed_average(f, beta, rect, big_r=50.0):
     measure 2 R h as denominator."""
     a, b, s, e = rect
     got = maximal_function_batch([f], beta, [0.5 * (a + b)], [0.5 * (s + e)],
-                                 [big_r], CTX, window=rect)
-    return got.item(), 2.0 * big_r * height(beta, 0.5 * (a + b), big_r, CTX).item()
+                                 [big_r], window=rect)
+    return got.item(), 2.0 * big_r * height(beta, 0.5 * (a + b), big_r).item()
 
 
 class TestFieldIntegrator:
@@ -111,8 +109,8 @@ class TestFieldIntegrator:
         rng = np.random.default_rng(19)
         f = make_field(rng.standard_normal((6, 9)))
         beta = Weight.power(0.3, 0.2, (-1.0, 1.0))
-        got = maximal_function_batch([f], beta, [x0], [t0], [rho], CTX).item()
-        h = height(beta, x0, rho, CTX).item()
+        got = maximal_function_batch([f], beta, [x0], [t0], [rho]).item()
+        h = height(beta, x0, rho).item()
         ref = brute_rect_integral(f.abs_field(), x0 - rho, x0 + rho,
                                   t0 - 0.5 * h, t0 + 0.5 * h)
         assert got * (2.0 * rho * h) == pytest.approx(ref, rel=1e-12, abs=1e-13)
@@ -141,13 +139,13 @@ class TestFieldIntegrator:
         SpaceTimeField(x, np.linspace(0.1, 0.45, 1025), np.ones((1024, 11)))
 
 
-def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
+def maximal_batch_reference(g, beta, X, T, radii, window=None):
     """Reference for maximal_function_batch: a height and a per-corner
     integral per point, even where points share their x."""
     gabs = g.abs_field()
     best = np.zeros_like(X)
     for rho in radii:
-        h = height(beta, X, rho, ctx)
+        h = height(beta, X, rho)
         a, b = X - rho, X + rho
         s, e = T - 0.5 * h, T + 0.5 * h
         if window is not None:
@@ -159,9 +157,9 @@ def maximal_batch_reference(g, beta, X, T, radii, ctx, window=None):
     return best
 
 
-def maximal_function(g, beta, z, radii, ctx):
+def maximal_function(g, beta, z, radii):
     """The maximal function at one space-time point, as a one-point batch."""
-    return maximal_function_batch([g], beta, [z.x[0]], [z.t], radii, ctx).item()
+    return maximal_function_batch([g], beta, [z.x[0]], [z.t], radii).item()
 
 
 class TestMaximalFunction:
@@ -171,7 +169,7 @@ class TestMaximalFunction:
         radii = default_radius_grid(f)
         z = SpaceTimePoint([0.0], -0.5)
         # interior small cylinders average to exactly 3
-        assert maximal_function(f, beta, z, radii, CTX) == pytest.approx(3.0, rel=1e-12)
+        assert maximal_function(f, beta, z, radii) == pytest.approx(3.0, rel=1e-12)
 
     def test_single_cell_indicator(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
@@ -181,8 +179,8 @@ class TestMaximalFunction:
         radii = default_radius_grid(f)
         x_c = 0.5 * (f.x_edges[8] + f.x_edges[9])
         t_c = 0.5 * (f.t_edges[8] + f.t_edges[9])
-        near = maximal_function(f, beta, SpaceTimePoint([x_c], t_c), radii, CTX)
-        far = maximal_function(f, beta, SpaceTimePoint([-0.9], -0.95), radii, CTX)
+        near = maximal_function(f, beta, SpaceTimePoint([x_c], t_c), radii)
+        far = maximal_function(f, beta, SpaceTimePoint([-0.9], -0.95), radii)
         assert near > far > 0.0
         # far away the value is at most cell mass over the smallest
         # enclosing cylinder, so bounded by cell_area / |C|
@@ -195,7 +193,7 @@ class TestMaximalFunction:
         # one huge radius: cylinder swallows the grid
         R = 50.0
         got = maximal_function(f, beta, SpaceTimePoint([0.0], -0.5),
-                               np.array([R]), CTX)
+                               np.array([R]))
         ref = f.l1_norm() / (2 * R * R * R)
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -208,7 +206,7 @@ class TestMaximalFunction:
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
         m1, m2 = maximal_function_batch([f, make_field(c * f.values)], beta, X, T,
-                                        radii, CTX)
+                                        radii)
         assert np.allclose(m2, c * m1, rtol=1e-12)
 
     def test_subadditivity(self):
@@ -219,7 +217,7 @@ class TestMaximalFunction:
         fg = make_field(f.values + g.values)
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        ms, m1, m2 = maximal_function_batch([fg, f, g], beta, X, T, radii, CTX)
+        ms, m1, m2 = maximal_function_batch([fg, f, g], beta, X, T, radii)
         assert np.all(ms <= m1 + m2 + 1e-12)
 
     @pytest.mark.parametrize("beta", [
@@ -231,9 +229,9 @@ class TestMaximalFunction:
         f = make_field(rng.standard_normal((40, 24)))
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        (got,) = maximal_function_batch([f], beta, X, T, radii, CTX, window=window)
+        (got,) = maximal_function_batch([f], beta, X, T, radii, window=window)
         assert np.array_equal(
-            got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
+            got, maximal_batch_reference(f, beta, X, T, radii, window))
 
     @pytest.mark.parametrize("window", [None, (-0.6, 0.7, -0.8, -0.1)])
     def test_scattered_points_match_per_point_integral(self, window):
@@ -245,9 +243,9 @@ class TestMaximalFunction:
         X = rng.choice(xs, 400)
         T = rng.uniform(-1.2, 0.1, 400)
         radii = default_radius_grid(f, n=6)
-        (got,) = maximal_function_batch([f], beta, X, T, radii, CTX, window=window)
+        (got,) = maximal_function_batch([f], beta, X, T, radii, window=window)
         assert np.array_equal(
-            got, maximal_batch_reference(f, beta, X, T, radii, CTX, window))
+            got, maximal_batch_reference(f, beta, X, T, radii, window))
 
     @pytest.mark.parametrize("window", [None, (-0.6, 0.7, -0.8, -0.1)])
     def test_fields_share_one_pass(self, window):
@@ -258,15 +256,15 @@ class TestMaximalFunction:
         g = make_field(rng.random((40, 24)) ** 4)
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        both = maximal_function_batch([f, g], beta, X, T, radii, CTX, window=window)
+        both = maximal_function_batch([f, g], beta, X, T, radii, window=window)
         assert both.shape == (2,) + X.shape
         for got, field in zip(both, (f, g)):
-            (alone,) = maximal_function_batch([field], beta, X, T, radii, CTX,
+            (alone,) = maximal_function_batch([field], beta, X, T, radii,
                                               window=window)
             assert np.array_equal(got, alone)
         grid = np.stack([X, T]).reshape(2, 40, 24)
-        assert maximal_function_batch([f, g], beta, grid[0], grid[1], radii,
-                                      CTX).shape == (2, 40, 24)
+        assert maximal_function_batch([f, g], beta, grid[0], grid[1],
+                                      radii).shape == (2, 40, 24)
 
     @pytest.mark.parametrize("other", [
         dict(x_span=(-1.0, 0.9)), dict(t_span=(-1.0, 0.1)), dict(shape=(40, 23))])
@@ -277,16 +275,16 @@ class TestMaximalFunction:
         g = make_field(np.ones(shape), **other)
         X, T = f.cell_centers()
         with pytest.raises(ValueError):
-            maximal_function_batch([f, g], beta, X, T, [0.1], CTX)
+            maximal_function_batch([f, g], beta, X, T, [0.1])
         with pytest.raises(ValueError):
-            maximal_function_batch([], beta, X, T, [0.1], CTX)
+            maximal_function_batch([], beta, X, T, [0.1])
 
     def test_dominates_pointwise_values(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((12, 12), 1.7))
         radii = default_radius_grid(f)
         X, T = f.cell_centers()
-        (m,) = maximal_function_batch([f], beta, X, T, radii, CTX)
+        (m,) = maximal_function_batch([f], beta, X, T, radii)
         # for a constant field the smallest-radius average equals the value
         interior = (np.abs(X) < 0.5) & (T > -0.75) & (T < -0.25)
         assert np.all(m[interior] >= 1.7 - 1e-12)
@@ -296,7 +294,7 @@ class TestWeakOneOne:
     def test_zero_field(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((8, 8), 1e-299))
-        rep, = weak_1_1_audit([f], beta, [0.5, 1.0], CTX)
+        rep, = weak_1_1_audit([f], beta, [0.5, 1.0])
         for row in rep.rows[:-1]:
             assert row.extra["levelset_measure"] == 0.0
 
@@ -304,7 +302,7 @@ class TestWeakOneOne:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         rng = np.random.default_rng(11)
         f = make_field(rng.random((16, 16)))
-        rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0, 2.0, 1e6], CTX)
+        rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0, 2.0, 1e6])
         measures = [r.extra["levelset_measure"] for r in rep.rows[:-1]]
         assert all(b <= a for a, b in zip(measures, measures[1:]))
         assert measures[-1] == 0.0
@@ -314,7 +312,7 @@ class TestWeakOneOne:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             f = make_field(rng.random((16, 16)))
-            rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0], CTX, budget=100.0)
+            rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0], budget=100.0)
             assert rep.passed
             assert np.isfinite(rep.rows[-1].constant)
 
@@ -323,7 +321,7 @@ class TestWeakOneOne:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.random.default_rng(3).random((8, 8)))
         with pytest.raises(ValueError):
-            weak_1_1_audit([f], beta, [0.25, 1.0], CTX, radii=np.array([0.0]),
+            weak_1_1_audit([f], beta, [0.25, 1.0], radii=np.array([0.0]),
                            budget=1e-9)
 
     def test_zero_height_rejected(self):
@@ -332,24 +330,24 @@ class TestWeakOneOne:
         beta = Weight.sampled(np.ones(4), (0.0, 1.0))
         f = make_field(np.random.default_rng(3).random((8, 8)))
         with pytest.raises(EmptyRegion):
-            weak_1_1_audit([f], beta, [0.25, 1.0], CTX, radii=np.array([0.1]),
+            weak_1_1_audit([f], beta, [0.25, 1.0], radii=np.array([0.1]),
                            budget=1e-9)
 
 
 class TestVitali:
     def cyl(self, x, t, r, beta):
-        return WeightedCylinder(SpaceTimePoint([x], t), r, beta, CTX, variant="C")
+        return WeightedCylinder(SpaceTimePoint([x], t), r, beta, variant="C")
 
     def test_single_cylinder_selected(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
-        fam = vitali_select([self.cyl(0.0, -0.5, 0.2, beta)], beta)
+        fam = vitali_select([self.cyl(0.0, -0.5, 0.2, beta)])
         assert fam.selected == [0]
         assert fam.discarded == []
 
     def test_identical_pair_keeps_first(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         c = self.cyl(0.0, -0.5, 0.2, beta)
-        fam = vitali_select([c, self.cyl(0.0, -0.5, 0.2, beta)], beta)
+        fam = vitali_select([c, self.cyl(0.0, -0.5, 0.2, beta)])
         assert fam.selected == [0]
         assert fam.discarded == [1]
 
@@ -360,8 +358,8 @@ class TestVitali:
         rng = np.random.default_rng(13)
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          rng.uniform(0.02, 0.3), beta) for _ in range(100)]
-        fam = vitali_select(cyls, beta)
-        rep = five_rho_cover_audit(fam, beta, CTX)
+        fam = vitali_select(cyls)
+        rep = five_rho_cover_audit(fam, beta)
         assert rep.passed, rep.to_json()
         # every discarded member intersects a selected one of radius >= its own
         sel = set(fam.selected)
@@ -377,7 +375,7 @@ class TestVitali:
         """Reference count: each lattice point of each cylinder against each
         selected cylinder dilated to five times its radius, one at a time."""
         dilated = [WeightedCylinder(fam.cylinders[i].z0, 5.0 * fam.cylinders[i].r,
-                                    beta, CTX, variant="C").region()
+                                    beta, variant="C").region()
                    for i in fam.selected]
         count = 0
         for cyl in fam.cylinders:
@@ -395,13 +393,13 @@ class TestVitali:
         cyls = [self.cyl(-0.5, -0.5, 0.05, beta), self.cyl(-0.27, -0.5, 0.05, beta),
                 self.cyl(0.5, -0.5, 0.05, beta)]
         fam = CoveringFamily(cylinders=cyls, selected=[0], discarded=[1, 2])
-        rep = five_rho_cover_audit(fam, beta, CTX)
+        rep = five_rho_cover_audit(fam, beta)
         row = {r.label: r for r in rep.rows}["five-rho-cover"]
         expected = self.uncovered_per_point(fam, beta)
         assert 49 < expected < 98  # all of the third, part of the second
         assert not row.passed and row.lhs == expected
         # nothing selected: every lattice point is uncovered
-        rep = five_rho_cover_audit(CoveringFamily(cyls, [], [0, 1, 2]), beta, CTX)
+        rep = five_rho_cover_audit(CoveringFamily(cyls, [], [0, 1, 2]), beta)
         assert rep.rows[1].lhs == 3 * 49 == self.uncovered_per_point(
             CoveringFamily(cyls, [], [0, 1, 2]), beta)
 
@@ -410,11 +408,11 @@ class TestVitali:
         rng = np.random.default_rng(31)
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          rng.uniform(0.02, 0.1), beta) for _ in range(30)]
-        fam = vitali_select(cyls, beta)
+        fam = vitali_select(cyls)
         counts = []
         for sel in (fam.selected, fam.selected[::2], fam.selected[:1]):
             part = CoveringFamily(cyls, sel, [])
-            rep = five_rho_cover_audit(part, beta, CTX, lattice=(5, 6))
+            rep = five_rho_cover_audit(part, beta, lattice=(5, 6))
             counts.append(self.uncovered_per_point(part, beta, (5, 6)))
             assert rep.rows[1].lhs == counts[-1]
         assert counts[0] == 0 < counts[1] < counts[2]
@@ -424,9 +422,9 @@ class TestVitali:
         rng = np.random.default_rng(29)
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          float(rng.uniform(0.02, 0.3)), beta) for _ in range(40)]
-        fam1 = vitali_select(cyls, beta)
+        fam1 = vitali_select(cyls)
         perm = list(rng.permutation(len(cyls)))
-        fam2 = vitali_select([cyls[i] for i in perm], beta)
+        fam2 = vitali_select([cyls[i] for i in perm])
         sel1 = sorted((cyls[i].z0.x[0], cyls[i].r) for i in fam1.selected)
         sel2 = sorted((cyls[perm[i]].z0.x[0], cyls[perm[i]].r)
                       for i in fam2.selected)
@@ -437,8 +435,8 @@ class TestLevelsetDecay:
     def test_zero_fields_trivial(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         g = make_field(np.full((16, 16), 1e-290))
-        rep = levelset_decay_audit(g, g, beta, K=4.0, q0=0.1, m_max=4, ctx=CTX,
-                                   quasi=estimate_quasi_params(beta, CTX),
+        rep = levelset_decay_audit(g, g, beta, K=4.0, q0=0.1, m_max=4,
+                                   quasi=estimate_quasi_params(beta),
                                    center=0.0, t_top=0.0, r_unit=0.2)
         assert rep.passed
 
@@ -446,8 +444,8 @@ class TestLevelsetDecay:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         g = make_field(np.ones((8, 8)))
         with pytest.raises(PreconditionFailed):
-            levelset_decay_audit(g, g, beta, K=0.5, q0=0.1, m_max=3, ctx=CTX,
-                                 quasi=estimate_quasi_params(beta, CTX),
+            levelset_decay_audit(g, g, beta, K=0.5, q0=0.1, m_max=3,
+                                 quasi=estimate_quasi_params(beta),
                                  center=0.0, t_top=0.0, r_unit=0.2)
 
     def test_smooth_field_monotone_table(self):
@@ -455,8 +453,8 @@ class TestLevelsetDecay:
         x, t = make_field(np.zeros((32, 32))).cell_centers()
         g = make_field((4.0 * np.exp(-8 * (x ** 2)) * (1.1 + t)).reshape(32, 32))
         f = make_field(np.full((32, 32), 0.2))
-        rep = levelset_decay_audit(g, f, beta, K=2.0, q0=0.5, m_max=4, ctx=CTX,
-                                   quasi=estimate_quasi_params(beta, CTX),
+        rep = levelset_decay_audit(g, f, beta, K=2.0, q0=0.5, m_max=4,
+                                   quasi=estimate_quasi_params(beta),
                                    center=0.0, t_top=0.0, r_unit=0.2)
         assert rep.passed
         table = rep.params["table"]
@@ -473,10 +471,10 @@ class TestLevelsetDecay:
         g = make_field((20.0 * np.exp(-50 * (x - 0.1) ** 2) * (1.1 + t)).reshape(shape),
                        t_span=t_span)
         f = make_field((0.2 + 0.1 * np.cos(3 * x)).reshape(shape), t_span=t_span)
-        kw = dict(K=1.5, q0=0.5, m_max=4, ctx=CTX,
-                  quasi=estimate_quasi_params(beta, CTX),
+        kw = dict(K=1.5, q0=0.5, m_max=4,
+                  quasi=estimate_quasi_params(beta),
                   center=0.1, t_top=-0.01, r_unit=0.2)
-        h_unit = height(beta, 0.1, 0.2, CTX).item()
+        h_unit = height(beta, 0.1, 0.2).item()
         in_q1 = (np.abs(x - 0.1) <= 0.2) & (t <= -0.01) & (t > -0.01 - h_unit)
         assert in_q1.sum() == 70
         return g, f, beta, kw, in_q1

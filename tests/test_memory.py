@@ -16,7 +16,7 @@ from wparab.config import ExperimentConfig
 from wparab.geometry import estimate_quasi_params, quasi_triangle_audit
 from wparab.oscillation import OscillationConfig, oscillation_supremum
 from wparab.solver import CoefficientField, Grid, forcing_from_callable, solve_ivbp
-from wparab.weights import Weight, WeightContext
+from wparab.weights import Weight
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wparab" / "configs"
 MB = 1e6
@@ -51,7 +51,7 @@ def test_oscillation_supremum_peak():
     beta = cfg.build_weight()
     osc = OscillationConfig(R0=0.5, delta=0.25)
     peak = traced_peak(lambda: oscillation_supremum(
-        cfg.coefficient_fn(), beta, osc, (0.0, 1.0, 0.0, 0.25), WeightContext(n=1, M0=10.0)))
+        cfg.coefficient_fn(), beta, osc, (0.0, 1.0, 0.0, 0.25)))
     # the per-cylinder loop peaked at 0.05 MB on this 17 x 24 x 4 lattice;
     # margin 1 MB
     assert peak < 0.05 * MB + 1.0 * MB
@@ -59,9 +59,8 @@ def test_oscillation_supremum_peak():
 
 def test_quasi_triangle_audit_peak():
     beta = ExperimentConfig.load(CONFIG_DIR / "power_weight.json").build_weight()
-    ctx = WeightContext(n=1, M0=10.0)
-    params = estimate_quasi_params(beta, ctx)
-    peak = traced_peak(lambda: quasi_triangle_audit(beta, params, 200_000, ctx,
+    params = estimate_quasi_params(beta)
+    peak = traced_peak(lambda: quasi_triangle_audit(beta, params, 200_000,
                                                     seed=7))
     # blocks of 32,768 triples peaked at 6.07 MB, at 2e5 samples as at 5e5;
     # all triples at once took 22.7 MB here. Margin about 4 MB

@@ -16,10 +16,9 @@ from wparab.oscillation import (
     theta_A_ms,
     theta_beta_ms,
 )
-from wparab.weights import Weight, WeightContext
+from wparab.weights import Weight
 
 DOM = (-1.0, 1.0)
-CTX = WeightContext(n=1, M0=10.0)
 MASK = (-1.0, 1.0, -1.0, 0.0)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wparab" / "configs"
 
@@ -37,7 +36,7 @@ def theta_beta_quadrature(profile, x0, r, n=200000):
 
 def theta_A(A_fun, beta, z0, r, mask, **kw):
     """theta_A_ms on the cylinder of beta's height h_{x0}(r)."""
-    return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r, CTX).item(), mask, **kw)
+    return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r).item(), mask, **kw)
 
 
 class TestThetaBeta:
@@ -127,14 +126,14 @@ class TestThetaA:
             theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
 
 
-def theta_A_per_node(A_fun, beta, z0, r, mask, ctx, n_space=33, n_time=17):
+def theta_A_per_node(A_fun, beta, z0, r, mask, n_space=33, n_time=17):
     """theta_A_ms as it was before the broadcasting call: one A_fun call per
     node, one reduction per time slice. Kept as the exact reference."""
     x0, t0 = z0[0][0], z0[1]
     x_lo, x_hi, t_lo, t_hi = mask
     a = max(x0 - r, x_lo)
     b = min(x0 + r, x_hi)
-    h = height(beta, x0, r, ctx).item()
+    h = height(beta, x0, r).item()
     s_lo = max(t0 - h, t_lo)
     s_hi = min(t0, t_hi)
     if a >= b or s_lo >= s_hi:
@@ -173,7 +172,7 @@ class TestThetaAWholeArray:
                 for tc in (0.0625, 0.2, 0.25):
                     z0 = ([x0], tc)
                     assert (theta_A(a_fun, beta, z0, r, mask)
-                            == theta_A_per_node(a_fun, beta, z0, r, mask, CTX))
+                            == theta_A_per_node(a_fun, beta, z0, r, mask))
 
     @pytest.mark.parametrize("x0, tc", [
         (-0.9, -0.5),   # clipped on the left
@@ -187,7 +186,7 @@ class TestThetaAWholeArray:
         a_fun = config_coefficient()
         z0 = ([x0], tc)
         got = theta_A(a_fun, beta, z0, 0.3, MASK)
-        assert got == theta_A_per_node(a_fun, beta, z0, 0.3, MASK, CTX)
+        assert got == theta_A_per_node(a_fun, beta, z0, 0.3, MASK)
         assert got > 0.0
 
     @pytest.mark.parametrize("A", [
@@ -205,7 +204,7 @@ class TestSupremum:
     def test_identity_all_zero(self):
         beta = Weight.constant(1.0, DOM)
         cfg = OscillationConfig(R0=0.5, delta=0.1)
-        rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK, CTX)
+        rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK)
         assert rep.passed
         gate = next(r for r in rep.rows if r.label == "smallness-gate")
         assert gate.lhs == pytest.approx(0.0, abs=1e-12)
@@ -213,7 +212,7 @@ class TestSupremum:
     def test_zero_delta_fails_unless_constant(self):
         beta = Weight.power(0.1, 0.0, DOM)
         cfg = OscillationConfig(R0=0.5, delta=0.0)
-        rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK, CTX)
+        rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK)
         assert not rep.passed
 
     def test_power_weight_oscillation_decreases_with_alpha(self):
@@ -221,19 +220,18 @@ class TestSupremum:
         sups = []
         for alpha in (0.4, 0.2, 0.1, 0.05):
             beta = Weight.power(alpha, 0.0, DOM)
-            rep = oscillation_supremum(None, beta, cfg, MASK, CTX)
+            rep = oscillation_supremum(None, beta, cfg, MASK)
             row = next(r for r in rep.rows if r.label == "weight-mean-oscillation")
             sups.append(row.lhs)
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
     def test_monotone_under_lattice_refinement(self):
         beta = Weight.power(0.3, 0.17, DOM)
-        coarse = OscillationConfig(R0=0.5, delta=1.0,
-                                   centers=np.linspace(-0.9, 0.9, 5))
-        fine = OscillationConfig(R0=0.5, delta=1.0,
-                                 centers=np.linspace(-0.9, 0.9, 17))
-        sup_c = oscillation_supremum(None, beta, coarse, MASK, CTX).rows[1].lhs
-        sup_f = oscillation_supremum(None, beta, fine, MASK, CTX).rows[1].lhs
+        cfg = OscillationConfig(R0=0.5, delta=1.0)
+        sup_c = oscillation_supremum(None, beta, cfg, MASK,
+                                     grid_points=np.linspace(-0.9, 0.9, 5)).rows[1].lhs
+        sup_f = oscillation_supremum(None, beta, cfg, MASK,
+                                     grid_points=np.linspace(-0.9, 0.9, 17)).rows[1].lhs
         assert sup_f >= sup_c - 1e-15
 
     @pytest.mark.parametrize("make_beta", [
@@ -254,11 +252,11 @@ class TestSupremum:
         monkeypatch.setattr(oscillation, "theta_A_ms", recorded)
         cfg = OscillationConfig(R0=0.5, delta=1.0)
         oscillation_supremum(config_coefficient(), beta, cfg,
-                             (0.0, 1.0, 0.0, 0.25), CTX)
+                             (0.0, 1.0, 0.0, 0.25))
         assert len(seen) == 17 * cfg.n_radii * 4
         assert len({(x0, r) for x0, r, _ in seen}) == 17 * cfg.n_radii
         for x0, r, h in seen:
-            assert h == height(beta, x0, r, CTX).item()
+            assert h == height(beta, x0, r).item()
 
     @pytest.mark.parametrize("case, A_fun, centers", [
         # centres near and beyond the mask's ends: clipped cylinders, and
@@ -272,10 +270,10 @@ class TestSupremum:
     ])
     def test_matrix_row_matches_per_cylinder_loop(self, case, A_fun, centers):
         beta = Weight.power(0.2, 0.1, DOM)
-        cfg = OscillationConfig(R0=0.5, delta=1.0, centers=np.array(centers),
-                                n_radii=5)
+        cfg = OscillationConfig(R0=0.5, delta=1.0, n_radii=5)
         mask = (-0.5, 0.5, -1.0, 0.0)
-        row = oscillation_supremum(A_fun, beta, cfg, mask, CTX).rows[0]
+        row = oscillation_supremum(A_fun, beta, cfg, mask,
+                                   grid_points=np.array(centers)).rows[0]
         radii = cfg.radius_grid(2.0 * 1.0 / (len(centers) - 1))
         t_lo, t_hi = mask[2:]
         t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
@@ -284,7 +282,7 @@ class TestSupremum:
             for r in radii:
                 for tc in t_centers:
                     try:
-                        th = theta_A_per_node(A_fun, beta, ([x0], tc), r, mask, CTX)
+                        th = theta_A_per_node(A_fun, beta, ([x0], tc), r, mask)
                     except EmptyRegion:
                         continue
                     values.append(th)
@@ -305,7 +303,7 @@ class TestSupremum:
         x0 = np.array([-1.4, -0.9, 0.0, 0.3, 1.2])
         tc = np.array([-0.5, -0.9, 0.0, -0.25, -0.1])
         r = np.array([0.2, 0.3, 0.5, 0.1, 0.3])
-        h = height(beta, x0, r, CTX)
+        h = height(beta, x0, r)
         got = theta_A_ms(a_fun, (x0[:, None], tc), r, h, MASK)
         for i in range(x0.size):
             z0 = ([x0[i]], tc[i])
@@ -324,7 +322,7 @@ class TestSupremum:
         # the lattice evaluated at once against the per-ball loop it
         # replaced: first maximal ball kept, no worst ball at zero
         cfg = OscillationConfig(R0=0.5, delta=1.0)
-        row = oscillation_supremum(None, beta, cfg, MASK, CTX).rows[1]
+        row = oscillation_supremum(None, beta, cfg, MASK).rows[1]
         radii = cfg.radius_grid(2.0 * 2.0 / 16)
         best, worst = 0.0, None
         for x0 in np.linspace(-1.0, 1.0, 17):

@@ -10,7 +10,6 @@ from scipy.linalg.lapack import dgtsv
 from wparab.config import ExperimentConfig
 from wparab.errors import EllipticityViolation, GateFailed, SingularSystem
 from wparab.experiments import (
-    CTX1,
     ManufacturedCase,
     convergence_study,
     int_power_sin,
@@ -385,8 +384,8 @@ def make_manufactured(nx=64, nt=None, t_final=0.25, beta=BETA1):
 class TestEnergyAudit:
     def cylinders(self, beta, t0=0.25):
         z0 = SpaceTimePoint([0.5], t0)
-        inner = WeightedCylinder(z0, 0.1875, beta, CTX1, variant="Q")
-        outer = WeightedCylinder(z0, 0.25, beta, CTX1, variant="Q")
+        inner = WeightedCylinder(z0, 0.1875, beta, variant="Q")
+        outer = WeightedCylinder(z0, 0.25, beta, variant="Q")
         return inner, outer
 
     def test_zero_solution_trivial(self):
@@ -423,7 +422,7 @@ class TestPoincare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid)
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, BETA1, CTX1)
+        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, BETA1)
         rep = poincare_audit(u, cyl, variant="interior")
         assert rep.rows[0].lhs == 0.0
 
@@ -432,13 +431,13 @@ class TestPoincare:
         consts = []
         for nx in (32, 64):
             u, _ = make_manufactured(nx=nx, nt=nx * nx // 4)
-            cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.25, BETA1, CTX1)
+            cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.25, BETA1)
             consts.append(poincare_audit(u, cyl).rows[0].constant)
         assert consts[0] == pytest.approx(consts[1], rel=0.2)
 
     def test_boundary_variant_zero_trace(self):
         u, _ = make_manufactured()
-        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.25), 0.2, BETA1, CTX1,
+        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.25), 0.2, BETA1,
                                variant="Q+")
         rep = poincare_audit(u, cyl, variant="boundary")
         assert rep.passed
@@ -451,7 +450,7 @@ class TestPoincare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(beta, A, F, grid, initial=np.sin(math.pi * grid.x))
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, beta, CTX1)
+        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, beta)
         with pytest.raises(GateFailed):
             poincare_audit(u, cyl, budget=100.0)
 
@@ -461,8 +460,8 @@ class TestLipschitz:
         beta_bar = 1.0
         z0 = SpaceTimePoint([0.0], 0.0)
         beta = Weight.constant(beta_bar, (-1.0, 1.0))
-        outer = WeightedCylinder(z0, 0.5, beta, CTX1, variant="Q")
-        inner = WeightedCylinder(z0, 0.25, beta, CTX1, variant="Q")
+        outer = WeightedCylinder(z0, 0.5, beta, variant="Q")
+        inner = WeightedCylinder(z0, 0.25, beta, variant="Q")
         prob = FrozenProblem(beta_bar=beta_bar, a_bar=1.0,
                              x_span=outer.x_interval, t_span=outer.t_interval,
                              nx=nx, nt=nt)
@@ -472,8 +471,8 @@ class TestLipschitz:
     def test_constant_data_zero_both_sides(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         z0 = SpaceTimePoint([0.0], 0.0)
-        outer = WeightedCylinder(z0, 0.5, beta, CTX1, variant="Q")
-        inner = WeightedCylinder(z0, 0.25, beta, CTX1, variant="Q")
+        outer = WeightedCylinder(z0, 0.5, beta, variant="Q")
+        inner = WeightedCylinder(z0, 0.25, beta, variant="Q")
         prob = FrozenProblem(beta_bar=1.0, a_bar=1.0, x_span=outer.x_interval,
                              t_span=outer.t_interval, nx=16, nt=16)
         v = solve_frozen(prob, lambda x, t: np.full_like(np.asarray(x, float), 3.0))
@@ -497,8 +496,8 @@ class TestLipschitz:
         z0 = SpaceTimePoint([0.0], 0.0)
         consts = []
         for r in (0.25, 0.125, 0.0625):
-            outer = WeightedCylinder(z0, 2 * r, beta, CTX1, variant="Q")
-            inner = WeightedCylinder(z0, r, beta, CTX1, variant="Q")
+            outer = WeightedCylinder(z0, 2 * r, beta, variant="Q")
+            inner = WeightedCylinder(z0, r, beta, variant="Q")
             prob = FrozenProblem(beta_bar=1.0, a_bar=1.0,
                                  x_span=outer.x_interval,
                                  t_span=outer.t_interval, nx=48, nt=48)
@@ -516,7 +515,7 @@ class TestFreezeCompare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1, CTX1)
+        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
         rep = freeze_compare(u, lambda x, t: 1.0, cyl)
         assert rep.rows[0].lhs < 0.05
         assert rep.rows[0].extra["forcing_ms"] == 0.0
@@ -530,7 +529,7 @@ class TestFreezeCompare:
             F = forcing_from_callable(
                 lambda x, t, a=f_amp: a * np.sin(2 * math.pi * x), grid)
             u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
-            cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1, CTX1)
+            cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
             gaps.append(freeze_compare(u, lambda x, t: 1.0, cyl).rows[0].lhs)
         assert gaps[0] < gaps[1] < gaps[2]
 
@@ -539,7 +538,7 @@ class TestFreezeCompare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid)
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.2), 0.04, BETA1, CTX1)
+        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.2), 0.04, BETA1)
         rep = freeze_compare(u, lambda x, t: 1.0, cyl)
         assert rep.passed
         assert rep.rows[0].lhs == 0.0

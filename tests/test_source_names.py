@@ -1,10 +1,12 @@
-"""Every function and class defined in ``src/wparab`` is used there.
+"""Every function and class defined in ``src/wparab`` is used there, and
+every parameter of every ``def`` there is read in its body.
 
 A definition whose name is never read in the package (as a name or an
-attribute) is a helper that only tests or outside tools call. The few that
-are kept on purpose are listed with their reason; the test also fails when
-one of them gains a caller in the package or is removed from it, so the
-list never goes stale.
+attribute) is a helper that only tests or outside tools call; a parameter
+its function never reads is an option that changes nothing. The few of
+either that are kept on purpose are listed with their reason; each test
+also fails when a listed one is used or removed, so the lists never go
+stale.
 """
 import ast
 from pathlib import Path
@@ -13,6 +15,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wparab"
 
 KEPT = {
     "geometry.height_inverse": "perfbench/layers.py wraps it by name",
+}
+
+UNREAD = {
+    "config.ExperimentConfig.coefficient_fn.a_fun.t":
+        "a coefficient is called as a_fun(x, t); this one is constant in time",
+    "experiments.oscillating_coefficient.a_fun.t":
+        "a coefficient is called as a_fun(x, t); this one is constant in time",
 }
 
 
@@ -43,3 +52,34 @@ def unreferenced() -> set[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced() == set(KEPT)
+
+
+def functions(tree: ast.AST, prefix: str):
+    """(qualified name, node) of every ``def`` in ``tree``, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield qual, node
+            yield from functions(node, qual)
+        elif not isinstance(node, ast.expr):
+            yield from functions(node, prefix)
+
+
+def unread_parameters() -> set[str]:
+    unread = set()
+    for path in SRC.glob("*.py"):
+        for qual, fn in functions(ast.parse(path.read_text()), path.stem):
+            a = fn.args
+            # a method's receiver is not an option, whether it reads it or not
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg)
+                      if p is not None and p.arg not in ("self", "cls")]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread |= {f"{qual}.{p}" for p in params if p not in read}
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == set(UNREAD)

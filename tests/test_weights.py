@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from wparab import weights
 from wparab.errors import EmptyBall, EmptyRegion, NonIntegrable
+from wparab.geometry import estimate_quasi_params
 from wparab.weights import (
     COVERAGE_BLOCK,
     _GL16_NODES,
     _GL16_WEIGHTS,
     BallFamily,
     Weight,
-    WeightContext,
     _coverage,
-    _disc_box_area,
     _interp_uniform,
     aq_characteristic,
     ball_grid,
@@ -361,19 +360,17 @@ class TestAqCharacteristic:
 
 class TestBetaCondition:
     def test_identity_passes(self):
-        ctx = WeightContext(n=1, M0=1.0)
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM)
-        rep = check_beta_condition(w, ctx, fam)
+        rep = check_beta_condition(w, 1.0, fam)
         assert rep.passed
         assert rep.rows[0].lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rows[1].lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_small_power_passes(self):
-        ctx = WeightContext(n=1, M0=10.0)
         w = Weight.power(0.1, 0.0, DOM)
         fam = BallFamily.default(DOM, n_centers=17)
-        rep = check_beta_condition(w, ctx, fam)
+        rep = check_beta_condition(w, 10.0, fam)
         assert rep.passed
         # brute-force oracle for the centered A_2 value of |x|^{-0.1}
         # (mu)_B (mu^{-1})_B = 1/(1-0.01) for centered balls
@@ -381,38 +378,34 @@ class TestBetaCondition:
         assert rep.rows[0].lhs < 10.0
 
     def test_duality_identity_for_three_powers(self):
-        ctx = WeightContext(n=1, M0=50.0)
         fam = BallFamily.default(DOM, n_centers=9)
         for alpha in (0.1, 0.35, -0.25):
             w = Weight.power(alpha, 0.0, DOM)
-            rep = check_beta_condition(w, ctx, fam)
+            rep = check_beta_condition(w, 50.0, fam)
             dual = next(r for r in rep.rows if r.label == "duality-identity")
             assert dual.passed, f"alpha={alpha}: gap {dual.constant}"
 
     def test_steep_power_rejected(self):
-        ctx = WeightContext(n=1, M0=10.0)
         with pytest.raises(NonIntegrable):
             w = Weight.power(-3.0, 0.0, DOM)
-            check_beta_condition(w, ctx, BallFamily.default(DOM))
+            check_beta_condition(w, 10.0, BallFamily.default(DOM))
 
     @pytest.mark.parametrize("w", [
         Weight.power(0.3, 0.2, DOM), Weight.power(-0.4, -0.1, DOM),
         Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM),
         Weight.sampled([1.0, 2.0, 4.0, 2.0, 0.5], DOM, quadrature="trapezoid")])
     def test_one_pass_matches_three_characteristics(self, w, monkeypatch):
-        # one means pass over five exponents; each row keeps the bits of
-        # its own aq_characteristic, n0 = 3 included (1/(q - 1) is not 1.5)
+        # one means pass over two exponents; with n0 = 2 each row keeps the
+        # bits of its own aq_characteristic: beta^-1 in A_{1+2/n0}, beta^{n0/2}
+        # in A_{1+n0/2} and beta in A_2
         fam = BallFamily.default(DOM)
-        for n in (1, 2, 3, 4):
-            ctx = WeightContext(n=n, M0=50.0)
-            n0 = ctx.n0
-            calls = count_kernel_calls(monkeypatch)
-            rows = check_beta_condition(w, ctx, fam).rows
-            assert calls == [288] * 5
-            assert [r.lhs for r in rows] == [
-                aq_characteristic(w, 1.0 + 2.0 / n0, fam, power=-1.0),
-                aq_characteristic(w, 1.0 + n0 / 2.0, fam, power=n0 / 2.0),
-                aq_characteristic(w, 2.0, fam, power=1.0)]
+        calls = count_kernel_calls(monkeypatch)
+        rows = check_beta_condition(w, 50.0, fam).rows
+        assert calls == [288] * 2
+        assert [r.lhs for r in rows] == [
+            aq_characteristic(w, 2.0, fam, power=-1.0),
+            aq_characteristic(w, 2.0, fam, power=1.0),
+            aq_characteristic(w, 2.0, fam, power=1.0)]
 
 
 class TestReverseHolder:
@@ -451,31 +444,28 @@ class TestReverseHolder:
 
 class TestDoubling:
     def test_identity_doubles_exactly(self):
-        ctx = WeightContext(n=1, M0=1.0)
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM, n_centers=9, n_radii=8)
-        rep = doubling_report(w, 1.0, fam, theta=0.5, ctx=ctx)
+        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=1.0)
         n1 = next(r for r in rep.rows if r.label == "doubling-constant")
         assert n1.constant == pytest.approx(2.0, abs=1e-12)
 
     def test_eta_formula(self):
-        ctx = WeightContext(n=1, M0=1.0)  # n0 = 2
-        assert doubling_eta(0.5, ctx) == pytest.approx(0.75, abs=1e-15)
+        # n0 = 2
+        assert doubling_eta(0.5, 1.0) == pytest.approx(0.75, abs=1e-15)
 
     def test_power_centered_ratio(self):
         # w = |x|^{1/2}: mass(B_2r)/mass(B_r) = 2^{3/2} for centered balls
-        ctx = WeightContext(n=1, M0=10.0)
         w = Weight.power(0.5, 0.0, DOM)
         fam = BallFamily.centered(0.0, np.geomspace(0.05, 0.4, 8))
-        rep = doubling_report(w, 1.0, fam, theta=0.5, ctx=ctx)
+        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=10.0)
         n1 = next(r for r in rep.rows if r.label == "doubling-constant")
         assert n1.constant == pytest.approx(2.0 ** 1.5, rel=1e-12)
 
     def test_shrink_factor_identity_weight(self):
-        ctx = WeightContext(n=1, M0=1.0)
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM, n_centers=5, n_radii=6)
-        rep = doubling_report(w, 1.0, fam, theta=0.5, ctx=ctx)
+        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=1.0)
         shrink = next(r for r in rep.rows if r.label == "measure-shrink-factor")
         assert shrink.passed
         assert shrink.constant == pytest.approx(0.5, abs=1e-12)
@@ -509,6 +499,16 @@ class TestWeightValidation:
     def test_alpha_bound(self):
         with pytest.raises(NonIntegrable):
             Weight.power(-1.5, 0.0, DOM)
+
+    def test_at_most_two_axes(self):
+        # n0 = max{n, 2} is the constant weights.N0 = 2 only while n <= 2
+        box3 = (DOM, DOM, DOM)
+        with pytest.raises(ValueError, match="two axes"):
+            Weight.power(0.2, (0.0, 0.0, 0.0), box3)
+        with pytest.raises(ValueError, match="two axes"):
+            Weight.sampled(np.ones((2, 2, 2)), box3)
+        # the dimension of the quasi-metric fit is the weight's own
+        assert estimate_quasi_params(Weight.power(0.3, 0.0, DOM)).n == 1
 
     def test_reciprocal_gate_is_per_operation(self):
         # |x|^{1.5} is locally integrable, but its reciprocal is not
@@ -664,19 +664,6 @@ class TestCellCoverage:
                 assert np.array_equal(frac[k].reshape(ny, nx), ref), (ck, rk, nx, ny)
                 assert meas[k] == ref.sum()
 
-    def test_disc_box_area_matches_reference(self):
-        x0, x1, y0, y1 = self.BOX
-        dom = ((x0, x1), (y0, y1))
-        for c, r in self.probes(7):
-            rx0, rx1 = max(c[0] - r, x0), min(c[0] + r, x1)
-            ry0, ry1 = max(c[1] - r, y0), min(c[1] + r, y1)
-            if rx0 >= rx1 or ry0 >= ry1:
-                ref = 0.0
-            else:
-                frac = coverage_reference(c, r, rx0, rx1, ry0, ry1, 64, 64)
-                ref = float(frac.sum() * (rx1 - rx0) / 64 * (ry1 - ry0) / 64)
-            assert _disc_box_area(c, r, dom) == ref, (c, r)
-
     def test_radius_below_subcell_spacing(self):
         # a 4x4 grid on [0, 4]^2 has subcell centres at odd multiples of 1/8
         c = np.array([1.125, 2.375])
@@ -696,7 +683,6 @@ class TestCellCoverage:
         c = np.array([x1 + 1.0, y1 + 1.0])
         got = cover_one(c, 0.5, x0, x1, y0, y1, 48, 48)
         assert got.shape == (48, 48) and not got.any()
-        assert _disc_box_area(c, 0.5, ((x0, x1), (y0, y1))) == 0.0
 
     def test_family_coverage_once_per_grid(self, monkeypatch):
         x0, x1, y0, y1 = self.BOX
@@ -804,7 +790,7 @@ class TestMeans:
         fam = BallFamily.default(dom2, n_centers=2, n_radii=2)
         for w in (power, sampled):
             with pytest.raises(ValueError, match="1D weight"):
-                doubling_report(w, 1.0, fam, 0.5, WeightContext(n=2))
+                doubling_report(w, 1.0, fam, 0.5, 10.0)
 
     @staticmethod
     def family(w):
@@ -930,25 +916,23 @@ class TestFamilyKernelCalls:
         assert set(calls) == {288}
 
     def test_doubling_calls_independent_of_family_size(self, monkeypatch):
-        ctx = WeightContext(n=1)
         counts = []
         for n_centers, n_radii in ((3, 4), (9, 32)):
             fam = BallFamily.default(DOM, n_centers=n_centers, n_radii=n_radii)
             calls = count_kernel_calls(monkeypatch)
-            doubling_report(self.W, 1.0, fam, 0.5, ctx)
+            doubling_report(self.W, 1.0, fam, 0.5, 10.0)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
     def test_doubling_matches_per_ball_loop(self):
         # the lifted N1 and pair ratios against the scalar loop they replace
-        ctx = WeightContext(n=1)
         # on the one ball [-1, 1], S1 centred on the singularity decides
         fams = (BallFamily.default(DOM, n_centers=5, n_radii=6),
                 BallFamily.centered(0.0, np.array([1.0])))
         for w in (self.W, Weight.power(-0.9, 0.35, DOM),
                   Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)):
             for fam in fams:
-                rows = doubling_report(w, 1.0, fam, 0.5, ctx).rows
+                rows = doubling_report(w, 1.0, fam, 0.5, 10.0).rows
                 n1, worst, pair = doubling_per_ball(w, 1.0, fam, 0.5)
                 assert rows[0].lhs == pytest.approx(n1, rel=1e-14)
                 assert rows[0].extra["worst_ball"] == worst
