@@ -543,6 +543,7 @@ def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
     m_inv, m = beta.means((-1.0, 1.0), fam)
     est = first_sup(m_inv * m)[0]
 
+    # the rows keep the three checks' shape: perfbench/reference pins this report
     dual_target = est ** (N0 / 2.0)
     dual_gap = abs(est - dual_target) / max(1.0, abs(dual_target))
     rows = [

@@ -25,13 +25,13 @@ UNREAD = {
 }
 
 
-def definitions(tree: ast.Module, prefix: str):
-    """(qualified name, bare name) of every function and class in ``tree``."""
+def definitions(tree: ast.AST, prefix: str):
+    """(qualified name, node) of every function and class in ``tree``,
+    nested ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qual = f"{prefix}.{node.name}"
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield qual, node.name
+            yield qual, node
             yield from definitions(node, qual)
         elif not isinstance(node, ast.expr):
             yield from definitions(node, prefix)
@@ -47,29 +47,21 @@ def unreferenced() -> set[str]:
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return {qual for module, tree in trees.items()
-            for qual, name in definitions(tree, module) if name not in used}
+            for qual, node in definitions(tree, module)
+            if node.name not in used
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
 
 
 def test_every_definition_is_referenced():
     assert unreferenced() == set(KEPT)
 
 
-def functions(tree: ast.AST, prefix: str):
-    """(qualified name, node) of every ``def`` in ``tree``, nested ones too."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qual = f"{prefix}.{node.name}"
-            if not isinstance(node, ast.ClassDef):
-                yield qual, node
-            yield from functions(node, qual)
-        elif not isinstance(node, ast.expr):
-            yield from functions(node, prefix)
-
-
 def unread_parameters() -> set[str]:
     unread = set()
     for path in SRC.glob("*.py"):
-        for qual, fn in functions(ast.parse(path.read_text()), path.stem):
+        for qual, fn in definitions(ast.parse(path.read_text()), path.stem):
+            if isinstance(fn, ast.ClassDef):
+                continue
             a = fn.args
             # a method's receiver is not an option, whether it reads it or not
             params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
