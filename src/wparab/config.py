@@ -104,14 +104,14 @@ PARAMS: dict[str, dict[str, Param]] = {
         "lab_budget": Param("budget", 100.0),
     },
     "audits.levelset": {
-        "lambdas": Param("floats", [0.25, 0.5, 1.0, 2.0]),
+        "lambdas": Param("floats", [0.25, 0.5, 1.0, 2.0], gt=0.0),
         "weak11_budget": Param("budget", 100.0),
         "n_fields": Param("int", 5, ge=1),
         "n_cylinders": Param("int", 100, ge=1),
         "K": Param("float", 4.0, gt=1.0),
         "q0": Param("float", 0.5, gt=0.0, lt=1.0),
         "m_max": Param("int", 5, ge=1),
-        "r_unit": Param("float", 0.1, ge=0.0),
+        "r_unit": Param("float", 0.1, gt=0.0),
         "delta_hat": Param("float", 0.05),
     },
     "audits.flatten": {
@@ -208,6 +208,11 @@ class ExperimentConfig:
                     for group in KNOWN_GROUPS},
             selection=list(raw.get("selection", KNOWN_GROUPS)),
         )
+        levels = cfg.audits["solve"].levels
+        if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+            # each order of convergence compares a level with the one before
+            raise ConfigError("audits.solve.levels must hold at least two strictly "
+                              f"increasing grid sizes, got {levels}")
         cfg.build_weight()  # validate the weight and coefficient specs eagerly
         cfg.coefficient_fn()
         cfg.check_groups(cfg.selection)

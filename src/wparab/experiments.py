@@ -30,16 +30,17 @@ from .solver import (
 from .weights import Weight
 
 
-def _series_int_pow_trig(alpha: float, y: float, odd: bool, terms: int = 24) -> float:
+def _series_int_pow_trig(alpha: float, y: float, odd: bool) -> float:
     """int_0^y u^alpha cos(pi u) du, or sin(pi u) if ``odd``, for y in [0, 1].
 
-    Integrates the Taylor series of the trig factor term by term; term k
-    carries the power pi^j / j! with j = 2k (cosine) or 2k + 1 (sine).
+    Integrates the first 24 terms of the Taylor series of the trig factor
+    term by term; term k carries the power pi^j / j! with j = 2k (cosine) or
+    2k + 1 (sine).
     """
     total = 0.0
     sign = 1.0
     fact = 1.0
-    for k in range(terms):
+    for k in range(24):
         j = 2 * k + odd
         if k > 0:
             fact *= (j - 1) * j
@@ -111,9 +112,9 @@ def space_time_l2_error(u: SolutionField, exact) -> float:
     return math.sqrt(sum_in_order(np.sum(diff, axis=1) * grid.h * grid.tau))
 
 
-def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2,
-                      tau_factor: float = 1.0) -> tuple[list[dict], list[SolutionField]]:
-    """Dyadic refinement sweep with tau proportional to h^2.
+def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2
+                      ) -> tuple[list[dict], list[SolutionField]]:
+    """Dyadic refinement sweep with tau close to h^2.
 
     Returns one row per level with the space-time L^2 error and, from the
     second level on, the observed order against the previous level; and
@@ -124,7 +125,7 @@ def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2,
     solutions: list[SolutionField] = []
     prev_err = None
     for nx in levels:
-        nt = max(int(round(t_final * nx * nx / tau_factor)), 4)
+        nt = max(int(round(t_final * nx * nx)), 4)
         u, err = case.solve(nx, nt, t_final)
         order = math.log2(prev_err / err) if prev_err is not None else float("nan")
         rows.append({"nx": nx, "nt": nt, "error": err, "order": order})
@@ -133,19 +134,19 @@ def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2,
     return rows, solutions
 
 
-def smooth_random_forcing(seed: int, n_modes: int = 6):
-    """A fixed smooth forcing built from seeded mode coefficients.
+def smooth_random_forcing(seed: int):
+    """A fixed smooth forcing built from six seeded mode coefficients.
 
     The same continuum function is evaluated on every grid, so refinement
     sweeps measure discretization effects only.
     """
     rng = np.random.default_rng(seed)
-    cx = rng.uniform(-1.0, 1.0, n_modes)
-    ct = rng.uniform(0.5, 2.0, n_modes)
+    cx = rng.uniform(-1.0, 1.0, 6)
+    ct = rng.uniform(0.5, 2.0, 6)
 
     def fn(x, t):
         val = 0.0
-        for k in range(n_modes):
+        for k in range(6):
             val += cx[k] * np.sin((k + 1) * math.pi * x) * np.cos(ct[k] * t)
         return val
 
@@ -166,18 +167,16 @@ def solve_driven(beta: Weight, forcing_fn, nx: int, nt: int, t_final: float,
     return solve_ivbp(beta, A, F, grid)
 
 
-def oscillating_coefficient(amplitude: float, frequency: float = 8.0):
+def oscillating_coefficient(amplitude: float):
     def a_fun(x, t):
-        return 1.0 + amplitude * np.sin(frequency * math.pi * x)
+        return 1.0 + amplitude * np.sin(8.0 * math.pi * x)
 
     return a_fun
 
 
-def freeze_compare_sweep(beta: Weight, amplitudes: list[float], r: float = 0.05,
-                         center: float = 0.5, nx: int = 256, nt: int = 64,
-                         t_final: float = 0.05, nx_local: int = 8,
-                         nt_local: int = 4) -> list[dict]:
-    """Gradient-gap sweep over coefficient oscillation amplitudes.
+def freeze_compare_sweep(beta: Weight, amplitudes: list[float]) -> list[dict]:
+    """Gradient-gap sweep over coefficient oscillation amplitudes, on the
+    cylinder of radius 0.05 at (0.5, 0.05) of a 256 x 64 grid.
 
     The zero-amplitude row is the pure-discretization baseline: there the
     solution itself solves the frozen equation, so the measured gap is the
@@ -186,16 +185,16 @@ def freeze_compare_sweep(beta: Weight, amplitudes: list[float], r: float = 0.05,
     keeps the approach to the floor visible in the sweep.
     """
     rows: list[dict] = []
-    grid = Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
+    grid = Grid(x0=0.0, x1=1.0, nx=256, t_final=0.05, nt=64)
     initial = np.sin(math.pi * grid.x)
-    z0 = SpaceTimePoint([center], t_final)
+    z0 = SpaceTimePoint([0.5], grid.t_final)
     for a in amplitudes:
         a_fun = oscillating_coefficient(a)
         A = CoefficientField.from_callable(a_fun, grid)
-        F = np.zeros((nt + 1, nx))
+        F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(beta, A, F, grid, initial=initial)
-        cyl = WeightedCylinder(z0, r, beta, variant="Q")
-        rep = freeze_compare(u, a_fun, cyl, nx_local=nx_local, nt_local=nt_local)
+        cyl = WeightedCylinder(z0, 0.05, beta, variant="Q")
+        rep = freeze_compare(u, a_fun, cyl, nx_local=8, nt_local=4)
         row = rep.rows[0]
         rows.append({"amplitude": a, "eps_emp": row.lhs,
                      "delta_emp": row.extra.get("delta_emp", 0.0)})

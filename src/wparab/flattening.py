@@ -60,18 +60,18 @@ def phi_inverse(chart: BoundaryChart, y) -> np.ndarray:
     return out
 
 
-def inclusion_audit(chart: BoundaryChart, y0, r: float,
-                    samples: int = 21) -> AuditReport:
+def inclusion_audit(chart: BoundaryChart, y0, r: float) -> AuditReport:
     """Ball inclusions under the chart:
 
     B_{r/2}(Phi^{-1}(y0)) sits inside Phi^{-1}(B_r(y0)), which sits inside
-    B_{2r}(Phi^{-1}(y0)). Verified on deterministic lattices.
+    B_{2r}(Phi^{-1}(y0)). Verified on the points of a 21 x 21 lattice in
+    the unit disc.
     """
     if not chart.delta < 1.0:
         raise ValueError("inclusions require delta < 1")
     y0 = np.asarray(y0, dtype=float)
     x_star = phi_inverse(chart, y0[None, :])[0]
-    grid = np.linspace(-1.0, 1.0, samples)
+    grid = np.linspace(-1.0, 1.0, 21)
     gx, gy = np.meshgrid(grid, grid)
     disc = np.column_stack([gx.ravel(), gy.ravel()])
     disc = disc[np.linalg.norm(disc, axis=1) <= 1.0]
@@ -110,28 +110,23 @@ def b_matrix(chart: BoundaryChart, A: np.ndarray, xp: float) -> np.ndarray:
     return B
 
 
-def _grad_phi_matrix(chart: BoundaryChart, xp: float, n: int = 2) -> np.ndarray:
+def _grad_phi_matrix(chart: BoundaryChart, xp: float) -> np.ndarray:
     g = float(chart.grad_phi(np.asarray([xp]))[0])
-    M = np.eye(n)
+    M = np.eye(2)
     M[-1, 0] = -g
     return M
 
 
-def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float,
-                             probes: np.ndarray | None = None,
-                             times: np.ndarray | None = None,
-                             n_directions: int = 16) -> tuple:
+def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> tuple:
     """Transformed coefficients A~ = (grad Phi) A (grad Phi)^T and audits.
 
     ``a_fun(x, t)`` returns the matrix at a spatial point (length-2) and
     time. Returns (a_tilde_fun, b_fun, report): the decomposition identity
     A~ = A + B at probe points, the bound ||B|| <= N delta, and the
-    ellipticity certificate <A~ xi, xi> >= nu (1-delta)^2 |xi|^2.
+    ellipticity certificate <A~ xi, xi> >= nu (1-delta)^2 |xi|^2. The
+    probes are 9 points y' in [-1, 1] at y_n = 0.3, at the times 0, 0.5 and
+    1, in 16 directions xi.
     """
-    if probes is None:
-        probes = np.linspace(-1.0, 1.0, 9)
-    if times is None:
-        times = np.array([0.0, 0.5, 1.0])
 
     def a_tilde(y, t):
         y = np.asarray(y, dtype=float)
@@ -144,13 +139,13 @@ def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float,
         x = phi_inverse(chart, y[None, :])[0]
         return b_matrix(chart, np.asarray(a_fun(x, t), dtype=float), x[0])
 
-    angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
+    angles = 2.0 * math.pi * np.arange(16) / 16
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     decomp_err = 0.0
     b_norm = 0.0
     min_quot = math.inf
-    for xp in probes:
-        for t in times:
+    for xp in np.linspace(-1.0, 1.0, 9):
+        for t in np.array([0.0, 0.5, 1.0]):
             y = np.array([xp, 0.3])
             At = a_tilde(y, t)
             x = phi_inverse(chart, y[None, :])[0]
@@ -177,24 +172,21 @@ def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float,
     ]
     report = AuditReport.from_rows(
         "coefficient-pushforward", rows,
-        params={"delta": chart.delta, "nu": nu, "n_directions": n_directions})
+        params={"delta": chart.delta, "nu": nu, "n_directions": len(dirs)})
     return a_tilde, b_fun, report
 
 
 def _transformed_weight(chart: BoundaryChart, beta: Weight,
                         shape: tuple[int, int] = (48, 48)) -> Weight:
-    """b~ = b o Phi^{-1}, sampled as cell means on the chart's y-domain."""
-    (x0, x1), (y0, y1) = beta.domain
+    """b~ = b o Phi^{-1} for a 2D power weight b (the only 2D weight with
+    point values), sampled as cell means on the chart's y-domain and refined
+    around the image of b's centre."""
 
     def fn(pts):
         return beta(phi_inverse(chart, pts))
 
-    singular = None
-    if beta.kind == "power":
-        c = np.asarray(beta.center)
-        singular = tuple(phi_map(chart, c[None, :])[0])
-    return Weight.from_function_2d(fn, ((x0, x1), (y0, y1)), shape,
-                                   singular=singular)
+    singular = tuple(phi_map(chart, np.asarray(beta.center)[None, :])[0])
+    return Weight.from_function_2d(fn, beta.domain, shape, singular)
 
 
 def _sup_ball_oscillation(w: Weight, fam: BallFamily) -> float:
@@ -256,9 +248,9 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
                 "grid_shape": list(shape)})
 
 
-def oscillation_delta_sweep(deltas, shape: tuple[int, int] = (40, 40)) -> list[dict]:
+def oscillation_delta_sweep(deltas) -> list[dict]:
     """Coupled sweep: chart slope delta with weight |x|^{delta/2} on the
-    square (-1, 1)^2.
+    square (-1, 1)^2, sampled on a 40 x 40 grid.
 
     Under the smallness hypothesis the chart slope and the weight's own
     oscillation sit under the same delta, so the transformed weight's
@@ -270,7 +262,7 @@ def oscillation_delta_sweep(deltas, shape: tuple[int, int] = (40, 40)) -> list[d
     for d in deltas:
         chart = BoundaryChart(delta=float(d))
         beta = Weight.power(0.5 * float(d), (0.0, 0.25), domain)
-        wt = _transformed_weight(chart, beta, shape)
+        wt = _transformed_weight(chart, beta, (40, 40))
         osc = _sup_ball_oscillation(wt, fam)
         rows.append({"delta": float(d), "oscillation_sq": osc})
     return rows
@@ -291,19 +283,18 @@ def b_norm_delta_sweep(deltas) -> list[dict]:
 
 
 def admissible_radius_search(chart: BoundaryChart, beta: Weight,
-                             R: float, t0: float,
-                             Lambda: float, n_grid: int = 24,
-                             samples: int = 17) -> AuditReport:
+                             R: float, t0: float, Lambda: float) -> AuditReport:
     """First radius on a decreasing grid satisfying the chart inclusions.
 
     A radius rho is admissible when the flattened half-ball of radius
-    2*Lambda*rho pulls back inside B_R and the transformed cylinder height
-    at that radius fits under the time t0. The largest admissible grid
-    radius is recorded; none existing is a failure.
+    2*Lambda*rho, probed at 17 angles of its arc, pulls back inside B_R and
+    the transformed cylinder height at that radius fits under the time t0.
+    The largest admissible radius of a 24-point geometric grid is recorded;
+    none existing is a failure.
     """
     wt = _transformed_weight(chart, beta)
-    grid = np.geomspace(R / (4.0 * Lambda), R / (400.0 * Lambda), n_grid)
-    angles = math.pi * (np.arange(samples) + 0.5) / samples
+    grid = np.geomspace(R / (4.0 * Lambda), R / (400.0 * Lambda), 24)
+    angles = math.pi * (np.arange(17) + 0.5) / 17
     found = None
     for rho in grid:
         r_big = 2.0 * Lambda * rho

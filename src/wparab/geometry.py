@@ -312,18 +312,18 @@ class QuasiMetricParams:
                    * self.N2 ** (1.0 / (self.n * self.zeta0)), 2.0)
 
 
-def estimate_quasi_params(beta: Weight, fam: BallFamily | None = None) -> QuasiMetricParams:
+def estimate_quasi_params(beta: Weight) -> QuasiMetricParams:
     """Fit (zeta0, N2) from measured nested-ball mass ratios of a 1D weight.
 
-    For nested balls S1 in S2 collects m = w(S1)/w(S2) against
+    For nested balls S1 in S2 (S2 from a 5-centre, 8-radius default
+    family on the weight's domain) collects m = w(S1)/w(S2) against
     s = |S1|/|S2| with w = beta^{n0/2}, then picks the zeta0 on a grid
     whose implied N2 = max(m / s^zeta0) minimizes the resulting Lambda.
     S1 is centred in S2 or touches either end; each set of masses is one call.
     """
     if beta.n != 1:
         raise ValueError("the quasi-parameter fit takes a 1D weight")
-    if fam is None:
-        fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
+    fam = BallFamily.default(beta.domain, n_centers=5, n_radii=8)
     p = N0 / 2.0
     c, r = ball_grid(fam.centers, fam.radii)
     x = c[:, 0]
@@ -373,12 +373,12 @@ def _adversarial_triples(lo: float, hi: float,
 
 
 def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
-                         seed: int,
-                         t_span: float | None = None) -> AuditReport:
+                         seed: int) -> AuditReport:
     """Empirical quasi-triangle check on seeded triples.
 
-    Draws random triples (z0, z1, zbar) plus a deterministic adversarial
-    batch, computes the worst ratio
+    Draws random triples (z0, z1, zbar), with times down to minus the
+    height of the half-domain ball at the domain's centre, plus a
+    deterministic adversarial batch, computes the worst ratio
     rho(z0, zbar) / (rho(z0, z1) + rho(z1, zbar)), and passes iff it does
     not exceed params.Lambda. Degenerate triples contribute ratio 0; the
     first worst triple is reported. The triples run in blocks of
@@ -388,8 +388,7 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
     if samples < 1:
         raise ValueError("need at least one sample")
     (lo, hi), = beta.domain[:1]
-    if t_span is None:
-        t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
+    t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
     xs_adv, ts_adv = _adversarial_triples(lo, hi, t_span)
     rng_x = np.random.default_rng(seed)
     rng_t = np.random.Generator(np.random.PCG64(seed))
@@ -428,16 +427,15 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         seed=seed)
 
 
-def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
-                             lattice: tuple[int, int] = (25, 25),
-                             tol: float = 1e-9) -> AuditReport:
+def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float) -> AuditReport:
     """Containment relations between cylinders and quasi-distance balls.
 
-    Checks on a deterministic lattice: Q_r(z0) sits inside {rho <= r},
-    {rho <= r} sits inside the closure of C_{2r}(z0), and every point of
-    C_r(z0) is within quasi-distance 2r of z0.
+    Checks on a deterministic 25 x 25 lattice, to a relative tolerance of
+    1e-9: Q_r(z0) sits inside {rho <= r}, {rho <= r} sits inside the closure
+    of C_{2r}(z0), and every point of C_r(z0) is within quasi-distance 2r
+    of z0.
     """
-    nx, nt = lattice
+    nx, nt, tol = 25, 25, 1e-9
     x0 = z0.x[0]
     failures: list[dict] = []
 
@@ -482,6 +480,6 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float,
                              ("centered-cylinder-within-2r", n_bad_3))]
     return AuditReport.from_rows(
         "cylinder-ball-relations", rows,
-        params={"r": r, "z0": [list(z0.x), z0.t], "lattice": list(lattice),
+        params={"r": r, "z0": [list(z0.x), z0.t], "lattice": [nx, nt],
                 "failures": failures[:5]})
 

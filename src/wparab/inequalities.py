@@ -44,8 +44,6 @@ class TestFunction:
     kind: str
     coeffs: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     frequency: float = 1.0
-    phase: float = 0.0
-    offset: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("polynomial", "trig"):
@@ -57,17 +55,14 @@ class TestFunction:
         return cls(kind="polynomial", coeffs=np.asarray(coeffs, dtype=float))
 
     @classmethod
-    def trig(cls, amplitude: float, frequency: float, phase: float = 0.0,
-             offset: float = 0.0) -> "TestFunction":
-        return cls(kind="trig", coeffs=np.array([amplitude]),
-                   frequency=frequency, phase=phase, offset=offset)
+    def trig(cls, amplitude: float, frequency: float) -> "TestFunction":
+        return cls(kind="trig", coeffs=np.array([amplitude]), frequency=frequency)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             return np.polynomial.polynomial.polyval(x, self.coeffs)
-        return (self.offset + self.coeffs[0]
-                * np.sin(self.frequency * math.pi * x + self.phase))
+        return self.coeffs[0] * np.sin(self.frequency * math.pi * x)
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -75,43 +70,40 @@ class TestFunction:
             d = np.polynomial.polynomial.polyder(self.coeffs)
             return np.polynomial.polynomial.polyval(x, d)
         w = self.frequency * math.pi
-        return self.coeffs[0] * w * np.cos(w * x + self.phase)
+        return self.coeffs[0] * w * np.cos(w * x)
 
-    def validate_gradient(self, interval, seed: int = 0, n: int = 16,
-                          tol: float = 1e-6) -> None:
-        """Spot-check the declared gradient by central finite differences."""
+    def validate_gradient(self, interval, seed: int = 0) -> None:
+        """Spot-check the declared gradient by central finite differences at
+        16 seeded points, to a relative 1e-6."""
         rng = np.random.default_rng(seed)
         lo, hi = interval
-        pts = rng.uniform(lo + 1e-3, hi - 1e-3, n)
+        pts = rng.uniform(lo + 1e-3, hi - 1e-3, 16)
         eps = 1e-6 * (hi - lo)
         fd = (self(pts + eps) - self(pts - eps)) / (2 * eps)
         g = self.grad(pts)
         scale = np.maximum(np.abs(g), 1.0)
-        if np.max(np.abs(fd - g) / scale) > tol:
+        if np.max(np.abs(fd - g) / scale) > 1e-6:
             raise ValueError("descriptor and gradient are inconsistent")
 
 
 _SLAB = 1e-10  # relative half-width of the analytic innermost slab
 
 
-def _graded_cells(a: float, b: float, singular: float | None,
-                  n_cells: int = 48) -> np.ndarray:
-    """Cell edges on [a, b], geometrically graded toward a singular point.
+def _graded_cells(a: float, b: float, singular: float | None) -> np.ndarray:
+    """48 cell edges on [a, b], geometrically graded toward a singular point.
 
     The slab (singular - eps, singular + eps) is excluded; its contribution
     is added in closed form by :func:`weighted_integral`.
     """
     if singular is None or not a < singular < b:
-        return np.linspace(a, b, n_cells + 1)
-    half = n_cells // 2
-    left = singular - (singular - a) * np.geomspace(1.0, _SLAB, half + 1)
-    right = singular + (b - singular) * np.geomspace(_SLAB, 1.0, half + 1)
+        return np.linspace(a, b, 49)
+    left = singular - (singular - a) * np.geomspace(1.0, _SLAB, 25)
+    right = singular + (b - singular) * np.geomspace(_SLAB, 1.0, 25)
     return np.unique(np.concatenate([[a], left, right, [b]]))
 
 
-def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
-                      n_cells: int = 48) -> float:
-    """int fn(x) * w(x)^power dx over the interval.
+def weighted_integral(fn, weight: Weight | None, interval) -> float:
+    """int fn(x) * w(x) dx over the interval.
 
     Composite 16-point Gauss-Legendre on a mesh graded toward a power
     weight's singular point; the innermost slab around the singularity is
@@ -123,7 +115,7 @@ def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
     if weight is not None and weight.kind == "power":
         c = weight.center[0]
         singular = c if a < c < b else None
-    edges = _graded_cells(a, b, singular, n_cells)
+    edges = _graded_cells(a, b, singular)
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     keep = half > 0.0
@@ -135,25 +127,24 @@ def weighted_integral(fn, weight: Weight | None, interval, power: float = 1.0,
     xq = mid[:, None] + half[:, None] * _GL16_NODES
     vals = np.asarray(fn(xq), dtype=float)
     if weight is not None:
-        vals = vals * weight(xq) ** power
+        vals = vals * weight(xq)
     total = sum_in_order(half * np.sum(_GL16_WEIGHTS * vals, axis=-1))
     if singular is not None:
-        q_eff = weight.alpha * power
-        if q_eff <= -1.0:
+        q = weight.alpha
+        if q <= -1.0:
             raise ValueError("non-integrable power inside the interval")
         eps_l = (singular - a) * _SLAB
         eps_r = (b - singular) * _SLAB
         f_c = float(np.asarray(fn(np.array([singular]))).ravel()[0])
-        total += (f_c * weight.scale ** power
-                  * (eps_l ** (1.0 + q_eff) + eps_r ** (1.0 + q_eff))
-                  / (1.0 + q_eff))
+        total += (f_c * weight.scale
+                  * (eps_l ** (1.0 + q) + eps_r ** (1.0 + q))
+                  / (1.0 + q))
     return total
 
 
-def _ball_interval(w: Weight, x0: float, r: float,
-                   floor: float = -math.inf) -> tuple[float, float]:
-    """B_r(x0) ∩ domain ∩ [floor, inf) as (a, b); EmptyBall if it is empty."""
-    a = max(x0 - r, w.domain[0][0], floor)
+def _ball_interval(w: Weight, x0: float, r: float) -> tuple[float, float]:
+    """B_r(x0) ∩ domain as (a, b); EmptyBall if it is empty."""
+    a = max(x0 - r, w.domain[0][0])
     b = min(x0 + r, w.domain[0][1])
     if not a < b:
         raise EmptyBall(f"ball B_{r}({x0}) misses the domain")
@@ -163,14 +154,13 @@ def _ball_interval(w: Weight, x0: float, r: float,
 def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
                               ball: tuple[float, float, float], gamma: float,
                               M0: float, fam: BallFamily,
-                              budget: float = math.inf,
-                              dilations=(1.0, 0.5, 0.25)) -> AuditReport:
+                              budget: float = math.inf) -> AuditReport:
     """Unweighted low-exponent average controlled by the weighted L^2 norm.
 
     lhs = (avg_B |g|^{2/(q-gamma)})^{(q-gamma)/2},
     rhs = ((1/mu(B)) int_B g^2 mu)^{1/2}; the constant must stay finite and
-    stable under dilations of the ball. Requires mu in A_q within the
-    budget M0 and gamma below q - 1.
+    stable under the dilations 1, 1/2 and 1/4 of the ball. Requires mu in
+    A_q within the budget M0 and gamma below q - 1.
     """
     if not 1.0 < q <= 2.0:
         raise GateFailed("exponent q must lie in (1, 2]")
@@ -185,7 +175,7 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
     rows = []
     consts = []
     exp_low = 2.0 / (q - gamma)
-    for d in dilations:
+    for d in (1.0, 0.5, 0.25):
         r = r0 * d
         a, b = _ball_interval(mu, x0, r)
         lhs = (weighted_integral(lambda x: np.abs(g(x)) ** exp_low, None, (a, b))
@@ -208,16 +198,15 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
 
 
 def weighted_embedding_audit(g: TestFunction, beta: Weight, gamma: float,
-                             ball: tuple[float, float] = (0.0, 1.0),
                              budget: float = math.inf) -> AuditReport:
     """Weighted L^2 mass controlled by a higher unweighted power, in the
     low-dimensional case (n <= 2) of the paper: s = 2(1+gamma)/gamma,
-    lhs = (1/b(B)) int g^2 b, rhs = (avg |g|^s)^{2/s}.
+    lhs = (1/b(B)) int g^2 b, rhs = (avg |g|^s)^{2/s}, on the ball B_1(0).
     """
     if gamma <= 0.0:
         raise GateFailed("gamma must be positive for the low case")
     s = 2.0 * (1.0 + gamma) / gamma
-    x0, r = ball
+    x0, r = 0.0, 1.0
     a, b = _ball_interval(beta, x0, r)
     mass = float(beta.mass_1d_vec(1.0, x0 - r, x0 + r))
     lhs = weighted_integral(lambda x: g(x) ** 2, beta, (a, b)) / mass
@@ -252,16 +241,14 @@ class SpaceTimeTestFunction:
 
 def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
                         x0: float, r: float, t_span: tuple[float, float],
-                        thetas: np.ndarray | None = None,
-                        budget: float = math.inf, half: bool = False) -> AuditReport:
+                        budget: float = math.inf) -> AuditReport:
     """Weighted space-time mass against the interpolation right-hand side.
 
-    Reports the smallest admissible constant over a theta grid and the
-    minimizing theta; with ``half`` the spatial slice is B_r(x0) ∩ {x > 0}.
+    Reports the smallest admissible constant over the theta grid 0.05,
+    0.1, ..., 0.95 and the minimizing theta. The spatial slice is the whole
+    ball B_r(x0) ∩ domain, which the report records as ``half: false``.
     """
-    if thetas is None:
-        thetas = np.linspace(0.05, 0.95, 19)
-    a, b = _ball_interval(beta, x0, r, 0.0 if half else -math.inf)
+    a, b = _ball_interval(beta, x0, r)
     s_t, e_t = t_span
     nt = 12
     tq = s_t + (e_t - s_t) * (np.arange(nt) + 0.5) / nt
@@ -279,7 +266,7 @@ def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
         lambda x: u.grad_x(x, t) ** 2, None, (a, b)) / length)
     lhs = avg_u2b / beta_mean
     best = None
-    for th in thetas:
+    for th in np.linspace(0.05, 0.95, 19):
         rhs = avg_u2 ** (1.0 - th) * (avg_u2 ** th + r ** (2.0 * th) * avg_g2 ** th)
         n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
         if best is None or n_emp < best[1]:
@@ -290,7 +277,7 @@ def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
                    budget=budget,
                    passed=bool(math.isfinite(n_star) and n_star <= budget),
                    extra={"theta_min": theta_star, "avg_u2": avg_u2,
-                          "avg_grad2": avg_g2, "half": half})
+                          "avg_grad2": avg_g2, "half": False})
     return AuditReport.from_rows(
         "weighted-interpolation", [row],
-        params={"r": r, "x0": x0, "half": half})
+        params={"r": r, "x0": x0, "half": False})

@@ -152,25 +152,24 @@ def maximal_function_batch(fields: Sequence[SpaceTimeField], beta: Weight,
     return best
 
 
-def default_radius_grid(g: SpaceTimeField, n: int = 24) -> np.ndarray:
-    """Log-spaced radii from two cells to the field's spatial width."""
+def default_radius_grid(g: SpaceTimeField) -> np.ndarray:
+    """24 log-spaced radii from two cells to the field's spatial width."""
     dx = g.x_edges[1] - g.x_edges[0]
     width = g.x_edges[-1] - g.x_edges[0]
-    return np.geomspace(2.0 * dx, width, n)
+    return np.geomspace(2.0 * dx, width, 24)
 
 
 def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
-                   radii: np.ndarray | None = None,
                    budget: float = math.inf) -> list[AuditReport]:
     """Weak (1,1) bound of the maximal operator, one report per field; the
-    fields share one grid and one :func:`maximal_function_batch` call.
+    fields share one grid and one :func:`maximal_function_batch` call over
+    the :func:`default_radius_grid` of the first.
 
     For each level lambda reports lambda * |{Mg > lambda}| against the L^1
     norm of g; the audit constant is the worst ratio and is recorded, not
     asserted against any theoretical value (unless a budget is supplied).
     """
-    if radii is None:
-        radii = default_radius_grid(fields[0])
+    radii = default_radius_grid(fields[0])
     X, T = fields[0].cell_centers()
     reports = []
     for g, mg in zip(fields, maximal_function_batch(fields, beta, X, T, radii)):
@@ -231,12 +230,11 @@ def vitali_select(cylinders: list[WeightedCylinder]) -> CoveringFamily:
                           discarded=discarded)
 
 
-def five_rho_cover_audit(family: CoveringFamily, beta: Weight,
-                         lattice: tuple[int, int] = (7, 7)) -> AuditReport:
+def five_rho_cover_audit(family: CoveringFamily, beta: Weight) -> AuditReport:
     """Verify disjointness and the 5-rho covering property by sampling.
 
-    Every point of every input cylinder must land in some selected cylinder
-    dilated to five times its radius.
+    Every point of a 7 x 7 lattice on every input cylinder must land in some
+    selected cylinder dilated to five times its radius.
     """
     cyls = family.cylinders
     # disjointness of the selection, exact interval arithmetic
@@ -250,9 +248,8 @@ def five_rho_cover_audit(family: CoveringFamily, beta: Weight,
     # each lattice point (cylinder, x, t) against each dilated cylinder
     a, b, s, e = np.array([c.region() for c in cyls]).reshape(-1, 4).T
     da, db, ds, de = np.array([d.region() for d in dilated]).reshape(-1, 4).T
-    nx, nt = lattice
-    gx = np.linspace(a, b, nx, axis=-1)[:, :, None, None]
-    gt = np.linspace(s, e, nt, axis=-1)[:, None, :, None]
+    gx = np.linspace(a, b, 7, axis=-1)[:, :, None, None]
+    gt = np.linspace(s, e, 7, axis=-1)[:, None, :, None]
     in_x = (da <= gx) & (gx <= db)
     in_t = (ds <= gt) & (gt <= de)
     uncovered = int(np.count_nonzero(~(in_x & in_t).any(axis=-1)))
@@ -277,12 +274,12 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
                          beta: Weight, K: float, q0: float, m_max: int,
                          quasi: QuasiMetricParams,
                          center: float, t_top: float,
-                         r_unit: float, delta_hat: float = 0.05,
-                         radii: np.ndarray | None = None) -> AuditReport:
+                         r_unit: float, delta_hat: float = 0.05) -> AuditReport:
     """Level-set decay table for the maximal function of |grad u|^2.
 
     Evaluates M(g chi_U) on U = Q_{2 Lambda r}(z_top), with Lambda from the
-    fitted ``quasi``, restricted to the unit cylinder Q_r(z_top), normalizes
+    fitted ``quasi`` and radii from :func:`default_radius_grid`, restricted
+    to the unit cylinder Q_r(z_top), normalizes
     so the base density condition holds (the raw condition is reported),
     and fits the smallest gamma1 for which the decay recursion holds for
     every m = 1..m_max.
@@ -297,8 +294,7 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
     big_r = 2.0 * lam * r_unit
     h_big = height(beta, center, big_r).item()
     window = (center - big_r, center + big_r, t_top - h_big, t_top)
-    if radii is None:
-        radii = default_radius_grid(grad_sq)
+    radii = default_radius_grid(grad_sq)
 
     # every measure below is taken on Q_1, and each point's value depends on
     # its own (x, t) only: evaluate the Q_1 cells alone

@@ -32,8 +32,6 @@ class OscillationConfig:
 
     R0: float
     delta: float
-    n_radii: int = 24
-    r_min: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.R0 < 1.0:
@@ -42,12 +40,11 @@ class OscillationConfig:
             raise ValueError("delta must be non-negative")
 
     def radius_grid(self, r_min: float) -> np.ndarray:
-        r_min = self.r_min if self.r_min is not None else r_min
-        r_min = min(r_min, 0.5 * self.R0)
-        return np.geomspace(r_min, self.R0 * (1.0 - 1e-9), self.n_radii)
+        """24 geometric radii from r_min (at most R0/2) to just below R0."""
+        return np.geomspace(min(r_min, 0.5 * self.R0), self.R0 * (1.0 - 1e-9), 24)
 
 
-# Cylinders per theta_A_ms pass in oscillation_supremum. At the default
+# Cylinders per theta_A_ms pass in oscillation_supremum. At its
 # 17 x 33 nodes a scalar coefficient takes 4.5 KB per cylinder and node
 # array, so 32 cylinders keep a pass's traced peak near 0.5 MB (1 MB at 64,
 # 23 MB for the whole 1,632-cylinder lattice at once). On a 2-vCPU VM the
@@ -67,7 +64,7 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
     return max(b * b_inv - 1.0, 0.0)
 
 
-def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
+def theta_A_ms(A_fun, z0, r, h, mask):
     """Squared partial mean oscillation of the coefficient on a batch of
     cylinders.
 
@@ -78,8 +75,9 @@ def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
 
     ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
     ``A_fun(xs[:, None, :], ts[:, :, None])`` on the space and time nodes of
-    every cylinder, and returns a scalar field that broadcasts to
-    (cylinders, n_time, n_space). Each cylinder is clipped to ``mask`` =
+    every cylinder (17 midpoint nodes in time, 33 in space), and returns a
+    scalar field that broadcasts to (cylinders, 17, 33). Each cylinder is
+    clipped to ``mask`` =
     (x_lo, x_hi, t_lo, t_hi); within each time slice the coefficient is
     centered around its spatial average over B_r(x0) ∩ Omega, and the
     squared deviation is averaged over the clipped cylinder.
@@ -100,6 +98,7 @@ def theta_A_ms(A_fun, z0, r, h, mask, n_space: int = 33, n_time: int = 17):
         raise EmptyRegion("cylinder does not meet the masked domain")
     a, b, s_lo, s_hi = (v[met][:, None] for v in (a, b, s_lo, s_hi))
     # midpoint nodes: a genuine midpoint rule in space and time
+    n_space, n_time = 33, 17
     xs = a + (b - a) * (np.arange(n_space) + 0.5) / n_space
     ts = s_lo + (s_hi - s_lo) * (np.arange(n_time) + 0.5) / n_time
     vals = _sample_nodes(A_fun, xs, ts)
@@ -127,20 +126,16 @@ def _sample_nodes(A_fun, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
                          f"a scalar field broadcasting to {shape}") from exc
 
 
-def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
-                         grid_points: np.ndarray | None = None) -> AuditReport:
+def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask) -> AuditReport:
     """Supremal oscillation functionals and the smallness gate.
 
-    Maximizes sqrt(theta_A_ms) over (center, radius) on the lattice and
+    Maximizes sqrt(theta_A_ms) over (center, radius) on the lattice of 17
+    centres across the mask and radii from two lattice spacings, and
     sqrt(theta_beta_ms) likewise; passes iff their sum is below cfg.delta.
     """
     x_lo, x_hi, t_lo, t_hi = mask
-    if grid_points is None:
-        grid_points = np.linspace(x_lo, x_hi, 17)
-    if grid_points.size == 0:
-        raise EmptyRegion("empty center lattice")
-    r_min_default = 2.0 * (x_hi - x_lo) / max(len(grid_points) - 1, 1)
-    radii = cfg.radius_grid(r_min_default)
+    grid_points = np.linspace(x_lo, x_hi, 17)
+    radii = cfg.radius_grid(2.0 * (x_hi - x_lo) / 16)
 
     # theta_beta_ms of every lattice ball at once
     fam = BallFamily(grid_points[:, None], radii)
@@ -183,6 +178,6 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask,
     # the gate is the binding row; the per-term rows are informational
     report = AuditReport.from_rows(
         "oscillation-smallness-gate", rows,
-        params={"R0": cfg.R0, "delta": cfg.delta, "n_radii": cfg.n_radii})
+        params={"R0": cfg.R0, "delta": cfg.delta, "n_radii": radii.size})
     report.passed = bool(total < cfg.delta)
     return report

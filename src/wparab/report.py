@@ -92,8 +92,9 @@ class AuditReport:
     @classmethod
     def from_rows(cls, check: str, rows: list[AuditRow], params: dict | None = None,
                   seed: int | None = None) -> "AuditReport":
-        return cls(check=check, passed=all(r.passed for r in rows), rows=rows,
-                   params=params or {}, seed=seed)
+        # a report without rows checked nothing, so it fails
+        passed = bool(rows) and all(r.passed for r in rows)
+        return cls(check=check, passed=passed, rows=rows, params=params or {}, seed=seed)
 
     def to_dict(self) -> dict:
         d = {
@@ -131,16 +132,15 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> Path:
 
 
 def write_svg_curves(path: str | Path, curves: list[tuple[str, list[float], list[float]]],
-                     title: str = "", logx: bool = False, logy: bool = False,
-                     width: int = 640, height: int = 420) -> Path:
-    """Write a static SVG line plot (no plotting dependency).
+                     title: str = "", logx: bool = False, logy: bool = False) -> Path:
+    """Write a static 640 x 420 SVG line plot (no plotting dependency).
 
     ``curves`` is a list of (label, xs, ys). Log axes take log10 of the data;
     nonpositive values are dropped from log-scaled curves.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    margin = 50.0
+    width, height, margin = 640, 420, 50.0
     pw, ph = width - 2 * margin, height - 2 * margin
 
     def transform(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:

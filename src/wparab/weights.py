@@ -138,12 +138,12 @@ class Weight:
 
     @classmethod
     def from_function_2d(cls, fn, domain, shape: tuple[int, int],
-                         singular=None, depth: int = 6) -> "Weight":
+                         singular) -> "Weight":
         """Sample a 2D function as cell means; refine cells near a singularity.
 
         A cell's mean is the average of ``fn`` over a 4x4 grid of midpoint
-        nodes. A cell whose center lies within two cells of ``singular`` is
-        bisected ``depth - 1`` times per axis; its mean is built from the
+        nodes. A cell whose center lies within two cells of the point
+        ``singular`` is bisected 5 times per axis; its mean is built from the
         leaf means by averaging quadrants, coarsest last.
         """
         domain = _as_domain(domain)
@@ -152,15 +152,13 @@ class Weight:
         xe = np.linspace(x0, x1, nx + 1)
         ye = np.linspace(y0, y1, ny + 1)
         vals = _node_means(fn, xe, ye)
-        if singular is None:
-            return cls.sampled(vals, domain)
         xm, ym = 0.5 * (xe[:-1] + xe[1:]), 0.5 * (ye[:-1] + ye[1:])
         near_x = np.abs(singular[0] - xm) < 2 * (xe[1] - xe[0])
         near_y = np.abs(singular[1] - ym) < 2 * (ye[1] - ye[0])
         for j in np.flatnonzero(near_y):
             for i in np.flatnonzero(near_x):
                 xs, ys = xe[i:i + 2], ye[j:j + 2]
-                for _ in range(depth - 1):
+                for _ in range(5):
                     xs, ys = _bisect_edges(xs), _bisect_edges(ys)
                 means = _node_means(fn, xs, ys)
                 while means.size > 1:
@@ -482,14 +480,12 @@ class BallFamily:
             raise ValueError("radii must be positive and strictly increasing")
 
     @classmethod
-    def default(cls, domain, n_centers: int = 9, n_radii: int = 32,
-                r_min: float | None = None, r_max: float | None = None) -> "BallFamily":
+    def default(cls, domain, n_centers: int = 9, n_radii: int = 32) -> "BallFamily":
+        """Centres on an n_centers lattice per axis and n_radii geometric
+        radii from 1/64 to 1/2 of the narrowest side."""
         domain = _as_domain(domain)
-        widths = [hi - lo for lo, hi in domain]
-        w = min(widths)
-        r_min = r_min if r_min is not None else w / 64.0
-        r_max = r_max if r_max is not None else w / 2.0
-        radii = np.geomspace(r_min, r_max, n_radii)
+        w = min(hi - lo for lo, hi in domain)
+        radii = np.geomspace(w / 64.0, w / 2.0, n_radii)
         axes = [np.linspace(lo, hi, n_centers) for lo, hi in domain]
         grids = np.meshgrid(*axes, indexing="ij")
         centers = np.column_stack([g.ravel() for g in grids])
@@ -561,25 +557,24 @@ def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
         params={"n": beta.n, "n0": N0, "M0": M0, "q_inv": q_inv, "q_dual": q_dual})
 
 
-def default_gamma_candidates(w: Weight, gamma_max: float = 2.0, k: int = 12) -> np.ndarray:
-    """Geometric candidate grid for the reverse Hölder exponent."""
+def default_gamma_candidates(w: Weight) -> np.ndarray:
+    """Geometric candidate grid for the reverse Hölder exponent: 12 halvings
+    up to 2, or up to 0.9 of the integrability bound of a negative power."""
+    gamma_max = 2.0
     if w.kind == "power" and w.alpha < 0.0:
-        bound = w.n / (-w.alpha) - 1.0
-        gamma_max = min(gamma_max, 0.9 * bound)
-    return gamma_max * 0.5 ** np.arange(k)[::-1]  # increasing
+        gamma_max = min(gamma_max, 0.9 * (w.n / (-w.alpha) - 1.0))
+    return gamma_max * 0.5 ** np.arange(12)[::-1]  # increasing
 
 
-def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float,
-                         candidates: np.ndarray | None = None) -> float:
-    """Largest candidate gamma with ((w^{1+g})_B)^{1/(1+g)} <= budget*(w)_B on fam.
+def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float) -> float:
+    """Largest candidate gamma with ((w^{1+g})_B)^{1/(1+g)} <= budget*(w)_B on fam,
+    over :func:`default_gamma_candidates`.
 
     Returns 0.0 when no candidate passes (the degenerate answer).
     """
     if budget < 1.0:
         raise ValueError("reverse Hölder budget must be >= 1")
-    if candidates is None:
-        candidates = default_gamma_candidates(w)
-    cands = [g for g in sorted(float(g) for g in candidates)
+    cands = [g for g in sorted(float(g) for g in default_gamma_candidates(w))
              if not (w.kind == "power" and (1.0 + g) * w.alpha <= -w.n)]
     if not cands:
         return 0.0

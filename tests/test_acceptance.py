@@ -270,7 +270,7 @@ class TestAcceptance:
         wrep = pushforward_weight_audit(BoundaryChart(delta=0.2),
                                         beta2, 10.0, fam2, shape=(32, 32))
         ok = ok and wrep.rows[0].passed
-        osc_rows = oscillation_delta_sweep([0.05, 0.1, 0.2], shape=(32, 32))
+        osc_rows = oscillation_delta_sweep([0.05, 0.1, 0.2])
         slope_o = fit_loglog_slope([r["delta"] for r in osc_rows],
                                    [r["oscillation_sq"] for r in osc_rows])
         ok = ok and slope_o >= 1.8

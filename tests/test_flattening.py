@@ -156,7 +156,7 @@ class TestWeightPushforward:
             pushforward_weight_audit(chart, beta, 1.0, self.fam(), shape=(24, 24))
 
     def test_oscillation_quadratic_in_delta(self):
-        rows = oscillation_delta_sweep([0.05, 0.1, 0.2], shape=(32, 32))
+        rows = oscillation_delta_sweep([0.05, 0.1, 0.2])
         slope = fit_loglog_slope([r["delta"] for r in rows],
                                  [r["oscillation_sq"] for r in rows])
         assert slope >= 1.8, rows
@@ -205,7 +205,7 @@ class TestSupBallOscillation:
         assert [args[-2:] for args in coverage] == [(16, 16)]
         # so do the three weights of the delta sweep, on a family of its own
         coverage.clear()
-        oscillation_delta_sweep([0.05, 0.1, 0.2], shape=(16, 16))
+        oscillation_delta_sweep([0.05, 0.1, 0.2])
         assert len(coverage) == 1
 
     def test_ball_outside_domain_skipped(self):

@@ -240,9 +240,9 @@ class TestMaximalFunction:
         beta = Weight.power(0.3, 0.2, (-1.0, 1.0))  # heights beyond the grid too
         f = make_field(rng.standard_normal((20, 16)))
         xs = np.concatenate([rng.uniform(-1.0, 1.0, 9), [-1.0, 1.0, -1.3, 1.2]])
-        X = rng.choice(xs, 400)
-        T = rng.uniform(-1.2, 0.1, 400)
-        radii = default_radius_grid(f, n=6)
+        X = rng.choice(xs, 100)
+        T = rng.uniform(-1.2, 0.1, 100)
+        radii = default_radius_grid(f)
         (got,) = maximal_function_batch([f], beta, X, T, radii, window=window)
         assert np.array_equal(
             got, maximal_batch_reference(f, beta, X, T, radii, window))
@@ -320,18 +320,19 @@ class TestWeakOneOne:
         # a zero radius made 0/0 = NaN, and NaN > lambda let the audit pass
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.random.default_rng(3).random((8, 8)))
+        X, T = f.cell_centers()
         with pytest.raises(ValueError):
-            weak_1_1_audit([f], beta, [0.25, 1.0], radii=np.array([0.0]),
-                           budget=1e-9)
+            maximal_function_batch([f], beta, X, T, np.array([0.0]))
 
     def test_zero_height_rejected(self):
-        # the sampled weight has no mass left of x = 0, so the small
-        # cylinders centered there have zero height
+        # the sampled weight has no mass left of x = 0, so the cylinders of
+        # the smallest radius (two cells, 0.5) centered at x = -0.875 have
+        # zero height
         beta = Weight.sampled(np.ones(4), (0.0, 1.0))
         f = make_field(np.random.default_rng(3).random((8, 8)))
+        assert default_radius_grid(f)[0] == 0.5
         with pytest.raises(EmptyRegion):
-            weak_1_1_audit([f], beta, [0.25, 1.0], radii=np.array([0.1]),
-                           budget=1e-9)
+            weak_1_1_audit([f], beta, [0.25, 1.0], budget=1e-9)
 
 
 class TestVitali:
@@ -371,17 +372,18 @@ class TestVitali:
                        for j in fam.selected), f"cylinder {i} uncovered"
 
     @staticmethod
-    def uncovered_per_point(fam, beta, lattice=(7, 7)) -> int:
-        """Reference count: each lattice point of each cylinder against each
-        selected cylinder dilated to five times its radius, one at a time."""
+    def uncovered_per_point(fam, beta) -> int:
+        """Reference count: each point of a 7 x 7 lattice on each cylinder
+        against each selected cylinder dilated to five times its radius, one
+        at a time."""
         dilated = [WeightedCylinder(fam.cylinders[i].z0, 5.0 * fam.cylinders[i].r,
                                     beta, variant="C").region()
                    for i in fam.selected]
         count = 0
         for cyl in fam.cylinders:
             a, b, s, e = cyl.region()
-            for xx in np.linspace(a, b, lattice[0]):
-                for tt in np.linspace(s, e, lattice[1]):
+            for xx in np.linspace(a, b, 7):
+                for tt in np.linspace(s, e, 7):
                     count += not any(da <= xx <= db and ds <= tt <= de
                                      for da, db, ds, de in dilated)
         return count
@@ -412,8 +414,8 @@ class TestVitali:
         counts = []
         for sel in (fam.selected, fam.selected[::2], fam.selected[:1]):
             part = CoveringFamily(cyls, sel, [])
-            rep = five_rho_cover_audit(part, beta, lattice=(5, 6))
-            counts.append(self.uncovered_per_point(part, beta, (5, 6)))
+            rep = five_rho_cover_audit(part, beta)
+            counts.append(self.uncovered_per_point(part, beta))
             assert rep.rows[1].lhs == counts[-1]
         assert counts[0] == 0 < counts[1] < counts[2]
 

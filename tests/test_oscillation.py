@@ -34,9 +34,9 @@ def theta_beta_quadrature(profile, x0, r, n=200000):
     return float(np.sum((b - mean) ** 2 / b) * dx / mass)
 
 
-def theta_A(A_fun, beta, z0, r, mask, **kw):
+def theta_A(A_fun, beta, z0, r, mask):
     """theta_A_ms on the cylinder of beta's height h_{x0}(r)."""
-    return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r).item(), mask, **kw)
+    return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r).item(), mask)
 
 
 class TestThetaBeta:
@@ -96,9 +96,10 @@ class TestThetaA:
         def A(x, t):
             return np.where(x >= 0.0, 2.0, 1.0)
 
-        # symmetric ball: mean 1.5, squared deviation 0.25 everywhere
-        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK, n_space=34)
-        assert got == pytest.approx(0.25, rel=5e-2)
+        # symmetric ball, 33 space nodes: the middle one sits on x = 0, so
+        # 17 of them read 2 and 16 read 1, in every time slice
+        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
+        assert got == pytest.approx(17 * 16 / 33 ** 2, rel=1e-12)
 
     def test_time_shift_invariance(self):
         beta = Weight.constant(1.0, DOM)
@@ -126,9 +127,10 @@ class TestThetaA:
             theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
 
 
-def theta_A_per_node(A_fun, beta, z0, r, mask, n_space=33, n_time=17):
+def theta_A_per_node(A_fun, beta, z0, r, mask):
     """theta_A_ms as it was before the broadcasting call: one A_fun call per
-    node, one reduction per time slice. Kept as the exact reference."""
+    node (33 in space, 17 in time), one reduction per time slice. Kept as
+    the exact reference."""
     x0, t0 = z0[0][0], z0[1]
     x_lo, x_hi, t_lo, t_hi = mask
     a = max(x0 - r, x_lo)
@@ -138,8 +140,8 @@ def theta_A_per_node(A_fun, beta, z0, r, mask, n_space=33, n_time=17):
     s_hi = min(t0, t_hi)
     if a >= b or s_lo >= s_hi:
         raise EmptyRegion("cylinder does not meet the masked domain")
-    xs = a + (b - a) * (np.arange(n_space) + 0.5) / n_space
-    ts = s_lo + (s_hi - s_lo) * (np.arange(n_time) + 0.5) / n_time
+    xs = a + (b - a) * (np.arange(33) + 0.5) / 33
+    ts = s_lo + (s_hi - s_lo) * (np.arange(17) + 0.5) / 17
     total = 0.0
     for t in ts:
         vals = np.asarray([np.asarray(A_fun(x, t), dtype=float) for x in xs])
@@ -226,12 +228,13 @@ class TestSupremum:
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
     def test_monotone_under_lattice_refinement(self):
+        # the 17-centre lattice refines the 5-centre one (every fourth centre)
         beta = Weight.power(0.3, 0.17, DOM)
         cfg = OscillationConfig(R0=0.5, delta=1.0)
-        sup_c = oscillation_supremum(None, beta, cfg, MASK,
-                                     grid_points=np.linspace(-0.9, 0.9, 5)).rows[1].lhs
-        sup_f = oscillation_supremum(None, beta, cfg, MASK,
-                                     grid_points=np.linspace(-0.9, 0.9, 17)).rows[1].lhs
+        sup_f = oscillation_supremum(None, beta, cfg, MASK).rows[1].lhs
+        radii = cfg.radius_grid(2.0 * 2.0 / 16)
+        sup_c = math.sqrt(max(theta_beta_ms(beta, [x0], r)
+                              for x0 in np.linspace(-1.0, 1.0, 5) for r in radii))
         assert sup_f >= sup_c - 1e-15
 
     @pytest.mark.parametrize("make_beta", [
@@ -244,54 +247,54 @@ class TestSupremum:
         beta = make_beta()
         seen = []
 
-        def recorded(A_fun, z0, r, h, mask, **kw):
+        def recorded(A_fun, z0, r, h, mask):
             seen.extend(zip(np.ravel(z0[0]).tolist(), np.ravel(r).tolist(),
                             np.ravel(h).tolist()))
-            return theta_A_ms(A_fun, z0, r, h, mask, **kw)
+            return theta_A_ms(A_fun, z0, r, h, mask)
 
         monkeypatch.setattr(oscillation, "theta_A_ms", recorded)
         cfg = OscillationConfig(R0=0.5, delta=1.0)
-        oscillation_supremum(config_coefficient(), beta, cfg,
-                             (0.0, 1.0, 0.0, 0.25))
-        assert len(seen) == 17 * cfg.n_radii * 4
-        assert len({(x0, r) for x0, r, _ in seen}) == 17 * cfg.n_radii
+        rep = oscillation_supremum(config_coefficient(), beta, cfg,
+                                   (0.0, 1.0, 0.0, 0.25))
+        n_radii = rep.params["n_radii"]
+        assert n_radii == 24
+        assert len(seen) == 17 * n_radii * 4
+        assert len({(x0, r) for x0, r, _ in seen}) == 17 * n_radii
         for x0, r, h in seen:
             assert h == height(beta, x0, r).item()
 
-    @pytest.mark.parametrize("case, A_fun, centers", [
-        # centres near and beyond the mask's ends: clipped cylinders, and
-        # small balls that miss it entirely
-        ("clipped", config_coefficient(), [-0.95, -0.6, 0.0, 0.45, 0.9]),
+    @pytest.mark.parametrize("case, A_fun", [
+        # the config coefficient; the lattice runs to the mask's ends, so
+        # the balls there are clipped
+        ("clipped", config_coefficient()),
         # constant in time: the four time centres of a ball tie exactly
-        ("ties", lambda x, t: 1.0 + 0.3 * np.sin(5.0 * x) + 0.2 * x * x,
-         [-0.6, 0.1, 0.7]),
+        ("ties", lambda x, t: 1.0 + 0.3 * np.sin(5.0 * x) + 0.2 * x * x),
         # no oscillation at all: no worst cylinder
-        ("zero", lambda x, t: 1.5, [-0.5, 0.0, 0.5]),
+        ("zero", lambda x, t: 1.5),
     ])
-    def test_matrix_row_matches_per_cylinder_loop(self, case, A_fun, centers):
+    def test_matrix_row_matches_per_cylinder_loop(self, case, A_fun):
+        # per cylinder, theta_A_ms of one cylinder (which the per-node loop
+        # pins bit for bit in TestThetaAWholeArray)
         beta = Weight.power(0.2, 0.1, DOM)
-        cfg = OscillationConfig(R0=0.5, delta=1.0, n_radii=5)
+        cfg = OscillationConfig(R0=0.5, delta=1.0)
         mask = (-0.5, 0.5, -1.0, 0.0)
-        row = oscillation_supremum(A_fun, beta, cfg, mask,
-                                   grid_points=np.array(centers)).rows[0]
-        radii = cfg.radius_grid(2.0 * 1.0 / (len(centers) - 1))
+        row = oscillation_supremum(A_fun, beta, cfg, mask).rows[0]
+        centers = np.linspace(-0.5, 0.5, 17)
+        radii = cfg.radius_grid(2.0 * 1.0 / 16)
         t_lo, t_hi = mask[2:]
         t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
         best, worst, values = 0.0, None, []
         for x0 in centers:
             for r in radii:
                 for tc in t_centers:
-                    try:
-                        th = theta_A_per_node(A_fun, beta, ([x0], tc), r, mask)
-                    except EmptyRegion:
-                        continue
+                    th = theta_A(A_fun, beta, ([x0], tc), r, mask)
                     values.append(th)
                     if th > best:
                         best, worst = th, (float(x0), float(tc), float(r))
         assert row.lhs == math.sqrt(best)
         assert row.extra["worst"] == worst
-        if case == "clipped":
-            assert len(values) < len(centers) * radii.size * t_centers.size
+        # every cylinder meets the mask: its centre is inside it
+        assert len(values) == centers.size * radii.size * t_centers.size
         if case == "ties":
             assert values.count(best) == t_centers.size
             assert worst[1] == t_centers[0]

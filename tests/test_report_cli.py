@@ -52,6 +52,12 @@ class TestReportFormat:
         rep = AuditReport.from_rows("demo", rows)
         assert not rep.passed
 
+    def test_report_without_rows_fails(self):
+        # all([]) is True: a check that ran no row would pass
+        rep = AuditReport.from_rows("demo", [])
+        assert not rep.passed
+        assert json.loads(rep.to_json())["passed"] is False
+
     def test_empty_sweep_header_only_csv(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", ["m", "lhs", "rhs"], [])
         assert path.read_text() == "m,lhs,rhs\n"
@@ -293,6 +299,28 @@ class TestCliExits:
         assert "grid.nx must be an integer, got 16.7" in err
         assert "grid.nt must be an integer, got 100.5" in err
         assert "levels must be an integer, got 16.5" in err
+
+    @pytest.mark.parametrize("audits, message", [
+        # one level has no order of convergence: its report had no rows
+        ({"solve": {"levels": [16]}},
+         "audits.solve.levels must hold at least two strictly increasing "
+         "grid sizes, got [16]"),
+        ({"solve": {"levels": [64, 32]}},
+         "audits.solve.levels must hold at least two strictly increasing "
+         "grid sizes, got [64, 32]"),
+        ({"levelset": {"lambdas": [-1.0]}},
+         "each of audits.levelset.lambdas must satisfy lambdas > 0, got -1.0"),
+        # a unit cylinder of radius 0 has measure 0
+        ({"levelset": {"r_unit": 0.0}},
+         "audits.levelset.r_unit must satisfy r_unit > 0, got 0.0"),
+    ], ids=["levels-one", "levels-decreasing", "lambdas-negative", "r_unit-zero"])
+    def test_exit_two_on_degenerate_sweep(self, tmp_path, capsys, audits, message):
+        cfg = self.write_config(tmp_path, {"audits": audits})
+        out = tmp_path / "out"
+        assert main(["weights", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("group", ["solve", "audit", "levelset"])
     def test_exit_two_on_moved_domain(self, tmp_path, capsys, group):

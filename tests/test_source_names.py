@@ -1,12 +1,14 @@
-"""Every function and class defined in ``src/wparab`` is used there, and
-every parameter of every ``def`` there is read in its body.
+"""Every function and class defined in ``src/wparab`` is used there, every
+parameter of every ``def`` there is read in its body, and every default
+there is overridden by some call there.
 
 A definition whose name is never read in the package (as a name or an
 attribute) is a helper that only tests or outside tools call; a parameter
-its function never reads is an option that changes nothing. The few of
-either that are kept on purpose are listed with their reason; each test
-also fails when a listed one is used or removed, so the lists never go
-stale.
+its function never reads is an option that changes nothing; a default that
+no call in the package sets is an option that only tests or outside tools
+can choose, so the package runs one value of it. The few of each that are
+kept on purpose are listed with their reason; each test also fails when a
+listed one is used or removed, so the lists never go stale.
 """
 import ast
 from pathlib import Path
@@ -15,6 +17,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wparab"
 
 KEPT = {
     "geometry.height_inverse": "perfbench/layers.py wraps it by name",
+}
+
+DEFAULTS_KEPT = {
+    "cli.main.argv": "the console entry point calls main() without arguments",
+    "geometry.height_inverse.tol": "perfbench/layers.py wraps height_inverse by name",
 }
 
 UNREAD = {
@@ -75,3 +82,78 @@ def unread_parameters() -> set[str]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == set(UNREAD)
+
+
+def _name(func: ast.expr) -> str | None:
+    """The called name: ``f`` of ``f(...)`` and of ``obj.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def calls(tree: ast.AST, cls: str | None = None):
+    """(called name, call) of every call in ``tree``; ``cls(...)`` inside a
+    class calls that class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = _name(node.func)
+            yield (cls if name == "cls" else name), node
+        yield from calls(node, node.name if isinstance(node, ast.ClassDef) else cls)
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def defaults(trees: dict[str, ast.Module]):
+    """(qualified name, called name, parameter, position) of every default:
+    a ``def`` parameter with a default, and a public dataclass field with a
+    default. ``__init__`` and the fields are called by the class name; a
+    method's position does not count its receiver; a keyword-only parameter
+    has none."""
+    for module, tree in trees.items():
+        for qual, node in definitions(tree, module):
+            if isinstance(node, ast.ClassDef):
+                if is_dataclass(node):
+                    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                              and isinstance(s.target, ast.Name)]
+                    for i, f in enumerate(fields):
+                        name = f.target.id
+                        if f.value is not None and not name.startswith("_"):
+                            yield f"{qual}.{name}", node.name, name, i
+                continue
+            a = node.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+            skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+            called = qual.split(".")[-2] if node.name == "__init__" else node.name
+            first = len(positional) - len(a.defaults)
+            for i, p in enumerate(positional[first:], first):
+                yield f"{qual}.{p}", called, p, i - skip
+            for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    yield f"{qual}.{p.arg}", called, p.arg, None
+
+
+def sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, through ``**``, at its
+    position, or through a ``*`` at or before it."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and any(
+        i == position or isinstance(arg, ast.Starred)
+        for i, arg in enumerate(call.args[:position + 1]))
+
+
+def unset_defaults() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    by_name: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for name, call in calls(tree):
+            by_name.setdefault(name, []).append(call)
+    return {qual for qual, called, param, position in defaults(trees)
+            if not any(sets(c, param, position) for c in by_name.get(called, []))}
+
+
+def test_every_default_is_set_by_the_package():
+    assert unset_defaults() == set(DEFAULTS_KEPT)

@@ -21,6 +21,7 @@ from wparab.weights import (
     aq_characteristic,
     ball_grid,
     check_beta_condition,
+    default_gamma_candidates,
     doubling_eta,
     doubling_report,
     first_sup,
@@ -412,16 +413,16 @@ class TestReverseHolder:
     def test_identity_takes_largest_candidate(self):
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM, n_centers=5, n_radii=8)
-        cands = np.array([0.25, 0.5, 1.0, 2.0])
-        assert reverse_holder_gamma(w, fam, 1.0, cands) == 2.0
+        assert default_gamma_candidates(w).max() == 2.0
+        assert reverse_holder_gamma(w, fam, 1.0) == 2.0
 
     def test_power_half_against_antiderivative(self):
         # lhs(g) = ((1+a)/(1+a(1+g)))^{1/(1+g)} r^a vs budget * r^a/(1+a);
         # every candidate passes for budget 2 and a = 1/2 while integrable.
         w = Weight.power(0.5, 0.0, DOM)
         fam = BallFamily.centered(0.0, np.geomspace(0.1, 1.0, 8))
-        cands = np.geomspace(0.1, 2.0, 10)
-        got = reverse_holder_gamma(w, fam, 2.0, cands)
+        cands = default_gamma_candidates(w)
+        got = reverse_holder_gamma(w, fam, 2.0)
         a = 0.5
 
         def holds(g):
@@ -544,7 +545,7 @@ def recursive_cell_mean(fn, x0, x1, y0, y1, depth):
                    + recursive_cell_mean(fn, xm, x1, ym, y1, depth - 1))
 
 
-def recursive_samples(fn, domain, shape, singular, depth):
+def recursive_samples(fn, domain, shape, singular, depth=6):
     (x0, x1), (y0, y1) = domain
     ny, nx = shape
     xe = np.linspace(x0, x1, nx + 1)
@@ -552,9 +553,8 @@ def recursive_samples(fn, domain, shape, singular, depth):
     vals = np.empty((ny, nx))
     for j in range(ny):
         for i in range(nx):
-            near = singular is not None and (
-                abs(singular[0] - 0.5 * (xe[i] + xe[i + 1])) < 2 * (xe[1] - xe[0])
-                and abs(singular[1] - 0.5 * (ye[j] + ye[j + 1])) < 2 * (ye[1] - ye[0]))
+            near = (abs(singular[0] - 0.5 * (xe[i] + xe[i + 1])) < 2 * (xe[1] - xe[0])
+                    and abs(singular[1] - 0.5 * (ye[j] + ye[j + 1])) < 2 * (ye[1] - ye[0]))
             d = depth if near else 1
             vals[j, i] = recursive_cell_mean(fn, xe[i], xe[i + 1], ye[j], ye[j + 1], d)
     return vals
@@ -562,29 +562,28 @@ def recursive_samples(fn, domain, shape, singular, depth):
 
 class TestCellSampling2D:
     DOM2 = ((-1.0, 0.5), (-0.75, 1.0))
-    SING = (0.1, -0.2)
+    SING = (-0.8, -0.5)  # in the corner cell; 3 x 3 cells lie near it
+    FAR = (10.0, 10.0)  # no cell within two cells of it: nothing is refined
+    W = Weight.power(0.3, SING, DOM2)
 
     @staticmethod
     def fn(pts):
         # singular at SING and not symmetric in x and y
-        w = Weight.power(0.3, TestCellSampling2D.SING, TestCellSampling2D.DOM2)
+        w = TestCellSampling2D.W
         return w(pts) * (1.0 + 0.5 * pts[:, 0]) + 0.25 * pts[:, 1]
 
-    @pytest.mark.parametrize("singular", [None, SING])
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_batched_matches_recursive_bitwise(self, singular, depth):
+    @pytest.mark.parametrize("singular", [FAR, SING], ids=["far", "near"])
+    def test_batched_matches_recursive_bitwise(self, singular):
         shape = (5, 7)  # ny != nx catches a transposed index
-        w = Weight.from_function_2d(self.fn, self.DOM2, shape,
-                                    singular=singular, depth=depth)
-        ref = recursive_samples(self.fn, self.DOM2, shape, singular, depth)
+        w = Weight.from_function_2d(self.fn, self.DOM2, shape, singular)
+        ref = recursive_samples(self.fn, self.DOM2, shape, singular)
         assert w.samples.shape == shape
         assert np.array_equal(w.samples, ref)
 
     def test_refinement_changes_near_cells_only(self):
         shape = (5, 7)
-        plain = Weight.from_function_2d(self.fn, self.DOM2, shape)
-        refined = Weight.from_function_2d(self.fn, self.DOM2, shape,
-                                          singular=self.SING, depth=3)
+        plain = Weight.from_function_2d(self.fn, self.DOM2, shape, self.FAR)
+        refined = Weight.from_function_2d(self.fn, self.DOM2, shape, self.SING)
         changed = plain.samples != refined.samples
         assert changed.any() and not changed.all()
 
@@ -909,9 +908,9 @@ class TestFamilyKernelCalls:
 
     def test_reverse_holder_one_call_per_exponent(self, monkeypatch):
         fam = BallFamily.default(DOM)
-        cands = np.array([0.1, 0.5, 1.0, 2.0])
+        cands = default_gamma_candidates(self.W)
         calls = count_kernel_calls(monkeypatch)
-        reverse_holder_gamma(self.W, fam, 2.0, cands)
+        reverse_holder_gamma(self.W, fam, 2.0)
         assert len(calls) <= 1 + cands.size
         assert set(calls) == {288}
 
