@@ -90,7 +90,7 @@ _SLAB = 1e-10  # relative half-width of the analytic innermost slab
 
 
 def _graded_cells(a: float, b: float, singular: float | None) -> np.ndarray:
-    """48 cell edges on [a, b], geometrically graded toward a singular point.
+    """Edges of 48 cells on [a, b], geometrically graded toward a singular point.
 
     The slab (singular - eps, singular + eps) is excluded; its contribution
     is added in closed form by :func:`weighted_integral`.
