@@ -136,6 +136,11 @@ PARAMS: dict[str, dict[str, Param]] = {
 }
 
 
+# The keys a weight spec of each kind accepts: ``build_weight`` reads each.
+WEIGHT_KEYS = {"constant": {"kind", "value", "domain"},
+               "power": {"kind", "alpha", "center", "scale", "domain"},
+               "sampled": {"kind", "samples", "domain"}}
+
 # The root seed, from the config or from ``--seed``: numpy's generators
 # take only non-negative integers.
 SEED = Param("int", ge=0)
@@ -237,7 +242,12 @@ class ExperimentConfig:
 
     def build_weight(self) -> Weight:
         spec = self.weight_spec
+        if not isinstance(spec, dict):
+            raise ConfigError("weight must be an object")
         kind = spec.get("kind", "constant")
+        if kind not in tuple(WEIGHT_KEYS):  # a list or dict kind is unhashable
+            raise ConfigError(f"unknown weight kind {kind!r}")
+        _object(spec, WEIGHT_KEYS[kind], f"the {kind} weight")
         domain = spec.get("domain", [0.0, 1.0])
         try:
             if np.ndim(domain) > 1 and len(domain) != 1:  # every group is 1D
@@ -249,17 +259,11 @@ class ExperimentConfig:
                 return Weight.power(float(spec["alpha"]),
                                     spec.get("center", 0.5), domain,
                                     scale=float(spec.get("scale", 1.0)))
-            if kind == "sampled":
-                return Weight.sampled(np.asarray(spec["samples"], dtype=float),
-                                      domain,
-                                      quadrature=spec.get("quadrature", "midpoint"))
-        except ConfigError:
-            raise
+            return Weight.sampled(np.asarray(spec["samples"], dtype=float), domain)
         except KeyError as exc:
             raise ConfigError(f"weight spec missing key {exc}") from exc
         except (TypeError, ValueError, NonIntegrable) as exc:
             raise ConfigError(f"invalid weight spec: {exc}") from exc
-        raise ConfigError(f"unknown weight kind {kind!r}")
 
     def coefficient_fn(self):
         c = self.coefficient

@@ -112,7 +112,7 @@ def space_time_l2_error(u: SolutionField, exact) -> float:
     return math.sqrt(sum_in_order(np.sum(diff, axis=1) * grid.h * grid.tau))
 
 
-def convergence_study(beta: Weight, levels: list[int], t_final: float = 0.2
+def convergence_study(beta: Weight, levels: list[int], t_final: float
                       ) -> tuple[list[dict], list[SolutionField]]:
     """Dyadic refinement sweep with tau close to h^2.
 
@@ -154,15 +154,15 @@ def smooth_random_forcing(seed: int):
 
 
 def solve_driven(beta: Weight, forcing_fn, nx: int, nt: int, t_final: float,
-                 a_fun=None) -> SolutionField:
+                 a_fun) -> SolutionField:
     """Solve with zero initial data, forcing ``forcing_fn`` and conductivity
-    ``a_fun`` (unit by default) on the unit interval.
+    ``a_fun`` on the unit interval.
 
     Both callables must broadcast like numpy ufuncs over (x, t) arrays; see
     ``forcing_from_callable``.
     """
     grid = Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
-    A = CoefficientField.from_callable(a_fun or (lambda x, t: 1.0), grid)
+    A = CoefficientField.from_callable(a_fun, grid)
     F = forcing_from_callable(forcing_fn, grid)
     return solve_ivbp(beta, A, F, grid)
 

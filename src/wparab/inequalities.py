@@ -25,14 +25,7 @@ import numpy as np
 from .errors import EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
 from .solver import sum_in_order
-from .weights import (
-    _GL16_NODES,
-    _GL16_WEIGHTS,
-    BallFamily,
-    Weight,
-    aq_characteristic,
-    reverse_holder_gamma,
-)
+from .weights import BallFamily, Weight, aq_characteristic, reverse_holder_gamma
 
 
 @dataclass
@@ -87,6 +80,8 @@ class TestFunction:
 
 
 _SLAB = 1e-10  # relative half-width of the analytic innermost slab
+# 16-point Gauss-Legendre nodes and weights on [-1, 1], per graded cell
+_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _graded_cells(a: float, b: float, singular: float | None) -> np.ndarray:

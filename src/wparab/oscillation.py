@@ -143,25 +143,21 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask) -> A
     sup_b, k = first_sup(np.maximum(b * b_inv - 1.0, 0.0))
     worst_b = None if k is None else (float(grid_points[k // radii.size]),
                                       float(radii[k % radii.size]))
-    sup_a = 0.0
-    worst_a = None
     t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
-    if A_fun is not None:
-        # one height per (center, radius), shared by its time centres; the
-        # cylinders run centre-major, then radius, then time centre
-        centers, rs = ball_grid(grid_points[:, None], radii)
-        heights = height(beta, centers[:, 0], rs)
-        x0s = np.repeat(centers, t_centers.size, axis=0)
-        rs, heights = (np.repeat(v, t_centers.size) for v in (rs, heights))
-        tcs = np.tile(t_centers, len(centers))
-        th_a = np.concatenate([
-            theta_A_ms(A_fun, (x0s[i:i + CYLINDER_BLOCK], tcs[i:i + CYLINDER_BLOCK]),
-                       rs[i:i + CYLINDER_BLOCK], heights[i:i + CYLINDER_BLOCK], mask)
-            for i in range(0, tcs.size, CYLINDER_BLOCK)])
-        # cylinders that miss the mask hold NaN, which never wins
-        sup_a, k = first_sup(th_a)
-        if k is not None:
-            worst_a = (float(x0s[k, 0]), float(tcs[k]), float(rs[k]))
+    # one height per (center, radius), shared by its time centres; the
+    # cylinders run centre-major, then radius, then time centre
+    centers, rs = ball_grid(grid_points[:, None], radii)
+    heights = height(beta, centers[:, 0], rs)
+    x0s = np.repeat(centers, t_centers.size, axis=0)
+    rs, heights = (np.repeat(v, t_centers.size) for v in (rs, heights))
+    tcs = np.tile(t_centers, len(centers))
+    th_a = np.concatenate([
+        theta_A_ms(A_fun, (x0s[i:i + CYLINDER_BLOCK], tcs[i:i + CYLINDER_BLOCK]),
+                   rs[i:i + CYLINDER_BLOCK], heights[i:i + CYLINDER_BLOCK], mask)
+        for i in range(0, tcs.size, CYLINDER_BLOCK)])
+    # cylinders that miss the mask hold NaN, which never wins
+    sup_a, k = first_sup(th_a)
+    worst_a = None if k is None else (float(x0s[k, 0]), float(tcs[k]), float(rs[k]))
     theta_a = float(np.sqrt(sup_a))
     theta_b = float(np.sqrt(sup_b))
     total = theta_a + theta_b

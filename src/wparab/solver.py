@@ -480,7 +480,7 @@ def energy_audit(u: SolutionField, inner: WeightedCylinder,
                 "center": list(inner.z0.x), "t0": inner.z0.t})
 
 
-def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str = "interior",
+def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
                    budget: float = 100.0) -> AuditReport:
     """Mean-deviation control by the gradient, with the oscillation term.
 
@@ -564,7 +564,7 @@ def _interp_solution(u: SolutionField):
 
 
 def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
-                   nx_local: int = 24, nt_local: int = 24) -> AuditReport:
+                   nx_local: int, nt_local: int) -> AuditReport:
     """Gradient gap between u and its frozen-coefficient companion.
 
     Normalizes u so the mean-square gradient over the 4r cylinder is one,

@@ -1,7 +1,7 @@
 """Muckenhoupt weight machinery.
 
 A weight w >= 0 is either an analytic power profile w(x) = s*|x - c|^alpha
-or a grid of samples with a declared quadrature rule. The central quantity
+or its values on the cells of a uniform grid. The central quantity
 is the A_q characteristic
 
     [w]_{A_q} = sup_B (w)_B ((w^{-1/(q-1)})_B)^{q-1},     q > 1,
@@ -50,17 +50,14 @@ def power_interval_integral(a, b, c: float, q: float):
     return _power_antideriv(np.asarray(b) - c, q) - _power_antideriv(np.asarray(a) - c, q)
 
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 @dataclass
 class Weight:
     """A non-negative spatial weight on an interval or box domain.
 
     kind='power'   : w(x) = scale * |x - center|^alpha, analytic quadrature;
                      the profile extends beyond the stated domain.
-    kind='sampled' : cell values (midpoint rule) or node values (trapezoid
-                     rule) on a uniform grid over the domain; zero outside.
+    kind='sampled' : cell values on a uniform grid over the domain, a
+                     step function (midpoint rule); zero outside.
 
     Every 1D mass goes through :meth:`mass_1d_vec`, which reads a sampled
     weight's masses from one table per exponent (:meth:`_cum_1d`). A 2D
@@ -74,7 +71,6 @@ class Weight:
     center: tuple[float, ...] = ()
     scale: float = 1.0
     samples: np.ndarray | None = None
-    quadrature: str = "analytic"
     _cum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -99,23 +95,16 @@ class Weight:
         else:
             if self.samples is None:
                 raise ValueError("sampled weight requires samples")
-            if self.quadrature not in ("midpoint", "trapezoid"):
-                raise ValueError(f"unknown quadrature {self.quadrature!r}")
-            if self.samples.size < (2 if self.quadrature == "trapezoid" else 1):
-                raise ValueError(f"{self.quadrature} weight has too few samples "
-                                 "(trapezoid needs two nodes, midpoint one cell)")
+            if self.samples.size == 0:
+                raise ValueError("a sampled weight needs at least one cell value")
             if not np.all(np.isfinite(self.samples)):
                 raise ValueError("sample values must be finite (no NaN or inf)")
             if np.any(self.samples < SAMPLE_FLOOR):
                 raise ValueError(
                     f"sample values below {SAMPLE_FLOOR} are rejected: "
                     "reciprocal powers would overflow")
-            if self.n == 1:
-                want = self.samples.ndim == 1
-            else:
-                want = self.samples.ndim == self.n and self.quadrature == "midpoint"
-            if not want:
-                raise ValueError("sample array shape incompatible with domain/rule")
+            if self.samples.ndim != self.n:
+                raise ValueError("sample array shape incompatible with domain")
 
     # -- constructors ------------------------------------------------------
 
@@ -132,9 +121,9 @@ class Weight:
         return cls(kind="power", domain=domain, alpha=0.0, center=center, scale=value)
 
     @classmethod
-    def sampled(cls, values, domain, quadrature: str = "midpoint") -> "Weight":
+    def sampled(cls, values, domain) -> "Weight":
         return cls(kind="sampled", domain=_as_domain(domain),
-                   samples=np.asarray(values, dtype=float), quadrature=quadrature)
+                   samples=np.asarray(values, dtype=float))
 
     @classmethod
     def from_function_2d(cls, fn, domain, shape: tuple[int, int],
@@ -188,11 +177,9 @@ class Weight:
                              "means over balls (Weight.means)")
         (lo, hi), = self.domain
         xx = np.atleast_1d(x)
-        if self.quadrature == "midpoint":  # the mass table's cell, hi in the last
-            idx = _locate(np.minimum(np.maximum(xx, lo), hi), self._cum_1d(1.0)[0])
-            vals = self.samples.take(idx, mode="clip")
-        else:
-            vals = np.interp(xx, np.linspace(lo, hi, self.samples.size), self.samples)
+        # the mass table's cell, hi in the last
+        idx = _locate(np.minimum(np.maximum(xx, lo), hi), self._cum_1d(1.0)[0])
+        vals = self.samples.take(idx, mode="clip")
         return np.where((xx >= lo) & (xx <= hi), vals, 0.0).reshape(np.shape(x))
 
     def check_power_integrable(self, p: float) -> None:
@@ -203,61 +190,17 @@ class Weight:
     # -- 1D mass machinery ---------------------------------------------------
 
     def _cum_1d(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid, masses ``cum[k]`` of w^p over [lo, grid[k]], and slopes of
-        the table the rule interpolates: cell edges, ``samples ** p * dx``
-        sums and the slopes of ``cum`` (midpoint rule); nodes, GL16 sums of
-        the full cells and the slopes of w itself (trapezoid rule)."""
+        """Cell edges, masses ``cum[k]`` of w^p over [lo, edges[k]] (sums of
+        ``samples ** p * dx``) and the slopes of ``cum``."""
         key = ("cum", p)
         if key not in self._cum_cache:
             (lo, hi), = self.domain
-            if self.quadrature == "midpoint":
-                nc = self.samples.size
-                grid = np.linspace(lo, hi, nc + 1)
-                dx = (hi - lo) / nc
-                cum = np.concatenate([[0.0], np.cumsum(self.samples ** p * dx)])
-                slopes = _slopes(grid, cum)
-            else:
-                grid = np.linspace(lo, hi, self.samples.size)
-                slopes = _slopes(grid, self.samples)
-                full = self._gl16(p, grid[:-1], grid[1:], np.arange(grid.size - 1),
-                                  grid, slopes)
-                cum = np.concatenate([[0.0], np.cumsum(full)])
-            self._cum_cache[key] = (grid, cum, slopes)
+            nc = self.samples.size
+            edges = np.linspace(lo, hi, nc + 1)
+            dx = (hi - lo) / nc
+            cum = np.concatenate([[0.0], np.cumsum(self.samples ** p * dx)])
+            self._cum_cache[key] = (edges, cum, _slopes(edges, cum))
         return self._cum_cache[key]
-
-    def _gl16(self, p: float, aa: np.ndarray, bb: np.ndarray, cell: np.ndarray,
-              nodes: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """GL16 integrals of (linearly interpolated w)^p over each [aa, bb]
-        inside the cell [nodes[cell], nodes[cell + 1]], read once per
-        interval; an abscissa rounded onto or past an edge of that cell goes
-        to :func:`_interp_uniform`, so every value keeps its bits."""
-        mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
-        xq = mid[:, None] + half[:, None] * _GL16_NODES
-        left = nodes.take(cell)[:, None]
-        lin = xq - left
-        lin *= slopes.take(cell)[:, None]
-        lin += self.samples.take(cell)[:, None]
-        # a cell past the last node (an empty interval above the domain) has
-        # no right edge: every abscissa of it is off
-        off = (xq < left) | (xq >= nodes.take(cell + 1, mode="clip")[:, None])
-        if off.any():
-            lin[off] = _interp_uniform(xq[off], nodes, self.samples, slopes)
-        return half * np.sum(_GL16_WEIGHTS * lin ** p, axis=-1)
-
-    def _trapezoid_masses(self, p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Masses of w^p over [a, b] inside the domain (trapezoid rule): one
-        GL16 integral for an interval inside one cell, else GL16 over its
-        part of the first cell, plus ``cum[i1] - cum[i0 + 1]`` for the full
-        cells between, plus GL16 over its part of the last cell."""
-        nodes, cum, slopes = self._cum_1d(p)
-        i0 = np.minimum(_locate(a, nodes), nodes.size - 2)
-        # the cell left of b, so that a b on a node ends the cell before it
-        i1 = _locate(b, nodes)
-        i1 = np.maximum(i1 - (b == nodes[i1]), 0)
-        first = self._gl16(p, a, np.minimum(b, nodes[i0 + 1]), i0, nodes, slopes)
-        last = self._gl16(p, np.maximum(a, nodes[i1]), b, i1, nodes, slopes)
-        total = np.where(i1 > i0, first + (cum[i1] - cum[i0 + 1]) + last, first)
-        return np.where(a >= b, 0.0, total)
 
     def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray,
                     clip: bool = True) -> np.ndarray:
@@ -277,12 +220,10 @@ class Weight:
         if self.kind == "power":
             out = (self.scale ** p
                    * power_interval_integral(a, b, self.center[0], p * self.alpha))
-        elif self.quadrature == "midpoint":
+        else:
             edges, cum, slopes = self._cum_1d(p)
             ends = _interp_uniform(np.stack((a, b)), edges, cum, slopes)
             out = ends[1] - ends[0]
-        else:
-            out = self._trapezoid_masses(p, a, b)
         return out.reshape(shape)
 
     # -- ball means ----------------------------------------------------------

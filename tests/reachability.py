@@ -5,16 +5,22 @@ Runs ``run_experiment`` on every bundled config and every config in
 statement of the package that none of the runs reached, as
 ``module.py:line: source``. ``os.fork`` is removed for the duration, so the
 CSV dump and the flatten group run inline (``cli.Forked``'s fallback) and
-are traced too. The four traced runs take about 5 s on a 2-vCPU VM.
+are traced too. The three traced runs take about 5 s on a 2-vCPU VM.
 
 This is a tool, not a test (pytest does not collect it):
 
     python tests/reachability.py [CONFIG.json ...]
+
+``tests/unreached.txt`` holds its output for the default configs without
+the line numbers; ``tests/test_reachability.py`` keeps the two equal through
+:func:`record`, which the tests call in a fresh interpreter, so that the
+package's import is traced too.
 """
 from __future__ import annotations
 
 import ast
 import contextlib
+import json
 import os
 import sys
 import tempfile
@@ -47,9 +53,12 @@ def statement_lines(path: Path) -> dict[int, range]:
     return out
 
 
-def trace_runs(configs) -> dict[str, set[int]]:
-    """Executed lines per file of ``src/wparab`` over one run per config."""
+def trace_runs(configs, out_root: Path) -> tuple[dict[str, set[int]], dict[str, int]]:
+    """Executed lines per file of ``src/wparab`` over one run per config,
+    and each run's exit code by config name; a run writes to
+    ``out_root/<config name>``."""
     seen: dict[str, set[int]] = {}
+    codes: dict[str, int] = {}
     prefix = str(SRC)
 
     def local(frame, event, arg):
@@ -71,29 +80,45 @@ def trace_runs(configs) -> dict[str, set[int]]:
         from wparab.cli import run_experiment
 
         for config in configs:
-            with (tempfile.TemporaryDirectory() as tmp,
-                  contextlib.redirect_stdout(sys.stderr)):
-                code = run_experiment(str(config), tmp)
-            print(f"# {Path(config).name}: exit {code}", file=sys.stderr)
+            with contextlib.redirect_stdout(sys.stderr):
+                codes[config.stem] = run_experiment(str(config), str(out_root / config.stem))
+            print(f"# {config.name}: exit {codes[config.stem]}", file=sys.stderr)
     finally:
         sys.settrace(None)
         if fork is not None:
             os.fork = fork
-    return seen
+    return seen, codes
 
 
-def main(argv: list[str]) -> int:
-    configs = [Path(a) for a in argv] or CONFIGS
-    seen = trace_runs(configs)
-    missed = 0
+def unreached(seen: dict[str, set[int]]) -> list[tuple[str, int, str]]:
+    """``(module.py, line, source)`` of every statement of ``src/wparab``
+    whose lines are not in ``seen``, in file and line order."""
+    out = []
     for path in sorted(SRC.glob("*.py")):
         lines = seen.get(str(path), set())
         source = path.read_text().splitlines()
         for first, span in sorted(statement_lines(path).items()):
             if not lines.intersection(span):
-                missed += 1
-                print(f"{path.name}:{first}: {source[first - 1].strip()}")
-    print(f"# {missed} statements not executed", file=sys.stderr)
+                out.append((path.name, first, source[first - 1].strip()))
+    return out
+
+
+def record(out_root: str) -> None:
+    """Trace one run per default config into ``out_root/<config name>`` and
+    write the exit codes and the unreached statements to
+    ``out_root/traced.json``."""
+    seen, codes = trace_runs(CONFIGS, Path(out_root))
+    (Path(out_root) / "traced.json").write_text(
+        json.dumps({"exit": codes, "unreached": unreached(seen)}))
+
+
+def main(argv: list[str]) -> int:
+    configs = [Path(a) for a in argv] or CONFIGS
+    with tempfile.TemporaryDirectory() as tmp:
+        missed = unreached(trace_runs(configs, Path(tmp))[0])
+    for name, line, text in missed:
+        print(f"{name}:{line}: {text}")
+    print(f"# {len(missed)} statements not executed", file=sys.stderr)
     return 0
 
 

@@ -173,7 +173,7 @@ class TestAcceptance:
             for nx in (32, 64, 128):
                 nt = max(int(round(0.25 * nx * nx)), 4)
                 sols[nx] = solve_driven(beta, forcing, nx=nx, nt=nt,
-                                        t_final=0.25)
+                                        t_final=0.25, a_fun=lambda x, t: 1.0)
             for p in (2.0, 4.0):
                 ratios = [apriori_ratio(sols[nx], p).ratio
                           for nx in (32, 64, 128)]
@@ -183,8 +183,9 @@ class TestAcceptance:
                     ok = ok and spread < 0.10 and bounded
                 else:
                     # the p = 4 row binds only when the smallness gate holds
+                    # for the unit conductivity of the solves
                     gate = oscillation_supremum(
-                        None, beta, OscillationConfig(R0=0.5, delta=0.25),
+                        lambda x, t: 1.0, beta, OscillationConfig(R0=0.5, delta=0.25),
                         (0.0, 1.0, 0.0, 0.25))
                     if gate.passed:
                         ok = ok and spread < 0.10 and bounded
@@ -279,18 +280,18 @@ class TestAcceptance:
                f"b-exponent={slope_b:.2f} osc-exponent={slope_o:.2f} "
                f"elapsed={elapsed:.1f}s")
 
-    def test_10_determinism(self, tmp_path):
-        # run a against the committed goldens, run b byte-for-byte against a
+    def test_10_determinism(self, traced_golden_runs, tmp_path):
+        # run a against the committed goldens, run b byte-for-byte against a;
+        # run a is the traced, fork-free run that the reachability test reads
+        traced, record = traced_golden_runs
         start = time.time()
         ok = True
         drift: list[str] = []
         for config in GOLDEN_CONFIGS:
-            outs = []
-            for tag in ("a", "b"):
-                out = tmp_path / f"{config}_{tag}"
-                code = run_experiment(str(config_path(config)), str(out))
-                ok = ok and code == 0
-                outs.append(out)
+            outs = [traced / config, tmp_path / config]
+            ok = ok and record["exit"][config] == 0
+            code = run_experiment(str(config_path(config)), str(outs[1]))
+            ok = ok and code == 0
             drift += compare_to_golden(outs[0], config)
             files_a = sorted(p.name for p in outs[0].iterdir())
             files_b = sorted(p.name for p in outs[1].iterdir())

@@ -75,9 +75,7 @@ class TestHeights:
     def test_broadcasts_and_zero_at_nonpositive_radius(self):
         # each element carries the bits of its own one-point call
         for w in (Weight.power(0.3, 0.1, DOM),
-                  Weight.sampled(0.5 + np.random.default_rng(3).random(48), DOM),
-                  Weight.sampled(0.5 + np.random.default_rng(4).random(17), DOM,
-                                 "trapezoid")):
+                  Weight.sampled(0.5 + np.random.default_rng(3).random(48), DOM)):
             x0 = np.array([[-0.4], [0.2], [0.9]])
             r = np.array([-0.1, 0.0, 0.05, 0.7])
             got = height(w, x0, r)
@@ -168,8 +166,6 @@ class TestBlockedBisection:
         "constant": Weight.constant(2.5, DOM),
         "sampled": Weight.sampled(
             np.random.default_rng(3).lognormal(0.0, 0.5, 256), DOM),
-        "trapezoid": Weight.sampled(
-            np.random.default_rng(4).lognormal(0.0, 0.5, 65), DOM, "trapezoid"),
         "singular": Weight.power(-0.5, SINGULAR_CENTRE, DOM),
         "alternating": Weight.sampled(np.tile([1e-6, 1e3], 32), DOM),
     }

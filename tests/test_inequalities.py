@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from wparab.errors import EmptyBall, GateFailed
 from wparab.inequalities import (
+    _GL16_NODES,
+    _GL16_WEIGHTS,
     _SLAB,
     SpaceTimeTestFunction,
     TestFunction,
@@ -16,7 +18,7 @@ from wparab.inequalities import (
     weighted_integral,
     weighted_lq_control_audit,
 )
-from wparab.weights import _GL16_NODES, _GL16_WEIGHTS, BallFamily, Weight
+from wparab.weights import BallFamily, Weight
 
 DOM = (-1.0, 1.0)
 M0 = 10.0  # A_q budget of the lq-control gate

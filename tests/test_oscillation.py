@@ -55,9 +55,10 @@ class TestThetaBeta:
     def test_linear_perturbation_quadratic_order(self):
         # b = 1 + eps*x: theta ~ (eps*r)^2/3 to leading order
         r = 1.0
+        x = np.linspace(-1.0, 1.0, 4097)
+        mid = 0.5 * (x[:-1] + x[1:])
         for eps in (1e-2, 1e-3):
-            nodes = np.linspace(1.0 - eps, 1.0 + eps, 4097)
-            w = Weight.sampled(nodes, DOM, quadrature="trapezoid")
+            w = Weight.sampled(1.0 + eps * mid, DOM)  # cell values of 1 + eps*x
             got = theta_beta_ms(w, [0.0], r)
             assert got == pytest.approx(eps ** 2 * r ** 2 / 3.0, rel=2e-2)
 
@@ -222,7 +223,7 @@ class TestSupremum:
         sups = []
         for alpha in (0.4, 0.2, 0.1, 0.05):
             beta = Weight.power(alpha, 0.0, DOM)
-            rep = oscillation_supremum(None, beta, cfg, MASK)
+            rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK)
             row = next(r for r in rep.rows if r.label == "weight-mean-oscillation")
             sups.append(row.lhs)
         assert all(b < a for a, b in zip(sups, sups[1:]))
@@ -231,7 +232,7 @@ class TestSupremum:
         # the 17-centre lattice refines the 5-centre one (every fourth centre)
         beta = Weight.power(0.3, 0.17, DOM)
         cfg = OscillationConfig(R0=0.5, delta=1.0)
-        sup_f = oscillation_supremum(None, beta, cfg, MASK).rows[1].lhs
+        sup_f = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK).rows[1].lhs
         radii = cfg.radius_grid(2.0 * 2.0 / 16)
         sup_c = math.sqrt(max(theta_beta_ms(beta, [x0], r)
                               for x0 in np.linspace(-1.0, 1.0, 5) for r in radii))
@@ -325,7 +326,7 @@ class TestSupremum:
         # the lattice evaluated at once against the per-ball loop it
         # replaced: first maximal ball kept, no worst ball at zero
         cfg = OscillationConfig(R0=0.5, delta=1.0)
-        row = oscillation_supremum(None, beta, cfg, MASK).rows[1]
+        row = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK).rows[1]
         radii = cfg.radius_grid(2.0 * 2.0 / 16)
         best, worst = 0.0, None
         for x0 in np.linspace(-1.0, 1.0, 17):

@@ -262,8 +262,12 @@ class TestCliExits:
                 {"seed": 2.5},
                 {"seed": True},
                 {"weight": {"kind": "power", "alpha": -1.5, "domain": [0.0, 1.0]}},
-                {"weight": {"kind": "sampled", "quadrature": "trapezoid",
-                            "domain": [0.0, 1.0], "samples": [1.0]}},
+                {"weight": {"kind": "sampled", "domain": [0.0, 1.0], "samples": []}},
+                # a weight key its kind does not read
+                {"weight": {"kind": "power", "alpha": 0.2, "centre": 0.3}},
+                {"weight": {"kind": "constant", "value": 2.0, "alpha": 0.7}},
+                {"weight": {"kind": "sampled", "quadrature": "midpoint",
+                            "domain": [0.0, 1.0], "samples": [1.0, 2.0]}},
                 {"weight": {"kind": "sampled", "domain": [0.0, 1.0],
                             "samples": [1.0, "NaN", 2.0, 1.0]},
                  "selection": ["weights", "geometry"]},
@@ -289,7 +293,10 @@ class TestCliExits:
         assert "seed must be an integer, got True" in err
         assert "--seed must satisfy --seed >= 0, got -1" in err
         assert "invalid weight spec: alpha = -1.5" in err
-        assert "invalid weight spec: trapezoid weight has too few samples" in err
+        assert "invalid weight spec: a sampled weight needs at least one cell value" in err
+        assert "unknown key(s) ['centre'] in the power weight" in err
+        assert "unknown key(s) ['alpha'] in the constant weight" in err
+        assert "unknown key(s) ['quadrature'] in the sampled weight" in err
         assert "invalid weight spec: sample values must be finite" in err
         assert err.count("invalid weight spec: domain must be one interval "
                          "[lo, hi], got 2 axes") == 2

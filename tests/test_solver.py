@@ -432,7 +432,7 @@ class TestPoincare:
         for nx in (32, 64):
             u, _ = make_manufactured(nx=nx, nt=nx * nx // 4)
             cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.25, BETA1)
-            consts.append(poincare_audit(u, cyl).rows[0].constant)
+            consts.append(poincare_audit(u, cyl, variant="interior").rows[0].constant)
         assert consts[0] == pytest.approx(consts[1], rel=0.2)
 
     def test_boundary_variant_zero_trace(self):
@@ -452,7 +452,7 @@ class TestPoincare:
         u = solve_ivbp(beta, A, F, grid, initial=np.sin(math.pi * grid.x))
         cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, beta)
         with pytest.raises(GateFailed):
-            poincare_audit(u, cyl, budget=100.0)
+            poincare_audit(u, cyl, variant="interior", budget=100.0)
 
 
 class TestLipschitz:
@@ -516,7 +516,7 @@ class TestFreezeCompare:
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
         cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
-        rep = freeze_compare(u, lambda x, t: 1.0, cyl)
+        rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
         assert rep.rows[0].lhs < 0.05
         assert rep.rows[0].extra["forcing_ms"] == 0.0
 
@@ -530,7 +530,7 @@ class TestFreezeCompare:
                 lambda x, t, a=f_amp: a * np.sin(2 * math.pi * x), grid)
             u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
             cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
-            gaps.append(freeze_compare(u, lambda x, t: 1.0, cyl).rows[0].lhs)
+            gaps.append(freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4).rows[0].lhs)
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_zero_gradient_trivial_pass(self):
@@ -539,7 +539,7 @@ class TestFreezeCompare:
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid)
         cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.2), 0.04, BETA1)
-        rep = freeze_compare(u, lambda x, t: 1.0, cyl)
+        rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
         assert rep.passed
         assert rep.rows[0].lhs == 0.0
 
@@ -555,7 +555,7 @@ class TestAprioriRatio:
 
     def test_ratio_scale_invariant(self):
         u = solve_driven(BETA1, smooth_random_forcing(3), nx=48, nt=48,
-                         t_final=0.25)
+                         t_final=0.25, a_fun=lambda x, t: 1.0)
         r1 = apriori_ratio(u, 2.0).ratio
         r2 = apriori_ratio(u.scaled(11.0), 2.0).ratio
         # forcing scales with the solution, so the ratio is unchanged
@@ -565,7 +565,7 @@ class TestAprioriRatio:
         ratios = []
         for nx in (32, 64, 128):
             u = solve_driven(BETA1, smooth_random_forcing(3), nx=nx, nt=nx,
-                             t_final=0.25)
+                             t_final=0.25, a_fun=lambda x, t: 1.0)
             ratios.append(apriori_ratio(u, 2.0).ratio)
         spread = (max(ratios) - min(ratios)) / min(ratios)
         assert spread < 0.10, ratios
@@ -576,7 +576,7 @@ class TestAprioriRatio:
         # gradient norm never exceeds ||F|| / nu
         for beta in (BETA1, BETA_POW):
             u = solve_driven(beta, smooth_random_forcing(5), nx=64, nt=256,
-                             t_final=0.25)
+                             t_final=0.25, a_fun=lambda x, t: 1.0)
             rep = apriori_ratio(u, 2.0)
             assert rep.grad_norm <= rep.forcing_norm / u.A.nu * (1 + 1e-10)
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from wparab.errors import EmptyBall, EmptyRegion, NonIntegrable
 from wparab.geometry import estimate_quasi_params
 from wparab.weights import (
     COVERAGE_BLOCK,
-    _GL16_NODES,
-    _GL16_WEIGHTS,
     BallFamily,
     Weight,
     _coverage,
@@ -77,12 +74,6 @@ class TestBallAverage:
         ref = (0.25 * 1.0 + 0.5 * 2.0 + 0.25 * 4.0) / 1.0
         assert got == pytest.approx(ref, rel=1e-14)
 
-    def test_sampled_trapezoid_linear_exact(self):
-        nodes = np.linspace(1.0, 3.0, 9)  # linear profile 2 + x on (-1, 1)
-        w = Weight.sampled(nodes, DOM, quadrature="trapezoid")
-        got = w.mean(1.0, 0.0, 1.0)
-        assert got == pytest.approx(2.0, rel=1e-12)
-
 
 
 def lookup_probes(edges: np.ndarray, rng) -> np.ndarray:
@@ -92,6 +83,12 @@ def lookup_probes(edges: np.ndarray, rng) -> np.ndarray:
     return np.concatenate([rng.uniform(lo, hi, 500), edges,
                            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                            [lo, hi]])
+
+
+# a 1D weight of each kind
+ONE_D_WEIGHTS = pytest.mark.parametrize("w", [
+    Weight.power(0.4, 0.1, DOM), Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)],
+    ids=["power", "midpoint"])
 
 
 class TestCumulativeLookup:
@@ -134,19 +131,14 @@ class TestCumulativeLookup:
         b = np.array([5.0, 1.0, 0.5, 2.0, 4.0, -0.5])
         assert np.array_equal(w.mass_1d_vec(1.0, a, b), [cum[-1], cum[-1], 0, 0, 0, 0])
 
-    @pytest.mark.parametrize("quadrature", ["midpoint", "trapezoid"])
-    def test_nan_endpoint_gives_nan(self, quadrature):
-        # as np.interp and the per-interval loop did, rather than a bad index
-        w = Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM, quadrature=quadrature)
+    @ONE_D_WEIGHTS
+    def test_nan_endpoint_gives_nan(self, w):
+        # as np.interp did, rather than a bad index
         out = w.mass_1d_vec(1.0, np.array([-0.5, np.nan, 0.2]),
                             np.array([0.5, 0.6, np.nan]))
         assert out[0] > 0.0 and np.isnan(out[1:]).all()
 
-    @pytest.mark.parametrize("w", [
-        Weight.power(0.4, 0.1, DOM),
-        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM),
-        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM, quadrature="trapezoid")],
-        ids=["power", "midpoint", "trapezoid"])
+    @ONE_D_WEIGHTS
     def test_scalar_endpoints_match_one_element_call(self, w):
         for a, b in ((-0.7, 0.3), (-3.0, 5.0), (0.2, 0.2), (0.9, -0.5)):
             for clip in (True, False):
@@ -156,148 +148,6 @@ class TestCumulativeLookup:
                 assert np.asarray(got).tobytes() == ref.tobytes()
         # the result takes the broadcast shape of (a, b)
         assert w.mass_1d_vec(1.0, -0.5, np.array([[0.0], [0.5]])).shape == (2, 1)
-
-
-def trapezoid_mass_reference(w: Weight, p: float, a: float, b: float) -> float:
-    """Reference for the trapezoid-rule masses: the per-interval loop over
-    every cell, with ``np.interp`` at the GL16 nodes of each overlap."""
-    (lo, hi), = w.domain
-    a, b = max(a, lo), min(b, hi)
-    nodes = np.linspace(lo, hi, w.samples.size)
-    total = 0.0
-    for i in range(w.samples.size - 1):
-        aa, bb = max(a, nodes[i]), min(b, nodes[i + 1])
-        if aa >= bb:
-            continue
-        mid, half = 0.5 * (aa + bb), 0.5 * (bb - aa)
-        lin = np.interp(mid + half * _GL16_NODES, nodes, w.samples)
-        total += half * float(np.sum(_GL16_WEIGHTS * lin ** p))
-    return total
-
-
-def trapezoid_tolerance(w: Weight, p: float, a: float, b: float) -> float:
-    """Allowed gap between a trapezoid mass and the per-interval loop.
-
-    Zero for an interval inside one cell, degenerate, outside the domain or
-    with a NaN endpoint: the kernel takes those from one GL16 integral, as
-    the loop does. An interval with a node strictly inside it adds its full
-    cells as ``cum[i1] - cum[i0 + 1]``, with ``cum[i1]`` the mass over
-    [lo, last node inside]; the rounding of those two table values plus
-    that of the loop's sequential sum stays within 4 eps cum[i1].
-    """
-    (lo, hi), = w.domain
-    a, b = max(a, lo), min(b, hi)
-    nodes = np.linspace(lo, hi, w.samples.size)
-    inner = nodes[(nodes > a) & (nodes < b)]
-    if inner.size == 0:
-        return 0.0
-    return 4.0 * np.finfo(float).eps * trapezoid_mass_reference(w, p, lo, inner[-1])
-
-
-def trapezoid_exact_mass(w: Weight, p: int, a: float, b: float) -> Fraction:
-    """Closed-form integral of the p-th power (p = 1 or 2) of the linear
-    interpolant of the nodes over [a, b] inside the domain, in rational
-    arithmetic: the integral of a linear f over [u, v] is
-    (v - u)(f(u) + f(v))/2, and that of f^2 is (v - u)(f(u)^2 + f(u) f(v)
-    + f(v)^2)/3."""
-    (lo, hi), = w.domain
-    nodes = [Fraction(x) for x in np.linspace(lo, hi, w.samples.size)]
-    ys = [Fraction(y) for y in w.samples]
-    a, b = Fraction(max(a, lo)), Fraction(min(b, hi))
-    total = Fraction(0)
-    for x0, x1, y0, y1 in zip(nodes, nodes[1:], ys, ys[1:]):
-        u, v = max(a, x0), min(b, x1)
-        if u >= v:
-            continue
-        fu, fv = (y0 + (y1 - y0) * (z - x0) / (x1 - x0) for z in (u, v))
-        total += (v - u) * ((fu + fv) / 2 if p == 1 else (fu * fu + fu * fv + fv * fv) / 3)
-    return total
-
-
-class TestTrapezoidMasses:
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("n_nodes", [2, 3, 65])
-    def test_same_bits_as_per_interval_loop(self, p, n_nodes):
-        """Bit for bit where the kernel takes one GL16 integral, and within
-        :func:`trapezoid_tolerance` where it reads the cumulative table."""
-        rng = np.random.default_rng(n_nodes)
-        domain = (-0.3, 1.9)
-        w = Weight.sampled(rng.lognormal(0.0, 1.0, n_nodes), domain,
-                           quadrature="trapezoid")
-        nodes = np.linspace(*domain, n_nodes)
-        width = domain[1] - domain[0]
-        a_rand = rng.uniform(domain[0] - 0.2 * width, domain[1], 300)
-        a = np.concatenate([
-            a_rand,                     # partial cells, spans of full cells
-            nodes, nodes,               # intervals starting on a node
-            [domain[0] - 1.0, domain[1] + 0.5, domain[0] - 2.0],  # outside
-            [0.4, 0.4, domain[0]],      # degenerate: a == b, a > b, a == b == lo
-            [np.nan, 0.2, np.nan],      # NaN endpoints
-        ])
-        b = np.concatenate([
-            a_rand + rng.uniform(0.0, 0.8 * width, 300),
-            np.roll(nodes, -1), nodes + 0.37 * width,
-            [domain[1] + 1.0, domain[1] + 0.7, domain[0] - 1.0],
-            [0.4, 0.1, domain[0]],
-            [0.5, np.nan, np.nan],
-        ])
-        vec = w.mass_1d_vec(p, a, b)
-        ref = np.array([trapezoid_mass_reference(w, p, aa, bb) for aa, bb in zip(a, b)])
-        tol = np.array([trapezoid_tolerance(w, p, aa, bb) for aa, bb in zip(a, b)])
-        one_step = tol == 0.0
-        assert np.isnan(vec[-3:]).all()
-        assert np.array_equal(vec[one_step], ref[one_step], equal_nan=True)
-        assert np.all(np.abs(vec - ref)[~one_step] <= tol[~one_step])
-        if n_nodes > 2:
-            assert (~one_step).sum() > 100  # the table is exercised
-
-    @pytest.mark.parametrize("p", [0.5, 1.0])
-    def test_abscissae_rounded_onto_a_node(self, p):
-        """Intervals a few ulps wide on either side of a node: some GL16
-        abscissae round onto the node, which is the next cell's left edge,
-        and must be read there, as ``np.interp`` reads them."""
-        domain = (-0.3, 1.9)
-        w = Weight.sampled(np.random.default_rng(8).lognormal(0.0, 1.0, 17), domain,
-                           quadrature="trapezoid")
-        nodes = np.linspace(*domain, 17)[1:-1]
-        below = np.nextafter(np.nextafter(nodes, -np.inf), -np.inf)
-        above = np.nextafter(np.nextafter(nodes, np.inf), np.inf)
-        a = np.concatenate([below, nodes])
-        b = np.concatenate([nodes, above])
-        ref = np.array([trapezoid_mass_reference(w, p, aa, bb) for aa, bb in zip(a, b)])
-        assert np.array_equal(w.mass_1d_vec(p, a, b), ref)
-
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_exact_for_linear_interpolant(self, p):
-        """GL16 integrates polynomials of degree <= 31 exactly, so for p = 1
-        and 2 only rounding separates a mass from the closed form. Its
-        condition has two factors: rounding moves a GL16 abscissa x by
-        eps |x|, which moves w^p by p |x| |w'| / w relative; and a table
-        read adds and subtracts two cumulative masses up to the last node
-        inside the interval."""
-        rng = np.random.default_rng(5)
-        domain = (-0.3, 1.9)
-        w = Weight.sampled(rng.lognormal(0.0, 0.5, 33), domain,
-                           quadrature="trapezoid")
-        nodes = np.linspace(*domain, 33)
-        h = nodes[1] - nodes[0]
-        cell = rng.integers(0, 32, 100)
-        inside = nodes[cell, None] + np.sort(rng.uniform(0.0, h, (100, 2)), axis=1)
-        starts = rng.uniform(domain[0], domain[1] - 0.2, 100)
-        i, j = np.sort(rng.integers(0, 33, (2, 100)), axis=0)
-        a = np.concatenate([inside[:, 0], starts, nodes[i], [domain[0]]])
-        b = np.concatenate([inside[:, 1], starts + rng.uniform(0.1, 2.0, 100),
-                            nodes[j], [domain[1]]])
-        got = w.mass_1d_vec(float(p), a, b)
-        slope = np.abs(np.diff(w.samples) / np.diff(nodes)).max()
-        cond_x = 1.0 + p * max(map(abs, domain)) * slope / w.samples.min()
-        for g, aa, bb in zip(got, a, b):
-            exact = trapezoid_exact_mass(w, p, aa, bb)
-            inner = nodes[(nodes > aa) & (nodes < bb)]
-            table = (2 * trapezoid_exact_mass(w, p, domain[0], inner[-1])
-                     if inner.size else 0)
-            bound = 2 * np.finfo(float).eps * cond_x * float(exact + table)
-            assert abs(Fraction(g) - exact) <= bound, (aa, bb)
 
 
 class TestAqCharacteristic:
@@ -393,8 +243,7 @@ class TestBetaCondition:
 
     @pytest.mark.parametrize("w", [
         Weight.power(0.3, 0.2, DOM), Weight.power(-0.4, -0.1, DOM),
-        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM),
-        Weight.sampled([1.0, 2.0, 4.0, 2.0, 0.5], DOM, quadrature="trapezoid")])
+        Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)])
     def test_one_pass_matches_three_characteristics(self, w, monkeypatch):
         # one means pass over two exponents; with n0 = 2 each row keeps the
         # bits of its own aq_characteristic: beta^-1 in A_{1+2/n0}, beta^{n0/2}
@@ -490,12 +339,11 @@ class TestWeightValidation:
             Weight.sampled(np.array([1.0, 1e-310, 2.0]), DOM)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError, match="too few samples"):
-            Weight.sampled(np.array([1.0]), DOM, quadrature="trapezoid")
-        with pytest.raises(ValueError, match="too few samples"):
+        with pytest.raises(ValueError, match="at least one cell"):
             Weight.sampled(np.array([]), DOM)
+        with pytest.raises(ValueError, match="at least one cell"):
+            Weight.sampled(np.empty((0, 3)), (DOM, DOM))
         Weight.sampled(np.array([1.0]), DOM)
-        Weight.sampled(np.array([1.0, 2.0]), DOM, quadrature="trapezoid")
 
     def test_alpha_bound(self):
         with pytest.raises(NonIntegrable):
@@ -739,11 +587,10 @@ class TestMeans:
         return [
             Weight.power(0.3, 0.2, DOM),
             Weight.sampled(rng.lognormal(0.0, 0.5, 33), DOM),
-            Weight.sampled(rng.lognormal(0.0, 0.5, 17), DOM, quadrature="trapezoid"),
             Weight.sampled(rng.lognormal(0.0, 0.5, (12, 16)), dom2),
         ]
 
-    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("k", range(3))
     def test_matches_one_mean_per_exponent(self, k):
         w = self.weights()[k]
         balls = [(np.full(w.n, 0.1), 0.3), (np.full(w.n, -0.9), 0.6),
@@ -756,7 +603,7 @@ class TestMeans:
             assert all(isinstance(w.mean(p, c, r), float) for p in ps)
 
     def test_sampled_2d_against_reference_coverage(self):
-        w = self.weights()[3]
+        w = self.weights()[2]
         (x0, x1), (y0, y1) = w.domain
         ny, nx = w.samples.shape
         for c, r in ((np.array([0.2, 0.4]), 0.3), (np.array([-1.0, 1.5]), 0.7)):
@@ -766,7 +613,7 @@ class TestMeans:
             assert w.means(self.PS, BallFamily.centered(c, [r]))[:, 0].tolist() == ref
 
     def test_empty_ball_raises(self):
-        w = self.weights()[3]
+        w = self.weights()[2]
         with pytest.raises(EmptyBall):
             w.means((1.0, -1.0), BallFamily.centered((5.0, 5.0), [0.5]))
         # a 1D ball far outside the domain, alone or inside a family
@@ -781,7 +628,7 @@ class TestMeans:
         # point values; doubling takes 1D
         dom2 = ((-1.0, 1.0), (-0.5, 1.5))
         power = Weight.power(0.2, (0.1, 0.3), dom2)
-        sampled = self.weights()[3]
+        sampled = self.weights()[2]
         with pytest.raises(ValueError, match="sample it first"):
             power.means((1.0,), BallFamily.centered((0.1, 0.3), [0.5]))
         with pytest.raises(ValueError, match="2D sampled weight"):
@@ -798,7 +645,7 @@ class TestMeans:
         return (np.array([[x, y] for x in (-1.0, 0.1, 0.9) for y in (-0.5, 0.4, 1.5)]),
                 np.array([0.05, 0.3, 1.2]))
 
-    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("k", range(3))
     def test_family_matches_per_ball_loop(self, k):
         w = self.weights()[k]
         centers, radii = self.family(w)
@@ -813,18 +660,15 @@ class TestMeans:
 
 def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarray]:
     """Reference for the family means: one ball at a time, centre-major,
-    with scalar masses (``np.interp`` on the cumulative table for a
-    midpoint weight, the per-cell loop for a trapezoid one, the closed form
-    for a 1D power weight, the reference coverage for a 2D sampled one).
+    with scalar masses (``np.interp`` on the cumulative table for a 1D
+    sampled weight, the closed form for a 1D power weight, the reference
+    coverage for a 2D sampled one).
 
-    Also returns each mean's allowed gap; zero means the same bits.
-    - A 1D power weight: numpy's array pow and the scalar pow may differ in
-      the last bit, which the closed form's difference F(b) - F(a)
-      amplifies by its condition (|F(a)| + |F(b)|) / |F(b) - F(a)|.
-    - A trapezoid weight: :func:`trapezoid_tolerance` of the mass over the
-      ball's measure, plus one rounding of the division.
+    Also returns each mean's allowed gap; zero means the same bits. Only a
+    1D power weight has a gap: numpy's array pow and the scalar pow may
+    differ in the last bit, which the closed form's difference F(b) - F(a)
+    amplifies by its condition (|F(a)| + |F(b)|) / |F(b) - F(a)|.
     """
-    eps = np.finfo(float).eps
     rows, tols = [], []
     for c in np.asarray(centers, dtype=float).reshape(-1, w.n):
         for r in radii:
@@ -841,17 +685,12 @@ def means_per_ball(w: Weight, ps, centers, radii) -> tuple[np.ndarray, np.ndarra
                             power_interval_integral(a, b, cx, q)))
                         ends = (abs(a - cx) ** (q + 1) + abs(b - cx) ** (q + 1)) / (q + 1)
                         gaps.append(1e-14 * w.scale ** p * ends / meas)
-                elif w.quadrature == "midpoint":
+                else:
                     masses = []
                     for p in ps:
                         edges, cum, _ = w._cum_1d(p)
                         masses.append(float(np.interp(b, edges, cum)
                                             - np.interp(a, edges, cum)))
-                else:
-                    masses = [trapezoid_mass_reference(w, p, a, b) for p in ps]
-                    gaps = [trapezoid_tolerance(w, p, a, b) / meas for p in ps]
-                    gaps = [g + eps * m / meas if g else 0.0
-                            for g, m in zip(gaps, masses)]
             else:
                 (x0, x1), (y0, y1) = w.domain
                 ny, nx = w.samples.shape
