@@ -7,8 +7,9 @@ bundled ones, ``src/wparab/configs/<config>.json``, and ``sampled``
 (``tests/configs/sampled.json``): the weights and geometry groups on a
 256-cell sampled weight, |x - 1/2|^0.2 times a seeded log-normal factor,
 with its samples written out. Floats compare within a relative tolerance
-of 1e-12; verdicts, labels, integers and the file set must match exactly. The solution dumps are checked byte for byte through
-their SHA-256 digests in ``solution.sha256``.
+of 1e-12; verdicts, labels, integers and the file set must match exactly.
+The solution dumps are checked byte for byte through their SHA-256
+digests in ``solution.sha256``.
 
 Regenerate the goldens only for a change that is meant to alter reports,
 and only those of the configs it alters (all of them when none is named):

@@ -530,7 +530,8 @@ class TestFreezeCompare:
                 lambda x, t, a=f_amp: a * np.sin(2 * math.pi * x), grid)
             u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
             cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
-            gaps.append(freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4).rows[0].lhs)
+            rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
+            gaps.append(rep.rows[0].lhs)
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_zero_gradient_trivial_pass(self):
