@@ -11,21 +11,20 @@ unusable --out included).
 ``solution.csv``, and ``flatten`` when a group precedes it. That child is
 niced, so the CSV child keeps its core; it stages its files under ``--out``
 for the run to move in at flatten's turn, so outputs, print order, exit codes
-and messages match an inline run. The gain is wall time and needs a second
-free core; ``run_experiment`` returns after every child has finished.
+and messages match an inline run. ``geometry`` splits its quasi-triangle
+audit over the cores these children leave idle (:meth:`RunContext.idle_cores`).
+The gain is wall time and needs a free core; ``run_experiment`` returns after
+every child has finished.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
-import pickle
 import shutil
 import sys
 import tempfile
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .experiments import (ManufacturedCase, convergence_study, fit_loglog_slope,
 from .flattening import (BoundaryChart, admissible_radius_search, b_norm_delta_sweep,
                          inclusion_audit, oscillation_delta_sweep,
                          pushforward_weight_audit)
+from .forked import Forked
 from .geometry import (SpaceTimePoint, WeightedCylinder, cylinder_relations_audit,
                        estimate_quasi_params, quasi_triangle_audit)
 from .inequalities import (SpaceTimeTestFunction, TestFunction, interpolation_audit,
@@ -52,60 +52,6 @@ from .weights import (BallFamily, Weight, check_beta_condition, doubling_report,
                       reverse_holder_gamma)
 
 
-class Forked:
-    """``work()`` run at once in a forked child, inline where ``os.fork`` is
-    missing or fails; ``result()`` reaps it and returns its value or raises
-    its exception. The child, niced by ``nice``, pickles that outcome into a
-    pipe and leaves through ``os._exit``: it never returns into the caller."""
-
-    def __init__(self, work, nice: int = 0):
-        self.pid = None
-        if hasattr(os, "fork"):
-            rfd, wfd = os.pipe()
-            try:
-                self.pid = os.fork()
-            except OSError:  # EAGAIN, ENOMEM: run inline
-                os.close(rfd)
-                os.close(wfd)
-        if self.pid is None:
-            self.outcome = self._outcome(work)
-        elif self.pid == 0:
-            code = 1
-            try:
-                os.close(rfd)
-                os.nice(nice)
-                with open(wfd, "wb") as pipe:
-                    pickle.dump(self._outcome(work), pipe)
-                code = 0
-            except BaseException:
-                os.write(2, traceback.format_exc().encode())
-            finally:
-                os._exit(code)
-        else:
-            os.close(wfd)
-            self.pipe = open(rfd, "rb")
-
-    def result(self):
-        if self.pid is not None:
-            with self.pipe:  # drained before the wait, so no outcome blocks
-                data = self.pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            self.pid = None
-            self.outcome = pickle.loads(data) if code == 0 else (False, ToolkitError(
-                f"forked child exited with code {code} before sending its result"))
-        ok, value = self.outcome
-        if not ok:
-            raise value
-        return value
-
-    @staticmethod
-    def _outcome(work) -> tuple[bool, object]:
-        try:
-            return True, work()
-        except Exception as exc:
-            return False, exc
-
-
 class RunContext:
     """What the audit groups of one run share.
 
@@ -117,7 +63,8 @@ class RunContext:
     already run a convergence level on that grid, its solution is used
     instead (:meth:`keep_manufactured`). The quasi-metric parameters are
     fitted on first use in the same way, for ``geometry`` and
-    ``levelset``. ``dump`` writes solution.csv.
+    ``levelset``. ``dump`` writes solution.csv and ``flatten`` runs that
+    group, each in a child.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
@@ -125,6 +72,7 @@ class RunContext:
         self.weight = cfg.build_weight()
         self.a_fun = cfg.coefficient_fn()
         self.dump: Forked | None = None
+        self.flatten: Forked | None = None
         g = cfg.grid
         self.manufactured_grid = (
             g.nx, g.nt if g.nt is not None else max(round(0.25 * g.nx * g.nx), 4),
@@ -144,6 +92,14 @@ class RunContext:
     @functools.cached_property
     def quasi_params(self):
         return estimate_quasi_params(self.weight)
+
+    def idle_cores(self) -> int:
+        """The CPUs this process may run on, less the run's unreaped
+        children (``dump`` and ``flatten``); at least 1."""
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        busy = sum(c is not None and c.pid is not None for c in (self.dump, self.flatten))
+        return max(cpus - busy, 1)
 
 
 def run_weights(run: RunContext) -> list[AuditReport]:
@@ -165,7 +121,7 @@ def run_weights(run: RunContext) -> list[AuditReport]:
 def run_geometry(run: RunContext) -> list[AuditReport]:
     w, p = run.weight, run.cfg.audits["geometry"]
     reports = [quasi_triangle_audit(w, run.quasi_params, p.samples,
-                                    seed=run.seed)]
+                                    seed=run.seed, ranges=run.idle_cores())]
     lo, hi = w.domain[0]
     x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
     r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
@@ -421,17 +377,17 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         print(f"config error: output directory {out}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    all_passed, code, run, flatten, stage = True, None, None, None, None
+    all_passed, code, run, stage = True, None, None, None
     try:
         run = RunContext(cfg, seed if seed is not None else cfg.seed, out)
         if "flatten" in selected[1:]:  # overlaps only the groups before it
             stage = Path(tempfile.mkdtemp(dir=out))
-            flatten = Forked(lambda: RUNNERS["flatten"](RunContext(cfg, run.seed, stage)),
-                             nice=10)
+            run.flatten = Forked(
+                lambda: RUNNERS["flatten"](RunContext(cfg, run.seed, stage)), nice=10)
         for group in selected:
-            if group == "flatten" and flatten is not None:
+            if group == "flatten" and run.flatten is not None:
                 try:
-                    reports = flatten.result()
+                    reports = run.flatten.result()
                 finally:
                     for path in stage.iterdir():
                         os.replace(path, out / path.name)
@@ -451,8 +407,7 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         code = 1
     finally:
         if stage is not None:
-            with contextlib.suppress(Exception):
-                flatten.result()  # reaped; its outcome matters at its turn only
+            Forked.reap([run.flatten])  # its outcome matters at its turn only
             shutil.rmtree(stage, ignore_errors=True)
         if run is not None and run.dump is not None:
             try:

@@ -75,7 +75,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     "audits.weights": {
         "M0": Param("budget", 10.0, ge=1.0),
         "n_centers": Param("int", 9, ge=1),
-        "tol_quad": Param("budget", 1e-6),
+        "tol_quad": Param("budget", 1e-6, ge=0.0),
         "theta": Param("float", 0.5, gt=0.0, lt=1.0),
         "n1_budget": Param("budget", math.inf),
         "rh_budget": Param("budget", 2.0, ge=1.0),
@@ -99,7 +99,8 @@ PARAMS: dict[str, dict[str, Param]] = {
         "energy_budget": Param("budget", 100.0),
         "poincare_budget": Param("budget", 10.0),
         "lipschitz_budget": Param("budget", 100.0),
-        "freeze_amplitudes": Param("floats", [0.4, 0.2, 0.1, 0.05, 0.0]),
+        # the coefficient 1 + a sin(8 pi x) of the sweep is elliptic for |a| < 1
+        "freeze_amplitudes": Param("floats", [0.4, 0.2, 0.1, 0.05, 0.0], gt=-1.0, lt=1.0),
         "timeshift_budget": Param("budget", 10.0),
         "lab_budget": Param("budget", 100.0),
     },
@@ -120,7 +121,7 @@ PARAMS: dict[str, dict[str, Param]] = {
         "M0": Param("budget", 10.0, ge=1.0),
         "delta": Param("float", 0.2, ge=0.0, lt=1.0),
         "R": Param("float", 0.8, gt=0.0),
-        "t0": Param("budget", 0.5),
+        "t0": Param("budget", 0.5, gt=0.0),
         "Lambda": Param("float", 2.0, gt=0.0),
     },
     "coefficient": {
@@ -140,6 +141,12 @@ PARAMS: dict[str, dict[str, Param]] = {
 WEIGHT_KEYS = {"constant": {"kind", "value", "domain"},
                "power": {"kind", "alpha", "center", "scale", "domain"},
                "sampled": {"kind", "samples", "domain"}}
+
+# The numbers of a weight spec, as ``weight.<key>`` (alpha has no default),
+# and a bound of its domain [lo, hi]; ``build_weight`` also needs lo < hi.
+WEIGHT_PARAMS = {"value": Param("float", 1.0, gt=0.0), "alpha": Param("float"),
+                 "center": Param("float", 0.5), "scale": Param("float", 1.0, gt=0.0)}
+DOMAIN_BOUND = Param("float")
 
 # The root seed, from the config or from ``--seed``: numpy's generators
 # take only non-negative integers.
@@ -249,17 +256,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown weight kind {kind!r}")
         _object(spec, WEIGHT_KEYS[kind], f"the {kind} weight")
         domain = spec.get("domain", [0.0, 1.0])
+        domain = domain[0] if isinstance(domain, list) and len(domain) == 1 else domain
+        if not (isinstance(domain, list) and len(domain) == 2) or any(
+                isinstance(v, list) for v in domain):  # every group is 1D
+            raise ConfigError(f"weight.domain must be one interval [lo, hi], "
+                              f"got {spec.get('domain')!r}")
+        lo = DOMAIN_BOUND.parse(domain[0], "weight.domain[0]")
+        hi = Param("float", gt=lo).parse(domain[1], "weight.domain[1]")
         try:
-            if np.ndim(domain) > 1 and len(domain) != 1:  # every group is 1D
-                raise ValueError(f"domain must be one interval [lo, hi], "
-                                 f"got {len(domain)} axes")
+            num = {key: param.parse(spec[key] if param.default is None
+                                    else spec.get(key, param.default), f"weight.{key}")
+                   for key, param in WEIGHT_PARAMS.items() if key in WEIGHT_KEYS[kind]}
             if kind == "constant":
-                return Weight.constant(float(spec.get("value", 1.0)), domain)
+                return Weight.constant(num["value"], (lo, hi))
             if kind == "power":
-                return Weight.power(float(spec["alpha"]),
-                                    spec.get("center", 0.5), domain,
-                                    scale=float(spec.get("scale", 1.0)))
-            return Weight.sampled(np.asarray(spec["samples"], dtype=float), domain)
+                return Weight.power(num["alpha"], num["center"], (lo, hi),
+                                    scale=num["scale"])
+            return Weight.sampled(np.asarray(spec["samples"], dtype=float), (lo, hi))
         except KeyError as exc:
             raise ConfigError(f"weight spec missing key {exc}") from exc
         except (TypeError, ValueError, NonIntegrable) as exc:

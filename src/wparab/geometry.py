@@ -38,15 +38,22 @@ would discard it. Only the other pairs are inverted, with the same bits.
 Analytic (power) weights extend beyond their stated domain; sampled weights
 are extended by zero, so their height map can plateau and the inversion
 reports NoBracket past the reachable range.
+
+The quasi-triangle audit splits its triples into contiguous ranges: the
+caller's process measures the first, and a forked child (``forked.Forked``)
+each further one, with the same bits as one process. ``cli`` sets the count
+to the cores the run leaves idle, so a one-core run never forks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoBracket
+from .forked import Forked
 from .report import AuditReport, AuditRow
 from .weights import N0, BallFamily, Weight, ball_grid
 
@@ -94,14 +101,31 @@ class SpaceTimePoint:
 def height(beta: Weight, x0, r) -> np.ndarray:
     """Cylinder heights h_{x0}(r) = r^2 Psi_{beta,x0}(r) of a 1D weight,
     broadcast over ``x0`` and ``r``; h = 0 where r <= 0."""
-    if beta.n != 1:
-        raise ValueError("cylinder heights take a 1D weight")
+    _check_1d(beta)
     x0 = np.asarray(x0, dtype=float)
     r = np.asarray(r, dtype=float)
-    mass = beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r, clip=False)
+    return _height_of_mass(r, beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r, clip=False))
+
+
+def _check_1d(beta: Weight) -> None:
+    if beta.n != 1:
+        raise ValueError("cylinder heights take a 1D weight")
+
+
+def _height_of_mass(r: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """h = r^2 (mass / 2r)^{2/n0} from the mass of beta^{n0/2} over B_r."""
     with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 maps to 0
         h = r ** 2 * (mass / (2.0 * r)) ** (2.0 / N0)
     return np.where(r > 0.0, h, 0.0)
+
+
+def _height_and_ends(beta: Weight, x0: np.ndarray, r: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of ``height(beta, x0, r)`` and of ``beta(x0 + r) +
+    beta(x0 - r)`` for arrays ``x0`` and ``r > 0`` of one shape, from one
+    :meth:`Weight.ball_ends` call."""
+    mass, left, right = beta.ball_ends(N0 / 2.0, x0, r)
+    return _height_of_mass(r, mass), right + left
 
 
 def height_inverse(beta: Weight, x0, s: float, tol: float = TOL_BISECT) -> float:
@@ -137,6 +161,7 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
     raise ``ValueError``; a height the weight does not reach by the radius
     ``MAX_RADIUS`` raises ``NoBracket``.
     """
+    _check_1d(beta)
     x0 = np.asarray(x0, dtype=float)
     s = np.asarray(s, dtype=float)
     if not np.all(s >= 0.0):
@@ -152,60 +177,62 @@ def height_inverse_vec(beta: Weight, x0: np.ndarray, s: np.ndarray,
 def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
                   tol: float) -> np.ndarray:
     """Inverse heights of one block of points with s > 0, as described in
-    :func:`height_inverse_vec`."""
+    :func:`height_inverse_vec`. Each evaluation takes the height and the two
+    end values of the Newton slope from one :func:`_height_and_ends` call."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.sqrt(s / beta(x0))  # the root of the model h(r) = beta(x0) r^2
-    r[~((r > 0.0) & (r <= 1.0))] = 1.0  # NaN and infinite starts included
-    h = height(beta, x0, r)
-    below = h < s
-    lo, hi = np.where(below, r, 0.0), np.where(below, np.inf, r)  # inf: no bracket
-    searching = bool(below.any())
-    out = np.empty_like(s)
-    pos = np.arange(s.size)  # where each remaining point goes in ``out``
-    log_s = np.log(s)
-    step = step_old = np.full_like(s, np.inf)  # the last two steps taken
-    reach = 0.0  # distance of the last step where it was a probe
-    for _ in range(MAX_NEWTON):
-        done = hi - lo <= tol * hi
-        if searching:
-            done &= hi < np.inf
-        if done.any():
-            fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
-            out[pos.take(fin)] = 0.5 * (lo.take(fin) + hi.take(fin))
-            if not keep.size:
-                return out
-            pos, x0, s, log_s, lo, hi, r, h, step, step_old = (
-                a.take(keep) for a in (pos, x0, s, log_s, lo, hi, r, h, step, step_old))
-            reach = reach.take(keep) if np.ndim(reach) else reach
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # d log h / d log r = r h'(r) / h(r) with n0 = 2 in 1D; a zero
-            # height gives NaN here and so a bisection or a doubling below
-            slope = 1.0 + r * r * (beta(x0 + r) + beta(x0 - r)) / (2.0 * h)
-            nxt = r * np.exp((log_s - np.log(h)) / slope)
-        dr = np.abs(nxt - r)
-        cap = 0.25 * tol * r
-        probe = dr < cap
-        if probe.any():
-            reach = np.where(probe, np.minimum(np.maximum(np.maximum(dr, cap / 64.0),
-                                                          4.0 * reach), cap), 0.0)
-            nxt = np.where(probe, nxt + np.where(h < s, reach, -reach), nxt)
-        else:
-            reach = 0.0
-        newton = (nxt > lo) & (nxt < hi) & (2.0 * dr <= np.abs(step_old))
-        if not newton.all():  # bisect, or double r (to 1 at least) while it has no bracket
-            nxt = np.where(newton, nxt, np.where(hi < np.inf, 0.5 * (lo + hi),
-                                                 np.maximum(2.0 * lo, 1.0)))
-            reach = np.where(newton, reach, 0.0)
-        if searching:
-            np.minimum(nxt, MAX_RADIUS, out=nxt)
-        step_old, step = step, nxt - r
-        r = nxt
-        h = height(beta, x0, r)
+        r[~((r > 0.0) & (r <= 1.0))] = 1.0  # NaN and infinite starts included
+        h, ends = _height_and_ends(beta, x0, r)
         below = h < s
-        lo, hi = np.where(below, r, lo), np.where(below, hi, r)
-        if searching and np.any(lo >= MAX_RADIUS):
-            break
-        searching = searching and bool(np.any(hi == np.inf))
+        lo, hi = np.where(below, r, 0.0), np.where(below, np.inf, r)  # inf: no bracket
+        searching = bool(below.any())
+        out = np.empty_like(s)
+        pos = np.arange(s.size)  # where each remaining point goes in ``out``
+        log_s = np.log(s)
+        step = step_old = np.full_like(s, np.inf)  # the last two steps taken
+        reach = 0.0  # distance of the last step where it was a probe
+        for _ in range(MAX_NEWTON):
+            done = hi - lo <= tol * hi
+            if searching:
+                done &= hi < np.inf
+            if done.any():
+                fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                out[pos.take(fin)] = 0.5 * (lo.take(fin) + hi.take(fin))
+                if not keep.size:
+                    return out
+                pos, x0, s, log_s, lo, hi, r, h, ends, step, step_old = (
+                    a.take(keep)
+                    for a in (pos, x0, s, log_s, lo, hi, r, h, ends, step, step_old))
+                reach = reach.take(keep) if np.ndim(reach) else reach
+            # d log h / d log r = r h'(r) / h(r) with n0 = 2 in 1D, where
+            # ends = beta(x0 + r) + beta(x0 - r); a zero height gives NaN
+            # here and so a bisection or a doubling below
+            slope = 1.0 + r * r * ends / (2.0 * h)
+            nxt = r * np.exp((log_s - np.log(h)) / slope)
+            dr = np.abs(nxt - r)
+            cap = 0.25 * tol * r
+            probe = dr < cap
+            if probe.any():
+                reach = np.where(probe, np.minimum(np.maximum(np.maximum(dr, cap / 64.0),
+                                                              4.0 * reach), cap), 0.0)
+                nxt = np.where(probe, nxt + np.where(h < s, reach, -reach), nxt)
+            else:
+                reach = 0.0
+            newton = (nxt > lo) & (nxt < hi) & (2.0 * dr <= np.abs(step_old))
+            if not newton.all():  # bisect, or double r (to 1 at least) while it has no bracket
+                nxt = np.where(newton, nxt, np.where(hi < np.inf, 0.5 * (lo + hi),
+                                                     np.maximum(2.0 * lo, 1.0)))
+                reach = np.where(newton, reach, 0.0)
+            if searching:
+                np.minimum(nxt, MAX_RADIUS, out=nxt)
+            step_old, step = step, nxt - r
+            r = nxt
+            h, ends = _height_and_ends(beta, x0, r)
+            below = h < s
+            lo, hi = np.where(below, r, lo), np.where(below, hi, r)
+            if searching and np.any(lo >= MAX_RADIUS):
+                break
+            searching = searching and bool(np.any(hi == np.inf))
     if searching:
         raise NoBracket("height never reaches a requested value")
     out[pos] = 0.5 * (lo + hi)
@@ -372,33 +399,26 @@ def _adversarial_triples(lo: float, hi: float,
     return xs, ts
 
 
-def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
-                         seed: int) -> AuditReport:
-    """Empirical quasi-triangle check on seeded triples.
-
-    Draws random triples (z0, z1, zbar), with times down to minus the
-    height of the half-domain ball at the domain's centre, plus a
-    deterministic adversarial batch, computes the worst ratio
-    rho(z0, zbar) / (rho(z0, z1) + rho(z1, zbar)), and passes iff it does
-    not exceed params.Lambda. Degenerate triples contribute ratio 0; the
-    first worst triple is reported. The triples run in blocks of
-    ``TRIPLE_BLOCK``, so memory does not grow with ``samples``; the draws
-    stay those of ``default_rng(seed)``: all x, then all t, of the samples.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+def _triangle_range(beta: Weight, samples: int, seed: int, t_span: float,
+                    adversarial: tuple[np.ndarray, np.ndarray], start: int,
+                    stop: int) -> list[tuple[float, list, list]]:
+    """(ratio, x, t) of the first worst triple of each block of the triples
+    [start, stop) of :func:`quasi_triangle_audit`: the ``samples`` random
+    triples, then the adversarial ones. The x and t streams are advanced to
+    the range's first triple, three draws per triple, and the range is
+    walked in blocks of ``TRIPLE_BLOCK``, so memory does not grow with
+    ``samples``."""
     (lo, hi), = beta.domain[:1]
-    t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
-    xs_adv, ts_adv = _adversarial_triples(lo, hi, t_span)
-    rng_x = np.random.default_rng(seed)
-    rng_t = np.random.Generator(np.random.PCG64(seed))
-    rng_t.bit_generator.advance(3 * samples)  # one 64-bit draw per double
-    total = samples + len(xs_adv)
-    best = []  # (ratio, x, t) of each block's first worst triple, as copies
-    for start in range(0, total, TRIPLE_BLOCK):
-        stop = min(start + TRIPLE_BLOCK, total)
-        n_rand = max(min(stop, samples) - start, 0)
-        adv = slice(max(start - samples, 0), max(stop - samples, 0))
+    xs_adv, ts_adv = adversarial
+    first = min(start, samples)
+    rng_x, rng_t = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    rng_x.bit_generator.advance(3 * first)  # one 64-bit draw per double
+    rng_t.bit_generator.advance(3 * (samples + first))
+    best = []
+    for a in range(start, stop, TRIPLE_BLOCK):
+        b = min(a + TRIPLE_BLOCK, stop)
+        n_rand = max(min(b, samples) - a, 0)
+        adv = slice(max(a - samples, 0), max(b - samples, 0))
         xs = np.vstack([rng_x.uniform(lo, hi, size=(n_rand, 3)), xs_adv[adv]])
         ts = np.vstack([rng_t.uniform(-t_span, 0.0, size=(n_rand, 3)), ts_adv[adv]])
         d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0])
@@ -408,6 +428,43 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         ratios = np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
         i = int(np.argmax(ratios))
         best.append((float(ratios[i]), xs[i].tolist(), ts[i].tolist()))
+    return best
+
+
+def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
+                         seed: int, ranges: int) -> AuditReport:
+    """Empirical quasi-triangle check on seeded triples.
+
+    Draws random triples (z0, z1, zbar), with times down to minus the
+    height of the half-domain ball at the domain's centre, plus a
+    deterministic adversarial batch, computes the worst ratio
+    rho(z0, zbar) / (rho(z0, z1) + rho(z1, zbar)), and passes iff it does
+    not exceed params.Lambda. Degenerate triples contribute ratio 0; the
+    first worst triple is reported. The draws stay those of
+    ``default_rng(seed)``: all x, then all t, of the samples.
+
+    The triples split into ``ranges`` contiguous ranges of near-equal size,
+    at most one per ``TRIPLE_BLOCK``. This process measures the first range
+    and a :class:`Forked` child each further one (see
+    :func:`_triangle_range`); every child is reaped on every path, and
+    errors are raised in range order, as one process raises them.
+    """
+    if samples < 1 or ranges < 1:
+        raise ValueError("need at least one sample and one range")
+    (lo, hi), = beta.domain[:1]
+    t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
+    adversarial = _adversarial_triples(lo, hi, t_span)
+    total = samples + len(adversarial[0])
+    n_ranges = min(ranges, -(-total // TRIPLE_BLOCK))
+    bounds = [total * i // n_ranges for i in range(n_ranges + 1)]
+    walk = functools.partial(_triangle_range, beta, samples, seed, t_span, adversarial)
+    children = [Forked(functools.partial(walk, a, b))
+                for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        best = walk(bounds[0], bounds[1])
+        best += [b for child in children for b in child.result()]
+    finally:
+        Forked.reap(children)
     # the first block to reach the largest maximum holds the first worst triple
     max_ratio, x, t = best[int(np.argmax([b[0] for b in best]))]
     row = AuditRow(

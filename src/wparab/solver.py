@@ -233,7 +233,7 @@ def write_solution_csv(path, u: SolutionField):
     formatting, only in a dump that holds any. Each time level is written as
     soon as it is formatted.
 
-    A ``wparab`` run calls it through ``cli.Forked``, in a child that runs
+    A ``wparab`` run calls it through ``forked.Forked``, in a child that runs
     while the later audit groups do.
     """
     from pathlib import Path

@@ -60,7 +60,9 @@ class Weight:
                      step function (midpoint rule); zero outside.
 
     Every 1D mass goes through :meth:`mass_1d_vec`, which reads a sampled
-    weight's masses from one table per exponent (:meth:`_cum_1d`). A 2D
+    weight's masses from one table per exponent (:meth:`_cum_1d`), or
+    through :meth:`ball_ends`, its fusion with the point values at a ball's
+    two ends for the inverse height's Newton step. A 2D
     weight is sampled (:meth:`from_function_2d`) before any mean is taken,
     and has no point values; the doubling audit takes 1D weights only.
     """
@@ -225,6 +227,31 @@ class Weight:
             ends = _interp_uniform(np.stack((a, b)), edges, cum, slopes)
             out = ends[1] - ends[0]
         return out.reshape(shape)
+
+    def ball_ends(self, p: float, x0: np.ndarray, r: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mass of w^p over [x0 - r, x0 + r] and the values w(x0 - r)
+        and w(x0 + r) of a 1D weight, for arrays ``x0`` and ``r >= 0`` of
+        one shape: the bits of ``mass_1d_vec(p, x0 - r, x0 + r, clip=False)``
+        and of :meth:`__call__` at each end. A sampled weight locates each
+        end in its table once, for the mass and the value alike."""
+        a, b = x0 - r, x0 + r
+        if self.kind == "power":
+            c = self.center[0]
+            return (self.scale ** p * power_interval_integral(a, b, c, p * self.alpha),
+                    self.scale * np.abs(a - c) ** self.alpha,
+                    self.scale * np.abs(b - c) ** self.alpha)
+        (lo, hi), = self.domain
+        edges, cum, slopes = self._cum_1d(p)
+        ends = np.stack((a, b))
+        inside = (ends >= lo) & (ends <= hi)
+        np.minimum(np.maximum(ends, lo, out=ends), hi, out=ends)
+        j = _locate(ends, edges)
+        vals = np.where(inside, self.samples.take(j, mode="clip"), 0.0)
+        ends -= edges.take(j)  # the table's value at each end, as in _interp_uniform
+        ends *= slopes.take(j)
+        ends += cum.take(j)
+        return ends[1] - ends[0], vals[0], vals[1]
 
     # -- ball means ----------------------------------------------------------
 

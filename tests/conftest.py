@@ -1,4 +1,4 @@
-"""Guards for tests whose runs can fork (``cli.Forked``), and the traced
+"""Guards for tests whose runs can fork (``forked.Forked``), and the traced
 runs of the golden configs.
 
 Every test gets the guards: a child that came back into a test ends at

@@ -27,7 +27,11 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
         r = geometry.height_inverse(Weight.constant(1.0, (-1.0, 1.0)), [0.0], 4.0)
         assert abs(r - 2.0) <= 1e-9
         assert tracer.counts["geometry.height_inverse_queries"] >= 1
-        assert tracer.counts["weights.mass_queries"] >= 1
+        # the inverse height's Newton steps take their masses from
+        # Weight.ball_ends, which no hook wraps; a height takes mass_1d_vec
+        assert tracer.counts["weights.mass_queries"] == 0
+        geometry.height(Weight.constant(1.0, (-1.0, 1.0)), [0.0, 0.5], 0.25)
+        assert tracer.counts["weights.mass_queries"] == 2
         # the count reads result.size * len(radii): a batch of two fields
         # must count two evaluations per point and radius
         edges = np.linspace(-1.0, 1.0, 9)

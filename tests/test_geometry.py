@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def height_inverse_reference(beta, x0, s, tol=TOL_BISECT):
     return out
 
 
+def counted_evaluations(monkeypatch):
+    """The point counts of each ``Weight.ball_ends`` call (the Newton
+    steps' heights) and of each ``geometry.height`` call (the screen's and
+    the reference bisection's), as two lists that the calls fill."""
+    ends_calls, height_calls = [], []
+    ends = Weight.ball_ends
+
+    def counted_ends(self, p, x0, r):
+        ends_calls.append(np.size(r))
+        return ends(self, p, x0, r)
+
+    def counted_height(beta, x0, r):
+        out = height(beta, x0, r)
+        height_calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(Weight, "ball_ends", counted_ends)
+    monkeypatch.setattr(geometry, "height", counted_height)
+    return ends_calls, height_calls
+
+
 class TestBlockedBisection:
     """The blocked, per-point safeguarded Newton inversion against the
     reference bisection."""
@@ -209,20 +231,15 @@ class TestBlockedBisection:
 
     @pytest.mark.parametrize("kind", sorted(WEIGHTS))
     def test_no_more_height_evaluations_than_bisection(self, kind, monkeypatch):
+        # the Newton steps evaluate through Weight.ball_ends, the reference
+        # bisection through geometry.height
         beta = self.WEIGHTS[kind]
         x0, s = self.points(BISECT_BLOCK + 1234, kind)
-        evals = []
-
-        def counted(beta, x0, r):
-            evals.append(np.size(r))
-            return height(beta, x0, r)
-
-        monkeypatch.setattr(geometry, "height", counted)
+        newton, bisection = counted_evaluations(monkeypatch)
         height_inverse_vec(beta, x0, s)
-        newton = sum(evals)
-        evals.clear()
+        assert bisection == []
         height_inverse_reference(beta, x0, s)
-        assert 0 < newton <= sum(evals)
+        assert 0 < sum(newton) <= sum(bisection)
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3])
     def test_nan_or_negative_height_rejected(self, bad):
@@ -257,13 +274,14 @@ class TestModelStart:
         """The inverse heights and the radii of the first height evaluation,
         with the bracket postcondition and the reference checked."""
         first = []
+        ends = Weight.ball_ends
 
-        def recorded(beta, x0, r):
+        def recorded(self, p, x0, r):
             if not first:
                 first.append(np.array(r, dtype=float))
-            return height(beta, x0, r)
+            return ends(self, p, x0, r)
 
-        monkeypatch.setattr(geometry, "height", recorded)
+        monkeypatch.setattr(Weight, "ball_ends", recorded)
         got = height_inverse_vec(beta, x0, s)
         monkeypatch.undo()
         tol = TOL_BISECT
@@ -329,24 +347,19 @@ class TestModelStart:
         assert np.all(height(beta, x0, got * (1.0 - TOL_BISECT)) < s)
         assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT)))
 
-    # Height point-evaluations (screen included) of quasi_triangle_audit with
-    # 2,000 samples at seed 7. A start at r = 1 takes 8-23% more.
+    # Height point-evaluations of quasi_triangle_audit with 2,000 samples at
+    # seed 7: the screen's (geometry.height) and the Newton steps'
+    # (Weight.ball_ends). A start at r = 1 takes 8-23% more.
     AUDIT_EVALS = {"power": 31863, "constant": 20933, "sampled": 41267}
 
     @pytest.mark.parametrize("kind", sorted(AUDIT_EVALS))
     def test_audit_height_evaluations(self, kind, monkeypatch):
         beta = TestBlockedBisection.WEIGHTS[kind]
-        evals = []
-
-        def counted(beta, x0, r):
-            out = height(beta, x0, r)
-            evals.append(out.size)
-            return out
-
-        monkeypatch.setattr(geometry, "height", counted)
+        newton, screen = counted_evaluations(monkeypatch)
         quasi_triangle_audit(beta, estimate_quasi_params(beta), samples=2000,
-                             seed=7)
-        assert 0 < sum(evals) <= 1.05 * self.AUDIT_EVALS[kind]
+                             seed=7, ranges=1)
+        assert sum(newton) > 0 and sum(screen) > 0
+        assert sum(newton) + sum(screen) <= 1.05 * self.AUDIT_EVALS[kind]
 
 
 class TestQuasiDistance:
@@ -470,7 +483,7 @@ class TestHeightScreen:
         w = Weight.power(0.3, 0.0, DOM)
         samples = 2000
         quasi_triangle_audit(w, estimate_quasi_params(w), samples=samples,
-                             seed=7)
+                             seed=7, ranges=1)
         # three legs of every random and every adversarial triple
         pairs = 3 * (samples + 13 * 13 * 10)
         assert len(inverted) == 3
@@ -502,14 +515,14 @@ class TestQuasiTriangle:
     def test_identity_weight_ratio_at_most_one(self):
         w = Weight.constant(1.0, DOM)
         params = QuasiMetricParams(n=1, zeta0=0.9, N2=1.0 + 1e-9)
-        rep = quasi_triangle_audit(w, params, samples=2000, seed=42)
+        rep = quasi_triangle_audit(w, params, samples=2000, seed=42, ranges=1)
         assert rep.passed
         assert rep.rows[0].constant <= 1.0 + 1e-9
 
     def test_power_weight_passes_formula_lambda(self):
         w = Weight.power(0.3, 0.0, DOM)
         params = estimate_quasi_params(w)
-        rep = quasi_triangle_audit(w, params, samples=20000, seed=7)
+        rep = quasi_triangle_audit(w, params, samples=20000, seed=7, ranges=1)
         assert rep.passed
         assert params.Lambda >= 2.0
 
@@ -540,9 +553,22 @@ class TestQuasiTriangle:
     def test_deterministic_given_seed(self):
         w = Weight.power(0.3, 0.0, DOM)
         params = estimate_quasi_params(w)
-        r1 = quasi_triangle_audit(w, params, samples=500, seed=9)
-        r2 = quasi_triangle_audit(w, params, samples=500, seed=9)
+        r1 = quasi_triangle_audit(w, params, samples=500, seed=9, ranges=1)
+        r2 = quasi_triangle_audit(w, params, samples=500, seed=9, ranges=1)
         assert r1.to_json() == r2.to_json()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """How many times ``os.fork`` is called (each call still forks)."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 def quasi_triangle_whole(beta, params, samples, seed):
@@ -567,22 +593,22 @@ def quasi_triangle_whole(beta, params, samples, seed):
         "z0": [float(xs[worst, 0]), float(ts[worst, 0])],
         "z1": [float(xs[worst, 1]), float(ts[worst, 1])],
         "zbar": [float(xs[worst, 2]), float(ts[worst, 2])],
-    }, t_span, int(np.count_nonzero(ratios == max_ratio))
+    }, t_span, np.flatnonzero(ratios == max_ratio)
 
 
 class TestBlockedTriangleAudit:
-    """The audit walks its triples in blocks of TRIPLE_BLOCK and reports
-    what the whole-array audit reported."""
+    """The audit walks its triples in ranges, each in blocks of TRIPLE_BLOCK,
+    and reports what the whole-array audit reported."""
 
     N_ADV = 13 * 13 * 10
     WEIGHTS = {"power": Weight.power(0.4, 0.1, DOM),
                "sampled": TestBlockedBisection.WEIGHTS["sampled"]}
 
-    def check(self, beta, samples, seed):
-        """The blocked report against the reference, field by field; the
-        number of triples at the worst ratio."""
+    def check(self, beta, samples, seed, ranges=1):
+        """The report against the reference, field by field; the indices of
+        the triples at the worst ratio."""
         params = estimate_quasi_params(beta)
-        rep = quasi_triangle_audit(beta, params, samples, seed=seed)
+        rep = quasi_triangle_audit(beta, params, samples, seed=seed, ranges=ranges)
         ratio, triple, t_span, ties = quasi_triangle_whole(beta, params, samples, seed)
         row, = rep.rows
         assert row.constant == row.lhs == ratio
@@ -600,17 +626,46 @@ class TestBlockedTriangleAudit:
     def test_matches_whole_array_audit(self, kind, samples, seed):
         self.check(self.WEIGHTS[kind], samples, seed)
 
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_ranges_match_whole_array_audit(self, kind, ranges, forks, monkeypatch):
+        # 256-triple blocks: the 3,690 triples split at 1,230 and 2,460, so
+        # one range straddles the adversarial tail's start (2,000) and the
+        # last holds adversarial triples only
+        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
+        self.check(self.WEIGHTS[kind], 2000, seed=5, ranges=ranges)
+        assert len(forks) == ranges - 1
+
+    def test_at_most_one_range_per_block(self, forks):
+        # 2,690 triples fill one block: the run stays in this process
+        self.check(self.WEIGHTS["power"], 1000, seed=5, ranges=4)
+        assert forks == []
+
     @pytest.mark.parametrize("block", [TRIPLE_BLOCK, 16])
     def test_ties_report_the_first_worst_triple(self, block, monkeypatch):
         # the constant weight: every triple collinear in x reaches ratio 1;
         # with 16-triple blocks the first of them sits in a later block
         monkeypatch.setattr(geometry, "TRIPLE_BLOCK", block)
         samples = 300 if block == 16 else TRIPLE_BLOCK + 5
-        assert self.check(Weight.constant(1.0, DOM), samples, seed=1) > 10
+        assert len(self.check(Weight.constant(1.0, DOM), samples, seed=1)) > 10
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    def test_tie_across_range_boundaries(self, ranges, forks, monkeypatch):
+        # the constant weight's worst ratio, 1, is reached by about one random
+        # triple in 20 and so in every range: the first range's first tie
+        # must win over the later ones
+        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
+        ties = self.check(Weight.constant(1.0, DOM), 6000, seed=1, ranges=ranges)
+        total = 6000 + self.N_ADV
+        bounds = [total * i // ranges for i in range(1, ranges)]
+        assert set(np.searchsorted(bounds, ties, side="right")) == set(range(ranges))
+        assert len(forks) == ranges - 1
 
     @pytest.mark.parametrize("samples", [1, 999, 1000, 2500])
     def test_block_draws_are_the_one_shot_draws(self, samples, monkeypatch):
-        # each block's triples, read off the first two legs it measures
+        # the triples of each range and each of its blocks, read off the
+        # first two legs each block measures, for contiguous splits that cut
+        # blocks, the random triples and the adversarial tail
         legs = []
 
         def recorded(beta, X, T, X0, T0):
@@ -620,20 +675,54 @@ class TestBlockedTriangleAudit:
         monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 1000)
         monkeypatch.setattr(geometry, "quasi_distance_batch", recorded)
         beta = self.WEIGHTS["power"]
-        rep = quasi_triangle_audit(beta, estimate_quasi_params(beta),
-                                   samples, seed=11)
-        blocks = [(np.column_stack([x0, x1, x2]), np.column_stack([t0, t1, t2]))
-                  for (x2, t2, x0, t0), (x1, t1, _, _) in zip(legs[0::3], legs[1::3])]
-        assert len(legs) == 3 * len(blocks)
-        assert [len(x) for x, _ in blocks[:-1]] == [1000] * (len(blocks) - 1)
         (lo, hi), = beta.domain
-        t_span = rep.params["t_span"]
+        t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
+        adversarial = geometry._adversarial_triples(lo, hi, t_span)
         rng = np.random.default_rng(11)
-        xs = rng.uniform(lo, hi, size=(samples, 3))
-        ts = rng.uniform(-t_span, 0.0, size=(samples, 3))
-        xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
-        assert np.array_equal(np.vstack([x for x, _ in blocks]), np.vstack([xs, xs_adv]))
-        assert np.array_equal(np.vstack([t for _, t in blocks]), np.vstack([ts, ts_adv]))
+        xs = np.vstack([rng.uniform(lo, hi, size=(samples, 3)), adversarial[0]])
+        ts = np.vstack([rng.uniform(-t_span, 0.0, size=(samples, 3)), adversarial[1]])
+        total = len(xs)
+        for bounds in ([0, total], [0, samples, total],
+                       [0, total // 3, 2 * total // 3, total], [0, 1, 1500, total]):
+            for start, stop in zip(bounds, bounds[1:]):
+                legs.clear()
+                geometry._triangle_range(beta, samples, 11, t_span, adversarial,
+                                         start, stop)
+                blocks = [(np.column_stack([x0, x1, x2]), np.column_stack([t0, t1, t2]))
+                          for (x2, t2, x0, t0), (x1, t1, _, _)
+                          in zip(legs[0::3], legs[1::3])]
+                assert len(legs) == 3 * len(blocks)
+                assert [len(x) for x, _ in blocks[:-1]] == [1000] * (len(blocks) - 1)
+                assert np.array_equal(np.vstack([x for x, _ in blocks]), xs[start:stop])
+                assert np.array_equal(np.vstack([t for _, t in blocks]), ts[start:stop])
+
+    @pytest.mark.parametrize("samples", [1000, 100])
+    def test_range_errors_raised_as_inline(self, samples, forks, monkeypatch):
+        # every block that holds adversarial triples (time 0 at z0) raises,
+        # naming its first such pair. The 3 ranges split at a third and two
+        # thirds of the triples: with 1,000 samples only the second and the
+        # third range raise, with 100 all three do; the earliest range's
+        # error must be raised, as in one process
+        def failing(beta, X, T, X0, T0):
+            adversarial = np.flatnonzero(np.asarray(T0) == 0.0)
+            if adversarial.size:
+                k = adversarial[0]
+                raise NoBracket(f"pair at {X[k]!r}, {T[k]!r}")
+            return quasi_distance_batch(beta, X, T, X0, T0)
+
+        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
+        monkeypatch.setattr(geometry, "quasi_distance_batch", failing)
+        beta = self.WEIGHTS["sampled"]
+        params = estimate_quasi_params(beta)
+        with pytest.raises(NoBracket) as inline:
+            quasi_triangle_audit(beta, params, samples, seed=3, ranges=1)
+        assert forks == []
+        with pytest.raises(NoBracket) as split:
+            quasi_triangle_audit(beta, params, samples, seed=3, ranges=3)
+        assert len(forks) == 2
+        assert str(split.value) == str(inline.value)
+        with pytest.raises(ChildProcessError):  # every child reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def quasi_params_per_ball(beta):

@@ -61,7 +61,7 @@ def test_quasi_triangle_audit_peak():
     beta = ExperimentConfig.load(CONFIG_DIR / "power_weight.json").build_weight()
     params = estimate_quasi_params(beta)
     peak = traced_peak(lambda: quasi_triangle_audit(beta, params, 200_000,
-                                                    seed=7))
+                                                    seed=7, ranges=1))
     # blocks of 32,768 triples peaked at 6.07 MB, at 2e5 samples as at 5e5;
     # all triples at once took 22.7 MB here. Margin about 4 MB
     assert peak < 10.0 * MB

@@ -276,7 +276,12 @@ class TestCliExits:
                             "domain": [[0, 1], [0, 1]]},
                  "selection": ["weights", "geometry", "audit"]},
                 {"weight": {"kind": "sampled", "samples": [[1.0, 2.0], [2.0, 1.0]],
-                            "domain": [[0, 1], [0, 1]]}}):
+                            "domain": [[0, 1], [0, 1]]}},
+                # input errors that used to end as audit results with exit 1
+                {"audits": {"weights": {"tol_quad": -1}}},
+                {"audits": {"flatten": {"t0": -1}}, "selection": ["flatten"]},
+                {"audits": {"audit": {"freeze_amplitudes": [-5]}},
+                 "selection": ["audit"]}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -298,14 +303,49 @@ class TestCliExits:
         assert "unknown key(s) ['alpha'] in the constant weight" in err
         assert "unknown key(s) ['quadrature'] in the sampled weight" in err
         assert "invalid weight spec: sample values must be finite" in err
-        assert err.count("invalid weight spec: domain must be one interval "
-                         "[lo, hi], got 2 axes") == 2
+        assert err.count("weight.domain must be one interval [lo, hi], "
+                         "got [[0, 1], [0, 1]]") == 2
         assert "levels" in err and "nx >= 2" in err and "sampled" in err
         assert "energy_budjet" in err
         assert "coefficient.base" in err and "oscilation" in err
         assert "grid.nx must be an integer, got 16.7" in err
         assert "grid.nt must be an integer, got 100.5" in err
         assert "levels must be an integer, got 16.5" in err
+        assert "audits.weights.tol_quad must satisfy tol_quad >= 0, got -1" in err
+        assert "audits.flatten.t0 must satisfy t0 > 0, got -1" in err
+        assert ("each of audits.audit.freeze_amplitudes must satisfy "
+                "freeze_amplitudes > -1 and freeze_amplitudes < 1, got -5") in err
+        # the numbers of a weight spec, each named in its message
+        for spec, message in (
+                ({"kind": "constant", "value": math.nan}, "weight.value must be a finite"),
+                ({"kind": "constant", "value": True}, "weight.value must be a finite"),
+                ({"kind": "constant", "value": 0.0}, "weight.value must satisfy value > 0"),
+                ({"kind": "power", "alpha": "0.2"}, "weight.alpha must be a finite"),
+                ({"kind": "power", "alpha": math.nan}, "weight.alpha must be a finite"),
+                ({"kind": "power", "alpha": 0.2, "scale": math.inf},
+                 "weight.scale must be a finite"),
+                ({"kind": "power", "alpha": 0.2, "scale": -2.0},
+                 "weight.scale must satisfy scale > 0"),
+                ({"kind": "power", "alpha": 0.2, "center": math.nan},
+                 "weight.center must be a finite"),
+                ({"kind": "power", "alpha": 0.2, "center": [0.5]},
+                 "weight.center must be a finite"),
+                ({"kind": "power", "alpha": 0.2, "domain": [1.0, 0.0]},
+                 "weight.domain[1] must satisfy domain[1] > 1"),
+                ({"kind": "constant", "domain": [0.5, 0.5]},
+                 "weight.domain[1] must satisfy domain[1] > 0.5"),
+                ({"kind": "constant", "domain": [-math.inf, 1.0]},
+                 "weight.domain[0] must be a finite"),
+                ({"kind": "constant", "domain": [0.0, "1"]},
+                 "weight.domain[1] must be a finite"),
+                ({"kind": "constant", "domain": [0.0, 0.5, 1.0]},
+                 "weight.domain must be one interval"),
+                ({"kind": "sampled", "samples": [1.0, 2.0], "domain": [[0.0, math.nan]]},
+                 "weight.domain[1] must be a finite"),
+                ({"kind": "power", "center": 0.5}, "weight spec missing key 'alpha'")):
+            cfg = self.write_config(tmp_path, {"weight": spec})
+            assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, spec
+            assert message in capsys.readouterr().err, spec
 
     @pytest.mark.parametrize("audits, message", [
         # one level has no order of convergence: its report had no rows

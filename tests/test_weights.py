@@ -131,6 +131,28 @@ class TestCumulativeLookup:
         b = np.array([5.0, 1.0, 0.5, 2.0, 4.0, -0.5])
         assert np.array_equal(w.mass_1d_vec(1.0, a, b), [cum[-1], cum[-1], 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.4, 0.1, DOM), Weight.power(-0.5, 0.1, DOM, scale=2.5),
+        Weight.sampled(np.random.default_rng(1).uniform(0.5, 2.0, 256), (-0.3, 1.9)),
+        Weight.sampled([3.0], DOM)], ids=["power", "singular", "midpoint", "one-cell"])
+    def test_ball_ends_are_mass_and_point_values(self, w):
+        # centres on, beside and beyond every cell edge and both domain ends,
+        # radii from 0 through ones that reach past the domain; the singular
+        # power weight is infinite at an end on its centre
+        (lo, hi), = w.domain
+        edges = np.linspace(lo, hi, 257)
+        rng = np.random.default_rng(4)
+        x0 = np.concatenate([lookup_probes(edges, rng), [lo - 1.0, hi + 1.0, 0.1]])
+        for r in (np.zeros_like(x0), rng.uniform(0.0, 0.02, x0.size),
+                  rng.uniform(0.0, 4.0, x0.size), np.full_like(x0, 0.1)):
+            with np.errstate(divide="ignore"):
+                mass, left, right = w.ball_ends(1.0, x0, r)
+                ref_left, ref_right = w(x0 - r), w(x0 + r)
+            ref = w.mass_1d_vec(1.0, x0 - r, x0 + r, clip=False)
+            assert mass.tobytes() == ref.tobytes()
+            assert left.tobytes() == ref_left.tobytes()
+            assert right.tobytes() == ref_right.tobytes()
+
     @ONE_D_WEIGHTS
     def test_nan_endpoint_gives_nan(self, w):
         # as np.interp did, rather than a bad index
