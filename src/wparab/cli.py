@@ -43,7 +43,7 @@ from .inequalities import (SpaceTimeTestFunction, TestFunction, interpolation_au
                            weighted_embedding_audit, weighted_lq_control_audit)
 from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit,
                       vitali_select, weak_1_1_audit)
-from .oscillation import OscillationConfig, oscillation_supremum
+from .oscillation import oscillation_supremum
 from .report import AuditReport, AuditRow, write_csv, write_json, write_svg_curves
 from .solver import (FrozenProblem, apriori_ratio, energy_audit, lipschitz_audit,
                      poincare_audit, solve_frozen, time_shift_audit,
@@ -193,8 +193,7 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     lo, hi = w.domain[0]
     mask = (lo, hi, 0.0, t_final)
 
-    osc_cfg = OscillationConfig(R0=p.R0, delta=p.delta)
-    reports = [oscillation_supremum(run.a_fun, w, osc_cfg, mask)]
+    reports = [oscillation_supremum(run.a_fun, w, p.R0, p.delta, mask)]
 
     center = 0.5 * (lo + hi)
     z0 = SpaceTimePoint([center], t_final)

@@ -225,7 +225,12 @@ class ExperimentConfig:
             # each order of convergence compares a level with the one before
             raise ConfigError("audits.solve.levels must hold at least two strictly "
                               f"increasing grid sizes, got {levels}")
-        cfg.build_weight()  # validate the weight and coefficient specs eagerly
+        (lo, hi), = cfg.build_weight().domain  # validate the specs eagerly
+        x0 = cfg.audits["geometry"].relations_x0
+        if x0 is not None and not lo <= x0 <= hi:
+            # outside the domain a sampled weight is 0, and so is every height
+            raise ConfigError(f"audits.geometry.relations_x0 must lie in the weight "
+                              f"domain [{lo:g}, {hi:g}], got {x0!r}")
         cfg.coefficient_fn()
         cfg.check_groups(cfg.selection)
         return cfg

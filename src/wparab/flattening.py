@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllipticityViolation, EmptyBall, GateFailed
+from .errors import EllipticityViolation, GateFailed
 from .report import AuditReport, AuditRow
-from .weights import N0, BallFamily, Weight, aq_characteristic, ball_grid, first_sup
+from .weights import N0, BallFamily, Weight, a2_products, first_sup
 
 @dataclass
 class BoundaryChart:
@@ -189,49 +189,27 @@ def _transformed_weight(chart: BoundaryChart, beta: Weight,
     return Weight.from_function_2d(fn, beta.domain, shape, singular)
 
 
-def _sup_ball_oscillation(w: Weight, fam: BallFamily) -> float:
-    """sup over the family of (w)_B (w^{-1})_B - 1 (squared oscillation).
-
-    Both means of every ball come from one pass over the family, which
-    shares the family's cell coverage on the weight's grid. A ball that
-    covers no sample is skipped when it lies outside the domain; the first
-    one, in ball order, that meets the domain (its centre is closer than r
-    to the box) raises :class:`EmptyBall`.
-    """
-    masses, meas = w.ball_masses((1.0, -1.0), fam)
-    hit = meas > 0.0
-    if not hit.all():
-        c, r = ball_grid(fam.centers, fam.radii)
-        lo, hi = np.array(w.domain).T
-        gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)  # centre to box, per axis
-        meets = ~hit & (np.hypot(gap[:, 0], gap[:, 1]) < r)
-        if meets.any():
-            i = np.argmax(meets)
-            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
-    b, b_inv = masses[:, hit] / meas[hit]
-    return first_sup(b * b_inv - 1.0)[0]
-
-
 def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
                              M0: float, fam: BallFamily,
                              shape: tuple[int, int] = (48, 48)) -> AuditReport:
     """Class and oscillation inflation of the transformed weight.
 
-    Row 1: the characteristic of b~^{-1} against 2^{n+2} times the budget
-    satisfied by b. Row 2: the sup-ball squared oscillation of b~ with the
-    fitted constant sup/delta^2.
+    Row 1: the characteristic of b~^{-1} in A_{1+2/n0} = A_2 against
+    2^{n+2} times the budget satisfied by b. Row 2: the sup-ball squared
+    oscillation of b~ with the fitted constant sup/delta^2. Both read one
+    pass of :func:`a2_products` of b~.
     """
     q = 1.0 + 2.0 / N0
     beta_grid = _transformed_weight(BoundaryChart(delta=0.0),
                                     beta, shape)  # same sampling for fairness
-    est_orig = aq_characteristic(beta_grid, q, fam, power=-1.0)
+    est_orig = first_sup(a2_products(beta_grid, fam))[0]
     if est_orig > M0:
         raise GateFailed(
             f"base weight characteristic {est_orig} exceeds budget {M0}")
-    wt = _transformed_weight(chart, beta, shape)
-    est_tilde = aq_characteristic(wt, q, fam, power=-1.0)
+    a2_tilde = a2_products(_transformed_weight(chart, beta, shape), fam)
+    est_tilde = first_sup(a2_tilde)[0]
     budget = 2.0 ** (beta.n + 2) * M0
-    osc = _sup_ball_oscillation(wt, fam)
+    osc = first_sup(a2_tilde - 1.0)[0]
     n1_fit = math.sqrt(osc) / chart.delta if chart.delta > 0 else 0.0
     rows = [
         AuditRow(label="inverse-class-inflation", lhs=est_tilde, rhs=budget,
@@ -263,8 +241,8 @@ def oscillation_delta_sweep(deltas) -> list[dict]:
         chart = BoundaryChart(delta=float(d))
         beta = Weight.power(0.5 * float(d), (0.0, 0.25), domain)
         wt = _transformed_weight(chart, beta, (40, 40))
-        osc = _sup_ball_oscillation(wt, fam)
-        rows.append({"delta": float(d), "oscillation_sq": osc})
+        rows.append({"delta": float(d),
+                     "oscillation_sq": first_sup(a2_products(wt, fam) - 1.0)[0]})
     return rows
 
 

@@ -4,8 +4,8 @@ For the weight, the ball-wise squared oscillation
 
     theta_beta(B) = (1/b(B)) ∫_B |b - (b)_B|^2 b^{-1} dx
 
-collapses algebraically to (b)_B (b^{-1})_B - 1, so it is computed from the
-same moments as the A_2 quantity. For the coefficient, a scalar in
+collapses algebraically to (b)_B (b^{-1})_B - 1, so it is read from the
+A_2 product of ``weights.a2_products``. For the coefficient, a scalar in
 this 1D code, the average is partial: on a cylinder the coefficient is
 centered per time slice around its spatial mean over B_rho(x0) ∩ Omega, so
 purely time-dependent coefficients register zero oscillation.
@@ -16,33 +16,12 @@ their sum against a configured threshold delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyRegion
 from .geometry import height
 from .report import AuditReport, AuditRow
-from .weights import BallFamily, Weight, ball_grid, first_sup
-
-
-@dataclass
-class OscillationConfig:
-    """Discretization of the oscillation suprema and the smallness gate."""
-
-    R0: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.R0 < 1.0:
-            raise ValueError("R0 must lie in (0, 1)")
-        if self.delta < 0.0:
-            raise ValueError("delta must be non-negative")
-
-    def radius_grid(self, r_min: float) -> np.ndarray:
-        """24 geometric radii from r_min (at most R0/2) to just below R0."""
-        return np.geomspace(min(r_min, 0.5 * self.R0), self.R0 * (1.0 - 1e-9), 24)
-
+from .weights import BallFamily, Weight, a2_products, ball_grid, first_sup
 
 # Cylinders per theta_A_ms pass in oscillation_supremum. At its
 # 17 x 33 nodes a scalar coefficient takes 4.5 KB per cylinder and node
@@ -54,14 +33,22 @@ CYLINDER_BLOCK = 32
 
 
 def theta_beta_ms(beta: Weight, x0, r: float) -> float:
-    """Ball-wise squared weighted mean oscillation of the weight.
+    """Ball-wise squared weighted mean oscillation of the weight: the A_2
+    product over B_r(x0) ∩ domain less one; zero for constant weights."""
+    return max(float(a2_products(beta, BallFamily.centered(x0, [r]))[0]) - 1.0, 0.0)
 
-    Equals (b)_B (b^{-1})_B - 1 with averages over B_r(x0) ∩ domain;
-    zero for constant weights.
-    """
-    beta.check_power_integrable(-1.0)
-    b, b_inv = beta.means((1.0, -1.0), BallFamily.centered(x0, [r]))[:, 0].tolist()
-    return max(b * b_inv - 1.0, 0.0)
+
+def sample_broadcast(fn, x, t, shape: tuple) -> np.ndarray:
+    """``fn(x, t)`` as a contiguous array of ``shape``, from one broadcasting
+    call: every sampled coefficient and forcing. ``x`` and ``t`` are laid out
+    to broadcast to ``shape``, and so must the result (a scalar is fine)."""
+    vals = np.asarray(fn(x, t), dtype=float)
+    try:
+        # C order: each row is reduced as one contiguous slice, like a 1D array
+        return np.array(np.broadcast_to(vals, shape), order="C")
+    except ValueError as exc:
+        raise ValueError(f"coefficient returned shape {vals.shape}, which is not "
+                         f"a scalar field broadcasting to {shape}") from exc
 
 
 def theta_A_ms(A_fun, z0, r, h, mask):
@@ -101,7 +88,8 @@ def theta_A_ms(A_fun, z0, r, h, mask):
     n_space, n_time = 33, 17
     xs = a + (b - a) * (np.arange(n_space) + 0.5) / n_space
     ts = s_lo + (s_hi - s_lo) * (np.arange(n_time) + 0.5) / n_time
-    vals = _sample_nodes(A_fun, xs, ts)
+    vals = sample_broadcast(A_fun, xs[:, None, :], ts[:, :, None],
+                            (xs.shape[0], n_time, n_space))
     dev = vals - vals.mean(axis=2, keepdims=True)
     sq = dev ** 2
     # summed in time order from 0.0: np.sum adds pairwise, which moves the last bits
@@ -113,34 +101,23 @@ def theta_A_ms(A_fun, z0, r, h, mask):
     return float(out) if out.ndim == 0 else out
 
 
-def _sample_nodes(A_fun, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """A_fun on the (cylinder, time, space) node grid as a contiguous
-    (cylinders, n_time, n_space) array, from one broadcasting call."""
-    vals = np.asarray(A_fun(xs[:, None, :], ts[:, :, None]), dtype=float)
-    shape = (xs.shape[0], ts.shape[1], xs.shape[1])
-    try:
-        # C order: each row is reduced as one contiguous slice, like a 1D array
-        return np.array(np.broadcast_to(vals, shape), order="C")
-    except ValueError as exc:
-        raise ValueError(f"coefficient returned shape {vals.shape}, which is not "
-                         f"a scalar field broadcasting to {shape}") from exc
-
-
-def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask) -> AuditReport:
+def oscillation_supremum(A_fun, beta: Weight, R0: float, delta: float,
+                         mask) -> AuditReport:
     """Supremal oscillation functionals and the smallness gate.
 
     Maximizes sqrt(theta_A_ms) over (center, radius) on the lattice of 17
-    centres across the mask and radii from two lattice spacings, and
-    sqrt(theta_beta_ms) likewise; passes iff their sum is below cfg.delta.
+    centres across the mask and 24 geometric radii from two lattice spacings
+    (R0/2 at most) to just below R0, and sqrt(theta_beta_ms) likewise;
+    passes iff their sum is below delta.
     """
     x_lo, x_hi, t_lo, t_hi = mask
     grid_points = np.linspace(x_lo, x_hi, 17)
-    radii = cfg.radius_grid(2.0 * (x_hi - x_lo) / 16)
+    radii = np.geomspace(min(2.0 * (x_hi - x_lo) / 16, 0.5 * R0),
+                         R0 * (1.0 - 1e-9), 24)
 
     # theta_beta_ms of every lattice ball at once
     fam = BallFamily(grid_points[:, None], radii)
-    b, b_inv = beta.means((1.0, -1.0), fam)
-    sup_b, k = first_sup(np.maximum(b * b_inv - 1.0, 0.0))
+    sup_b, k = first_sup(a2_products(beta, fam) - 1.0)
     worst_b = None if k is None else (float(grid_points[k // radii.size]),
                                       float(radii[k % radii.size]))
     t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
@@ -162,18 +139,18 @@ def oscillation_supremum(A_fun, beta: Weight, cfg: OscillationConfig, mask) -> A
     theta_b = float(np.sqrt(sup_b))
     total = theta_a + theta_b
     rows = [
-        AuditRow(label="matrix-partial-oscillation", lhs=theta_a, rhs=cfg.delta,
-                 constant=theta_a, budget=cfg.delta, passed=bool(theta_a <= cfg.delta),
+        AuditRow(label="matrix-partial-oscillation", lhs=theta_a, rhs=delta,
+                 constant=theta_a, budget=delta, passed=bool(theta_a <= delta),
                  extra={"worst": worst_a}),
-        AuditRow(label="weight-mean-oscillation", lhs=theta_b, rhs=cfg.delta,
-                 constant=theta_b, budget=cfg.delta, passed=bool(theta_b <= cfg.delta),
+        AuditRow(label="weight-mean-oscillation", lhs=theta_b, rhs=delta,
+                 constant=theta_b, budget=delta, passed=bool(theta_b <= delta),
                  extra={"worst": worst_b}),
-        AuditRow(label="smallness-gate", lhs=total, rhs=cfg.delta, constant=total,
-                 budget=cfg.delta, passed=bool(total < cfg.delta)),
+        AuditRow(label="smallness-gate", lhs=total, rhs=delta, constant=total,
+                 budget=delta, passed=bool(total < delta)),
     ]
     # the gate is the binding row; the per-term rows are informational
     report = AuditReport.from_rows(
         "oscillation-smallness-gate", rows,
-        params={"R0": cfg.R0, "delta": cfg.delta, "n_radii": radii.size})
-    report.passed = bool(total < cfg.delta)
+        params={"R0": R0, "delta": delta, "n_radii": radii.size})
+    report.passed = bool(total < delta)
     return report

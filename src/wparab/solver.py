@@ -33,7 +33,7 @@ import numpy as np
 from .errors import EllipticityViolation, GateFailed, PreconditionFailed, SingularSystem
 from .geometry import WeightedCylinder
 from .maximal import SpaceTimeField
-from .oscillation import theta_beta_ms
+from .oscillation import sample_broadcast, theta_A_ms, theta_beta_ms
 from .report import AuditReport, AuditRow
 from .weights import Weight
 
@@ -109,22 +109,12 @@ class CoefficientField:
         scalar is fine) must broadcast to shape (nt + 1, nx). The
         ellipticity constant is read off the sampled range.
         """
-        vals = _sample_faces(fn, grid)
+        vals = sample_broadcast(fn, grid.faces[None, :], grid.t[:, None],
+                                (grid.nt + 1, grid.nx))
         lo, hi = float(vals.min()), float(vals.max())
         if lo <= 0.0:
             raise EllipticityViolation("conductivity must be positive")
         return cls(values=vals, nu=min(lo, 1.0 / hi, 0.999))
-
-
-def _sample_faces(fn, grid: Grid) -> np.ndarray:
-    """fn at every (face, time level) of the grid from one broadcasting call."""
-    vals = np.asarray(fn(grid.faces[None, :], grid.t[:, None]), dtype=float)
-    shape = (grid.nt + 1, grid.nx)
-    try:
-        return np.array(np.broadcast_to(vals, shape), order="C")
-    except ValueError as exc:
-        raise ValueError(f"callable returned shape {vals.shape}, which does not "
-                         f"broadcast to the grid's {shape}") from exc
 
 
 def forcing_from_callable(fn, grid: Grid) -> np.ndarray:
@@ -134,7 +124,8 @@ def forcing_from_callable(fn, grid: Grid) -> np.ndarray:
     ``fn(grid.faces[None, :], grid.t[:, None])``, and its result (a scalar
     is fine) must broadcast to shape (nt + 1, nx).
     """
-    return _sample_faces(fn, grid)
+    return sample_broadcast(fn, grid.faces[None, :], grid.t[:, None],
+                            (grid.nt + 1, grid.nx))
 
 
 def cell_averaged_weight(beta: Weight, grid: Grid) -> np.ndarray:
@@ -398,7 +389,7 @@ class FrozenProblem:
     """Constant-in-space companion problem on one cylinder."""
 
     beta_bar: float
-    a_bar: object       # callable t -> conductivity, or a constant
+    a_bar: object       # conductivity a(t), broadcasting over times, or a constant
     x_span: tuple[float, float]
     t_span: tuple[float, float]
     nx: int
@@ -410,7 +401,7 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
 
     ``data(x, t)`` supplies the parabolic boundary values (initial slice and
     the two lateral traces); the interior is marched implicitly with the
-    constant weight and the per-step conductivity.
+    constant weight and the conductivity at each time s + t of the local grid.
     """
     if problem.beta_bar <= 0.0:
         raise PreconditionFailed("frozen weight average must be positive")
@@ -419,14 +410,9 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
     grid = Grid(x0=a, x1=b, nx=problem.nx, t_final=e - s, nt=problem.nt)
     x = grid.x
     ts = s + grid.t
-    abar = problem.a_bar if callable(problem.a_bar) else (lambda t: problem.a_bar)
-    nu_vals = [float(abar(t)) for t in ts]
-    lo, hi = min(nu_vals), max(nu_vals)
-    if lo <= 0.0:
-        raise EllipticityViolation("frozen conductivity must be positive")
-    nu = min(lo, 1.0 / hi, 0.999)
-    A = CoefficientField(values=np.tile(np.asarray(nu_vals)[:, None], (1, grid.nx)),
-                         nu=nu)
+    a_bar = problem.a_bar
+    A = CoefficientField.from_callable(
+        (lambda _, t: a_bar(s + t)) if callable(a_bar) else (lambda _, t: a_bar), grid)
     beta_cells = np.full(grid.nx + 1, problem.beta_bar)
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     u[0, :] = data(x, ts[0])
@@ -570,8 +556,9 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     Normalizes u so the mean-square gradient over the 4r cylinder is one,
     solves the frozen problem there with u's boundary data, and reports the
     root-mean-square gradient gap over the 2r cylinder together with the
-    oscillation + forcing smallness of the inputs. ``A_fun(x, t)`` must
-    broadcast over an array of nodes x (a scalar result is fine).
+    oscillation + forcing smallness of the inputs. The coefficient's
+    oscillation is ``theta_A_ms`` on the 4r cylinder, clipped to u's grid.
+    ``A_fun(x, t)`` must broadcast like a numpy ufunc.
     """
     r = cyl_base.r
     x0 = cyl_base.z0.x
@@ -593,14 +580,12 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     # mean over the whole ball B_R, not its part inside the domain
     R = 4.0 * r
     beta_bar = float(beta.mass_1d_vec(1.0, x0[0] - R, x0[0] + R, clip=False)) / (2.0 * R)
-    xs_quad = np.linspace(x0[0] - 4.0 * r, x0[0] + 4.0 * r, 65)
+    xs_quad = np.linspace(x0[0] - R, x0[0] + R, 65)
 
-    def a_quad(t) -> np.ndarray:
-        return np.broadcast_to(np.asarray(A_fun(xs_quad, t), dtype=float),
-                               xs_quad.shape)
-
-    def a_bar(t):
-        return float(np.mean(a_quad(t)))
+    def a_bar(t):  # the mean over the 65 nodes at each time of t
+        vals = sample_broadcast(A_fun, xs_quad, t,
+                                np.broadcast_shapes(np.shape(t), xs_quad.shape))
+        return np.mean(vals, axis=-1, keepdims=True)
 
     problem = FrozenProblem(
         beta_bar=beta_bar, a_bar=a_bar,
@@ -619,13 +604,9 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     gap = np.subtract(v.block(gu, reg2), v.block(v.grad(), reg2), order="F")
     eps_emp = math.sqrt(float(np.mean(gap ** 2))) if gap.size else 0.0
 
-    th_b = theta_beta_ms(beta, x0, 4.0 * r)
-    ts = np.linspace(s2, cyl4.t_interval[1], 17)
-    th_a = 0.0
-    for t in ts:
-        vals = a_quad(t)
-        th_a += float(np.mean((vals - vals.mean()) ** 2))
-    th_a /= len(ts)
+    th_b = theta_beta_ms(beta, x0, R)
+    th_a = theta_A_ms(A_fun, (x0, cyl_base.z0.t), R, cyl4.h,
+                      (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final))
     f_ms = u_hat.lp(u_hat.F, 2.0, reg4) ** 2 / size4
     delta_emp = math.sqrt(th_a + th_b + f_ms)
     row = AuditRow(label="gradient-gap", lhs=eps_emp, rhs=delta_emp,

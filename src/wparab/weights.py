@@ -483,13 +483,21 @@ class BallFamily:
 # -- operations -------------------------------------------------------------
 
 
-def aq_characteristic(w: Weight, q: float, fam: BallFamily, power: float = 1.0) -> float:
-    """Lower estimate of the A_q characteristic (q > 1) of w^power over the
+def aq_characteristic(w: Weight, q: float, fam: BallFamily) -> float:
+    """Lower estimate of the A_q characteristic (q > 1) of w over the
     family. The result is >= 1 up to quadrature error."""
     if not q > 1.0:
         raise ValueError(f"A_q requires q > 1, got {q}")
-    m, m_dual = w.means((power, -power / (q - 1.0)), fam)
+    m, m_dual = w.means((1.0, -1.0 / (q - 1.0)), fam)
     return first_sup(m * m_dual ** (q - 1.0))[0]
+
+
+def a2_products(w: Weight, fam: BallFamily) -> np.ndarray:
+    """(w)_B (w^{-1})_B for every ball B of the family, in ball order, from
+    one pass of means: the A_2 characteristic's terms, and 1 + theta_w(B)
+    (``oscillation.theta_beta_ms``). EmptyBall if a ball misses the domain."""
+    b, b_inv = w.means((1.0, -1.0), fam)
+    return b * b_inv
 
 
 def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
@@ -499,13 +507,11 @@ def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
     Rows: the characteristic of beta^{-1} in A_{1+2/n0} against the budget
     M0; the duality identity tying it to the characteristic of beta^{n0/2}
     in A_{1+n0/2}; and the A_2 bound for beta itself. With n0 = 2 both
-    classes are A_2, so every row reads the sup of (beta)_B (beta^{-1})_B
-    from one pass of means over the family.
+    classes are A_2, so every row reads the sup of :func:`a2_products`.
     """
     q_inv = 1.0 + 2.0 / N0
     q_dual = 1.0 + N0 / 2.0
-    m_inv, m = beta.means((-1.0, 1.0), fam)
-    est = first_sup(m_inv * m)[0]
+    est = first_sup(a2_products(beta, fam))[0]
 
     # the rows keep the three checks' shape: perfbench/reference pins this report
     dual_target = est ** (N0 / 2.0)

@@ -15,13 +15,21 @@ Regenerate the goldens only for a change that is meant to alter reports,
 and only those of the configs it alters (all of them when none is named):
 
     PYTHONPATH=src python tests/golden_reports.py [CONFIG ...]
+
+``--diff`` runs the named configs (all when none is named) into a
+temporary directory instead and prints every new-vs-golden mismatch, the
+old -> new list a golden-moving change records; it exits 1 on any:
+
+    PYTHONPATH=src python tests/golden_reports.py --diff [CONFIG ...]
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -121,13 +129,34 @@ def compare_to_golden(out_dir: Path, config: str) -> list[str]:
     return problems
 
 
-def regenerate(configs=CONFIGS) -> None:
-    from wparab.cli import run_experiment
-
+def _known(configs):
     unknown = sorted(set(configs) - set(CONFIGS))
     if unknown:
         raise SystemExit(f"unknown golden configs {unknown}; known: {list(CONFIGS)}")
-    for config in configs:
+    return configs
+
+
+def diff(configs=CONFIGS) -> int:
+    """Print the mismatches between fresh runs of ``configs`` and their
+    goldens, one a line; 1 if there are any, else 0."""
+    from wparab.cli import run_experiment
+
+    problems: list[str] = []
+    for config in _known(configs):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                code = run_experiment(str(config_path(config)), tmp)
+            if code != 0:
+                problems.append(f"{config}: wparab all exited {code}")
+            problems += compare_to_golden(Path(tmp), config)
+    print("\n".join(problems), end="\n" if problems else "")
+    return 1 if problems else 0
+
+
+def regenerate(configs=CONFIGS) -> None:
+    from wparab.cli import run_experiment
+
+    for config in _known(configs):
         with tempfile.TemporaryDirectory() as tmp:
             code = run_experiment(str(config_path(config)), tmp)
             if code != 0:
@@ -141,4 +170,6 @@ def regenerate(configs=CONFIGS) -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--diff"]:
+        sys.exit(diff(sys.argv[2:] or CONFIGS))
     regenerate(sys.argv[1:] or CONFIGS)

@@ -44,7 +44,7 @@ from wparab.maximal import (
     vitali_select,
     weak_1_1_audit,
 )
-from wparab.oscillation import OscillationConfig, oscillation_supremum
+from wparab.oscillation import oscillation_supremum
 from wparab.solver import apriori_ratio, energy_audit
 from wparab.weights import (
     BallFamily,
@@ -185,8 +185,7 @@ class TestAcceptance:
                     # the p = 4 row binds only when the smallness gate holds
                     # for the unit conductivity of the solves
                     gate = oscillation_supremum(
-                        lambda x, t: 1.0, beta, OscillationConfig(R0=0.5, delta=0.25),
-                        (0.0, 1.0, 0.0, 0.25))
+                        lambda x, t: 1.0, beta, 0.5, 0.25, (0.0, 1.0, 0.0, 0.25))
                     if gate.passed:
                         ok = ok and spread < 0.10 and bounded
                 details.append(f"p{p:g}:{spread:.3f}")

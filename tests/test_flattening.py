@@ -11,7 +11,6 @@ from wparab.errors import EmptyBall, GateFailed
 from wparab.experiments import fit_loglog_slope
 from wparab.flattening import (
     BoundaryChart,
-    _sup_ball_oscillation,
     _transformed_weight,
     b_matrix,
     b_norm_delta_sweep,
@@ -22,7 +21,7 @@ from wparab.flattening import (
     pushforward_coefficients,
     pushforward_weight_audit,
 )
-from wparab.weights import BallFamily, Weight, ball_grid
+from wparab.weights import BallFamily, Weight, a2_products, ball_grid, first_sup
 
 DOM2 = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -176,6 +175,9 @@ def count_calls(monkeypatch, name):
 
 
 class TestSupBallOscillation:
+    """The pushforward audits' sup-ball oscillation: the sup of
+    a2_products less one."""
+
     CHART = BoundaryChart(delta=0.2)
 
     def weight(self):
@@ -194,7 +196,7 @@ class TestSupBallOscillation:
         fam = BallFamily.default(DOM2, n_centers=5, n_radii=8)
         ref = self.two_pass(w, fam)
         coverage = count_calls(monkeypatch, "_coverage")
-        osc = _sup_ball_oscillation(w, fam)
+        osc = first_sup(a2_products(w, fam) - 1.0)[0]
         assert osc == ref and osc > 0.0
         assert len(coverage) == 1 and coverage[0][1].size == 5 * 5 * 8
         # the audit's three uses of one family on one grid (both A_q
@@ -208,13 +210,6 @@ class TestSupBallOscillation:
         oscillation_delta_sweep([0.05, 0.1, 0.2])
         assert len(coverage) == 1
 
-    def test_ball_outside_domain_skipped(self):
-        w = self.weight()
-        inside = BallFamily.centered((0.3, -0.2), np.array([0.2, 0.5]))
-        mixed = BallFamily(centers=np.array([[0.3, -0.2], [5.0, 5.0]]),
-                           radii=np.array([0.2, 0.5]))
-        assert _sup_ball_oscillation(w, mixed) == _sup_ball_oscillation(w, inside)
-
     def test_ball_without_subcell_centre_raises(self):
         # a 2x2 grid on DOM2 has its outermost subcell centres at x = +-0.875;
         # this ball overlaps the strip x > 0.95 of the box but holds none
@@ -222,7 +217,7 @@ class TestSupBallOscillation:
         fam = BallFamily.centered((1.05, 0.0), np.array([0.1]))
         assert w.ball_masses((1.0,), fam)[1][0] == 0.0
         with pytest.raises(EmptyBall):
-            _sup_ball_oscillation(w, fam)
+            a2_products(w, fam)
 
 
 class TestAdmissibleRadius:

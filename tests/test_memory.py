@@ -14,7 +14,7 @@ import numpy as np
 
 from wparab.config import ExperimentConfig
 from wparab.geometry import estimate_quasi_params, quasi_triangle_audit
-from wparab.oscillation import OscillationConfig, oscillation_supremum
+from wparab.oscillation import oscillation_supremum
 from wparab.solver import CoefficientField, Grid, forcing_from_callable, solve_ivbp
 from wparab.weights import Weight
 
@@ -49,9 +49,8 @@ def test_solve_ivbp_peak():
 def test_oscillation_supremum_peak():
     cfg = ExperimentConfig.load(CONFIG_DIR / "power_weight.json")
     beta = cfg.build_weight()
-    osc = OscillationConfig(R0=0.5, delta=0.25)
     peak = traced_peak(lambda: oscillation_supremum(
-        cfg.coefficient_fn(), beta, osc, (0.0, 1.0, 0.0, 0.25)))
+        cfg.coefficient_fn(), beta, 0.5, 0.25, (0.0, 1.0, 0.0, 0.25)))
     # the per-cylinder loop peaked at 0.05 MB on this 17 x 24 x 4 lattice;
     # margin 1 MB
     assert peak < 0.05 * MB + 1.0 * MB

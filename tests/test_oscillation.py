@@ -11,12 +11,11 @@ from wparab.config import ExperimentConfig
 from wparab.errors import EmptyRegion
 from wparab.geometry import height
 from wparab.oscillation import (
-    OscillationConfig,
     oscillation_supremum,
     theta_A_ms,
     theta_beta_ms,
 )
-from wparab.weights import Weight
+from wparab.weights import BallFamily, Weight, a2_products
 
 DOM = (-1.0, 1.0)
 MASK = (-1.0, 1.0, -1.0, 0.0)
@@ -34,6 +33,11 @@ def theta_beta_quadrature(profile, x0, r, n=200000):
     return float(np.sum((b - mean) ** 2 / b) * dx / mass)
 
 
+def lattice_radii(R0, width):
+    """The 24 radii of oscillation_supremum's lattice on a mask this wide."""
+    return np.geomspace(min(2.0 * width / 16, 0.5 * R0), R0 * (1.0 - 1e-9), 24)
+
+
 def theta_A(A_fun, beta, z0, r, mask):
     """theta_A_ms on the cylinder of beta's height h_{x0}(r)."""
     return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r).item(), mask)
@@ -44,6 +48,14 @@ class TestThetaBeta:
         for c in (0.5, 1.0, 7.0):
             w = Weight.constant(c, DOM)
             assert theta_beta_ms(w, [0.0], 0.5) == 0.0
+
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.3, 0.17, DOM), Weight.constant(2.0, DOM),
+        Weight.sampled(np.exp(np.sin(np.linspace(0.0, 9.0, 40))), DOM)])
+    def test_is_the_a2_product_less_one(self, w):
+        for x0, r in ((0.0, 0.5), (0.9, 0.3), (-0.4, 0.05)):
+            product = a2_products(w, BallFamily.centered([x0], [r]))[0]
+            assert theta_beta_ms(w, [x0], r) == max(product - 1.0, 0.0)
 
     def test_power_weight_against_quadrature(self):
         w = Weight.power(0.1, 0.0, DOM)
@@ -206,24 +218,21 @@ class TestThetaAWholeArray:
 class TestSupremum:
     def test_identity_all_zero(self):
         beta = Weight.constant(1.0, DOM)
-        cfg = OscillationConfig(R0=0.5, delta=0.1)
-        rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK)
+        rep = oscillation_supremum(lambda x, t: 1.0, beta, 0.5, 0.1, MASK)
         assert rep.passed
         gate = next(r for r in rep.rows if r.label == "smallness-gate")
         assert gate.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_delta_fails_unless_constant(self):
         beta = Weight.power(0.1, 0.0, DOM)
-        cfg = OscillationConfig(R0=0.5, delta=0.0)
-        rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK)
+        rep = oscillation_supremum(lambda x, t: 1.0, beta, 0.5, 0.0, MASK)
         assert not rep.passed
 
     def test_power_weight_oscillation_decreases_with_alpha(self):
-        cfg = OscillationConfig(R0=0.5, delta=10.0)
         sups = []
         for alpha in (0.4, 0.2, 0.1, 0.05):
             beta = Weight.power(alpha, 0.0, DOM)
-            rep = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK)
+            rep = oscillation_supremum(lambda x, t: 1.0, beta, 0.5, 10.0, MASK)
             row = next(r for r in rep.rows if r.label == "weight-mean-oscillation")
             sups.append(row.lhs)
         assert all(b < a for a, b in zip(sups, sups[1:]))
@@ -231,9 +240,8 @@ class TestSupremum:
     def test_monotone_under_lattice_refinement(self):
         # the 17-centre lattice refines the 5-centre one (every fourth centre)
         beta = Weight.power(0.3, 0.17, DOM)
-        cfg = OscillationConfig(R0=0.5, delta=1.0)
-        sup_f = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK).rows[1].lhs
-        radii = cfg.radius_grid(2.0 * 2.0 / 16)
+        sup_f = oscillation_supremum(lambda x, t: 1.0, beta, 0.5, 1.0, MASK).rows[1].lhs
+        radii = lattice_radii(0.5, 2.0)
         sup_c = math.sqrt(max(theta_beta_ms(beta, [x0], r)
                               for x0 in np.linspace(-1.0, 1.0, 5) for r in radii))
         assert sup_f >= sup_c - 1e-15
@@ -254,8 +262,7 @@ class TestSupremum:
             return theta_A_ms(A_fun, z0, r, h, mask)
 
         monkeypatch.setattr(oscillation, "theta_A_ms", recorded)
-        cfg = OscillationConfig(R0=0.5, delta=1.0)
-        rep = oscillation_supremum(config_coefficient(), beta, cfg,
+        rep = oscillation_supremum(config_coefficient(), beta, 0.5, 1.0,
                                    (0.0, 1.0, 0.0, 0.25))
         n_radii = rep.params["n_radii"]
         assert n_radii == 24
@@ -277,11 +284,10 @@ class TestSupremum:
         # per cylinder, theta_A_ms of one cylinder (which the per-node loop
         # pins bit for bit in TestThetaAWholeArray)
         beta = Weight.power(0.2, 0.1, DOM)
-        cfg = OscillationConfig(R0=0.5, delta=1.0)
         mask = (-0.5, 0.5, -1.0, 0.0)
-        row = oscillation_supremum(A_fun, beta, cfg, mask).rows[0]
+        row = oscillation_supremum(A_fun, beta, 0.5, 1.0, mask).rows[0]
         centers = np.linspace(-0.5, 0.5, 17)
-        radii = cfg.radius_grid(2.0 * 1.0 / 16)
+        radii = lattice_radii(0.5, 1.0)
         t_lo, t_hi = mask[2:]
         t_centers = np.linspace(t_lo + (t_hi - t_lo) * 0.25, t_hi, 4)
         best, worst, values = 0.0, None, []
@@ -325,9 +331,8 @@ class TestSupremum:
     def test_weight_lattice_matches_per_ball_loop(self, beta):
         # the lattice evaluated at once against the per-ball loop it
         # replaced: first maximal ball kept, no worst ball at zero
-        cfg = OscillationConfig(R0=0.5, delta=1.0)
-        row = oscillation_supremum(lambda x, t: 1.0, beta, cfg, MASK).rows[1]
-        radii = cfg.radius_grid(2.0 * 2.0 / 16)
+        row = oscillation_supremum(lambda x, t: 1.0, beta, 0.5, 1.0, MASK).rows[1]
+        radii = lattice_radii(0.5, 2.0)
         best, worst = 0.0, None
         for x0 in np.linspace(-1.0, 1.0, 17):
             for r in radii:

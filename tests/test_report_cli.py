@@ -248,6 +248,9 @@ class TestCliExits:
                 {"selection": ["solve"], "audits": {"solve": {"levels": 32}}},
                 {"audits": {"levelset": {"K": "abc"}}},
                 {"audits": {"audit": {"R0": -1}}},
+                {"audits": {"audit": {"R0": 0.0}}},
+                {"audits": {"audit": {"R0": 1.0}}},
+                {"audits": {"audit": {"delta": -0.1}}},
                 {"audits": {"geometry": {"samples": 0}}},
                 {"audits": {"audit": {"freeze_amplitudes": "x"}}},
                 {"audits": {"solve": {"p_values": [0]}}},
@@ -313,6 +316,9 @@ class TestCliExits:
         assert "levels must be an integer, got 16.5" in err
         assert "audits.weights.tol_quad must satisfy tol_quad >= 0, got -1" in err
         assert "audits.flatten.t0 must satisfy t0 > 0, got -1" in err
+        assert "audits.audit.R0 must satisfy R0 > 0 and R0 < 1, got 0.0" in err
+        assert "audits.audit.R0 must satisfy R0 > 0 and R0 < 1, got 1.0" in err
+        assert "audits.audit.delta must satisfy delta >= 0, got -0.1" in err
         assert ("each of audits.audit.freeze_amplitudes must satisfy "
                 "freeze_amplitudes > -1 and freeze_amplitudes < 1, got -5") in err
         # the numbers of a weight spec, each named in its message
@@ -367,6 +373,27 @@ class TestCliExits:
         assert main(["weights", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_relations_x0_inside_the_weight_domain(self, tmp_path, capsys):
+        # outside its domain a sampled weight is 0, so is every cylinder's
+        # height there, and the cylinder-ball relations passed with exit 0
+        raw = json.loads((Path(__file__).parent / "configs" / "sampled.json").read_text())
+        weight = ExperimentConfig.from_dict(raw).build_weight()
+        assert geometry.height(weight, 5.0, 0.25) == 0.0
+        geo = raw["audits"]["geometry"]
+        for x0 in (0.0, 1.0):  # the domain's ends
+            geo["relations_x0"] = x0
+            assert ExperimentConfig.from_dict(raw).audits["geometry"].relations_x0 == x0
+        out = tmp_path / "out"
+        for x0 in (5.0, -1e-9, math.nextafter(1.0, 2.0)):
+            geo["relations_x0"] = x0
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: audits.geometry.relations_x0 must lie in the weight "
+                f"domain [0, 1], got {x0!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("group", ["solve", "audit", "levelset"])

@@ -18,6 +18,7 @@ from wparab.experiments import (
     solve_driven,
 )
 from wparab.geometry import SpaceTimePoint, WeightedCylinder
+from wparab.oscillation import theta_A_ms
 from wparab.solver import (
     STEP_BLOCK,
     _implicit_step,
@@ -262,16 +263,19 @@ class TestImplicitStep:
                 solve_ivbp(*args, **kwargs)
 
         def a_bar(t):
-            return np.nan if t > 0.2 else 1.0
+            return np.where(t > 0.2, np.nan, 1.0)
 
         def data(x, t):
             return np.cos(np.asarray(x)) + (np.nan if t > 0.3 else 0.0)
 
         smooth = lambda x, t: np.cos(np.asarray(x))
-        for a, d in ((a_bar, smooth), (1.0, data)):
+        for a, d, error in ((a_bar, smooth, EllipticityViolation),
+                            (1.0, data, ValueError)):
             prob = FrozenProblem(beta_bar=1.0, a_bar=a, x_span=(0.0, 1.0),
                                  t_span=(0.0, 0.4), nx=8, nt=8)
-            with pytest.raises(ValueError, match="infs or NaNs"):
+            # a NaN conductivity fails CoefficientField.from_callable's
+            # ellipticity check, as it does for solve_ivbp's coefficient
+            with pytest.raises(error, match="got nan|infs or NaNs"):
                 solve_frozen(prob, d)
 
 
@@ -533,6 +537,32 @@ class TestFreezeCompare:
             rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
             gaps.append(rep.rows[0].lhs)
         assert gaps[0] < gaps[1] < gaps[2]
+
+    def freeze(self, a_fun, x0, t0):
+        grid = Grid(x0=0.0, x1=1.0, nx=128, t_final=0.05, nt=64)
+        A = CoefficientField.from_callable(a_fun, grid)
+        F = np.zeros((grid.nt + 1, grid.nx))
+        u = solve_ivbp(BETA_POW, A, F, grid, initial=np.sin(math.pi * grid.x))
+        cyl = WeightedCylinder(SpaceTimePoint([x0], t0), 0.05, BETA_POW)
+        return freeze_compare(u, a_fun, cyl, nx_local=8, nt_local=4).rows[0]
+
+    def test_theta_a_is_theta_A_ms_on_the_4r_cylinder(self):
+        # B_0.2(0.15) runs past x = 0, and the 4r cylinder's height past t = 0
+        a_fun = oscillating_coefficient(0.4)
+        row = self.freeze(a_fun, 0.15, 0.02)
+        h4 = WeightedCylinder(SpaceTimePoint([0.15], 0.02), 0.2, BETA_POW).h
+        assert h4 > 0.02
+        want = theta_A_ms(a_fun, ([0.15], 0.02), 0.2, h4, (0.0, 1.0, 0.0, 0.05))
+        assert row.extra["theta_a_sq"] == want > 0.0
+        unclipped = theta_A_ms(a_fun, ([0.15], 0.02), 0.2, h4, (-1.0, 1.0, -1.0, 1.0))
+        assert want != unclipped
+        assert row.extra["delta_emp"] == math.sqrt(
+            want + row.extra["theta_b_sq"] + row.extra["forcing_ms"])
+
+    def test_coefficient_of_time_alone_has_no_oscillation(self):
+        row = self.freeze(lambda x, t: 1.0 + 0.5 * t, 0.5, 0.05)
+        assert row.extra["theta_a_sq"] == pytest.approx(0.0, abs=1e-24)
+        assert row.lhs > 0.0  # a real comparison, not the zero-gradient pass
 
     def test_zero_gradient_trivial_pass(self):
         grid = small_grid()

@@ -15,6 +15,7 @@ from wparab.weights import (
     Weight,
     _coverage,
     _interp_uniform,
+    a2_products,
     aq_characteristic,
     ball_grid,
     check_beta_condition,
@@ -267,17 +268,37 @@ class TestBetaCondition:
         Weight.power(0.3, 0.2, DOM), Weight.power(-0.4, -0.1, DOM),
         Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)])
     def test_one_pass_matches_three_characteristics(self, w, monkeypatch):
-        # one means pass over two exponents; with n0 = 2 each row keeps the
-        # bits of its own aq_characteristic: beta^-1 in A_{1+2/n0}, beta^{n0/2}
-        # in A_{1+n0/2} and beta in A_2
+        # one means pass over two exponents; with n0 = 2 every row reads the
+        # sup of the A_2 products: beta^-1 in A_{1+2/n0}, beta^{n0/2} in
+        # A_{1+n0/2} and beta in A_2 are one characteristic
         fam = BallFamily.default(DOM)
         calls = count_kernel_calls(monkeypatch)
         rows = check_beta_condition(w, 50.0, fam).rows
         assert calls == [288] * 2
-        assert [r.lhs for r in rows] == [
-            aq_characteristic(w, 2.0, fam, power=-1.0),
-            aq_characteristic(w, 2.0, fam, power=1.0),
-            aq_characteristic(w, 2.0, fam, power=1.0)]
+        est = first_sup(a2_products(w, fam))[0]
+        assert [r.lhs for r in rows] == [est] * 3
+        assert est == aq_characteristic(w, 2.0, fam)
+
+
+class TestA2Products:
+    """One A_2 product per ball: its sup is the heat-capacity condition's
+    characteristic and aq_characteristic at q = 2, bit for bit."""
+
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.3, 0.2, DOM), Weight.constant(2.5, DOM),
+        Weight.sampled(np.exp(np.sin(np.linspace(0.0, 9.0, 40))), DOM),
+        Weight.sampled(np.exp(np.cos(np.arange(576.0)).reshape(24, 24)), (DOM, DOM))],
+        ids=["power", "constant", "sampled", "2d"])
+    def test_sup_is_the_a2_characteristic(self, w):
+        fam = BallFamily.default(w.domain, n_centers=5, n_radii=8)
+        products = a2_products(w, fam)
+        b, b_inv = w.means((1.0, -1.0), fam)
+        assert np.array_equal(products, b * b_inv)
+        est = first_sup(products)[0]
+        rows = check_beta_condition(w, 50.0, fam).rows
+        assert next(r for r in rows if r.label == "inverse-weight-class").lhs == est
+        assert aq_characteristic(w, 2.0, fam) == est
+        assert est >= 1.0 - 1e-12
 
 
 class TestReverseHolder:
