@@ -45,7 +45,7 @@ from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit
                       vitali_select, weak_1_1_audit)
 from .oscillation import oscillation_supremum
 from .report import AuditReport, AuditRow, write_csv, write_json, write_svg_curves
-from .solver import (FrozenProblem, apriori_ratio, energy_audit, lipschitz_audit,
+from .solver import (apriori_ratio, energy_audit, lipschitz_audit,
                      poincare_audit, solve_frozen, time_shift_audit,
                      write_solution_binary, write_solution_csv)
 from .weights import (BallFamily, Weight, check_beta_condition, doubling_report,
@@ -214,10 +214,8 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     frozen = Weight.constant(beta_bar, (-1.0, 1.0))
     f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen)
     f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen)
-    prob = FrozenProblem(beta_bar=beta_bar, a_bar=1.0,
-                         x_span=f_outer.x_interval, t_span=f_outer.t_interval,
-                         nx=48, nt=48)
-    v = solve_frozen(prob, lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
+    v = solve_frozen(beta_bar, 1.0, f_outer.x_interval, f_outer.t_interval, 48, 48,
+                     lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
     reports.append(lipschitz_audit(v, f_inner, f_outer, beta_bar,
                                    budget=p.lipschitz_budget))
 

@@ -29,7 +29,7 @@ from .weights import N0, BallFamily, Weight, a2_products, first_sup
 @dataclass
 class BoundaryChart:
     """Affine graph chart phi(x') = delta * x' of a boundary patch (the
-    Lipschitz test chart), with exact gradient."""
+    Lipschitz test chart); its gradient is delta everywhere."""
 
     delta: float
 
@@ -39,9 +39,6 @@ class BoundaryChart:
 
     def phi(self, xp):
         return self.delta * np.asarray(xp, dtype=float)
-
-    def grad_phi(self, xp):
-        return np.full_like(np.asarray(xp, dtype=float), self.delta)
 
 
 def phi_map(chart: BoundaryChart, x) -> np.ndarray:
@@ -67,8 +64,6 @@ def inclusion_audit(chart: BoundaryChart, y0, r: float) -> AuditReport:
     B_{2r}(Phi^{-1}(y0)). Verified on the points of a 21 x 21 lattice in
     the unit disc.
     """
-    if not chart.delta < 1.0:
-        raise ValueError("inclusions require delta < 1")
     y0 = np.asarray(y0, dtype=float)
     x_star = phi_inverse(chart, y0[None, :])[0]
     grid = np.linspace(-1.0, 1.0, 21)
@@ -97,11 +92,11 @@ def inclusion_audit(chart: BoundaryChart, y0, r: float) -> AuditReport:
                 "n_points": int(disc.shape[0])})
 
 
-def b_matrix(chart: BoundaryChart, A: np.ndarray, xp: float) -> np.ndarray:
+def b_matrix(chart: BoundaryChart, A: np.ndarray) -> np.ndarray:
     """The correction B with A~ = A + B, in closed form (n = 2)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    g = float(chart.grad_phi(np.asarray([xp]))[0])
+    g = chart.delta
     B = np.zeros_like(A)
     for i in range(n - 1):
         B[i, -1] = -A[i, 0] * g
@@ -110,35 +105,18 @@ def b_matrix(chart: BoundaryChart, A: np.ndarray, xp: float) -> np.ndarray:
     return B
 
 
-def _grad_phi_matrix(chart: BoundaryChart, xp: float) -> np.ndarray:
-    g = float(chart.grad_phi(np.asarray([xp]))[0])
-    M = np.eye(2)
-    M[-1, 0] = -g
-    return M
-
-
-def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> tuple:
-    """Transformed coefficients A~ = (grad Phi) A (grad Phi)^T and audits.
+def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> AuditReport:
+    """Audits of the transformed coefficients A~ = (grad Phi) A (grad Phi)^T.
 
     ``a_fun(x, t)`` returns the matrix at a spatial point (length-2) and
-    time. Returns (a_tilde_fun, b_fun, report): the decomposition identity
-    A~ = A + B at probe points, the bound ||B|| <= N delta, and the
-    ellipticity certificate <A~ xi, xi> >= nu (1-delta)^2 |xi|^2. The
-    probes are 9 points y' in [-1, 1] at y_n = 0.3, at the times 0, 0.5 and
-    1, in 16 directions xi.
+    time. The report holds the decomposition identity A~ = A + B at probe
+    points, the bound ||B|| <= N delta, and the ellipticity certificate
+    <A~ xi, xi> >= nu (1-delta)^2 |xi|^2. The probes are 9 points y' in
+    [-1, 1] at y_n = 0.3, at the times 0, 0.5 and 1, in 16 directions xi;
+    each is pulled back by Phi^{-1} and evaluated by ``a_fun`` once.
     """
-
-    def a_tilde(y, t):
-        y = np.asarray(y, dtype=float)
-        x = phi_inverse(chart, y[None, :])[0]
-        M = _grad_phi_matrix(chart, x[0])
-        return M @ np.asarray(a_fun(x, t), dtype=float) @ M.T
-
-    def b_fun(y, t):
-        y = np.asarray(y, dtype=float)
-        x = phi_inverse(chart, y[None, :])[0]
-        return b_matrix(chart, np.asarray(a_fun(x, t), dtype=float), x[0])
-
+    M = np.eye(2)  # grad Phi, constant for the affine chart
+    M[-1, 0] = -chart.delta
     angles = 2.0 * math.pi * np.arange(16) / 16
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     decomp_err = 0.0
@@ -146,11 +124,10 @@ def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> tuple:
     min_quot = math.inf
     for xp in np.linspace(-1.0, 1.0, 9):
         for t in np.array([0.0, 0.5, 1.0]):
-            y = np.array([xp, 0.3])
-            At = a_tilde(y, t)
-            x = phi_inverse(chart, y[None, :])[0]
+            x = phi_inverse(chart, np.array([[xp, 0.3]]))[0]
             A = np.asarray(a_fun(x, t), dtype=float)
-            B = b_fun(y, t)
+            At = M @ A @ M.T
+            B = b_matrix(chart, A)
             decomp_err = max(decomp_err, float(np.max(np.abs(At - (A + B)))))
             b_norm = max(b_norm, float(np.linalg.norm(B)))
             for d in dirs:
@@ -170,10 +147,9 @@ def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> tuple:
                  constant=min_quot / thresh if thresh > 0 else math.inf,
                  budget=math.inf, passed=bool(min_quot >= thresh * (1 - 1e-12))),
     ]
-    report = AuditReport.from_rows(
+    return AuditReport.from_rows(
         "coefficient-pushforward", rows,
         params={"delta": chart.delta, "nu": nu, "n_directions": len(dirs)})
-    return a_tilde, b_fun, report
 
 
 def _transformed_weight(chart: BoundaryChart, beta: Weight,
@@ -191,7 +167,7 @@ def _transformed_weight(chart: BoundaryChart, beta: Weight,
 
 def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
                              M0: float, fam: BallFamily,
-                             shape: tuple[int, int] = (48, 48)) -> AuditReport:
+                             shape: tuple[int, int]) -> AuditReport:
     """Class and oscillation inflation of the transformed weight.
 
     Row 1: the characteristic of b~^{-1} in A_{1+2/n0} = A_2 against
@@ -253,10 +229,8 @@ def b_norm_delta_sweep(deltas) -> list[dict]:
     rows = []
     for d in deltas:
         chart = BoundaryChart(delta=float(d))
-        _, _, rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
-        row = next(r for r in rep.rows
-                   if r.label == "correction-norm-linear-in-delta")
-        rows.append({"delta": float(d), "b_norm": row.lhs, "report": rep})
+        rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
+        rows.append({"delta": float(d), "b_norm": rep.rows[1].lhs, "report": rep})
     return rows
 
 

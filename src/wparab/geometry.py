@@ -93,10 +93,6 @@ class SpaceTimePoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", float(t))
 
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
 
 def height(beta: Weight, x0, r) -> np.ndarray:
     """Cylinder heights h_{x0}(r) = r^2 Psi_{beta,x0}(r) of a 1D weight,
@@ -308,7 +304,7 @@ class WeightedCylinder:
         """(a, b, s, e): the spatial interval and the time interval."""
         return (*self.x_interval, *self.t_interval)
 
-    def contains(self, x, t, tol=0.0) -> np.ndarray:
+    def contains(self, x, t, tol) -> np.ndarray:
         """Membership of the points (x, t) with closed comparisons on the
         boundary, widened by ``tol``; broadcast over ``x``, ``t`` and
         ``tol``."""
@@ -321,17 +317,11 @@ class WeightedCylinder:
 
 @dataclass(frozen=True)
 class QuasiMetricParams:
-    """Constants behind the quasi-triangle inequality."""
+    """Constants behind the quasi-triangle inequality: zeta0 in (0, 1), N2 > 1."""
 
     n: int
     zeta0: float
     N2: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.zeta0 < 1.0:
-            raise ValueError("zeta0 must lie in (0, 1)")
-        if self.N2 <= 1.0:
-            raise ValueError("N2 must exceed 1")
 
     @property
     def Lambda(self) -> float:

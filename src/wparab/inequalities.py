@@ -18,7 +18,7 @@ closed form; no audit uses exact monomial antiderivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class TestFunction:
     __test__ = False  # not a pytest collection target
 
     kind: str
-    coeffs: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    coeffs: np.ndarray
     frequency: float = 1.0
 
     def __post_init__(self) -> None:
@@ -65,7 +65,7 @@ class TestFunction:
         w = self.frequency * math.pi
         return self.coeffs[0] * w * np.cos(w * x)
 
-    def validate_gradient(self, interval, seed: int = 0) -> None:
+    def validate_gradient(self, interval, seed: int) -> None:
         """Spot-check the declared gradient by central finite differences at
         16 seeded points, to a relative 1e-6."""
         rng = np.random.default_rng(seed)
@@ -149,7 +149,7 @@ def _ball_interval(w: Weight, x0: float, r: float) -> tuple[float, float]:
 def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
                               ball: tuple[float, float, float], gamma: float,
                               M0: float, fam: BallFamily,
-                              budget: float = math.inf) -> AuditReport:
+                              budget: float) -> AuditReport:
     """Unweighted low-exponent average controlled by the weighted L^2 norm.
 
     lhs = (avg_B |g|^{2/(q-gamma)})^{(q-gamma)/2},
@@ -193,7 +193,7 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
 
 
 def weighted_embedding_audit(g: TestFunction, beta: Weight, gamma: float,
-                             budget: float = math.inf) -> AuditReport:
+                             budget: float) -> AuditReport:
     """Weighted L^2 mass controlled by a higher unweighted power, in the
     low-dimensional case (n <= 2) of the paper: s = 2(1+gamma)/gamma,
     lhs = (1/b(B)) int g^2 b, rhs = (avg |g|^s)^{2/s}, on the ball B_1(0).
@@ -236,7 +236,7 @@ class SpaceTimeTestFunction:
 
 def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
                         x0: float, r: float, t_span: tuple[float, float],
-                        budget: float = math.inf) -> AuditReport:
+                        budget: float) -> AuditReport:
     """Weighted space-time mass against the interpolation right-hand side.
 
     Reports the smallest admissible constant over the theta grid 0.05,

@@ -160,7 +160,7 @@ def default_radius_grid(g: SpaceTimeField) -> np.ndarray:
 
 
 def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
-                   budget: float = math.inf) -> list[AuditReport]:
+                   budget: float) -> list[AuditReport]:
     """Weak (1,1) bound of the maximal operator, one report per field; the
     fields share one grid and one :func:`maximal_function_batch` call over
     the :func:`default_radius_grid` of the first.
@@ -200,7 +200,6 @@ class CoveringFamily:
 
     cylinders: list[WeightedCylinder]
     selected: list[int]
-    discarded: list[int]
 
 
 def _rect_intersect(r1, r2) -> bool:
@@ -224,10 +223,7 @@ def vitali_select(cylinders: list[WeightedCylinder]) -> CoveringFamily:
     for i in order:
         if all(not _rect_intersect(extents[i], extents[j]) for j in selected):
             selected.append(i)
-    sel_set = set(selected)
-    discarded = [i for i in range(len(cylinders)) if i not in sel_set]
-    return CoveringFamily(cylinders=list(cylinders), selected=selected,
-                          discarded=discarded)
+    return CoveringFamily(cylinders=list(cylinders), selected=selected)
 
 
 def five_rho_cover_audit(family: CoveringFamily, beta: Weight) -> AuditReport:
@@ -274,7 +270,7 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
                          beta: Weight, K: float, q0: float, m_max: int,
                          quasi: QuasiMetricParams,
                          center: float, t_top: float,
-                         r_unit: float, delta_hat: float = 0.05) -> AuditReport:
+                         r_unit: float, delta_hat: float) -> AuditReport:
     """Level-set decay table for the maximal function of |grad u|^2.
 
     Evaluates M(g chi_U) on U = Q_{2 Lambda r}(z_top), with Lambda from the

@@ -45,8 +45,6 @@ def _canonical(obj: Any) -> Any:
         return fmt_float(obj)
     if hasattr(obj, "tolist"):  # numpy scalars and arrays
         return _canonical(obj.tolist())
-    if hasattr(obj, "to_dict"):
-        return _canonical(obj.to_dict())
     return str(obj)
 
 
@@ -85,16 +83,16 @@ class AuditReport:
 
     check: str
     passed: bool
-    rows: list[AuditRow] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
+    rows: list[AuditRow]
+    params: dict
+    seed: int | None
 
     @classmethod
-    def from_rows(cls, check: str, rows: list[AuditRow], params: dict | None = None,
+    def from_rows(cls, check: str, rows: list[AuditRow], params: dict,
                   seed: int | None = None) -> "AuditReport":
         # a report without rows checked nothing, so it fails
         passed = bool(rows) and all(r.passed for r in rows)
-        return cls(check=check, passed=passed, rows=rows, params=params or {}, seed=seed)
+        return cls(check=check, passed=passed, rows=rows, params=params, seed=seed)
 
     def to_dict(self) -> dict:
         d = {
@@ -111,10 +109,10 @@ class AuditReport:
         return json_dumps(self.to_dict())
 
 
-def write_json(path: str | Path, obj: Any) -> Path:
+def write_json(path: str | Path, rep: AuditReport) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_dumps(obj) if not isinstance(obj, AuditReport) else obj.to_json())
+    path.write_text(rep.to_json())
     return path
 
 
@@ -132,7 +130,7 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> Path:
 
 
 def write_svg_curves(path: str | Path, curves: list[tuple[str, list[float], list[float]]],
-                     title: str = "", logx: bool = False, logy: bool = False) -> Path:
+                     title: str, logx: bool = False, logy: bool = False) -> Path:
     """Write a static 640 x 420 SVG line plot (no plotting dependency).
 
     ``curves`` is a list of (label, xs, ys). Log axes take log10 of the data;

@@ -86,19 +86,9 @@ class Grid:
 
 @dataclass
 class CoefficientField:
-    """Scalar conductivity at faces per time level, with ellipticity nu."""
+    """Scalar conductivity at faces per time level."""
 
     values: np.ndarray  # (nt+1, nx_faces)
-    nu: float
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if not 0.0 < self.nu < 1.0:
-            raise EllipticityViolation(f"nu must lie in (0,1), got {self.nu}")
-        lo, hi = float(self.values.min()), float(self.values.max())
-        if lo < self.nu * (1 - 1e-12) or hi > (1.0 + 1e-12) / self.nu:
-            raise EllipticityViolation(
-                f"face values in [{lo}, {hi}] violate nu = {self.nu}")
 
     @classmethod
     def from_callable(cls, fn, grid: Grid) -> "CoefficientField":
@@ -106,15 +96,14 @@ class CoefficientField:
 
         ``fn`` must broadcast like a numpy ufunc: it is called once, as
         ``fn(grid.faces[None, :], grid.t[:, None])``, and its result (a
-        scalar is fine) must broadcast to shape (nt + 1, nx). The
-        ellipticity constant is read off the sampled range.
+        scalar is fine) must broadcast to shape (nt + 1, nx). Every sample
+        must be finite and positive (EllipticityViolation otherwise).
         """
         vals = sample_broadcast(fn, grid.faces[None, :], grid.t[:, None],
                                 (grid.nt + 1, grid.nx))
-        lo, hi = float(vals.min()), float(vals.max())
-        if lo <= 0.0:
-            raise EllipticityViolation("conductivity must be positive")
-        return cls(values=vals, nu=min(lo, 1.0 / hi, 0.999))
+        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+            raise EllipticityViolation("conductivity samples must be finite and positive")
+        return cls(values=vals)
 
 
 def forcing_from_callable(fn, grid: Grid) -> np.ndarray:
@@ -197,10 +186,14 @@ class SolutionField:
             c1 = np.searchsorted(f, b, side="right")
         return values[max(k0, 1):k1, c0:c1]
 
+    def integral(self, block: np.ndarray) -> float:
+        """Space-time integral of a :meth:`block` (or of values computed
+        from one, element by element): its column-major sum times h * tau."""
+        return float(np.sum(np.asfortranarray(block)) * self.grid.h * self.grid.tau)
+
     def lp(self, values: np.ndarray, p: float, region) -> float:
         """Discrete L^p norm of a node or face array over the region."""
-        vals = np.abs(self.block(values, region), order="F")
-        return float((np.sum(vals ** p) * self.grid.h * self.grid.tau) ** (1.0 / p))
+        return self.integral(np.abs(self.block(values, region)) ** p) ** (1.0 / p)
 
     def sup_weighted_energy(self, region) -> float:
         """sup over slices of the weighted L^2 mass of u."""
@@ -384,36 +377,26 @@ def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
                          A=A, F=F)
 
 
-@dataclass
-class FrozenProblem:
-    """Constant-in-space companion problem on one cylinder."""
-
-    beta_bar: float
-    a_bar: object       # conductivity a(t), broadcasting over times, or a constant
-    x_span: tuple[float, float]
-    t_span: tuple[float, float]
-    nx: int
-    nt: int
-
-
-def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
-    """Solve the frozen-coefficient equation with boundary data from ``data``.
+def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
+                 t_span: tuple[float, float], nx: int, nt: int, data) -> SolutionField:
+    """Solve the constant-in-space companion problem with weight ``beta_bar``
+    and conductivity ``a_bar`` (a constant, or a callable of time that
+    broadcasts over an array of times) on an nx x nt grid of x_span x t_span.
 
     ``data(x, t)`` supplies the parabolic boundary values (initial slice and
     the two lateral traces); the interior is marched implicitly with the
-    constant weight and the conductivity at each time s + t of the local grid.
+    conductivity at each time s + t of the local grid.
     """
-    if problem.beta_bar <= 0.0:
+    if beta_bar <= 0.0:
         raise PreconditionFailed("frozen weight average must be positive")
-    a, b = problem.x_span
-    s, e = problem.t_span
-    grid = Grid(x0=a, x1=b, nx=problem.nx, t_final=e - s, nt=problem.nt)
+    a, b = x_span
+    s, e = t_span
+    grid = Grid(x0=a, x1=b, nx=nx, t_final=e - s, nt=nt)
     x = grid.x
     ts = s + grid.t
-    a_bar = problem.a_bar
     A = CoefficientField.from_callable(
         (lambda _, t: a_bar(s + t)) if callable(a_bar) else (lambda _, t: a_bar), grid)
-    beta_cells = np.full(grid.nx + 1, problem.beta_bar)
+    beta_cells = np.full(grid.nx + 1, beta_bar)
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     u[0, :] = data(x, ts[0])
     left = np.array([float(data(np.array([a]), t)[0]) for t in ts[1:]])
@@ -423,7 +406,7 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
     _march(u, beta_cells[1:-1] / grid.tau, A.values, grid.h, lateral=lateral)
     u[1:, 0] = left
     u[1:, -1] = right
-    beta_const = Weight.constant(problem.beta_bar, (a, b))
+    beta_const = Weight.constant(beta_bar, (a, b))
     F = np.zeros((grid.nt + 1, grid.nx))
     return SolutionField(grid=grid, u=u, beta=beta_const, beta_cells=beta_cells,
                          A=A, F=F)
@@ -433,7 +416,7 @@ def solve_frozen(problem: FrozenProblem, data) -> SolutionField:
 
 
 def energy_audit(u: SolutionField, inner: WeightedCylinder,
-                 outer: WeightedCylinder, budget: float = math.inf) -> AuditReport:
+                 outer: WeightedCylinder, budget: float) -> AuditReport:
     """Local energy estimates on nested cylinders.
 
     Row 1 (improved form): sup-in-time weighted mass + gradient energy on
@@ -450,9 +433,7 @@ def energy_audit(u: SolutionField, inner: WeightedCylinder,
 
     r = outer.r / 2.0
     factor = 1.0 + 1.0 / r ** 2 + u.beta_cells / outer.h
-    rhs2 = float(np.sum(np.asfortranarray(u.block(u.u ** 2 * factor, reg_out)))
-                 * u.grid.h * u.grid.tau)
-    rhs2 += f_sq
+    rhs2 = u.integral(u.block(u.u ** 2 * factor, reg_out)) + f_sq
     n2 = lhs / rhs2 if rhs2 > 0 else 0.0
     rows = [
         AuditRow(label="caccioppoli-improved", lhs=lhs, rhs=rhs1, constant=n1,
@@ -467,7 +448,7 @@ def energy_audit(u: SolutionField, inner: WeightedCylinder,
 
 
 def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
-                   budget: float = 100.0) -> AuditReport:
+                   budget: float) -> AuditReport:
     """Mean-deviation control by the gradient, with the oscillation term.
 
     Interior form subtracts the cylinder mean; the boundary form requires a
@@ -484,9 +465,9 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
     if budget * theta2 >= 1.0:
         raise GateFailed(
             f"oscillation term too large: budget*theta^2 = {budget * theta2}")
-    vals = np.asfortranarray(u.block(u.u, reg))
-    mean = float(np.mean(vals)) if variant == "interior" else 0.0
-    lhs = float(np.sum((vals - mean) ** 2) * u.grid.h * u.grid.tau)
+    vals = u.block(u.u, reg)
+    mean = float(np.mean(np.asfortranarray(vals))) if variant == "interior" else 0.0
+    lhs = u.integral((vals - mean) ** 2)
     grad_term = cyl.r ** 2 * (u.lp(u.grad(), 2.0, reg) ** 2 + u.lp(u.F, 2.0, reg) ** 2)
     denom = grad_term + theta2 * lhs
     n_emp = lhs / denom if denom > 0 else 0.0
@@ -500,7 +481,7 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
 
 def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
                     outer: WeightedCylinder, beta_bar: float,
-                    budget: float = math.inf) -> AuditReport:
+                    budget: float) -> AuditReport:
     """Interior gradient and time-derivative sup bounds for frozen solutions.
 
     lhs = r * beta_bar * ||v_t||_inf + ||grad v||_inf on the inner cylinder,
@@ -587,11 +568,8 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
                                 np.broadcast_shapes(np.shape(t), xs_quad.shape))
         return np.mean(vals, axis=-1, keepdims=True)
 
-    problem = FrozenProblem(
-        beta_bar=beta_bar, a_bar=a_bar,
-        x_span=cyl4.x_interval, t_span=cyl4.t_interval,
-        nx=nx_local, nt=nt_local)
-    v = solve_frozen(problem, _interp_solution(u_hat))
+    v = solve_frozen(beta_bar, a_bar, cyl4.x_interval, cyl4.t_interval,
+                     nx_local, nt_local, _interp_solution(u_hat))
 
     # compare gradients on the local grid restricted to the 2r cylinder;
     # the local time axis starts at the bottom of the 4r cylinder
@@ -631,11 +609,6 @@ class NormReport:
     forcing_norm: float
     ratio: float
 
-    def __post_init__(self) -> None:
-        for name in ("grad_norm", "proxy_norm", "forcing_norm", "ratio"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-
 
 def apriori_ratio(u: SolutionField, p: float) -> NormReport:
     """Solution-norm to data-norm ratio at exponent p on the full domain.
@@ -657,7 +630,7 @@ def apriori_ratio(u: SolutionField, p: float) -> NormReport:
 
 
 def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,
-                     budget: float = 10.0) -> AuditReport:
+                     budget: float) -> AuditReport:
     """Integrated time-shift continuity in the weighted L^2 norm.
 
     lhs = sum_k tau * || (u(t_k + h) - u(t_k)) phi ||^2_{L^2(b)},

@@ -25,8 +25,6 @@ from .report import AuditReport, AuditRow
 
 # Sample floors below this are rejected: their reciprocal powers overflow.
 SAMPLE_FLOOR = 1e-300
-# Default relative tolerance for comparisons between quadrature values.
-TOL_QUAD = 1e-6
 # Subcells per axis of a grid cell in disc coverage; the uint8 subcell
 # counts of _coverage hold at most 15 * 15.
 COVERAGE_SUB = 4
@@ -501,7 +499,7 @@ def a2_products(w: Weight, fam: BallFamily) -> np.ndarray:
 
 
 def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
-                         tol_quad: float = TOL_QUAD) -> AuditReport:
+                         tol_quad: float) -> AuditReport:
     """Audit the A-class condition on a volumetric heat capacity weight.
 
     Rows: the characteristic of beta^{-1} in A_{1+2/n0} against the budget
@@ -533,7 +531,7 @@ def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
 
 def default_gamma_candidates(w: Weight) -> np.ndarray:
     """Geometric candidate grid for the reverse Hölder exponent: 12 halvings
-    up to 2, or up to 0.9 of the integrability bound of a negative power."""
+    up to 2, or up to 0.9 of a negative power's integrability bound -n/alpha - 1."""
     gamma_max = 2.0
     if w.kind == "power" and w.alpha < 0.0:
         gamma_max = min(gamma_max, 0.9 * (w.n / (-w.alpha) - 1.0))
@@ -548,10 +546,7 @@ def reverse_holder_gamma(w: Weight, fam: BallFamily, budget: float) -> float:
     """
     if budget < 1.0:
         raise ValueError("reverse Hölder budget must be >= 1")
-    cands = [g for g in sorted(float(g) for g in default_gamma_candidates(w))
-             if not (w.kind == "power" and (1.0 + g) * w.alpha <= -w.n)]
-    if not cands:
-        return 0.0
+    cands = default_gamma_candidates(w).tolist()
     m, *m_gs = w.means((1.0, *(1.0 + g for g in cands)), fam)
     best = 0.0
     for g, m_g in zip(cands, m_gs):
@@ -568,7 +563,7 @@ def doubling_eta(theta: float, M0: float) -> float:
 
 
 def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
-                    M0: float, n1_budget: float = math.inf) -> AuditReport:
+                    M0: float, n1_budget: float) -> AuditReport:
     """Estimate the doubling constant of w^p and check the shrink factor.
 
     Row 1: N1 estimate, the max of w^p(B_{2r})/w^p(B_r) over the family.

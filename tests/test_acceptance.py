@@ -149,12 +149,12 @@ class TestAcceptance:
         u_mid = None
         for nx in (32, 64, 128):
             u, _ = case.solve(nx, nx * nx // 4, 0.25)
-            consts.append(energy_audit(u, inner, outer).rows[0].constant)
+            consts.append(energy_audit(u, inner, outer, math.inf).rows[0].constant)
             if nx == 64:
                 u_mid = u
         spread = (max(consts) - min(consts)) / min(consts)
-        n_plain = energy_audit(u_mid, inner, outer).rows[0].constant
-        n_scaled = energy_audit(u_mid.scaled(7.25), inner, outer).rows[0].constant
+        n_plain = energy_audit(u_mid, inner, outer, math.inf).rows[0].constant
+        n_scaled = energy_audit(u_mid.scaled(7.25), inner, outer, math.inf).rows[0].constant
         scale_gap = abs(n_plain - n_scaled) / n_plain
         ok = spread < 0.10 and scale_gap <= 1e-10
         elapsed = time.time() - start
@@ -257,7 +257,7 @@ class TestAcceptance:
             ok = ok and bool(np.max(np.abs(back - pts)) <= 1e-15 * 4.0)
         delta = 0.3
         chart = BoundaryChart(delta=delta)
-        B = b_matrix(chart, np.eye(2), 0.0)
+        B = b_matrix(chart, np.eye(2))
         ok = ok and np.allclose(B, [[0.0, -delta], [-delta, delta ** 2]],
                                 atol=1e-15)
         b_rows = b_norm_delta_sweep([0.05, 0.1, 0.2])

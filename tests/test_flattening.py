@@ -55,7 +55,8 @@ class TestChart:
     def test_lipschitz_bound_tight(self):
         chart = BoundaryChart(delta=0.3)
         xs = np.linspace(-2.0, 2.0, 4001)
-        assert np.max(np.abs(chart.grad_phi(xs))) <= 0.3 + 1e-12
+        slopes = np.diff(chart.phi(xs)) / np.diff(xs)
+        assert np.max(np.abs(slopes)) <= 0.3 + 1e-12
 
     def test_delta_at_least_one_rejected(self):
         with pytest.raises(ValueError):
@@ -77,23 +78,38 @@ class TestInclusions:
 class TestCoefficients:
     def test_zero_chart_no_correction(self):
         chart = BoundaryChart(delta=0.0)
-        a_t, b_f, rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
+        rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
         assert rep.passed
-        assert np.allclose(b_f(np.array([0.3, 0.1]), 0.0), 0.0)
-        assert np.allclose(a_t(np.array([0.3, 0.1]), 0.0), np.eye(2))
+        # A~ = A + B at every probe, and the largest ||B|| is 0: A~ = A
+        assert rep.rows[0].lhs <= 1e-12 and rep.rows[1].lhs == 0.0
+        assert np.allclose(b_matrix(chart, np.eye(2)), 0.0)
 
     def test_identity_affine_closed_form(self):
         delta = 0.3
         chart = BoundaryChart(delta=delta)
-        B = b_matrix(chart, np.eye(2), 0.0)
+        B = b_matrix(chart, np.eye(2))
         assert np.allclose(B, [[0.0, -delta], [-delta, delta ** 2]])
 
     def test_symmetry_preserved(self):
+        # A~ = A + B at every probe (row 0), and B of a symmetric A is
+        # symmetric, so A~ is
         chart = BoundaryChart(delta=0.4)
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        a_t, _, _ = pushforward_coefficients(chart, lambda x, t: A, 0.4)
-        At = a_t(np.array([0.2, 0.3]), 0.0)
-        assert np.allclose(At, At.T)
+        rep = pushforward_coefficients(chart, lambda x, t: A, 0.4)
+        assert rep.rows[0].label == "decomposition-identity" and rep.rows[0].passed
+        B = b_matrix(chart, A)
+        assert np.allclose(B, B.T)
+
+    def test_each_probe_evaluates_the_coefficient_once(self):
+        # 9 points at 3 times; each is pulled back and evaluated once
+        calls = []
+
+        def a_fun(x, t):
+            calls.append((tuple(x), t))
+            return np.eye(2)
+
+        pushforward_coefficients(BoundaryChart(delta=0.2), a_fun, 0.5)
+        assert len(calls) == 27 and len(set(calls)) == 27
 
     def test_decomposition_identity(self):
         chart = BoundaryChart(delta=0.5)
@@ -102,7 +118,7 @@ class TestCoefficients:
             return np.array([[1.5 + 0.2 * math.sin(x[0]), 0.1],
                              [0.1, 1.0 + 0.1 * t]])
 
-        _, _, rep = pushforward_coefficients(chart, A, nu=0.4)
+        rep = pushforward_coefficients(chart, A, nu=0.4)
         row = next(r for r in rep.rows if r.label == "decomposition-identity")
         assert row.passed
 

@@ -777,8 +777,8 @@ class TestCylinders:
     def test_boundary_point_counts_as_inside(self):
         w = Weight.constant(1.0, DOM)
         cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w)
-        assert cyl.contains(0.5, 0.0)
-        assert cyl.contains(0.0, -0.25)
+        assert cyl.contains(0.5, 0.0, 0.0)
+        assert cyl.contains(0.0, -0.25, 0.0)
         # broadcast over the points, with a per-point tolerance
         got = cyl.contains(np.array([0.5, 0.5 + 1e-9, 0.0, 0.0]),
                            np.array([0.0, 0.0, -0.25 - 1e-9, 0.1]),

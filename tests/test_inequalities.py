@@ -70,24 +70,24 @@ class TestDescriptors:
         f = TestFunction.polynomial([1.0, 2.0, 3.0])  # 1 + 2x + 3x^2
         assert f(0.5) == pytest.approx(1 + 1 + 0.75)
         assert f.grad(0.5) == pytest.approx(2 + 3.0)
-        f.validate_gradient(DOM)
+        f.validate_gradient(DOM, seed=0)
 
     def test_trig_eval_grad(self):
         f = TestFunction.trig(amplitude=2.0, frequency=3.0)
         assert f(0.5) == pytest.approx(2.0 * math.sin(1.5 * math.pi))
-        f.validate_gradient(DOM)
+        f.validate_gradient(DOM, seed=0)
 
     def test_piecewise(self):
         f = Piecewise([-1.0, 0.0], [[0.0, -1.0], [0.0, 1.0]])
         assert f(-0.5) == pytest.approx(0.5)
         assert f(0.5) == pytest.approx(0.5)
-        f.validate_gradient(DOM)
+        f.validate_gradient(DOM, seed=0)
 
     def test_inconsistent_gradient_detected(self):
         f = TestFunction.polynomial([0.0, 1.0])
         f.grad = lambda x: np.zeros_like(np.asarray(x))  # sabotage
         with pytest.raises(ValueError):
-            f.validate_gradient(DOM)
+            f.validate_gradient(DOM, seed=0)
 
 
 class TestQuadrature:
@@ -172,7 +172,7 @@ class TestLqControl:
         g = TestFunction.polynomial([1.0])
         mu = Weight.constant(1.0, DOM)
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.9), 0.1,
-                                        M0, self.fam())
+                                        M0, self.fam(), math.inf)
         for row in rep.rows[:-1]:
             assert row.constant == pytest.approx(1.0, rel=1e-10)
 
@@ -182,7 +182,7 @@ class TestLqControl:
         mu = Weight.power(0.5, 0.0, DOM)
         r = 0.8
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, r), 0.1,
-                                        M0, self.fam())
+                                        M0, self.fam(), math.inf)
         row = rep.rows[0]  # dilation 1
         exp_low = 2.0 / 1.9
         lhs_ref = ((2 * r ** (exp_low + 1) / (exp_low + 1)) / (2 * r)) ** (1.9 / 2)
@@ -197,21 +197,22 @@ class TestLqControl:
         mu = Weight.constant(1.0, DOM)
         with pytest.raises(GateFailed):
             weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.5), 1.5,
-                                      M0, self.fam())
+                                      M0, self.fam(), math.inf)
 
     def test_gate_on_aq_budget(self):
         g = TestFunction.polynomial([1.0])
         mu = Weight.power(0.5, 0.0, DOM)
         with pytest.raises(GateFailed):
             weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.5), 0.1,
-                                      1.0, self.fam())  # 4/3 > 1
+                                      1.0, self.fam(), math.inf)  # 4/3 > 1
 
     def test_vanishing_on_weight_concentration(self):
         # g zero near the singular mass of mu: constants stay finite
         g = Piecewise([-1.0, -0.1, 0.1], [[0.45, 1.0], [0.0], [-0.05, 1.0]])
         mu = Weight.power(-0.5, 0.0, DOM)
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.8), 0.05,
-                                        M0, BallFamily.centered(0.0, [0.4, 0.8]))
+                                        M0, BallFamily.centered(0.0, [0.4, 0.8]),
+                                        math.inf)
         assert all(math.isfinite(r.constant) for r in rep.rows)
 
     @settings(max_examples=10, deadline=None)
@@ -221,9 +222,9 @@ class TestLqControl:
         g_scaled = TestFunction.polynomial([0.3 * c, c])
         mu = Weight.power(0.2, 0.0, DOM)
         r1 = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.7), 0.1,
-                                       M0, self.fam())
+                                       M0, self.fam(), math.inf)
         r2 = weighted_lq_control_audit(g_scaled, mu, 2.0, (0.0, 0.0, 0.7), 0.1,
-                                       M0, self.fam())
+                                       M0, self.fam(), math.inf)
         for row1, row2 in zip(r1.rows, r2.rows):
             assert row2.constant == pytest.approx(row1.constant, rel=1e-9)
 
@@ -232,13 +233,13 @@ class TestEmbedding:
     def test_constant_gives_one(self):
         g = TestFunction.polynomial([1.0])
         beta = Weight.constant(1.0, DOM)
-        rep = weighted_embedding_audit(g, beta, 0.5)
+        rep = weighted_embedding_audit(g, beta, 0.5, math.inf)
         assert rep.rows[0].constant == pytest.approx(1.0, rel=1e-9)
 
     def test_power_weight_low_case(self):
         g = TestFunction.polynomial([1.0, 1.0])  # 1 + x
         beta = Weight.power(0.2, 0.0, DOM)
-        rep = weighted_embedding_audit(g, beta, 0.5)  # on B_1(0) = DOM
+        rep = weighted_embedding_audit(g, beta, 0.5, math.inf)  # on B_1(0) = DOM
         row = rep.rows[0]
         # lhs oracle from closed-form moments:
         # int (1+x)^2 |x|^0.2 = int (1 + 2x + x^2)|x|^0.2 over (-1,1)
@@ -257,13 +258,14 @@ class TestEmbedding:
         g = TestFunction.polynomial([1.0])
         beta = Weight.constant(1.0, DOM)
         with pytest.raises(GateFailed):
-            weighted_embedding_audit(g, beta, -0.1)
+            weighted_embedding_audit(g, beta, -0.1, math.inf)
 
     def test_weight_scale_invariance(self):
         g = TestFunction.polynomial([1.0, 0.5])
         beta = Weight.power(0.3, 0.1, DOM)
-        r1 = weighted_embedding_audit(g, beta, 0.4)
-        r2 = weighted_embedding_audit(g, Weight.power(0.3, 0.1, DOM, scale=13.0), 0.4)
+        r1 = weighted_embedding_audit(g, beta, 0.4, math.inf)
+        r2 = weighted_embedding_audit(g, Weight.power(0.3, 0.1, DOM, scale=13.0), 0.4,
+                                      math.inf)
         assert r1.rows[0].constant == pytest.approx(r2.rows[0].constant, rel=1e-10)
 
 
@@ -271,7 +273,7 @@ class TestInterpolation:
     def test_constant_in_space(self):
         u = SpaceTimeTestFunction(TestFunction.polynomial([2.0]), [1.0, 0.5])
         beta = Weight.constant(1.0, DOM)
-        rep = interpolation_audit(u, beta, 0.0, 0.8, (0.0, 1.0))
+        rep = interpolation_audit(u, beta, 0.0, 0.8, (0.0, 1.0), math.inf)
         assert rep.rows[0].constant <= 1.0 + 1e-9
 
     def test_sin_with_power_weight_finite(self):
@@ -287,7 +289,7 @@ class TestInterpolation:
         beta = Weight.power(0.2, 0.0, DOM)
         consts = []
         for r in (1.0, 0.5, 0.25):
-            rep = interpolation_audit(u, beta, 0.0, r, (0.0, 1.0))
+            rep = interpolation_audit(u, beta, 0.0, r, (0.0, 1.0), math.inf)
             consts.append(rep.rows[0].constant)
         assert max(consts) / min(consts) < 5.0
 
@@ -299,11 +301,12 @@ SIN_U = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
 @pytest.mark.parametrize("audit", [
     lambda w: weighted_lq_control_audit(TestFunction.polynomial([1.0]), w, 2.0,
                                         (5.0, 0.0, 0.5), 0.1, 10.0,
-                                        BallFamily.default(DOM, 5, 4)),
+                                        BallFamily.default(DOM, 5, 4), math.inf),
     # the embedding audit's ball is B_1(0): a weight on (2, 3) misses it
     lambda w: weighted_embedding_audit(TestFunction.polynomial([1.0]),
-                                       Weight.power(w.alpha, 2.5, (2.0, 3.0)), 0.5),
-    lambda w: interpolation_audit(SIN_U, w, 5.0, 0.5, (0.0, 1.0)),
+                                       Weight.power(w.alpha, 2.5, (2.0, 3.0)), 0.5,
+                                       math.inf),
+    lambda w: interpolation_audit(SIN_U, w, 5.0, 0.5, (0.0, 1.0), math.inf),
 ], ids=["lq-control", "embedding", "interpolation"])
 def test_ball_outside_domain_raises_empty_ball(audit):
     with pytest.raises(EmptyBall):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,7 +296,7 @@ class TestWeakOneOne:
     def test_zero_field(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((8, 8), 1e-299))
-        rep, = weak_1_1_audit([f], beta, [0.5, 1.0])
+        rep, = weak_1_1_audit([f], beta, [0.5, 1.0], math.inf)
         for row in rep.rows[:-1]:
             assert row.extra["levelset_measure"] == 0.0
 
@@ -302,7 +304,7 @@ class TestWeakOneOne:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         rng = np.random.default_rng(11)
         f = make_field(rng.random((16, 16)))
-        rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0, 2.0, 1e6])
+        rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0, 2.0, 1e6], math.inf)
         measures = [r.extra["levelset_measure"] for r in rep.rows[:-1]]
         assert all(b <= a for a, b in zip(measures, measures[1:]))
         assert measures[-1] == 0.0
@@ -343,14 +345,12 @@ class TestVitali:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         fam = vitali_select([self.cyl(0.0, -0.5, 0.2, beta)])
         assert fam.selected == [0]
-        assert fam.discarded == []
 
     def test_identical_pair_keeps_first(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         c = self.cyl(0.0, -0.5, 0.2, beta)
         fam = vitali_select([c, self.cyl(0.0, -0.5, 0.2, beta)])
         assert fam.selected == [0]
-        assert fam.discarded == [1]
 
     def test_random_family_invariants(self):
         from wparab.maximal import _rect_intersect
@@ -394,16 +394,16 @@ class TestVitali:
         beta = Weight.power(0.3, 0.0, (-1.0, 1.0))
         cyls = [self.cyl(-0.5, -0.5, 0.05, beta), self.cyl(-0.27, -0.5, 0.05, beta),
                 self.cyl(0.5, -0.5, 0.05, beta)]
-        fam = CoveringFamily(cylinders=cyls, selected=[0], discarded=[1, 2])
+        fam = CoveringFamily(cylinders=cyls, selected=[0])
         rep = five_rho_cover_audit(fam, beta)
         row = {r.label: r for r in rep.rows}["five-rho-cover"]
         expected = self.uncovered_per_point(fam, beta)
         assert 49 < expected < 98  # all of the third, part of the second
         assert not row.passed and row.lhs == expected
         # nothing selected: every lattice point is uncovered
-        rep = five_rho_cover_audit(CoveringFamily(cyls, [], [0, 1, 2]), beta)
+        rep = five_rho_cover_audit(CoveringFamily(cyls, []), beta)
         assert rep.rows[1].lhs == 3 * 49 == self.uncovered_per_point(
-            CoveringFamily(cyls, [], [0, 1, 2]), beta)
+            CoveringFamily(cyls, []), beta)
 
     def test_cover_count_matches_per_point_loop(self):
         beta = Weight.power(-0.4, 0.1, (-1.0, 1.0))
@@ -413,7 +413,7 @@ class TestVitali:
         fam = vitali_select(cyls)
         counts = []
         for sel in (fam.selected, fam.selected[::2], fam.selected[:1]):
-            part = CoveringFamily(cyls, sel, [])
+            part = CoveringFamily(cyls, sel)
             rep = five_rho_cover_audit(part, beta)
             counts.append(self.uncovered_per_point(part, beta))
             assert rep.rows[1].lhs == counts[-1]
@@ -439,7 +439,7 @@ class TestLevelsetDecay:
         g = make_field(np.full((16, 16), 1e-290))
         rep = levelset_decay_audit(g, g, beta, K=4.0, q0=0.1, m_max=4,
                                    quasi=estimate_quasi_params(beta),
-                                   center=0.0, t_top=0.0, r_unit=0.2)
+                                   center=0.0, t_top=0.0, r_unit=0.2, delta_hat=0.05)
         assert rep.passed
 
     def test_k_below_one_rejected(self):
@@ -448,7 +448,7 @@ class TestLevelsetDecay:
         with pytest.raises(PreconditionFailed):
             levelset_decay_audit(g, g, beta, K=0.5, q0=0.1, m_max=3,
                                  quasi=estimate_quasi_params(beta),
-                                 center=0.0, t_top=0.0, r_unit=0.2)
+                                 center=0.0, t_top=0.0, r_unit=0.2, delta_hat=0.05)
 
     def test_smooth_field_monotone_table(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
@@ -457,7 +457,7 @@ class TestLevelsetDecay:
         f = make_field(np.full((32, 32), 0.2))
         rep = levelset_decay_audit(g, f, beta, K=2.0, q0=0.5, m_max=4,
                                    quasi=estimate_quasi_params(beta),
-                                   center=0.0, t_top=0.0, r_unit=0.2)
+                                   center=0.0, t_top=0.0, r_unit=0.2, delta_hat=0.05)
         assert rep.passed
         table = rep.params["table"]
         lhs = [row[1] for row in table]
@@ -475,7 +475,7 @@ class TestLevelsetDecay:
         f = make_field((0.2 + 0.1 * np.cos(3 * x)).reshape(shape), t_span=t_span)
         kw = dict(K=1.5, q0=0.5, m_max=4,
                   quasi=estimate_quasi_params(beta),
-                  center=0.1, t_top=-0.01, r_unit=0.2)
+                  center=0.1, t_top=-0.01, r_unit=0.2, delta_hat=0.05)
         h_unit = height(beta, 0.1, 0.2).item()
         in_q1 = (np.abs(x - 0.1) <= 0.2) & (t <= -0.01) & (t > -0.01 - h_unit)
         assert in_q1.sum() == 70

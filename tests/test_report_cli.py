@@ -42,19 +42,19 @@ class TestReportFormat:
         row = AuditRow(label="x", lhs=np.float64(1.5), rhs=np.float64(2.0),
                        constant=np.float64(0.75), budget=1.0, passed=True,
                        extra={"arr": np.arange(3)})
-        rep = AuditReport.from_rows("demo", [row])
+        rep = AuditReport.from_rows("demo", [row], {})
         parsed = json.loads(rep.to_json())
         assert parsed["rows"][0]["extra"]["arr"] == [0, 1, 2]
 
     def test_report_pass_aggregation(self):
         rows = [AuditRow("a", 1, 2, 0.5, 1, True),
                 AuditRow("b", 3, 2, 1.5, 1, False)]
-        rep = AuditReport.from_rows("demo", rows)
+        rep = AuditReport.from_rows("demo", rows, {})
         assert not rep.passed
 
     def test_report_without_rows_fails(self):
         # all([]) is True: a check that ran no row would pass
-        rep = AuditReport.from_rows("demo", [])
+        rep = AuditReport.from_rows("demo", [], {})
         assert not rep.passed
         assert json.loads(rep.to_json())["passed"] is False
 
@@ -80,7 +80,7 @@ class TestReportFormat:
 
     def test_write_json_report(self, tmp_path):
         rep = AuditReport.from_rows(
-            "demo", [AuditRow("a", 1.0, 2.0, 0.5, 1.0, True)])
+            "demo", [AuditRow("a", 1.0, 2.0, 0.5, 1.0, True)], {})
         path = write_json(tmp_path / "rep.json", rep)
         assert json.loads(path.read_text())["check"] == "demo"
 

@@ -1,14 +1,16 @@
 """Every function and class defined in ``src/wparab`` is used there, every
 parameter of every ``def`` there is read in its body, and every default
-there is overridden by some call there.
+there is overridden by some call there, but not by every call.
 
 A definition whose name is never read in the package (as a name or an
 attribute) is a helper that only tests or outside tools call; a parameter
 its function never reads is an option that changes nothing; a default that
 no call in the package sets is an option that only tests or outside tools
-can choose, so the package runs one value of it. The few of each that are
-kept on purpose are listed with their reason; each test also fails when a
-listed one is used or removed, so the lists never go stale.
+can choose, so the package runs one value of it; a default that every call
+in the package sets is a value that only tests or outside tools run, and
+it can contradict the config (an audit's budget, say). The few of each
+that are kept on purpose are listed with their reason; each test also
+fails when a listed one is used or removed, so the lists never go stale.
 """
 import ast
 from pathlib import Path
@@ -22,6 +24,13 @@ KEPT = {
 DEFAULTS_KEPT = {
     "cli.main.argv": "the console entry point calls main() without arguments",
     "geometry.height_inverse.tol": "perfbench/layers.py wraps height_inverse by name",
+}
+
+DEFAULTS_OVERRIDDEN_KEPT = {
+    "cli.run_experiment.seed":
+        "tests and tools run a config at its own seed: run_experiment(config, out)",
+    "cli.run_experiment.groups":
+        "perfbench/worker.py runs the config's selection without passing groups",
 }
 
 UNREAD = {
@@ -145,15 +154,34 @@ def sets(call: ast.Call, param: str, position: int | None) -> bool:
         for i, arg in enumerate(call.args[:position + 1]))
 
 
-def unset_defaults() -> set[str]:
+def defaults_and_calls():
+    """:func:`defaults` of the package, and its calls by called name."""
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     by_name: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
         for name, call in calls(tree):
             by_name.setdefault(name, []).append(call)
-    return {qual for qual, called, param, position in defaults(trees)
+    return list(defaults(trees)), by_name
+
+
+def unset_defaults() -> set[str]:
+    found, by_name = defaults_and_calls()
+    return {qual for qual, called, param, position in found
             if not any(sets(c, param, position) for c in by_name.get(called, []))}
 
 
 def test_every_default_is_set_by_the_package():
     assert unset_defaults() == set(DEFAULTS_KEPT)
+
+
+def overridden_defaults() -> set[str]:
+    """Defaults that every call in the package sets (and that some call
+    does)."""
+    found, by_name = defaults_and_calls()
+    return {qual for qual, called, param, position in found
+            if by_name.get(called)
+            and all(sets(c, param, position) for c in by_name[called])}
+
+
+def test_no_default_is_set_by_every_call():
+    assert overridden_defaults() == set(DEFAULTS_OVERRIDDEN_KEPT)

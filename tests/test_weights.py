@@ -236,7 +236,7 @@ class TestBetaCondition:
     def test_identity_passes(self):
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM)
-        rep = check_beta_condition(w, 1.0, fam)
+        rep = check_beta_condition(w, 1.0, fam, 1e-6)
         assert rep.passed
         assert rep.rows[0].lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.rows[1].lhs == pytest.approx(1.0, abs=1e-12)
@@ -244,7 +244,7 @@ class TestBetaCondition:
     def test_small_power_passes(self):
         w = Weight.power(0.1, 0.0, DOM)
         fam = BallFamily.default(DOM, n_centers=17)
-        rep = check_beta_condition(w, 10.0, fam)
+        rep = check_beta_condition(w, 10.0, fam, 1e-6)
         assert rep.passed
         # brute-force oracle for the centered A_2 value of |x|^{-0.1}
         # (mu)_B (mu^{-1})_B = 1/(1-0.01) for centered balls
@@ -255,14 +255,14 @@ class TestBetaCondition:
         fam = BallFamily.default(DOM, n_centers=9)
         for alpha in (0.1, 0.35, -0.25):
             w = Weight.power(alpha, 0.0, DOM)
-            rep = check_beta_condition(w, 50.0, fam)
+            rep = check_beta_condition(w, 50.0, fam, 1e-6)
             dual = next(r for r in rep.rows if r.label == "duality-identity")
             assert dual.passed, f"alpha={alpha}: gap {dual.constant}"
 
     def test_steep_power_rejected(self):
         with pytest.raises(NonIntegrable):
             w = Weight.power(-3.0, 0.0, DOM)
-            check_beta_condition(w, 10.0, BallFamily.default(DOM))
+            check_beta_condition(w, 10.0, BallFamily.default(DOM), 1e-6)
 
     @pytest.mark.parametrize("w", [
         Weight.power(0.3, 0.2, DOM), Weight.power(-0.4, -0.1, DOM),
@@ -273,7 +273,7 @@ class TestBetaCondition:
         # A_{1+n0/2} and beta in A_2 are one characteristic
         fam = BallFamily.default(DOM)
         calls = count_kernel_calls(monkeypatch)
-        rows = check_beta_condition(w, 50.0, fam).rows
+        rows = check_beta_condition(w, 50.0, fam, 1e-6).rows
         assert calls == [288] * 2
         est = first_sup(a2_products(w, fam))[0]
         assert [r.lhs for r in rows] == [est] * 3
@@ -295,7 +295,7 @@ class TestA2Products:
         b, b_inv = w.means((1.0, -1.0), fam)
         assert np.array_equal(products, b * b_inv)
         est = first_sup(products)[0]
-        rows = check_beta_condition(w, 50.0, fam).rows
+        rows = check_beta_condition(w, 50.0, fam, 1e-6).rows
         assert next(r for r in rows if r.label == "inverse-weight-class").lhs == est
         assert aq_characteristic(w, 2.0, fam) == est
         assert est >= 1.0 - 1e-12
@@ -334,12 +334,21 @@ class TestReverseHolder:
         assert g_tight <= g_loose
         assert g_tight < 0.5
 
+    @pytest.mark.parametrize("alpha", [-0.999, -0.9, -0.5, -0.1])
+    def test_every_candidate_is_integrable(self, alpha):
+        # reverse_holder_gamma takes every candidate's mean without a filter:
+        # w^{1+g} must stay integrable, (1 + g) alpha > -n
+        w = Weight.power(alpha, 0.0, DOM)
+        gammas = default_gamma_candidates(w)
+        assert np.all((1.0 + gammas) * alpha > -w.n)
+        reverse_holder_gamma(w, BallFamily.default(DOM, n_centers=5, n_radii=4), 2.0)
+
 
 class TestDoubling:
     def test_identity_doubles_exactly(self):
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM, n_centers=9, n_radii=8)
-        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=1.0)
+        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=1.0, n1_budget=math.inf)
         n1 = next(r for r in rep.rows if r.label == "doubling-constant")
         assert n1.constant == pytest.approx(2.0, abs=1e-12)
 
@@ -351,14 +360,14 @@ class TestDoubling:
         # w = |x|^{1/2}: mass(B_2r)/mass(B_r) = 2^{3/2} for centered balls
         w = Weight.power(0.5, 0.0, DOM)
         fam = BallFamily.centered(0.0, np.geomspace(0.05, 0.4, 8))
-        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=10.0)
+        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=10.0, n1_budget=math.inf)
         n1 = next(r for r in rep.rows if r.label == "doubling-constant")
         assert n1.constant == pytest.approx(2.0 ** 1.5, rel=1e-12)
 
     def test_shrink_factor_identity_weight(self):
         w = Weight.constant(1.0, DOM)
         fam = BallFamily.default(DOM, n_centers=5, n_radii=6)
-        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=1.0)
+        rep = doubling_report(w, 1.0, fam, theta=0.5, M0=1.0, n1_budget=math.inf)
         shrink = next(r for r in rep.rows if r.label == "measure-shrink-factor")
         assert shrink.passed
         assert shrink.constant == pytest.approx(0.5, abs=1e-12)
@@ -679,7 +688,7 @@ class TestMeans:
         fam = BallFamily.default(dom2, n_centers=2, n_radii=2)
         for w in (power, sampled):
             with pytest.raises(ValueError, match="1D weight"):
-                doubling_report(w, 1.0, fam, 0.5, 10.0)
+                doubling_report(w, 1.0, fam, 0.5, 10.0, math.inf)
 
     @staticmethod
     def family(w):
@@ -801,7 +810,7 @@ class TestFamilyKernelCalls:
         for n_centers, n_radii in ((3, 4), (9, 32)):
             fam = BallFamily.default(DOM, n_centers=n_centers, n_radii=n_radii)
             calls = count_kernel_calls(monkeypatch)
-            doubling_report(self.W, 1.0, fam, 0.5, 10.0)
+            doubling_report(self.W, 1.0, fam, 0.5, 10.0, math.inf)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -813,7 +822,7 @@ class TestFamilyKernelCalls:
         for w in (self.W, Weight.power(-0.9, 0.35, DOM),
                   Weight.sampled([1.0, 2.0, 4.0, 2.0], DOM)):
             for fam in fams:
-                rows = doubling_report(w, 1.0, fam, 0.5, 10.0).rows
+                rows = doubling_report(w, 1.0, fam, 0.5, 10.0, math.inf).rows
                 n1, worst, pair = doubling_per_ball(w, 1.0, fam, 0.5)
                 assert rows[0].lhs == pytest.approx(n1, rel=1e-14)
                 assert rows[0].extra["worst_ball"] == worst
