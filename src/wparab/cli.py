@@ -31,16 +31,17 @@ import numpy as np
 
 from .config import KNOWN_GROUPS, SEED, ExperimentConfig
 from .errors import ConfigError, ToolkitError
-from .experiments import (ManufacturedCase, convergence_study, fit_loglog_slope,
-                          freeze_compare_sweep, smooth_random_forcing, solve_driven)
-from .flattening import (BoundaryChart, admissible_radius_search, b_norm_delta_sweep,
+from .experiments import (ManufacturedCase, convergence_study, default_nt,
+                          fit_loglog_slope, freeze_compare_sweep,
+                          smooth_random_forcing, solve_driven)
+from .flattening import (admissible_radius_search, b_norm_delta_sweep,
                          inclusion_audit, oscillation_delta_sweep,
                          pushforward_weight_audit)
 from .forked import Forked
 from .geometry import (SpaceTimePoint, WeightedCylinder, cylinder_relations_audit,
                        estimate_quasi_params, quasi_triangle_audit)
-from .inequalities import (SpaceTimeTestFunction, TestFunction, interpolation_audit,
-                           weighted_embedding_audit, weighted_lq_control_audit)
+from .inequalities import (interpolation_audit, weighted_embedding_audit,
+                           weighted_lq_control_audit)
 from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit,
                       vitali_select, weak_1_1_audit)
 from .oscillation import oscillation_supremum
@@ -61,7 +62,8 @@ class RunContext:
     config grid is solved on first use, so ``audit`` and ``levelset``
     share one solve and a run without them makes none; when ``solve`` has
     already run a convergence level on that grid, its solution is used
-    instead (:meth:`keep_manufactured`). The quasi-metric parameters are
+    instead (:meth:`keep_manufactured`). A grid without ``nt`` takes
+    :func:`default_nt` steps, as the convergence levels do. The quasi-metric parameters are
     fitted on first use in the same way, for ``geometry`` and
     ``levelset``. ``dump`` writes solution.csv and ``flatten`` runs that
     group, each in a child.
@@ -75,8 +77,7 @@ class RunContext:
         self.flatten: Forked | None = None
         g = cfg.grid
         self.manufactured_grid = (
-            g.nx, g.nt if g.nt is not None else max(round(0.25 * g.nx * g.nx), 4),
-            g.t_final)
+            g.nx, g.nt if g.nt is not None else default_nt(g.nx, g.t_final), g.t_final)
 
     @functools.cached_property
     def manufactured(self):
@@ -167,7 +168,7 @@ def run_solve(run: RunContext) -> list[AuditReport]:
         u = solve_driven(w, forcing, nx=row["nx"], nt=row["nt"], t_final=t_final,
                          a_fun=run.a_fun)
         for q in p.p_values:
-            ratio_table[q].append(apriori_ratio(u, q).ratio)
+            ratio_table[q].append(apriori_ratio(u, q))
         del u  # not kept alive through the next level's solve
     for q in p.p_values:
         ratios = ratio_table[q]
@@ -246,19 +247,22 @@ def run_audit(run: RunContext) -> list[AuditReport]:
                   0.0, None) ** 2
     reports.append(time_shift_audit(u, phi, 2, budget=p.timeshift_budget))
 
-    # weighted-inequality lab on synthetic descriptors
+    # weighted-inequality lab on closed-form test functions
     lab_dom = (-1.0, 1.0)
     fam = BallFamily.default(lab_dom)
     mu = Weight.power(0.2, 0.0, lab_dom)
-    g = TestFunction.polynomial([0.3, 1.0])
-    g.validate_gradient(lab_dom, seed=run.seed)
+
+    def g(x):
+        return 0.3 + x
+
     reports.append(weighted_lq_control_audit(
         g, mu, 2.0, (0.0, 0.0, 0.8), 0.1, run.cfg.audits["weights"].M0, fam,
         budget=p.lab_budget))
     reports.append(weighted_embedding_audit(g, mu, 0.5, budget=p.lab_budget))
-    u_fn = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
-    reports.append(interpolation_audit(u_fn, mu, 0.0, 0.8, (0.0, 1.0),
-                                       budget=p.lab_budget))
+    reports.append(interpolation_audit(
+        lambda x, t: np.sin(math.pi * x) * (1.0 + t),
+        lambda x, t: math.pi * np.cos(math.pi * x) * (1.0 + t),
+        mu, 0.0, 0.8, (0.0, 1.0), budget=p.lab_budget))
     return reports
 
 
@@ -280,8 +284,7 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
                        rng.uniform(-0.8, -0.2)),
         float(rng.uniform(0.02, 0.15)), w, variant="C")
         for _ in range(p.n_cylinders)]
-    fam = vitali_select(cyls)
-    cover = five_rho_cover_audit(fam, w)
+    cover = five_rho_cover_audit(cyls, vitali_select(cyls), w)
     cover.seed = seed + 100
     reports.append(cover)
 
@@ -307,7 +310,7 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
     out, p = run.out, run.cfg.audits["flatten"]
     dom2 = ((-1.0, 1.0), (-1.0, 1.0))
 
-    reports = [inclusion_audit(BoundaryChart(delta=p.deltas[-1]), [0.2, 0.1], 0.5)]
+    reports = [inclusion_audit(p.deltas[-1], [0.2, 0.1], 0.5)]
     # the sweep's last chart is the coefficient-pushforward audit's chart
     b_rows = b_norm_delta_sweep(p.deltas)
     reports.append(b_rows[-1]["report"])
@@ -337,10 +340,9 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
 
     beta2 = Weight.power(p.alpha, (0.0, 0.0), dom2)
     fam2 = BallFamily.default(dom2, n_centers=5, n_radii=8)
-    chart2 = BoundaryChart(delta=p.delta)
-    reports.append(pushforward_weight_audit(chart2, beta2, p.M0, fam2,
+    reports.append(pushforward_weight_audit(p.delta, beta2, p.M0, fam2,
                                             shape=(32, 32)))
-    reports.append(admissible_radius_search(chart2, beta2, R=p.R, t0=p.t0,
+    reports.append(admissible_radius_search(p.delta, beta2, R=p.R, t0=p.t0,
                                             Lambda=p.Lambda))
     return reports
 

@@ -70,7 +70,7 @@ class Param:
 # Every key each section accepts, with the type, default and range its
 # consumer needs: ``audits.<group>`` for the runners in ``cli``,
 # ``coefficient`` for ``coefficient_fn`` and ``grid`` for the manufactured
-# solve (``nt`` defaults to about nx^2 / 4 there).
+# solve (``nt`` defaults to ``experiments.default_nt``, tau close to h^2).
 PARAMS: dict[str, dict[str, Param]] = {
     "audits.weights": {
         "M0": Param("budget", 10.0, ge=1.0),

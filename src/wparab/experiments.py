@@ -112,6 +112,12 @@ def space_time_l2_error(u: SolutionField, exact) -> float:
     return math.sqrt(sum_in_order(np.sum(diff, axis=1) * grid.h * grid.tau))
 
 
+def default_nt(nx: int, t_final: float) -> int:
+    """Time steps of a manufactured solve on [0, 1] x [0, t_final] when the
+    config sets none: tau close to h^2, and at least 4."""
+    return max(round(t_final * nx * nx), 4)
+
+
 def convergence_study(beta: Weight, levels: list[int], t_final: float
                       ) -> tuple[list[dict], list[SolutionField]]:
     """Dyadic refinement sweep with tau close to h^2.
@@ -125,7 +131,7 @@ def convergence_study(beta: Weight, levels: list[int], t_final: float
     solutions: list[SolutionField] = []
     prev_err = None
     for nx in levels:
-        nt = max(int(round(t_final * nx * nx)), 4)
+        nt = default_nt(nx, t_final)
         u, err = case.solve(nx, nt, t_final)
         order = math.log2(prev_err / err) if prev_err is not None else float("nan")
         rows.append({"nx": nx, "nt": nt, "error": err, "order": order})

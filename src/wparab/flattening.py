@@ -1,9 +1,11 @@
 """Boundary flattening: the graph map, coefficient pushforward, and the
 weight-class and oscillation inflation audits.
 
-The chart is Phi(x', x_n) = (x', x_n - phi(x')) with the affine graph
-phi(x') = delta * x', so ||grad phi|| = delta < 1; its inverse adds phi
-back, both have unit Jacobian determinant. Coefficients push forward by
+The boundary patch is the graph of the affine phi(x') = delta * x', and
+every function here takes its slope delta, 0 <= delta < 1. The chart and
+its inverse are shears, Phi = shear(-delta) and Phi^{-1} = shear(delta)
+with shear(d)(x', x_n) = (x', x_n + d x'); both have unit Jacobian
+determinant and grad phi = delta. Coefficients push forward by
 congruence,
 
     A~ = (grad Phi) A (grad Phi)^T = A + B,
@@ -18,7 +20,6 @@ chart slope are both of size delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,38 +27,17 @@ from .errors import EllipticityViolation, GateFailed
 from .report import AuditReport, AuditRow
 from .weights import N0, BallFamily, Weight, a2_products, first_sup
 
-@dataclass
-class BoundaryChart:
-    """Affine graph chart phi(x') = delta * x' of a boundary patch (the
-    Lipschitz test chart); its gradient is delta everywhere."""
 
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("chart slope delta must lie in [0, 1)")
-
-    def phi(self, xp):
-        return self.delta * np.asarray(xp, dtype=float)
-
-
-def phi_map(chart: BoundaryChart, x) -> np.ndarray:
-    """Phi(x', x_n) = (x', x_n - phi(x')); flattens the graph boundary."""
+def shear(delta: float, x) -> np.ndarray:
+    """(x', x_n + delta x') row-wise: Phi is shear(-delta), Phi^{-1} is
+    shear(delta)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = x.copy()
-    out[:, -1] = x[:, -1] - chart.phi(x[:, 0])
+    out[:, -1] = x[:, -1] + delta * x[:, 0]
     return out
 
 
-def phi_inverse(chart: BoundaryChart, y) -> np.ndarray:
-    """Phi^{-1}(y', y_n) = (y', y_n + phi(y')); exact inverse of phi_map."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    out = y.copy()
-    out[:, -1] = y[:, -1] + chart.phi(y[:, 0])
-    return out
-
-
-def inclusion_audit(chart: BoundaryChart, y0, r: float) -> AuditReport:
+def inclusion_audit(delta: float, y0, r: float) -> AuditReport:
     """Ball inclusions under the chart:
 
     B_{r/2}(Phi^{-1}(y0)) sits inside Phi^{-1}(B_r(y0)), which sits inside
@@ -65,18 +45,18 @@ def inclusion_audit(chart: BoundaryChart, y0, r: float) -> AuditReport:
     the unit disc.
     """
     y0 = np.asarray(y0, dtype=float)
-    x_star = phi_inverse(chart, y0[None, :])[0]
+    x_star = shear(delta, y0[None, :])[0]
     grid = np.linspace(-1.0, 1.0, 21)
     gx, gy = np.meshgrid(grid, grid)
     disc = np.column_stack([gx.ravel(), gy.ravel()])
     disc = disc[np.linalg.norm(disc, axis=1) <= 1.0]
 
     inner_pts = x_star[None, :] + 0.5 * r * disc
-    mapped = phi_map(chart, inner_pts)
+    mapped = shear(-delta, inner_pts)
     bad_inner = int(np.sum(np.linalg.norm(mapped - y0, axis=1) > r * (1 + 1e-12)))
 
     ball_pts = y0[None, :] + r * disc
-    pulled = phi_inverse(chart, ball_pts)
+    pulled = shear(delta, ball_pts)
     bad_outer = int(np.sum(
         np.linalg.norm(pulled - x_star, axis=1) > 2.0 * r * (1 + 1e-12)))
 
@@ -88,24 +68,23 @@ def inclusion_audit(chart: BoundaryChart, y0, r: float) -> AuditReport:
     ]
     return AuditReport.from_rows(
         "chart-ball-inclusions", rows,
-        params={"delta": chart.delta, "r": r, "y0": y0.tolist(),
+        params={"delta": delta, "r": r, "y0": y0.tolist(),
                 "n_points": int(disc.shape[0])})
 
 
-def b_matrix(chart: BoundaryChart, A: np.ndarray) -> np.ndarray:
+def b_matrix(delta: float, A: np.ndarray) -> np.ndarray:
     """The correction B with A~ = A + B, in closed form (n = 2)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    g = chart.delta
     B = np.zeros_like(A)
     for i in range(n - 1):
-        B[i, -1] = -A[i, 0] * g
-        B[-1, i] = -A[0, i] * g
-    B[-1, -1] = A[0, 0] * g * g - 2.0 * A[-1, 0] * g
+        B[i, -1] = -A[i, 0] * delta
+        B[-1, i] = -A[0, i] * delta
+    B[-1, -1] = A[0, 0] * delta * delta - 2.0 * A[-1, 0] * delta
     return B
 
 
-def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> AuditReport:
+def pushforward_coefficients(delta: float, a_fun, nu: float) -> AuditReport:
     """Audits of the transformed coefficients A~ = (grad Phi) A (grad Phi)^T.
 
     ``a_fun(x, t)`` returns the matrix at a spatial point (length-2) and
@@ -116,7 +95,7 @@ def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> AuditRep
     each is pulled back by Phi^{-1} and evaluated by ``a_fun`` once.
     """
     M = np.eye(2)  # grad Phi, constant for the affine chart
-    M[-1, 0] = -chart.delta
+    M[-1, 0] = -delta
     angles = 2.0 * math.pi * np.arange(16) / 16
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     decomp_err = 0.0
@@ -124,48 +103,48 @@ def pushforward_coefficients(chart: BoundaryChart, a_fun, nu: float) -> AuditRep
     min_quot = math.inf
     for xp in np.linspace(-1.0, 1.0, 9):
         for t in np.array([0.0, 0.5, 1.0]):
-            x = phi_inverse(chart, np.array([[xp, 0.3]]))[0]
+            x = shear(delta, np.array([[xp, 0.3]]))[0]
             A = np.asarray(a_fun(x, t), dtype=float)
             At = M @ A @ M.T
-            B = b_matrix(chart, A)
+            B = b_matrix(delta, A)
             decomp_err = max(decomp_err, float(np.max(np.abs(At - (A + B)))))
             b_norm = max(b_norm, float(np.linalg.norm(B)))
             for d in dirs:
                 min_quot = min(min_quot, float(d @ At @ d))
-    thresh = nu * (1.0 - chart.delta) ** 2
+    thresh = nu * (1.0 - delta) ** 2
     if min_quot < thresh * (1.0 - 1e-12):
         raise EllipticityViolation(
             f"pushforward lost ellipticity: {min_quot} < {thresh}")
-    n_emp = b_norm / chart.delta if chart.delta > 0 else 0.0
+    n_emp = b_norm / delta if delta > 0 else 0.0
     rows = [
         AuditRow(label="decomposition-identity", lhs=decomp_err, rhs=1e-12,
                  constant=decomp_err, budget=1e-12,
                  passed=bool(decomp_err <= 1e-12)),
         AuditRow(label="correction-norm-linear-in-delta", lhs=b_norm,
-                 rhs=chart.delta, constant=n_emp, budget=math.inf, passed=True),
+                 rhs=delta, constant=n_emp, budget=math.inf, passed=True),
         AuditRow(label="ellipticity-certificate", lhs=min_quot, rhs=thresh,
                  constant=min_quot / thresh if thresh > 0 else math.inf,
                  budget=math.inf, passed=bool(min_quot >= thresh * (1 - 1e-12))),
     ]
     return AuditReport.from_rows(
         "coefficient-pushforward", rows,
-        params={"delta": chart.delta, "nu": nu, "n_directions": len(dirs)})
+        params={"delta": delta, "nu": nu, "n_directions": len(dirs)})
 
 
-def _transformed_weight(chart: BoundaryChart, beta: Weight,
+def _transformed_weight(delta: float, beta: Weight,
                         shape: tuple[int, int] = (48, 48)) -> Weight:
     """b~ = b o Phi^{-1} for a 2D power weight b (the only 2D weight with
     point values), sampled as cell means on the chart's y-domain and refined
     around the image of b's centre."""
 
     def fn(pts):
-        return beta(phi_inverse(chart, pts))
+        return beta(shear(delta, pts))
 
-    singular = tuple(phi_map(chart, np.asarray(beta.center)[None, :])[0])
+    singular = tuple(shear(-delta, np.asarray(beta.center)[None, :])[0])
     return Weight.from_function_2d(fn, beta.domain, shape, singular)
 
 
-def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
+def pushforward_weight_audit(delta: float, beta: Weight,
                              M0: float, fam: BallFamily,
                              shape: tuple[int, int]) -> AuditReport:
     """Class and oscillation inflation of the transformed weight.
@@ -176,29 +155,28 @@ def pushforward_weight_audit(chart: BoundaryChart, beta: Weight,
     pass of :func:`a2_products` of b~.
     """
     q = 1.0 + 2.0 / N0
-    beta_grid = _transformed_weight(BoundaryChart(delta=0.0),
-                                    beta, shape)  # same sampling for fairness
+    beta_grid = _transformed_weight(0.0, beta, shape)  # same sampling for fairness
     est_orig = first_sup(a2_products(beta_grid, fam))[0]
     if est_orig > M0:
         raise GateFailed(
             f"base weight characteristic {est_orig} exceeds budget {M0}")
-    a2_tilde = a2_products(_transformed_weight(chart, beta, shape), fam)
+    a2_tilde = a2_products(_transformed_weight(delta, beta, shape), fam)
     est_tilde = first_sup(a2_tilde)[0]
     budget = 2.0 ** (beta.n + 2) * M0
     osc = first_sup(a2_tilde - 1.0)[0]
-    n1_fit = math.sqrt(osc) / chart.delta if chart.delta > 0 else 0.0
+    n1_fit = math.sqrt(osc) / delta if delta > 0 else 0.0
     rows = [
         AuditRow(label="inverse-class-inflation", lhs=est_tilde, rhs=budget,
                  constant=est_tilde / est_orig, budget=budget,
                  passed=bool(est_tilde <= budget),
                  extra={"original": est_orig}),
         AuditRow(label="oscillation-inflation", lhs=osc,
-                 rhs=chart.delta ** 2, constant=n1_fit, budget=math.inf,
+                 rhs=delta ** 2, constant=n1_fit, budget=math.inf,
                  passed=True),
     ]
     return AuditReport.from_rows(
         "weight-pushforward", rows,
-        params={"delta": chart.delta, "M0": M0, "q": q,
+        params={"delta": delta, "M0": M0, "q": q,
                 "grid_shape": list(shape)})
 
 
@@ -214,9 +192,8 @@ def oscillation_delta_sweep(deltas) -> list[dict]:
     fam = BallFamily.default(domain, n_centers=5, n_radii=8)
     rows = []
     for d in deltas:
-        chart = BoundaryChart(delta=float(d))
         beta = Weight.power(0.5 * float(d), (0.0, 0.25), domain)
-        wt = _transformed_weight(chart, beta, (40, 40))
+        wt = _transformed_weight(float(d), beta, (40, 40))
         rows.append({"delta": float(d),
                      "oscillation_sq": first_sup(a2_products(wt, fam) - 1.0)[0]})
     return rows
@@ -228,13 +205,12 @@ def b_norm_delta_sweep(deltas) -> list[dict]:
     ``coefficient-pushforward`` report it was read from."""
     rows = []
     for d in deltas:
-        chart = BoundaryChart(delta=float(d))
-        rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
+        rep = pushforward_coefficients(float(d), lambda x, t: np.eye(2), 0.5)
         rows.append({"delta": float(d), "b_norm": rep.rows[1].lhs, "report": rep})
     return rows
 
 
-def admissible_radius_search(chart: BoundaryChart, beta: Weight,
+def admissible_radius_search(delta: float, beta: Weight,
                              R: float, t0: float, Lambda: float) -> AuditReport:
     """First radius on a decreasing grid satisfying the chart inclusions.
 
@@ -244,7 +220,7 @@ def admissible_radius_search(chart: BoundaryChart, beta: Weight,
     The largest admissible radius of a 24-point geometric grid is recorded;
     none existing is a failure.
     """
-    wt = _transformed_weight(chart, beta)
+    wt = _transformed_weight(delta, beta)
     grid = np.geomspace(R / (4.0 * Lambda), R / (400.0 * Lambda), 24)
     angles = math.pi * (np.arange(17) + 0.5) / 17
     found = None
@@ -252,7 +228,7 @@ def admissible_radius_search(chart: BoundaryChart, beta: Weight,
         r_big = 2.0 * Lambda * rho
         ring = np.column_stack([r_big * np.cos(angles),
                                 r_big * np.abs(np.sin(angles))])
-        pulled = phi_inverse(chart, ring)
+        pulled = shear(delta, ring)
         inside = bool(np.max(np.linalg.norm(pulled, axis=1)) <= R)
         p0 = N0 / 2.0
         h_big = r_big ** 2 * wt.mean(p0, np.zeros(2), r_big) ** (2.0 / N0)
@@ -267,4 +243,4 @@ def admissible_radius_search(chart: BoundaryChart, beta: Weight,
                    extra={"grid_extent": [float(grid[0]), float(grid[-1])]})
     return AuditReport.from_rows(
         "admissible-chart-radius", [row],
-        params={"R": R, "t0": t0, "Lambda": Lambda, "delta": chart.delta})
+        params={"R": R, "t0": t0, "Lambda": Lambda, "delta": delta})

@@ -1,5 +1,6 @@
 """Standalone numerical verification of weighted functional inequalities
-on synthetic closed-form test functions.
+on synthetic closed-form test functions, passed as plain callables that
+broadcast over arrays of points.
 
 Three checks, each reporting an empirical constant:
 
@@ -18,7 +19,6 @@ closed form; no audit uses exact monomial antiderivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,58 +26,6 @@ from .errors import EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
 from .solver import sum_in_order
 from .weights import BallFamily, Weight, aq_characteristic, reverse_holder_gamma
-
-
-@dataclass
-class TestFunction:
-    """Closed-form scalar function on an interval with its exact gradient."""
-
-    __test__ = False  # not a pytest collection target
-
-    kind: str
-    coeffs: np.ndarray
-    frequency: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("polynomial", "trig"):
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "TestFunction":
-        return cls(kind="polynomial", coeffs=np.asarray(coeffs, dtype=float))
-
-    @classmethod
-    def trig(cls, amplitude: float, frequency: float) -> "TestFunction":
-        return cls(kind="trig", coeffs=np.array([amplitude]), frequency=frequency)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(x, self.coeffs)
-        return self.coeffs[0] * np.sin(self.frequency * math.pi * x)
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "polynomial":
-            d = np.polynomial.polynomial.polyder(self.coeffs)
-            return np.polynomial.polynomial.polyval(x, d)
-        w = self.frequency * math.pi
-        return self.coeffs[0] * w * np.cos(w * x)
-
-    def validate_gradient(self, interval, seed: int) -> None:
-        """Spot-check the declared gradient by central finite differences at
-        16 seeded points, to a relative 1e-6."""
-        rng = np.random.default_rng(seed)
-        lo, hi = interval
-        pts = rng.uniform(lo + 1e-3, hi - 1e-3, 16)
-        eps = 1e-6 * (hi - lo)
-        fd = (self(pts + eps) - self(pts - eps)) / (2 * eps)
-        g = self.grad(pts)
-        scale = np.maximum(np.abs(g), 1.0)
-        if np.max(np.abs(fd - g) / scale) > 1e-6:
-            raise ValueError("descriptor and gradient are inconsistent")
-
 
 _SLAB = 1e-10  # relative half-width of the analytic innermost slab
 # 16-point Gauss-Legendre nodes and weights on [-1, 1], per graded cell
@@ -146,7 +94,7 @@ def _ball_interval(w: Weight, x0: float, r: float) -> tuple[float, float]:
     return a, b
 
 
-def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
+def weighted_lq_control_audit(g, mu: Weight, q: float,
                               ball: tuple[float, float, float], gamma: float,
                               M0: float, fam: BallFamily,
                               budget: float) -> AuditReport:
@@ -192,7 +140,7 @@ def weighted_lq_control_audit(g: TestFunction, mu: Weight, q: float,
                 "reverse_holder_gamma": rh, "gamma_exceeds_estimate": gamma_flag})
 
 
-def weighted_embedding_audit(g: TestFunction, beta: Weight, gamma: float,
+def weighted_embedding_audit(g, beta: Weight, gamma: float,
                              budget: float) -> AuditReport:
     """Weighted L^2 mass controlled by a higher unweighted power, in the
     low-dimensional case (n <= 2) of the paper: s = 2(1+gamma)/gamma,
@@ -216,28 +164,10 @@ def weighted_embedding_audit(g: TestFunction, beta: Weight, gamma: float,
         params={"case": "low", "gamma": gamma, "s": s})
 
 
-@dataclass
-class SpaceTimeTestFunction:
-    """Separable u(x, t) = f(x) * p(t) with exact spatial gradient."""
-
-    space: TestFunction
-    time_coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.time_coeffs = np.asarray(self.time_coeffs, dtype=float)
-
-    def __call__(self, x, t):
-        return self.space(x) * np.polynomial.polynomial.polyval(t, self.time_coeffs)
-
-    def grad_x(self, x, t):
-        return self.space.grad(x) * np.polynomial.polynomial.polyval(
-            t, self.time_coeffs)
-
-
-def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
-                        x0: float, r: float, t_span: tuple[float, float],
-                        budget: float) -> AuditReport:
-    """Weighted space-time mass against the interpolation right-hand side.
+def interpolation_audit(u, u_x, beta: Weight, x0: float, r: float,
+                        t_span: tuple[float, float], budget: float) -> AuditReport:
+    """Weighted space-time mass of ``u(x, t)``, with spatial gradient
+    ``u_x(x, t)``, against the interpolation right-hand side.
 
     Reports the smallest admissible constant over the theta grid 0.05,
     0.1, ..., 0.95 and the minimizing theta. The spatial slice is the whole
@@ -258,7 +188,7 @@ def interpolation_audit(u: SpaceTimeTestFunction, beta: Weight,
     avg_u2 = time_avg(lambda t: weighted_integral(
         lambda x: u(x, t) ** 2, None, (a, b)) / length)
     avg_g2 = time_avg(lambda t: weighted_integral(
-        lambda x: u.grad_x(x, t) ** 2, None, (a, b)) / length)
+        lambda x: u_x(x, t) ** 2, None, (a, b)) / length)
     lhs = avg_u2b / beta_mean
     best = None
     for th in np.linspace(0.05, 0.95, 19):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,12 @@ from .weights import Weight
 
 @dataclass
 class SpaceTimeField:
-    """Cell-wise values on a uniform space-time grid, with exact rectangle
-    integrals of the piecewise-constant interpolant (summed-area table)."""
+    """Cell-wise values on a uniform space-time grid; :func:`summed_area`
+    gives exact rectangle integrals of |values| as a piecewise constant."""
 
     x_edges: np.ndarray
     t_edges: np.ndarray
     values: np.ndarray  # (nt, nx), constant per cell
-    _sat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x_edges = np.asarray(self.x_edges, dtype=float)
@@ -65,21 +64,18 @@ class SpaceTimeField:
         gx, gt = np.meshgrid(xm, tm)
         return gx.ravel(), gt.ravel()
 
-    def abs_field(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.x_edges, self.t_edges, np.abs(self.values))
-
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.cell_area)
 
-    def _sat_nodes(self) -> np.ndarray:
-        if self._sat is None:
-            dx = np.diff(self.x_edges)
-            dt = np.diff(self.t_edges)
-            cells = self.values * dt[:, None] * dx[None, :]
-            sat = np.zeros((len(self.t_edges), len(self.x_edges)))
-            sat[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
-            self._sat = sat
-        return self._sat
+
+def summed_area(f: SpaceTimeField) -> np.ndarray:
+    """Integrals of |f| over [t_edges[0], t] x [x_edges[0], x] at every grid
+    node, shape (nt + 1, nx + 1)."""
+    dx, dt = np.diff(f.x_edges), np.diff(f.t_edges)
+    cells = np.abs(f.values) * dt[:, None] * dx[None, :]
+    sat = np.zeros((len(f.t_edges), len(f.x_edges)))
+    sat[1:, 1:] = np.cumsum(np.cumsum(cells, axis=0), axis=1)
+    return sat
 
 
 def _locate(edges: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +109,7 @@ def maximal_function_batch(fields: Sequence[SpaceTimeField], beta: Weight,
     if not np.all(np.asarray(radii, float) > 0.0):
         raise ValueError(f"radii must be positive, got {radii}")
     X, T = np.asarray(X, float), np.asarray(T, float)
-    sats = [f.abs_field()._sat_nodes() for f in fields]
+    sats = [summed_area(f) for f in fields]
     best = np.zeros((len(fields),) + X.shape)
     # fields on a grid repeat each x once per time row: heights depend on x only
     xu, inverse = np.unique(X, return_inverse=True)
@@ -194,14 +190,6 @@ def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
     return reports
 
 
-@dataclass
-class CoveringFamily:
-    """Result of greedy Vitali selection over centered cylinders."""
-
-    cylinders: list[WeightedCylinder]
-    selected: list[int]
-
-
 def _rect_intersect(r1, r2) -> bool:
     # strict comparisons: shared edges carry zero measure and do not count
     a1, b1, s1, e1 = r1
@@ -209,8 +197,9 @@ def _rect_intersect(r1, r2) -> bool:
     return a1 < b2 and a2 < b1 and s1 < e2 and s2 < e1
 
 
-def vitali_select(cylinders: list[WeightedCylinder]) -> CoveringFamily:
-    """Greedy Vitali selection in decreasing radius order.
+def vitali_select(cylinders: list[WeightedCylinder]) -> list[int]:
+    """Greedy Vitali selection in decreasing radius order; returns the
+    indices of the selected cylinders in selection order.
 
     Selected cylinders are pairwise disjoint (exact interval arithmetic);
     every input cylinder intersects a selected one of radius at least its
@@ -223,26 +212,26 @@ def vitali_select(cylinders: list[WeightedCylinder]) -> CoveringFamily:
     for i in order:
         if all(not _rect_intersect(extents[i], extents[j]) for j in selected):
             selected.append(i)
-    return CoveringFamily(cylinders=list(cylinders), selected=selected)
+    return selected
 
 
-def five_rho_cover_audit(family: CoveringFamily, beta: Weight) -> AuditReport:
+def five_rho_cover_audit(cylinders: list[WeightedCylinder], selected: list[int],
+                         beta: Weight) -> AuditReport:
     """Verify disjointness and the 5-rho covering property by sampling.
 
     Every point of a 7 x 7 lattice on every input cylinder must land in some
-    selected cylinder dilated to five times its radius.
+    selected cylinder (indices into ``cylinders``) dilated to five times its radius.
     """
-    cyls = family.cylinders
     # disjointness of the selection, exact interval arithmetic
     overlaps = 0
-    for i_pos, i in enumerate(family.selected):
-        for j in family.selected[i_pos + 1:]:
-            if _rect_intersect(cyls[i].region(), cyls[j].region()):
+    for i_pos, i in enumerate(selected):
+        for j in selected[i_pos + 1:]:
+            if _rect_intersect(cylinders[i].region(), cylinders[j].region()):
                 overlaps += 1
-    dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r, beta, variant="C")
-               for i in family.selected]
+    dilated = [WeightedCylinder(cylinders[i].z0, 5.0 * cylinders[i].r, beta,
+                                variant="C") for i in selected]
     # each lattice point (cylinder, x, t) against each dilated cylinder
-    a, b, s, e = np.array([c.region() for c in cyls]).reshape(-1, 4).T
+    a, b, s, e = np.array([c.region() for c in cylinders]).reshape(-1, 4).T
     da, db, ds, de = np.array([d.region() for d in dilated]).reshape(-1, 4).T
     gx = np.linspace(a, b, 7, axis=-1)[:, :, None, None]
     gt = np.linspace(s, e, 7, axis=-1)[:, None, :, None]
@@ -257,7 +246,7 @@ def five_rho_cover_audit(family: CoveringFamily, beta: Weight) -> AuditReport:
     ]
     return AuditReport.from_rows(
         "vitali-covering-selection", rows,
-        params={"n_input": len(cyls), "n_selected": len(family.selected),
+        params={"n_input": len(cylinders), "n_selected": len(selected),
                 "note": "cover verified for the finite selected family; "
                         "the continuum statement ranges over all cylinders"})
 
@@ -278,14 +267,9 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
     to the unit cylinder Q_r(z_top), normalizes
     so the base density condition holds (the raw condition is reported),
     and fits the smallest gamma1 for which the decay recursion holds for
-    every m = 1..m_max.
+    every m = 1..m_max. Takes K > 1, 0 < q0 < 1 and m_max >= 1, as
+    ``config.PARAMS`` checks them.
     """
-    if K <= 1.0:
-        raise PreconditionFailed(f"threshold base K must exceed 1, got {K}")
-    if not 0.0 < q0 < 1.0:
-        raise PreconditionFailed("density fraction q0 must lie in (0, 1)")
-    if m_max < 1:
-        raise PreconditionFailed("m_max must be at least 1")
     lam = quasi.Lambda
     big_r = 2.0 * lam * r_unit
     h_big = height(beta, center, big_r).item()

@@ -451,14 +451,12 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
                    budget: float) -> AuditReport:
     """Mean-deviation control by the gradient, with the oscillation term.
 
-    Interior form subtracts the cylinder mean; the boundary form requires a
+    ``variant`` "interior" subtracts the cylinder mean; "boundary" requires a
     zero trace on the flat side and skips the mean. The oscillation term is
     moved to the left, which requires budget * theta^2 < 1 (GateFailed
     otherwise); the reported constant solves
     lhs = N (r^2 * grad_term + theta^2 * lhs).
     """
-    if variant not in ("interior", "boundary"):
-        raise ValueError(f"unknown variant {variant!r}")
     reg = cyl.region()
     x0 = cyl.z0.x
     theta2 = theta_beta_ms(u.beta, x0, cyl.r)
@@ -599,34 +597,19 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
                 "nt_local": nt_local, "beta_bar": beta_bar})
 
 
-@dataclass
-class NormReport:
-    """Norm bundle for the a-priori estimate audit."""
-
-    p: float
-    grad_norm: float
-    proxy_norm: float
-    forcing_norm: float
-    ratio: float
-
-
-def apriori_ratio(u: SolutionField, p: float) -> NormReport:
-    """Solution-norm to data-norm ratio at exponent p on the full domain.
+def apriori_ratio(u: SolutionField, p: float) -> float:
+    """Solution-norm to data-norm ratio at exponent p >= 2 on the full domain.
 
     The time-derivative part is represented by the flux proxy
     ||a u_x + F||_{L^p}; the ratio is (grad + proxy) / ||F||, zero when the
     forcing vanishes.
     """
-    if p < 2.0:
-        raise ValueError("exponent p must be >= 2")
     grid = u.grid
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
     grad_norm = u.lp(u.grad(), p, region)
     proxy_norm = u.lp(u.flux_proxy(), p, region)
     f_norm = u.lp(u.F, p, region)
-    ratio = (grad_norm + proxy_norm) / f_norm if f_norm > 0 else 0.0
-    return NormReport(p=p, grad_norm=grad_norm, proxy_norm=proxy_norm,
-                      forcing_norm=f_norm, ratio=ratio)
+    return (grad_norm + proxy_norm) / f_norm if f_norm > 0 else 0.0
 
 
 def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,

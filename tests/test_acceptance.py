@@ -15,19 +15,18 @@ from wparab.cli import run_experiment
 from wparab.experiments import (
     ManufacturedCase,
     convergence_study,
+    default_nt,
     fit_loglog_slope,
     freeze_compare_sweep,
     smooth_random_forcing,
     solve_driven,
 )
 from wparab.flattening import (
-    BoundaryChart,
     b_matrix,
     b_norm_delta_sweep,
     oscillation_delta_sweep,
-    phi_inverse,
-    phi_map,
     pushforward_weight_audit,
+    shear,
 )
 from wparab.geometry import (
     SpaceTimePoint,
@@ -171,12 +170,10 @@ class TestAcceptance:
                      Weight.power(0.2, 0.5, (0.0, 1.0))):
             sols = {}
             for nx in (32, 64, 128):
-                nt = max(int(round(0.25 * nx * nx)), 4)
-                sols[nx] = solve_driven(beta, forcing, nx=nx, nt=nt,
+                sols[nx] = solve_driven(beta, forcing, nx=nx, nt=default_nt(nx, 0.25),
                                         t_final=0.25, a_fun=lambda x, t: 1.0)
             for p in (2.0, 4.0):
-                ratios = [apriori_ratio(sols[nx], p).ratio
-                          for nx in (32, 64, 128)]
+                ratios = [apriori_ratio(sols[nx], p) for nx in (32, 64, 128)]
                 spread = (max(ratios) - min(ratios)) / min(ratios)
                 bounded = max(ratios) < 50.0
                 if p == 2.0:
@@ -226,8 +223,7 @@ class TestAcceptance:
                 SpaceTimePoint([rng.uniform(0.1, 0.9)], rng.uniform(-0.8, -0.2)),
                 float(rng.uniform(0.02, 0.15)), beta, variant="C")
                 for _ in range(100)]
-            fam = vitali_select(cyls)
-            cover = five_rho_cover_audit(fam, beta)
+            cover = five_rho_cover_audit(cyls, vitali_select(cyls), beta)
             ok = ok and cover.passed
 
         case = ManufacturedCase(beta)
@@ -252,12 +248,10 @@ class TestAcceptance:
         pts = rng.uniform(-2.0, 2.0, (200, 2))
         ok = True
         for delta in (0.05, 0.2, 0.9):
-            chart = BoundaryChart(delta=delta)
-            back = phi_inverse(chart, phi_map(chart, pts))
+            back = shear(delta, shear(-delta, pts))
             ok = ok and bool(np.max(np.abs(back - pts)) <= 1e-15 * 4.0)
         delta = 0.3
-        chart = BoundaryChart(delta=delta)
-        B = b_matrix(chart, np.eye(2))
+        B = b_matrix(delta, np.eye(2))
         ok = ok and np.allclose(B, [[0.0, -delta], [-delta, delta ** 2]],
                                 atol=1e-15)
         b_rows = b_norm_delta_sweep([0.05, 0.1, 0.2])
@@ -267,8 +261,7 @@ class TestAcceptance:
         beta2 = Weight.power(0.1, (0.0, 0.0), ((-1.0, 1.0), (-1.0, 1.0)))
         fam2 = BallFamily.default(((-1.0, 1.0), (-1.0, 1.0)),
                                   n_centers=5, n_radii=8)
-        wrep = pushforward_weight_audit(BoundaryChart(delta=0.2),
-                                        beta2, 10.0, fam2, shape=(32, 32))
+        wrep = pushforward_weight_audit(0.2, beta2, 10.0, fam2, shape=(32, 32))
         ok = ok and wrep.rows[0].passed
         osc_rows = oscillation_delta_sweep([0.05, 0.1, 0.2])
         slope_o = fit_loglog_slope([r["delta"] for r in osc_rows],

@@ -10,16 +10,14 @@ from wparab.config import ExperimentConfig
 from wparab.errors import EmptyBall, GateFailed
 from wparab.experiments import fit_loglog_slope
 from wparab.flattening import (
-    BoundaryChart,
     _transformed_weight,
     b_matrix,
     b_norm_delta_sweep,
     inclusion_audit,
     oscillation_delta_sweep,
-    phi_inverse,
-    phi_map,
     pushforward_coefficients,
     pushforward_weight_audit,
+    shear,
 )
 from wparab.weights import BallFamily, Weight, a2_products, ball_grid, first_sup
 
@@ -28,14 +26,13 @@ DOM2 = ((-1.0, 1.0), (-1.0, 1.0))
 
 class TestChart:
     def test_zero_chart_is_identity(self):
-        chart = BoundaryChart(delta=0.0)
         pts = np.array([[0.3, -0.2], [1.0, 1.0]])
-        assert np.allclose(phi_map(chart, pts), pts)
-        assert np.allclose(phi_inverse(chart, pts), pts)
+        assert np.allclose(shear(-0.0, pts), pts)
+        assert np.allclose(shear(0.0, pts), pts)
 
     def test_affine_direct_substitution(self):
-        chart = BoundaryChart(delta=0.25)
-        out = phi_map(chart, np.array([[1.0, 1.0]]))
+        # Phi = shear(-delta): (x', x_n - delta x')
+        out = shear(-0.25, np.array([[1.0, 1.0]]))
         assert np.allclose(out, [[1.0, 0.75]])
 
     @settings(max_examples=25, deadline=None)
@@ -45,59 +42,49 @@ class TestChart:
         y=st.floats(min_value=-2.0, max_value=2.0),
     )
     def test_roundtrip_exact(self, delta, x, y):
-        chart = BoundaryChart(delta=delta)
         p = np.array([[x, y]])
         # exact up to one rounding of the chart offset
-        tol = 1e-15 * (1.0 + abs(float(chart.phi(np.array([x]))[0])))
-        assert np.allclose(phi_inverse(chart, phi_map(chart, p)), p, atol=tol)
-        assert np.allclose(phi_map(chart, phi_inverse(chart, p)), p, atol=tol)
+        tol = 1e-15 * (1.0 + abs(delta * x))
+        assert np.allclose(shear(delta, shear(-delta, p)), p, atol=tol)
+        assert np.allclose(shear(-delta, shear(delta, p)), p, atol=tol)
 
     def test_lipschitz_bound_tight(self):
-        chart = BoundaryChart(delta=0.3)
         xs = np.linspace(-2.0, 2.0, 4001)
-        slopes = np.diff(chart.phi(xs)) / np.diff(xs)
+        offset = shear(0.3, np.column_stack([xs, np.zeros_like(xs)]))[:, 1]
+        slopes = np.diff(offset) / np.diff(xs)
         assert np.max(np.abs(slopes)) <= 0.3 + 1e-12
-
-    def test_delta_at_least_one_rejected(self):
-        with pytest.raises(ValueError):
-            BoundaryChart(delta=1.0)
 
 
 class TestInclusions:
     def test_zero_chart(self):
-        chart = BoundaryChart(delta=0.0)
-        rep = inclusion_audit(chart, [0.0, 0.0], 0.5)
+        rep = inclusion_audit(0.0, [0.0, 0.0], 0.5)
         assert rep.passed
 
     def test_steep_chart_still_passes(self):
-        chart = BoundaryChart(delta=0.9)
-        rep = inclusion_audit(chart, [0.4, -0.3], 0.7)
+        rep = inclusion_audit(0.9, [0.4, -0.3], 0.7)
         assert rep.passed
 
 
 class TestCoefficients:
     def test_zero_chart_no_correction(self):
-        chart = BoundaryChart(delta=0.0)
-        rep = pushforward_coefficients(chart, lambda x, t: np.eye(2), 0.5)
+        rep = pushforward_coefficients(0.0, lambda x, t: np.eye(2), 0.5)
         assert rep.passed
         # A~ = A + B at every probe, and the largest ||B|| is 0: A~ = A
         assert rep.rows[0].lhs <= 1e-12 and rep.rows[1].lhs == 0.0
-        assert np.allclose(b_matrix(chart, np.eye(2)), 0.0)
+        assert np.allclose(b_matrix(0.0, np.eye(2)), 0.0)
 
     def test_identity_affine_closed_form(self):
         delta = 0.3
-        chart = BoundaryChart(delta=delta)
-        B = b_matrix(chart, np.eye(2))
+        B = b_matrix(delta, np.eye(2))
         assert np.allclose(B, [[0.0, -delta], [-delta, delta ** 2]])
 
     def test_symmetry_preserved(self):
         # A~ = A + B at every probe (row 0), and B of a symmetric A is
         # symmetric, so A~ is
-        chart = BoundaryChart(delta=0.4)
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        rep = pushforward_coefficients(chart, lambda x, t: A, 0.4)
+        rep = pushforward_coefficients(0.4, lambda x, t: A, 0.4)
         assert rep.rows[0].label == "decomposition-identity" and rep.rows[0].passed
-        B = b_matrix(chart, A)
+        B = b_matrix(0.4, A)
         assert np.allclose(B, B.T)
 
     def test_each_probe_evaluates_the_coefficient_once(self):
@@ -108,17 +95,15 @@ class TestCoefficients:
             calls.append((tuple(x), t))
             return np.eye(2)
 
-        pushforward_coefficients(BoundaryChart(delta=0.2), a_fun, 0.5)
+        pushforward_coefficients(0.2, a_fun, 0.5)
         assert len(calls) == 27 and len(set(calls)) == 27
 
     def test_decomposition_identity(self):
-        chart = BoundaryChart(delta=0.5)
-
         def A(x, t):
             return np.array([[1.5 + 0.2 * math.sin(x[0]), 0.1],
                              [0.1, 1.0 + 0.1 * t]])
 
-        rep = pushforward_coefficients(chart, A, nu=0.4)
+        rep = pushforward_coefficients(0.5, A, nu=0.4)
         row = next(r for r in rep.rows if r.label == "decomposition-identity")
         assert row.passed
 
@@ -130,14 +115,14 @@ class TestCoefficients:
 
     def test_flatten_group_pushes_forward_once_per_delta(self, tmp_path, monkeypatch):
         # the coefficient-pushforward report is the sweep's last one
-        charts = []
+        deltas = []
         real = flattening.pushforward_coefficients
         monkeypatch.setattr(flattening, "pushforward_coefficients",
-                            lambda chart, *a: charts.append(chart.delta) or real(chart, *a))
+                            lambda delta, *a: deltas.append(delta) or real(delta, *a))
         cfg = ExperimentConfig.from_dict({"name": "flat", "seed": 3,
                                           "selection": ["flatten"]})
         reports = cli.run_flatten(cli.RunContext(cfg, cfg.seed, tmp_path))
-        assert charts == cfg.audits["flatten"].deltas == [0.05, 0.1, 0.2]
+        assert deltas == cfg.audits["flatten"].deltas == [0.05, 0.1, 0.2]
         coef, = [r for r in reports if r.check == "coefficient-pushforward"]
         assert coef.params["delta"] == 0.2
 
@@ -147,28 +132,25 @@ class TestWeightPushforward:
         return BallFamily.default(DOM2, n_centers=5, n_radii=8)
 
     def test_zero_chart_no_inflation(self):
-        chart = BoundaryChart(delta=0.0)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
-        rep = pushforward_weight_audit(chart, beta, 10.0, self.fam(),
+        rep = pushforward_weight_audit(0.0, beta, 10.0, self.fam(),
                                        shape=(32, 32))
         row = rep.rows[0]
         assert row.passed
         assert row.constant == pytest.approx(1.0, rel=1e-9)
 
     def test_shifted_chart_within_budget(self):
-        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
-        rep = pushforward_weight_audit(chart, beta, 10.0, self.fam(),
+        rep = pushforward_weight_audit(0.2, beta, 10.0, self.fam(),
                                        shape=(32, 32))
         row = rep.rows[0]
         assert row.passed  # within 2^{n+2} M0
         assert row.lhs >= 1.0 - 1e-9
 
     def test_gate_on_base_budget(self):
-        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.9, (0.0, 0.0), DOM2)
         with pytest.raises(GateFailed):
-            pushforward_weight_audit(chart, beta, 1.0, self.fam(), shape=(24, 24))
+            pushforward_weight_audit(0.2, beta, 1.0, self.fam(), shape=(24, 24))
 
     def test_oscillation_quadratic_in_delta(self):
         rows = oscillation_delta_sweep([0.05, 0.1, 0.2])
@@ -194,11 +176,11 @@ class TestSupBallOscillation:
     """The pushforward audits' sup-ball oscillation: the sup of
     a2_products less one."""
 
-    CHART = BoundaryChart(delta=0.2)
+    DELTA = 0.2
 
     def weight(self):
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
-        return _transformed_weight(self.CHART, beta, (24, 24))
+        return _transformed_weight(self.DELTA, beta, (24, 24))
 
     @staticmethod
     def two_pass(w, fam):
@@ -219,7 +201,7 @@ class TestSupBallOscillation:
         # characteristics and the oscillation) share one coverage pass
         coverage.clear()
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
-        pushforward_weight_audit(self.CHART, beta, 10.0, fam, shape=(16, 16))
+        pushforward_weight_audit(self.DELTA, beta, 10.0, fam, shape=(16, 16))
         assert [args[-2:] for args in coverage] == [(16, 16)]
         # so do the three weights of the delta sweep, on a family of its own
         coverage.clear()
@@ -240,9 +222,8 @@ class TestAdmissibleRadius:
     def test_radius_found_and_within_cap(self):
         from wparab.flattening import admissible_radius_search
 
-        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
-        rep = admissible_radius_search(chart, beta, R=0.8, t0=0.5,
+        rep = admissible_radius_search(0.2, beta, R=0.8, t0=0.5,
                                        Lambda=2.0)
         assert rep.passed
         row = rep.rows[0]
@@ -251,11 +232,10 @@ class TestAdmissibleRadius:
     def test_tiny_time_budget_shrinks_radius(self):
         from wparab.flattening import admissible_radius_search
 
-        chart = BoundaryChart(delta=0.2)
         beta = Weight.power(0.1, (0.0, 0.0), DOM2)
-        big = admissible_radius_search(chart, beta, R=0.8, t0=0.5,
+        big = admissible_radius_search(0.2, beta, R=0.8, t0=0.5,
                                        Lambda=2.0).rows[0].constant
-        small = admissible_radius_search(chart, beta, R=0.8, t0=1e-3,
+        small = admissible_radius_search(0.2, beta, R=0.8, t0=1e-3,
                                          Lambda=2.0).rows[0].constant
         assert small < big
 
@@ -263,14 +243,12 @@ class TestAdmissibleRadius:
 class TestJacobian:
     def test_gradient_chain_bound(self):
         # pulled-back gradients grow by at most 1 + delta < 2
-        chart = BoundaryChart(delta=0.9)
         M = np.array([[1.0, 0.0], [-0.9, 1.0]])
         sigma_max = np.linalg.svd(M, compute_uv=False)[0]
         assert sigma_max <= 2.0
 
     def test_unit_determinant(self):
         # the chart is a shear: numeric Jacobian determinant is one
-        chart = BoundaryChart(delta=0.4)
         eps = 1e-6
         for p in ([0.3, -0.2], [0.0, 0.5]):
             p = np.asarray(p)
@@ -278,6 +256,6 @@ class TestJacobian:
             for j in range(2):
                 dp = np.zeros(2)
                 dp[j] = eps
-                J[:, j] = (phi_map(chart, (p + dp)[None, :])[0]
-                           - phi_map(chart, (p - dp)[None, :])[0]) / (2 * eps)
+                J[:, j] = (shear(-0.4, (p + dp)[None, :])[0]
+                           - shear(-0.4, (p - dp)[None, :])[0]) / (2 * eps)
             assert np.linalg.det(J) == pytest.approx(1.0, rel=1e-7)

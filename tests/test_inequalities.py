@@ -10,8 +10,6 @@ from wparab.inequalities import (
     _GL16_NODES,
     _GL16_WEIGHTS,
     _SLAB,
-    SpaceTimeTestFunction,
-    TestFunction,
     _graded_cells,
     interpolation_audit,
     weighted_embedding_audit,
@@ -25,69 +23,42 @@ M0 = 10.0  # A_q budget of the lq-control gate
 
 
 class Piecewise:
-    """Piecewise polynomial test function with its exact gradient: piece i
-    (coefficients ``piece_coeffs[i]``, lowest degree first) holds from
-    ``breaks[i]`` on. The audits take it wherever they take a TestFunction."""
+    """Piecewise polynomial test function: piece i (coefficients
+    ``piece_coeffs[i]``, lowest degree first) holds from ``breaks[i]`` on."""
 
     def __init__(self, breaks, piece_coeffs):
         self.breaks = np.asarray(breaks, dtype=float)
         self.pieces = [np.asarray(c, dtype=float) for c in piece_coeffs]
 
-    def _eval(self, x, deriv: bool):
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
                       0, len(self.pieces) - 1)
         out = np.empty_like(x)
         for i, c in enumerate(self.pieces):
             m = idx == i
-            c = np.polynomial.polynomial.polyder(c) if deriv else c
             out[m] = np.polynomial.polynomial.polyval(x[m], c)
         return out
 
-    def __call__(self, x):
-        return self._eval(x, False)
 
-    def grad(self, x):
-        return self._eval(x, True)
+def poly(coeffs):
+    """x -> sum_k coeffs[k] x^k."""
+    return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
-    def validate_gradient(self, interval, seed: int = 0, n: int = 16,
-                          tol: float = 1e-6) -> None:
-        """TestFunction.validate_gradient at points away from the breaks."""
-        rng = np.random.default_rng(seed)
-        lo, hi = interval
-        pts = rng.uniform(lo + 1e-3, hi - 1e-3, n)
-        for b in self.breaks:
-            pts = pts[np.abs(pts - b) > 1e-2]
-        eps = 1e-6 * (hi - lo)
-        fd = (self(pts + eps) - self(pts - eps)) / (2 * eps)
-        g = self.grad(pts)
-        if np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1.0)) > tol:
-            raise ValueError("descriptor and gradient are inconsistent")
+
+def sin_u(x, t):
+    return np.sin(math.pi * x) * (1.0 + t)
+
+
+def sin_u_x(x, t):
+    return math.pi * np.cos(math.pi * x) * (1.0 + t)
 
 
 class TestDescriptors:
-    def test_polynomial_eval_grad(self):
-        f = TestFunction.polynomial([1.0, 2.0, 3.0])  # 1 + 2x + 3x^2
-        assert f(0.5) == pytest.approx(1 + 1 + 0.75)
-        assert f.grad(0.5) == pytest.approx(2 + 3.0)
-        f.validate_gradient(DOM, seed=0)
-
-    def test_trig_eval_grad(self):
-        f = TestFunction.trig(amplitude=2.0, frequency=3.0)
-        assert f(0.5) == pytest.approx(2.0 * math.sin(1.5 * math.pi))
-        f.validate_gradient(DOM, seed=0)
-
     def test_piecewise(self):
         f = Piecewise([-1.0, 0.0], [[0.0, -1.0], [0.0, 1.0]])
         assert f(-0.5) == pytest.approx(0.5)
         assert f(0.5) == pytest.approx(0.5)
-        f.validate_gradient(DOM, seed=0)
-
-    def test_inconsistent_gradient_detected(self):
-        f = TestFunction.polynomial([0.0, 1.0])
-        f.grad = lambda x: np.zeros_like(np.asarray(x))  # sabotage
-        with pytest.raises(ValueError):
-            f.validate_gradient(DOM, seed=0)
 
 
 class TestQuadrature:
@@ -110,8 +81,8 @@ class TestQuadrature:
         (None, 1.0, (0.4, 0.4)),
     ])
     @pytest.mark.parametrize("fn", [
-        TestFunction.polynomial([0.3, -1.0, 2.0, 0.7]),
-        TestFunction.trig(1.3, 2.5),
+        poly([0.3, -1.0, 2.0, 0.7]),
+        lambda x: 1.3 * np.sin(2.5 * math.pi * x),
         Piecewise([-1.0, -0.2, 0.5], [[1.0, 2.0], [0.6, 0.0, -1.0], [0.1, 0.3]]),
     ], ids=["polynomial", "trig", "piecewise"])
     def test_weighted_integral_matches_cell_loop(self, fn, weight, power, interval):
@@ -127,8 +98,7 @@ class TestQuadrature:
     def test_weighted_integral_one_call_per_integral(self, interval, calls):
         # one call on every cell's nodes, plus one at the singular point
         seen = []
-        g = TestFunction.trig(1.0, 1.0)
-        weighted_integral(lambda x: seen.append(np.shape(x)) or g(x),
+        weighted_integral(lambda x: seen.append(np.shape(x)) or np.sin(math.pi * x),
                           Weight.power(0.5, 0.0, DOM), interval)
         assert len(seen) == calls
         assert len(seen[0]) == 2 and seen[0][1] == 16
@@ -169,7 +139,7 @@ class TestLqControl:
         return BallFamily.default(DOM, n_centers=9, n_radii=8)
 
     def test_identity_constant_one(self):
-        g = TestFunction.polynomial([1.0])
+        g = poly([1.0])
         mu = Weight.constant(1.0, DOM)
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.9), 0.1,
                                         M0, self.fam(), math.inf)
@@ -178,7 +148,7 @@ class TestLqControl:
 
     def test_linear_against_power_weight(self):
         # closed-form moments: g = x, mu = |x|^{1/2} on a centered ball
-        g = TestFunction.polynomial([0.0, 1.0])
+        g = poly([0.0, 1.0])
         mu = Weight.power(0.5, 0.0, DOM)
         r = 0.8
         rep = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, r), 0.1,
@@ -193,14 +163,14 @@ class TestLqControl:
         assert math.isfinite(row.constant)
 
     def test_gate_on_gamma(self):
-        g = TestFunction.polynomial([1.0])
+        g = poly([1.0])
         mu = Weight.constant(1.0, DOM)
         with pytest.raises(GateFailed):
             weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.5), 1.5,
                                       M0, self.fam(), math.inf)
 
     def test_gate_on_aq_budget(self):
-        g = TestFunction.polynomial([1.0])
+        g = poly([1.0])
         mu = Weight.power(0.5, 0.0, DOM)
         with pytest.raises(GateFailed):
             weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.5), 0.1,
@@ -218,8 +188,8 @@ class TestLqControl:
     @settings(max_examples=10, deadline=None)
     @given(c=st.floats(min_value=0.1, max_value=10.0))
     def test_homogeneity(self, c):
-        g = TestFunction.polynomial([0.3, 1.0])
-        g_scaled = TestFunction.polynomial([0.3 * c, c])
+        g = poly([0.3, 1.0])
+        g_scaled = poly([0.3 * c, c])
         mu = Weight.power(0.2, 0.0, DOM)
         r1 = weighted_lq_control_audit(g, mu, 2.0, (0.0, 0.0, 0.7), 0.1,
                                        M0, self.fam(), math.inf)
@@ -231,13 +201,13 @@ class TestLqControl:
 
 class TestEmbedding:
     def test_constant_gives_one(self):
-        g = TestFunction.polynomial([1.0])
+        g = poly([1.0])
         beta = Weight.constant(1.0, DOM)
         rep = weighted_embedding_audit(g, beta, 0.5, math.inf)
         assert rep.rows[0].constant == pytest.approx(1.0, rel=1e-9)
 
     def test_power_weight_low_case(self):
-        g = TestFunction.polynomial([1.0, 1.0])  # 1 + x
+        g = poly([1.0, 1.0])  # 1 + x
         beta = Weight.power(0.2, 0.0, DOM)
         rep = weighted_embedding_audit(g, beta, 0.5, math.inf)  # on B_1(0) = DOM
         row = rep.rows[0]
@@ -248,20 +218,20 @@ class TestEmbedding:
         assert row.passed
 
     def test_oscillatory_persists(self):
-        g = TestFunction.trig(amplitude=1.0, frequency=32.0)
         beta = Weight.power(0.2, 0.0, DOM)
-        rep = weighted_embedding_audit(g, beta, 0.5, budget=100.0)
+        rep = weighted_embedding_audit(lambda x: np.sin(32.0 * math.pi * x), beta, 0.5,
+                                       budget=100.0)
         assert rep.passed
         assert rep.rows[0].constant > 0.0
 
     def test_invalid_gamma_rejected(self):
-        g = TestFunction.polynomial([1.0])
+        g = poly([1.0])
         beta = Weight.constant(1.0, DOM)
         with pytest.raises(GateFailed):
             weighted_embedding_audit(g, beta, -0.1, math.inf)
 
     def test_weight_scale_invariance(self):
-        g = TestFunction.polynomial([1.0, 0.5])
+        g = poly([1.0, 0.5])
         beta = Weight.power(0.3, 0.1, DOM)
         r1 = weighted_embedding_audit(g, beta, 0.4, math.inf)
         r2 = weighted_embedding_audit(g, Weight.power(0.3, 0.1, DOM, scale=13.0), 0.4,
@@ -271,42 +241,39 @@ class TestEmbedding:
 
 class TestInterpolation:
     def test_constant_in_space(self):
-        u = SpaceTimeTestFunction(TestFunction.polynomial([2.0]), [1.0, 0.5])
         beta = Weight.constant(1.0, DOM)
-        rep = interpolation_audit(u, beta, 0.0, 0.8, (0.0, 1.0), math.inf)
+        rep = interpolation_audit(lambda x, t: np.full_like(x, 2.0 * (1.0 + 0.5 * t)),
+                                  lambda x, t: np.zeros_like(x),
+                                  beta, 0.0, 0.8, (0.0, 1.0), math.inf)
         assert rep.rows[0].constant <= 1.0 + 1e-9
 
     def test_sin_with_power_weight_finite(self):
-        u = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
         beta = Weight.power(0.2, 0.0, DOM)
-        rep = interpolation_audit(u, beta, 0.0, 1.0, (0.0, 1.0), budget=50.0)
+        rep = interpolation_audit(sin_u, sin_u_x, beta, 0.0, 1.0, (0.0, 1.0),
+                                  budget=50.0)
         assert rep.passed
         assert 0.0 < rep.rows[0].extra["theta_min"] < 1.0
 
     def test_radius_scaling_exponent(self):
         # the r^{2 theta} factor should make constants comparable across r
-        u = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
         beta = Weight.power(0.2, 0.0, DOM)
         consts = []
         for r in (1.0, 0.5, 0.25):
-            rep = interpolation_audit(u, beta, 0.0, r, (0.0, 1.0), math.inf)
+            rep = interpolation_audit(sin_u, sin_u_x, beta, 0.0, r, (0.0, 1.0), math.inf)
             consts.append(rep.rows[0].constant)
         assert max(consts) / min(consts) < 5.0
 
 
 
-SIN_U = SpaceTimeTestFunction(TestFunction.trig(1.0, 1.0), [1.0, 1.0])
-
-
 @pytest.mark.parametrize("audit", [
-    lambda w: weighted_lq_control_audit(TestFunction.polynomial([1.0]), w, 2.0,
+    lambda w: weighted_lq_control_audit(poly([1.0]), w, 2.0,
                                         (5.0, 0.0, 0.5), 0.1, 10.0,
                                         BallFamily.default(DOM, 5, 4), math.inf),
     # the embedding audit's ball is B_1(0): a weight on (2, 3) misses it
-    lambda w: weighted_embedding_audit(TestFunction.polynomial([1.0]),
+    lambda w: weighted_embedding_audit(poly([1.0]),
                                        Weight.power(w.alpha, 2.5, (2.0, 3.0)), 0.5,
                                        math.inf),
-    lambda w: interpolation_audit(SIN_U, w, 5.0, 0.5, (0.0, 1.0), math.inf),
+    lambda w: interpolation_audit(sin_u, sin_u_x, w, 5.0, 0.5, (0.0, 1.0), math.inf),
 ], ids=["lq-control", "embedding", "interpolation"])
 def test_ball_outside_domain_raises_empty_ball(audit):
     with pytest.raises(EmptyBall):

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wparab import maximal
-from wparab.errors import EmptyRegion, PreconditionFailed
+from wparab.errors import EmptyRegion
 from wparab.geometry import (SpaceTimePoint, WeightedCylinder,
                              estimate_quasi_params, height)
 from wparab.maximal import (
-    CoveringFamily,
     SpaceTimeField,
     default_radius_grid,
     five_rho_cover_audit,
     levelset_decay_audit,
     maximal_function_batch,
+    summed_area,
     vitali_select,
     weak_1_1_audit,
 )
@@ -45,9 +45,9 @@ def brute_rect_integral(f, a, b, s, e):
 
 
 def sat_at_reference(f, x, t):
-    """The cumulative integral at points (x, t): clip, search and
+    """The cumulative integral of |f| at points (x, t): clip, search and
     interpolate at every corner of every point."""
-    sat = f._sat_nodes()
+    sat = summed_area(f)
     x = np.clip(x, f.x_edges[0], f.x_edges[-1])
     t = np.clip(t, f.t_edges[0], f.t_edges[-1])
     ix = np.clip(np.searchsorted(f.x_edges, x, side="right") - 1,
@@ -65,7 +65,7 @@ def sat_at_reference(f, x, t):
 
 
 def integral_reference(f, a, b, s, e):
-    """Integral of the field over the rectangles [a, b] x [s, e]."""
+    """Integral of |f| over the rectangles [a, b] x [s, e]."""
     return (sat_at_reference(f, b, e) - sat_at_reference(f, a, e)
             - sat_at_reference(f, b, s) + sat_at_reference(f, a, s))
 
@@ -80,7 +80,22 @@ def windowed_average(f, beta, rect, big_r=50.0):
     return got.item(), 2.0 * big_r * height(beta, 0.5 * (a + b), big_r).item()
 
 
+def abs_of(f):
+    return SpaceTimeField(f.x_edges, f.t_edges, np.abs(f.values))
+
+
 class TestFieldIntegrator:
+    def test_summed_area_matches_brute_force(self):
+        # every node's table value is the integral of |f| below and left of it
+        f = make_field(np.random.default_rng(23).standard_normal((5, 7)),
+                       x_span=(-0.3, 0.8), t_span=(0.1, 0.45))
+        sat = summed_area(f)
+        assert sat.shape == (6, 8)
+        for j, t in enumerate(f.t_edges):
+            for i, x in enumerate(f.x_edges):
+                ref = brute_rect_integral(abs_of(f), f.x_edges[0], x, f.t_edges[0], t)
+                assert sat[j, i] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
     def test_equals_per_corner_lookup(self):
         rng = np.random.default_rng(5)
         f = make_field(rng.random((7, 11)), x_span=(-0.3, 0.8), t_span=(0.1, 0.45))
@@ -113,7 +128,7 @@ class TestFieldIntegrator:
         beta = Weight.power(0.3, 0.2, (-1.0, 1.0))
         got = maximal_function_batch([f], beta, [x0], [t0], [rho]).item()
         h = height(beta, x0, rho).item()
-        ref = brute_rect_integral(f.abs_field(), x0 - rho, x0 + rho,
+        ref = brute_rect_integral(abs_of(f), x0 - rho, x0 + rho,
                                   t0 - 0.5 * h, t0 + 0.5 * h)
         assert got * (2.0 * rho * h) == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
@@ -144,7 +159,6 @@ class TestFieldIntegrator:
 def maximal_batch_reference(g, beta, X, T, radii, window=None):
     """Reference for maximal_function_batch: a height and a per-corner
     integral per point, even where points share their x."""
-    gabs = g.abs_field()
     best = np.zeros_like(X)
     for rho in radii:
         h = height(beta, X, rho)
@@ -155,7 +169,7 @@ def maximal_batch_reference(g, beta, X, T, radii, window=None):
             a, b = np.maximum(a, w_a), np.minimum(b, w_b)
             s, e = np.maximum(s, w_s), np.minimum(e, w_e)
             b, e = np.maximum(a, b), np.maximum(s, e)
-        best = np.maximum(best, integral_reference(gabs, a, b, s, e) / (2.0 * rho * h))
+        best = np.maximum(best, integral_reference(g, a, b, s, e) / (2.0 * rho * h))
     return best
 
 
@@ -343,14 +357,19 @@ class TestVitali:
 
     def test_single_cylinder_selected(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
-        fam = vitali_select([self.cyl(0.0, -0.5, 0.2, beta)])
-        assert fam.selected == [0]
+        assert vitali_select([self.cyl(0.0, -0.5, 0.2, beta)]) == [0]
 
     def test_identical_pair_keeps_first(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
         c = self.cyl(0.0, -0.5, 0.2, beta)
-        fam = vitali_select([c, self.cyl(0.0, -0.5, 0.2, beta)])
-        assert fam.selected == [0]
+        assert vitali_select([c, self.cyl(0.0, -0.5, 0.2, beta)]) == [0]
+
+    def test_indices_in_selection_order(self):
+        # decreasing radius, ties by input order; disjoint cylinders all stay
+        beta = Weight.constant(1.0, (-1.0, 1.0))
+        cyls = [self.cyl(x, -0.5, r, beta)
+                for x, r in ((-0.8, 0.05), (-0.4, 0.1), (0.0, 0.05), (0.5, 0.15))]
+        assert vitali_select(cyls) == [3, 1, 0, 2]
 
     def test_random_family_invariants(self):
         from wparab.maximal import _rect_intersect
@@ -359,28 +378,28 @@ class TestVitali:
         rng = np.random.default_rng(13)
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          rng.uniform(0.02, 0.3), beta) for _ in range(100)]
-        fam = vitali_select(cyls)
-        rep = five_rho_cover_audit(fam, beta)
+        selected = vitali_select(cyls)
+        rep = five_rho_cover_audit(cyls, selected, beta)
         assert rep.passed, rep.to_json()
         # every discarded member intersects a selected one of radius >= its own
-        sel = set(fam.selected)
+        sel = set(selected)
         for i, c in enumerate(cyls):
             if i in sel:
                 continue
             assert any(cyls[j].r >= c.r - 1e-15
                        and _rect_intersect(c.region(), cyls[j].region())
-                       for j in fam.selected), f"cylinder {i} uncovered"
+                       for j in selected), f"cylinder {i} uncovered"
 
     @staticmethod
-    def uncovered_per_point(fam, beta) -> int:
+    def uncovered_per_point(cyls, selected, beta) -> int:
         """Reference count: each point of a 7 x 7 lattice on each cylinder
         against each selected cylinder dilated to five times its radius, one
         at a time."""
-        dilated = [WeightedCylinder(fam.cylinders[i].z0, 5.0 * fam.cylinders[i].r,
+        dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r,
                                     beta, variant="C").region()
-                   for i in fam.selected]
+                   for i in selected]
         count = 0
-        for cyl in fam.cylinders:
+        for cyl in cyls:
             a, b, s, e = cyl.region()
             for xx in np.linspace(a, b, 7):
                 for tt in np.linspace(s, e, 7):
@@ -394,28 +413,25 @@ class TestVitali:
         beta = Weight.power(0.3, 0.0, (-1.0, 1.0))
         cyls = [self.cyl(-0.5, -0.5, 0.05, beta), self.cyl(-0.27, -0.5, 0.05, beta),
                 self.cyl(0.5, -0.5, 0.05, beta)]
-        fam = CoveringFamily(cylinders=cyls, selected=[0])
-        rep = five_rho_cover_audit(fam, beta)
+        rep = five_rho_cover_audit(cyls, [0], beta)
         row = {r.label: r for r in rep.rows}["five-rho-cover"]
-        expected = self.uncovered_per_point(fam, beta)
+        expected = self.uncovered_per_point(cyls, [0], beta)
         assert 49 < expected < 98  # all of the third, part of the second
         assert not row.passed and row.lhs == expected
         # nothing selected: every lattice point is uncovered
-        rep = five_rho_cover_audit(CoveringFamily(cyls, []), beta)
-        assert rep.rows[1].lhs == 3 * 49 == self.uncovered_per_point(
-            CoveringFamily(cyls, []), beta)
+        rep = five_rho_cover_audit(cyls, [], beta)
+        assert rep.rows[1].lhs == 3 * 49 == self.uncovered_per_point(cyls, [], beta)
 
     def test_cover_count_matches_per_point_loop(self):
         beta = Weight.power(-0.4, 0.1, (-1.0, 1.0))
         rng = np.random.default_rng(31)
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          rng.uniform(0.02, 0.1), beta) for _ in range(30)]
-        fam = vitali_select(cyls)
+        selected = vitali_select(cyls)
         counts = []
-        for sel in (fam.selected, fam.selected[::2], fam.selected[:1]):
-            part = CoveringFamily(cyls, sel)
-            rep = five_rho_cover_audit(part, beta)
-            counts.append(self.uncovered_per_point(part, beta))
+        for sel in (selected, selected[::2], selected[:1]):
+            rep = five_rho_cover_audit(cyls, sel, beta)
+            counts.append(self.uncovered_per_point(cyls, sel, beta))
             assert rep.rows[1].lhs == counts[-1]
         assert counts[0] == 0 < counts[1] < counts[2]
 
@@ -424,12 +440,10 @@ class TestVitali:
         rng = np.random.default_rng(29)
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          float(rng.uniform(0.02, 0.3)), beta) for _ in range(40)]
-        fam1 = vitali_select(cyls)
         perm = list(rng.permutation(len(cyls)))
-        fam2 = vitali_select([cyls[i] for i in perm])
-        sel1 = sorted((cyls[i].z0.x[0], cyls[i].r) for i in fam1.selected)
+        sel1 = sorted((cyls[i].z0.x[0], cyls[i].r) for i in vitali_select(cyls))
         sel2 = sorted((cyls[perm[i]].z0.x[0], cyls[perm[i]].r)
-                      for i in fam2.selected)
+                      for i in vitali_select([cyls[i] for i in perm]))
         assert sel1 == pytest.approx(sel2)
 
 
@@ -441,14 +455,6 @@ class TestLevelsetDecay:
                                    quasi=estimate_quasi_params(beta),
                                    center=0.0, t_top=0.0, r_unit=0.2, delta_hat=0.05)
         assert rep.passed
-
-    def test_k_below_one_rejected(self):
-        beta = Weight.constant(1.0, (-1.0, 1.0))
-        g = make_field(np.ones((8, 8)))
-        with pytest.raises(PreconditionFailed):
-            levelset_decay_audit(g, g, beta, K=0.5, q0=0.1, m_max=3,
-                                 quasi=estimate_quasi_params(beta),
-                                 center=0.0, t_top=0.0, r_unit=0.2, delta_hat=0.05)
 
     def test_smooth_field_monotone_table(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))

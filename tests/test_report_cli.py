@@ -366,7 +366,24 @@ class TestCliExits:
         # a unit cylinder of radius 0 has measure 0
         ({"levelset": {"r_unit": 0.0}},
          "audits.levelset.r_unit must satisfy r_unit > 0, got 0.0"),
-    ], ids=["levels-one", "levels-decreasing", "lambdas-negative", "r_unit-zero"])
+        # the level-set recursion needs K > 1, 0 < q0 < 1 and m_max >= 1
+        ({"levelset": {"K": 1.0}}, "audits.levelset.K must satisfy K > 1, got 1.0"),
+        ({"levelset": {"q0": 1.0}},
+         "audits.levelset.q0 must satisfy q0 > 0 and q0 < 1, got 1.0"),
+        ({"levelset": {"m_max": 0}},
+         "audits.levelset.m_max must satisfy m_max >= 1, got 0"),
+        # the a-priori ratio is defined for p >= 2
+        ({"solve": {"p_values": [1.5]}},
+         "each of audits.solve.p_values must satisfy p_values >= 2, got 1.5"),
+        # a chart slope must lie in [0, 1)
+        ({"flatten": {"delta": 1.0}},
+         "audits.flatten.delta must satisfy delta >= 0 and delta < 1, got 1.0"),
+        ({"flatten": {"deltas": [0.05, 1.0]}},
+         "each of audits.flatten.deltas must satisfy deltas >= 0 and deltas < 1, "
+         "got 1.0"),
+    ], ids=["levels-one", "levels-decreasing", "lambdas-negative", "r_unit-zero",
+            "K-one", "q0-one", "m_max-zero", "p_values-below-two", "delta-one",
+            "deltas-one"])
     def test_exit_two_on_degenerate_sweep(self, tmp_path, capsys, audits, message):
         cfg = self.write_config(tmp_path, {"audits": audits})
         out = tmp_path / "out"
@@ -437,6 +454,28 @@ class TestCliExits:
         cfg = self.write_config(tmp_path, {"selection": ["audit", "levelset"]})
         assert run_experiment(str(cfg), str(tmp_path / "out")) == 0
         assert calls == [(16, 64, 0.1)]
+
+    def test_default_nt_reuses_the_convergence_solve(self, tmp_path, monkeypatch):
+        # with no grid.nt, the audit grid takes the convergence study's steps
+        # for its nx (t_final nx^2, not 0.25 nx^2), so audit and levelset
+        # reuse the finest level's solve
+        calls = []
+        solve = ManufacturedCase.solve
+
+        def counted(case, *args):
+            calls.append(args)
+            return solve(case, *args)
+
+        monkeypatch.setattr(ManufacturedCase, "solve", counted)
+        raw = json.loads((Path(cli.__file__).parent / "configs"
+                          / "power_weight.json").read_text())
+        raw["grid"] = {"nx": 32, "t_final": 0.5}
+        raw["audits"]["solve"]["levels"] = [16, 32]
+        raw["selection"] = ["solve", "audit", "levelset"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert run_experiment(str(path), str(tmp_path / "out")) == 0
+        assert calls == [(16, 128, 0.5), (32, 512, 0.5)]
 
     def test_geometry_and_levelset_share_one_quasi_fit(self, tmp_path, monkeypatch):
         calls = []

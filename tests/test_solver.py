@@ -573,14 +573,13 @@ class TestAprioriRatio:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid)
-        rep = apriori_ratio(u, 2.0)
-        assert rep.ratio == 0.0
+        assert apriori_ratio(u, 2.0) == 0.0
 
     def test_ratio_scale_invariant(self):
         u = solve_driven(BETA1, smooth_random_forcing(3), nx=48, nt=48,
                          t_final=0.25, a_fun=lambda x, t: 1.0)
-        r1 = apriori_ratio(u, 2.0).ratio
-        r2 = apriori_ratio(u.scaled(11.0), 2.0).ratio
+        r1 = apriori_ratio(u, 2.0)
+        r2 = apriori_ratio(u.scaled(11.0), 2.0)
         # forcing scales with the solution, so the ratio is unchanged
         assert r2 == pytest.approx(r1, rel=1e-12)
 
@@ -589,7 +588,7 @@ class TestAprioriRatio:
         for nx in (32, 64, 128):
             u = solve_driven(BETA1, smooth_random_forcing(3), nx=nx, nt=nx,
                              t_final=0.25, a_fun=lambda x, t: 1.0)
-            ratios.append(apriori_ratio(u, 2.0).ratio)
+            ratios.append(apriori_ratio(u, 2.0))
         spread = (max(ratios) - min(ratios)) / min(ratios)
         assert spread < 0.10, ratios
 
@@ -600,9 +599,18 @@ class TestAprioriRatio:
         for beta in (BETA1, BETA_POW):
             u = solve_driven(beta, smooth_random_forcing(5), nx=64, nt=256,
                              t_final=0.25, a_fun=lambda x, t: 1.0)
-            rep = apriori_ratio(u, 2.0)
+            region = (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final)
             nu = float(u.A.values.min())
-            assert rep.grad_norm <= rep.forcing_norm / nu * (1 + 1e-10)
+            assert u.lp(u.grad(), 2.0, region) <= u.lp(u.F, 2.0, region) / nu * (1 + 1e-10)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_ratio_of_the_full_domain_norms(self, p):
+        u = solve_driven(BETA_POW, smooth_random_forcing(5), nx=32, nt=64,
+                         t_final=0.25, a_fun=lambda x, t: 1.0)
+        region = (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final)
+        assert apriori_ratio(u, p) == ((u.lp(u.grad(), p, region)
+                                        + u.lp(u.flux_proxy(), p, region))
+                                       / u.lp(u.F, p, region))
 
 
 class TestTimeShift:

@@ -1,6 +1,7 @@
 """Every function and class defined in ``src/wparab`` is used there, every
-parameter of every ``def`` there is read in its body, and every default
-there is overridden by some call there, but not by every call.
+parameter of every ``def`` there is read in its body, every module-level
+import there is read by its module, and every default there is overridden
+by some call there, but not by every call.
 
 A definition whose name is never read in the package (as a name or an
 attribute) is a helper that only tests or outside tools call; a parameter
@@ -91,6 +92,27 @@ def unread_parameters() -> set[str]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == set(UNREAD)
+
+
+def unread_imports() -> set[str]:
+    """``module.name`` of every name a module-level import binds that its
+    module never reads (``from __future__`` aside)."""
+    unread = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {(a.asname or a.name).split(".")[0] for a in node.names}
+                unread |= {f"{path.stem}.{name}" for name in bound - read}
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports() == set()
 
 
 def _name(func: ast.expr) -> str | None:
