@@ -310,8 +310,8 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
     out, p = run.out, run.cfg.audits["flatten"]
     dom2 = ((-1.0, 1.0), (-1.0, 1.0))
 
-    reports = [inclusion_audit(p.deltas[-1], [0.2, 0.1], 0.5)]
-    # the sweep's last chart is the coefficient-pushforward audit's chart
+    delta = p.deltas[-1]  # the sweep's last slope: every single-chart check's chart
+    reports = [inclusion_audit(delta, [0.2, 0.1], 0.5)]
     b_rows = b_norm_delta_sweep(p.deltas)
     reports.append(b_rows[-1]["report"])
     slope_b = fit_loglog_slope([r["delta"] for r in b_rows],
@@ -340,9 +340,9 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
 
     beta2 = Weight.power(p.alpha, (0.0, 0.0), dom2)
     fam2 = BallFamily.default(dom2, n_centers=5, n_radii=8)
-    reports.append(pushforward_weight_audit(p.delta, beta2, p.M0, fam2,
+    reports.append(pushforward_weight_audit(delta, beta2, p.M0, fam2,
                                             shape=(32, 32)))
-    reports.append(admissible_radius_search(p.delta, beta2, R=p.R, t0=p.t0,
+    reports.append(admissible_radius_search(delta, beta2, R=p.R, t0=p.t0,
                                             Lambda=p.Lambda))
     return reports
 

@@ -119,7 +119,6 @@ PARAMS: dict[str, dict[str, Param]] = {
         "deltas": Param("floats", [0.05, 0.1, 0.2], ge=0.0, lt=1.0),
         "alpha": Param("float", 0.1, gt=-2.0),
         "M0": Param("budget", 10.0, ge=1.0),
-        "delta": Param("float", 0.2, ge=0.0, lt=1.0),
         "R": Param("float", 0.8, gt=0.0),
         "t0": Param("budget", 0.5, gt=0.0),
         "Lambda": Param("float", 2.0, gt=0.0),

@@ -12,12 +12,15 @@ identical inputs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 
 def fmt_float(x: float) -> str:
@@ -28,6 +31,91 @@ def fmt_float(x: float) -> str:
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
     return format(float(x), ".17g")
+
+
+FIELD_WIDTH = 24  # len("-2.2250738585072014e-308"), the longest fmt_float string
+# fmt_floats' rows: '0000000', the 17 digits of D, '00', the two digits of |E|, '.-e\0'
+_TENS, _UNITS, _DOT, _MINUS, _E, _PAD = range(26, 32)
+
+
+def _layout(e: int, nd: int, neg: int) -> list[int]:
+    """The row columns that spell '%.17g', trailing zeros stripped, for
+    decimal exponent ``e`` (all e < -4 as -5), ``nd`` digits and sign ``neg``."""
+    digits = list(range(7, 7 + nd))
+    if e < -4:  # d.ddde-XX
+        body = digits[:1] + ([_DOT] + digits[1:]) * (nd > 1) + [_E, _MINUS, _TENS, _UNITS]
+    elif e < 0:  # 0.000ddd
+        body = [0, _DOT] + [0] * (-e - 1) + digits
+    else:  # ddd.ddd, or ddd when no digit follows the point
+        body = (digits + [0] * e)[:e + 1] + ([_DOT] + digits[e + 1:]) * (nd > e + 1)
+    return ([_MINUS] * neg + body + [_PAD] * FIELD_WIDTH)[:FIELD_WIDTH]
+
+
+@functools.cache
+def _fmt_tables():
+    """fl(10^k) and 10^k - fl(10^k) for k < 48 from exact ints, the ASCII
+    digits of 0..9999 as uint32s, and every layout; built at first use."""
+    powers = [10 ** k for k in range(48)]
+    q = np.arange(10 ** 4)
+    quads = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
+    return (np.array([float(p) for p in powers]),
+            np.array([float(p - int(float(p))) for p in powers]),
+            quads.astype(np.uint8).view(np.uint32).ravel(),
+            np.array([_layout(e, nd, neg) for e in range(-5, 16)
+                      for nd in range(1, 18) for neg in (0, 1)]))
+
+
+def fmt_floats(values) -> np.ndarray:
+    """``fmt_float`` of each element of a float array, flattened in C order,
+    as zero-padded ASCII as wide as the longest string (dtype ``S<n>``).
+
+    For finite v with 1e-30 <= |v| < 1e16, E = floor(log10 |v|) and
+    k = 16 - E, the 17 digits are D = round(|v| 10^k). Dekker's exact product
+    of |v| and fl(10^k), plus |v| (10^k - fl(10^k)), puts the fractional
+    part of |v| 10^k within 1e-14. D stands when that part is more than
+    1e-12 from 1/2 and floor(|v| 10^k) and D have 17 digits (E was right,
+    no rounding carried); the rest, such as ±0, NaN, ±inf or near-ties, go
+    through ``fmt_float``.
+    """
+    scale, rest, quads, layout = _fmt_tables()
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-30) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p10 = scale[16 - e]
+    prod = a * p10
+    # Veltkamp's splits, x = h + (x - h) exactly with 26-bit halves (2^27 + 1)
+    (a_hi, a_lo), (p_hi, p_lo) = [(h, x - h) for x in (a, p10)
+                                  for h in [134217729.0 * x - (134217729.0 * x - x)]]
+    tail = (((a_hi * p_hi - prod) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+            + a * rest[16 - e])
+    whole = np.floor(tail)
+    d = prod.astype(np.int64) + whole.astype(np.int64)
+    ok = fast & (np.abs(tail - whole - 0.5) > 1e-12) & (d >= 10 ** 16)
+    d += tail - whole > 0.5
+    ok &= d < 10 ** 17
+    d[~ok] = 10 ** 16
+
+    rows = np.empty((v.size, 32), np.uint8)
+    hi, lo = (half.astype(np.int32) for half in np.divmod(d, 10 ** 8))
+    groups = (0, hi // 10 ** 8, hi // 10 ** 4 % 10 ** 4, hi % 10 ** 4,
+              lo // 10 ** 4, lo % 10 ** 4, np.abs(e))
+    for col, group in enumerate(groups):  # four digits a column
+        rows.view(np.uint32)[:, col] = quads[group]
+    rows[:, _DOT:] = np.frombuffer(b".-e\0", np.uint8)
+    nd = 17 - np.argmax(rows[:, 23:6:-1] != ord("0"), axis=1)
+
+    key = np.where(ok, ((np.maximum(e, -5) + 5) * 17 + nd - 1) * 2 + (v < 0), 0)
+    counts = np.bincount(key, minlength=1)
+    out = rows.take(layout[counts.argmax()], axis=1)  # the commonest layout, on all
+    counts[counts.argmax()] = 0
+    for k in np.flatnonzero(counts).tolist():
+        at = np.flatnonzero(key == k)
+        out[at] = rows[at][:, layout[k]]
+    out = out.view(f"S{FIELD_WIDTH}").ravel()
+    out[~ok] = [fmt_float(x) for x in v[~ok].tolist()]
+    return out.astype(f"S{np.char.str_len(out).max(initial=1)}")
 
 
 def _canonical(obj: Any) -> Any:

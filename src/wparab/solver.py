@@ -34,7 +34,7 @@ from .errors import EllipticityViolation, GateFailed, PreconditionFailed, Singul
 from .geometry import WeightedCylinder
 from .maximal import SpaceTimeField
 from .oscillation import sample_broadcast, theta_A_ms, theta_beta_ms
-from .report import AuditReport, AuditRow
+from .report import AuditReport, AuditRow, fmt_floats
 from .weights import Weight
 
 
@@ -207,36 +207,33 @@ class SolutionField:
         return float(n_slices * self.grid.tau * n_faces * self.grid.h)
 
 
-def write_solution_csv(path, u: SolutionField):
-    """Column dump (x, t, u), row-major over time then space.
+CSV_BLOCK = 16384  # values that write_solution_csv lays out at once: about 1 MB
 
-    Floats are written as ``report.fmt_float`` renders them. The x strings
-    are baked into one ``%``-template; each time level puts its t string in
-    and formats its values with ``%.17g``, which agrees with ``fmt_float``
-    on finite doubles, and the non-finite spellings are renamed after
-    formatting, only in a dump that holds any. Each time level is written as
-    soon as it is formatted.
+
+def write_solution_csv(path, u: SolutionField):
+    """Column dump (x, t, u), row-major over time then space, with floats as
+    ``report.fmt_float`` renders them (by ``report.fmt_floats``). Blocks of
+    about ``CSV_BLOCK`` values are laid out as zero-padded byte rows and
+    written with the padding dropped.
 
     A ``wparab`` run calls it through ``forked.Forked``, in a child that runs
     while the later audit groups do.
     """
     from pathlib import Path
 
-    from .report import fmt_float
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    grid = u.grid
-    # finite x strings hold no '%', so "%s" marks only the t slots
-    template = "".join(fmt_float(x) + ",%s,%.17g\n" for x in grid.x.tolist())
-    finite = bool(np.isfinite(u.u).all())
-    with open(path, "w") as fh:
-        fh.write("x,t,u\n")
-        for t, row in zip(grid.t.tolist(), u.u):
-            level = template.replace("%s", fmt_float(t)) % tuple(row.tolist())
-            if not finite:
-                level = level.replace("nan", "NaN").replace("inf", "Infinity")
-            fh.write(level)
+    xs, ts = (fmt_floats(a).view(np.uint8).reshape(len(a), -1) for a in (u.grid.x, u.grid.t))
+    comma, newline = np.frombuffer(b",\n", np.uint8)[:, None]
+    blocks = -(-u.u.size // CSV_BLOCK)
+    with open(path, "wb") as fh:
+        fh.write(b"x,t,u\n")
+        for values, times in zip(np.array_split(u.u, blocks), np.array_split(ts, blocks)):
+            fields = (xs, comma, times[:, None], comma,
+                      fmt_floats(values).view(np.uint8).reshape(values.shape + (-1,)), newline)
+            lines = np.concatenate([np.broadcast_to(f, values.shape + f.shape[-1:])
+                                    for f in fields], axis=-1)
+            fh.write(lines[lines != 0])
     return path
 
 

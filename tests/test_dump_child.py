@@ -22,7 +22,7 @@ from wparab.cli import main, run_experiment
 from wparab.config import ExperimentConfig
 from wparab.errors import ConfigError, ToolkitError
 from wparab.experiments import convergence_study
-from wparab.solver import write_solution_csv
+from wparab.report import write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POWER_CONFIG = SRC / "wparab" / "configs" / "power_weight.json"
@@ -43,11 +43,15 @@ def write_config(tmp_path, **overrides):
 
 
 def reference_csv(config, path):
-    """``solution.csv`` written in process from the run's finest solution."""
+    """``solution.csv`` of the run's finest solution, written in process one
+    row list per node by ``report.write_csv``, so not by the dump's writer."""
     cfg = ExperimentConfig.load(str(config))
     _, solutions = convergence_study(cfg.build_weight(), cfg.audits["solve"].levels,
                                      t_final=cfg.grid.t_final)
-    return write_solution_csv(path, solutions[-1]).read_bytes()
+    u = solutions[-1]
+    rows = [[x, t, value] for t, level in zip(u.grid.t.tolist(), u.u.tolist())
+            for x, value in zip(u.grid.x.tolist(), level)]
+    return write_csv(path, ["x", "t", "u"], rows).read_bytes()
 
 
 @pytest.mark.parametrize("make_out", [

@@ -126,6 +126,17 @@ class TestCoefficients:
         coef, = [r for r in reports if r.check == "coefficient-pushforward"]
         assert coef.params["delta"] == 0.2
 
+    def test_single_chart_checks_share_the_last_slope(self, tmp_path):
+        # the four single-chart checks audit one chart, the sweep's last slope,
+        # which is not the 0.2 of the bundled configs here
+        cfg = ExperimentConfig.from_dict({
+            "name": "flat", "seed": 3, "selection": ["flatten"],
+            "audits": {"flatten": {"deltas": [0.05, 0.1, 0.5]}}})
+        reports = cli.run_flatten(cli.RunContext(cfg, cfg.seed, tmp_path))
+        assert {r.check: r.params["delta"] for r in reports if "delta" in r.params} == {
+            "chart-ball-inclusions": 0.5, "coefficient-pushforward": 0.5,
+            "weight-pushforward": 0.5, "admissible-chart-radius": 0.5}
+
 
 class TestWeightPushforward:
     def fam(self):

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wparab import cli, geometry, maximal
+from wparab import cli, geometry, maximal, report, solver
 from wparab.cli import main, run_experiment
 from wparab.config import PARAMS, ExperimentConfig
 from wparab.errors import ConfigError
@@ -15,6 +18,7 @@ from wparab.report import (
     AuditReport,
     AuditRow,
     fmt_float,
+    fmt_floats,
     json_dumps,
     write_csv,
     write_json,
@@ -24,12 +28,52 @@ from wparab.solver import write_solution_binary, write_solution_csv
 from wparab.experiments import ManufacturedCase
 from wparab.weights import Weight
 
+IDENTITY_CONFIG = Path(cli.__file__).parent / "configs" / "identity.json"
+
+
+def edge_floats() -> list[float]:
+    """Doubles on both sides of each edge of fmt_floats' vectorized path."""
+    values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              math.nan, math.inf, 123456789.0,
+              # exact 17-digit ties, rounded half to even: down, then up
+              1000000000000000.25, 1000000000000000.75]
+    for j in range(-31, 18):  # every power of ten in range, and the next ones out
+        p = float(f"1e{j}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf),
+                   np.nextafter(np.nextafter(p, 0.0), 0.0)]
+    return values + [-x for x in values]
+
 
 class TestReportFormat:
     def test_float_formatting_17_digits(self):
         assert fmt_float(1.0 / 3.0) == format(1.0 / 3.0, ".17g")
         assert fmt_float(math.inf) == "Infinity"
         assert fmt_float(float("nan")) == "NaN"
+
+    # 2,000 floats in 250 examples: hypothesis spends most of the time per
+    # example, so eight floats per example keep the test under a second
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(), min_size=8, max_size=8))  # NaN, ±inf, ±0, subnormals
+    def test_fmt_floats_matches_fmt_float(self, xs):
+        xs += [-x for x in xs]
+        assert fmt_floats(np.array(xs)).tolist() == [fmt_float(x).encode() for x in xs]
+
+    def test_fmt_floats_edges(self):
+        values = edge_floats()
+        assert fmt_floats(np.array(values)).tolist() == [fmt_float(x).encode()
+                                                         for x in values]
+        # fl(1e-14) < 10^-14, yet its 17-digit rounding carries into 1e-14
+        assert Fraction(1e-14) < Fraction(1, 10 ** 14) and fmt_float(1e-14) == "1e-14"
+
+    @pytest.mark.parametrize("toward", [-math.inf, math.inf], ids=["low", "high"])
+    def test_fmt_floats_checks_its_exponent(self, monkeypatch, toward):
+        # a log10 one ulp off misjudges floor(log10 |v|) next to each power
+        # of ten; such a value must still come out as fmt_float writes it
+        real = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(real(a), toward))
+        values = edge_floats()
+        assert fmt_floats(np.array(values)).tolist() == [fmt_float(x).encode()
+                                                         for x in values]
 
     def test_json_sorted_and_stable(self):
         obj = {"b": 2, "a": [1.5, {"z": 0.1, "y": None}]}
@@ -120,13 +164,32 @@ class TestSolutionDumps:
             edge, grid=dataclasses.replace(u.grid, x0=1e-20, x1=1e22))
         assert "e-" in fmt_float(wide.grid.x[0])
         assert "e+" in fmt_float(wide.grid.x[1])
+        # the neighbours of every power of ten, more values than one block
+        long, _ = case.solve(8, 2048, 0.1)
+        powers = dataclasses.replace(long, u=np.resize(edge_floats(), long.u.shape))
+        assert powers.u.size > solver.CSV_BLOCK
         for sol, name in ((u, "finite"), (bad, "nonfinite"), (edge, "edge"),
-                          (wide, "wide")):
+                          (wide, "wide"), (powers, "powers")):
             got = write_solution_csv(tmp_path / f"{name}.csv", sol).read_bytes()
             ref = self.old_solution_csv(tmp_path / f"{name}-ref.csv", sol)
             assert got == ref.read_bytes(), name
             if name == "nonfinite":
                 assert b"NaN" in got and b",Infinity" in got and b"-Infinity" in got
+
+    def test_finest_identity_dump_formats_few_values_one_by_one(self, tmp_path,
+                                                                monkeypatch):
+        # a kernel change that sent most values to fmt_float would still
+        # write the same bytes, only slower
+        cfg = ExperimentConfig.load(str(IDENTITY_CONFIG))
+        u, _ = ManufacturedCase(cfg.build_weight()).solve(128, 4096, cfg.grid.t_final)
+        assert u.u.shape == (4097, 129)
+        calls = []
+        real = report.fmt_float
+        monkeypatch.setattr(report, "fmt_float", lambda x: calls.append(x) or real(x))
+        write_solution_csv(tmp_path / "sol.csv", u)
+        # the two boundary zeros of each time level, x = 0 and t = 0
+        assert calls and not any(calls)
+        assert len(calls) <= 2 * u.u.shape[0] + 2
 
     def test_csv_parses_back_to_binary_payload(self, tmp_path):
         case = ManufacturedCase(Weight.constant(1.0, (0.0, 1.0)))
@@ -375,9 +438,11 @@ class TestCliExits:
         # the a-priori ratio is defined for p >= 2
         ({"solve": {"p_values": [1.5]}},
          "each of audits.solve.p_values must satisfy p_values >= 2, got 1.5"),
-        # a chart slope must lie in [0, 1)
+        # the flatten group's chart is the sweep's last slope, so a separate
+        # delta is an unknown key; each slope must lie in [0, 1)
         ({"flatten": {"delta": 1.0}},
-         "audits.flatten.delta must satisfy delta >= 0 and delta < 1, got 1.0"),
+         "unknown key(s) ['delta'] in audits.flatten; known keys are "
+         "['Lambda', 'M0', 'R', 'alpha', 'deltas', 't0']"),
         ({"flatten": {"deltas": [0.05, 1.0]}},
          "each of audits.flatten.deltas must satisfy deltas >= 0 and deltas < 1, "
          "got 1.0"),
