@@ -7,14 +7,15 @@ Exit codes: 0 all selected audits passed, 1 an audit failed (reports are
 still written) or the solution dump failed, 2 configuration error (an
 unusable --out included).
 
-``Forked`` runs work in a child while later groups go on: solve's
-``solution.csv``, and ``flatten`` when a group precedes it. That child is
-niced, so the CSV child keeps its core; it stages its files under ``--out``
-for the run to move in at flatten's turn, so outputs, print order, exit codes
-and messages match an inline run. ``geometry`` splits its quasi-triangle
-audit over the cores these children leave idle (:meth:`RunContext.idle_cores`).
-The gain is wall time and needs a free core; ``run_experiment`` returns after
-every child has finished.
+Work forked into a child (``Forked``) computes and returns values, and the
+run writes the files: ``flatten``, when a group precedes it, is computed in
+a niced child (:func:`flatten_audits`) while the groups before it run, and
+written at its turn, so outputs, print order, exit codes and messages match
+an inline run. The one exception is solve's ``solution.csv``, whose child
+writes the file itself. ``geometry`` splits its quasi-triangle audit over
+the CPUs the process may use (:func:`usable_cpus`). The gain is wall time
+and needs a free core; ``run_experiment`` returns after every child has
+finished.
 """
 from __future__ import annotations
 
@@ -22,9 +23,7 @@ import argparse
 import functools
 import math
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +52,12 @@ from .weights import (BallFamily, Weight, check_beta_condition, doubling_report,
                       reverse_holder_gamma)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 class RunContext:
     """What the audit groups of one run share.
 
@@ -63,10 +68,11 @@ class RunContext:
     share one solve and a run without them makes none; when ``solve`` has
     already run a convergence level on that grid, its solution is used
     instead (:meth:`keep_manufactured`). A grid without ``nt`` takes
-    :func:`default_nt` steps, as the convergence levels do. The quasi-metric parameters are
-    fitted on first use in the same way, for ``geometry`` and
-    ``levelset``. ``dump`` writes solution.csv and ``flatten`` runs that
-    group, each in a child.
+    :func:`default_nt` steps, as the convergence levels do. The
+    quasi-metric parameters are fitted on first use in the same way, for
+    ``geometry`` and ``levelset``. ``dump`` is the child that writes
+    solution.csv, and ``flatten`` the child that computes that group's
+    values, when the run forks one.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
@@ -94,14 +100,6 @@ class RunContext:
     def quasi_params(self):
         return estimate_quasi_params(self.weight)
 
-    def idle_cores(self) -> int:
-        """The CPUs this process may run on, less the run's unreaped
-        children (``dump`` and ``flatten``); at least 1."""
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        busy = sum(c is not None and c.pid is not None for c in (self.dump, self.flatten))
-        return max(cpus - busy, 1)
-
 
 def run_weights(run: RunContext) -> list[AuditReport]:
     w, p = run.weight, run.cfg.audits["weights"]
@@ -122,7 +120,7 @@ def run_weights(run: RunContext) -> list[AuditReport]:
 def run_geometry(run: RunContext) -> list[AuditReport]:
     w, p = run.weight, run.cfg.audits["geometry"]
     reports = [quasi_triangle_audit(w, run.quasi_params, p.samples,
-                                    seed=run.seed, ranges=run.idle_cores())]
+                                    seed=run.seed, ranges=usable_cpus())]
     lo, hi = w.domain[0]
     x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
     r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
@@ -306,8 +304,10 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     return reports
 
 
-def run_flatten(run: RunContext) -> list[AuditReport]:
-    out, p = run.out, run.cfg.audits["flatten"]
+def flatten_audits(p) -> tuple[list[AuditReport], list[list[float]]]:
+    """The flatten group's reports for ``audits.flatten`` ``p``, and the rows
+    (delta, b_norm, oscillation_sq) of its two slope sweeps. Writes no file,
+    so a child may compute it."""
     dom2 = ((-1.0, 1.0), (-1.0, 1.0))
 
     delta = p.deltas[-1]  # the sweep's last slope: every single-chart check's chart
@@ -319,17 +319,6 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
     osc_rows = oscillation_delta_sweep(p.deltas)
     slope_o = fit_loglog_slope([r["delta"] for r in osc_rows],
                                [r["oscillation_sq"] for r in osc_rows])
-    write_csv(out / "flatten_sweeps.csv",
-              ["delta", "b_norm", "oscillation_sq"],
-              [[b["delta"], b["b_norm"], o["oscillation_sq"]]
-               for b, o in zip(b_rows, osc_rows)])
-    write_svg_curves(out / "flatten_sweeps.svg",
-                     [("b-norm", [r["delta"] for r in b_rows],
-                       [r["b_norm"] for r in b_rows]),
-                      ("oscillation", [r["delta"] for r in osc_rows],
-                       [r["oscillation_sq"] for r in osc_rows])],
-                     title="pushforward inflation vs chart slope",
-                     logx=True, logy=True)
     reports.append(AuditReport.from_rows(
         "pushforward-delta-scaling",
         [AuditRow(label="correction-norm-exponent", lhs=slope_b, rhs=0.9,
@@ -344,6 +333,23 @@ def run_flatten(run: RunContext) -> list[AuditReport]:
                                             shape=(32, 32)))
     reports.append(admissible_radius_search(delta, beta2, R=p.R, t0=p.t0,
                                             Lambda=p.Lambda))
+    return reports, [[b["delta"], b["b_norm"], o["oscillation_sq"]]
+                     for b, o in zip(b_rows, osc_rows)]
+
+
+def run_flatten(run: RunContext) -> list[AuditReport]:
+    """The values of :func:`flatten_audits`, from the run's ``flatten``
+    child if it forked one; writes the sweep table and plot."""
+    reports, rows = (run.flatten.result() if run.flatten is not None
+                     else flatten_audits(run.cfg.audits["flatten"]))
+    deltas = [r[0] for r in rows]
+    write_csv(run.out / "flatten_sweeps.csv",
+              ["delta", "b_norm", "oscillation_sq"], rows)
+    write_svg_curves(run.out / "flatten_sweeps.svg",
+                     [("b-norm", deltas, [r[1] for r in rows]),
+                      ("oscillation", deltas, [r[2] for r in rows])],
+                     title="pushforward inflation vs chart slope",
+                     logx=True, logy=True)
     return reports
 
 
@@ -376,22 +382,16 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         print(f"config error: output directory {out}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    all_passed, code, run, stage = True, None, None, None
+    all_passed, code, run = True, None, None
     try:
         run = RunContext(cfg, seed if seed is not None else cfg.seed, out)
         if "flatten" in selected[1:]:  # overlaps only the groups before it
-            stage = Path(tempfile.mkdtemp(dir=out))
+            # niced: the run's own process and the geometry split keep their
+            # cores, and flatten's values are needed only at its turn
             run.flatten = Forked(
-                lambda: RUNNERS["flatten"](RunContext(cfg, run.seed, stage)), nice=10)
+                functools.partial(flatten_audits, cfg.audits["flatten"]), nice=10)
         for group in selected:
-            if group == "flatten" and run.flatten is not None:
-                try:
-                    reports = run.flatten.result()
-                finally:
-                    for path in stage.iterdir():
-                        os.replace(path, out / path.name)
-            else:
-                reports = RUNNERS[group](run)
+            reports = RUNNERS[group](run)
             for rep in reports:
                 write_json(out / f"{group}__{rep.check}.json", rep)
                 status = "pass" if rep.passed else "FAIL"
@@ -405,9 +405,8 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
         print(f"audit error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 1
     finally:
-        if stage is not None:
+        if run is not None and run.flatten is not None:
             Forked.reap([run.flatten])  # its outcome matters at its turn only
-            shutil.rmtree(stage, ignore_errors=True)
         if run is not None and run.dump is not None:
             try:
                 run.dump.result()

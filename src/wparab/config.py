@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, NonIntegrable
+from .solver import sinusoidal_coefficient
 from .weights import Weight
 
 KNOWN_GROUPS = ("weights", "geometry", "solve", "audit", "levelset", "flatten")
@@ -217,8 +218,12 @@ class ExperimentConfig:
             grid=_typed(raw.get("grid", {}), "grid"),
             audits={group: _typed(audits.get(group, {}), f"audits.{group}")
                     for group in KNOWN_GROUPS},
-            selection=list(raw.get("selection", KNOWN_GROUPS)),
+            selection=raw.get("selection", list(KNOWN_GROUPS)),
         )
+        if not (isinstance(cfg.selection, list) and cfg.selection
+                and all(isinstance(g, str) for g in cfg.selection)):
+            raise ConfigError("selection must be a non-empty list of audit group "
+                              f"names, got {cfg.selection!r}")
         levels = cfg.audits["solve"].levels
         if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
             # each order of convergence compares a level with the one before
@@ -284,12 +289,7 @@ class ExperimentConfig:
 
     def coefficient_fn(self):
         c = self.coefficient
-        base, osc, freq = c.base, c.oscillation, c.frequency
-        if abs(osc) >= base:
+        if abs(c.oscillation) >= c.base:
             raise ConfigError("coefficient.oscillation amplitude must stay "
                               "below the base")
-
-        def a_fun(x, t):
-            return base + osc * np.sin(freq * math.pi * x)
-
-        return a_fun
+        return sinusoidal_coefficient(c.base, c.oscillation, c.frequency)

@@ -24,6 +24,7 @@ from .solver import (
     SolutionField,
     forcing_from_callable,
     freeze_compare,
+    sinusoidal_coefficient,
     solve_ivbp,
     sum_in_order,
 )
@@ -173,13 +174,6 @@ def solve_driven(beta: Weight, forcing_fn, nx: int, nt: int, t_final: float,
     return solve_ivbp(beta, A, F, grid)
 
 
-def oscillating_coefficient(amplitude: float):
-    def a_fun(x, t):
-        return 1.0 + amplitude * np.sin(8.0 * math.pi * x)
-
-    return a_fun
-
-
 def freeze_compare_sweep(beta: Weight, amplitudes: list[float]) -> list[dict]:
     """Gradient-gap sweep over coefficient oscillation amplitudes, on the
     cylinder of radius 0.05 at (0.5, 0.05) of a 256 x 64 grid.
@@ -195,7 +189,7 @@ def freeze_compare_sweep(beta: Weight, amplitudes: list[float]) -> list[dict]:
     initial = np.sin(math.pi * grid.x)
     z0 = SpaceTimePoint([0.5], grid.t_final)
     for a in amplitudes:
-        a_fun = oscillating_coefficient(a)
+        a_fun = sinusoidal_coefficient(1.0, a, 8.0)
         A = CoefficientField.from_callable(a_fun, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(beta, A, F, grid, initial=initial)

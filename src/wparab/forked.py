@@ -3,7 +3,9 @@
 A run forks for three pieces of work: solve's ``solution.csv``, ``flatten``
 when a group precedes it (both in ``cli``), and the later triple ranges of
 the quasi-triangle audit (``geometry``). Each child computes what the
-caller would have computed inline, and the caller reaps it on every path.
+caller would have computed inline and returns it; the caller writes the
+files, except ``solution.csv``, which its child writes. The caller reaps
+every child on every path.
 """
 from __future__ import annotations
 

@@ -42,7 +42,7 @@ reports NoBracket past the reachable range.
 The quasi-triangle audit splits its triples into contiguous ranges: the
 caller's process measures the first, and a forked child (``forked.Forked``)
 each further one, with the same bits as one process. ``cli`` sets the count
-to the cores the run leaves idle, so a one-core run never forks.
+to the CPUs the process may use, so a one-core run never forks.
 """
 from __future__ import annotations
 
@@ -433,14 +433,12 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
     first worst triple is reported. The draws stay those of
     ``default_rng(seed)``: all x, then all t, of the samples.
 
-    The triples split into ``ranges`` contiguous ranges of near-equal size,
-    at most one per ``TRIPLE_BLOCK``. This process measures the first range
-    and a :class:`Forked` child each further one (see
-    :func:`_triangle_range`); every child is reaped on every path, and
+    The triples split into ``ranges`` (at least 1) contiguous ranges of
+    near-equal size, at most one per ``TRIPLE_BLOCK``. This process
+    measures the first range and a :class:`Forked` child each further one
+    (see :func:`_triangle_range`); every child is reaped on every path, and
     errors are raised in range order, as one process raises them.
     """
-    if samples < 1 or ranges < 1:
-        raise ValueError("need at least one sample and one range")
     (lo, hi), = beta.domain[:1]
     t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
     adversarial = _adversarial_triples(lo, hi, t_span)

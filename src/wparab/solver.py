@@ -106,6 +106,14 @@ class CoefficientField:
         return cls(values=vals)
 
 
+def sinusoidal_coefficient(base: float, amplitude: float, frequency: float):
+    """The conductivity a(x, t) = base + amplitude sin(frequency pi x)."""
+    def a_fun(x, t):
+        return base + amplitude * np.sin(frequency * math.pi * x)
+
+    return a_fun
+
+
 def forcing_from_callable(fn, grid: Grid) -> np.ndarray:
     """Sample a forcing F(x, t) at faces for every time level.
 

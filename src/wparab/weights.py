@@ -221,8 +221,7 @@ class Weight:
             out = (self.scale ** p
                    * power_interval_integral(a, b, self.center[0], p * self.alpha))
         else:
-            edges, cum, slopes = self._cum_1d(p)
-            ends = _interp_uniform(np.stack((a, b)), edges, cum, slopes)
+            ends, _ = _interp_uniform(np.stack((a, b)), *self._cum_1d(p))
             out = ends[1] - ends[0]
         return out.reshape(shape)
 
@@ -240,16 +239,11 @@ class Weight:
                     self.scale * np.abs(a - c) ** self.alpha,
                     self.scale * np.abs(b - c) ** self.alpha)
         (lo, hi), = self.domain
-        edges, cum, slopes = self._cum_1d(p)
         ends = np.stack((a, b))
-        inside = (ends >= lo) & (ends <= hi)
-        np.minimum(np.maximum(ends, lo, out=ends), hi, out=ends)
-        j = _locate(ends, edges)
-        vals = np.where(inside, self.samples.take(j, mode="clip"), 0.0)
-        ends -= edges.take(j)  # the table's value at each end, as in _interp_uniform
-        ends *= slopes.take(j)
-        ends += cum.take(j)
-        return ends[1] - ends[0], vals[0], vals[1]
+        masses, j = _interp_uniform(ends, *self._cum_1d(p))
+        vals = np.where((ends >= lo) & (ends <= hi),
+                        self.samples.take(j, mode="clip"), 0.0)
+        return masses[1] - masses[0], vals[0], vals[1]
 
     # -- ball means ----------------------------------------------------------
 
@@ -330,8 +324,9 @@ def _locate(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
 
 
 def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
-                    slopes: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp)`` bit for bit, for uniformly spaced ``xp``.
+                    slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.interp(x, xp, fp)`` bit for bit, for uniformly spaced ``xp``, and
+    the cell index ``j`` of each value.
 
     The value is numpy's own ``slopes[j] * (x - xp[j]) + fp[j]`` on the cell
     :func:`_locate` finds; ``x`` is clipped to ``xp``, and the zero slope of
@@ -339,12 +334,13 @@ def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
     finite and ``xp`` hold at least two nodes; a NaN in ``x`` gives NaN, as
     in ``np.interp``.
     """
-    out = np.minimum(np.maximum(x, xp[0]), xp[-1])
+    out = np.maximum(x, xp[0])
+    np.minimum(out, xp[-1], out=out)
     j = _locate(out, xp)
     out -= xp.take(j)
     out *= slopes.take(j)
     out += fp.take(j)
-    return out
+    return out, j
 
 
 def ball_grid(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,9 @@ from wparab.experiments import (
     ManufacturedCase,
     convergence_study,
     fit_loglog_slope,
-    oscillating_coefficient,
     smooth_random_forcing,
 )
+from wparab.solver import sinusoidal_coefficient
 from wparab.weights import Weight
 
 
@@ -45,11 +45,13 @@ class TestForcing:
         assert any(f1(x, t) != f3(x, t) for x, t in pts)
 
     def test_oscillating_coefficient_range(self):
-        a = oscillating_coefficient(0.3)
+        a = sinusoidal_coefficient(1.0, 0.3, 8.0)
         xs = np.linspace(0.0, 1.0, 101)
         vals = [a(x, 0.0) for x in xs]
         assert min(vals) >= 0.7 - 1e-12
         assert max(vals) <= 1.3 + 1e-12
+        # the bits of the frozen-comparison sweep's former 1 + a sin(8 pi x)
+        assert np.array_equal(a(xs, 0.0), 1.0 + 0.3 * np.sin(8.0 * math.pi * xs))
 
 
 class TestConvergenceRows:

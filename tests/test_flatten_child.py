@@ -1,12 +1,12 @@
-"""The flatten group runs in a forked child when another group precedes it,
-and the geometry group splits its quasi-triangle audit over the cores the
-run leaves idle.
+"""The flatten group's values are computed in a forked child when another
+group precedes it, and written by the run at flatten's turn; the geometry
+group splits its quasi-triangle audit over the CPUs the process may use.
 
 The run must look exactly like an inline one: the same files, the same
 stdout in the same order, the same exit codes and error lines. A run that
-stops before flatten's turn leaves no flatten file and no staging
-directory, and ``conftest.py`` checks after every test that no child is
-left. Every run here sees two usable CPUs unless a test says otherwise.
+stops before flatten's turn leaves no flatten file, and ``conftest.py``
+checks after every test that no child is left. Every run here sees two
+usable CPUs unless a test says otherwise.
 """
 import errno
 import json
@@ -68,8 +68,8 @@ def run(tmp_path, capsys, config, name):
 
 @pytest.mark.parametrize("selection, n_forks", [
     (["weights", "flatten"], 1),
-    # the flatten and CSV children hold both CPUs: geometry stays inline
-    (["solve", "geometry", "flatten", "weights"], 2),
+    # flatten, the CSV and the second triple range each in a child
+    (["solve", "geometry", "flatten", "weights"], 3),
 ])
 def test_same_outputs_as_inline(tmp_path, capsys, monkeypatch, forks,
                                 selection, n_forks):
@@ -110,15 +110,30 @@ def test_earlier_failure_leaves_no_flatten_file(tmp_path, capsys, forks):
     assert len(forks) == 1
     assert code == 1 and out == ""
     assert err.startswith("audit error: GateFailed: oscillation term too large")
-    assert files == {}  # no flatten file, no staging directory
+    assert files == {}  # no flatten file
+
+
+def test_flatten_values_write_no_file(tmp_path, monkeypatch):
+    def no_write(*args, **kwargs):
+        raise AssertionError("flatten_audits wrote a file")
+
+    for writer in ("write_csv", "write_svg_curves", "write_json"):
+        monkeypatch.setattr(cli, writer, no_write)
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.ExperimentConfig.load(write_config(tmp_path, ["flatten"]))
+    reports, rows = cli.flatten_audits(cfg.audits["flatten"])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert len(reports) == 5 and all(rep.passed for rep in reports)
+    assert [row[0] for row in rows] == cfg.audits["flatten"].deltas
+    assert all(len(row) == 3 for row in rows)
 
 
 @pytest.mark.parametrize("fork", ["forked", "inline"])
 def test_flatten_error_as_inline(tmp_path, capsys, monkeypatch, forks, fork):
-    def fail(run):
+    def fail(p):
         raise EmptyBall("raised in flatten")
 
-    monkeypatch.setitem(cli.RUNNERS, "flatten", fail)
+    monkeypatch.setattr(cli, "flatten_audits", fail)
     if fork == "inline":
         monkeypatch.delattr(os, "fork")
     code, out, err, files = run(
@@ -130,7 +145,7 @@ def test_flatten_error_as_inline(tmp_path, capsys, monkeypatch, forks, fork):
 
 
 def test_child_that_dies_fails_the_run(tmp_path, capsys, monkeypatch, forks):
-    monkeypatch.setitem(cli.RUNNERS, "flatten", lambda run: os._exit(1))
+    monkeypatch.setattr(cli, "flatten_audits", lambda p: os._exit(1))
     code, out, err, files = run(
         tmp_path, capsys, write_config(tmp_path, ["weights", "flatten"]), "out")
     assert code == 1 and len(forks) == 1
@@ -144,8 +159,8 @@ def test_child_that_dies_fails_the_run(tmp_path, capsys, monkeypatch, forks):
 @pytest.mark.parametrize("n_cpus, n_forks", [(2, 1), (1, 0)])
 def test_geometry_splits_over_idle_cores(tmp_path, capsys, monkeypatch, forks,
                                          n_cpus, n_forks):
-    # no child holds a core, so the 101,690 triples split into one range per
-    # usable CPU, each further range in a child
+    # the 101,690 triples split into one range per usable CPU, each further
+    # range in a child
     config = write_config(tmp_path, ["weights", "geometry"])
     cpus(monkeypatch, n_cpus)
     split = run(tmp_path, capsys, config, "split")

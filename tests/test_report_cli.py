@@ -347,7 +347,10 @@ class TestCliExits:
                 {"audits": {"weights": {"tol_quad": -1}}},
                 {"audits": {"flatten": {"t0": -1}}, "selection": ["flatten"]},
                 {"audits": {"audit": {"freeze_amplitudes": [-5]}},
-                 "selection": ["audit"]}):
+                 "selection": ["audit"]},
+                # a selection that is no non-empty list of group names
+                {"selection": 5}, {"selection": None}, {"selection": []},
+                {"selection": "weights"}, {"selection": ["weights", 5]}):
             cfg = self.write_config(tmp_path, overrides)
             assert run_experiment(str(cfg), str(tmp_path / "out")) == 2, overrides
         # a group named on the command line is checked the same way
@@ -384,6 +387,9 @@ class TestCliExits:
         assert "audits.audit.delta must satisfy delta >= 0, got -0.1" in err
         assert ("each of audits.audit.freeze_amplitudes must satisfy "
                 "freeze_amplitudes > -1 and freeze_amplitudes < 1, got -5") in err
+        for got in ("5", "None", "[]", "'weights'", "['weights', 5]"):
+            assert ("selection must be a non-empty list of audit group names, "
+                    f"got {got}\n") in err
         # the numbers of a weight spec, each named in its message
         for spec, message in (
                 ({"kind": "constant", "value": math.nan}, "weight.value must be a finite"),

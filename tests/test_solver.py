@@ -13,7 +13,6 @@ from wparab.experiments import (
     ManufacturedCase,
     convergence_study,
     int_power_sin,
-    oscillating_coefficient,
     smooth_random_forcing,
     solve_driven,
 )
@@ -31,6 +30,7 @@ from wparab.solver import (
     freeze_compare,
     lipschitz_audit,
     poincare_audit,
+    sinusoidal_coefficient,
     solve_frozen,
     solve_ivbp,
     time_shift_audit,
@@ -144,7 +144,7 @@ class TestGridCache:
 class TestBroadcastSampling:
     @pytest.mark.parametrize("make_fn", [
         lambda: smooth_random_forcing(7),
-        lambda: oscillating_coefficient(0.3),
+        lambda: sinusoidal_coefficient(1.0, 0.3, 8.0),
         oscillating_config_coefficient,
     ], ids=["smooth-forcing", "oscillating", "config-coefficient"])
     def test_matches_pointwise(self, make_fn):
@@ -540,7 +540,7 @@ class TestFreezeCompare:
 
     def test_theta_a_is_theta_A_ms_on_the_4r_cylinder(self):
         # B_0.2(0.15) runs past x = 0, and the 4r cylinder's height past t = 0
-        a_fun = oscillating_coefficient(0.4)
+        a_fun = sinusoidal_coefficient(1.0, 0.4, 8.0)
         row = self.freeze(a_fun, 0.15, 0.02)
         h4 = WeightedCylinder(SpaceTimePoint([0.15], 0.02), 0.2, BETA_POW).h
         assert h4 > 0.02

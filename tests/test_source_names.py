@@ -35,9 +35,7 @@ DEFAULTS_OVERRIDDEN_KEPT = {
 }
 
 UNREAD = {
-    "config.ExperimentConfig.coefficient_fn.a_fun.t":
-        "a coefficient is called as a_fun(x, t); this one is constant in time",
-    "experiments.oscillating_coefficient.a_fun.t":
+    "solver.sinusoidal_coefficient.a_fun.t":
         "a coefficient is called as a_fun(x, t); this one is constant in time",
 }
 

@@ -104,8 +104,11 @@ class TestCumulativeLookup:
         w = Weight.sampled(rng.lognormal(0.0, 1.0, nc), domain)
         edges, cum, slopes = w._cum_1d(p)
         x = lookup_probes(edges, rng)
-        assert np.array_equal(_interp_uniform(x, edges, cum, slopes),
-                              np.interp(x, edges, cum))
+        values, j = _interp_uniform(x, edges, cum, slopes)
+        assert np.array_equal(values, np.interp(x, edges, cum))
+        # the cell of each value: the last edge at or below the clipped point
+        clipped = np.clip(x, edges[0], edges[-1])
+        assert np.array_equal(j, np.searchsorted(edges, clipped, side="right") - 1)
         a = np.clip(x, *domain)
         b = np.clip(a + rng.uniform(0.0, 0.4 * (domain[1] - domain[0]), a.size),
                     *domain)
