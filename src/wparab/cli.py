@@ -37,8 +37,8 @@ from .flattening import (admissible_radius_search, b_norm_delta_sweep,
                          inclusion_audit, oscillation_delta_sweep,
                          pushforward_weight_audit)
 from .forked import Forked
-from .geometry import (SpaceTimePoint, WeightedCylinder, cylinder_relations_audit,
-                       estimate_quasi_params, quasi_triangle_audit)
+from .geometry import (WeightedCylinder, cylinder_relations_audit, estimate_quasi_params,
+                       quasi_triangle_audit)
 from .inequalities import (interpolation_audit, weighted_embedding_audit,
                            weighted_lq_control_audit)
 from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit,
@@ -124,8 +124,7 @@ def run_geometry(run: RunContext) -> list[AuditReport]:
     lo, hi = w.domain[0]
     x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
     r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
-    reports.append(cylinder_relations_audit(
-        w, SpaceTimePoint([x0], 0.0), r))
+    reports.append(cylinder_relations_audit(w, x0, 0.0, r))
     return reports
 
 
@@ -195,14 +194,13 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     reports = [oscillation_supremum(run.a_fun, w, p.R0, p.delta, mask)]
 
     center = 0.5 * (lo + hi)
-    z0 = SpaceTimePoint([center], t_final)
     r_base = p.cylinder_r if p.cylinder_r is not None else 0.125 * (hi - lo)
-    inner = WeightedCylinder(z0, 1.5 * r_base, w, variant="Q")
-    outer = WeightedCylinder(z0, 2.0 * r_base, w, variant="Q")
+    inner = WeightedCylinder(center, t_final, 1.5 * r_base, w, variant="Q")
+    outer = WeightedCylinder(center, t_final, 2.0 * r_base, w, variant="Q")
     reports.append(energy_audit(u, inner, outer, budget=p.energy_budget))
     reports.append(poincare_audit(u, outer, variant="interior",
                                   budget=p.poincare_budget))
-    bcyl = WeightedCylinder(SpaceTimePoint([lo], t_final), 2.0 * r_base, w, variant="Q+")
+    bcyl = WeightedCylinder(lo, t_final, 2.0 * r_base, w, variant="Q+")
     reports.append(poincare_audit(u, bcyl, variant="boundary",
                                   budget=p.poincare_budget))
 
@@ -211,10 +209,10 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     R = 2.0 * r_base
     beta_bar = float(w.mass_1d_vec(1.0, center - R, center + R, clip=False)) / (2.0 * R)
     frozen = Weight.constant(beta_bar, (-1.0, 1.0))
-    f_outer = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, frozen)
-    f_inner = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.25, frozen)
+    f_outer = WeightedCylinder(0.0, 0.0, 0.5, frozen)
+    f_inner = WeightedCylinder(0.0, 0.0, 0.25, frozen)
     v = solve_frozen(beta_bar, 1.0, f_outer.x_interval, f_outer.t_interval, 48, 48,
-                     lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
+                     lambda x, t: x ** 2 + 2.0 * t)
     reports.append(lipschitz_audit(v, f_inner, f_outer, beta_bar,
                                    budget=p.lipschitz_budget))
 
@@ -277,11 +275,9 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
         rep.seed = seed + i
 
     rng = np.random.default_rng(seed + 100)
-    cyls = [WeightedCylinder(
-        SpaceTimePoint([rng.uniform(lo + 0.1, hi - 0.1)],
-                       rng.uniform(-0.8, -0.2)),
-        float(rng.uniform(0.02, 0.15)), w, variant="C")
-        for _ in range(p.n_cylinders)]
+    cyls = [WeightedCylinder(rng.uniform(lo + 0.1, hi - 0.1), rng.uniform(-0.8, -0.2),
+                             float(rng.uniform(0.02, 0.15)), w, variant="C")
+            for _ in range(p.n_cylinders)]
     cover = five_rho_cover_audit(cyls, vitali_select(cyls), w)
     cover.seed = seed + 100
     reports.append(cover)

@@ -131,7 +131,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     },
     "grid": {
         "nx": Param("int", 64, ge=2),
-        "nt": Param("int", ge=1),
+        "nt": Param("int", ge=2),  # the time-shift audit shifts by two steps
         "t_final": Param("float", 0.25, gt=0.0),
     },
 }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SpaceTimePoint, WeightedCylinder
+from .geometry import WeightedCylinder
 from .solver import (
     CoefficientField,
     Grid,
@@ -187,17 +187,14 @@ def freeze_compare_sweep(beta: Weight, amplitudes: list[float]) -> list[dict]:
     rows: list[dict] = []
     grid = Grid(x0=0.0, x1=1.0, nx=256, t_final=0.05, nt=64)
     initial = np.sin(math.pi * grid.x)
-    z0 = SpaceTimePoint([0.5], grid.t_final)
     for a in amplitudes:
         a_fun = sinusoidal_coefficient(1.0, a, 8.0)
         A = CoefficientField.from_callable(a_fun, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(beta, A, F, grid, initial=initial)
-        cyl = WeightedCylinder(z0, 0.05, beta, variant="Q")
-        rep = freeze_compare(u, a_fun, cyl, nx_local=8, nt_local=4)
-        row = rep.rows[0]
-        rows.append({"amplitude": a, "eps_emp": row.lhs,
-                     "delta_emp": row.extra.get("delta_emp", 0.0)})
+        cyl = WeightedCylinder(0.5, grid.t_final, 0.05, beta, variant="Q")
+        eps_emp, delta_emp = freeze_compare(u, a_fun, cyl, nx_local=8, nt_local=4)
+        rows.append({"amplitude": a, "eps_emp": eps_emp, "delta_emp": delta_emp})
     return rows
 
 

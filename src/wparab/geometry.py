@@ -16,7 +16,8 @@ point has the later time. rho_b satisfies a triangle inequality up to
 
     Lambda = max{ 2^{1/(2 zeta0)} * N2^{1/(n zeta0)}, 2 },
 
-where (zeta0, N2) quantify how the measure b^{n0/2} shrinks on nested sets.
+where (zeta0, N2) quantify how the measure b^{n0/2} shrinks on nested sets;
+every weight here is 1D, so n = 1.
 
 Heights and their inverse take 1D weights only; a 2D weight raises
 ValueError. The inverse height is a safeguarded Newton iteration per point,
@@ -47,7 +48,6 @@ to the CPUs the process may use, so a one-core run never forks.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,19 +79,6 @@ SCREEN_MARGIN = 1e-6
 # smaller radii lose digits to cancellation in the mass (about 1e-10 relative
 # at r = 1e-6), which must stay far below SCREEN_MARGIN.
 SCREEN_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    x: tuple[float, ...]
-    t: float
-
-    def __init__(self, x, t: float):
-        x = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
-        if not all(math.isfinite(v) for v in x) or not math.isfinite(t):
-            raise ValueError("space-time point must have finite coordinates")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", float(t))
 
 
 def height(beta: Weight, x0, r) -> np.ndarray:
@@ -265,15 +252,16 @@ def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
 
 @dataclass
 class WeightedCylinder:
-    """A weighted parabolic cylinder of a 1D weight: backward Q, centered
-    C, or half Q+.
+    """A weighted parabolic cylinder of a 1D weight at the centre
+    z0 = (x0, t0): backward Q, centered C, or half Q+.
 
     The backward variant occupies B_r(x0) x (t0 - h, t0], the centered one
     B_r(x0) x (t0 - h/2, t0 + h/2), with h = r^2 Psi_{beta,x0}(r). The half
     variant intersects the space slice with {x_n > 0}.
     """
 
-    z0: SpaceTimePoint
+    x0: float
+    t0: float
     r: float
     beta: Weight
     variant: str = "Q"
@@ -283,19 +271,18 @@ class WeightedCylinder:
             raise ValueError("cylinder radius must be positive")
         if self.variant not in ("Q", "C", "Q+"):
             raise ValueError(f"unknown cylinder variant {self.variant!r}")
-        self.h = height(self.beta, self.z0.x, self.r).item()
+        self.h = height(self.beta, self.x0, self.r).item()
 
     @property
     def t_interval(self) -> tuple[float, float]:
-        t0 = self.z0.t
+        t0 = self.t0
         if self.variant == "C":
             return (t0 - 0.5 * self.h, t0 + 0.5 * self.h)
         return (t0 - self.h, t0)
 
     @property
     def x_interval(self) -> tuple[float, float]:
-        c = self.z0.x[0]
-        lo, hi = c - self.r, c + self.r
+        lo, hi = self.x0 - self.r, self.x0 + self.r
         if self.variant == "Q+":
             lo = max(lo, 0.0)
         return (lo, hi)
@@ -317,16 +304,15 @@ class WeightedCylinder:
 
 @dataclass(frozen=True)
 class QuasiMetricParams:
-    """Constants behind the quasi-triangle inequality: zeta0 in (0, 1), N2 > 1."""
+    """Quasi-triangle constants of a 1D weight: zeta0 in (0, 1), N2 > 1."""
 
-    n: int
     zeta0: float
     N2: float
 
     @property
     def Lambda(self) -> float:
         return max(2.0 ** (1.0 / (2.0 * self.zeta0))
-                   * self.N2 ** (1.0 / (self.n * self.zeta0)), 2.0)
+                   * self.N2 ** (1.0 / self.zeta0), 2.0)
 
 
 def estimate_quasi_params(beta: Weight) -> QuasiMetricParams:
@@ -355,13 +341,13 @@ def estimate_quasi_params(beta: Weight) -> QuasiMetricParams:
     keep = ~(m2[:, None, None] <= 0.0) & (m1 > 0.0)
     if not keep.any():
         raise ValueError("no usable nested-ball pairs in the family")
-    s_arr = np.broadcast_to((fractions ** beta.n)[:, None], x1.shape)[keep]
+    s_arr = np.broadcast_to(fractions[:, None], x1.shape)[keep]
     m_arr = m1[keep] / np.broadcast_to(m2[:, None, None], x1.shape)[keep]
     best: QuasiMetricParams | None = None
     for zeta0 in np.linspace(0.05, 0.95, 19):
         n2 = float(np.max(m_arr / s_arr ** zeta0))
         n2 = max(n2, 1.0 + 1e-9)
-        cand = QuasiMetricParams(n=beta.n, zeta0=float(zeta0), N2=n2)
+        cand = QuasiMetricParams(zeta0=float(zeta0), N2=n2)
         if best is None or cand.Lambda < best.Lambda:
             best = cand
     return best
@@ -472,7 +458,7 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         seed=seed)
 
 
-def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float) -> AuditReport:
+def cylinder_relations_audit(beta: Weight, x0: float, t0: float, r: float) -> AuditReport:
     """Containment relations between cylinders and quasi-distance balls.
 
     Checks on a deterministic 25 x 25 lattice, to a relative tolerance of
@@ -481,7 +467,6 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float) -> Audi
     of z0.
     """
     nx, nt, tol = 25, 25, 1e-9
-    x0 = z0.x[0]
     failures: list[dict] = []
 
     def lattice_rho(xlo, xhi, tlo, thi):
@@ -489,7 +474,7 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float) -> Audi
         mx, mt = np.meshgrid(np.linspace(xlo, xhi, nx), np.linspace(tlo, thi, nt))
         px, pt = mx.ravel(), mt.ravel()
         return px, pt, quasi_distance_batch(beta, px, pt, np.full_like(px, x0),
-                                            np.full_like(pt, z0.t))
+                                            np.full_like(pt, t0))
 
     def n_farther(cyl: WeightedCylinder, bound: float, relation: str) -> int:
         """Lattice points of ``cyl`` farther than ``bound`` from z0; the
@@ -503,19 +488,19 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float) -> Audi
         return n_bad
 
     # Q_r(z0) subset {rho <= r}
-    n_bad_1 = n_farther(WeightedCylinder(z0, r, beta, variant="Q"), r,
+    n_bad_1 = n_farther(WeightedCylinder(x0, t0, r, beta, variant="Q"), r,
                         "cylinder-in-ball")
     # {rho <= r} subset closure(C_{2r}(z0)): lattice B_r(x0) over twice the
     # time span of C_{2r}, so that points outside C_{2r} are tested too
-    c2 = WeightedCylinder(z0, 2.0 * r, beta, variant="C")
-    px, pt, d = lattice_rho(x0 - r, x0 + r, z0.t - c2.h, z0.t + c2.h)
+    c2 = WeightedCylinder(x0, t0, 2.0 * r, beta, variant="C")
+    px, pt, d = lattice_rho(x0 - r, x0 + r, t0 - c2.h, t0 + c2.h)
     out = (d <= r * (1.0 + tol)) & ~c2.contains(
         px, pt, tol=tol * np.maximum(1.0, np.abs(pt)))
     n_bad_2 = int(np.count_nonzero(out))
     failures += [{"relation": "ball-in-centered", "x": float(xx), "t": float(tt)}
                  for xx, tt in zip(px[out], pt[out])]
     # C_r(z0): all points within quasi-distance 2r
-    n_bad_3 = n_farther(WeightedCylinder(z0, r, beta, variant="C"), 2.0 * r,
+    n_bad_3 = n_farther(WeightedCylinder(x0, t0, r, beta, variant="C"), 2.0 * r,
                         "centered-within-2r")
 
     rows = [AuditRow(label=label, lhs=float(n), rhs=0.0, constant=float(n),
@@ -525,6 +510,6 @@ def cylinder_relations_audit(beta: Weight, z0: SpaceTimePoint, r: float) -> Audi
                              ("centered-cylinder-within-2r", n_bad_3))]
     return AuditReport.from_rows(
         "cylinder-ball-relations", rows,
-        params={"r": r, "z0": [list(z0.x), z0.t], "lattice": [nx, nt],
+        params={"r": r, "z0": [[x0], t0], "lattice": [nx, nt],
                 "failures": failures[:5]})
 

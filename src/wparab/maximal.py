@@ -228,8 +228,8 @@ def five_rho_cover_audit(cylinders: list[WeightedCylinder], selected: list[int],
         for j in selected[i_pos + 1:]:
             if _rect_intersect(cylinders[i].region(), cylinders[j].region()):
                 overlaps += 1
-    dilated = [WeightedCylinder(cylinders[i].z0, 5.0 * cylinders[i].r, beta,
-                                variant="C") for i in selected]
+    dilated = [WeightedCylinder(cylinders[i].x0, cylinders[i].t0, 5.0 * cylinders[i].r,
+                                beta, variant="C") for i in selected]
     # each lattice point (cylinder, x, t) against each dilated cylinder
     a, b, s, e = np.array([c.region() for c in cylinders]).reshape(-1, 4).T
     da, db, ds, de = np.array([d.region() for d in dilated]).reshape(-1, 4).T

@@ -51,14 +51,14 @@ def sample_broadcast(fn, x, t, shape: tuple) -> np.ndarray:
                          f"a scalar field broadcasting to {shape}") from exc
 
 
-def theta_A_ms(A_fun, z0, r, h, mask):
+def theta_A_ms(A_fun, x0, t0, r, h, mask):
     """Squared partial mean oscillation of the coefficient on a batch of
     cylinders.
 
-    The cylinder Q_{r,beta}(z0) is B_r(x0) times (t0 - h, t0], with
-    z0 = (x0, t0), where h is the weight's cylinder height h_{x0}(r)
-    (``geometry.height``). The centres ``x0`` (their one coordinate on the
-    last axis), ``t0``, ``r`` and ``h`` broadcast over cylinders.
+    The cylinder Q_{r,beta}(x0, t0) is B_r(x0) times (t0 - h, t0], where h
+    is the weight's cylinder height h_{x0}(r) (``geometry.height``). The
+    centres ``x0`` and ``t0``, ``r`` and ``h`` are floats or 1D arrays that
+    broadcast over cylinders.
 
     ``A_fun(x, t)`` must broadcast like a numpy ufunc: it is called once, as
     ``A_fun(xs[:, None, :], ts[:, :, None])`` on the space and time nodes of
@@ -72,9 +72,8 @@ def theta_A_ms(A_fun, z0, r, h, mask):
     One cylinder gives a float and raises ``EmptyRegion`` if it misses the
     mask; a batch gives an array holding NaN for such cylinders.
     """
-    x0 = np.asarray(z0[0], dtype=float)[..., 0]
-    x0, t0, r, h = np.broadcast_arrays(x0, *(np.asarray(v, dtype=float)
-                                             for v in (z0[1], r, h)))
+    x0, t0, r, h = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (x0, t0, r, h)))
     x_lo, x_hi, t_lo, t_hi = mask
     a = np.maximum(x0 - r, x_lo)
     b = np.minimum(x0 + r, x_hi)
@@ -125,16 +124,15 @@ def oscillation_supremum(A_fun, beta: Weight, R0: float, delta: float,
     # cylinders run centre-major, then radius, then time centre
     centers, rs = ball_grid(grid_points[:, None], radii)
     heights = height(beta, centers[:, 0], rs)
-    x0s = np.repeat(centers, t_centers.size, axis=0)
-    rs, heights = (np.repeat(v, t_centers.size) for v in (rs, heights))
+    x0s, rs, heights = (np.repeat(v, t_centers.size) for v in (centers[:, 0], rs, heights))
     tcs = np.tile(t_centers, len(centers))
     th_a = np.concatenate([
-        theta_A_ms(A_fun, (x0s[i:i + CYLINDER_BLOCK], tcs[i:i + CYLINDER_BLOCK]),
+        theta_A_ms(A_fun, x0s[i:i + CYLINDER_BLOCK], tcs[i:i + CYLINDER_BLOCK],
                    rs[i:i + CYLINDER_BLOCK], heights[i:i + CYLINDER_BLOCK], mask)
         for i in range(0, tcs.size, CYLINDER_BLOCK)])
     # cylinders that miss the mask hold NaN, which never wins
     sup_a, k = first_sup(th_a)
-    worst_a = None if k is None else (float(x0s[k, 0]), float(tcs[k]), float(rs[k]))
+    worst_a = None if k is None else (float(x0s[k]), float(tcs[k]), float(rs[k]))
     theta_a = float(np.sqrt(sup_a))
     theta_b = float(np.sqrt(sup_b))
     total = theta_a + theta_b

@@ -30,12 +30,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EllipticityViolation, GateFailed, PreconditionFailed, SingularSystem
+from .errors import (EllipticityViolation, EmptyRegion, GateFailed, PreconditionFailed,
+                     SingularSystem)
 from .geometry import WeightedCylinder
 from .maximal import SpaceTimeField
 from .oscillation import sample_broadcast, theta_A_ms, theta_beta_ms
 from .report import AuditReport, AuditRow, fmt_floats
-from .weights import Weight
+from .weights import Weight, _locate
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -178,8 +179,9 @@ class SolutionField:
         Rows are the implicit time levels t_k in (s, e], k >= 1. Columns are
         the nodes in [a, b] when ``values`` has nx + 1 columns, else the
         faces in [a, b]. Both axes are sorted, so each is one index range.
-        Sums over a whole block run in column-major order (an F-ordered
-        array), which fixes their last bits.
+        A block with no time row or no column raises ``EmptyRegion``. Sums
+        over a whole block run in column-major order (an F-ordered array),
+        which fixes their last bits.
         """
         a, b, s, e = region
         fuzz = 1e-12 * max(1.0, abs(e))
@@ -192,7 +194,11 @@ class SolutionField:
             f = self.grid.faces
             c0 = np.searchsorted(f, a, side="left")
             c1 = np.searchsorted(f, b, side="right")
-        return values[max(k0, 1):k1, c0:c1]
+        block = values[max(k0, 1):k1, c0:c1]
+        if not block.size:
+            raise EmptyRegion(f"the region [{a:.12g}, {b:.12g}] x ({s:.12g}, {e:.12g}] "
+                              "holds no grid column or no time level")
+        return block
 
     def integral(self, block: np.ndarray) -> float:
         """Space-time integral of a :meth:`block` (or of values computed
@@ -388,9 +394,10 @@ def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
     and conductivity ``a_bar`` (a constant, or a callable of time that
     broadcasts over an array of times) on an nx x nt grid of x_span x t_span.
 
-    ``data(x, t)`` supplies the parabolic boundary values (initial slice and
-    the two lateral traces); the interior is marched implicitly with the
-    conductivity at each time s + t of the local grid.
+    ``data(x, t)`` supplies the parabolic boundary values and broadcasts like
+    a numpy ufunc: one call gives the initial slice, one both lateral traces.
+    The interior is marched implicitly with the conductivity at each time
+    s + t of the local grid.
     """
     if beta_bar <= 0.0:
         raise PreconditionFailed("frozen weight average must be positive")
@@ -404,13 +411,11 @@ def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
     beta_cells = np.full(grid.nx + 1, beta_bar)
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     u[0, :] = data(x, ts[0])
-    left = np.array([float(data(np.array([a]), t)[0]) for t in ts[1:]])
-    right = np.array([float(data(np.array([b]), t)[0]) for t in ts[1:]])
-    _check_finite(beta_cells[1:-1], A.values[1:], u[0, 1:-1], left, right)
-    lateral = A.values[1:, [0, -1]] * np.stack([left, right], axis=1) / grid.h ** 2
+    ends = sample_broadcast(data, np.array([[a, b]]), ts[1:, None], (grid.nt, 2))
+    _check_finite(beta_cells[1:-1], A.values[1:], u[0, 1:-1], ends)
+    lateral = A.values[1:, [0, -1]] * ends / grid.h ** 2
     _march(u, beta_cells[1:-1] / grid.tau, A.values, grid.h, lateral=lateral)
-    u[1:, 0] = left
-    u[1:, -1] = right
+    u[1:, [0, -1]] = ends
     beta_const = Weight.constant(beta_bar, (a, b))
     F = np.zeros((grid.nt + 1, grid.nx))
     return SolutionField(grid=grid, u=u, beta=beta_const, beta_cells=beta_cells,
@@ -449,7 +454,7 @@ def energy_audit(u: SolutionField, inner: WeightedCylinder,
     return AuditReport.from_rows(
         "caccioppoli-energy", rows,
         params={"inner_r": inner.r, "outer_r": outer.r,
-                "center": list(inner.z0.x), "t0": inner.z0.t})
+                "center": [inner.x0], "t0": inner.t0})
 
 
 def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
@@ -463,8 +468,7 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
     lhs = N (r^2 * grad_term + theta^2 * lhs).
     """
     reg = cyl.region()
-    x0 = cyl.z0.x
-    theta2 = theta_beta_ms(u.beta, x0, cyl.r)
+    theta2 = theta_beta_ms(u.beta, cyl.x0, cyl.r)
     if budget * theta2 >= 1.0:
         raise GateFailed(
             f"oscillation term too large: budget*theta^2 = {budget * theta2}")
@@ -479,7 +483,7 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
                    extra={"theta_sq": theta2, "grad_term": grad_term})
     return AuditReport.from_rows(
         f"gradient-poincare-{variant}", [row],
-        params={"variant": variant, "r": cyl.r, "center": list(x0)})
+        params={"variant": variant, "r": cyl.r, "center": [cyl.x0]})
 
 
 def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
@@ -500,15 +504,13 @@ def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
 
     reg_in = local(inner.region())
     reg_out = local(outer.region())
-    g = v.block(v.grad(), reg_in)
-    sup_grad = float(np.max(np.abs(g))) if g.size else 0.0
+    sup_grad = float(np.max(np.abs(v.block(v.grad(), reg_in))))
     # row k: the slope into t_k (row 0 is zero and never selected)
     vt = v.block(np.diff(v.u, axis=0, prepend=v.u[:1]) / v.grid.tau, reg_in)
-    sup_vt = float(np.max(np.abs(vt))) if vt.size else 0.0
+    sup_vt = float(np.max(np.abs(vt)))
     r = inner.r
     lhs = r * beta_bar * sup_vt + sup_grad
-    size = v.region_measure(reg_out)
-    rhs = math.sqrt(v.lp(v.grad(), 2.0, reg_out) ** 2 / size) if size > 0 else 0.0
+    rhs = math.sqrt(v.lp(v.grad(), 2.0, reg_out) ** 2 / v.region_measure(reg_out))
     n_emp = lhs / rhs if rhs > 0 else 0.0
     row = AuditRow(label="frozen-lipschitz", lhs=lhs, rhs=rhs, constant=n_emp,
                    budget=budget, passed=bool(n_emp <= budget),
@@ -519,87 +521,73 @@ def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
 
 
 def _interp_solution(u: SolutionField):
-    """Bilinear space-time interpolant of the node values."""
+    """Space-time interpolant of the node values: linear in time between two
+    levels, then ``np.interp`` over the nodes bit for bit, as numpy's
+    ``slope * (x - x_j) + row_j`` on the cell j of ``weights._locate``.
+    ``fn(x, t)`` broadcasts like a numpy ufunc: one row per time of t[:, None]."""
     grid = u.grid
+    dx = np.append(np.diff(grid.x), np.inf)  # inf: the zero slope past the last node
 
     def fn(x, t):
-        x = np.asarray(x, dtype=float)
-        tt = float(t)
-        k = min(max(int(np.floor(tt / grid.tau)), 0), grid.nt - 1)
-        ft = (tt - grid.t[k]) / grid.tau
-        row = (1.0 - ft) * u.u[k] + ft * u.u[k + 1]
-        return np.interp(x, grid.x, row)
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), grid.x[0]), grid.x[-1])
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.floor(t / grid.tau).astype(np.intp), 0, grid.nt - 1)
+        ft = (t - grid.t[k]) / grid.tau
+        j = _locate(x, grid.x)
+        # the level-interpolated row at the nodes j and j + 1
+        lo, hi = ((1.0 - ft) * u.u[k, i] + ft * u.u[k + 1, i]
+                  for i in (j, np.minimum(j + 1, grid.nx)))
+        return (hi - lo) / dx[j] * (x - grid.x[j]) + lo
 
     return fn
 
 
 def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
-                   nx_local: int, nt_local: int) -> AuditReport:
+                   nx_local: int, nt_local: int) -> tuple[float, float]:
     """Gradient gap between u and its frozen-coefficient companion.
 
     Normalizes u so the mean-square gradient over the 4r cylinder is one,
-    solves the frozen problem there with u's boundary data, and reports the
-    root-mean-square gradient gap over the 2r cylinder together with the
-    oscillation + forcing smallness of the inputs. The coefficient's
-    oscillation is ``theta_A_ms`` on the 4r cylinder, clipped to u's grid.
-    ``A_fun(x, t)`` must broadcast like a numpy ufunc.
+    solves the frozen problem there with u's boundary data, and returns
+    (eps_emp, delta_emp): the root-mean-square gradient gap over the 2r
+    cylinder and the oscillation + forcing smallness of the inputs, with the
+    coefficient's oscillation ``theta_A_ms`` on the 4r cylinder, clipped to
+    u's grid. ``A_fun(x, t)`` must broadcast; u's gradient must not vanish.
     """
-    r = cyl_base.r
-    x0 = cyl_base.z0.x
+    r, x0, t0 = cyl_base.r, cyl_base.x0, cyl_base.t0
     beta = u.beta
-    cyl4 = WeightedCylinder(cyl_base.z0, 4.0 * r, beta, variant="Q")
-    cyl2 = WeightedCylinder(cyl_base.z0, 2.0 * r, beta, variant="Q")
+    cyl4 = WeightedCylinder(x0, t0, 4.0 * r, beta, variant="Q")
+    cyl2 = WeightedCylinder(x0, t0, 2.0 * r, beta, variant="Q")
     reg4 = cyl4.region()
     size4 = u.region_measure(reg4)
-    grad_ms = u.lp(u.grad(), 2.0, reg4) ** 2 / size4 if size4 > 0 else 0.0
-    if grad_ms == 0.0:
-        row = AuditRow(label="gradient-gap", lhs=0.0, rhs=0.0, constant=0.0,
-                       budget=math.inf, passed=True,
-                       extra={"note": "zero gradient: trivial pass"})
-        return AuditReport.from_rows("frozen-comparison", [row],
-                                     params={"r": r, "center": list(x0)})
-    lam = math.sqrt(grad_ms)
-    u_hat = u.scaled(1.0 / lam)
+    u_hat = u.scaled(1.0 / math.sqrt(u.lp(u.grad(), 2.0, reg4) ** 2 / size4))
 
     # mean over the whole ball B_R, not its part inside the domain
     R = 4.0 * r
-    beta_bar = float(beta.mass_1d_vec(1.0, x0[0] - R, x0[0] + R, clip=False)) / (2.0 * R)
-    xs_quad = np.linspace(x0[0] - R, x0[0] + R, 65)
+    beta_bar = float(beta.mass_1d_vec(1.0, x0 - R, x0 + R, clip=False)) / (2.0 * R)
+    xs_quad = np.linspace(x0 - R, x0 + R, 65)
 
     def a_bar(t):  # the mean over the 65 nodes at each time of t
         vals = sample_broadcast(A_fun, xs_quad, t,
                                 np.broadcast_shapes(np.shape(t), xs_quad.shape))
         return np.mean(vals, axis=-1, keepdims=True)
 
+    data = _interp_solution(u_hat)
     v = solve_frozen(beta_bar, a_bar, cyl4.x_interval, cyl4.t_interval,
-                     nx_local, nt_local, _interp_solution(u_hat))
+                     nx_local, nt_local, data)
 
     # compare gradients on the local grid restricted to the 2r cylinder;
     # the local time axis starts at the bottom of the 4r cylinder
     a2, b2, s2, e2 = cyl2.region()
     t_base = cyl4.t_interval[0]
     reg2 = (a2, b2, s2 - t_base, e2 - t_base)
-    u_interp = _interp_solution(u_hat)
-    gu = np.array([np.diff(u_interp(v.grid.x, t_base + t)) / v.grid.h
-                   for t in v.grid.t])
+    gu = np.diff(data(v.grid.x[None, :], t_base + v.grid.t[:, None]), axis=1) / v.grid.h
     gap = np.subtract(v.block(gu, reg2), v.block(v.grad(), reg2), order="F")
-    eps_emp = math.sqrt(float(np.mean(gap ** 2))) if gap.size else 0.0
+    eps_emp = math.sqrt(float(np.mean(gap ** 2)))
 
     th_b = theta_beta_ms(beta, x0, R)
-    th_a = theta_A_ms(A_fun, (x0, cyl_base.z0.t), R, cyl4.h,
-                      (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final))
+    th_a = theta_A_ms(A_fun, x0, t0, R, cyl4.h, (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final))
     f_ms = u_hat.lp(u_hat.F, 2.0, reg4) ** 2 / size4
-    delta_emp = math.sqrt(th_a + th_b + f_ms)
-    row = AuditRow(label="gradient-gap", lhs=eps_emp, rhs=delta_emp,
-                   constant=eps_emp, budget=math.inf,
-                   passed=bool(eps_emp <= math.inf),
-                   extra={"delta_emp": delta_emp, "lambda": lam,
-                          "theta_a_sq": th_a, "theta_b_sq": th_b,
-                          "forcing_ms": f_ms})
-    return AuditReport.from_rows(
-        "frozen-comparison", [row],
-        params={"r": r, "center": list(x0), "nx_local": nx_local,
-                "nt_local": nt_local, "beta_bar": beta_bar})
+    return eps_emp, math.sqrt(th_a + th_b + f_ms)
 
 
 def apriori_ratio(u: SolutionField, p: float) -> float:

@@ -29,7 +29,6 @@ from wparab.flattening import (
     shear,
 )
 from wparab.geometry import (
-    SpaceTimePoint,
     WeightedCylinder,
     estimate_quasi_params,
     height_inverse,
@@ -141,9 +140,8 @@ class TestAcceptance:
         start = time.time()
         beta = Weight.constant(1.0, (0.0, 1.0))
         case = ManufacturedCase(beta)
-        z0 = SpaceTimePoint([0.5], 0.25)
-        inner = WeightedCylinder(z0, 0.1875, beta, variant="Q")
-        outer = WeightedCylinder(z0, 0.25, beta, variant="Q")
+        inner = WeightedCylinder(0.5, 0.25, 0.1875, beta, variant="Q")
+        outer = WeightedCylinder(0.5, 0.25, 0.25, beta, variant="Q")
         consts = []
         u_mid = None
         for nx in (32, 64, 128):
@@ -219,10 +217,9 @@ class TestAcceptance:
             ok = ok and rep.passed
         for fam_seed in (97, 98):
             rng = np.random.default_rng(fam_seed)
-            cyls = [WeightedCylinder(
-                SpaceTimePoint([rng.uniform(0.1, 0.9)], rng.uniform(-0.8, -0.2)),
-                float(rng.uniform(0.02, 0.15)), beta, variant="C")
-                for _ in range(100)]
+            cyls = [WeightedCylinder(rng.uniform(0.1, 0.9), rng.uniform(-0.8, -0.2),
+                                     float(rng.uniform(0.02, 0.15)), beta, variant="C")
+                    for _ in range(100)]
             cover = five_rho_cover_audit(cyls, vitali_select(cyls), beta)
             ok = ok and cover.passed
 

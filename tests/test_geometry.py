@@ -14,7 +14,6 @@ from wparab.geometry import (
     TOL_BISECT,
     TRIPLE_BLOCK,
     QuasiMetricParams,
-    SpaceTimePoint,
     WeightedCylinder,
     cylinder_relations_audit,
     estimate_quasi_params,
@@ -34,9 +33,10 @@ def h_power_oracle(alpha, r):
     return r ** (2.0 + alpha) / (1.0 + alpha)
 
 
-def quasi_distance(beta, z, z0):
-    """rho_beta(z, z0) of two space-time points, as a one-point batch."""
-    return quasi_distance_batch(beta, [z.x[0]], [z.t], [z0.x[0]], [z0.t]).item()
+def quasi_distance(beta, x, t, x0, t0):
+    """rho_beta((x, t), (x0, t0)) of two space-time points, as a one-point
+    batch."""
+    return quasi_distance_batch(beta, [x], [t], [x0], [t0]).item()
 
 
 class TestHeights:
@@ -369,21 +369,18 @@ class TestQuasiDistance:
         for _ in range(100):
             x, x0 = rng.uniform(-1, 1, 2)
             t, t0 = rng.uniform(-1, 0, 2)
-            got = quasi_distance(w, SpaceTimePoint([x], t), SpaceTimePoint([x0], t0))
+            got = quasi_distance(w, x, t, x0, t0)
             ref = max(abs(x - x0), math.sqrt(abs(t - t0)))
             assert got == pytest.approx(ref, abs=1e-12, rel=1e-10)
 
     def test_linear_weight_time_gap(self):
         # base point 0, gap 4: rho = (2*4)^{1/3} = 2
         w = Weight.power(1.0, 0.0, (-8.0, 8.0))
-        z0 = SpaceTimePoint([0.0], 0.0)
-        z = SpaceTimePoint([0.0], -4.0)
-        assert quasi_distance(w, z, z0) == pytest.approx(2.0, rel=1e-8)
+        assert quasi_distance(w, 0.0, -4.0, 0.0, 0.0) == pytest.approx(2.0, rel=1e-8)
 
     def test_zero_iff_equal(self):
         w = Weight.power(0.3, 0.0, DOM)
-        z = SpaceTimePoint([0.4], -0.2)
-        assert quasi_distance(w, z, z) == 0.0
+        assert quasi_distance(w, 0.4, -0.2, 0.4, -0.2) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -394,8 +391,7 @@ class TestQuasiDistance:
     )
     def test_symmetry(self, x, t, x0, t0):
         w = Weight.power(0.3, 0.1, DOM)
-        z, z0 = SpaceTimePoint([x], t), SpaceTimePoint([x0], t0)
-        assert quasi_distance(w, z, z0) == quasi_distance(w, z0, z)
+        assert quasi_distance(w, x, t, x0, t0) == quasi_distance(w, x0, t0, x, t)
 
     def test_spatial_lower_bound(self):
         w = Weight.power(0.3, 0.0, DOM)
@@ -508,13 +504,13 @@ class TestHeightScreen:
 
 class TestQuasiTriangle:
     def test_lambda_formula(self):
-        p = QuasiMetricParams(n=1, zeta0=0.5, N2=1.5)
+        p = QuasiMetricParams(zeta0=0.5, N2=1.5)
         expected = max(2.0 ** 1.0 * 1.5 ** 2.0, 2.0)
         assert p.Lambda == pytest.approx(expected)
 
     def test_identity_weight_ratio_at_most_one(self):
         w = Weight.constant(1.0, DOM)
-        params = QuasiMetricParams(n=1, zeta0=0.9, N2=1.0 + 1e-9)
+        params = QuasiMetricParams(zeta0=0.9, N2=1.0 + 1e-9)
         rep = quasi_triangle_audit(w, params, samples=2000, seed=42, ranges=1)
         assert rep.passed
         assert rep.rows[0].constant <= 1.0 + 1e-9
@@ -747,7 +743,7 @@ def quasi_params_per_ball(beta):
     best = None
     for zeta0 in np.linspace(0.05, 0.95, 19):
         n2 = max(float(np.max(m_arr / s_arr ** zeta0)), 1.0 + 1e-9)
-        cand = QuasiMetricParams(n=1, zeta0=float(zeta0), N2=n2)
+        cand = QuasiMetricParams(zeta0=float(zeta0), N2=n2)
         if best is None or cand.Lambda < best.Lambda:
             best = cand
     return best
@@ -756,27 +752,27 @@ def quasi_params_per_ball(beta):
 class TestCylinders:
     def test_backward_interval(self):
         w = Weight.constant(1.0, DOM)
-        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w)
+        cyl = WeightedCylinder(0.0, 0.0, 0.5, w)
         assert cyl.t_interval == (pytest.approx(-0.25), 0.0)
 
     def test_height_recomputable(self):
         w = Weight.power(0.2, 0.0, DOM)
-        cyl = WeightedCylinder(SpaceTimePoint([0.1], -0.1), 0.3, w)
+        cyl = WeightedCylinder(0.1, -0.1, 0.3, w)
         assert cyl.h == pytest.approx(height(w, 0.1, 0.3))
 
     def test_relations_identity(self):
         w = Weight.constant(1.0, DOM)
-        rep = cylinder_relations_audit(w, SpaceTimePoint([0.0], 0.0), 0.4)
+        rep = cylinder_relations_audit(w, 0.0, 0.0, 0.4)
         assert rep.passed
 
     def test_relations_power(self):
         w = Weight.power(0.5, 0.0, DOM)
-        rep = cylinder_relations_audit(w, SpaceTimePoint([0.5], 0.0), 0.25)
+        rep = cylinder_relations_audit(w, 0.5, 0.0, 0.25)
         assert rep.passed
 
     def test_boundary_point_counts_as_inside(self):
         w = Weight.constant(1.0, DOM)
-        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.0), 0.5, w)
+        cyl = WeightedCylinder(0.0, 0.0, 0.5, w)
         assert cyl.contains(0.5, 0.0, 0.0)
         assert cyl.contains(0.0, -0.25, 0.0)
         # broadcast over the points, with a per-point tolerance
@@ -797,7 +793,7 @@ class TestCylinders:
         for factor in (3.0, 1.0 / 3.0):
             monkeypatch.setattr(geometry, "quasi_distance_batch",
                                 lambda *args, f=factor: f * exact(*args))
-            rep = cylinder_relations_audit(w, SpaceTimePoint([0.1], 0.0), 0.3)
+            rep = cylinder_relations_audit(w, 0.1, 0.0, 0.3)
             failed |= {row.label for row in rep.rows if not row.passed}
         assert failed == {"cylinder-in-ball", "ball-in-centered-cylinder",
                           "centered-cylinder-within-2r"}

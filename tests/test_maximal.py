@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from wparab import maximal
 from wparab.errors import EmptyRegion
-from wparab.geometry import (SpaceTimePoint, WeightedCylinder,
-                             estimate_quasi_params, height)
+from wparab.geometry import WeightedCylinder, estimate_quasi_params, height
 from wparab.maximal import (
     SpaceTimeField,
     default_radius_grid,
@@ -173,9 +172,9 @@ def maximal_batch_reference(g, beta, X, T, radii, window=None):
     return best
 
 
-def maximal_function(g, beta, z, radii):
+def maximal_function(g, beta, x, t, radii):
     """The maximal function at one space-time point, as a one-point batch."""
-    return maximal_function_batch([g], beta, [z.x[0]], [z.t], radii).item()
+    return maximal_function_batch([g], beta, [x], [t], radii).item()
 
 
 class TestMaximalFunction:
@@ -183,9 +182,8 @@ class TestMaximalFunction:
         beta = Weight.constant(1.0, (-1.0, 1.0))
         f = make_field(np.full((16, 16), 3.0))
         radii = default_radius_grid(f)
-        z = SpaceTimePoint([0.0], -0.5)
         # interior small cylinders average to exactly 3
-        assert maximal_function(f, beta, z, radii) == pytest.approx(3.0, rel=1e-12)
+        assert maximal_function(f, beta, 0.0, -0.5, radii) == pytest.approx(3.0, rel=1e-12)
 
     def test_single_cell_indicator(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
@@ -195,8 +193,8 @@ class TestMaximalFunction:
         radii = default_radius_grid(f)
         x_c = 0.5 * (f.x_edges[8] + f.x_edges[9])
         t_c = 0.5 * (f.t_edges[8] + f.t_edges[9])
-        near = maximal_function(f, beta, SpaceTimePoint([x_c], t_c), radii)
-        far = maximal_function(f, beta, SpaceTimePoint([-0.9], -0.95), radii)
+        near = maximal_function(f, beta, x_c, t_c, radii)
+        far = maximal_function(f, beta, -0.9, -0.95, radii)
         assert near > far > 0.0
         # far away the value is at most cell mass over the smallest
         # enclosing cylinder, so bounded by cell_area / |C|
@@ -208,8 +206,7 @@ class TestMaximalFunction:
         f = make_field(rng.random((8, 8)))
         # one huge radius: cylinder swallows the grid
         R = 50.0
-        got = maximal_function(f, beta, SpaceTimePoint([0.0], -0.5),
-                               np.array([R]))
+        got = maximal_function(f, beta, 0.0, -0.5, np.array([R]))
         ref = f.l1_norm() / (2 * R * R * R)
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -353,7 +350,7 @@ class TestWeakOneOne:
 
 class TestVitali:
     def cyl(self, x, t, r, beta):
-        return WeightedCylinder(SpaceTimePoint([x], t), r, beta, variant="C")
+        return WeightedCylinder(x, t, r, beta, variant="C")
 
     def test_single_cylinder_selected(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
@@ -395,7 +392,7 @@ class TestVitali:
         """Reference count: each point of a 7 x 7 lattice on each cylinder
         against each selected cylinder dilated to five times its radius, one
         at a time."""
-        dilated = [WeightedCylinder(cyls[i].z0, 5.0 * cyls[i].r,
+        dilated = [WeightedCylinder(cyls[i].x0, cyls[i].t0, 5.0 * cyls[i].r,
                                     beta, variant="C").region()
                    for i in selected]
         count = 0
@@ -441,8 +438,8 @@ class TestVitali:
         cyls = [self.cyl(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, -0.2),
                          float(rng.uniform(0.02, 0.3)), beta) for _ in range(40)]
         perm = list(rng.permutation(len(cyls)))
-        sel1 = sorted((cyls[i].z0.x[0], cyls[i].r) for i in vitali_select(cyls))
-        sel2 = sorted((cyls[perm[i]].z0.x[0], cyls[perm[i]].r)
+        sel1 = sorted((cyls[i].x0, cyls[i].r) for i in vitali_select(cyls))
+        sel2 = sorted((cyls[perm[i]].x0, cyls[perm[i]].r)
                       for i in vitali_select([cyls[i] for i in perm]))
         assert sel1 == pytest.approx(sel2)
 

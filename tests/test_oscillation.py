@@ -38,9 +38,9 @@ def lattice_radii(R0, width):
     return np.geomspace(min(2.0 * width / 16, 0.5 * R0), R0 * (1.0 - 1e-9), 24)
 
 
-def theta_A(A_fun, beta, z0, r, mask):
+def theta_A(A_fun, beta, x0, t0, r, mask):
     """theta_A_ms on the cylinder of beta's height h_{x0}(r)."""
-    return theta_A_ms(A_fun, z0, r, height(beta, z0[0], r).item(), mask)
+    return theta_A_ms(A_fun, x0, t0, r, height(beta, x0, r).item(), mask)
 
 
 class TestThetaBeta:
@@ -90,7 +90,7 @@ class TestThetaA:
         def A(x, t):
             return 2.0 + np.sin(17.0 * t)
 
-        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
+        got = theta_A(A, beta, 0.0, 0.0, 0.5, MASK)
         assert got == pytest.approx(0.0, abs=1e-24)
 
     def test_linear_in_space_order(self):
@@ -99,7 +99,7 @@ class TestThetaA:
             def A(x, t, e=eps):
                 return 1.0 + e * x
 
-            got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
+            got = theta_A(A, beta, 0.0, 0.0, 0.5, MASK)
             # per-slice variance of e*x over (-r, r) is e^2 r^2 / 3
             assert got == pytest.approx(eps ** 2 * 0.25 / 3.0, rel=5e-2)
 
@@ -111,7 +111,7 @@ class TestThetaA:
 
         # symmetric ball, 33 space nodes: the middle one sits on x = 0, so
         # 17 of them read 2 and 16 read 1, in every time slice
-        got = theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
+        got = theta_A(A, beta, 0.0, 0.0, 0.5, MASK)
         assert got == pytest.approx(17 * 16 / 33 ** 2, rel=1e-12)
 
     def test_time_shift_invariance(self):
@@ -123,8 +123,8 @@ class TestThetaA:
         def A2(x, t):
             return 1.0 + 0.3 * np.sin(3 * x) + 5.0 * np.cos(t)
 
-        v1 = theta_A(A1, beta, ([0.1], -0.1), 0.4, MASK)
-        v2 = theta_A(A2, beta, ([0.1], -0.1), 0.4, MASK)
+        v1 = theta_A(A1, beta, 0.1, -0.1, 0.4, MASK)
+        v2 = theta_A(A2, beta, 0.1, -0.1, 0.4, MASK)
         assert v2 == pytest.approx(v1, rel=1e-10)
 
     def test_matrix_valued(self):
@@ -137,14 +137,13 @@ class TestThetaA:
             return np.stack([np.stack([a11, zero], -1), np.stack([zero, one], -1)], -2)
 
         with pytest.raises(ValueError, match="not a scalar field"):
-            theta_A(A, beta, ([0.0], 0.0), 0.5, MASK)
+            theta_A(A, beta, 0.0, 0.0, 0.5, MASK)
 
 
-def theta_A_per_node(A_fun, beta, z0, r, mask):
+def theta_A_per_node(A_fun, beta, x0, t0, r, mask):
     """theta_A_ms as it was before the broadcasting call: one A_fun call per
     node (33 in space, 17 in time), one reduction per time slice. Kept as
     the exact reference."""
-    x0, t0 = z0[0][0], z0[1]
     x_lo, x_hi, t_lo, t_hi = mask
     a = max(x0 - r, x_lo)
     b = min(x0 + r, x_hi)
@@ -185,9 +184,8 @@ class TestThetaAWholeArray:
         for x0 in (0.1, 0.37, 0.5, 0.83):
             for r in (0.05, 0.13, 0.3):
                 for tc in (0.0625, 0.2, 0.25):
-                    z0 = ([x0], tc)
-                    assert (theta_A(a_fun, beta, z0, r, mask)
-                            == theta_A_per_node(a_fun, beta, z0, r, mask))
+                    assert (theta_A(a_fun, beta, x0, tc, r, mask)
+                            == theta_A_per_node(a_fun, beta, x0, tc, r, mask))
 
     @pytest.mark.parametrize("x0, tc", [
         (-0.9, -0.5),   # clipped on the left
@@ -199,9 +197,8 @@ class TestThetaAWholeArray:
     def test_masked_cylinders_exact(self, x0, tc):
         beta = Weight.power(0.2, 0.0, DOM)
         a_fun = config_coefficient()
-        z0 = ([x0], tc)
-        got = theta_A(a_fun, beta, z0, 0.3, MASK)
-        assert got == theta_A_per_node(a_fun, beta, z0, 0.3, MASK)
+        got = theta_A(a_fun, beta, x0, tc, 0.3, MASK)
+        assert got == theta_A_per_node(a_fun, beta, x0, tc, 0.3, MASK)
         assert got > 0.0
 
     @pytest.mark.parametrize("A", [
@@ -212,7 +209,7 @@ class TestThetaAWholeArray:
     def test_wrong_shape_rejected(self, A):
         beta = Weight.constant(1.0, DOM)
         with pytest.raises(ValueError, match="coefficient returned shape"):
-            theta_A(A, beta, ([0.0], -0.2), 0.3, MASK)
+            theta_A(A, beta, 0.0, -0.2, 0.3, MASK)
 
 
 class TestSupremum:
@@ -256,10 +253,10 @@ class TestSupremum:
         beta = make_beta()
         seen = []
 
-        def recorded(A_fun, z0, r, h, mask):
-            seen.extend(zip(np.ravel(z0[0]).tolist(), np.ravel(r).tolist(),
+        def recorded(A_fun, x0, t0, r, h, mask):
+            seen.extend(zip(np.ravel(x0).tolist(), np.ravel(r).tolist(),
                             np.ravel(h).tolist()))
-            return theta_A_ms(A_fun, z0, r, h, mask)
+            return theta_A_ms(A_fun, x0, t0, r, h, mask)
 
         monkeypatch.setattr(oscillation, "theta_A_ms", recorded)
         rep = oscillation_supremum(config_coefficient(), beta, 0.5, 1.0,
@@ -294,7 +291,7 @@ class TestSupremum:
         for x0 in centers:
             for r in radii:
                 for tc in t_centers:
-                    th = theta_A(A_fun, beta, ([x0], tc), r, mask)
+                    th = theta_A(A_fun, beta, x0, tc, r, mask)
                     values.append(th)
                     if th > best:
                         best, worst = th, (float(x0), float(tc), float(r))
@@ -314,15 +311,14 @@ class TestSupremum:
         tc = np.array([-0.5, -0.9, 0.0, -0.25, -0.1])
         r = np.array([0.2, 0.3, 0.5, 0.1, 0.3])
         h = height(beta, x0, r)
-        got = theta_A_ms(a_fun, (x0[:, None], tc), r, h, MASK)
+        got = theta_A_ms(a_fun, x0, tc, r, h, MASK)
         for i in range(x0.size):
-            z0 = ([x0[i]], tc[i])
             if x0[i] + r[i] <= -1.0 or x0[i] - r[i] >= 1.0:
                 assert np.isnan(got[i])
                 with pytest.raises(EmptyRegion):
-                    theta_A_ms(a_fun, z0, r[i], h[i], MASK)
+                    theta_A_ms(a_fun, x0[i], tc[i], r[i], h[i], MASK)
             else:
-                assert got[i] == theta_A_ms(a_fun, z0, r[i], h[i], MASK)
+                assert got[i] == theta_A_ms(a_fun, x0[i], tc[i], r[i], h[i], MASK)
 
     @pytest.mark.parametrize("beta", [
         Weight.power(0.3, 0.17, DOM),

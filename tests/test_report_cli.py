@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -576,6 +577,20 @@ class TestCliExits:
             (out / "audit__oscillation-smallness-gate.json").read_text())
         assert not gate["passed"]
         assert any(r["label"] == "smallness-gate" for r in gate["rows"])
+
+    def test_exit_one_on_an_empty_solution_region(self, tmp_path, capsys):
+        # cylinders narrower than the grid spacing hold no node: the energy
+        # audit stops the run instead of passing with 0 <= 0, and numpy
+        # warns about no empty mean
+        cfg = self.write_config(tmp_path, {
+            "selection": ["audit"], "audits": {"audit": {"cylinder_r": 1e-9}}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_experiment(str(cfg), str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err == ("audit error: EmptyRegion: the region [0.4999999985, "
+                       "0.5000000015] x (0.1, 0.1] holds no grid column or no "
+                       "time level\n")
 
     def test_exit_one_when_no_reverse_holder_exponent_passes(self, tmp_path):
         # budget 1 admits no gamma > 0 for a non-constant weight, so gamma = 0

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
+from wparab import solver
 from wparab.config import ExperimentConfig
-from wparab.errors import EllipticityViolation, GateFailed, SingularSystem
+from wparab.errors import EllipticityViolation, EmptyRegion, GateFailed, SingularSystem
 from wparab.experiments import (
     ManufacturedCase,
     convergence_study,
@@ -16,11 +17,12 @@ from wparab.experiments import (
     smooth_random_forcing,
     solve_driven,
 )
-from wparab.geometry import SpaceTimePoint, WeightedCylinder
-from wparab.oscillation import theta_A_ms
+from wparab.geometry import WeightedCylinder
+from wparab.oscillation import theta_A_ms, theta_beta_ms
 from wparab.solver import (
     STEP_BLOCK,
     _implicit_step,
+    _interp_solution,
     CoefficientField,
     Grid,
     apriori_ratio,
@@ -271,7 +273,7 @@ class TestImplicitStep:
             return np.where(t > 0.2, np.nan, 1.0)
 
         def data(x, t):
-            return np.cos(np.asarray(x)) + (np.nan if t > 0.3 else 0.0)
+            return np.cos(x) + np.where(t > 0.3, np.nan, 0.0)
 
         smooth = lambda x, t: np.cos(np.asarray(x))
         for a, d, error, message in (
@@ -366,6 +368,19 @@ class TestFrozen:
             ref = v.grid.x ** 2 + 2.0 * t
             assert np.allclose(v.u[k], ref, atol=1e-11)
 
+    def test_data_called_once_per_boundary_part(self):
+        # the initial slice on the nodes, then both lateral traces at once
+        calls = []
+
+        def data(x, t):
+            calls.append(np.broadcast(x, t).shape)
+            return x ** 2 + 2.0 * t
+
+        v = solve_frozen(1.0, 1.0, (-1.0, 1.0), (0.0, 0.5), 20, 10, data)
+        assert calls == [(21,), (10, 2)]
+        assert np.array_equal(v.u[1:, 0], 1.0 + 2.0 * v.grid.t[1:])
+        assert np.array_equal(v.u[1:, -1], 1.0 + 2.0 * v.grid.t[1:])
+
     def test_doubled_weight_is_half_time(self):
         # beta_bar = 2 with step tau equals beta_bar = 1 with step tau/2
         data = lambda x, t: np.cos(np.asarray(x))
@@ -383,9 +398,8 @@ def make_manufactured(nx=64, nt=None, t_final=0.25, beta=BETA1):
 
 class TestEnergyAudit:
     def cylinders(self, beta, t0=0.25):
-        z0 = SpaceTimePoint([0.5], t0)
-        inner = WeightedCylinder(z0, 0.1875, beta, variant="Q")
-        outer = WeightedCylinder(z0, 0.25, beta, variant="Q")
+        inner = WeightedCylinder(0.5, t0, 0.1875, beta, variant="Q")
+        outer = WeightedCylinder(0.5, t0, 0.25, beta, variant="Q")
         return inner, outer
 
     def test_zero_solution_trivial(self):
@@ -422,7 +436,7 @@ class TestPoincare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid)
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, BETA1)
+        cyl = WeightedCylinder(0.5, 0.25, 0.2, BETA1)
         rep = poincare_audit(u, cyl, variant="interior", budget=100.0)
         assert rep.rows[0].lhs == 0.0
 
@@ -431,14 +445,14 @@ class TestPoincare:
         consts = []
         for nx in (32, 64):
             u, _ = make_manufactured(nx=nx, nt=nx * nx // 4)
-            cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.25, BETA1)
+            cyl = WeightedCylinder(0.5, 0.25, 0.25, BETA1)
             rep = poincare_audit(u, cyl, variant="interior", budget=100.0)
             consts.append(rep.rows[0].constant)
         assert consts[0] == pytest.approx(consts[1], rel=0.2)
 
     def test_boundary_variant_zero_trace(self):
         u, _ = make_manufactured()
-        cyl = WeightedCylinder(SpaceTimePoint([0.0], 0.25), 0.2, BETA1,
+        cyl = WeightedCylinder(0.0, 0.25, 0.2, BETA1,
                                variant="Q+")
         rep = poincare_audit(u, cyl, variant="boundary", budget=100.0)
         assert rep.passed
@@ -451,7 +465,7 @@ class TestPoincare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(beta, A, F, grid, initial=np.sin(math.pi * grid.x))
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.25), 0.2, beta)
+        cyl = WeightedCylinder(0.5, 0.25, 0.2, beta)
         with pytest.raises(GateFailed):
             poincare_audit(u, cyl, variant="interior", budget=100.0)
 
@@ -459,19 +473,17 @@ class TestPoincare:
 class TestLipschitz:
     def frozen_solution(self, nx=48, nt=48):
         beta_bar = 1.0
-        z0 = SpaceTimePoint([0.0], 0.0)
         beta = Weight.constant(beta_bar, (-1.0, 1.0))
-        outer = WeightedCylinder(z0, 0.5, beta, variant="Q")
-        inner = WeightedCylinder(z0, 0.25, beta, variant="Q")
+        outer = WeightedCylinder(0.0, 0.0, 0.5, beta, variant="Q")
+        inner = WeightedCylinder(0.0, 0.0, 0.25, beta, variant="Q")
         v = solve_frozen(beta_bar, 1.0, outer.x_interval, outer.t_interval, nx, nt,
                          lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
         return v, inner, outer, beta_bar
 
     def test_constant_data_zero_both_sides(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
-        z0 = SpaceTimePoint([0.0], 0.0)
-        outer = WeightedCylinder(z0, 0.5, beta, variant="Q")
-        inner = WeightedCylinder(z0, 0.25, beta, variant="Q")
+        outer = WeightedCylinder(0.0, 0.0, 0.5, beta, variant="Q")
+        inner = WeightedCylinder(0.0, 0.0, 0.25, beta, variant="Q")
         v = solve_frozen(1.0, 1.0, outer.x_interval, outer.t_interval, 16, 16,
                          lambda x, t: np.full_like(np.asarray(x, float), 3.0))
         rep = lipschitz_audit(v, inner, outer, beta_bar=1.0, budget=math.inf)
@@ -491,11 +503,10 @@ class TestLipschitz:
     def test_shrinking_radius_bounded_constant(self):
         # dilation sweep: N_emp stays bounded as the cylinder pair shrinks
         beta = Weight.constant(1.0, (-1.0, 1.0))
-        z0 = SpaceTimePoint([0.0], 0.0)
         consts = []
         for r in (0.25, 0.125, 0.0625):
-            outer = WeightedCylinder(z0, 2 * r, beta, variant="Q")
-            inner = WeightedCylinder(z0, r, beta, variant="Q")
+            outer = WeightedCylinder(0.0, 0.0, 2 * r, beta, variant="Q")
+            inner = WeightedCylinder(0.0, 0.0, r, beta, variant="Q")
             v = solve_frozen(1.0, 1.0, outer.x_interval, outer.t_interval, 48, 48,
                              lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
             consts.append(lipschitz_audit(v, inner, outer, 1.0, math.inf).rows[0].constant)
@@ -511,10 +522,11 @@ class TestFreezeCompare:
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
-        rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
-        assert rep.rows[0].lhs < 0.05
-        assert rep.rows[0].extra["forcing_ms"] == 0.0
+        cyl = WeightedCylinder(0.5, 0.05, 0.05, BETA1)
+        eps_emp, delta_emp = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8,
+                                            nt_local=4)
+        assert eps_emp < 0.05
+        assert delta_emp == 0.0  # no oscillation in the weight or coefficient, no forcing
 
     def test_gap_tracks_forcing(self):
         # constant coefficients with growing forcing: the gap follows ||F||
@@ -525,9 +537,9 @@ class TestFreezeCompare:
             F = forcing_from_callable(
                 lambda x, t, a=f_amp: a * np.sin(2 * math.pi * x), grid)
             u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
-            cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.05), 0.05, BETA1)
-            rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
-            gaps.append(rep.rows[0].lhs)
+            cyl = WeightedCylinder(0.5, 0.05, 0.05, BETA1)
+            gaps.append(freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8,
+                                       nt_local=4)[0])
         assert gaps[0] < gaps[1] < gaps[2]
 
     def freeze(self, a_fun, x0, t0):
@@ -535,36 +547,89 @@ class TestFreezeCompare:
         A = CoefficientField.from_callable(a_fun, grid)
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA_POW, A, F, grid, initial=np.sin(math.pi * grid.x))
-        cyl = WeightedCylinder(SpaceTimePoint([x0], t0), 0.05, BETA_POW)
-        return freeze_compare(u, a_fun, cyl, nx_local=8, nt_local=4).rows[0]
+        cyl = WeightedCylinder(x0, t0, 0.05, BETA_POW)
+        return freeze_compare(u, a_fun, cyl, nx_local=8, nt_local=4)
 
     def test_theta_a_is_theta_A_ms_on_the_4r_cylinder(self):
         # B_0.2(0.15) runs past x = 0, and the 4r cylinder's height past t = 0
         a_fun = sinusoidal_coefficient(1.0, 0.4, 8.0)
-        row = self.freeze(a_fun, 0.15, 0.02)
-        h4 = WeightedCylinder(SpaceTimePoint([0.15], 0.02), 0.2, BETA_POW).h
+        _, delta_emp = self.freeze(a_fun, 0.15, 0.02)
+        h4 = WeightedCylinder(0.15, 0.02, 0.2, BETA_POW).h
         assert h4 > 0.02
-        want = theta_A_ms(a_fun, ([0.15], 0.02), 0.2, h4, (0.0, 1.0, 0.0, 0.05))
-        assert row.extra["theta_a_sq"] == want > 0.0
-        unclipped = theta_A_ms(a_fun, ([0.15], 0.02), 0.2, h4, (-1.0, 1.0, -1.0, 1.0))
+        want = theta_A_ms(a_fun, 0.15, 0.02, 0.2, h4, (0.0, 1.0, 0.0, 0.05))
+        assert want > 0.0
+        unclipped = theta_A_ms(a_fun, 0.15, 0.02, 0.2, h4, (-1.0, 1.0, -1.0, 1.0))
         assert want != unclipped
-        assert row.extra["delta_emp"] == math.sqrt(
-            want + row.extra["theta_b_sq"] + row.extra["forcing_ms"])
+        # F = 0, so the forcing term is 0
+        assert delta_emp == math.sqrt(want + theta_beta_ms(BETA_POW, 0.15, 0.2))
+
+    def test_interpolant_called_once_per_boundary_part_and_gradient(self, monkeypatch):
+        calls = []
+        interp = solver._interp_solution
+
+        def counted(u):
+            fn = interp(u)
+
+            def wrapped(x, t):
+                calls.append(np.broadcast(x, t).shape)
+                return fn(x, t)
+
+            return wrapped
+
+        monkeypatch.setattr(solver, "_interp_solution", counted)
+        self.freeze(sinusoidal_coefficient(1.0, 0.4, 8.0), 0.5, 0.05)
+        # nx_local = 8, nt_local = 4: the initial slice, both lateral traces,
+        # and u's nodes at every local level for the gradient gap
+        assert calls == [(9,), (4, 2), (5, 9)]
 
     def test_coefficient_of_time_alone_has_no_oscillation(self):
-        row = self.freeze(lambda x, t: 1.0 + 0.5 * t, 0.5, 0.05)
-        assert row.extra["theta_a_sq"] == pytest.approx(0.0, abs=1e-24)
-        assert row.lhs > 0.0  # a real comparison, not the zero-gradient pass
+        eps_emp, delta_emp = self.freeze(lambda x, t: 1.0 + 0.5 * t, 0.5, 0.05)
+        assert delta_emp == pytest.approx(math.sqrt(theta_beta_ms(BETA_POW, 0.5, 0.2)),
+                                          rel=1e-12)
+        assert eps_emp > 0.0
 
-    def test_zero_gradient_trivial_pass(self):
-        grid = small_grid()
-        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
-        F = np.zeros((grid.nt + 1, grid.nx))
-        u = solve_ivbp(BETA1, A, F, grid)
-        cyl = WeightedCylinder(SpaceTimePoint([0.5], 0.2), 0.04, BETA1)
-        rep = freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
-        assert rep.passed
-        assert rep.rows[0].lhs == 0.0
+
+class TestInterpolant:
+    def test_rows_equal_per_time_np_interp(self):
+        # nonzero lateral values, and a spacing (1/30) that is no power of two,
+        # so that a change of the operation order shows in the bits
+        u = solve_frozen(0.7, 1.0, (-0.4, 0.6), (0.1, 0.5), 30, 12,
+                         lambda x, t: np.cos(3.0 * x) + t)
+        grid = u.grid
+        fn = _interp_solution(u)
+        rng = np.random.default_rng(5)
+        # the nodes, points between them, and points past either end
+        x = np.concatenate([grid.x, rng.uniform(-0.5, 0.7, 64),
+                            [np.nextafter(0.6, 1.0), np.nextafter(-0.4, -1.0)]])
+        # the levels, times between them, and times past either end
+        t = np.concatenate([grid.t, rng.uniform(-0.05, 0.45, 16), [grid.t_final + 1e-3]])
+        got = fn(x[None, :], t[:, None])
+        assert got.shape == (t.size, x.size)
+        for i, ti in enumerate(t):
+            # the interpolant as one np.interp call per time
+            k = min(max(int(np.floor(ti / grid.tau)), 0), grid.nt - 1)
+            ft = (ti - grid.t[k]) / grid.tau
+            want = np.interp(x, grid.x, (1.0 - ft) * u.u[k] + ft * u.u[k + 1])
+            assert np.array_equal(got[i], want)
+            assert np.array_equal(fn(x, ti), want)
+
+
+class TestEmptyRegion:
+    def test_cylinder_narrower_than_the_grid_spacing_raises(self):
+        u, _ = make_manufactured(nx=32, nt=40)
+        # no node or face lies within 1e-9 of x = 0.51 (h = 1/32)
+        thin = (0.51 - 1e-9, 0.51 + 1e-9, 0.0, 0.25)
+        for values in (u.u, u.F, u.grad()):
+            with pytest.raises(EmptyRegion, match="no grid column or no time level"):
+                u.block(values, thin)
+        # nor does any time level within its height of t = 0.25
+        cyl = WeightedCylinder(0.51, 0.25, 1e-9, BETA1)
+        with pytest.raises(EmptyRegion):
+            u.block(u.u, (0.0, 1.0, *cyl.t_interval))
+        with pytest.raises(EmptyRegion):
+            energy_audit(u, cyl, cyl, math.inf)
+        with pytest.raises(EmptyRegion):
+            poincare_audit(u, cyl, variant="interior", budget=100.0)
 
 
 class TestAprioriRatio:
@@ -687,10 +752,14 @@ class TestArrayPasses:
         for values, cols in (
                 (u.u, (u.grid.x >= a - 1e-12) & (u.grid.x <= b + 1e-12)),
                 (u.F, (u.grid.faces >= a) & (u.grid.faces <= b))):
-            got = u.block(values, region)
             ref = values[ks][:, cols]
+            if ref.size == 0:  # no time level or no column
+                with pytest.raises(EmptyRegion):
+                    u.block(values, region)
+                continue
+            got = u.block(values, region)
             assert got.shape == ref.shape and np.array_equal(got, ref)
-            assert got.size == 0 or np.shares_memory(got, values)
+            assert np.shares_memory(got, values)
             # the norm sums the block column by column, as over that copy
             assert u.lp(values, 2.0, region) == float(
                 (np.sum(np.abs(ref) ** 2.0) * u.grid.h * u.grid.tau) ** 0.5)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wparab import weights
 from wparab.errors import EmptyBall, EmptyRegion, NonIntegrable
-from wparab.geometry import estimate_quasi_params
 from wparab.weights import (
     COVERAGE_BLOCK,
     BallFamily,
@@ -411,8 +410,6 @@ class TestWeightValidation:
             Weight.power(0.2, (0.0, 0.0, 0.0), box3)
         with pytest.raises(ValueError, match="two axes"):
             Weight.sampled(np.ones((2, 2, 2)), box3)
-        # the dimension of the quasi-metric fit is the weight's own
-        assert estimate_quasi_params(Weight.power(0.3, 0.0, DOM)).n == 1
 
     def test_reciprocal_gate_is_per_operation(self):
         # |x|^{1.5} is locally integrable, but its reciprocal is not
