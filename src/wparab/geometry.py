@@ -36,6 +36,14 @@ domain width: h is increasing, so the bracket's midpoint lies below
 |x - x0| (1 - SCREEN_MARGIN) / (1 - TOL_BISECT) < |x - x0|, and the max
 would discard it. Only the other pairs are inverted, with the same bits.
 
+The quasi-triangle audit inverts only where it can change the worst triple.
+One height per unscreened pair, at R = c sqrt(|t - t0| / b(x0)) in
+[SCREEN_FLOOR * width, MAX_RADIUS], bounds rho_b by the bracket: from above by
+max{|x - x0|, R (1 + SCREEN_MARGIN)} where h(R) >= |t - t0| (c = C_UPPER),
+from below by max{|x - x0|, R (1 - SCREEN_MARGIN)} where h(R) < |t - t0|
+(c = C_LOWER). A triple whose ratio of bounds lies below the largest ratio of
+its block's fully screened triples can neither be nor tie the worst triple.
+
 Analytic (power) weights extend beyond their stated domain; sampled weights
 are extended by zero, so their height map can plateau and the inversion
 reports NoBracket past the reachable range.
@@ -79,6 +87,11 @@ SCREEN_MARGIN = 1e-6
 # smaller radii lose digits to cancellation in the mass (about 1e-10 relative
 # at r = 1e-6), which must stay far below SCREEN_MARGIN.
 SCREEN_FLOOR = 1e-6
+# Multiples of the model root sqrt(s / beta(x0)) at which the quasi-triangle
+# audit bounds an inverse height from above and below. Its 1e5-sample runs on
+# the benchmark's sampled, power and unit weights take 759k, 551k and 482k
+# height evaluations; 748k, 599k, 511k at (1.5, 0.8); 1,166k, 890k, 580k unbounded.
+C_UPPER, C_LOWER = 1.3, 0.9
 
 
 def height(beta: Weight, x0, r) -> np.ndarray:
@@ -222,22 +235,12 @@ def _newton_block(beta: Weight, x0: np.ndarray, s: np.ndarray,
     return out
 
 
-def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
-                         X0: np.ndarray, T0: np.ndarray) -> np.ndarray:
-    """Vectorized quasi-distances for 1D weights.
-
-    A pair with |x - x0| >= SCREEN_FLOOR * (domain width) and
-    |t - t0| <= h(|x - x0| (1 - SCREEN_MARGIN)) gets |x - x0| without an
-    inversion: its inverse height is below |x - x0|, so the max would
-    return |x - x0| anyway. Every other pair, NaN gaps included, goes to one
-    :func:`height_inverse_vec` call, and the result has the bits of
-    ``max(|x - x0|, height_inverse_vec(...))`` for every pair.
-    """
-    X, T, X0, T0 = np.broadcast_arrays(*(np.asarray(a, float)
-                                         for a in (X, T, X0, T0)))
-    base = np.where(T <= T0, X0, X).ravel()
-    gap = np.abs(T - T0).ravel()
-    dx = np.abs(X - X0).ravel()
+def _screen(beta: Weight, X: np.ndarray, T: np.ndarray, X0: np.ndarray,
+            T0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The screen of :func:`quasi_distance_batch` on flat arrays: (|X - X0|,
+    need, base, gap), with the anchors and time gaps of the pairs ``need``
+    marks, those whose inverse height may exceed |X - X0|."""
+    base, gap, dx = np.where(T <= T0, X0, X), np.abs(T - T0), np.abs(X - X0)
     (lo, hi), = beta.domain[:1]
     need = np.empty(dx.shape, dtype=bool)
     for k in range(0, dx.size, BISECT_BLOCK):
@@ -245,9 +248,44 @@ def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
         reach = height(beta, base[b], dx[b] * (1.0 - SCREEN_MARGIN))
         # written as a negation so that a NaN gap is inverted, and raises there
         need[b] = ~((dx[b] >= SCREEN_FLOOR * (hi - lo)) & (gap[b] <= reach))
-    inv = height_inverse_vec(beta, base[need], gap[need])
-    dx[need] = np.maximum(dx[need], inv)
+    return dx, need, base[need], gap[need]
+
+
+def quasi_distance_batch(beta: Weight, X: np.ndarray, T: np.ndarray,
+                         X0: np.ndarray, T0: np.ndarray) -> np.ndarray:
+    """Vectorized quasi-distances for 1D weights, with the bits of
+    ``max(|x - x0|, height_inverse_vec(...))`` for every pair. A pair that
+    :func:`_screen` settles (see the module docstring) gets |x - x0|; every
+    other pair, NaN gaps included, goes to one :func:`height_inverse_vec` call.
+    """
+    X, T, X0, T0 = np.broadcast_arrays(*(np.asarray(a, float)
+                                         for a in (X, T, X0, T0)))
+    dx, need, base, gap = _screen(beta, *(a.ravel() for a in (X, T, X0, T0)))
+    dx[need] = np.maximum(dx[need], height_inverse_vec(beta, base, gap))
     return dx.reshape(X.shape)
+
+
+def _leg_bound(beta: Weight, dx: np.ndarray, need: np.ndarray, base: np.ndarray,
+               gap: np.ndarray, c: float) -> np.ndarray:
+    """Upper (c > 1) or lower (c < 1) bounds on the quasi-distances of the
+    pairs that :func:`_screen` returned as (dx, need, base, gap), from one
+    height per unscreened pair (see the module docstring)."""
+    upper = c > 1.0
+    (lo, hi), = beta.domain[:1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = c * np.sqrt(gap / beta(base))
+    at = np.flatnonzero((r >= SCREEN_FLOOR * (hi - lo)) & (r <= MAX_RADIUS))
+    known, h = np.zeros(r.shape, dtype=bool), height(beta, base[at], r[at])
+    known[at] = h >= gap[at] if upper else h < gap[at]
+    bound, d = dx.copy(), dx[need]
+    r *= 1.0 + SCREEN_MARGIN if upper else 1.0 - SCREEN_MARGIN
+    bound[need] = np.where(known, np.maximum(d, r), np.inf if upper else d)
+    return bound
+
+
+def _ratio(main: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """The triples' ratios from their legs' distances; 0 where denom is 0."""
+    return np.where(denom > 0.0, main / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
 @dataclass
@@ -343,14 +381,9 @@ def estimate_quasi_params(beta: Weight) -> QuasiMetricParams:
         raise ValueError("no usable nested-ball pairs in the family")
     s_arr = np.broadcast_to(fractions[:, None], x1.shape)[keep]
     m_arr = m1[keep] / np.broadcast_to(m2[:, None, None], x1.shape)[keep]
-    best: QuasiMetricParams | None = None
-    for zeta0 in np.linspace(0.05, 0.95, 19):
-        n2 = float(np.max(m_arr / s_arr ** zeta0))
-        n2 = max(n2, 1.0 + 1e-9)
-        cand = QuasiMetricParams(zeta0=float(zeta0), N2=n2)
-        if best is None or cand.Lambda < best.Lambda:
-            best = cand
-    return best
+    fits = [QuasiMetricParams(float(z), max(float(np.max(m_arr / s_arr ** z)), 1.0 + 1e-9))
+            for z in np.linspace(0.05, 0.95, 19)]
+    return min(fits, key=lambda q: q.Lambda)  # the first of the smallest Lambda
 
 
 def _adversarial_triples(lo: float, hi: float,
@@ -365,14 +398,9 @@ def _adversarial_triples(lo: float, hi: float,
     """
     x_grid = np.linspace(lo, hi, 13)
     t_grid = np.geomspace(1e-4 * t_span, t_span, 10)
-    X0, X1, T = np.meshgrid(x_grid, x_grid, t_grid, indexing="ij")
-    x0 = X0.ravel()
-    x1 = X1.ravel()
-    tg = T.ravel()
-    eps = 1e-6 * tg
-    xs = np.column_stack([x0, x1, x0])
-    ts = np.column_stack([np.zeros_like(tg), -eps, -tg])
-    return xs, ts
+    x0, x1, tg = (a.ravel() for a in np.meshgrid(x_grid, x_grid, t_grid, indexing="ij"))
+    return (np.column_stack([x0, x1, x0]),
+            np.column_stack([np.zeros_like(tg), -(1e-6 * tg), -tg]))
 
 
 def _triangle_range(beta: Weight, samples: int, seed: int, t_span: float,
@@ -397,11 +425,19 @@ def _triangle_range(beta: Weight, samples: int, seed: int, t_span: float,
         adv = slice(max(a - samples, 0), max(b - samples, 0))
         xs = np.vstack([rng_x.uniform(lo, hi, size=(n_rand, 3)), xs_adv[adv]])
         ts = np.vstack([rng_t.uniform(-t_span, 0.0, size=(n_rand, 3)), ts_adv[adv]])
-        d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0])
-        d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0])
-        d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1])
-        denom = d_leg1 + d_leg2
-        ratios = np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
+        # the main leg (z0, zbar), then the side legs (z0, z1) and (z1, zbar)
+        legs = [_screen(beta, xs[:, i], ts[:, i], xs[:, j], ts[:, j])
+                for i, j in ((2, 0), (1, 0), (2, 1))]
+        main = _leg_bound(beta, *legs[0], C_UPPER)
+        denom = _leg_bound(beta, *legs[1], C_LOWER) + _leg_bound(beta, *legs[2], C_LOWER)
+        top = _ratio(main, denom)  # exact where no leg needs an inversion
+        threshold = top[~(legs[0][1] | legs[1][1] | legs[2][1])].max(initial=-np.inf)
+        top[(denom == 0.0) & (main > 0.0)] = np.inf
+        keep = top >= threshold
+        for dx, need, base, gap in legs:
+            inv = height_inverse_vec(beta, base[keep[need]], gap[keep[need]])
+            dx[need & keep] = np.maximum(dx[need & keep], inv)
+        ratios = np.where(keep, _ratio(legs[0][0], legs[1][0] + legs[2][0]), -np.inf)
         i = int(np.argmax(ratios))
         best.append((float(ratios[i]), xs[i].tolist(), ts[i].tolist()))
     return best

@@ -551,7 +551,8 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     (eps_emp, delta_emp): the root-mean-square gradient gap over the 2r
     cylinder and the oscillation + forcing smallness of the inputs, with the
     coefficient's oscillation ``theta_A_ms`` on the 4r cylinder, clipped to
-    u's grid. ``A_fun(x, t)`` must broadcast; u's gradient must not vanish.
+    u's grid. ``A_fun(x, t)`` must broadcast; a gradient of u that vanishes
+    on the 4r cylinder raises ``PreconditionFailed``.
     """
     r, x0, t0 = cyl_base.r, cyl_base.x0, cyl_base.t0
     beta = u.beta
@@ -559,7 +560,10 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     cyl2 = WeightedCylinder(x0, t0, 2.0 * r, beta, variant="Q")
     reg4 = cyl4.region()
     size4 = u.region_measure(reg4)
-    u_hat = u.scaled(1.0 / math.sqrt(u.lp(u.grad(), 2.0, reg4) ** 2 / size4))
+    grad_rms = math.sqrt(u.lp(u.grad(), 2.0, reg4) ** 2 / size4)
+    if grad_rms == 0.0:
+        raise PreconditionFailed("the gradient of u vanishes on the 4r cylinder")
+    u_hat = u.scaled(1.0 / grad_rms)
 
     # mean over the whole ball B_R, not its part inside the domain
     R = 4.0 * r

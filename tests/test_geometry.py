@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wparab import geometry
+from wparab.config import ExperimentConfig
 from wparab.errors import NoBracket
 from wparab.geometry import (
     BISECT_BLOCK,
@@ -348,9 +350,10 @@ class TestModelStart:
         assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT)))
 
     # Height point-evaluations of quasi_triangle_audit with 2,000 samples at
-    # seed 7: the screen's (geometry.height) and the Newton steps'
-    # (Weight.ball_ends). A start at r = 1 takes 8-23% more.
-    AUDIT_EVALS = {"power": 31863, "constant": 20933, "sampled": 41267}
+    # seed 7: the screen's and the bounds' (geometry.height) and the Newton
+    # steps' (Weight.ball_ends). Inverting every unscreened pair took 31,863,
+    # 20,933 and 41,267.
+    AUDIT_EVALS = {"power": 21388, "constant": 17792, "sampled": 29018}
 
     @pytest.mark.parametrize("kind", sorted(AUDIT_EVALS))
     def test_audit_height_evaluations(self, kind, monkeypatch):
@@ -421,6 +424,19 @@ def quasi_distance_unscreened(beta, X, T, X0, T0):
     return np.maximum(np.abs(X - X0), inv)
 
 
+@pytest.fixture
+def inverted(monkeypatch):
+    """The number of points of each height_inverse_vec call."""
+    sizes = []
+
+    def counted(beta, x0, s):
+        sizes.append(np.size(s))
+        return height_inverse_vec(beta, x0, s)
+
+    monkeypatch.setattr(geometry, "height_inverse_vec", counted)
+    return sizes
+
+
 class TestHeightScreen:
     """Pairs whose spatial gap decides the quasi-distance skip the inversion
     and keep its bits."""
@@ -453,18 +469,6 @@ class TestHeightScreen:
             at_screen * (1.0 - 1e-12), at_screen * (1.0 + 1e-12), at_dx])
         T[edge] = np.where(T[edge] <= T0[edge], T0[edge] - gap, T0[edge] + gap)
         return X, T, X0, T0
-
-    @pytest.fixture
-    def inverted(self, monkeypatch):
-        """The number of points of each height_inverse_vec call."""
-        sizes = []
-
-        def counted(beta, x0, s):
-            sizes.append(np.size(s))
-            return height_inverse_vec(beta, x0, s)
-
-        monkeypatch.setattr(geometry, "height_inverse_vec", counted)
-        return sizes
 
     @pytest.mark.parametrize("kind", sorted(TestBlockedBisection.WEIGHTS))
     def test_matches_unscreened_inversion(self, kind, inverted):
@@ -500,6 +504,42 @@ class TestHeightScreen:
         X[3], X0[3], T[3] = 50.0, 49.0, -1e30
         with pytest.raises(NoBracket):
             quasi_distance_batch(beta, X, T, X0, T0)
+
+
+def bound_weights():
+    """Power weights with alpha in (-0.9, 2), a constant weight, and sampled
+    two-level weights with contrast up to 1e3."""
+    return st.one_of(
+        st.builds(lambda alpha, c: Weight.power(alpha, c, DOM),
+                  st.floats(-0.9, 2.0, exclude_min=True, exclude_max=True),
+                  st.floats(-0.5, 0.5)),
+        st.just(Weight.constant(2.5, DOM)),
+        st.builds(lambda cells, contrast, seed: Weight.sampled(np.where(
+            np.random.default_rng(seed).random(cells) < 0.5, 1.0, contrast), DOM),
+                  st.integers(2, 64), st.floats(1.0, 1e3), st.integers(0, 2 ** 16)))
+
+
+class TestLegBounds:
+    """The audit's bounds from one height evaluation per unscreened pair hold
+    the pair's quasi-distance between them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(beta=bound_weights(), seed=st.integers(0, 2 ** 16))
+    def test_bounds_hold_the_distance(self, beta, seed):
+        # random pairs; a third with spatial gaps from 1e-9 to 1e-2, a third
+        # with time gaps from 1e-9 to 1e-1 of the audit's time span
+        rng = np.random.default_rng(seed)
+        n = 600
+        t_span = height(beta, 0.0, 1.0).item()
+        X, X0 = rng.uniform(-1.0, 1.0, (2, n))
+        T, T0 = rng.uniform(-t_span, 0.0, (2, n))
+        X0[::3] = X[::3] + 10.0 ** rng.uniform(-9.0, -2.0, n // 3)
+        T0[1::3] = T[1::3] - t_span * 10.0 ** rng.uniform(-9.0, -1.0, n // 3)
+        screen = geometry._screen(beta, X, T, X0, T0)
+        lower = geometry._leg_bound(beta, *screen, geometry.C_LOWER)
+        upper = geometry._leg_bound(beta, *screen, geometry.C_UPPER)
+        d = quasi_distance_batch(beta, X, T, X0, T0)
+        assert np.all(lower <= d) and np.all(d <= upper)
 
 
 class TestQuasiTriangle:
@@ -567,6 +607,17 @@ def forks(monkeypatch):
     return calls
 
 
+def triangle_ratios(beta, xs, ts):
+    """rho(z0, zbar) / (rho(z0, z1) + rho(z1, zbar)) of every triple, each
+    leg's every pair measured by quasi_distance_batch; 0 where the
+    denominator is 0."""
+    d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0])
+    d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0])
+    d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1])
+    denom = d_leg1 + d_leg2
+    return np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+
 def quasi_triangle_whole(beta, params, samples, seed):
     """Reference for the blocked audit: every triple drawn and measured at
     once, the first argmax of the whole ratio vector reported."""
@@ -578,11 +629,7 @@ def quasi_triangle_whole(beta, params, samples, seed):
     xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
     xs = np.vstack([xs, xs_adv])
     ts = np.vstack([ts, ts_adv])
-    d_main = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 0], ts[:, 0])
-    d_leg1 = quasi_distance_batch(beta, xs[:, 1], ts[:, 1], xs[:, 0], ts[:, 0])
-    d_leg2 = quasi_distance_batch(beta, xs[:, 2], ts[:, 2], xs[:, 1], ts[:, 1])
-    denom = d_leg1 + d_leg2
-    ratios = np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
+    ratios = triangle_ratios(beta, xs, ts)
     worst = int(np.argmax(ratios))
     max_ratio = float(ratios[worst])
     return max_ratio, {
@@ -599,6 +646,12 @@ class TestBlockedTriangleAudit:
     N_ADV = 13 * 13 * 10
     WEIGHTS = {"power": Weight.power(0.4, 0.1, DOM),
                "sampled": TestBlockedBisection.WEIGHTS["sampled"]}
+    PRUNED_WEIGHTS = {
+        "power-0.7": Weight.power(-0.7, 0.1, DOM),
+        "constant": TestBlockedBisection.WEIGHTS["constant"],
+        "golden-sampled": ExperimentConfig.load(
+            Path(__file__).resolve().parent / "configs" / "sampled.json").build_weight(),
+    }
 
     def check(self, beta, samples, seed, ranges=1):
         """The report against the reference, field by field; the indices of
@@ -621,6 +674,55 @@ class TestBlockedTriangleAudit:
                                          TRIPLE_BLOCK - N_ADV + 1])
     def test_matches_whole_array_audit(self, kind, samples, seed):
         self.check(self.WEIGHTS[kind], samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, 2000])
+    @pytest.mark.parametrize("kind", sorted(PRUNED_WEIGHTS))
+    def test_pruning_keeps_the_report(self, kind, samples):
+        # the bounds prune most triples without an inversion; the report
+        # must stay that of the reference, which inverts every pair
+        self.check(self.PRUNED_WEIGHTS[kind], samples, seed=5)
+
+    def test_block_of_one_x_inverts_every_leg(self, inverted):
+        # every leg has spatial gap 0 and is unscreened, so no triple sets
+        # the threshold and every pair is inverted
+        beta = self.WEIGHTS["sampled"]
+        rng = np.random.default_rng(8)
+        xs, ts = np.full((500, 3), 0.3), rng.uniform(-1.0, 0.0, (500, 3))
+        (ratio, x, t), = geometry._triangle_range(beta, 0, 8, 1.0, (xs, ts), 0, 500)
+        assert sum(inverted) == 3 * 500
+        ratios = triangle_ratios(beta, xs, ts)
+        worst = int(np.argmax(ratios))
+        assert (ratio, x, t) == (ratios[worst], xs[worst].tolist(), ts[worst].tolist())
+
+    def test_zero_lower_denominator_keeps_the_triple(self, inverted):
+        # the first triple lies at one time, so its legs are screened and it
+        # sets the threshold at ratio 1/3. The second lies at one x, 1e-13
+        # apart in time: its model roots fall below the screen's floor, so
+        # its side legs' lower bounds are their spatial gaps, 0. Its ratio,
+        # about 1/sqrt(2), must still be measured and reported
+        beta = self.WEIGHTS["sampled"]
+        xs = np.array([[-0.5, 0.5, 0.0], [0.3, 0.3, 0.3]])
+        ts = np.array([[0.0, 0.0, 0.0], [0.0, -1e-13, -2e-13]])
+        (ratio, x, t), = geometry._triangle_range(beta, 0, 8, 1.0, (xs, ts), 0, 2)
+        assert sum(inverted) == 3
+        assert 0.6 < ratio < 0.8
+        assert (ratio, x, t) == (triangle_ratios(beta, xs, ts)[1], xs[1].tolist(),
+                                 ts[1].tolist())
+
+    def test_most_unscreened_pairs_skip_the_inversion(self, inverted, monkeypatch):
+        # the golden sampled config's 1e5-sample audit
+        unscreened, screen = [], geometry._screen
+
+        def counted(beta, X, T, X0, T0):
+            out = screen(beta, X, T, X0, T0)
+            unscreened.append(int(np.count_nonzero(out[1])))
+            return out
+
+        monkeypatch.setattr(geometry, "_screen", counted)
+        beta = self.PRUNED_WEIGHTS["golden-sampled"]
+        quasi_triangle_audit(beta, estimate_quasi_params(beta), 100_000, seed=77,
+                             ranges=1)
+        assert 0 < sum(inverted) <= 0.4 * sum(unscreened)
 
     @pytest.mark.parametrize("ranges", [1, 2, 3])
     @pytest.mark.parametrize("kind", sorted(WEIGHTS))
@@ -660,16 +762,16 @@ class TestBlockedTriangleAudit:
     @pytest.mark.parametrize("samples", [1, 999, 1000, 2500])
     def test_block_draws_are_the_one_shot_draws(self, samples, monkeypatch):
         # the triples of each range and each of its blocks, read off the
-        # first two legs each block measures, for contiguous splits that cut
+        # first two legs each block screens, for contiguous splits that cut
         # blocks, the random triples and the adversarial tail
-        legs = []
+        legs, screen = [], geometry._screen
 
         def recorded(beta, X, T, X0, T0):
             legs.append((X, T, X0, T0))
-            return quasi_distance_batch(beta, X, T, X0, T0)
+            return screen(beta, X, T, X0, T0)
 
         monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 1000)
-        monkeypatch.setattr(geometry, "quasi_distance_batch", recorded)
+        monkeypatch.setattr(geometry, "_screen", recorded)
         beta = self.WEIGHTS["power"]
         (lo, hi), = beta.domain
         t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
@@ -699,15 +801,17 @@ class TestBlockedTriangleAudit:
         # thirds of the triples: with 1,000 samples only the second and the
         # third range raise, with 100 all three do; the earliest range's
         # error must be raised, as in one process
+        screen = geometry._screen
+
         def failing(beta, X, T, X0, T0):
             adversarial = np.flatnonzero(np.asarray(T0) == 0.0)
             if adversarial.size:
                 k = adversarial[0]
                 raise NoBracket(f"pair at {X[k]!r}, {T[k]!r}")
-            return quasi_distance_batch(beta, X, T, X0, T0)
+            return screen(beta, X, T, X0, T0)
 
         monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
-        monkeypatch.setattr(geometry, "quasi_distance_batch", failing)
+        monkeypatch.setattr(geometry, "_screen", failing)
         beta = self.WEIGHTS["sampled"]
         params = estimate_quasi_params(beta)
         with pytest.raises(NoBracket) as inline:

@@ -9,7 +9,8 @@ from scipy.linalg.lapack import dgtsv
 
 from wparab import solver
 from wparab.config import ExperimentConfig
-from wparab.errors import EllipticityViolation, EmptyRegion, GateFailed, SingularSystem
+from wparab.errors import (EllipticityViolation, EmptyRegion, GateFailed, PreconditionFailed,
+                           SingularSystem)
 from wparab.experiments import (
     ManufacturedCase,
     convergence_study,
@@ -581,6 +582,17 @@ class TestFreezeCompare:
         # nx_local = 8, nt_local = 4: the initial slice, both lateral traces,
         # and u's nodes at every local level for the gradient gap
         assert calls == [(9,), (4, 2), (5, 9)]
+
+    def test_zero_gradient_raises(self):
+        # the zero solution has no gradient to normalize on the 4r cylinder
+        grid = Grid(x0=0.0, x1=1.0, nx=32, t_final=0.05, nt=32)
+        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
+        u = solve_ivbp(BETA1, A, np.zeros((grid.nt + 1, grid.nx)), grid,
+                       initial=np.zeros(grid.x.shape))
+        assert not np.any(u.u)
+        cyl = WeightedCylinder(0.5, 0.05, 0.05, BETA1)
+        with pytest.raises(PreconditionFailed, match="gradient of u vanishes"):
+            freeze_compare(u, lambda x, t: 1.0, cyl, nx_local=8, nt_local=4)
 
     def test_coefficient_of_time_alone_has_no_oscillation(self):
         eps_emp, delta_emp = self.freeze(lambda x, t: 1.0 + 0.5 * t, 0.5, 0.05)
