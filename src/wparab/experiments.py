@@ -26,7 +26,6 @@ from .solver import (
     freeze_compare,
     sinusoidal_coefficient,
     solve_ivbp,
-    sum_in_order,
 )
 from .weights import Weight
 
@@ -110,7 +109,7 @@ def space_time_l2_error(u: SolutionField, exact) -> float:
     diff = exact(grid.x[None, :], grid.t[1:, None])
     np.subtract(u.u[1:], diff, out=diff)
     diff **= 2
-    return math.sqrt(sum_in_order(np.sum(diff, axis=1) * grid.h * grid.tau))
+    return math.sqrt(u.integral(diff))
 
 
 def default_nt(nx: int, t_final: float) -> int:

@@ -96,11 +96,14 @@ C_UPPER, C_LOWER = 1.3, 0.9
 
 def height(beta: Weight, x0, r) -> np.ndarray:
     """Cylinder heights h_{x0}(r) = r^2 Psi_{beta,x0}(r) of a 1D weight,
-    broadcast over ``x0`` and ``r``; h = 0 where r <= 0."""
+    broadcast over ``x0`` and ``r``; h = 0 where r <= 0, and h = inf where
+    the mass or r^2 overflows (r above about 1e154). Every call in the
+    package keeps r at or below ``MAX_RADIUS``."""
     _check_1d(beta)
     x0 = np.asarray(x0, dtype=float)
     r = np.asarray(r, dtype=float)
-    return _height_of_mass(r, beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r, clip=False))
+    with np.errstate(over="ignore"):
+        return _height_of_mass(r, beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r, clip=False))
 
 
 def _check_1d(beta: Weight) -> None:
@@ -110,7 +113,8 @@ def _check_1d(beta: Weight) -> None:
 
 def _height_of_mass(r: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """h = r^2 (mass / 2r)^{2/n0} from the mass of beta^{n0/2} over B_r."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 maps to 0
+    # r <= 0 maps to 0, and an overflow to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = r ** 2 * (mass / (2.0 * r)) ** (2.0 / N0)
     return np.where(r > 0.0, h, 0.0)
 

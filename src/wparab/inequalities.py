@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import EmptyBall, GateFailed
 from .report import AuditReport, AuditRow
-from .solver import sum_in_order
 from .weights import BallFamily, Weight, aq_characteristic, reverse_holder_gamma
 
 _SLAB = 1e-10  # relative half-width of the analytic innermost slab
@@ -65,13 +64,12 @@ def weighted_integral(fn, weight: Weight | None, interval) -> float:
     if singular is not None:
         keep &= ~((lo < singular) & (singular < hi))  # the slab cell, below
     mid, half = mid[keep], half[keep]
-    # all kept cells' nodes in one (cells, 16) array; each cell's nodes are a
-    # contiguous row, so the row sums add as a per-cell np.sum does
+    # all kept cells' nodes in one (cells, 16) array, a cell per row
     xq = mid[:, None] + half[:, None] * _GL16_NODES
     vals = np.asarray(fn(xq), dtype=float)
     if weight is not None:
         vals = vals * weight(xq)
-    total = sum_in_order(half * np.sum(_GL16_WEIGHTS * vals, axis=-1))
+    total = float(np.sum(half * np.sum(_GL16_WEIGHTS * vals, axis=-1)))
     if singular is not None:
         q = weight.alpha
         if q <= -1.0:

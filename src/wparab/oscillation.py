@@ -90,13 +90,8 @@ def theta_A_ms(A_fun, x0, t0, r, h, mask):
     vals = sample_broadcast(A_fun, xs[:, None, :], ts[:, :, None],
                             (xs.shape[0], n_time, n_space))
     dev = vals - vals.mean(axis=2, keepdims=True)
-    sq = dev ** 2
-    # summed in time order from 0.0: np.sum adds pairwise, which moves the last bits
-    total = 0.0
-    for slice_mean in np.mean(sq, axis=2).T:
-        total = total + slice_mean
     out = np.full(x0.shape, np.nan)
-    out[met] = total / n_time
+    out[met] = np.mean(dev ** 2, axis=(1, 2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -179,9 +179,7 @@ class SolutionField:
         Rows are the implicit time levels t_k in (s, e], k >= 1. Columns are
         the nodes in [a, b] when ``values`` has nx + 1 columns, else the
         faces in [a, b]. Both axes are sorted, so each is one index range.
-        A block with no time row or no column raises ``EmptyRegion``. Sums
-        over a whole block run in column-major order (an F-ordered array),
-        which fixes their last bits.
+        A block with no time row or no column raises ``EmptyRegion``.
         """
         a, b, s, e = region
         fuzz = 1e-12 * max(1.0, abs(e))
@@ -202,8 +200,8 @@ class SolutionField:
 
     def integral(self, block: np.ndarray) -> float:
         """Space-time integral of a :meth:`block` (or of values computed
-        from one, element by element): its column-major sum times h * tau."""
-        return float(np.sum(np.asfortranarray(block)) * self.grid.h * self.grid.tau)
+        from one, element by element): its ``np.sum`` times h * tau."""
+        return float(np.sum(block) * self.grid.h * self.grid.tau)
 
     def lp(self, values: np.ndarray, p: float, region) -> float:
         """Discrete L^p norm of a node or face array over the region."""
@@ -270,15 +268,6 @@ def write_solution_binary(path, u: SolutionField):
         fh.write(header)
         fh.write(u.u.astype("<f8").tobytes(order="C"))
     return Path(path)
-
-
-def sum_in_order(terms: np.ndarray) -> float:
-    """terms[0] + terms[1] + ... added left to right from 0.0, as a loop over
-    levels adds them (np.sum adds pairwise, which moves the last bits)."""
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
 
 
 def _check_finite(*arrays) -> None:
@@ -473,7 +462,7 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
         raise GateFailed(
             f"oscillation term too large: budget*theta^2 = {budget * theta2}")
     vals = u.block(u.u, reg)
-    mean = float(np.mean(np.asfortranarray(vals))) if variant == "interior" else 0.0
+    mean = float(np.mean(vals)) if variant == "interior" else 0.0
     lhs = u.integral((vals - mean) ** 2)
     grad_term = cyl.r ** 2 * (u.lp(u.grad(), 2.0, reg) ** 2 + u.lp(u.F, 2.0, reg) ** 2)
     denom = grad_term + theta2 * lhs
@@ -585,7 +574,7 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     t_base = cyl4.t_interval[0]
     reg2 = (a2, b2, s2 - t_base, e2 - t_base)
     gu = np.diff(data(v.grid.x[None, :], t_base + v.grid.t[:, None]), axis=1) / v.grid.h
-    gap = np.subtract(v.block(gu, reg2), v.block(v.grad(), reg2), order="F")
+    gap = v.block(gu, reg2) - v.block(v.grad(), reg2)
     eps_emp = math.sqrt(float(np.mean(gap ** 2)))
 
     th_b = theta_beta_ms(beta, x0, R)
@@ -629,13 +618,12 @@ def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,
     h_shift = shift_steps * grid.tau
     w = u.beta_cells
     diff = (u.u[shift_steps:] - u.u[:grid.nt + 1 - shift_steps]) * phi
-    lhs = sum_in_order(np.sum(diff ** 2 * w, axis=1) * grid.h * grid.tau)
+    lhs = u.integral(diff ** 2 * w)
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
     proxy = u.lp(u.flux_proxy(), 2.0, region)
     prod = u.u * phi[None, :] ** 2
-    l2_sq = float(np.sum(prod[1:] ** 2) * grid.h * grid.tau)
-    gprod = np.diff(prod, axis=1) / grid.h
-    g_sq = float(np.sum(gprod[1:] ** 2) * grid.h * grid.tau)
+    l2_sq = u.integral(prod[1:] ** 2)
+    g_sq = u.integral((np.diff(prod, axis=1) / grid.h)[1:] ** 2)
     w12_sq = l2_sq + g_sq
     rhs = 2.0 * math.sqrt(h_shift) * proxy * w12_sq
     n_emp = lhs / rhs if rhs > 0 else 0.0

@@ -132,8 +132,8 @@ class Weight:
 
         A cell's mean is the average of ``fn`` over a 4x4 grid of midpoint
         nodes. A cell whose center lies within two cells of the point
-        ``singular`` is bisected 5 times per axis; its mean is built from the
-        leaf means by averaging quadrants, coarsest last.
+        ``singular`` is split into 32 x 32 subcells, and its mean is the
+        average over their 128 x 128 nodes, from one ``fn`` call per cell.
         """
         domain = _as_domain(domain)
         (x0, x1), (y0, y1) = domain
@@ -146,14 +146,8 @@ class Weight:
         near_y = np.abs(singular[1] - ym) < 2 * (ye[1] - ye[0])
         for j in np.flatnonzero(near_y):
             for i in np.flatnonzero(near_x):
-                xs, ys = xe[i:i + 2], ye[j:j + 2]
-                for _ in range(5):
-                    xs, ys = _bisect_edges(xs), _bisect_edges(ys)
-                means = _node_means(fn, xs, ys)
-                while means.size > 1:
-                    means = 0.25 * (means[0::2, 0::2] + means[0::2, 1::2]
-                                    + means[1::2, 0::2] + means[1::2, 1::2])
-                vals[j, i] = means[0, 0]
+                vals[j, i] = _node_means(fn, np.linspace(xe[i], xe[i + 1], 33),
+                                         np.linspace(ye[j], ye[j + 1], 33)).mean()
         return cls.sampled(vals, domain)
 
     # -- basic queries -----------------------------------------------------
@@ -361,19 +355,10 @@ def first_sup(vals) -> tuple[float, int | None]:
     return float(best), int(np.argmax(vals == best))
 
 
-def _bisect_edges(edges: np.ndarray) -> np.ndarray:
-    """Cell edges with the midpoint 0.5 * (lo + hi) of every cell inserted."""
-    out = np.empty(2 * edges.size - 1)
-    out[0::2] = edges
-    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    return out
-
-
 def _node_means(fn, xe: np.ndarray, ye: np.ndarray) -> np.ndarray:
     """Mean of ``fn`` over the 4x4 midpoint nodes of each cell, in one call.
 
-    Returns shape (len(ye) - 1, len(xe) - 1). Each cell's 16 values are
-    contiguous, y-major like a ``meshgrid`` of its nodes.
+    Returns shape (len(ye) - 1, len(xe) - 1).
     """
     off = np.arange(4) + 0.5
     xs = xe[:-1, None] + (xe[1:] - xe[:-1])[:, None] * off / 4  # (nx, 4)

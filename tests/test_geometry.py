@@ -95,6 +95,15 @@ class TestHeights:
         with pytest.raises(ValueError, match="1D"):
             height(w, [0.0, 0.0], 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [
+        Weight.power(0.2, 0.1, DOM), Weight.power(-0.7, 0.1, DOM),
+        Weight.sampled(0.5 + np.random.default_rng(3).random(48), DOM)])
+    def test_overflow_is_inf_without_a_warning(self, w):
+        # r^2 overflows above about 1.3e154, and |t|^{1.2} of the mass at 1e300
+        got = height(w, np.array([[0.2], [5.0]]), np.array([1e200, 1e300]))
+        assert np.all(got == np.inf)
+
 
 class TestHeightInverse:
     def test_identity_weight(self):

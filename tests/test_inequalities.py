@@ -105,14 +105,14 @@ class TestQuadrature:
 
 
 def weighted_integral_cell_loop(fn, weight, interval):
-    """weighted_integral with fn and the weight evaluated cell by cell and the
-    cell terms added left to right."""
+    """weighted_integral with fn and the weight evaluated cell by cell, the
+    cell terms summed by one np.sum and the slab term added last."""
     a, b = interval
     singular = None
     if weight is not None and a < weight.center[0] < b:
         singular = weight.center[0]
     edges = _graded_cells(a, b, singular)
-    total = 0.0
+    terms = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if singular is not None and lo < singular < hi:
             continue
@@ -123,7 +123,8 @@ def weighted_integral_cell_loop(fn, weight, interval):
         vals = np.asarray(fn(xq), dtype=float)
         if weight is not None:
             vals = vals * weight(xq)
-        total += half * float(np.sum(_GL16_WEIGHTS * vals))
+        terms.append(half * float(np.sum(_GL16_WEIGHTS * vals)))
+    total = float(np.sum(terms))
     if singular is not None:
         q = weight.alpha
         eps_l, eps_r = (singular - a) * _SLAB, (b - singular) * _SLAB

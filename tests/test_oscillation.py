@@ -142,7 +142,8 @@ class TestThetaA:
 
 def theta_A_per_node(A_fun, beta, x0, t0, r, mask):
     """theta_A_ms as it was before the broadcasting call: one A_fun call per
-    node (33 in space, 17 in time), one reduction per time slice. Kept as
+    node (33 in space, 17 in time) and one centering per time slice, then
+    the squared deviations of all slices averaged by one np.mean. Kept as
     the exact reference."""
     x_lo, x_hi, t_lo, t_hi = mask
     a = max(x0 - r, x_lo)
@@ -154,12 +155,11 @@ def theta_A_per_node(A_fun, beta, x0, t0, r, mask):
         raise EmptyRegion("cylinder does not meet the masked domain")
     xs = a + (b - a) * (np.arange(33) + 0.5) / 33
     ts = s_lo + (s_hi - s_lo) * (np.arange(17) + 0.5) / 17
-    total = 0.0
+    devs = []
     for t in ts:
         vals = np.asarray([np.asarray(A_fun(x, t), dtype=float) for x in xs])
-        dev = vals - vals.mean(axis=0)
-        total += float(np.mean(dev ** 2))
-    return total / len(ts)
+        devs.append(vals - vals.mean(axis=0))
+    return float(np.mean(np.array(devs) ** 2))
 
 
 def config_coefficient():

@@ -118,6 +118,49 @@ class TestScheme:
         assert np.allclose(u_tilde.u, u_orig.u, atol=1e-12)
 
 
+def energy_identity_residual(u):
+    """Relative residual of backward Euler's discrete energy identity
+
+        1/2 |u^N|^2_b + 1/2 sum_k |u^k - u^(k-1)|^2_b + tau sum_k sum_faces a (Du^k)^2 h
+          = 1/2 |u^0|^2_b - tau sum_k sum_faces F^k Du^k h,
+
+    with |v|^2_b = sum_i b_i v_i^2 h over ``beta_cells``: multiply step k by
+    u^k and sum by parts. Every sum is ``math.fsum``."""
+    g, b = u.grid, u.beta_cells
+
+    def norm_sq(v):
+        return math.fsum((b * v * v * g.h).tolist())
+
+    du = np.diff(u.u, axis=1)[1:] / g.h
+    end = 0.5 * norm_sq(u.u[-1])
+    jumps = 0.5 * math.fsum(norm_sq(u.u[k] - u.u[k - 1]) for k in range(1, g.nt + 1))
+    dissipation = g.tau * math.fsum((u.A.values[1:] * du * du * g.h).ravel().tolist())
+    work = -g.tau * math.fsum((u.F[1:] * du * g.h).ravel().tolist())
+    lhs, rhs = end + jumps + dissipation, 0.5 * norm_sq(u.u[0]) + work
+    return abs(lhs - rhs) / lhs
+
+
+class TestEnergyIdentity:
+    WEIGHTS = [Weight.power(0.2, 0.5, (0.0, 1.0)), BETA1, Weight.power(-0.7, 0.5, (0.0, 1.0))]
+
+    @staticmethod
+    def driven(beta, nx):
+        return solve_driven(beta, smooth_random_forcing(1), nx, nx, 0.25,
+                            lambda x, t: 1.0 + 0.5 * np.sin(3.0 * x))
+
+    @pytest.mark.parametrize("nx", [32, 64, 128])
+    @pytest.mark.parametrize("beta", WEIGHTS, ids=["pow0.2", "unit", "pow-0.7"])
+    def test_holds_to_rounding(self, beta, nx):
+        assert energy_identity_residual(self.driven(beta, nx)) <= 1e-12
+
+    @pytest.mark.parametrize("nx", [32, 64, 128])
+    @pytest.mark.parametrize("beta", WEIGHTS, ids=["pow0.2", "unit", "pow-0.7"])
+    def test_perturbed_node_breaks_it(self, beta, nx):
+        u = self.driven(beta, nx)
+        u.u[nx // 2, nx // 2] += 1e-8
+        assert energy_identity_residual(u) > 1e-12
+
+
 def pointwise_samples(fn, grid):
     """The former sampler: one call per (face, time level) point."""
     return np.asarray([[fn(x, t) for x in grid.faces] for t in grid.t], dtype=float)
@@ -726,10 +769,11 @@ class TestTimeShift:
     def test_lhs_equals_level_loop(self, steps):
         u, _ = make_manufactured(nx=32, nt=32, beta=BETA_POW)
         phi = self.cutoff(u.grid)
-        lhs = 0.0
+        levels = []
         for k in range(u.grid.nt + 1 - steps):
             diff = (u.u[k + steps] - u.u[k]) * phi
-            lhs += float(np.sum(diff ** 2 * u.beta_cells) * u.grid.h) * u.grid.tau
+            levels.append(diff ** 2 * u.beta_cells)
+        lhs = float(np.sum(levels) * u.grid.h * u.grid.tau)
         assert time_shift_audit(u, phi, steps, 10.0).rows[0].lhs == lhs
 
 
