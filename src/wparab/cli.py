@@ -207,7 +207,7 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     # frozen-solution Lipschitz audit on a caloric profile
     # mean over the whole ball B_R, not its part inside the domain
     R = 2.0 * r_base
-    beta_bar = float(w.mass_1d_vec(1.0, center - R, center + R, clip=False)) / (2.0 * R)
+    beta_bar = float(w.mass_1d_vec(1.0, center - R, center + R)) / (2.0 * R)
     frozen = Weight.constant(beta_bar, (-1.0, 1.0))
     f_outer = WeightedCylinder(0.0, 0.0, 0.5, frozen)
     f_inner = WeightedCylinder(0.0, 0.0, 0.25, frozen)

@@ -103,7 +103,7 @@ def height(beta: Weight, x0, r) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     r = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):
-        return _height_of_mass(r, beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r, clip=False))
+        return _height_of_mass(r, beta.mass_1d_vec(N0 / 2.0, x0 - r, x0 + r))
 
 
 def _check_1d(beta: Weight) -> None:
@@ -372,14 +372,13 @@ def estimate_quasi_params(beta: Weight) -> QuasiMetricParams:
     p = N0 / 2.0
     c, r = ball_grid(fam.centers, fam.radii)
     x = c[:, 0]
-    m2 = beta.mass_1d_vec(p, x - r, x + r, clip=False)
+    m2 = beta.mass_1d_vec(p, x - r, x + r)
     fractions = np.array([0.15, 0.3, 0.5, 0.75])
     r1 = fractions * r[:, None]  # (balls, fractions)
     gap = r[:, None] - r1
     x1 = x[:, None, None] + np.stack([np.zeros_like(gap), gap, -gap], axis=-1)
     r1 = np.broadcast_to(r1[..., None], x1.shape)
-    m1 = beta.mass_1d_vec(p, (x1 - r1).ravel(), (x1 + r1).ravel(),
-                          clip=False).reshape(x1.shape)
+    m1 = beta.mass_1d_vec(p, x1 - r1, x1 + r1)
     keep = ~(m2[:, None, None] <= 0.0) & (m1 > 0.0)
     if not keep.any():
         raise ValueError("no usable nested-ball pairs in the family")

@@ -121,7 +121,7 @@ def weighted_lq_control_audit(g, mu: Weight, q: float,
         a, b = _ball_interval(mu, x0, r)
         lhs = (weighted_integral(lambda x: np.abs(g(x)) ** exp_low, None, (a, b))
                / (b - a)) ** ((q - gamma) / 2.0)
-        mu_mass = float(mu.mass_1d_vec(1.0, x0 - r, x0 + r))
+        mu_mass = float(mu.mass_1d_vec(1.0, a, b))
         wsq = weighted_integral(lambda x: g(x) ** 2, mu, (a, b))
         rhs = math.sqrt(wsq / mu_mass)
         n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
@@ -149,7 +149,7 @@ def weighted_embedding_audit(g, beta: Weight, gamma: float,
     s = 2.0 * (1.0 + gamma) / gamma
     x0, r = 0.0, 1.0
     a, b = _ball_interval(beta, x0, r)
-    mass = float(beta.mass_1d_vec(1.0, x0 - r, x0 + r))
+    mass = float(beta.mass_1d_vec(1.0, a, b))
     lhs = weighted_integral(lambda x: g(x) ** 2, beta, (a, b)) / mass
     rhs = (weighted_integral(lambda x: np.abs(g(x)) ** s, None, (a, b))
            / (b - a)) ** (2.0 / s)

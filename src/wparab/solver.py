@@ -131,7 +131,7 @@ def cell_averaged_weight(beta: Weight, grid: Grid) -> np.ndarray:
     x = grid.x
     a = np.maximum(x - 0.5 * grid.h, grid.x0)
     b = np.minimum(x + 0.5 * grid.h, grid.x1)
-    mass = beta.mass_1d_vec(1.0, a, b, clip=False)
+    mass = beta.mass_1d_vec(1.0, a, b)
     vals = mass / (b - a)
     if np.any(vals <= 0.0):
         raise SingularSystem("weight cell averages must be positive")
@@ -511,22 +511,20 @@ def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
 
 def _interp_solution(u: SolutionField):
     """Space-time interpolant of the node values: linear in time between two
-    levels, then ``np.interp`` over the nodes bit for bit, as numpy's
-    ``slope * (x - x_j) + row_j`` on the cell j of ``weights._locate``.
+    levels, then linear in x on the cell j of ``weights._locate`` (the last
+    cell at the right end), with x clipped to the grid.
     ``fn(x, t)`` broadcasts like a numpy ufunc: one row per time of t[:, None]."""
     grid = u.grid
-    dx = np.append(np.diff(grid.x), np.inf)  # inf: the zero slope past the last node
 
     def fn(x, t):
         x = np.minimum(np.maximum(np.asarray(x, dtype=float), grid.x[0]), grid.x[-1])
         t = np.asarray(t, dtype=float)
         k = np.clip(np.floor(t / grid.tau).astype(np.intp), 0, grid.nt - 1)
         ft = (t - grid.t[k]) / grid.tau
-        j = _locate(x, grid.x)
+        j = np.minimum(_locate(x, grid.x), grid.nx - 1)
         # the level-interpolated row at the nodes j and j + 1
-        lo, hi = ((1.0 - ft) * u.u[k, i] + ft * u.u[k + 1, i]
-                  for i in (j, np.minimum(j + 1, grid.nx)))
-        return (hi - lo) / dx[j] * (x - grid.x[j]) + lo
+        lo, hi = ((1.0 - ft) * u.u[k, i] + ft * u.u[k + 1, i] for i in (j, j + 1))
+        return lo + (x - grid.x[j]) / grid.h * (hi - lo)
 
     return fn
 
@@ -556,7 +554,7 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
 
     # mean over the whole ball B_R, not its part inside the domain
     R = 4.0 * r
-    beta_bar = float(beta.mass_1d_vec(1.0, x0 - R, x0 + R, clip=False)) / (2.0 * R)
+    beta_bar = float(beta.mass_1d_vec(1.0, x0 - R, x0 + R)) / (2.0 * R)
     xs_quad = np.linspace(x0 - R, x0 + R, 65)
 
     def a_bar(t):  # the mean over the 65 nodes at each time of t

@@ -43,11 +43,6 @@ def _power_antideriv(t: np.ndarray | float, q: float) -> np.ndarray | float:
     return np.sign(t) * np.abs(t) ** (q + 1.0) / (q + 1.0)
 
 
-def power_interval_integral(a, b, c: float, q: float):
-    """Integral of |x - c|^q over (a, b), closed form; vectorized in a, b."""
-    return _power_antideriv(np.asarray(b) - c, q) - _power_antideriv(np.asarray(a) - c, q)
-
-
 @dataclass
 class Weight:
     """A non-negative spatial weight on an interval or box domain.
@@ -185,59 +180,67 @@ class Weight:
 
     def _cum_1d(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell edges, masses ``cum[k]`` of w^p over [lo, edges[k]] (sums of
-        ``samples ** p * dx``) and the slopes of ``cum``."""
+        ``samples ** p * dx``) and the cell values ``samples ** p`` with a
+        zero appended for the end ``hi``, whose cell is the one past the last."""
         key = ("cum", p)
         if key not in self._cum_cache:
             (lo, hi), = self.domain
             nc = self.samples.size
-            edges = np.linspace(lo, hi, nc + 1)
-            dx = (hi - lo) / nc
-            cum = np.concatenate([[0.0], np.cumsum(self.samples ** p * dx)])
-            self._cum_cache[key] = (edges, cum, _slopes(edges, cum))
+            wp = self.samples ** p
+            cum = np.concatenate([[0.0], np.cumsum(wp * ((hi - lo) / nc))])
+            self._cum_cache[key] = (np.linspace(lo, hi, nc + 1), cum, np.append(wp, 0.0))
         return self._cum_cache[key]
 
-    def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray,
-                    clip: bool = True) -> np.ndarray:
-        """Masses of w^p over the intervals [a, b], in the broadcast shape of
-        ``a`` and ``b``: every 1D mass. ``clip`` (to the domain) applies only
-        to power weights; a sampled weight is zero outside its domain."""
+    def _masses(self, p: float, a: np.ndarray, b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The integral of w^p from ``a`` to ``b`` (flat arrays of one
+        length; negative where b < a) and, for a sampled weight, the table
+        cell of each end, shape (2, len(a)); None for a power weight.
+
+        The one 1D mass formula of each kind: a power weight's closed-form
+        antiderivative of |x - c|^q at both ends; a sampled weight's table
+        ``cum[j] + w_j^p (x - edges[j])`` at each end clipped to the domain,
+        as the weight is zero outside it."""
+        if self.kind == "power":
+            c, q = self.center[0], p * self.alpha
+            return self.scale ** p * (_power_antideriv(b - c, q)
+                                      - _power_antideriv(a - c, q)), None
+        edges, cum, wp = self._cum_1d(p)
+        x = np.stack((a, b))
+        np.maximum(x, edges[0], out=x)
+        np.minimum(x, edges[-1], out=x)
+        j = _locate(x, edges)
+        x -= edges.take(j)
+        x *= wp.take(j)
+        x += cum.take(j)
+        return x[1] - x[0], j
+
+    def mass_1d_vec(self, p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The integral of w^p from ``a`` to ``b`` in the broadcast shape of
+        ``a`` and ``b``: every 1D mass. It is signed (negative for b < a),
+        and a power weight's profile extends beyond the domain, so a mass
+        over B ∩ domain takes the ends of B ∩ domain."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                    np.asarray(b, dtype=float))
-        shape = a.shape
-        # flat arrays: the sampled kernels index them, and a scalar interval
-        # takes the same array loops (and bits) as a one-element call
-        a, b = a.ravel(), b.ravel()
-        if clip or self.kind == "sampled":
-            (lo, hi), = self.domain
-            a, b = np.maximum(a, lo), np.minimum(b, hi)
-            b = np.maximum(a, b)
-        if self.kind == "power":
-            out = (self.scale ** p
-                   * power_interval_integral(a, b, self.center[0], p * self.alpha))
-        else:
-            ends, _ = _interp_uniform(np.stack((a, b)), *self._cum_1d(p))
-            out = ends[1] - ends[0]
-        return out.reshape(shape)
+        # flat arrays: a scalar interval takes the same array loops (and
+        # bits) as a one-element call
+        return self._masses(p, a.ravel(), b.ravel())[0].reshape(a.shape)
 
     def ball_ends(self, p: float, x0: np.ndarray, r: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The mass of w^p over [x0 - r, x0 + r] and the values w(x0 - r)
-        and w(x0 + r) of a 1D weight, for arrays ``x0`` and ``r >= 0`` of
-        one shape: the bits of ``mass_1d_vec(p, x0 - r, x0 + r, clip=False)``
-        and of :meth:`__call__` at each end. A sampled weight locates each
-        end in its table once, for the mass and the value alike."""
+        and w(x0 + r) of a 1D weight, for flat arrays ``x0`` and ``r >= 0``
+        of one length: the bits of ``mass_1d_vec(p, x0 - r, x0 + r)`` and of
+        :meth:`__call__` at each end. A sampled weight takes each end's
+        value from the table cell the mass located it in."""
         a, b = x0 - r, x0 + r
-        if self.kind == "power":
-            c = self.center[0]
-            return (self.scale ** p * power_interval_integral(a, b, c, p * self.alpha),
-                    self.scale * np.abs(a - c) ** self.alpha,
-                    self.scale * np.abs(b - c) ** self.alpha)
+        mass, j = self._masses(p, a, b)
+        if j is None:
+            return mass, self(a), self(b)
         (lo, hi), = self.domain
-        ends = np.stack((a, b))
-        masses, j = _interp_uniform(ends, *self._cum_1d(p))
-        vals = np.where((ends >= lo) & (ends <= hi),
-                        self.samples.take(j, mode="clip"), 0.0)
-        return masses[1] - masses[0], vals[0], vals[1]
+        vals = self.samples.take(j, mode="clip")
+        return (mass, np.where((a >= lo) & (a <= hi), vals[0], 0.0),
+                np.where((b >= lo) & (b <= hi), vals[1], 0.0))
 
     # -- ball means ----------------------------------------------------------
 
@@ -249,44 +252,36 @@ class Weight:
         """Means of w^p over B ∩ domain for every ball B of the family, in
         the order of :func:`ball_grid`: shape (len(ps), balls), one row
         per exponent in ``ps``. EmptyBall if a ball misses the domain.
-        """
-        masses, meas = self.ball_masses(ps, fam)
-        empty = np.flatnonzero(meas <= 0.0)
-        if empty.size:
-            c, r = ball_grid(fam.centers, fam.radii)
-            i = empty[0]
-            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
-        return masses / meas
 
-    def ball_masses(self, ps, fam: BallFamily) -> tuple[np.ndarray, np.ndarray]:
-        """Masses of w^p over B ∩ domain for every ball B of the family,
-        shape (len(ps), balls), and each ball's measure (zero for a ball
-        that misses the domain).
-
-        In 1D each exponent is one :meth:`mass_1d_vec` call over the family.
-        A 2D weight must be sampled: the family's cell coverage on the
-        weight's grid (:meth:`BallFamily.coverage`, computed once per family
-        and grid) is shared by every exponent and every weight on that grid,
-        and the measure is the coverage itself, so the ratio of two means
-        over one ball is free of coverage jitter.
+        In 1D each exponent is one :meth:`mass_1d_vec` call over the
+        family's balls clipped to the domain. A 2D weight must be sampled:
+        the family's cell coverage on the weight's grid
+        (:meth:`BallFamily.coverage`, computed once per family and grid) is
+        shared by every exponent and every weight on that grid, and the
+        measure is the coverage itself, so the ratio of two means over one
+        ball is free of coverage jitter.
         """
         if self.n > 1 and self.kind == "power":
             raise ValueError("means of a 2D power weight: sample it first "
                              "(Weight.from_function_2d)")
         for p in ps:
             self.check_power_integrable(p)
+        c, r = ball_grid(fam.centers, fam.radii)
         if self.n == 1:
             (lo, hi), = self.domain
-            c, r = ball_grid(fam.centers, fam.radii)
-            x = c[:, 0]
-            meas = np.maximum(np.minimum(x + r, hi) - np.maximum(x - r, lo), 0.0)
-            masses = np.array([self.mass_1d_vec(p, x - r, x + r) for p in ps])
-            return masses, meas
-        frac, meas = fam.coverage(self.domain, self.samples.shape)
-        prod = np.empty_like(frac)
-        masses = np.array([np.multiply(frac, (self.samples ** p).ravel(), out=prod)
-                           .sum(axis=1) for p in ps])
-        return masses, meas
+            a, b = np.maximum(c[:, 0] - r, lo), np.minimum(c[:, 0] + r, hi)
+            meas = np.maximum(b - a, 0.0)
+            masses = np.array([self.mass_1d_vec(p, a, b) for p in ps])
+        else:
+            frac, meas = fam.coverage(self.domain, self.samples.shape)
+            prod = np.empty_like(frac)
+            masses = np.array([np.multiply(frac, (self.samples ** p).ravel(), out=prod)
+                               .sum(axis=1) for p in ps])
+        empty = np.flatnonzero(meas <= 0.0)
+        if empty.size:
+            i = empty[0]
+            raise EmptyBall(f"ball B_{r[i]}({c[i].tolist()}) misses the domain")
+        return masses / meas
 
 
 def _as_domain(domain) -> tuple[tuple[float, float], ...]:
@@ -294,12 +289,6 @@ def _as_domain(domain) -> tuple[tuple[float, float], ...]:
     if arr.ndim == 1:
         arr = arr[None, :]
     return tuple((float(lo), float(hi)) for lo, hi in arr)
-
-
-def _slopes(xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """Slopes of the piecewise-linear table on each interval, as
-    ``np.interp`` computes them, and a zero slope past ``xp[-1]``."""
-    return np.append((fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]), 0.0)
 
 
 def _locate(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
@@ -315,26 +304,6 @@ def _locate(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     j -= x < xp.take(j)
     j += x >= xp[1:].take(j)
     return j
-
-
-def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray,
-                    slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.interp(x, xp, fp)`` bit for bit, for uniformly spaced ``xp``, and
-    the cell index ``j`` of each value.
-
-    The value is numpy's own ``slopes[j] * (x - xp[j]) + fp[j]`` on the cell
-    :func:`_locate` finds; ``x`` is clipped to ``xp``, and the zero slope of
-    ``_slopes`` past ``xp[-1]`` gives ``fp[-1]`` there. ``fp`` must be
-    finite and ``xp`` hold at least two nodes; a NaN in ``x`` gives NaN, as
-    in ``np.interp``.
-    """
-    out = np.maximum(x, xp[0])
-    np.minimum(out, xp[-1], out=out)
-    j = _locate(out, xp)
-    out -= xp.take(j)
-    out *= slopes.take(j)
-    out += fp.take(j)
-    return out, j
 
 
 def ball_grid(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,17 +526,18 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
     w.check_power_integrable(p)
     c, r = ball_grid(fam.centers, fam.radii)
     x = c[:, 0]
-    m1 = w.mass_1d_vec(p, x - r, x + r)
-    m2 = w.mass_1d_vec(p, x - 2.0 * r, x + 2.0 * r)
+    (lo, hi), = w.domain
+    # S2 is the ball clipped to the domain (mass m1), and m2 that of the
+    # doubled ball; S1, of length theta |S2|, sits at S2's left end, middle
+    # and right end and, for a power weight centred in S2, on that centre
+    # as far as S2 allows
+    a2, b2 = np.maximum(x - r, lo), np.minimum(x + r, hi)
+    m1 = w.mass_1d_vec(p, a2, b2)
+    m2 = w.mass_1d_vec(p, np.maximum(x - 2.0 * r, lo), np.minimum(x + 2.0 * r, hi))
     with np.errstate(divide="ignore", invalid="ignore"):
         n1, k = first_sup(np.where(m1 > 0.0, m2 / m1, np.nan))
     worst = None if k is None else (tuple(c[k].tolist()), float(r[k]))
     eta = doubling_eta(theta, M0)
-    # S2 is the ball clipped to the domain (mass m1); S1, of length
-    # theta |S2|, sits at its left end, middle and right end and, for a
-    # power weight centred in S2, on that centre as far as S2 allows
-    (lo, hi), = w.domain
-    a2, b2 = np.maximum(x - r, lo), np.minimum(x + r, hi)
     L1 = theta * (b2 - a2)
     starts = [a2, 0.5 * (a2 + b2) - 0.5 * L1, b2 - L1]
     use = [~(b2 - a2 <= 0.0) & ~(m1 <= 0.0)] * 3
@@ -576,7 +546,7 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
         starts.append(np.minimum(np.maximum(cx - 0.5 * L1, a2), b2 - L1))
         use.append(use[0] & (a2 <= cx) & (cx <= b2))
     s = np.column_stack(starts)
-    m_s = w.mass_1d_vec(p, s.ravel(), (s + L1[:, None]).ravel()).reshape(s.shape)
+    m_s = w.mass_1d_vec(p, np.maximum(s, lo), np.minimum(s + L1[:, None], hi))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(np.column_stack(use), m_s / m1[:, None], np.nan)
     max_pair_ratio = first_sup(ratios)[0]

@@ -64,7 +64,7 @@ class TestHeights:
         # h(r) = r * beta(B_r(x0)) / 2 in one dimension
         w = Weight.power(0.3, 0.1, DOM)
         r, x0 = 0.4, 0.25
-        mass = float(w.mass_1d_vec(1.0, x0 - r, x0 + r, clip=False))
+        mass = float(w.mass_1d_vec(1.0, x0 - r, x0 + r))
         assert height(w, x0, r) == pytest.approx(0.5 * r * mass, rel=1e-13)
 
     def test_monotone_on_radius_grid(self):
@@ -578,9 +578,9 @@ class TestQuasiTriangle:
         sizes = []
         kernel = Weight.mass_1d_vec
 
-        def counted(self, p, a, b, clip=True):
+        def counted(self, p, a, b):
             sizes.append(np.size(a))
-            return kernel(self, p, a, b, clip)
+            return kernel(self, p, a, b)
 
         monkeypatch.setattr(Weight, "mass_1d_vec", counted)
         got = estimate_quasi_params(w)
@@ -842,14 +842,13 @@ def quasi_params_per_ball(beta):
     p = 1.0
     pairs = []
     for c, r in zip(*ball_grid(fam.centers, fam.radii)):
-        m2 = float(beta.mass_1d_vec(p, c[0] - r, c[0] + r, clip=False))
+        m2 = float(beta.mass_1d_vec(p, c[0] - r, c[0] + r))
         if m2 <= 0.0:
             continue
         for f in (0.15, 0.3, 0.5, 0.75):
             r1 = f * r
             for sh in (0.0, r - r1, -(r - r1)):
-                m1 = float(beta.mass_1d_vec(p, c[0] + sh - r1, c[0] + sh + r1,
-                                            clip=False))
+                m1 = float(beta.mass_1d_vec(p, c[0] + sh - r1, c[0] + sh + r1))
                 if m1 > 0.0:
                     pairs.append((f, m1 / m2))
     s_arr, m_arr = np.array(pairs).T
