@@ -266,20 +266,23 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     w, seed, p = run.weight, run.seed, run.cfg.audits["levelset"]
     lo, hi = w.domain[0]
 
+    # independent streams: child i of the fields' child for field i, and
+    # the Vitali draw's own child, whatever the number of fields
+    field_seeds, vitali_seed = np.random.SeedSequence(seed).spawn(2)
     fields = [SpaceTimeField(np.linspace(lo, hi, 17), np.linspace(-1.0, 0.0, 17),
-                             np.random.default_rng(seed + i).random((16, 16)))
-              for i in range(p.n_fields)]
+                             np.random.default_rng(s).random((16, 16)))
+              for s in field_seeds.spawn(p.n_fields)]
     reports = weak_1_1_audit(fields, w, p.lambdas, budget=p.weak11_budget)
     for i, rep in enumerate(reports):
         rep.check = f"maximal-weak-1-1-field{i}"
-        rep.seed = seed + i
+        rep.seed = seed
 
-    rng = np.random.default_rng(seed + 100)
+    rng = np.random.default_rng(vitali_seed)
     cyls = [WeightedCylinder(rng.uniform(lo + 0.1, hi - 0.1), rng.uniform(-0.8, -0.2),
                              float(rng.uniform(0.02, 0.15)), w, variant="C")
             for _ in range(p.n_cylinders)]
     cover = five_rho_cover_audit(cyls, vitali_select(cyls), w)
-    cover.seed = seed + 100
+    cover.seed = seed
     reports.append(cover)
 
     u = run.manufactured

@@ -270,6 +270,49 @@ def bad_values(section, key, param):
             for v in values]
 
 
+class LevelsetDrawn(Exception):
+    """Stops ``run_levelset`` once its random draws are made."""
+
+
+class TestLevelsetStreams:
+    """The levelset group draws its fields and its Vitali cylinders from
+    independent streams of the run seed."""
+
+    @staticmethod
+    def draws(monkeypatch, tmp_path, seed: int, n_fields: int) -> dict:
+        """The fields and the selected Vitali cylinders of one run."""
+        got = {}
+
+        def weak(fields, *args, **kwargs):
+            got["fields"] = [f.values for f in fields]
+            return []
+
+        def cover(cyls, chosen, w):
+            got["chosen"] = [(cyls[i].x0, cyls[i].t0, cyls[i].r) for i in chosen]
+            raise LevelsetDrawn
+
+        monkeypatch.setattr(cli, "weak_1_1_audit", weak)
+        monkeypatch.setattr(cli, "five_rho_cover_audit", cover)
+        cfg = ExperimentConfig.load(IDENTITY_CONFIG)
+        cfg.audits["levelset"].n_fields = n_fields
+        with pytest.raises(LevelsetDrawn):
+            cli.run_levelset(cli.RunContext(cfg, seed, tmp_path))
+        return got
+
+    def test_neighbouring_seeds_share_no_field(self, monkeypatch, tmp_path):
+        # with one stream per seed + i, field i of seed s was field i - 1 of s + 1
+        seven = self.draws(monkeypatch, tmp_path, 7, 5)["fields"]
+        eight = self.draws(monkeypatch, tmp_path, 8, 5)["fields"]
+        for i in range(1, 5):
+            assert not np.array_equal(seven[i], eight[i - 1])
+
+    def test_streams_do_not_depend_on_the_field_count(self, monkeypatch, tmp_path):
+        one = self.draws(monkeypatch, tmp_path, 7, 1)
+        five = self.draws(monkeypatch, tmp_path, 7, 5)
+        assert np.array_equal(one["fields"][0], five["fields"][0])
+        assert one["chosen"] == five["chosen"]
+
+
 class TestCliExits:
     def write_config(self, tmp_path, overrides):
         base = {

@@ -180,6 +180,55 @@ class TestCumulativeLookup:
         assert w.mass_1d_vec(1.0, -0.5, np.array([[0.0], [0.5]])).shape == (2, 1)
 
 
+def mass_weights():
+    """Power weights with alpha in (-0.9, 2) and a scale other than one,
+    constant weights, and sampled weights: log-normal, and two-level with
+    contrast up to 1e3."""
+    return st.one_of(
+        st.builds(lambda alpha, c, scale: Weight.power(alpha, c, DOM, scale=scale),
+                  st.floats(-0.9, 2.0, exclude_min=True, exclude_max=True),
+                  st.floats(-0.5, 0.5), st.floats(0.01, 100.0).filter(lambda s: s != 1.0)),
+        st.builds(lambda value: Weight.constant(value, DOM), st.floats(0.01, 100.0)),
+        st.builds(lambda cells, seed: Weight.sampled(
+            np.random.default_rng(seed).lognormal(0.0, 1.0, cells), DOM),
+                  st.integers(1, 64), st.integers(0, 2 ** 16)),
+        st.builds(lambda cells, contrast, seed: Weight.sampled(np.where(
+            np.random.default_rng(seed).random(cells) < 0.5, 1.0, contrast), DOM),
+                  st.integers(2, 64), st.floats(1.0, 1e3), st.integers(0, 2 ** 16)))
+
+
+class TestMassContract:
+    """Every 1D mass is the signed integral of w^p from a to b."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(w=mass_weights(), p=st.sampled_from([-0.5, 0.5, 1.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_signed_additive_integral(self, w, p, seed):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.uniform(-1.5, 1.5, (3, 100))  # inside and past either end
+        m_ab = w.mass_1d_vec(p, a, b)
+        # antisymmetric, bit for bit (an interval past one end gives +-0)
+        assert np.array_equal(m_ab, -w.mass_1d_vec(p, b, a))
+        # additive within the rounding of the antiderivatives, the masses
+        # from the profile's centre or the domain's left end
+        origin = w.center[0] if w.kind == "power" else w.domain[0][0]
+        anti = np.abs(w.mass_1d_vec(p, origin, np.stack((a, b, c)))).max(axis=0)
+        gap = m_ab + w.mass_1d_vec(p, b, c) - w.mass_1d_vec(p, a, c)
+        assert np.all(np.abs(gap) <= 8.0 * eps * anti)
+        x0, r = 0.5 * (a + b), 0.5 * np.abs(b - a)
+        assert (w.ball_ends(p, x0, r)[0].tobytes()
+                == w.mass_1d_vec(p, x0 - r, x0 + r).tobytes())
+        if w.kind == "sampled":
+            # the cell sum w_j^p |[a, b] ∩ cell_j|, signed by the orientation
+            edges, cum, _ = w._cum_1d(p)
+            wp = w.samples ** p
+            for lo, hi, m in zip(np.minimum(a, b), np.maximum(a, b), np.sign(b - a) * m_ab):
+                parts = wp * np.maximum(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]),
+                                        0.0)
+                assert abs(m - math.fsum(parts)) <= 16.0 * eps * cum[-1]
+
+
 class TestAqCharacteristic:
     def test_identity_is_one(self):
         w = Weight.constant(1.0, DOM)
