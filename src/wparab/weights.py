@@ -52,12 +52,12 @@ class Weight:
     kind='sampled' : cell values on a uniform grid over the domain, a
                      step function (midpoint rule); zero outside.
 
-    Every 1D mass goes through :meth:`mass_1d_vec`, which reads a sampled
-    weight's masses from one table per exponent (:meth:`_cum_1d`), or
-    through :meth:`ball_ends`, its fusion with the point values at a ball's
-    two ends for the inverse height's Newton step. A 2D
-    weight is sampled (:meth:`from_function_2d`) before any mean is taken,
-    and has no point values; the doubling audit takes 1D weights only.
+    Every 1D mass is the one formula of its kind in :meth:`_masses`,
+    reached through :meth:`mass_1d_vec`, the signed integral from a to b,
+    or through :meth:`ball_ends`, its fusion with the point values at a
+    ball's two ends for the inverse height's Newton step. A 2D weight is
+    sampled (:meth:`from_function_2d`) before any mean is taken, and has
+    no point values; the doubling audit takes 1D weights only.
     """
 
     kind: str

@@ -223,9 +223,10 @@ class TestMassContract:
             # the cell sum w_j^p |[a, b] ∩ cell_j|, signed by the orientation
             edges, cum, _ = w._cum_1d(p)
             wp = w.samples ** p
-            for lo, hi, m in zip(np.minimum(a, b), np.maximum(a, b), np.sign(b - a) * m_ab):
-                parts = wp * np.maximum(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]),
-                                        0.0)
+            signed = np.sign(b - a) * m_ab
+            for lo, hi, m in zip(np.minimum(a, b), np.maximum(a, b), signed):
+                overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
+                parts = wp * np.maximum(overlap, 0.0)
                 assert abs(m - math.fsum(parts)) <= 16.0 * eps * cum[-1]
 
 
