@@ -14,19 +14,27 @@ Discretization: backward Euler in time, central face fluxes in space,
 The weight enters through cell averages b_i over dual cells, so a weight
 vanishing at a node never zeroes a row; the implicit operator is an
 M-matrix and each step is one tridiagonal SPD solve (LAPACK ``dgtsv``, in
-place on the new time level). scipy provides ``dgtsv``; it is loaded on the
-first implicit step, so importing this module, and every command that runs
-no march, leaves ``scipy.linalg`` unloaded. The diagonals and the forcing
-differences are built as whole arrays for blocks of ``STEP_BLOCK`` time
-levels, so a step only forms its right-hand side and solves. The time
-derivative's negative-order norm is represented throughout by the flux proxy
+place on the new time level). ``dgtsv`` comes from scipy's compiled LAPACK
+module alone, loaded on the first implicit step: no run imports the
+``scipy.linalg`` package. The diagonals and the forcing differences are
+built as whole arrays for blocks of ``STEP_BLOCK`` time levels, so a step
+only forms its right-hand side and solves. The time derivative's
+negative-order norm is represented throughout by the flux proxy
 || a u_x + F ||_{L^p}, which is exactly the bound the energy identities use.
+
+Tables of shape (nt + 1, nx) are built only where they hold values: a
+conductivity that does not vary in t is a read-only broadcast view of one
+row, and the norms form their integrands in arrays they have just made.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -87,7 +95,12 @@ class Grid:
 
 @dataclass
 class CoefficientField:
-    """Scalar conductivity at faces per time level."""
+    """Scalar conductivity at faces per time level.
+
+    ``values`` has shape (nt + 1, nx) and may be a read-only broadcast view,
+    as :meth:`from_callable` builds it: a row per time level is then stored
+    only when the conductivity varies in t.
+    """
 
     values: np.ndarray  # (nt+1, nx_faces)
 
@@ -99,12 +112,14 @@ class CoefficientField:
         ``fn(grid.faces[None, :], grid.t[:, None])``, and its result (a
         scalar is fine) must broadcast to shape (nt + 1, nx). Every sample
         must be finite and positive (EllipticityViolation otherwise).
+        ``values`` is the result broadcast to that shape, a read-only view
+        that holds only what ``fn`` returned.
         """
-        vals = sample_broadcast(fn, grid.faces[None, :], grid.t[:, None],
-                                (grid.nt + 1, grid.nx))
+        vals = np.asarray(fn(grid.faces[None, :], grid.t[:, None]), dtype=float)
+        values = np.broadcast_to(vals, (grid.nt + 1, grid.nx))  # ValueError otherwise
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise EllipticityViolation("conductivity samples must be finite and positive")
-        return cls(values=vals)
+        return cls(values=values)
 
 
 def sinusoidal_coefficient(base: float, amplitude: float, frequency: float):
@@ -153,11 +168,18 @@ class SolutionField:
 
     def grad(self) -> np.ndarray:
         """Face gradients (u_{i+1} - u_i)/h, shape (nt+1, nx)."""
-        return np.diff(self.u, axis=1) / self.grid.h
+        g = np.diff(self.u, axis=1)
+        g /= self.grid.h
+        return g
 
-    def flux_proxy(self) -> np.ndarray:
-        """a u_x + F at faces: the negative-norm proxy integrand."""
-        return self.A.values * self.grad() + self.F
+    def flux_proxy(self, g: np.ndarray | None = None) -> np.ndarray:
+        """a u_x + F at faces: the negative-norm proxy integrand, formed in
+        place inside ``g`` (an array from :meth:`grad`, which it overwrites)
+        or, without one, inside a new gradient."""
+        g = self.grad() if g is None else g
+        g *= self.A.values
+        g += self.F
+        return g
 
     def gradient_squared_field(self) -> SpaceTimeField:
         g = self.grad()[1:, :] ** 2  # implicit samples live at t_{k+1}
@@ -205,7 +227,9 @@ class SolutionField:
 
     def lp(self, values: np.ndarray, p: float, region) -> float:
         """Discrete L^p norm of a node or face array over the region."""
-        return self.integral(np.abs(self.block(values, region)) ** p) ** (1.0 / p)
+        a = np.abs(self.block(values, region))
+        a **= p
+        return self.integral(a) ** (1.0 / p)
 
     def sup_weighted_energy(self, region) -> float:
         """sup over slices of the weighted L^2 mass of u."""
@@ -231,8 +255,6 @@ def write_solution_csv(path, u: SolutionField):
     A ``wparab`` run calls it through ``forked.Forked``, in a child that runs
     while the later audit groups do.
     """
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     xs, ts = (fmt_floats(a).view(np.uint8).reshape(len(a), -1) for a in (u.grid.x, u.grid.t))
@@ -257,7 +279,6 @@ def write_solution_binary(path, u: SolutionField):
     array in C order as little-endian float64.
     """
     import struct
-    from pathlib import Path
 
     grid = u.grid
     header = struct.pack("<4sBcIIdddd", b"WPRB", 1, b"<",
@@ -266,7 +287,7 @@ def write_solution_binary(path, u: SolutionField):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(u.u.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(u.u, dtype="<f8").data)  # no copy on little-endian
     return Path(path)
 
 
@@ -285,16 +306,35 @@ def _check_finite(*arrays) -> None:
 STEP_BLOCK = 128
 
 _DGTSV = None
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _dgtsv():
-    """LAPACK ``dgtsv``, imported on the first call: importing scipy.linalg
-    takes about 0.3 s on a 2-vCPU Xeon VM, which a run that never marches
-    should not pay."""
+    """LAPACK ``dgtsv`` from scipy's compiled LAPACK module
+    ``scipy/linalg/_flapack.*`` alone, loaded on the first call by its file
+    path under its own name, or taken from ``sys.modules``. It is the
+    routine ``scipy.linalg.lapack.dgtsv`` gives (a later ``import
+    scipy.linalg`` reuses the module), but loading it took 0.003 s and
+    2.7 MB where importing ``scipy.linalg.lapack`` took 0.17 s and 28 MB
+    (2-vCPU Xeon VM, medians of 10 fresh interpreters). A missing module
+    raises ``ImportError`` naming the paths searched."""
     global _DGTSV
     if _DGTSV is None:
-        from scipy.linalg.lapack import dgtsv
-        _DGTSV = dgtsv
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            paths = [Path(d, "linalg", "_flapack" + suffix)
+                     for d in (scipy.submodule_search_locations if scipy else ())
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next((p for p in paths if p.is_file()), None)
+            if path is None:
+                raise ImportError(f"no LAPACK module {_FLAPACK} (scipy) at any of "
+                                  f"{[str(p) for p in paths]}")
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
+            spec.loader.exec_module(module)
+        _DGTSV = module.dgtsv
     return _DGTSV
 
 
@@ -309,8 +349,9 @@ def _implicit_step(dl, d, du, x, step: int) -> None:
     if d.size == 1:  # the dgtsv wrapper rejects empty off-diagonals
         x /= d
         return
-    info = _dgtsv()(dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                    overwrite_b=1)[-1]
+    # the flags overwrite_dl, overwrite_d, overwrite_du and overwrite_b, by
+    # position: at n = 127 a call took 2.5 us this way, 2.9-3.3 us by keyword
+    info = _dgtsv()(dl, d, du, x, 1, 1, 1, 1)[-1]
     if info != 0:
         raise SingularSystem(f"step {step} failed to factor (dgtsv info {info})")
 
@@ -590,8 +631,9 @@ def apriori_ratio(u: SolutionField, p: float) -> float:
     """
     grid = u.grid
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
-    grad_norm = u.lp(u.grad(), p, region)
-    proxy_norm = u.lp(u.flux_proxy(), p, region)
+    g = u.grad()
+    grad_norm = u.lp(g, p, region)
+    proxy_norm = u.lp(u.flux_proxy(g), p, region)
     f_norm = u.lp(u.F, p, region)
     return (grad_norm + proxy_norm) / f_norm if f_norm > 0 else 0.0
 

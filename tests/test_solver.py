@@ -1,4 +1,6 @@
+import importlib.machinery
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,15 +206,18 @@ class TestBroadcastSampling:
             A = CoefficientField.from_callable(fn, grid)
             np.testing.assert_allclose(A.values, ref, rtol=0, atol=tol)
 
-    def test_time_broadcast_result_is_c_ordered(self):
-        # the solver reads one row A.values[k] per step, so rows must be
-        # contiguous also when the callable's result broadcasts along time
+    def test_time_broadcast_result_holds_one_row(self):
+        # a conductivity that does not read t keeps one row of nx values; no
+        # step reads A.values rows in place, since _march builds contiguous
+        # diagonals for each block of levels
         fn = oscillating_config_coefficient()
         grid = Grid(x0=0.0, x1=1.0, nx=64, t_final=0.25, nt=1024)
         A = CoefficientField.from_callable(fn, grid)
         ref = np.broadcast_to(fn(grid.faces[None, :], grid.t[:, None]),
                               (grid.nt + 1, grid.nx))
-        assert A.values.flags.c_contiguous and np.array_equal(A.values, ref)
+        assert np.array_equal(A.values, ref)
+        lo, hi = np.lib.array_utils.byte_bounds(A.values)
+        assert not A.values.flags.writeable and hi - lo == grid.nx * A.values.itemsize
 
     def test_scalar_result_fills_grid(self):
         grid = small_grid(nx=8, nt=4)
@@ -283,6 +288,13 @@ class TestImplicitStep:
         _implicit_step(dl, d, dl.copy(), x, 1)
         # the right-hand side is overwritten with the solution
         assert np.array_equal(x, implicit_step_banded(beta_cells, a_faces, h, tau, rhs))
+
+    def test_missing_lapack_module_names_the_path(self, monkeypatch):
+        monkeypatch.setattr(solver, "_DGTSV", None)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"linalg.?_flapack\.missing"):
+            solver._dgtsv()
 
     def test_singular_system_raises(self):
         with pytest.raises(SingularSystem, match="step 3"):
@@ -797,6 +809,22 @@ class TestArrayPasses:
         grid_vals = case.exact(x[None, :], t[:, None])
         for k, tk in enumerate(t):
             assert np.array_equal(grid_vals[k], np.sin(math.pi * x) * math.exp(-tk))
+
+    @pytest.mark.parametrize("a_fun", [lambda x, t: 1.0 + 0.3 * np.sin(7.0 * x),
+                                       lambda x, t: 1.0 + 0.3 * np.sin(7.0 * x) * (1.0 + t)],
+                             ids=["constant-in-t", "varying-in-t"])
+    def test_in_place_norms_keep_the_bits(self, a_fun):
+        u = solve_driven(BETA_POW, smooth_random_forcing(5), nx=32, nt=64,
+                         t_final=0.25, a_fun=a_fun)
+        g = np.diff(u.u, axis=1) / u.grid.h
+        proxy = np.broadcast_to(a_fun(u.grid.faces[None, :], u.grid.t[:, None]),
+                                u.F.shape) * g + u.F
+        assert np.array_equal(u.grad(), g)
+        assert np.array_equal(u.flux_proxy(), proxy)
+        region = (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final)
+        for p in (2.0, 3.5, 4.0):
+            assert u.lp(proxy, p, region) == float(
+                (np.sum(np.abs(proxy[1:]) ** p) * u.grid.h * u.grid.tau) ** (1.0 / p))
 
     @pytest.mark.parametrize("region", [
         (0.2, 0.61, 0.03, 0.2), (0.0, 1.0, 0.0, 0.25), (0.5, 0.5, 0.1, 0.1),
