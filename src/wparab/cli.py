@@ -44,7 +44,8 @@ from .inequalities import (interpolation_audit, weighted_embedding_audit,
 from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit,
                       vitali_select, weak_1_1_audit)
 from .oscillation import oscillation_supremum
-from .report import AuditReport, AuditRow, write_csv, write_json, write_svg_curves
+from .report import (AuditReport, AuditRow, ratio, write_csv, write_json,
+                     write_svg_curves)
 from .solver import (apriori_ratio, energy_audit, lipschitz_audit,
                      poincare_audit, solve_frozen, time_shift_audit,
                      write_solution_binary, write_solution_csv)
@@ -148,11 +149,9 @@ def run_solve(run: RunContext) -> list[AuditReport]:
                        [r["error"] for r in rows])],
                      title="manufactured-solution convergence",
                      logx=True, logy=True)
-    audit_rows = [AuditRow(
-        label=f"order-{a['nx']}-to-{b['nx']}", lhs=b["order"], rhs=order_budget,
-        constant=b["order"], budget=order_budget,
-        passed=bool(b["order"] >= order_budget))
-        for a, b in zip(rows, rows[1:])]
+    audit_rows = [AuditRow.at_least(f"order-{a['nx']}-to-{b['nx']}", b["order"],
+                                    order_budget)
+                  for a, b in zip(rows, rows[1:])]
     reports = [AuditReport.from_rows(
         "manufactured-convergence", audit_rows,
         params={"levels": levels, "t_final": t_final,
@@ -169,15 +168,11 @@ def run_solve(run: RunContext) -> list[AuditReport]:
         del u  # not kept alive through the next level's solve
     for q in p.p_values:
         ratios = ratio_table[q]
-        spread = (max(ratios) - min(ratios)) / min(ratios) if min(ratios) > 0 else 0.0
+        spread = ratio(max(ratios) - min(ratios), min(ratios))
         rows_p = [
-            AuditRow(label="ratio-bounded", lhs=max(ratios), rhs=p.ratio_budget,
-                     constant=max(ratios), budget=p.ratio_budget,
-                     passed=bool(max(ratios) <= p.ratio_budget)),
-            AuditRow(label="refinement-stability", lhs=spread,
-                     rhs=p.stability, constant=spread, budget=p.stability,
-                     passed=bool(spread <= p.stability),
-                     extra={"ratios": ratios}),
+            AuditRow.at_most("ratio-bounded", max(ratios), p.ratio_budget),
+            AuditRow.at_most("refinement-stability", spread, p.stability,
+                             extra={"ratios": ratios}),
         ]
         reports.append(AuditReport.from_rows(
             f"apriori-ratio-p{q:g}", rows_p, params={"p": q, "levels": levels},
@@ -228,13 +223,12 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     nonzero = [e for a, e in zip(amplitudes, eps) if a > 0.0]
     baseline = next((e for a, e in zip(amplitudes, eps) if a == 0.0), None)
     decreasing = all(b < a for a, b in zip(nonzero, nonzero[1:]))
-    rows = [AuditRow(label="strictly-decreasing", lhs=0.0 if decreasing else 1.0,
-                     rhs=0.0, constant=0.0, budget=0.0, passed=decreasing)]
+    rows = [AuditRow.count("strictly-decreasing", 0 if decreasing else 1)]
     if baseline is not None and nonzero:
-        ratio = nonzero[-1] / baseline if baseline > 0 else math.inf
+        gap = ratio(nonzero[-1], baseline)
         rows.append(AuditRow(label="smallest-amplitude-near-baseline",
-                             lhs=nonzero[-1], rhs=2.0 * baseline, constant=ratio,
-                             budget=2.0, passed=bool(ratio <= 2.0)))
+                             lhs=nonzero[-1], rhs=2.0 * baseline, constant=gap,
+                             budget=2.0, passed=bool(gap <= 2.0)))
     reports.append(AuditReport.from_rows(
         "frozen-comparison-sweep", rows,
         params={"amplitudes": amplitudes, "eps": eps}))
@@ -320,10 +314,8 @@ def flatten_audits(p) -> tuple[list[AuditReport], list[list[float]]]:
                                [r["oscillation_sq"] for r in osc_rows])
     reports.append(AuditReport.from_rows(
         "pushforward-delta-scaling",
-        [AuditRow(label="correction-norm-exponent", lhs=slope_b, rhs=0.9,
-                  constant=slope_b, budget=0.9, passed=bool(slope_b >= 0.9)),
-         AuditRow(label="oscillation-exponent", lhs=slope_o, rhs=1.8,
-                  constant=slope_o, budget=1.8, passed=bool(slope_o >= 1.8))],
+        [AuditRow.at_least("correction-norm-exponent", slope_b, 0.9),
+         AuditRow.at_least("oscillation-exponent", slope_o, 1.8)],
         params={"deltas": p.deltas}))
 
     beta2 = Weight.power(p.alpha, (0.0, 0.0), dom2)

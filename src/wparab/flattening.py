@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import EllipticityViolation, GateFailed
-from .report import AuditReport, AuditRow
+from .report import AuditReport, AuditRow, ratio
 from .weights import N0, BallFamily, Weight, a2_products, first_sup
 
 
@@ -60,12 +60,8 @@ def inclusion_audit(delta: float, y0, r: float) -> AuditReport:
     bad_outer = int(np.sum(
         np.linalg.norm(pulled - x_star, axis=1) > 2.0 * r * (1 + 1e-12)))
 
-    rows = [
-        AuditRow(label="half-ball-inside-preimage", lhs=float(bad_inner), rhs=0.0,
-                 constant=float(bad_inner), budget=0.0, passed=bad_inner == 0),
-        AuditRow(label="preimage-inside-double-ball", lhs=float(bad_outer), rhs=0.0,
-                 constant=float(bad_outer), budget=0.0, passed=bad_outer == 0),
-    ]
+    rows = [AuditRow.count("half-ball-inside-preimage", bad_inner),
+            AuditRow.count("preimage-inside-double-ball", bad_outer)]
     return AuditReport.from_rows(
         "chart-ball-inclusions", rows,
         params={"delta": delta, "r": r, "y0": y0.tolist(),
@@ -115,15 +111,11 @@ def pushforward_coefficients(delta: float, a_fun, nu: float) -> AuditReport:
     if min_quot < thresh * (1.0 - 1e-12):
         raise EllipticityViolation(
             f"pushforward lost ellipticity: {min_quot} < {thresh}")
-    n_emp = b_norm / delta if delta > 0 else 0.0
     rows = [
-        AuditRow(label="decomposition-identity", lhs=decomp_err, rhs=1e-12,
-                 constant=decomp_err, budget=1e-12,
-                 passed=bool(decomp_err <= 1e-12)),
-        AuditRow(label="correction-norm-linear-in-delta", lhs=b_norm,
-                 rhs=delta, constant=n_emp, budget=math.inf, passed=True),
+        AuditRow.at_most("decomposition-identity", decomp_err, 1e-12),
+        AuditRow.bound("correction-norm-linear-in-delta", b_norm, delta, math.inf),
         AuditRow(label="ellipticity-certificate", lhs=min_quot, rhs=thresh,
-                 constant=min_quot / thresh if thresh > 0 else math.inf,
+                 constant=ratio(min_quot, thresh),
                  budget=math.inf, passed=bool(min_quot >= thresh * (1 - 1e-12))),
     ]
     return AuditReport.from_rows(
@@ -164,15 +156,13 @@ def pushforward_weight_audit(delta: float, beta: Weight,
     est_tilde = first_sup(a2_tilde)[0]
     budget = 2.0 ** (beta.n + 2) * M0
     osc = first_sup(a2_tilde - 1.0)[0]
-    n1_fit = math.sqrt(osc) / delta if delta > 0 else 0.0
     rows = [
         AuditRow(label="inverse-class-inflation", lhs=est_tilde, rhs=budget,
                  constant=est_tilde / est_orig, budget=budget,
                  passed=bool(est_tilde <= budget),
                  extra={"original": est_orig}),
-        AuditRow(label="oscillation-inflation", lhs=osc,
-                 rhs=delta ** 2, constant=n1_fit, budget=math.inf,
-                 passed=True),
+        AuditRow(label="oscillation-inflation", lhs=osc, rhs=delta ** 2,
+                 constant=ratio(math.sqrt(osc), delta), budget=math.inf, passed=True),
     ]
     return AuditReport.from_rows(
         "weight-pushforward", rows,
@@ -235,12 +225,11 @@ def admissible_radius_search(delta: float, beta: Weight,
         if inside and h_big <= t0:
             found = float(rho)
             break
-    row = AuditRow(label="first-admissible-radius",
-                   lhs=found if found is not None else math.inf,
-                   rhs=R / (2.0 * Lambda),
-                   constant=found if found is not None else math.inf,
-                   budget=R / (2.0 * Lambda), passed=found is not None,
-                   extra={"grid_extent": [float(grid[0]), float(grid[-1])]})
+    # every grid radius is below the budget R / (2 Lambda): none found fails
+    row = AuditRow.at_most("first-admissible-radius",
+                           found if found is not None else math.inf,
+                           R / (2.0 * Lambda),
+                           extra={"grid_extent": [float(grid[0]), float(grid[-1])]})
     return AuditReport.from_rows(
         "admissible-chart-radius", [row],
         params={"R": R, "t0": t0, "Lambda": Lambda, "delta": delta})

@@ -480,10 +480,8 @@ def quasi_triangle_audit(beta: Weight, params: QuasiMetricParams, samples: int,
         Forked.reap(children)
     # the first block to reach the largest maximum holds the first worst triple
     max_ratio, x, t = best[int(np.argmax([b[0] for b in best]))]
-    row = AuditRow(
-        label="quasi-triangle-ratio", lhs=max_ratio, rhs=params.Lambda,
-        constant=max_ratio, budget=params.Lambda,
-        passed=bool(max_ratio <= params.Lambda),
+    row = AuditRow.at_most(
+        "quasi-triangle-ratio", max_ratio, params.Lambda,
         extra={
             "worst_triple": {k: [x[j], t[j]]
                              for j, k in enumerate(("z0", "z1", "zbar"))},
@@ -542,8 +540,7 @@ def cylinder_relations_audit(beta: Weight, x0: float, t0: float, r: float) -> Au
     n_bad_3 = n_farther(WeightedCylinder(x0, t0, r, beta, variant="C"), 2.0 * r,
                         "centered-within-2r")
 
-    rows = [AuditRow(label=label, lhs=float(n), rhs=0.0, constant=float(n),
-                     budget=0.0, passed=n == 0)
+    rows = [AuditRow.count(label, n)
             for label, n in (("cylinder-in-ball", n_bad_1),
                              ("ball-in-centered-cylinder", n_bad_2),
                              ("centered-cylinder-within-2r", n_bad_3))]

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import EmptyBall, GateFailed
-from .report import AuditReport, AuditRow
+from .report import AuditReport, AuditRow, ratio
 from .weights import BallFamily, Weight, aq_characteristic, reverse_holder_gamma
 
 _SLAB = 1e-10  # relative half-width of the analytic innermost slab
@@ -114,7 +114,6 @@ def weighted_lq_control_audit(g, mu: Weight, q: float,
     gamma_flag = gamma > rh > 0.0
     x0, _, r0 = ball
     rows = []
-    consts = []
     exp_low = 2.0 / (q - gamma)
     for d in (1.0, 0.5, 0.25):
         r = r0 * d
@@ -123,15 +122,11 @@ def weighted_lq_control_audit(g, mu: Weight, q: float,
                / (b - a)) ** ((q - gamma) / 2.0)
         mu_mass = float(mu.mass_1d_vec(1.0, a, b))
         wsq = weighted_integral(lambda x: g(x) ** 2, mu, (a, b))
-        rhs = math.sqrt(wsq / mu_mass)
-        n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
-        consts.append(n_emp)
-        rows.append(AuditRow(
-            label=f"dilation-{d:g}", lhs=lhs, rhs=rhs, constant=n_emp,
-            budget=budget, passed=bool(math.isfinite(n_emp) and n_emp <= budget)))
-    spread = (max(consts) / min(consts)) if min(consts) > 0 else 1.0
-    rows.append(AuditRow(label="dilation-stability", lhs=spread, rhs=10.0,
-                         constant=spread, budget=10.0, passed=bool(spread <= 10.0)))
+        rows.append(AuditRow.bound(f"dilation-{d:g}", lhs, math.sqrt(wsq / mu_mass),
+                                   budget))
+    consts = [r.constant for r in rows]
+    rows.append(AuditRow.at_most("dilation-stability",
+                                 ratio(max(consts), min(consts)), 10.0))
     return AuditReport.from_rows(
         "weighted-lq-control", rows,
         params={"q": q, "gamma": gamma, "aq_characteristic": char,
@@ -153,12 +148,8 @@ def weighted_embedding_audit(g, beta: Weight, gamma: float,
     lhs = weighted_integral(lambda x: g(x) ** 2, beta, (a, b)) / mass
     rhs = (weighted_integral(lambda x: np.abs(g(x)) ** s, None, (a, b))
            / (b - a)) ** (2.0 / s)
-    n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
-    row = AuditRow(label="embedding-low", lhs=lhs, rhs=rhs, constant=n_emp,
-                   budget=budget,
-                   passed=bool(math.isfinite(n_emp) and n_emp <= budget))
     return AuditReport.from_rows(
-        "weighted-embedding", [row],
+        "weighted-embedding", [AuditRow.bound("embedding-low", lhs, rhs, budget)],
         params={"case": "low", "gamma": gamma, "s": s})
 
 
@@ -191,12 +182,12 @@ def interpolation_audit(u, u_x, beta: Weight, x0: float, r: float,
     best = None
     for th in np.linspace(0.05, 0.95, 19):
         rhs = avg_u2 ** (1.0 - th) * (avg_u2 ** th + r ** (2.0 * th) * avg_g2 ** th)
-        n_emp = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
+        n_emp = ratio(lhs, rhs)
         if best is None or n_emp < best[1]:
             best = (float(th), n_emp)
     theta_star, n_star = best
     row = AuditRow(label="interpolation-bound", lhs=lhs,
-                   rhs=lhs / n_star if n_star > 0 else 0.0, constant=n_star,
+                   rhs=ratio(lhs, n_star), constant=n_star,
                    budget=budget,
                    passed=bool(math.isfinite(n_star) and n_star <= budget),
                    extra={"theta_min": theta_star, "avg_u2": avg_u2,

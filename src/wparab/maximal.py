@@ -171,18 +171,13 @@ def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
     for g, mg in zip(fields, maximal_function_batch(fields, beta, X, T, radii)):
         l1 = g.l1_norm()
         rows = []
-        worst = 0.0
         for lam in lambdas:
             meas = float(np.sum(mg > lam) * g.cell_area)
-            ratio = lam * meas / l1 if l1 > 0 else 0.0
-            worst = max(worst, ratio)
-            rows.append(AuditRow(
-                label=f"level-{lam:g}", lhs=lam * meas, rhs=l1, constant=ratio,
-                budget=budget, passed=bool(ratio <= budget),
+            rows.append(AuditRow.bound(
+                f"level-{lam:g}", lam * meas, l1, budget,
                 extra={"lambda": float(lam), "levelset_measure": meas}))
-        rows.append(AuditRow(label="weak-11-constant", lhs=worst, rhs=budget,
-                             constant=worst, budget=budget,
-                             passed=bool(worst <= budget)))
+        worst = max([0.0] + [r.constant for r in rows])
+        rows.append(AuditRow.at_most("weak-11-constant", worst, budget))
         reports.append(AuditReport.from_rows(
             "maximal-weak-1-1", rows,
             params={"n_points": int(X.size), "n_radii": int(len(radii)),
@@ -238,12 +233,8 @@ def five_rho_cover_audit(cylinders: list[WeightedCylinder], selected: list[int],
     in_x = (da <= gx) & (gx <= db)
     in_t = (ds <= gt) & (gt <= de)
     uncovered = int(np.count_nonzero(~(in_x & in_t).any(axis=-1)))
-    rows = [
-        AuditRow(label="selected-pairwise-disjoint", lhs=float(overlaps), rhs=0.0,
-                 constant=float(overlaps), budget=0.0, passed=overlaps == 0),
-        AuditRow(label="five-rho-cover", lhs=float(uncovered), rhs=0.0,
-                 constant=float(uncovered), budget=0.0, passed=uncovered == 0),
-    ]
+    rows = [AuditRow.count("selected-pairwise-disjoint", overlaps),
+            AuditRow.count("five-rho-cover", uncovered)]
     return AuditReport.from_rows(
         "vitali-covering-selection", rows,
         params={"n_input": len(cylinders), "n_selected": len(selected),
@@ -329,14 +320,9 @@ def levelset_decay_audit(grad_sq: SpaceTimeField, force_sq: SpaceTimeField,
             rows.append(AuditRow(
                 label=f"decay-m-{m}", lhs=lhs[m - 1], rhs=r_val, constant=fitted,
                 budget=fitted, passed=bool(lhs[m - 1] <= r_val * (1 + 1e-12) + 1e-300)))
-    rows.append(AuditRow(label="gamma1-finite", lhs=fitted if fitted is not None
-                         else math.inf, rhs=grid[-1],
-                         constant=fitted if fitted is not None else math.inf,
-                         budget=float(grid[-1]),
-                         passed=fitted is not None))
-    rows.append(AuditRow(label="monotone-decay", lhs=0.0 if monotone else 1.0,
-                         rhs=0.0, constant=0.0 if monotone else 1.0, budget=0.0,
-                         passed=monotone))
+    rows.append(AuditRow.at_most(
+        "gamma1-finite", fitted if fitted is not None else math.inf, float(grid[-1])))
+    rows.append(AuditRow.count("monotone-decay", 0 if monotone else 1))
     report = AuditReport.from_rows(
         "levelset-decay-recursion", rows,
         params={"K": K, "q0": q0, "m_max": m_max, "delta_hat": delta_hat,

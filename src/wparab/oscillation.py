@@ -131,19 +131,15 @@ def oscillation_supremum(A_fun, beta: Weight, R0: float, delta: float,
     theta_a = float(np.sqrt(sup_a))
     theta_b = float(np.sqrt(sup_b))
     total = theta_a + theta_b
+    # the terms are non-negative, so the strict gate decides the verdict
     rows = [
-        AuditRow(label="matrix-partial-oscillation", lhs=theta_a, rhs=delta,
-                 constant=theta_a, budget=delta, passed=bool(theta_a <= delta),
-                 extra={"worst": worst_a}),
-        AuditRow(label="weight-mean-oscillation", lhs=theta_b, rhs=delta,
-                 constant=theta_b, budget=delta, passed=bool(theta_b <= delta),
-                 extra={"worst": worst_b}),
+        AuditRow.at_most("matrix-partial-oscillation", theta_a, delta,
+                         extra={"worst": worst_a}),
+        AuditRow.at_most("weight-mean-oscillation", theta_b, delta,
+                         extra={"worst": worst_b}),
         AuditRow(label="smallness-gate", lhs=total, rhs=delta, constant=total,
                  budget=delta, passed=bool(total < delta)),
     ]
-    # the gate is the binding row; the per-term rows are informational
-    report = AuditReport.from_rows(
+    return AuditReport.from_rows(
         "oscillation-smallness-gate", rows,
         params={"R0": R0, "delta": delta, "n_radii": radii.size})
-    report.passed = bool(total < delta)
-    return report

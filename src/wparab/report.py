@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -141,9 +141,19 @@ def json_dumps(obj: Any) -> str:
     return json.dumps(_canonical(obj), indent=2, sort_keys=True) + "\n"
 
 
+def ratio(lhs: float, rhs: float) -> float:
+    """The smallest N with lhs <= N rhs: lhs / rhs, 0 when both sides are 0
+    and inf when only rhs is (a NaN side gives NaN)."""
+    return lhs / rhs if not rhs <= 0 else (0.0 if lhs == 0.0 else math.inf)
+
+
 @dataclass
 class AuditRow:
-    """One inequality instance: lhs <= constant * rhs, judged against a budget."""
+    """One inequality instance: lhs <= constant * rhs, judged against a budget.
+
+    The constructors below build the standard rows; in each of them an
+    infinite or NaN constant never passes.
+    """
 
     label: str
     lhs: float
@@ -153,16 +163,31 @@ class AuditRow:
     passed: bool
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "budget": self.budget,
-            "passed": self.passed,
-            "extra": self.extra,
-        }
+    @classmethod
+    def bound(cls, label: str, lhs: float, rhs: float, budget: float,
+              extra: dict | None = None) -> "AuditRow":
+        """lhs <= N rhs with N = ``ratio(lhs, rhs)`` at most ``budget``."""
+        n = ratio(lhs, rhs)
+        return cls(label, lhs, rhs, n, budget,
+                   bool(math.isfinite(n) and n <= budget), extra or {})
+
+    @classmethod
+    def at_most(cls, label: str, value: float, budget: float,
+                extra: dict | None = None) -> "AuditRow":
+        """A measured ``value`` (lhs and constant) at most ``budget`` (rhs)."""
+        return cls(label, value, budget, value, budget,
+                   bool(math.isfinite(value) and value <= budget), extra or {})
+
+    @classmethod
+    def at_least(cls, label: str, value: float, floor: float) -> "AuditRow":
+        """A measured ``value`` (lhs and constant) at least ``floor`` (rhs)."""
+        return cls(label, value, floor, value, floor,
+                   bool(math.isfinite(value) and value >= floor))
+
+    @classmethod
+    def count(cls, label: str, n: int) -> "AuditRow":
+        """A number of failures ``n``, which passes at 0."""
+        return cls.at_most(label, float(n), 0.0)
 
 
 @dataclass
@@ -183,14 +208,9 @@ class AuditReport:
         return cls(check=check, passed=passed, rows=rows, params=params, seed=seed)
 
     def to_dict(self) -> dict:
-        d = {
-            "check": self.check,
-            "passed": self.passed,
-            "rows": [r.to_dict() for r in self.rows],
-            "params": self.params,
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
+        d = asdict(self)
+        if self.seed is None:
+            del d["seed"]
         return d
 
     def to_json(self) -> str:

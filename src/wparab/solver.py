@@ -43,7 +43,7 @@ from .errors import (EllipticityViolation, EmptyRegion, GateFailed, Precondition
 from .geometry import WeightedCylinder
 from .maximal import SpaceTimeField
 from .oscillation import sample_broadcast, theta_A_ms, theta_beta_ms
-from .report import AuditReport, AuditRow, fmt_floats
+from .report import AuditReport, AuditRow, fmt_floats, ratio
 from .weights import Weight, _locate
 
 
@@ -292,8 +292,9 @@ def write_solution_binary(path, u: SolutionField):
 
 
 def _check_finite(*arrays) -> None:
-    """The finiteness check ``scipy.linalg.solve_banded`` makes on its inputs;
-    the solvers run it on what their implicit steps are built from."""
+    """ValueError unless every array is finite. LAPACK ``dgtsv`` takes an
+    inf or NaN without a word and spreads it through every later level, so
+    the solvers check what their implicit steps are built from, once."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
 
@@ -342,9 +343,10 @@ def _implicit_step(dl, d, du, x, step: int) -> None:
     """One backward Euler step (SPD tridiagonal solve), in place.
 
     ``x`` holds the right-hand side and is overwritten with the interior
-    values; ``dl``, ``d`` and ``du`` are the diagonals ``solve_banded((1, 1),
-    ...)`` would pass LAPACK ``dgtsv`` and are overwritten too. The caller
-    checks that the inputs are finite.
+    values; ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonals
+    of the step's matrix, which LAPACK ``dgtsv`` overwrites with its
+    factorization. ``dgtsv`` does not check its inputs: the caller checks
+    that they are finite.
     """
     if d.size == 1:  # the dgtsv wrapper rejects empty off-diagonals
         x /= d
@@ -469,18 +471,12 @@ def energy_audit(u: SolutionField, inner: WeightedCylinder,
     lhs = u.sup_weighted_energy(reg_in) + u.lp(u.grad(), 2.0, reg_in) ** 2
     f_sq = u.lp(u.F, 2.0, reg_out) ** 2
     rhs1 = u.lp(u.u, 2.0, reg_out) ** 2 + f_sq
-    n1 = lhs / rhs1 if rhs1 > 0 else 0.0
 
     r = outer.r / 2.0
     factor = 1.0 + 1.0 / r ** 2 + u.beta_cells / outer.h
     rhs2 = u.integral(u.block(u.u ** 2 * factor, reg_out)) + f_sq
-    n2 = lhs / rhs2 if rhs2 > 0 else 0.0
-    rows = [
-        AuditRow(label="caccioppoli-improved", lhs=lhs, rhs=rhs1, constant=n1,
-                 budget=budget, passed=bool(n1 <= budget)),
-        AuditRow(label="caccioppoli-basic", lhs=lhs, rhs=rhs2, constant=n2,
-                 budget=budget, passed=bool(n2 <= budget)),
-    ]
+    rows = [AuditRow.bound("caccioppoli-improved", lhs, rhs1, budget),
+            AuditRow.bound("caccioppoli-basic", lhs, rhs2, budget)]
     return AuditReport.from_rows(
         "caccioppoli-energy", rows,
         params={"inner_r": inner.r, "outer_r": outer.r,
@@ -506,11 +502,8 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
     mean = float(np.mean(vals)) if variant == "interior" else 0.0
     lhs = u.integral((vals - mean) ** 2)
     grad_term = cyl.r ** 2 * (u.lp(u.grad(), 2.0, reg) ** 2 + u.lp(u.F, 2.0, reg) ** 2)
-    denom = grad_term + theta2 * lhs
-    n_emp = lhs / denom if denom > 0 else 0.0
-    row = AuditRow(label=f"poincare-{variant}", lhs=lhs, rhs=denom, constant=n_emp,
-                   budget=budget, passed=bool(n_emp <= budget),
-                   extra={"theta_sq": theta2, "grad_term": grad_term})
+    row = AuditRow.bound(f"poincare-{variant}", lhs, grad_term + theta2 * lhs, budget,
+                         extra={"theta_sq": theta2, "grad_term": grad_term})
     return AuditReport.from_rows(
         f"gradient-poincare-{variant}", [row],
         params={"variant": variant, "r": cyl.r, "center": [cyl.x0]})
@@ -541,10 +534,8 @@ def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
     r = inner.r
     lhs = r * beta_bar * sup_vt + sup_grad
     rhs = math.sqrt(v.lp(v.grad(), 2.0, reg_out) ** 2 / v.region_measure(reg_out))
-    n_emp = lhs / rhs if rhs > 0 else 0.0
-    row = AuditRow(label="frozen-lipschitz", lhs=lhs, rhs=rhs, constant=n_emp,
-                   budget=budget, passed=bool(n_emp <= budget),
-                   extra={"sup_grad": sup_grad, "sup_vt": sup_vt})
+    row = AuditRow.bound("frozen-lipschitz", lhs, rhs, budget,
+                         extra={"sup_grad": sup_grad, "sup_vt": sup_vt})
     return AuditReport.from_rows(
         "frozen-interior-lipschitz", [row],
         params={"inner_r": inner.r, "outer_r": outer.r, "beta_bar": beta_bar})
@@ -626,8 +617,8 @@ def apriori_ratio(u: SolutionField, p: float) -> float:
     """Solution-norm to data-norm ratio at exponent p >= 2 on the full domain.
 
     The time-derivative part is represented by the flux proxy
-    ||a u_x + F||_{L^p}; the ratio is (grad + proxy) / ||F||, zero when the
-    forcing vanishes.
+    ||a u_x + F||_{L^p}; the ratio is ``report.ratio(grad + proxy, ||F||)``,
+    infinite when only the forcing vanishes.
     """
     grid = u.grid
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
@@ -635,7 +626,7 @@ def apriori_ratio(u: SolutionField, p: float) -> float:
     grad_norm = u.lp(g, p, region)
     proxy_norm = u.lp(u.flux_proxy(g), p, region)
     f_norm = u.lp(u.F, p, region)
-    return (grad_norm + proxy_norm) / f_norm if f_norm > 0 else 0.0
+    return ratio(grad_norm + proxy_norm, f_norm)
 
 
 def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,
@@ -665,10 +656,8 @@ def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,
     l2_sq = u.integral(prod[1:] ** 2)
     g_sq = u.integral((np.diff(prod, axis=1) / grid.h)[1:] ** 2)
     w12_sq = l2_sq + g_sq
-    rhs = 2.0 * math.sqrt(h_shift) * proxy * w12_sq
-    n_emp = lhs / rhs if rhs > 0 else 0.0
-    row = AuditRow(label="time-shift-continuity", lhs=lhs, rhs=rhs, constant=n_emp,
-                   budget=budget, passed=bool(lhs <= budget * rhs or lhs == 0.0))
+    row = AuditRow.bound("time-shift-continuity", lhs,
+                         2.0 * math.sqrt(h_shift) * proxy * w12_sq, budget)
     return AuditReport.from_rows(
         "weighted-time-shift", [row],
         params={"shift_steps": shift_steps, "h": h_shift})

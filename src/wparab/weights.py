@@ -15,13 +15,12 @@ Power-weight moments are computed from the closed-form antiderivative of
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyBall, EmptyRegion, NonIntegrable
-from .report import AuditReport, AuditRow
+from .report import AuditReport, AuditRow, ratio
 
 # Sample floors below this are rejected: their reciprocal powers overflow.
 SAMPLE_FLOOR = 1e-300
@@ -465,12 +464,10 @@ def check_beta_condition(beta: Weight, M0: float, fam: BallFamily,
     dual_target = est ** (N0 / 2.0)
     dual_gap = abs(est - dual_target) / max(1.0, abs(dual_target))
     rows = [
-        AuditRow(label="inverse-weight-class", lhs=est, rhs=M0,
-                 constant=est, budget=M0, passed=bool(est <= M0)),
+        AuditRow.at_most("inverse-weight-class", est, M0),
         AuditRow(label="duality-identity", lhs=est, rhs=dual_target,
                  constant=dual_gap, budget=tol_quad, passed=bool(dual_gap <= tol_quad)),
-        AuditRow(label="a2-bound", lhs=est, rhs=est,
-                 constant=est / est if est > 0 else math.inf,
+        AuditRow(label="a2-bound", lhs=est, rhs=est, constant=ratio(est, est),
                  budget=1.0 + tol_quad,
                  passed=bool(est <= est * (1.0 + tol_quad))),
     ]
@@ -550,14 +547,9 @@ def doubling_report(w: Weight, p: float, fam: BallFamily, theta: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(np.column_stack(use), m_s / m1[:, None], np.nan)
     max_pair_ratio = first_sup(ratios)[0]
-    rows = [
-        AuditRow(label="doubling-constant", lhs=n1, rhs=n1_budget, constant=n1,
-                 budget=n1_budget, passed=bool(math.isfinite(n1) and n1 <= n1_budget),
-                 extra={"worst_ball": worst}),
-        AuditRow(label="measure-shrink-factor", lhs=max_pair_ratio, rhs=eta,
-                 constant=max_pair_ratio, budget=eta,
-                 passed=bool(max_pair_ratio <= eta)),
-    ]
+    rows = [AuditRow.at_most("doubling-constant", n1, n1_budget,
+                             extra={"worst_ball": worst}),
+            AuditRow.at_most("measure-shrink-factor", max_pair_ratio, eta)]
     return AuditReport.from_rows(
         "weighted-measure-doubling", rows,
         params={"p": p, "theta": theta, "eta": eta, "M0": M0, "n0": N0})

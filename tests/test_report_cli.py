@@ -21,6 +21,7 @@ from wparab.report import (
     fmt_float,
     fmt_floats,
     json_dumps,
+    ratio,
     write_csv,
     write_json,
     write_svg_curves,
@@ -90,6 +91,25 @@ class TestReportFormat:
         rep = AuditReport.from_rows("demo", [row], {})
         parsed = json.loads(rep.to_json())
         assert parsed["rows"][0]["extra"]["arr"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("lhs, rhs, n", [(0.0, 0.0, 0.0), (1.0, 0.0, math.inf),
+                                             (1.0, 2.0, 0.5)])
+    def test_ratio(self, lhs, rhs, n):
+        assert ratio(lhs, rhs) == n
+
+    def test_infinite_or_nan_constant_never_passes(self):
+        rows = [AuditRow.bound("a", 1.0, 0.0, math.inf),
+                AuditRow.bound("b", math.nan, 1.0, math.inf),
+                AuditRow.at_most("c", math.inf, math.inf),
+                AuditRow.at_least("d", math.inf, 0.0),
+                AuditRow.at_least("e", math.nan, 0.0)]
+        assert [r.passed for r in rows] == [False] * 5
+        assert AuditRow.bound("f", 0.0, 0.0, 0.0).passed
+
+    def test_count_row(self):
+        assert dataclasses.astuple(AuditRow.count("x", 3)) == (
+            "x", 3.0, 0.0, 3.0, 0.0, False, {})
+        assert AuditRow.count("x", 0).passed
 
     def test_report_pass_aggregation(self):
         rows = [AuditRow("a", 1, 2, 0.5, 1, True),

@@ -28,6 +28,7 @@ from wparab.solver import (
     _interp_solution,
     CoefficientField,
     Grid,
+    SolutionField,
     apriori_ratio,
     cell_averaged_weight,
     energy_audit,
@@ -48,6 +49,15 @@ BETA_POW = Weight.power(0.2, 0.5, (0.0, 1.0))
 
 def small_grid(nx=32, nt=32, t_final=0.25):
     return Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
+
+
+def field_of(u, grid, beta):
+    """The node values ``u`` on ``grid`` as a solution with unit
+    coefficient and no forcing, whether or not they solve anything."""
+    return SolutionField(grid=grid, u=u, beta=beta,
+                         beta_cells=cell_averaged_weight(beta, grid),
+                         A=CoefficientField.from_callable(lambda x, t: 1.0, grid),
+                         F=np.zeros((grid.nt + 1, grid.nx)))
 
 
 class TestScheme:
@@ -513,6 +523,16 @@ class TestPoincare:
         rep = poincare_audit(u, cyl, variant="boundary", budget=100.0)
         assert rep.passed
 
+    def test_boundary_nonzero_trace_fails(self):
+        # u = 1 has no gradient, no forcing and no oscillation term, so the
+        # right side is 0 < lhs and the inequality fails for every N
+        grid = small_grid(nx=32, nt=64)
+        u = field_of(np.ones((grid.nt + 1, grid.nx + 1)), grid, BETA1)
+        cyl = WeightedCylinder(0.0, 0.25, 0.25, BETA1, variant="Q+")
+        row = poincare_audit(u, cyl, variant="boundary", budget=100.0).rows[0]
+        assert row.lhs > 0.0 and row.rhs == 0.0
+        assert row.constant == math.inf and not row.passed
+
     def test_gate_failure(self):
         vals = np.full(64, 1.0)
         vals[28:36] = 1e4  # violent oscillation
@@ -544,6 +564,18 @@ class TestLipschitz:
                          lambda x, t: np.full_like(np.asarray(x, float), 3.0))
         rep = lipschitz_audit(v, inner, outer, beta_bar=1.0, budget=math.inf)
         assert rep.rows[0].lhs == pytest.approx(0.0, abs=1e-12)
+
+    def test_gradient_free_time_profile_fails(self):
+        # v = t moves in time with no gradient: lhs = r b v_t > 0 = rhs
+        beta = Weight.constant(1.0, (0.0, 1.0))
+        outer = WeightedCylinder(0.5, 0.0, 0.5, beta, variant="Q")
+        inner = WeightedCylinder(0.5, 0.0, 0.25, beta, variant="Q")
+        (a, b), (s, e) = outer.x_interval, outer.t_interval
+        grid = Grid(x0=a, x1=b, nx=16, t_final=e - s, nt=16)
+        v = field_of(np.repeat(grid.t[:, None], grid.nx + 1, axis=1), grid, beta)
+        row = lipschitz_audit(v, inner, outer, beta_bar=1.0, budget=100.0).rows[0]
+        assert row.lhs > 0.0 and row.rhs == 0.0
+        assert row.constant == math.inf and not row.passed
 
     def test_caloric_polynomial_stable_constant(self):
         consts = []
@@ -707,6 +739,13 @@ class TestAprioriRatio:
         F = np.zeros((grid.nt + 1, grid.nx))
         u = solve_ivbp(BETA1, A, F, grid)
         assert apriori_ratio(u, 2.0) == 0.0
+
+    def test_zero_forcing_nonzero_solution_infinite(self):
+        grid = small_grid()
+        A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
+        F = np.zeros((grid.nt + 1, grid.nx))
+        u = solve_ivbp(BETA1, A, F, grid, initial=np.sin(math.pi * grid.x))
+        assert apriori_ratio(u, 2.0) == math.inf
 
     def test_ratio_scale_invariant(self):
         u = solve_driven(BETA1, smooth_random_forcing(3), nx=48, nt=48,
