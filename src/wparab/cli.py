@@ -91,11 +91,11 @@ class RunContext:
         u, _ = ManufacturedCase(self.weight).solve(*self.manufactured_grid)
         return u
 
-    def keep_manufactured(self, solved: dict) -> None:
-        """Take the manufactured solution on the config grid from ``solved``
-        (solutions by (nx, nt, t_final)) unless one is already at hand."""
-        if self.manufactured_grid in solved:  # into the cached property's slot
-            self.__dict__.setdefault("manufactured", solved[self.manufactured_grid])
+    def keep_manufactured(self, grid: tuple, u) -> None:
+        """Keep ``u``, the manufactured solution on ``grid`` = (nx, nt,
+        t_final), if that is the config grid and none is at hand yet."""
+        if grid == self.manufactured_grid:  # into the cached property's slot
+            self.__dict__.setdefault("manufactured", u)
 
     @functools.cached_property
     def quasi_params(self):
@@ -134,14 +134,27 @@ def run_solve(run: RunContext) -> list[AuditReport]:
     levels, t_final = p.levels, run.cfg.grid.t_final
     order_budget = p.order_min if p.order_min is not None else (
         1.9 if w.kind == "power" and w.alpha == 0.0 else 1.0)
-    rows, solutions = convergence_study(w, levels, t_final=t_final)
-    run.keep_manufactured({(r["nx"], r["nt"], t_final): u
-                           for r, u in zip(rows, solutions)})
-    finest = solutions[-1]
-    del solutions
-    run.dump = Forked(functools.partial(write_solution_csv, out / "solution.csv", finest))
-    write_solution_binary(out / "solution.bin", finest)
-    del finest  # not kept alive through the a-priori sweep
+    forcing = smooth_random_forcing(run.seed)
+    ratio_table: dict[float, list[float]] = {q: [] for q in p.p_values}
+
+    def use(nx: int, nt: int, u) -> None:
+        run.keep_manufactured((nx, nt, t_final), u)
+        if nx == levels[-1]:  # solved first: dumped, then dropped
+            run.dump = Forked(functools.partial(write_solution_csv,
+                                                out / "solution.csv", u))
+            write_solution_binary(out / "solution.bin", u)
+
+    def apriori_sweep() -> None:
+        """The a-priori ratio on the grids of the convergence study, one
+        solve per level, none kept."""
+        for nx in levels:
+            u = solve_driven(w, forcing, nx=nx, nt=default_nt(nx, t_final),
+                             t_final=t_final, a_fun=run.a_fun)
+            for q in p.p_values:
+                ratio_table[q].append(apriori_ratio(u, q))
+            del u  # not kept alive through the next level's solve
+
+    rows = convergence_study(w, levels, t_final, use, apriori_sweep)
     write_csv(out / "convergence.csv", ["nx", "nt", "error", "order"],
               [[r["nx"], r["nt"], r["error"], r["order"]] for r in rows])
     write_svg_curves(out / "convergence.svg",
@@ -157,15 +170,6 @@ def run_solve(run: RunContext) -> list[AuditReport]:
         params={"levels": levels, "t_final": t_final,
                 "errors": [r["error"] for r in rows]})]
 
-    # a-priori ratio stability across refinements (one solve per level)
-    forcing = smooth_random_forcing(run.seed)
-    ratio_table: dict[float, list[float]] = {q: [] for q in p.p_values}
-    for row in rows:  # the grids of the convergence study
-        u = solve_driven(w, forcing, nx=row["nx"], nt=row["nt"], t_final=t_final,
-                         a_fun=run.a_fun)
-        for q in p.p_values:
-            ratio_table[q].append(apriori_ratio(u, q))
-        del u  # not kept alive through the next level's solve
     for q in p.p_values:
         ratios = ratio_table[q]
         spread = ratio(max(ratios) - min(ratios), min(ratios))

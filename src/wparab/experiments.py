@@ -118,26 +118,34 @@ def default_nt(nx: int, t_final: float) -> int:
     return max(round(t_final * nx * nx), 4)
 
 
-def convergence_study(beta: Weight, levels: list[int], t_final: float
-                      ) -> tuple[list[dict], list[SolutionField]]:
-    """Dyadic refinement sweep with tau close to h^2.
+def convergence_study(beta: Weight, levels: list[int], t_final: float,
+                      use, between) -> list[dict]:
+    """Dyadic refinement sweep with tau close to h^2, one level at a time.
 
-    Returns one row per level with the space-time L^2 error and, from the
-    second level on, the observed order against the previous level; and
-    the solution of every level, in the same order.
+    Solves the last (finest) level first, then the others in their order.
+    Each solution goes to ``use(nx, nt, u)`` as soon as it is solved and is
+    not kept here, so no two levels are alive at once unless ``use`` keeps
+    one. ``between()`` runs once the first solution is dropped, before the
+    next level is solved. Returns one row per level, in the order of
+    ``levels``, with the space-time L^2 error and, from the second level on,
+    the observed order against the previous level.
     """
     case = ManufacturedCase(beta)
-    rows: list[dict] = []
-    solutions: list[SolutionField] = []
-    prev_err = None
-    for nx in levels:
+    errors = {}
+
+    def solve(nx: int) -> None:
         nt = default_nt(nx, t_final)
-        u, err = case.solve(nx, nt, t_final)
-        order = math.log2(prev_err / err) if prev_err is not None else float("nan")
-        rows.append({"nx": nx, "nt": nt, "error": err, "order": order})
-        solutions.append(u)
-        prev_err = err
-    return rows, solutions
+        u, errors[nx] = case.solve(nx, nt, t_final)
+        use(nx, nt, u)
+
+    solve(levels[-1])
+    between()
+    for nx in levels[:-1]:
+        solve(nx)
+    return [{"nx": nx, "nt": default_nt(nx, t_final), "error": errors[nx],
+             "order": (math.log2(errors[prev] / errors[nx]) if prev is not None
+                       else float("nan"))}
+            for prev, nx in zip([None] + levels[:-1], levels)]
 
 
 def smooth_random_forcing(seed: int):

@@ -41,11 +41,13 @@ def theta_beta_ms(beta: Weight, x0, r: float) -> float:
 def sample_broadcast(fn, x, t, shape: tuple) -> np.ndarray:
     """``fn(x, t)`` as a contiguous array of ``shape``, from one broadcasting
     call: every sampled coefficient and forcing. ``x`` and ``t`` are laid out
-    to broadcast to ``shape``, and so must the result (a scalar is fine)."""
+    to broadcast to ``shape``, and so must the result (a scalar is fine). A
+    result that is already a C-ordered table of ``shape`` is returned as a
+    read-only view, not copied."""
     vals = np.asarray(fn(x, t), dtype=float)
     try:
         # C order: each row is reduced as one contiguous slice, like a 1D array
-        return np.array(np.broadcast_to(vals, shape), order="C")
+        return np.ascontiguousarray(np.broadcast_to(vals, shape))
     except ValueError as exc:
         raise ValueError(f"coefficient returned shape {vals.shape}, which is not "
                          f"a scalar field broadcasting to {shape}") from exc

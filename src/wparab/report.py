@@ -74,8 +74,8 @@ def fmt_floats(values) -> np.ndarray:
     of |v| and fl(10^k), plus |v| (10^k - fl(10^k)), puts the fractional
     part of |v| 10^k within 1e-14. D stands when that part is more than
     1e-12 from 1/2 and floor(|v| 10^k) and D have 17 digits (E was right,
-    no rounding carried); the rest, such as ±0, NaN, ±inf or near-ties, go
-    through ``fmt_float``.
+    no rounding carried). ±0 is the digit 0 with its sign. The rest, such as
+    NaN, ±inf or near-ties, go through ``fmt_float``.
     """
     scale, rest, quads, layout = _fmt_tables()
     v = np.asarray(values, dtype=np.float64).ravel()
@@ -96,6 +96,9 @@ def fmt_floats(values) -> np.ndarray:
     d += tail - whole > 0.5
     ok &= d < 10 ** 17
     d[~ok] = 10 ** 16
+    zero = v == 0.0  # '0' or '-0': D = 0 in the layout of one digit at E = 0
+    d[zero], e[zero] = 0, 0
+    ok |= zero
 
     rows = np.empty((v.size, 32), np.uint8)
     hi, lo = (half.astype(np.int32) for half in np.divmod(d, 10 ** 8))
@@ -105,8 +108,9 @@ def fmt_floats(values) -> np.ndarray:
         rows.view(np.uint32)[:, col] = quads[group]
     rows[:, _DOT:] = np.frombuffer(b".-e\0", np.uint8)
     nd = 17 - np.argmax(rows[:, 23:6:-1] != ord("0"), axis=1)
+    nd[zero] = 1
 
-    key = np.where(ok, ((np.maximum(e, -5) + 5) * 17 + nd - 1) * 2 + (v < 0), 0)
+    key = np.where(ok, ((np.maximum(e, -5) + 5) * 17 + nd - 1) * 2 + np.signbit(v), 0)
     counts = np.bincount(key, minlength=1)
     out = rows.take(layout[counts.argmax()], axis=1)  # the commonest layout, on all
     counts[counts.argmax()] = 0

@@ -24,7 +24,11 @@ negative-order norm is represented throughout by the flux proxy
 
 Tables of shape (nt + 1, nx) are built only where they hold values: a
 conductivity that does not vary in t is a read-only broadcast view of one
-row, and the norms form their integrands in arrays they have just made.
+row, a sampled forcing that is already a full C-ordered table is not
+copied, and the norms form their integrands in arrays they have just made.
+``apriori_ratio`` forms all three of its integrands, |u_x|^p,
+|a u_x + F|^p and |F|^p, in turn in one face table, so it holds u, F and
+that table and nothing else of the grid's size.
 """
 from __future__ import annotations
 
@@ -166,9 +170,10 @@ class SolutionField:
 
     # -- basic fields --------------------------------------------------------
 
-    def grad(self) -> np.ndarray:
-        """Face gradients (u_{i+1} - u_i)/h, shape (nt+1, nx)."""
-        g = np.diff(self.u, axis=1)
+    def grad(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Face gradients (u_{i+1} - u_i)/h, shape (nt+1, nx), in ``out`` if
+        given, else in a new array."""
+        g = np.subtract(self.u[:, 1:], self.u[:, :-1], out=out)
         g /= self.grid.h
         return g
 
@@ -225,9 +230,13 @@ class SolutionField:
         from one, element by element): its ``np.sum`` times h * tau."""
         return float(np.sum(block) * self.grid.h * self.grid.tau)
 
-    def lp(self, values: np.ndarray, p: float, region) -> float:
-        """Discrete L^p norm of a node or face array over the region."""
-        a = np.abs(self.block(values, region))
+    def lp(self, values: np.ndarray, p: float, region,
+           overwrite: bool = False) -> float:
+        """Discrete L^p norm of a node or face array over the region. With
+        ``overwrite`` the region's block of ``values`` receives |values|^p,
+        so no table is made."""
+        a = self.block(values, region)
+        a = np.abs(a, out=a if overwrite else None)
         a **= p
         return self.integral(a) ** (1.0 / p)
 
@@ -622,10 +631,13 @@ def apriori_ratio(u: SolutionField, p: float) -> float:
     """
     grid = u.grid
     region = (grid.x0, grid.x1, 0.0, grid.t_final)
+    # one face table beside u and F, refilled for each integrand: the
+    # gradient, the gradient again for the proxy, then F
     g = u.grad()
-    grad_norm = u.lp(g, p, region)
-    proxy_norm = u.lp(u.flux_proxy(g), p, region)
-    f_norm = u.lp(u.F, p, region)
+    grad_norm = u.lp(g, p, region, overwrite=True)
+    proxy_norm = u.lp(u.flux_proxy(u.grad(out=g)), p, region, overwrite=True)
+    np.copyto(g, u.F)
+    f_norm = u.lp(g, p, region, overwrite=True)
     return ratio(grad_norm + proxy_norm, f_norm)
 
 

@@ -46,9 +46,11 @@ def reference_csv(config, path):
     """``solution.csv`` of the run's finest solution, written in process one
     row list per node by ``report.write_csv``, so not by the dump's writer."""
     cfg = ExperimentConfig.load(str(config))
-    _, solutions = convergence_study(cfg.build_weight(), cfg.audits["solve"].levels,
-                                     t_final=cfg.grid.t_final)
-    u = solutions[-1]
+    levels, solved = cfg.audits["solve"].levels, {}
+    convergence_study(cfg.build_weight(), levels, cfg.grid.t_final,
+                      use=lambda nx, nt, u: solved.setdefault(nx, u),
+                      between=lambda: None)
+    u = solved[levels[-1]]
     rows = [[x, t, value] for t, level in zip(u.grid.t.tolist(), u.u.tolist())
             for x, value in zip(u.grid.x.tolist(), level)]
     return write_csv(path, ["x", "t", "u"], rows).read_bytes()

@@ -56,8 +56,8 @@ class TestForcing:
 
 class TestConvergenceRows:
     def test_row_structure(self):
-        rows, _ = convergence_study(Weight.constant(1.0, (0.0, 1.0)), [8, 16],
-                                 t_final=0.1)
+        rows = convergence_study(Weight.constant(1.0, (0.0, 1.0)), [8, 16], 0.1,
+                                 use=lambda *_: None, between=lambda: None)
         assert math.isnan(rows[0]["order"])
         assert rows[1]["order"] > 0.0
         assert rows[1]["error"] < rows[0]["error"]

@@ -7,20 +7,26 @@ margin, so building the diagonals, the coefficient samples or the triples
 for the whole problem at once fails: that took 20.9 MB for the solve, 23 MB
 for the lattice and 22.7 MB for the triples. The solve group's bound fails
 when a norm, the flux proxy or a conductivity constant in t builds a table
-it only reads (26.8 MB before they stopped), the dump's when it copies the
+it only reads (26.8 MB before they stopped), when a second level is alive
+beside the finest one, or when the a-priori integrands take more than one
+face table (17.9 MB before they shared one); the dump's when it copies the
 solution (8.5 MB), and the conductivity's when it samples every time level.
 """
+import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+from wparab import cli
 from wparab.cli import RunContext, run_solve
 from wparab.config import ExperimentConfig
+from wparab.experiments import ManufacturedCase, smooth_random_forcing, solve_driven
 from wparab.geometry import estimate_quasi_params, quasi_triangle_audit
 from wparab.oscillation import oscillation_supremum
-from wparab.solver import (CoefficientField, Grid, SolutionField, forcing_from_callable,
-                           sinusoidal_coefficient, solve_ivbp, write_solution_binary)
+from wparab.solver import (CoefficientField, Grid, SolutionField, apriori_ratio,
+                           forcing_from_callable, sinusoidal_coefficient, solve_ivbp,
+                           write_solution_binary)
 from wparab.weights import Weight
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "wparab" / "configs"
@@ -80,11 +86,44 @@ def test_solve_group_peak(tmp_path):
         run.dump.result()
 
     peak = traced_peak(solve_group)
-    # the peak is in apriori_ratio at nx = 128: u, F, the gradient and its
-    # |.|^p, four tables of about 4097 x 129 doubles (16.8 MB), next to the
-    # 64 x 1024 solution the run keeps for audit and levelset (1.05 MB);
-    # measured 17.94 MB, margin 0.5 MB
-    assert peak < 17.94 * MB + 0.5 * MB
+    # the peak is at nx = 128, with no other level alive: u, F and one face
+    # table, three tables of about 4097 x 129 doubles (12.6 MB), in
+    # apriori_ratio and in the manufactured error; measured 12.89 MB,
+    # margin 0.5 MB
+    assert peak < 12.89 * MB + 0.5 * MB
+
+
+def test_apriori_ratio_peak():
+    u = solve_driven(Weight.power(0.2, 0.5, (0.0, 1.0)), smooth_random_forcing(3),
+                     nx=128, nt=4096, t_final=0.25,
+                     a_fun=sinusoidal_coefficient(1.0, 0.3, 8.0))
+    peak = traced_peak(lambda: apriori_ratio(u, 4.0))
+    # one face table of 4097 x 128 doubles (4.19 MB) beside u and F, refilled
+    # for each integrand: measured 4.33 MB. A |.|^p or a second gradient in
+    # a table of its own adds 4.19 MB; margin 0.5 MB
+    assert peak < 4.33 * MB + 0.5 * MB
+
+
+def test_dump_forked_before_the_first_driven_solve(tmp_path, monkeypatch):
+    # the finest manufactured level is solved first and dumped, and dropped
+    # before the a-priori sweep solves anything; the other levels come last,
+    # so no level shares memory with the sweep
+    events = []
+    forked, driven, manufactured = cli.Forked, cli.solve_driven, ManufacturedCase.solve
+    monkeypatch.setattr(cli, "Forked", lambda *a, **k: events.append("fork")
+                        or forked(*a, **k))
+    monkeypatch.setattr(cli, "solve_driven", lambda *a, **k: events.append("driven")
+                        or driven(*a, **k))
+    monkeypatch.setattr(ManufacturedCase, "solve", lambda case, nx, *a: events.append(
+        f"manufactured {nx}") or manufactured(case, nx, *a))
+    raw = json.loads((CONFIG_DIR / "identity.json").read_text())
+    raw["audits"]["solve"]["levels"] = [16, 32]
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    cfg = ExperimentConfig.load(tmp_path / "cfg.json")
+    run = RunContext(cfg, cfg.seed, tmp_path)
+    run_solve(run)
+    run.dump.result()
+    assert events == ["manufactured 32", "fork", "driven", "driven", "manufactured 16"]
 
 
 def test_write_solution_binary_peak(tmp_path):
