@@ -212,8 +212,7 @@ def run_audit(run: RunContext) -> list[AuditReport]:
     f_inner = WeightedCylinder(0.0, 0.0, 0.25, frozen)
     v = solve_frozen(beta_bar, 1.0, f_outer.x_interval, f_outer.t_interval, 48, 48,
                      lambda x, t: x ** 2 + 2.0 * t)
-    reports.append(lipschitz_audit(v, f_inner, f_outer, beta_bar,
-                                   budget=p.lipschitz_budget))
+    reports.append(lipschitz_audit(v, f_inner, beta_bar, budget=p.lipschitz_budget))
 
     amplitudes = p.freeze_amplitudes
     sweep = freeze_compare_sweep(w, amplitudes)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EmptyRegion, PreconditionFailed
 from .geometry import QuasiMetricParams, WeightedCylinder, height
 from .report import AuditReport, AuditRow
-from .weights import Weight
+from .weights import Weight, _locate as _uniform_locate
 
 
 @dataclass
@@ -82,8 +82,8 @@ def _locate(edges: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell index and fraction of ``v`` along one grid axis, with ``v``
     clipped to the grid."""
     v = np.minimum(np.maximum(v, edges[0]), edges[-1])
-    # v >= edges[0] already keeps the index >= 0
-    i = np.minimum(np.searchsorted(edges, v, side="right") - 1, len(edges) - 2)
+    # the uniform lookup puts v = edges[-1] in the cell past the last
+    i = np.minimum(_uniform_locate(v, edges), len(edges) - 2)
     return i, (v - edges.take(i)) / np.diff(edges).take(i)
 
 
@@ -172,7 +172,7 @@ def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
         l1 = g.l1_norm()
         rows = []
         for lam in lambdas:
-            meas = float(np.sum(mg > lam) * g.cell_area)
+            meas = _levelset_measure(mg, lam, g.cell_area)
             rows.append(AuditRow.bound(
                 f"level-{lam:g}", lam * meas, l1, budget,
                 extra={"lambda": float(lam), "levelset_measure": meas}))

@@ -58,10 +58,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform space-time grid on [x0, x1] x [0, t_final].
+    """Uniform space-time grid on [x0, x1] x [t0, t_final].
 
-    The node, face and time arrays are built once per grid and shared by
-    every reader, so they are read-only.
+    Times are absolute: a solve on the unit interval starts at t0 = 0, a
+    frozen solve at the bottom of its cylinder, and every region a
+    :class:`SolutionField` reads is in that one frame. The node, face and
+    time arrays are built once per grid and shared by every reader, so they
+    are read-only.
     """
 
     x0: float
@@ -69,11 +72,12 @@ class Grid:
     nx: int
     t_final: float
     nt: int
+    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.nx < 2 or self.nt < 1:
             raise ValueError("need at least 3 nodes per axis")
-        if not self.x0 < self.x1 or self.t_final <= 0.0:
+        if not self.x0 < self.x1 or self.t_final <= self.t0:
             raise ValueError("degenerate grid extents")
 
     @property
@@ -82,7 +86,7 @@ class Grid:
 
     @property
     def tau(self) -> float:
-        return self.t_final / self.nt
+        return (self.t_final - self.t0) / self.nt
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -94,7 +98,11 @@ class Grid:
 
     @cached_property
     def t(self) -> np.ndarray:
-        return _read_only(np.linspace(0.0, self.t_final, self.nt + 1))
+        return _read_only(self.t0 + np.linspace(0.0, self.t_final - self.t0, self.nt + 1))
+
+    def region(self) -> tuple[float, float, float, float]:
+        """(x0, x1, t0, t_final): the whole grid as a region."""
+        return (self.x0, self.x1, self.t0, self.t_final)
 
 
 @dataclass
@@ -242,10 +250,8 @@ class SolutionField:
 
     def sup_weighted_energy(self, region) -> float:
         """sup over slices of the weighted L^2 mass of u."""
-        best = 0.0
-        for row in self.block(self.u ** 2 * self.beta_cells, region):
-            best = max(best, float(np.sum(row) * self.grid.h))
-        return best
+        rows = self.block(self.u ** 2 * self.beta_cells, region)
+        return float(np.max(np.sum(rows, axis=1) * self.grid.h))
 
     def region_measure(self, region) -> float:
         n_slices, n_faces = self.block(self.F, region).shape
@@ -292,7 +298,7 @@ def write_solution_binary(path, u: SolutionField):
     grid = u.grid
     header = struct.pack("<4sBcIIdddd", b"WPRB", 1, b"<",
                          grid.nx + 1, grid.nt + 1,
-                         grid.x0, grid.h, 0.0, grid.tau)
+                         grid.x0, grid.h, grid.t0, grid.tau)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -306,6 +312,14 @@ def _check_finite(*arrays) -> None:
     the solvers check what their implicit steps are built from, once."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_marched(u: np.ndarray) -> None:
+    """SingularSystem naming the first time level of a march that is not
+    finite: finite inputs stay finite through a step unless it overflows."""
+    bad = ~np.isfinite(u).all(axis=1)
+    if bad.any():
+        raise SingularSystem(f"step {int(np.argmax(bad))} produced non-finite values")
 
 
 # Time levels whose diagonals and forcing differences are built at once. On
@@ -420,11 +434,7 @@ def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
         u[0, -1] = 0.0
     _check_finite(beta_cells[1:-1], A.values[1:], F[1:], u[0, 1:-1])
     _march(u, beta_cells[1:-1] / grid.tau, A.values, grid.h, source=F)
-    # finite inputs stay finite through a step unless it overflows; report
-    # the first step that did
-    bad = ~np.isfinite(u).all(axis=1)
-    if bad.any():
-        raise SingularSystem(f"step {int(np.argmax(bad))} produced non-finite values")
+    _check_marched(u)
     return SolutionField(grid=grid, u=u, beta=beta, beta_cells=beta_cells,
                          A=A, F=F)
 
@@ -437,26 +447,25 @@ def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
 
     ``data(x, t)`` supplies the parabolic boundary values and broadcasts like
     a numpy ufunc: one call gives the initial slice, one both lateral traces.
-    The interior is marched implicitly with the conductivity at each time
-    s + t of the local grid.
+    The field's grid starts at t_span[0], so ``a_bar``, ``data`` and every
+    region read from the field take absolute times. The interior is marched
+    implicitly; a march that overflows raises ``SingularSystem``.
     """
     if beta_bar <= 0.0:
         raise PreconditionFailed("frozen weight average must be positive")
     a, b = x_span
-    s, e = t_span
-    grid = Grid(x0=a, x1=b, nx=nx, t_final=e - s, nt=nt)
-    x = grid.x
-    ts = s + grid.t
+    grid = Grid(x0=a, x1=b, nx=nx, t_final=t_span[1], nt=nt, t0=t_span[0])
     A = CoefficientField.from_callable(
-        (lambda _, t: a_bar(s + t)) if callable(a_bar) else (lambda _, t: a_bar), grid)
+        (lambda _, t: a_bar(t)) if callable(a_bar) else (lambda _, t: a_bar), grid)
     beta_cells = np.full(grid.nx + 1, beta_bar)
     u = np.zeros((grid.nt + 1, grid.nx + 1))
-    u[0, :] = data(x, ts[0])
-    ends = sample_broadcast(data, np.array([[a, b]]), ts[1:, None], (grid.nt, 2))
+    u[0, :] = data(grid.x, grid.t[0])
+    ends = sample_broadcast(data, np.array([[a, b]]), grid.t[1:, None], (grid.nt, 2))
     _check_finite(beta_cells[1:-1], A.values[1:], u[0, 1:-1], ends)
     lateral = A.values[1:, [0, -1]] * ends / grid.h ** 2
     _march(u, beta_cells[1:-1] / grid.tau, A.values, grid.h, lateral=lateral)
     u[1:, [0, -1]] = ends
+    _check_marched(u)
     beta_const = Weight.constant(beta_bar, (a, b))
     F = np.zeros((grid.nt + 1, grid.nx))
     return SolutionField(grid=grid, u=u, beta=beta_const, beta_cells=beta_cells,
@@ -518,24 +527,17 @@ def poincare_audit(u: SolutionField, cyl: WeightedCylinder, variant: str,
         params={"variant": variant, "r": cyl.r, "center": [cyl.x0]})
 
 
-def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
-                    outer: WeightedCylinder, beta_bar: float,
+def lipschitz_audit(v: SolutionField, inner: WeightedCylinder, beta_bar: float,
                     budget: float) -> AuditReport:
     """Interior gradient and time-derivative sup bounds for frozen solutions.
 
     lhs = r * beta_bar * ||v_t||_inf + ||grad v||_inf on the inner cylinder,
-    rhs = mean-square gradient over the outer cylinder, both discrete.
-    ``v`` lives on the outer cylinder's local grid, whose time axis starts
-    at the cylinder bottom; regions are shifted accordingly.
+    rhs = mean-square gradient over the whole grid of ``v`` (the outer
+    cylinder a frozen solve covers, of radius half the grid's width), both
+    discrete.
     """
-    t_base = outer.t_interval[0]
-
-    def local(region):
-        a, b, s, e = region
-        return a, b, s - t_base, e - t_base
-
-    reg_in = local(inner.region())
-    reg_out = local(outer.region())
+    reg_in = inner.region()
+    reg_out = v.grid.region()
     sup_grad = float(np.max(np.abs(v.block(v.grad(), reg_in))))
     # row k: the slope into t_k (row 0 is zero and never selected)
     vt = v.block(np.diff(v.u, axis=0, prepend=v.u[:1]) / v.grid.tau, reg_in)
@@ -547,7 +549,8 @@ def lipschitz_audit(v: SolutionField, inner: WeightedCylinder,
                          extra={"sup_grad": sup_grad, "sup_vt": sup_vt})
     return AuditReport.from_rows(
         "frozen-interior-lipschitz", [row],
-        params={"inner_r": inner.r, "outer_r": outer.r, "beta_bar": beta_bar})
+        params={"inner_r": inner.r, "outer_r": 0.5 * (v.grid.x1 - v.grid.x0),
+                "beta_bar": beta_bar})
 
 
 def _interp_solution(u: SolutionField):
@@ -560,7 +563,7 @@ def _interp_solution(u: SolutionField):
     def fn(x, t):
         x = np.minimum(np.maximum(np.asarray(x, dtype=float), grid.x[0]), grid.x[-1])
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.floor(t / grid.tau).astype(np.intp), 0, grid.nt - 1)
+        k = np.clip(np.floor((t - grid.t0) / grid.tau).astype(np.intp), 0, grid.nt - 1)
         ft = (t - grid.t[k]) / grid.tau
         j = np.minimum(_locate(x, grid.x), grid.nx - 1)
         # the level-interpolated row at the nodes j and j + 1
@@ -575,7 +578,8 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     """Gradient gap between u and its frozen-coefficient companion.
 
     Normalizes u so the mean-square gradient over the 4r cylinder is one,
-    solves the frozen problem there with u's boundary data, and returns
+    solves the frozen problem there with u's boundary data, on a grid in
+    u's time frame that starts at the 4r cylinder's bottom, and returns
     (eps_emp, delta_emp): the root-mean-square gradient gap over the 2r
     cylinder and the oscillation + forcing smallness of the inputs, with the
     coefficient's oscillation ``theta_A_ms`` on the 4r cylinder, clipped to
@@ -607,17 +611,14 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     v = solve_frozen(beta_bar, a_bar, cyl4.x_interval, cyl4.t_interval,
                      nx_local, nt_local, data)
 
-    # compare gradients on the local grid restricted to the 2r cylinder;
-    # the local time axis starts at the bottom of the 4r cylinder
-    a2, b2, s2, e2 = cyl2.region()
-    t_base = cyl4.t_interval[0]
-    reg2 = (a2, b2, s2 - t_base, e2 - t_base)
-    gu = np.diff(data(v.grid.x[None, :], t_base + v.grid.t[:, None]), axis=1) / v.grid.h
+    # compare gradients on the local grid restricted to the 2r cylinder
+    reg2 = cyl2.region()
+    gu = np.diff(data(v.grid.x[None, :], v.grid.t[:, None]), axis=1) / v.grid.h
     gap = v.block(gu, reg2) - v.block(v.grad(), reg2)
     eps_emp = math.sqrt(float(np.mean(gap ** 2)))
 
     th_b = theta_beta_ms(beta, x0, R)
-    th_a = theta_A_ms(A_fun, x0, t0, R, cyl4.h, (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final))
+    th_a = theta_A_ms(A_fun, x0, t0, R, cyl4.h, u.grid.region())
     f_ms = u_hat.lp(u_hat.F, 2.0, reg4) ** 2 / size4
     return eps_emp, math.sqrt(th_a + th_b + f_ms)
 
@@ -629,8 +630,7 @@ def apriori_ratio(u: SolutionField, p: float) -> float:
     ||a u_x + F||_{L^p}; the ratio is ``report.ratio(grad + proxy, ||F||)``,
     infinite when only the forcing vanishes.
     """
-    grid = u.grid
-    region = (grid.x0, grid.x1, 0.0, grid.t_final)
+    region = u.grid.region()
     # one face table beside u and F, refilled for each integrand: the
     # gradient, the gradient again for the proxy, then F
     g = u.grad()
@@ -662,8 +662,7 @@ def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,
     w = u.beta_cells
     diff = (u.u[shift_steps:] - u.u[:grid.nt + 1 - shift_steps]) * phi
     lhs = u.integral(diff ** 2 * w)
-    region = (grid.x0, grid.x1, 0.0, grid.t_final)
-    proxy = u.lp(u.flux_proxy(), 2.0, region)
+    proxy = u.lp(u.flux_proxy(), 2.0, grid.region())
     prod = u.u * phi[None, :] ** 2
     l2_sq = u.integral(prod[1:] ** 2)
     g_sq = u.integral((np.diff(prod, axis=1) / grid.h)[1:] ** 2)

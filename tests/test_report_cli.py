@@ -26,7 +26,7 @@ from wparab.report import (
     write_json,
     write_svg_curves,
 )
-from wparab.solver import write_solution_binary, write_solution_csv
+from wparab.solver import solve_frozen, write_solution_binary, write_solution_csv
 from wparab.experiments import ManufacturedCase
 from wparab.weights import Weight
 
@@ -234,6 +234,14 @@ class TestSolutionDumps:
         payload = np.frombuffer(blob[struct.calcsize("<4sBcIIdddd"):],
                                 dtype="<f8").reshape(n_times, n_nodes)
         assert np.allclose(payload, u.u)
+
+    def test_binary_header_holds_the_grid_time_origin(self, tmp_path):
+        # a frozen solve's grid starts at the bottom of its time span
+        v = solve_frozen(1.0, 1.0, (-0.5, 0.5), (0.1, 0.3), 8, 4,
+                         lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
+        blob = write_solution_binary(tmp_path / "sol.bin", v).read_bytes()
+        x0, h, t0, tau = struct.unpack_from("<4sBcIIdddd", blob)[5:]
+        assert (x0, h, t0, tau) == (-0.5, v.grid.h, 0.1, v.grid.tau)
 
 
 class TestConfig:

@@ -199,6 +199,51 @@ class TestGridCache:
                 arr[0] = 1.0
 
 
+class TestTimeFrame:
+    """A grid's times are absolute: its origin t0 moves the time axis and
+    nothing else."""
+
+    @pytest.mark.parametrize("t_final, nt", [(0.25, 1024), (0.05, 64), (0.3, 7),
+                                             (1.0 / 3.0, 12)])
+    def test_zero_origin_keeps_the_axis(self, t_final, nt):
+        grid = Grid(x0=0.0, x1=1.0, nx=4, t_final=t_final, nt=nt)
+        assert same_bits(grid.t, np.linspace(0.0, t_final, nt + 1))
+        assert grid.tau == t_final / nt
+        assert grid.region() == (0.0, 1.0, 0.0, t_final)
+
+    @pytest.mark.parametrize("s, e, nt", [(0.1, 0.5, 12), (-0.3, 0.25, 1024),
+                                          (-0.0625, 0.0, 48), (0.03, 0.07, 5)])
+    def test_origin_shifts_the_axis(self, s, e, nt):
+        grid = Grid(x0=-0.4, x1=0.6, nx=4, t_final=e, nt=nt, t0=s)
+        local = Grid(x0=-0.4, x1=0.6, nx=4, t_final=e - s, nt=nt)
+        assert same_bits(grid.t, s + local.t)
+        assert grid.tau == local.tau
+        assert grid.region() == (-0.4, 0.6, s, e)
+
+    def test_final_time_after_the_origin(self):
+        with pytest.raises(ValueError, match="degenerate grid extents"):
+            Grid(x0=0.0, x1=1.0, nx=4, t_final=0.1, nt=4, t0=0.1)
+
+    def test_whole_grid_audits_read_the_grid_in_its_frame(self):
+        # the same arrays on a grid that starts at t = -0.3: a whole-grid
+        # region that started at t = 0 would drop the rows before it
+        u = solve_driven(BETA_POW, smooth_random_forcing(5), nx=32, nt=64,
+                         t_final=0.5, a_fun=sinusoidal_coefficient(1.0, 0.3, 3.0))
+        g = u.grid
+        grid = Grid(x0=g.x0, x1=g.x1, nx=g.nx, t_final=0.2, nt=g.nt, t0=-0.3)
+        assert (grid.h, grid.tau) == (g.h, g.tau) and grid.t[0] < 0.0 < grid.t[-1]
+        moved = SolutionField(grid=grid, u=u.u, beta=u.beta, beta_cells=u.beta_cells,
+                              A=u.A, F=u.F)
+        for p in (2.0, 4.0):
+            assert apriori_ratio(moved, p) == apriori_ratio(u, p)
+        phi = np.sin(math.pi * g.x) ** 2
+        phi[[0, -1]] = 0.0
+        for steps in (1, 5):
+            want = time_shift_audit(u, phi, steps, 10.0).rows[0]
+            got = time_shift_audit(moved, phi, steps, 10.0).rows[0]
+            assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+
+
 class TestBroadcastSampling:
     @pytest.mark.parametrize("make_fn", [
         lambda: smooth_random_forcing(7),
@@ -412,7 +457,8 @@ class TestBlockedMarching:
 
         got = solve_frozen(0.7, lambda t: 1.0 + 0.3 * t, (-0.4, 0.6), (0.1, 0.5),
                            nx, nt, data)
-        ts = 0.1 + got.grid.t[1:]
+        assert got.grid.t[0] == 0.1 and got.grid.t[-1] == 0.5
+        ts = got.grid.t[1:]
         left = np.array([data(-0.4, t) for t in ts])
         right = np.array([data(0.6, t) for t in ts])
         u0 = data(got.grid.x, 0.1)
@@ -423,6 +469,15 @@ class TestBlockedMarching:
 
 
 class TestFrozen:
+    def test_overflowing_march_raises(self):
+        # finite data whose lateral terms a u / h^2 overflow to inf
+        def data(x, t):
+            return np.full(np.broadcast(x, t).shape, 1e306)
+
+        with np.errstate(over="ignore"), \
+                pytest.raises(SingularSystem, match="step 1 produced non-finite values"):
+            solve_frozen(1.0, 1.0, (0.0, 1.0), (0.0, 0.25), 64, 8, data)
+
     def test_zero_data(self):
         v = solve_frozen(1.0, 1.0, (0.0, 1.0), (0.0, 0.5), 16, 16,
                          lambda x, t: np.zeros_like(np.asarray(x, float)))
@@ -556,7 +611,7 @@ class TestLipschitz:
         inner = WeightedCylinder(0.0, 0.0, 0.25, beta, variant="Q")
         v = solve_frozen(beta_bar, 1.0, outer.x_interval, outer.t_interval, nx, nt,
                          lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
-        return v, inner, outer, beta_bar
+        return v, inner, beta_bar
 
     def test_constant_data_zero_both_sides(self):
         beta = Weight.constant(1.0, (-1.0, 1.0))
@@ -564,7 +619,7 @@ class TestLipschitz:
         inner = WeightedCylinder(0.0, 0.0, 0.25, beta, variant="Q")
         v = solve_frozen(1.0, 1.0, outer.x_interval, outer.t_interval, 16, 16,
                          lambda x, t: np.full_like(np.asarray(x, float), 3.0))
-        rep = lipschitz_audit(v, inner, outer, beta_bar=1.0, budget=math.inf)
+        rep = lipschitz_audit(v, inner, beta_bar=1.0, budget=math.inf)
         assert rep.rows[0].lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_free_time_profile_fails(self):
@@ -573,17 +628,17 @@ class TestLipschitz:
         outer = WeightedCylinder(0.5, 0.0, 0.5, beta, variant="Q")
         inner = WeightedCylinder(0.5, 0.0, 0.25, beta, variant="Q")
         (a, b), (s, e) = outer.x_interval, outer.t_interval
-        grid = Grid(x0=a, x1=b, nx=16, t_final=e - s, nt=16)
+        grid = Grid(x0=a, x1=b, nx=16, t_final=e, nt=16, t0=s)
         v = field_of(np.repeat(grid.t[:, None], grid.nx + 1, axis=1), grid, beta)
-        row = lipschitz_audit(v, inner, outer, beta_bar=1.0, budget=100.0).rows[0]
+        row = lipschitz_audit(v, inner, beta_bar=1.0, budget=100.0).rows[0]
         assert row.lhs > 0.0 and row.rhs == 0.0
         assert row.constant == math.inf and not row.passed
 
     def test_caloric_polynomial_stable_constant(self):
         consts = []
         for n in (32, 64):
-            v, inner, outer, bb = self.frozen_solution(nx=n, nt=n)
-            rep = lipschitz_audit(v, inner, outer, bb, math.inf)
+            v, inner, bb = self.frozen_solution(nx=n, nt=n)
+            rep = lipschitz_audit(v, inner, bb, math.inf)
             assert rep.rows[0].extra["sup_grad"] > 0.0
             assert rep.rows[0].extra["sup_vt"] > 0.0
             consts.append(rep.rows[0].constant)
@@ -599,7 +654,7 @@ class TestLipschitz:
             inner = WeightedCylinder(0.0, 0.0, r, beta, variant="Q")
             v = solve_frozen(1.0, 1.0, outer.x_interval, outer.t_interval, 48, 48,
                              lambda x, t: np.asarray(x) ** 2 + 2.0 * t)
-            consts.append(lipschitz_audit(v, inner, outer, 1.0, math.inf).rows[0].constant)
+            consts.append(lipschitz_audit(v, inner, 1.0, math.inf).rows[0].constant)
         assert max(consts) < 10.0 * min(consts)
         assert all(np.isfinite(c) and c > 0 for c in consts)
 
@@ -702,13 +757,14 @@ class TestInterpolant:
         # the nodes, points between them, and points past either end
         x = np.concatenate([grid.x, rng.uniform(-0.5, 0.7, 64),
                             [np.nextafter(0.6, 1.0), np.nextafter(-0.4, -1.0)]])
-        # the levels, times between them, and times past either end
-        t = np.concatenate([grid.t, rng.uniform(-0.05, 0.45, 16), [grid.t_final + 1e-3]])
+        # the levels, times between them, and times past either end; the
+        # grid's times are absolute and start at 0.1
+        t = np.concatenate([grid.t, rng.uniform(0.05, 0.55, 16), [grid.t_final + 1e-3]])
         got = fn(x[None, :], t[:, None])
         assert got.shape == (t.size, x.size)
         for i, ti in enumerate(t):
             # the interpolant as one np.interp call per time
-            k = min(max(int(np.floor(ti / grid.tau)), 0), grid.nt - 1)
+            k = min(max(int(np.floor((ti - 0.1) / grid.tau)), 0), grid.nt - 1)
             ft = (ti - grid.t[k]) / grid.tau
             want = np.interp(x, grid.x, (1.0 - ft) * u.u[k] + ft * u.u[k + 1])
             tol = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
@@ -773,7 +829,7 @@ class TestAprioriRatio:
         for beta in (BETA1, BETA_POW):
             u = solve_driven(beta, smooth_random_forcing(5), nx=64, nt=256,
                              t_final=0.25, a_fun=lambda x, t: 1.0)
-            region = (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final)
+            region = u.grid.region()
             nu = float(u.A.values.min())
             assert u.lp(u.grad(), 2.0, region) <= u.lp(u.F, 2.0, region) / nu * (1 + 1e-10)
 
@@ -781,7 +837,7 @@ class TestAprioriRatio:
     def test_ratio_of_the_full_domain_norms(self, p):
         u = solve_driven(BETA_POW, smooth_random_forcing(5), nx=32, nt=64,
                          t_final=0.25, a_fun=lambda x, t: 1.0)
-        region = (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final)
+        region = u.grid.region()
         assert apriori_ratio(u, p) == ((u.lp(u.grad(), p, region)
                                         + u.lp(u.flux_proxy(), p, region))
                                        / u.lp(u.F, p, region))
@@ -862,7 +918,7 @@ class TestArrayPasses:
                                 u.F.shape) * g + u.F
         assert np.array_equal(u.grad(), g)
         assert np.array_equal(u.flux_proxy(), proxy)
-        region = (u.grid.x0, u.grid.x1, 0.0, u.grid.t_final)
+        region = u.grid.region()
         for p in (2.0, 3.5, 4.0):
             assert u.lp(proxy, p, region) == float(
                 (np.sum(np.abs(proxy[1:]) ** p) * u.grid.h * u.grid.tau) ** (1.0 / p))
@@ -890,6 +946,9 @@ class TestArrayPasses:
             # the norm sums the block column by column, as over that copy
             assert u.lp(values, 2.0, region) == float(
                 (np.sum(np.abs(ref) ** 2.0) * u.grid.h * u.grid.tau) ** 0.5)
+            if values is u.u:  # the sup over slices, as a loop over the rows
+                assert u.sup_weighted_energy(region) == max(
+                    float(np.sum(row) * u.grid.h) for row in ref ** 2 * u.beta_cells[cols])
 
 
 class TestWeightCells:
