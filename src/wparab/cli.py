@@ -12,17 +12,14 @@ run writes the files: ``flatten``, when a group precedes it, is computed in
 a niced child (:func:`flatten_audits`) while the groups before it run, and
 written at its turn, so outputs, print order, exit codes and messages match
 an inline run. The one exception is solve's ``solution.csv``, whose child
-writes the file itself. ``geometry`` splits its quasi-triangle audit over
-the CPUs the process may use (:func:`usable_cpus`). The gain is wall time
-and needs a free core; ``run_experiment`` returns after every child has
-finished.
+writes the file itself. The gain is wall time and needs a free core;
+``run_experiment`` returns after every child has finished.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -53,12 +50,6 @@ from .weights import (BallFamily, Weight, check_beta_condition, doubling_report,
                       reverse_holder_gamma)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 class RunContext:
     """What the audit groups of one run share.
 
@@ -71,7 +62,7 @@ class RunContext:
     instead (:meth:`keep_manufactured`). A grid without ``nt`` takes
     :func:`default_nt` steps, as the convergence levels do. The
     quasi-metric parameters are fitted on first use in the same way, for
-    ``geometry`` and ``levelset``. ``dump`` is the child that writes
+    ``levelset``. ``dump`` is the child that writes
     solution.csv, and ``flatten`` the child that computes that group's
     values, when the run forks one.
     """
@@ -120,8 +111,7 @@ def run_weights(run: RunContext) -> list[AuditReport]:
 
 def run_geometry(run: RunContext) -> list[AuditReport]:
     w, p = run.weight, run.cfg.audits["geometry"]
-    reports = [quasi_triangle_audit(w, run.quasi_params, p.samples,
-                                    seed=run.seed, ranges=usable_cpus())]
+    reports = [quasi_triangle_audit(w, p.samples, seed=run.seed)]
     lo, hi = w.domain[0]
     x0 = p.relations_x0 if p.relations_x0 is not None else 0.5 * (lo + hi)
     r = p.relations_r if p.relations_r is not None else 0.25 * (hi - lo)
@@ -380,8 +370,8 @@ def run_experiment(config_path: str, out_dir: str, seed: int | None = None,
     try:
         run = RunContext(cfg, seed if seed is not None else cfg.seed, out)
         if "flatten" in selected[1:]:  # overlaps only the groups before it
-            # niced: the run's own process and the geometry split keep their
-            # cores, and flatten's values are needed only at its turn
+            # niced: the run's own process keeps its core, and flatten's
+            # values are needed only at its turn
             run.flatten = Forked(
                 functools.partial(flatten_audits, cfg.audits["flatten"]), nice=10)
         for group in selected:

@@ -82,7 +82,7 @@ PARAMS: dict[str, dict[str, Param]] = {
         "rh_budget": Param("budget", 2.0, ge=1.0),
     },
     "audits.geometry": {
-        "samples": Param("int", 100000, ge=1),
+        "samples": Param("int", 32768, ge=1),
         "relations_x0": Param("float"),
         "relations_r": Param("float", gt=0.0),
     },

@@ -1,11 +1,10 @@
 """Work run in a forked child while the caller goes on.
 
-A run forks for three pieces of work: solve's ``solution.csv``, ``flatten``
-when a group precedes it (both in ``cli``), and the later triple ranges of
-the quasi-triangle audit (``geometry``). Each child computes what the
-caller would have computed inline and returns it; the caller writes the
-files, except ``solution.csv``, which its child writes. The caller reaps
-every child on every path.
+A run forks for two pieces of work (both in ``cli``): solve's
+``solution.csv``, and ``flatten`` when a group precedes it. Each child
+computes what the caller would have computed inline and returns it; the
+caller writes the files, except ``solution.csv``, which its child writes.
+The caller reaps every child on every path.
 """
 from __future__ import annotations
 

@@ -12,15 +12,16 @@ The solution dumps are checked byte for byte through their SHA-256
 digests in ``solution.sha256``.
 
 Regenerate the goldens only for a change that is meant to alter reports,
-and only those of the configs it alters (all of them when none is named):
+and only those of the configs it alters (all of them when none is named).
+Run as a script, the tool imports ``wparab`` from this checkout's ``src``:
 
-    PYTHONPATH=src python tests/golden_reports.py [CONFIG ...]
+    python tests/golden_reports.py [CONFIG ...]
 
 ``--diff`` runs the named configs (all when none is named) into a
 temporary directory instead and prints every new-vs-golden mismatch, the
 old -> new list a golden-moving change records; it exits 1 on any:
 
-    PYTHONPATH=src python tests/golden_reports.py --diff [CONFIG ...]
+    python tests/golden_reports.py --diff [CONFIG ...]
 """
 from __future__ import annotations
 
@@ -170,6 +171,7 @@ def regenerate(configs=CONFIGS) -> None:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     if sys.argv[1:2] == ["--diff"]:
         sys.exit(diff(sys.argv[2:] or CONFIGS))
     regenerate(sys.argv[1:] or CONFIGS)

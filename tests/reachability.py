@@ -4,8 +4,8 @@ Runs ``run_experiment`` on every bundled config and every config in
 ``tests/configs/`` with a line tracer (``sys.settrace``) on, and prints each
 statement of the package that none of the runs reached, as
 ``module.py:line: source``. ``os.fork`` is removed for the duration, so the
-CSV dump, the flatten group and the later ranges of the quasi-triangle audit
-run inline (``forked.Forked``'s fallback) and are traced too. The three traced runs take about 5 s on a 2-vCPU VM.
+CSV dump and the flatten group run inline (``forked.Forked``'s fallback)
+and are traced too. The three traced runs take about 5 s on a 2-vCPU VM.
 
 This is a tool, not a test (pytest does not collect it):
 

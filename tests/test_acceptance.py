@@ -29,6 +29,7 @@ from wparab.flattening import (
     shear,
 )
 from wparab.geometry import (
+    QT_MARGIN,
     WeightedCylinder,
     estimate_quasi_params,
     height_inverse,
@@ -110,14 +111,13 @@ class TestAcceptance:
                 r_got = height_inverse(w, [0.0], s)
                 ok = ok and abs(r_got - r_ref) <= 1e-8 * max(1.0, r_ref)
 
-        # quasi-triangle with the formula Lambda, 1e5 triples, 3 weights
+        # quasi-triangle at the proven constant 1 (plus QT_MARGIN), 1e5
+        # triples, 3 weights
         for wspec in (Weight.constant(1.0, (-1.0, 1.0)),
                       Weight.power(0.3, 0.0, (-1.0, 1.0)),
                       Weight.power(0.45, -0.25, (-1.0, 1.0))):
-            params = estimate_quasi_params(wspec)
-            rep = quasi_triangle_audit(wspec, params, samples=100000,
-                                       seed=271828, ranges=1)
-            ok = ok and rep.passed
+            rep = quasi_triangle_audit(wspec, samples=100000, seed=271828)
+            ok = ok and rep.passed and rep.rows[0].budget == 1.0 + QT_MARGIN
         elapsed = time.time() - start
         report("3-geometry", ok and elapsed < 10.0, f"elapsed={elapsed:.2f}s")
 

@@ -1,12 +1,10 @@
 """The flatten group's values are computed in a forked child when another
-group precedes it, and written by the run at flatten's turn; the geometry
-group splits its quasi-triangle audit over the CPUs the process may use.
+group precedes it, and written by the run at flatten's turn.
 
 The run must look exactly like an inline one: the same files, the same
 stdout in the same order, the same exit codes and error lines. A run that
 stops before flatten's turn leaves no flatten file, and ``conftest.py``
-checks after every test that no child is left. Every run here sees two
-usable CPUs unless a test says otherwise.
+checks after every test that no child is left.
 """
 import errno
 import json
@@ -33,16 +31,9 @@ def write_config(tmp_path, selection, **audits):
     return path
 
 
-def cpus(monkeypatch, n):
-    """Make ``os.sched_getaffinity`` report ``n`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 @pytest.fixture
 def forks(monkeypatch):
-    """How many times ``os.fork`` is called (each call still forks), on two
-    usable CPUs."""
+    """How many times ``os.fork`` is called (each call still forks)."""
     calls, fork = [], os.fork
 
     def counted():
@@ -50,7 +41,6 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    cpus(monkeypatch, 2)
     return calls
 
 
@@ -68,8 +58,8 @@ def run(tmp_path, capsys, config, name):
 
 @pytest.mark.parametrize("selection, n_forks", [
     (["weights", "flatten"], 1),
-    # flatten, the CSV and the second triple range each in a child
-    (["solve", "geometry", "flatten", "weights"], 3),
+    # flatten and the CSV each in a child
+    (["solve", "geometry", "flatten", "weights"], 2),
 ])
 def test_same_outputs_as_inline(tmp_path, capsys, monkeypatch, forks,
                                 selection, n_forks):
@@ -154,17 +144,3 @@ def test_child_that_dies_fails_the_run(tmp_path, capsys, monkeypatch, forks):
     assert "[flatten]" not in out
     assert not any(name.startswith("flatten") for name in files)
     assert all(p.is_file() for p in (tmp_path / "out").iterdir())
-
-
-@pytest.mark.parametrize("n_cpus, n_forks", [(2, 1), (1, 0)])
-def test_geometry_splits_over_idle_cores(tmp_path, capsys, monkeypatch, forks,
-                                         n_cpus, n_forks):
-    # the 101,690 triples split into one range per usable CPU, each further
-    # range in a child
-    config = write_config(tmp_path, ["weights", "geometry"])
-    cpus(monkeypatch, n_cpus)
-    split = run(tmp_path, capsys, config, "split")
-    assert len(forks) == n_forks
-    monkeypatch.delattr(os, "fork")
-    assert split == run(tmp_path, capsys, config, "inline")
-    assert split[0] == 0 and split[2] == ""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from pathlib import Path
@@ -13,6 +14,7 @@ from wparab.errors import NoBracket
 from wparab.geometry import (
     BISECT_BLOCK,
     MAX_BISECT,
+    QT_MARGIN,
     TOL_BISECT,
     TRIPLE_BLOCK,
     QuasiMetricParams,
@@ -359,17 +361,16 @@ class TestModelStart:
         assert np.all(s <= height(beta, x0, got * (1.0 + TOL_BISECT)))
 
     # Height point-evaluations of quasi_triangle_audit with 2,000 samples at
-    # seed 7: the screen's and the bounds' (geometry.height) and the Newton
-    # steps' (Weight.ball_ends). Inverting every unscreened pair took 31,863,
-    # 20,933 and 41,267.
-    AUDIT_EVALS = {"power": 21388, "constant": 17792, "sampled": 29018}
+    # seed 7: the screen's (geometry.height) and the Newton steps'
+    # (Weight.ball_ends), every unscreened pair inverted. With the leg bounds
+    # that pruned most inversions they took 21,388, 17,792 and 29,018.
+    AUDIT_EVALS = {"power": 31863, "constant": 20933, "sampled": 41258}
 
     @pytest.mark.parametrize("kind", sorted(AUDIT_EVALS))
     def test_audit_height_evaluations(self, kind, monkeypatch):
         beta = TestBlockedBisection.WEIGHTS[kind]
         newton, screen = counted_evaluations(monkeypatch)
-        quasi_triangle_audit(beta, estimate_quasi_params(beta), samples=2000,
-                             seed=7, ranges=1)
+        quasi_triangle_audit(beta, samples=2000, seed=7)
         assert sum(newton) > 0 and sum(screen) > 0
         assert sum(newton) + sum(screen) <= 1.05 * self.AUDIT_EVALS[kind]
 
@@ -491,8 +492,7 @@ class TestHeightScreen:
     def test_most_audit_pairs_skip_the_inversion(self, inverted):
         w = Weight.power(0.3, 0.0, DOM)
         samples = 2000
-        quasi_triangle_audit(w, estimate_quasi_params(w), samples=samples,
-                             seed=7, ranges=1)
+        quasi_triangle_audit(w, samples=samples, seed=7)
         # three legs of every random and every adversarial triple
         pairs = 3 * (samples + 13 * 13 * 10)
         assert len(inverted) == 3
@@ -515,42 +515,6 @@ class TestHeightScreen:
             quasi_distance_batch(beta, X, T, X0, T0)
 
 
-def bound_weights():
-    """Power weights with alpha in (-0.9, 2), a constant weight, and sampled
-    two-level weights with contrast up to 1e3."""
-    return st.one_of(
-        st.builds(lambda alpha, c: Weight.power(alpha, c, DOM),
-                  st.floats(-0.9, 2.0, exclude_min=True, exclude_max=True),
-                  st.floats(-0.5, 0.5)),
-        st.just(Weight.constant(2.5, DOM)),
-        st.builds(lambda cells, contrast, seed: Weight.sampled(np.where(
-            np.random.default_rng(seed).random(cells) < 0.5, 1.0, contrast), DOM),
-                  st.integers(2, 64), st.floats(1.0, 1e3), st.integers(0, 2 ** 16)))
-
-
-class TestLegBounds:
-    """The audit's bounds from one height evaluation per unscreened pair hold
-    the pair's quasi-distance between them."""
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(beta=bound_weights(), seed=st.integers(0, 2 ** 16))
-    def test_bounds_hold_the_distance(self, beta, seed):
-        # random pairs; a third with spatial gaps from 1e-9 to 1e-2, a third
-        # with time gaps from 1e-9 to 1e-1 of the audit's time span
-        rng = np.random.default_rng(seed)
-        n = 600
-        t_span = height(beta, 0.0, 1.0).item()
-        X, X0 = rng.uniform(-1.0, 1.0, (2, n))
-        T, T0 = rng.uniform(-t_span, 0.0, (2, n))
-        X0[::3] = X[::3] + 10.0 ** rng.uniform(-9.0, -2.0, n // 3)
-        T0[1::3] = T[1::3] - t_span * 10.0 ** rng.uniform(-9.0, -1.0, n // 3)
-        screen = geometry._screen(beta, X, T, X0, T0)
-        lower = geometry._leg_bound(beta, *screen, geometry.C_LOWER)
-        upper = geometry._leg_bound(beta, *screen, geometry.C_UPPER)
-        d = quasi_distance_batch(beta, X, T, X0, T0)
-        assert np.all(lower <= d) and np.all(d <= upper)
-
-
 class TestQuasiTriangle:
     def test_lambda_formula(self):
         p = QuasiMetricParams(zeta0=0.5, N2=1.5)
@@ -559,17 +523,16 @@ class TestQuasiTriangle:
 
     def test_identity_weight_ratio_at_most_one(self):
         w = Weight.constant(1.0, DOM)
-        params = QuasiMetricParams(zeta0=0.9, N2=1.0 + 1e-9)
-        rep = quasi_triangle_audit(w, params, samples=2000, seed=42, ranges=1)
+        rep = quasi_triangle_audit(w, samples=2000, seed=42)
         assert rep.passed
         assert rep.rows[0].constant <= 1.0 + 1e-9
 
     def test_power_weight_passes_formula_lambda(self):
         w = Weight.power(0.3, 0.0, DOM)
-        params = estimate_quasi_params(w)
-        rep = quasi_triangle_audit(w, params, samples=20000, seed=7, ranges=1)
-        assert rep.passed
-        assert params.Lambda >= 2.0
+        rep = quasi_triangle_audit(w, samples=20000, seed=7)
+        assert rep.passed and rep.rows[0].budget == 1.0 + QT_MARGIN
+        # the general constant only the level-set audit still reads
+        assert estimate_quasi_params(w).Lambda >= 2.0
 
     @pytest.mark.parametrize("w", [
         Weight.power(0.3, 0.0, DOM), Weight.power(-0.4, 0.35, DOM),
@@ -597,9 +560,8 @@ class TestQuasiTriangle:
 
     def test_deterministic_given_seed(self):
         w = Weight.power(0.3, 0.0, DOM)
-        params = estimate_quasi_params(w)
-        r1 = quasi_triangle_audit(w, params, samples=500, seed=9, ranges=1)
-        r2 = quasi_triangle_audit(w, params, samples=500, seed=9, ranges=1)
+        r1 = quasi_triangle_audit(w, samples=500, seed=9)
+        r2 = quasi_triangle_audit(w, samples=500, seed=9)
         assert r1.to_json() == r2.to_json()
 
 
@@ -627,7 +589,7 @@ def triangle_ratios(beta, xs, ts):
     return np.where(denom > 0.0, d_main / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def quasi_triangle_whole(beta, params, samples, seed):
+def quasi_triangle_whole(beta, samples, seed):
     """Reference for the blocked audit: every triple drawn and measured at
     once, the first argmax of the whole ratio vector reported."""
     rng = np.random.default_rng(seed)
@@ -649,104 +611,39 @@ def quasi_triangle_whole(beta, params, samples, seed):
 
 
 class TestBlockedTriangleAudit:
-    """The audit walks its triples in ranges, each in blocks of TRIPLE_BLOCK,
-    and reports what the whole-array audit reported."""
+    """The audit walks its triples in blocks of TRIPLE_BLOCK and reports what
+    the whole-array audit reported."""
 
     N_ADV = 13 * 13 * 10
-    WEIGHTS = {"power": Weight.power(0.4, 0.1, DOM),
-               "sampled": TestBlockedBisection.WEIGHTS["sampled"]}
-    PRUNED_WEIGHTS = {
+    WEIGHTS = {
+        "power": Weight.power(0.4, 0.1, DOM),
+        "sampled": TestBlockedBisection.WEIGHTS["sampled"],
         "power-0.7": Weight.power(-0.7, 0.1, DOM),
         "constant": TestBlockedBisection.WEIGHTS["constant"],
         "golden-sampled": ExperimentConfig.load(
             Path(__file__).resolve().parent / "configs" / "sampled.json").build_weight(),
     }
+    # sample counts on either side of one block, and two counts for three more
+    # weights
+    CASES = [*itertools.product([1, TRIPLE_BLOCK - N_ADV - 1, TRIPLE_BLOCK - N_ADV,
+                                 TRIPLE_BLOCK - N_ADV + 1], ["power", "sampled"], [5, 2026]),
+             *itertools.product([1, 2000], ["constant", "golden-sampled", "power-0.7"], [5])]
 
-    def check(self, beta, samples, seed, ranges=1):
+    def check(self, beta, samples, seed):
         """The report against the reference, field by field; the indices of
         the triples at the worst ratio."""
-        params = estimate_quasi_params(beta)
-        rep = quasi_triangle_audit(beta, params, samples, seed=seed, ranges=ranges)
-        ratio, triple, t_span, ties = quasi_triangle_whole(beta, params, samples, seed)
+        rep = quasi_triangle_audit(beta, samples, seed=seed)
+        ratio, triple, t_span, ties = quasi_triangle_whole(beta, samples, seed)
         row, = rep.rows
         assert row.constant == row.lhs == ratio
-        assert row.extra["worst_triple"] == triple
-        assert rep.params == {"samples": samples, "Lambda": params.Lambda,
-                              "t_span": t_span}
-        assert row.passed == (ratio <= params.Lambda)
+        assert row.extra == {"worst_triple": triple}
+        assert rep.params == {"samples": samples, "t_span": t_span}
+        assert row.passed == (ratio <= 1.0 + QT_MARGIN)
         return ties
 
-    @pytest.mark.parametrize("seed", [5, 2026])
-    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
-    @pytest.mark.parametrize("samples", [1, TRIPLE_BLOCK - N_ADV - 1,
-                                         TRIPLE_BLOCK - N_ADV,
-                                         TRIPLE_BLOCK - N_ADV + 1])
-    def test_matches_whole_array_audit(self, kind, samples, seed):
+    @pytest.mark.parametrize("samples, kind, seed", CASES)
+    def test_matches_whole_array_audit(self, samples, kind, seed):
         self.check(self.WEIGHTS[kind], samples, seed)
-
-    @pytest.mark.parametrize("samples", [1, 2000])
-    @pytest.mark.parametrize("kind", sorted(PRUNED_WEIGHTS))
-    def test_pruning_keeps_the_report(self, kind, samples):
-        # the bounds prune most triples without an inversion; the report
-        # must stay that of the reference, which inverts every pair
-        self.check(self.PRUNED_WEIGHTS[kind], samples, seed=5)
-
-    def test_block_of_one_x_inverts_every_leg(self, inverted):
-        # every leg has spatial gap 0 and is unscreened, so no triple sets
-        # the threshold and every pair is inverted
-        beta = self.WEIGHTS["sampled"]
-        rng = np.random.default_rng(8)
-        xs, ts = np.full((500, 3), 0.3), rng.uniform(-1.0, 0.0, (500, 3))
-        (ratio, x, t), = geometry._triangle_range(beta, 0, 8, 1.0, (xs, ts), 0, 500)
-        assert sum(inverted) == 3 * 500
-        ratios = triangle_ratios(beta, xs, ts)
-        worst = int(np.argmax(ratios))
-        assert (ratio, x, t) == (ratios[worst], xs[worst].tolist(), ts[worst].tolist())
-
-    def test_zero_lower_denominator_keeps_the_triple(self, inverted):
-        # the first triple lies at one time, so its legs are screened and it
-        # sets the threshold at ratio 1/3. The second lies at one x, 1e-13
-        # apart in time: its model roots fall below the screen's floor, so
-        # its side legs' lower bounds are their spatial gaps, 0. Its ratio,
-        # about 1/sqrt(2), must still be measured and reported
-        beta = self.WEIGHTS["sampled"]
-        xs = np.array([[-0.5, 0.5, 0.0], [0.3, 0.3, 0.3]])
-        ts = np.array([[0.0, 0.0, 0.0], [0.0, -1e-13, -2e-13]])
-        (ratio, x, t), = geometry._triangle_range(beta, 0, 8, 1.0, (xs, ts), 0, 2)
-        assert sum(inverted) == 3
-        assert 0.6 < ratio < 0.8
-        assert (ratio, x, t) == (triangle_ratios(beta, xs, ts)[1], xs[1].tolist(),
-                                 ts[1].tolist())
-
-    def test_most_unscreened_pairs_skip_the_inversion(self, inverted, monkeypatch):
-        # the golden sampled config's 1e5-sample audit
-        unscreened, screen = [], geometry._screen
-
-        def counted(beta, X, T, X0, T0):
-            out = screen(beta, X, T, X0, T0)
-            unscreened.append(int(np.count_nonzero(out[1])))
-            return out
-
-        monkeypatch.setattr(geometry, "_screen", counted)
-        beta = self.PRUNED_WEIGHTS["golden-sampled"]
-        quasi_triangle_audit(beta, estimate_quasi_params(beta), 100_000, seed=77,
-                             ranges=1)
-        assert 0 < sum(inverted) <= 0.4 * sum(unscreened)
-
-    @pytest.mark.parametrize("ranges", [1, 2, 3])
-    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
-    def test_ranges_match_whole_array_audit(self, kind, ranges, forks, monkeypatch):
-        # 256-triple blocks: the 3,690 triples split at 1,230 and 2,460, so
-        # one range straddles the adversarial tail's start (2,000) and the
-        # last holds adversarial triples only
-        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
-        self.check(self.WEIGHTS[kind], 2000, seed=5, ranges=ranges)
-        assert len(forks) == ranges - 1
-
-    def test_at_most_one_range_per_block(self, forks):
-        # 2,690 triples fill one block: the run stays in this process
-        self.check(self.WEIGHTS["power"], 1000, seed=5, ranges=4)
-        assert forks == []
 
     @pytest.mark.parametrize("block", [TRIPLE_BLOCK, 16])
     def test_ties_report_the_first_worst_triple(self, block, monkeypatch):
@@ -756,23 +653,11 @@ class TestBlockedTriangleAudit:
         samples = 300 if block == 16 else TRIPLE_BLOCK + 5
         assert len(self.check(Weight.constant(1.0, DOM), samples, seed=1)) > 10
 
-    @pytest.mark.parametrize("ranges", [2, 3])
-    def test_tie_across_range_boundaries(self, ranges, forks, monkeypatch):
-        # the constant weight's worst ratio, 1, is reached by about one random
-        # triple in 20 and so in every range: the first range's first tie
-        # must win over the later ones
-        monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
-        ties = self.check(Weight.constant(1.0, DOM), 6000, seed=1, ranges=ranges)
-        total = 6000 + self.N_ADV
-        bounds = [total * i // ranges for i in range(1, ranges)]
-        assert set(np.searchsorted(bounds, ties, side="right")) == set(range(ranges))
-        assert len(forks) == ranges - 1
-
     @pytest.mark.parametrize("samples", [1, 999, 1000, 2500])
     def test_block_draws_are_the_one_shot_draws(self, samples, monkeypatch):
-        # the triples of each range and each of its blocks, read off the
-        # first two legs each block screens, for contiguous splits that cut
-        # blocks, the random triples and the adversarial tail
+        # the triples of each block, read off the first two legs each block
+        # screens, for sample counts that cut blocks, the random triples and
+        # the adversarial tail
         legs, screen = [], geometry._screen
 
         def recorded(beta, X, T, X0, T0):
@@ -784,32 +669,23 @@ class TestBlockedTriangleAudit:
         beta = self.WEIGHTS["power"]
         (lo, hi), = beta.domain
         t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
-        adversarial = geometry._adversarial_triples(lo, hi, t_span)
+        xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
         rng = np.random.default_rng(11)
-        xs = np.vstack([rng.uniform(lo, hi, size=(samples, 3)), adversarial[0]])
-        ts = np.vstack([rng.uniform(-t_span, 0.0, size=(samples, 3)), adversarial[1]])
-        total = len(xs)
-        for bounds in ([0, total], [0, samples, total],
-                       [0, total // 3, 2 * total // 3, total], [0, 1, 1500, total]):
-            for start, stop in zip(bounds, bounds[1:]):
-                legs.clear()
-                geometry._triangle_range(beta, samples, 11, t_span, adversarial,
-                                         start, stop)
-                blocks = [(np.column_stack([x0, x1, x2]), np.column_stack([t0, t1, t2]))
-                          for (x2, t2, x0, t0), (x1, t1, _, _)
-                          in zip(legs[0::3], legs[1::3])]
-                assert len(legs) == 3 * len(blocks)
-                assert [len(x) for x, _ in blocks[:-1]] == [1000] * (len(blocks) - 1)
-                assert np.array_equal(np.vstack([x for x, _ in blocks]), xs[start:stop])
-                assert np.array_equal(np.vstack([t for _, t in blocks]), ts[start:stop])
+        xs = np.vstack([rng.uniform(lo, hi, size=(samples, 3)), xs_adv])
+        ts = np.vstack([rng.uniform(-t_span, 0.0, size=(samples, 3)), ts_adv])
+        quasi_triangle_audit(beta, samples, 11)
+        blocks = [(np.column_stack([x0, x1, x2]), np.column_stack([t0, t1, t2]))
+                  for (x2, t2, x0, t0), (x1, t1, _, _) in zip(legs[0::3], legs[1::3])]
+        assert len(legs) == 3 * len(blocks)
+        assert [len(x) for x, _ in blocks[:-1]] == [1000] * (len(blocks) - 1)
+        assert np.array_equal(np.vstack([x for x, _ in blocks]), xs)
+        assert np.array_equal(np.vstack([t for _, t in blocks]), ts)
 
     @pytest.mark.parametrize("samples", [1000, 100])
     def test_range_errors_raised_as_inline(self, samples, forks, monkeypatch):
         # every block that holds adversarial triples (time 0 at z0) raises,
-        # naming its first such pair. The 3 ranges split at a third and two
-        # thirds of the triples: with 1,000 samples only the second and the
-        # third range raise, with 100 all three do; the earliest range's
-        # error must be raised, as in one process
+        # naming its first such pair: the first of those blocks raises, in
+        # this process
         screen = geometry._screen
 
         def failing(beta, X, T, X0, T0):
@@ -822,16 +698,53 @@ class TestBlockedTriangleAudit:
         monkeypatch.setattr(geometry, "TRIPLE_BLOCK", 256)
         monkeypatch.setattr(geometry, "_screen", failing)
         beta = self.WEIGHTS["sampled"]
-        params = estimate_quasi_params(beta)
-        with pytest.raises(NoBracket) as inline:
-            quasi_triangle_audit(beta, params, samples, seed=3, ranges=1)
+        (lo, hi), = beta.domain
+        t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
+        xs_adv, ts_adv = geometry._adversarial_triples(lo, hi, t_span)
+        with pytest.raises(NoBracket) as raised:
+            quasi_triangle_audit(beta, samples, seed=3)
         assert forks == []
-        with pytest.raises(NoBracket) as split:
-            quasi_triangle_audit(beta, params, samples, seed=3, ranges=3)
-        assert len(forks) == 2
-        assert str(split.value) == str(inline.value)
-        with pytest.raises(ChildProcessError):  # every child reaped
-            os.waitpid(-1, os.WNOHANG)
+        # the main leg (zbar, z0) of the first adversarial triple
+        assert str(raised.value) == f"pair at {xs_adv[0, 2]!r}, {ts_adv[0, 2]!r}"
+
+
+def small_ball_distance(beta, X, T, X0, T0):
+    """A known-bad rho: the small-ball heights h_x(r) = beta(x) r^2, whose
+    inverse is sqrt(s / beta(x)), anchored at the later point as rho is."""
+    base = np.where(T <= T0, X0, X)
+    return np.maximum(np.abs(X - X0), np.sqrt(np.abs(T - T0) / beta(base)))
+
+
+def lighter_anchor_distance(beta, X, T, X0, T0):
+    """A known-bad rho: the true heights, anchored at the point of smaller
+    weight whatever the time order."""
+    base = np.where(beta(X) <= beta(X0), X, X0)
+    return np.maximum(np.abs(X - X0), height_inverse_vec(beta, base, np.abs(T - T0)))
+
+
+class TestKnownBadDistances:
+    """The quasi-triangle audit FAILs a distance that is not a metric, and
+    passes the true rho on the same weight at the constant 1."""
+
+    # contrast 1e3 across the middle of a 256-cell sampled weight
+    TWO_LEVEL = Weight.sampled(np.where(np.arange(256) < 128, 1.0, 1e3), (0.0, 1.0))
+    # |x - 1/2|^0.2 times a seeded log-normal factor, as in the benchmark's
+    # sampled-geometry workload
+    GOLDEN_SAMPLED = TestBlockedTriangleAudit.WEIGHTS["golden-sampled"]
+
+    @pytest.mark.parametrize("control, weight, low", [
+        (small_ball_distance, "TWO_LEVEL", 20.0),  # 25.6
+        (small_ball_distance, "GOLDEN_SAMPLED", 1.5),  # 1.73
+        (lighter_anchor_distance, "TWO_LEVEL", 1.05),  # 1.10
+    ])
+    def test_control_fails_and_true_distance_passes(self, control, weight, low,
+                                                   monkeypatch):
+        beta = getattr(self, weight)
+        true = quasi_triangle_audit(beta, 2000, seed=7)
+        assert true.passed and true.rows[0].constant == 1.0
+        monkeypatch.setattr(geometry, "quasi_distance_batch", control)
+        bad = quasi_triangle_audit(beta, 2000, seed=7)
+        assert not bad.passed and bad.rows[0].constant > low
 
 
 def quasi_params_per_ball(beta):

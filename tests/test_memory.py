@@ -22,7 +22,7 @@ from wparab import cli
 from wparab.cli import RunContext, run_solve
 from wparab.config import ExperimentConfig
 from wparab.experiments import ManufacturedCase, smooth_random_forcing, solve_driven
-from wparab.geometry import estimate_quasi_params, quasi_triangle_audit
+from wparab.geometry import quasi_triangle_audit
 from wparab.oscillation import oscillation_supremum
 from wparab.solver import (CoefficientField, Grid, SolutionField, apriori_ratio,
                            forcing_from_callable, sinusoidal_coefficient, solve_ivbp,
@@ -69,11 +69,10 @@ def test_oscillation_supremum_peak():
 
 def test_quasi_triangle_audit_peak():
     beta = ExperimentConfig.load(CONFIG_DIR / "power_weight.json").build_weight()
-    params = estimate_quasi_params(beta)
-    peak = traced_peak(lambda: quasi_triangle_audit(beta, params, 200_000,
-                                                    seed=7, ranges=1))
-    # blocks of 32,768 triples peaked at 6.07 MB, at 2e5 samples as at 5e5;
-    # all triples at once took 22.7 MB here. Margin about 4 MB
+    peak = traced_peak(lambda: quasi_triangle_audit(beta, 200_000, seed=7))
+    # blocks of 32,768 triples peaked at 6.25 MB, at 2e5 samples as at 5e5
+    # (6.07 MB while leg bounds pruned the inversions); all triples at once
+    # took 22.7 MB here. Margin about 3.5 MB
     assert peak < 10.0 * MB
 
 
