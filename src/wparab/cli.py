@@ -60,11 +60,9 @@ class RunContext:
     share one solve and a run without them makes none; when ``solve`` has
     already run a convergence level on that grid, its solution is used
     instead (:meth:`keep_manufactured`). A grid without ``nt`` takes
-    :func:`default_nt` steps, as the convergence levels do. The
-    quasi-metric parameters are fitted on first use in the same way, for
-    ``levelset``. ``dump`` is the child that writes
-    solution.csv, and ``flatten`` the child that computes that group's
-    values, when the run forks one.
+    :func:`default_nt` steps, as the convergence levels do. ``dump`` is
+    the child that writes solution.csv, and ``flatten`` the child that
+    computes that group's values, when the run forks one.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, out: Path):
@@ -87,10 +85,6 @@ class RunContext:
         t_final), if that is the config grid and none is at hand yet."""
         if grid == self.manufactured_grid:  # into the cached property's slot
             self.__dict__.setdefault("manufactured", u)
-
-    @functools.cached_property
-    def quasi_params(self):
-        return estimate_quasi_params(self.weight)
 
 
 def run_weights(run: RunContext) -> list[AuditReport]:
@@ -275,7 +269,7 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     u = run.manufactured
     decay = levelset_decay_audit(
         u.gradient_squared_field(), u.forcing_squared_field(), w, K=p.K,
-        q0=p.q0, m_max=p.m_max, quasi=run.quasi_params,
+        q0=p.q0, m_max=p.m_max, quasi=estimate_quasi_params(w),
         center=0.5 * (lo + hi),
         t_top=run.cfg.grid.t_final, r_unit=p.r_unit, delta_hat=p.delta_hat)
     table = decay.params["table"]

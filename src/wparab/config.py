@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, NonIntegrable
+from .experiments import SERIES_REACH
 from .solver import sinusoidal_coefficient
 from .weights import Weight
 
@@ -251,9 +252,14 @@ class ExperimentConfig:
             raise ConfigError(f"groups {manufactured} solve the manufactured problem, "
                               "which is not defined for sampled weights")
         domain = np.ravel(self.weight_spec.get("domain", [0.0, 1.0])).tolist()
-        if manufactured and domain != [0.0, 1.0]:
+        # the forcing's series holds for |x - centre| <= SERIES_REACH on (0, 1)
+        centre = float(self.build_weight().center[0]) if manufactured else 0.5
+        if manufactured and (domain != [0.0, 1.0]
+                             or not 1.0 - SERIES_REACH <= centre <= SERIES_REACH):
             raise ConfigError(f"groups {manufactured} solve the manufactured problem "
-                              f"on (0, 1) only, and the weight domain is {domain} "
+                              f"on (0, 1) only, for a weight centre in "
+                              f"[{1.0 - SERIES_REACH:g}, {SERIES_REACH:g}], and the "
+                              f"weight domain is {domain} with centre {centre!r} "
                               "(ROADMAP item 10: one domain for every solve)")
 
     def build_weight(self) -> Weight:

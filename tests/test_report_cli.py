@@ -572,6 +572,30 @@ class TestCliExits:
         # the groups without a solve take the weight's domain
         assert main(["weights", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_exit_two_on_centre_beyond_the_series(self, tmp_path, capsys):
+        # the manufactured forcing's series is within 4e-13 of quadrature
+        # for |x - c| <= 3 on (0, 1), 1.4e-10 off at 4 and 1e-5 at 5
+        out = tmp_path / "out"
+        for centre in (-2.0, 3.0):  # the range's ends
+            far = {"kind": "power", "alpha": 0.2, "center": centre, "domain": [0.0, 1.0]}
+            cfg = ExperimentConfig.from_dict(json.loads(self.write_config(
+                tmp_path, {"weight": far, "selection": ["solve"]}).read_text()))
+            assert cfg.build_weight().center == (centre,)
+        for centre in (math.nextafter(-2.0, -3.0), 3.5, 5.0):
+            far = {"kind": "power", "alpha": 0.2, "center": centre, "domain": [0.0, 1.0]}
+            cfg = self.write_config(tmp_path, {"weight": far})
+            for group in ("solve", "audit", "levelset"):
+                assert main([group, "--config", str(cfg), "--out", str(out)]) == 2
+                assert capsys.readouterr().err == (
+                    f"config error: groups ['{group}'] solve the manufactured problem "
+                    "on (0, 1) only, for a weight centre in [-2, 3], and the weight "
+                    f"domain is [0.0, 1.0] with centre {centre!r} "
+                    "(ROADMAP item 10: one domain for every solve)\n")
+            assert not out.exists()
+            # the groups without a solve take the centre
+            assert main(["weights", "--config", str(cfg), "--out",
+                         str(tmp_path / "weights")]) == 0
+
     @pytest.mark.parametrize("section,key,value", [
         case for section, table in PARAMS.items() for key, param in table.items()
         for case in bad_values(section, key, param)])
@@ -631,9 +655,14 @@ class TestCliExits:
         for module in (cli, geometry, maximal):
             monkeypatch.setattr(module, "estimate_quasi_params", counted,
                                 raising=False)
-        cfg = self.write_config(tmp_path, {"selection": ["geometry", "levelset"]})
-        assert run_experiment(str(cfg), str(tmp_path / "out")) == 0
-        assert len(calls) == 1
+        # the levelset group fits the quasi-metric once; the geometry group,
+        # whose audit budget is the proven constant 1, makes no fit
+        for selection, fits in ((["geometry"], 0), (["levelset"], 1),
+                                (["geometry", "levelset"], 1)):
+            calls.clear()
+            cfg = self.write_config(tmp_path, {"selection": selection})
+            assert run_experiment(str(cfg), str(tmp_path / "out")) == 0
+            assert len(calls) == fits
 
     def test_exit_one_on_gate_failure_with_report(self, tmp_path):
         # the zero smallness gate fails even for constant data

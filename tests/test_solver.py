@@ -292,22 +292,38 @@ class TestBroadcastSampling:
 
 class TestManufactured:
     def test_forcing_matches_spec_form_for_unit_weight(self):
-        case = ManufacturedCase(BETA1)
-        for x in (0.1, 0.45, 0.8):
-            for t in (0.0, 0.3):
-                ref = (math.pi ** 2 - 1) * math.exp(-t) * (-math.cos(math.pi * x)
-                                                           / math.pi)
-                assert (math.exp(-t) * case.profile(x)
-                        == pytest.approx(ref, rel=1e-12))
+        # b = 1 gives g = (pi^2 - 1)(-cos(pi x) / pi) up to a constant, and
+        # this one already has mean zero over the midpoint faces
+        faces = small_grid(nx=16).faces
+        ref = (math.pi ** 2 - 1) * (-np.cos(math.pi * faces) / math.pi)
+        assert ManufacturedCase(BETA1).profile(faces) == pytest.approx(ref, rel=1e-12)
 
     def test_power_sin_antiderivative_series(self):
-        # independent oracle: adaptive quadrature with the kink declared
+        # independent oracle: adaptive quadrature on pieces split at c, with
+        # |s - c|^alpha as the algebraic weight of a piece that ends at c
         from scipy.integrate import quad
 
-        for alpha, c, x in [(0.2, 0.5, 0.8), (0.2, 0.5, 0.3), (-0.3, 0.4, 0.9)]:
-            ref, _ = quad(lambda s: abs(s - c) ** alpha * math.sin(math.pi * s),
-                          0.0, x, points=[c] if 0.0 < c < x else None, limit=200)
-            assert int_power_sin(alpha, c, x) == pytest.approx(ref, rel=1e-9)
+        def oracle(alpha, c, x):
+            ends = [0.0, c, x] if 0.0 < c < x else [0.0, x]
+            total = 0.0
+            for a, b in zip(ends, ends[1:]):
+                if a == b:
+                    continue
+                if c in (a, b):
+                    total += quad(lambda s: math.sin(math.pi * s), a, b, weight="alg",
+                                  wvar=(alpha, 0.0) if c == a else (0.0, alpha))[0]
+                else:
+                    total += quad(lambda s: abs(s - c) ** alpha * math.sin(math.pi * s),
+                                  a, b, epsabs=0.0, epsrel=1e-13)[0]
+            return total
+
+        # |x - c| reaches 1: past 0.803 (alpha = 0.6) and 0.908 (alpha = 0.2)
+        # the cosine part's antiderivative is negative, and its sign counts
+        xs = np.array([0.0, 0.05, 0.3, 0.45, 0.8, 0.95, 1.0])
+        for alpha in (-0.7, 0.2, 0.6, 1.5):
+            for c in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
+                ref = [oracle(alpha, c, x) for x in xs]
+                assert int_power_sin(alpha, c, xs) == pytest.approx(ref, rel=1e-9)
 
     def test_unit_weight_second_order(self):
         rows = convergence_study(BETA1, [16, 32, 64], 0.2,
@@ -935,7 +951,9 @@ class TestArrayPasses:
         for values, cols in (
                 (u.u, (u.grid.x >= a - 1e-12) & (u.grid.x <= b + 1e-12)),
                 (u.F, (u.grid.faces >= a) & (u.grid.faces <= b))):
-            ref = values[ks][:, cols]
+            # the boolean column index leaves its copy F-ordered: copy it
+            # again in C order, the order of the block it stands for
+            ref = np.ascontiguousarray(values[ks][:, cols])
             if ref.size == 0:  # no time level or no column
                 with pytest.raises(EmptyRegion):
                     u.block(values, region)
@@ -943,7 +961,7 @@ class TestArrayPasses:
             got = u.block(values, region)
             assert got.shape == ref.shape and np.array_equal(got, ref)
             assert np.shares_memory(got, values)
-            # the norm sums the block column by column, as over that copy
+            # the norm sums the block row by row, as over that C-ordered copy
             assert u.lp(values, 2.0, region) == float(
                 (np.sum(np.abs(ref) ** 2.0) * u.grid.h * u.grid.tau) ** 0.5)
             if values is u.u:  # the sup over slices, as a loop over the rows

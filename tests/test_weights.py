@@ -96,7 +96,7 @@ class TestCumulativeLookup:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("nc", [1, 3, 256])
     @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 1.0), (-3.7, 12.2)])
-    def test_same_bits_as_interp(self, p, nc, domain):
+    def test_table_matches_interp(self, p, nc, domain):
         # within rounding of the table: the largest gap seen was 8.6 eps
         # cum[-1], at intervals of one ulp at the domain's right end
         rng = np.random.default_rng(nc)
