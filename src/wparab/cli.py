@@ -29,7 +29,7 @@ from .config import KNOWN_GROUPS, SEED, ExperimentConfig
 from .errors import ConfigError, ToolkitError
 from .experiments import (ManufacturedCase, convergence_study, default_nt,
                           fit_loglog_slope, freeze_compare_sweep,
-                          smooth_random_forcing, solve_driven)
+                          smooth_random_forcing)
 from .flattening import (admissible_radius_search, b_norm_delta_sweep,
                          inclusion_audit, oscillation_delta_sweep,
                          pushforward_weight_audit)
@@ -43,7 +43,7 @@ from .maximal import (SpaceTimeField, five_rho_cover_audit, levelset_decay_audit
 from .oscillation import oscillation_supremum
 from .report import (AuditReport, AuditRow, ratio, write_csv, write_json,
                      write_svg_curves)
-from .solver import (apriori_ratio, energy_audit, lipschitz_audit,
+from .solver import (Grid, driven_apriori_ratios, energy_audit, lipschitz_audit,
                      poincare_audit, solve_frozen, time_shift_audit,
                      write_solution_binary, write_solution_csv)
 from .weights import (BallFamily, Weight, check_beta_condition, doubling_report,
@@ -59,7 +59,8 @@ class RunContext:
     config grid is solved on first use, so ``audit`` and ``levelset``
     share one solve and a run without them makes none; when ``solve`` has
     already run a convergence level on that grid, its solution is used
-    instead (:meth:`keep_manufactured`). A grid without ``nt`` takes
+    instead (:meth:`keep_manufactured`); its forcing becomes a table when
+    ``audit`` or ``levelset`` first reads it. A grid without ``nt`` takes
     :func:`default_nt` steps, as the convergence levels do. ``dump`` is
     the child that writes solution.csv, and ``flatten`` the child that
     computes that group's values, when the run forks one.
@@ -118,8 +119,6 @@ def run_solve(run: RunContext) -> list[AuditReport]:
     levels, t_final = p.levels, run.cfg.grid.t_final
     order_budget = p.order_min if p.order_min is not None else (
         1.9 if w.kind == "power" and w.alpha == 0.0 else 1.0)
-    forcing = smooth_random_forcing(run.seed)
-    ratio_table: dict[float, list[float]] = {q: [] for q in p.p_values}
 
     def use(nx: int, nt: int, u) -> None:
         run.keep_manufactured((nx, nt, t_final), u)
@@ -128,17 +127,13 @@ def run_solve(run: RunContext) -> list[AuditReport]:
                                                 out / "solution.csv", u))
             write_solution_binary(out / "solution.bin", u)
 
-    def apriori_sweep() -> None:
-        """The a-priori ratio on the grids of the convergence study, one
-        solve per level, none kept."""
-        for nx in levels:
-            u = solve_driven(w, forcing, nx=nx, nt=default_nt(nx, t_final),
-                             t_final=t_final, a_fun=run.a_fun)
-            for q in p.p_values:
-                ratio_table[q].append(apriori_ratio(u, q))
-            del u  # not kept alive through the next level's solve
-
-    rows = convergence_study(w, levels, t_final, use, apriori_sweep)
+    rows = convergence_study(w, levels, t_final, use)
+    # the a-priori ratios on the study's grids, marched without tables
+    forcing = smooth_random_forcing(run.seed)
+    by_level = [driven_apriori_ratios(
+        w, run.a_fun, forcing, Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final,
+                                    nt=default_nt(nx, t_final)), p.p_values)
+        for nx in levels]
     write_csv(out / "convergence.csv", ["nx", "nt", "error", "order"],
               [[r["nx"], r["nt"], r["error"], r["order"]] for r in rows])
     write_svg_curves(out / "convergence.svg",
@@ -154,8 +149,7 @@ def run_solve(run: RunContext) -> list[AuditReport]:
         params={"levels": levels, "t_final": t_final,
                 "errors": [r["error"] for r in rows]})]
 
-    for q in p.p_values:
-        ratios = ratio_table[q]
+    for q, ratios in zip(p.p_values, map(list, zip(*by_level))):
         spread = ratio(max(ratios) - min(ratios), min(ratios))
         rows_p = [
             AuditRow.at_most("ratio-bounded", max(ratios), p.ratio_budget),

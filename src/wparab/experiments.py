@@ -7,8 +7,10 @@ forcing is built so the flux divergence matches b u*_t - (a u*_x)_x
 exactly, using one series for the weighted antiderivative
 int |s-c|^alpha sin(pi s) ds of every power weight, so the construction
 stays analytic even for degenerate weights. The forcing separates as
-F(x, t) = e^{-t} g(x): the spatial profile g is evaluated once on the faces
-and the decay once on the time levels, and F is their outer product.
+F(x, t) = e^{-t} g(x): the spatial profile g is evaluated once on the faces,
+and the forcing of a block of time levels is the outer product of their
+decay factors with it. The march reads it one block at a time, and it is a
+table only where the solution's ``F`` is read.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .solver import (
     SolutionField,
     forcing_from_callable,
     freeze_compare,
+    level_blocks,
     sinusoidal_coefficient,
     solve_ivbp,
 )
@@ -82,22 +85,28 @@ class ManufacturedCase:
         return g - g.mean()
 
     def solve(self, nx: int, nt: int, t_final: float) -> tuple[SolutionField, float]:
+        """The solution on an nx x nt grid of [0, 1] x [0, t_final], whose
+        forcing is computed per block of levels (a table only once its
+        ``F`` is read), and its :func:`space_time_l2_error`."""
         grid = Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
         A = CoefficientField.from_callable(lambda x, t: 1.0, grid)
-        F = np.outer(np.exp(-grid.t), self.profile(grid.faces))
-        u = solve_ivbp(self.beta, A, F, grid, initial=self.exact(grid.x, 0.0))
-        err = space_time_l2_error(u, self.exact)
-        return u, err
+        g = self.profile(grid.faces)
+        u = solve_ivbp(self.beta, A, lambda rows: np.outer(np.exp(-grid.t[rows]), g),
+                       grid, initial=self.exact(grid.x, 0.0))
+        return u, space_time_l2_error(u, self.exact)
 
 
 def space_time_l2_error(u: SolutionField, exact) -> float:
     """Discrete L^2 error over the implicit levels t_k, k >= 1, against
-    ``exact(x, t)``, which must broadcast over (levels, nodes)."""
-    grid = u.grid
-    diff = exact(grid.x[None, :], grid.t[1:, None])
-    np.subtract(u.u[1:], diff, out=diff)
-    diff **= 2
-    return math.sqrt(u.integral(diff))
+    ``exact(x, t)``, which must broadcast over (levels, nodes): its squares
+    summed by ``np.sum`` over each of the march's blocks of levels."""
+    grid, total = u.grid, 0.0
+    for rows in level_blocks(grid.nt):
+        diff = exact(grid.x[None, :], grid.t[rows, None])
+        np.subtract(u.u[rows], diff, out=diff)
+        diff **= 2
+        total += float(np.sum(diff))
+    return math.sqrt(total * grid.h * grid.tau)
 
 
 def default_nt(nx: int, t_final: float) -> int:
@@ -107,29 +116,23 @@ def default_nt(nx: int, t_final: float) -> int:
 
 
 def convergence_study(beta: Weight, levels: list[int], t_final: float,
-                      use, between) -> list[dict]:
+                      use) -> list[dict]:
     """Dyadic refinement sweep with tau close to h^2, one level at a time.
 
     Solves the last (finest) level first, then the others in their order.
     Each solution goes to ``use(nx, nt, u)`` as soon as it is solved and is
     not kept here, so no two levels are alive at once unless ``use`` keeps
-    one. ``between()`` runs once the first solution is dropped, before the
-    next level is solved. Returns one row per level, in the order of
-    ``levels``, with the space-time L^2 error and, from the second level on,
-    the observed order against the previous level.
+    one. Returns one row per level, in the order of ``levels``, with the
+    space-time L^2 error and, from the second level on, the observed order
+    against the previous level.
     """
     case = ManufacturedCase(beta)
     errors = {}
-
-    def solve(nx: int) -> None:
+    for nx in levels[-1:] + levels[:-1]:
         nt = default_nt(nx, t_final)
         u, errors[nx] = case.solve(nx, nt, t_final)
         use(nx, nt, u)
-
-    solve(levels[-1])
-    between()
-    for nx in levels[:-1]:
-        solve(nx)
+        del u  # not alive through the next level's solve
     return [{"nx": nx, "nt": default_nt(nx, t_final), "error": errors[nx],
              "order": (math.log2(errors[prev] / errors[nx]) if prev is not None
                        else float("nan"))}
@@ -164,9 +167,8 @@ def solve_driven(beta: Weight, forcing_fn, nx: int, nt: int, t_final: float,
     ``forcing_from_callable``.
     """
     grid = Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
-    A = CoefficientField.from_callable(a_fun, grid)
-    F = forcing_from_callable(forcing_fn, grid)
-    return solve_ivbp(beta, A, F, grid)
+    return solve_ivbp(beta, CoefficientField.from_callable(a_fun, grid),
+                      forcing_from_callable(forcing_fn, grid), grid)
 
 
 def freeze_compare_sweep(beta: Weight, amplitudes: list[float]) -> list[dict]:

@@ -16,19 +16,28 @@ vanishing at a node never zeroes a row; the implicit operator is an
 M-matrix and each step is one tridiagonal SPD solve (LAPACK ``dgtsv``, in
 place on the new time level). ``dgtsv`` comes from scipy's compiled LAPACK
 module alone, loaded on the first implicit step: no run imports the
-``scipy.linalg`` package. The diagonals and the forcing differences are
-built as whole arrays for blocks of ``STEP_BLOCK`` time levels, so a step
-only forms its right-hand side and solves. The time derivative's
-negative-order norm is represented throughout by the flux proxy
-|| a u_x + F ||_{L^p}, which is exactly the bound the energy identities use.
+``scipy.linalg`` package. The march reads the conductivity and the forcing
+of one block of ``STEP_BLOCK`` time levels at a time, builds that block's
+diagonals and forcing differences as whole arrays, so a step only forms
+its right-hand side and solves, and hands the solved block to its caller.
+The time derivative's negative-order norm is represented throughout by the
+flux proxy || a u_x + F ||_{L^p}, which is exactly the bound the energy
+identities use.
 
-Tables of shape (nt + 1, nx) are built only where they hold values: a
-conductivity that does not vary in t is a read-only broadcast view of one
-row, a sampled forcing that is already a full C-ordered table is not
-copied, and the norms form their integrands in arrays they have just made.
-``apriori_ratio`` forms all three of its integrands, |u_x|^p,
-|a u_x + F|^p and |F|^p, in turn in one face table, so it holds u, F and
-that table and nothing else of the grid's size.
+Which tables of shape (nt + 1, nx) exist, and when:
+
+* ``solve_ivbp`` keeps the node values u, one table, as the field it
+  returns. A forcing given as a function of a slice of levels (the
+  manufactured one) becomes ``SolutionField.F`` only when something reads
+  it; a forcing given as a table is that table, not copied.
+* A conductivity that does not vary in t is a read-only broadcast view of
+  one row.
+* ``driven_apriori_ratios`` keeps no table: it samples the conductivity
+  and the forcing one block at a time, keeps the row it steps from, and
+  adds each block to its L^p sums.
+* The norms and the a-priori ratio form their integrands in arrays they
+  have just made; ``apriori_ratio`` walks the field one block of levels at
+  a time.
 """
 from __future__ import annotations
 
@@ -36,6 +45,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -127,11 +137,20 @@ class CoefficientField:
         ``values`` is the result broadcast to that shape, a read-only view
         that holds only what ``fn`` returned.
         """
-        vals = np.asarray(fn(grid.faces[None, :], grid.t[:, None]), dtype=float)
-        values = np.broadcast_to(vals, (grid.nt + 1, grid.nx))  # ValueError otherwise
-        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-            raise EllipticityViolation("conductivity samples must be finite and positive")
-        return cls(values=values)
+        return cls(values=conductivity_rows(fn, grid, slice(None)))
+
+
+def conductivity_rows(fn, grid: Grid, rows: slice) -> np.ndarray:
+    """``fn`` at the faces and the time levels ``grid.t[rows]``, as
+    :meth:`CoefficientField.from_callable` samples every level: one
+    broadcasting call, its result broadcast read-only to (levels, nx) and
+    checked finite and positive (EllipticityViolation otherwise)."""
+    t = grid.t[rows]
+    vals = np.asarray(fn(grid.faces[None, :], t[:, None]), dtype=float)
+    values = np.broadcast_to(vals, (t.size, grid.nx))  # ValueError otherwise
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+        raise EllipticityViolation("conductivity samples must be finite and positive")
+    return values
 
 
 def sinusoidal_coefficient(base: float, amplitude: float, frequency: float):
@@ -149,8 +168,14 @@ def forcing_from_callable(fn, grid: Grid) -> np.ndarray:
     ``fn(grid.faces[None, :], grid.t[:, None])``, and its result (a scalar
     is fine) must broadcast to shape (nt + 1, nx).
     """
-    return sample_broadcast(fn, grid.faces[None, :], grid.t[:, None],
-                            (grid.nt + 1, grid.nx))
+    return forcing_rows(fn, grid, slice(None))
+
+
+def forcing_rows(fn, grid: Grid, rows: slice) -> np.ndarray:
+    """``fn`` at the faces and the time levels ``grid.t[rows]``, as
+    :func:`forcing_from_callable` samples every level."""
+    t = grid.t[rows]
+    return sample_broadcast(fn, grid.faces[None, :], t[:, None], (t.size, grid.nx))
 
 
 def cell_averaged_weight(beta: Weight, grid: Grid) -> np.ndarray:
@@ -167,29 +192,39 @@ def cell_averaged_weight(beta: Weight, grid: Grid) -> np.ndarray:
 
 @dataclass
 class SolutionField:
-    """Discrete solution with the data needed by the estimate audits."""
+    """Discrete solution with the data needed by the estimate audits.
+
+    ``forcing(rows)`` gives the face forcing of the time levels in the
+    slice ``rows``: a table's ``__getitem__``, or a function that computes
+    them. ``F``, the forcing of every level as one (nt + 1, nx) table, is
+    built from it on first read and kept.
+    """
 
     grid: Grid
     u: np.ndarray          # (nt+1, nx+1) node values
     beta: Weight
     beta_cells: np.ndarray  # (nx+1,) dual-cell averages
     A: CoefficientField
-    F: np.ndarray          # (nt+1, nx_faces)
+    forcing: Callable[[slice], np.ndarray]
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """(nt+1, nx_faces) face forcing."""
+        return self.forcing(slice(None))
 
     # -- basic fields --------------------------------------------------------
 
-    def grad(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Face gradients (u_{i+1} - u_i)/h, shape (nt+1, nx), in ``out`` if
-        given, else in a new array."""
-        g = np.subtract(self.u[:, 1:], self.u[:, :-1], out=out)
+    def grad(self) -> np.ndarray:
+        """Face gradients (u_{i+1} - u_i)/h, shape (nt+1, nx), in a new
+        array."""
+        g = np.subtract(self.u[:, 1:], self.u[:, :-1])
         g /= self.grid.h
         return g
 
-    def flux_proxy(self, g: np.ndarray | None = None) -> np.ndarray:
+    def flux_proxy(self) -> np.ndarray:
         """a u_x + F at faces: the negative-norm proxy integrand, formed in
-        place inside ``g`` (an array from :meth:`grad`, which it overwrites)
-        or, without one, inside a new gradient."""
-        g = self.grad() if g is None else g
+        place inside a new gradient."""
+        g = self.grad()
         g *= self.A.values
         g += self.F
         return g
@@ -203,7 +238,7 @@ class SolutionField:
 
     def scaled(self, c: float) -> "SolutionField":
         return SolutionField(self.grid, self.u * c, self.beta, self.beta_cells,
-                             self.A, self.F * c)
+                             self.A, (self.F * c).__getitem__)
 
     # -- space-time boxes ----------------------------------------------------
 
@@ -238,15 +273,12 @@ class SolutionField:
         from one, element by element): its ``np.sum`` times h * tau."""
         return float(np.sum(block) * self.grid.h * self.grid.tau)
 
-    def lp(self, values: np.ndarray, p: float, region,
-           overwrite: bool = False) -> float:
-        """Discrete L^p norm of a node or face array over the region. With
-        ``overwrite`` the region's block of ``values`` receives |values|^p,
-        so no table is made."""
-        a = self.block(values, region)
-        a = np.abs(a, out=a if overwrite else None)
-        a **= p
-        return self.integral(a) ** (1.0 / p)
+    def lp(self, values: np.ndarray, p: float, region) -> float:
+        """Discrete L^p norm of a node or face array over the region, by
+        :class:`LpSum`."""
+        total = LpSum(p)
+        total.add(self.block(values, region))
+        return total.norm(self.grid)
 
     def sup_weighted_energy(self, region) -> float:
         """sup over slices of the weighted L^2 mass of u."""
@@ -306,28 +338,66 @@ def write_solution_binary(path, u: SolutionField):
     return Path(path)
 
 
+class LpSum:
+    """Running sum of |v|^p over blocks of values, the one L^p kernel.
+
+    The sum is kept as top^p * total, with ``top`` the largest |v| added so
+    far and ``total`` the sum of (|v| / top)^p, each term at most 1, so no
+    power overflows at any p: a block whose largest |v| exceeds ``top``
+    rescales ``total`` first. An inf or a NaN makes the norm NaN.
+    """
+
+    def __init__(self, p: float):
+        self.p, self.top, self.total = p, 0.0, 0.0
+
+    def add(self, values: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Add |values|^p, formed in ``out`` (a new array without one)."""
+        a = np.abs(values, out=out)
+        top = float(np.max(a, initial=self.top))
+        if not top <= self.top:  # a larger |v|, or a NaN
+            self.total *= (self.top / top) ** self.p
+            self.top = top
+        if top > 0.0:
+            a /= top
+            a **= self.p
+            self.total += float(np.sum(a))
+
+    def norm(self, grid: Grid) -> float:
+        """(h tau sum |v|^p)^(1/p), the discrete space-time L^p norm."""
+        return self.top * (self.total * grid.h * grid.tau) ** (1.0 / self.p)
+
+
 def _check_finite(*arrays) -> None:
     """ValueError unless every array is finite. LAPACK ``dgtsv`` takes an
     inf or NaN without a word and spreads it through every later level, so
-    the solvers check what their implicit steps are built from, once."""
+    the solvers check what their implicit steps are built from, the march
+    one block of levels at a time."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _check_marched(u: np.ndarray) -> None:
+def _check_marched(levels: np.ndarray, first_step: int) -> None:
     """SingularSystem naming the first time level of a march that is not
-    finite: finite inputs stay finite through a step unless it overflows."""
-    bad = ~np.isfinite(u).all(axis=1)
+    finite, in a block of solved levels whose first is step ``first_step``:
+    finite inputs stay finite through a step unless it overflows."""
+    bad = ~np.isfinite(levels).all(axis=1)
     if bad.any():
-        raise SingularSystem(f"step {int(np.argmax(bad))} produced non-finite values")
+        raise SingularSystem(f"step {first_step + int(np.argmax(bad))} "
+                             "produced non-finite values")
 
 
-# Time levels whose diagonals and forcing differences are built at once. On
-# a 2-vCPU VM the marching time per step falls from 11.4 us at 8 levels to
-# 9.5-10 us from 64 levels on (nx = 64 and 128) and no further; 128 levels
-# keep the four block arrays near 0.5 MB at nx = 128, where one block for
-# all of nt = 4096 would add about 17 MB.
+# Time levels whose conductivity and forcing the march reads, and whose
+# diagonals and forcing differences it builds, at once: 128 levels keep the
+# block arrays near 0.5 MB at nx = 128, where one block for all of
+# nt = 4096 would add about 17 MB.
 STEP_BLOCK = 128
+
+
+def level_blocks(nt: int) -> list[slice]:
+    """The implicit levels 1..nt as slices of ``STEP_BLOCK`` levels (the
+    last one shorter): the march's blocks, which the block sums follow."""
+    return [slice(k, min(k + STEP_BLOCK, nt + 1)) for k in range(1, nt + 1, STEP_BLOCK)]
+
 
 _DGTSV = None
 _FLAPACK = "scipy.linalg._flapack"
@@ -381,62 +451,104 @@ def _implicit_step(dl, d, du, x, step: int) -> None:
         raise SingularSystem(f"step {step} failed to factor (dgtsv info {info})")
 
 
-def _march(u: np.ndarray, mass: np.ndarray, a_levels: np.ndarray, h: float,
-           source: np.ndarray | None = None,
-           lateral: np.ndarray | None = None) -> None:
-    """Fill the interior of u[1:] by backward Euler from u[0], in place.
+def _march(first: np.ndarray, mass: np.ndarray, h: float, nt: int, conductivity,
+           forcing=None, lateral: np.ndarray | None = None,
+           table: np.ndarray | None = None):
+    """Backward Euler over nt steps from the node row ``first``, one block
+    of :func:`level_blocks` at a time; a generator.
 
     Row k + 1 solves mass (u^{k+1} - u^k) = [div(a grad u) + div F]^{k+1} with
-    ``mass`` = b / tau, conductivities ``a_levels[k + 1]`` at the faces and
-    face forcing ``source[k + 1]``. ``lateral[k]`` holds the left and right
-    boundary terms a u / h^2 of step k + 1 (zero Dirichlet data without it).
-    The diagonals and the forcing differences are built per block of
-    ``STEP_BLOCK`` levels with the elementwise expressions of a single step.
+    ``mass`` = b / tau, face conductivities ``conductivity(rows)`` and face
+    forcing ``forcing(rows)`` (none without it) for the levels of the slice
+    ``rows``, each read once per block. ``lateral[k]`` holds the left and
+    right boundary terms a u / h^2 of step k + 1 (zero Dirichlet data
+    without it). The diagonals and the forcing differences are built per
+    block with the elementwise expressions of a single step.
+
+    The levels go into ``table`` (``first`` is its row 0) when given, else
+    into one block buffer that keeps only the row the next block steps
+    from. Each block yields (levels, a, f): the node rows of its levels,
+    solved inside and zero on the lateral columns, and the conductivity and
+    forcing read for them, valid until the next block is marched. Non-finite
+    conductivity or forcing raises ValueError, a step that overflows
+    SingularSystem.
     """
-    nt = u.shape[0] - 1
-    for k0 in range(0, nt, STEP_BLOCK):
-        a = a_levels[k0 + 1:k0 + 1 + STEP_BLOCK]
+    buf = table if table is not None else np.zeros((STEP_BLOCK + 1, first.size))
+    buf[0] = first
+    for rows in level_blocks(nt):
+        k0 = rows.start - 1
+        a = conductivity(rows)
+        f = forcing(rows) if forcing is not None else None
+        _check_finite(a, *([] if f is None else [f]))
         dl = -a[:, 1:-1] / h ** 2
         du = dl.copy()
         d = mass + (a[:, 1:] + a[:, :-1]) / h ** 2
-        if source is not None:
-            f = source[k0 + 1:k0 + 1 + STEP_BLOCK]
+        if f is not None:
             src = (f[:, 1:] - f[:, :-1]) / h
+        u = buf[k0:rows.stop] if table is not None else buf[:rows.stop - k0]
         for j in range(a.shape[0]):
-            k = k0 + j
-            x = u[k + 1, 1:-1]
-            np.multiply(mass, u[k, 1:-1], out=x)
-            if source is not None:
+            x = u[j + 1, 1:-1]
+            np.multiply(mass, u[j, 1:-1], out=x)
+            if f is not None:
                 x += src[j]
             if lateral is not None:
-                x[0] += lateral[k, 0]
-                x[-1] += lateral[k, 1]
-            _implicit_step(dl[j], d[j], du[j], x, k + 1)
+                x[0] += lateral[k0 + j, 0]
+                x[-1] += lateral[k0 + j, 1]
+            _implicit_step(dl[j], d[j], du[j], x, k0 + j + 1)
+        _check_marched(u[1:], rows.start)
+        yield u[1:], a, f
+        if table is None:
+            buf[0] = u[-1]
 
 
-def solve_ivbp(beta: Weight, A: CoefficientField, F: np.ndarray, grid: Grid,
+def solve_ivbp(beta: Weight, A: CoefficientField, F, grid: Grid,
                initial: np.ndarray | None = None) -> SolutionField:
     """March backward Euler with zero lateral Dirichlet data.
 
-    ``F`` holds face samples per time level; ``initial`` holds node values
-    at t = 0 (defaults to zero). The scheme is unconditionally stable for
-    degenerate weights; each step solves one tridiagonal system.
+    ``F`` is the face forcing per time level: a table of shape (nt + 1, nx),
+    or a function of a slice of levels that returns their rows, which the
+    march calls once per block and the field's ``F`` once more, on first
+    read. ``initial`` holds node values at t = 0 (defaults to zero). The
+    scheme is unconditionally stable for degenerate weights; each step
+    solves one tridiagonal system.
     """
     if A.values.shape != (grid.nt + 1, grid.nx):
         raise ValueError("coefficient field does not match the grid")
-    if F.shape != (grid.nt + 1, grid.nx):
-        raise ValueError("forcing does not match the grid")
+    if isinstance(F, np.ndarray):
+        if F.shape != (grid.nt + 1, grid.nx):
+            raise ValueError("forcing does not match the grid")
+        F = F.__getitem__
     beta_cells = cell_averaged_weight(beta, grid)
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     if initial is not None:
         u[0, :] = np.asarray(initial, dtype=float)
         u[0, 0] = 0.0
         u[0, -1] = 0.0
-    _check_finite(beta_cells[1:-1], A.values[1:], F[1:], u[0, 1:-1])
-    _march(u, beta_cells[1:-1] / grid.tau, A.values, grid.h, source=F)
-    _check_marched(u)
+    _check_finite(beta_cells[1:-1], u[0, 1:-1])
+    for _ in _march(u[0], beta_cells[1:-1] / grid.tau, grid.h, grid.nt,
+                    A.values.__getitem__, forcing=F, table=u):
+        pass
     return SolutionField(grid=grid, u=u, beta=beta, beta_cells=beta_cells,
-                         A=A, F=F)
+                         A=A, forcing=F)
+
+
+def driven_apriori_ratios(beta: Weight, a_fun, forcing_fn, grid: Grid,
+                          p_values: list[float]) -> list[float]:
+    """:func:`apriori_ratio` at each of ``p_values`` for the field that
+    ``solve_ivbp`` gives from zero initial data, conductivity ``a_fun`` and
+    forcing ``forcing_fn`` (both sampled as ``CoefficientField.from_callable``
+    and ``forcing_from_callable`` sample them), with the same bits, but
+    without its tables: the march reads both one block of levels at a time
+    and keeps only the row it steps from, and each solved block goes into
+    the ratios' L^p sums.
+    """
+    beta_cells = cell_averaged_weight(beta, grid)
+    _check_finite(beta_cells[1:-1])
+    return _apriori_ratios(
+        _march(np.zeros(grid.nx + 1), beta_cells[1:-1] / grid.tau, grid.h, grid.nt,
+               lambda rows: conductivity_rows(a_fun, grid, rows),
+               forcing=lambda rows: forcing_rows(forcing_fn, grid, rows)),
+        grid, p_values)
 
 
 def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
@@ -461,15 +573,16 @@ def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
     u = np.zeros((grid.nt + 1, grid.nx + 1))
     u[0, :] = data(grid.x, grid.t[0])
     ends = sample_broadcast(data, np.array([[a, b]]), grid.t[1:, None], (grid.nt, 2))
-    _check_finite(beta_cells[1:-1], A.values[1:], u[0, 1:-1], ends)
+    _check_finite(beta_cells[1:-1], u[0, 1:-1], ends)
     lateral = A.values[1:, [0, -1]] * ends / grid.h ** 2
-    _march(u, beta_cells[1:-1] / grid.tau, A.values, grid.h, lateral=lateral)
+    for _ in _march(u[0], beta_cells[1:-1] / grid.tau, grid.h, grid.nt,
+                    A.values.__getitem__, lateral=lateral, table=u):
+        pass
     u[1:, [0, -1]] = ends
-    _check_marched(u)
     beta_const = Weight.constant(beta_bar, (a, b))
     F = np.zeros((grid.nt + 1, grid.nx))
     return SolutionField(grid=grid, u=u, beta=beta_const, beta_cells=beta_cells,
-                         A=A, F=F)
+                         A=A, forcing=F.__getitem__)
 
 
 # -- audits -------------------------------------------------------------------
@@ -623,22 +736,35 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
     return eps_emp, math.sqrt(th_a + th_b + f_ms)
 
 
+def _apriori_ratios(blocks, grid: Grid, p_values: list[float]) -> list[float]:
+    """:func:`apriori_ratio` at each of ``p_values``, from ``blocks``: the
+    (levels, a, f) of the implicit levels, node rows with their face
+    conductivities and forcing, one block at a time. For every p it adds
+    each block's |u_x|^p, |a u_x + F|^p and |F|^p to an :class:`LpSum`."""
+    sums = [(LpSum(p), LpSum(p), LpSum(p)) for p in p_values]
+    for levels, a, f in blocks:
+        g = np.subtract(levels[:, 1:], levels[:, :-1])
+        g /= grid.h
+        proxy = g * a
+        proxy += f
+        work = np.empty_like(g)
+        for row in sums:
+            for total, values in zip(row, (g, proxy, f)):
+                total.add(values, out=work)
+    return [ratio(grad.norm(grid) + proxy.norm(grid), force.norm(grid))
+            for grad, proxy, force in sums]
+
+
 def apriori_ratio(u: SolutionField, p: float) -> float:
     """Solution-norm to data-norm ratio at exponent p >= 2 on the full domain.
 
     The time-derivative part is represented by the flux proxy
     ||a u_x + F||_{L^p}; the ratio is ``report.ratio(grad + proxy, ||F||)``,
-    infinite when only the forcing vanishes.
+    infinite when only the forcing vanishes. The norms are summed over the
+    march's blocks of levels, whose forcing rows come from ``u.forcing``.
     """
-    region = u.grid.region()
-    # one face table beside u and F, refilled for each integrand: the
-    # gradient, the gradient again for the proxy, then F
-    g = u.grad()
-    grad_norm = u.lp(g, p, region, overwrite=True)
-    proxy_norm = u.lp(u.flux_proxy(u.grad(out=g)), p, region, overwrite=True)
-    np.copyto(g, u.F)
-    f_norm = u.lp(g, p, region, overwrite=True)
-    return ratio(grad_norm + proxy_norm, f_norm)
+    return _apriori_ratios(((u.u[rows], u.A.values[rows], u.forcing(rows))
+                            for rows in level_blocks(u.grid.nt)), u.grid, [p])[0]
 
 
 def time_shift_audit(u: SolutionField, phi: np.ndarray, shift_steps: int,

@@ -125,11 +125,11 @@ class TestAcceptance:
         start = time.time()
         rows1 = convergence_study(Weight.constant(1.0, (0.0, 1.0)),
                                   [32, 64, 128], 0.2,
-                                  use=lambda *_: None, between=lambda: None)
+                                  use=lambda *_: None)
         orders1 = [r["order"] for r in rows1[1:]]
         rows2 = convergence_study(Weight.power(0.2, 0.5, (0.0, 1.0)),
                                   [32, 64, 128], 0.2,
-                                  use=lambda *_: None, between=lambda: None)
+                                  use=lambda *_: None)
         orders2 = [r["order"] for r in rows2[1:]]
         ok = min(orders1) >= 1.9 and min(orders2) >= 1.0
         elapsed = time.time() - start

@@ -48,8 +48,7 @@ def reference_csv(config, path):
     cfg = ExperimentConfig.load(str(config))
     levels, solved = cfg.audits["solve"].levels, {}
     convergence_study(cfg.build_weight(), levels, cfg.grid.t_final,
-                      use=lambda nx, nt, u: solved.setdefault(nx, u),
-                      between=lambda: None)
+                      use=lambda nx, nt, u: solved.setdefault(nx, u))
     u = solved[levels[-1]]
     rows = [[x, t, value] for t, level in zip(u.grid.t.tolist(), u.u.tolist())
             for x, value in zip(u.grid.x.tolist(), level)]

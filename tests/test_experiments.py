@@ -64,7 +64,7 @@ class TestForcing:
 class TestConvergenceRows:
     def test_row_structure(self):
         rows = convergence_study(Weight.constant(1.0, (0.0, 1.0)), [8, 16], 0.1,
-                                 use=lambda *_: None, between=lambda: None)
+                                 use=lambda *_: None)
         assert math.isnan(rows[0]["order"])
         assert rows[1]["order"] > 0.0
         assert rows[1]["error"] < rows[0]["error"]

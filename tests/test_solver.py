@@ -31,6 +31,7 @@ from wparab.solver import (
     SolutionField,
     apriori_ratio,
     cell_averaged_weight,
+    driven_apriori_ratios,
     energy_audit,
     forcing_from_callable,
     freeze_compare,
@@ -51,13 +52,21 @@ def small_grid(nx=32, nt=32, t_final=0.25):
     return Grid(x0=0.0, x1=1.0, nx=nx, t_final=t_final, nt=nt)
 
 
+def scaled_lp(values, p, grid):
+    """The discrete L^p norm of ``values`` as one block of ``LpSum``: the
+    largest |v| times (h tau sum (|v| / largest)^p)^(1/p)."""
+    a = np.abs(values)
+    top = float(np.max(a))
+    return top * (float(np.sum((a / top) ** p)) * grid.h * grid.tau) ** (1.0 / p)
+
+
 def field_of(u, grid, beta):
     """The node values ``u`` on ``grid`` as a solution with unit
     coefficient and no forcing, whether or not they solve anything."""
     return SolutionField(grid=grid, u=u, beta=beta,
                          beta_cells=cell_averaged_weight(beta, grid),
                          A=CoefficientField.from_callable(lambda x, t: 1.0, grid),
-                         F=np.zeros((grid.nt + 1, grid.nx)))
+                         forcing=np.zeros((grid.nt + 1, grid.nx)).__getitem__)
 
 
 class TestScheme:
@@ -233,7 +242,7 @@ class TestTimeFrame:
         grid = Grid(x0=g.x0, x1=g.x1, nx=g.nx, t_final=0.2, nt=g.nt, t0=-0.3)
         assert (grid.h, grid.tau) == (g.h, g.tau) and grid.t[0] < 0.0 < grid.t[-1]
         moved = SolutionField(grid=grid, u=u.u, beta=u.beta, beta_cells=u.beta_cells,
-                              A=u.A, F=u.F)
+                              A=u.A, forcing=u.forcing)
         for p in (2.0, 4.0):
             assert apriori_ratio(moved, p) == apriori_ratio(u, p)
         phi = np.sin(math.pi * g.x) ** 2
@@ -327,13 +336,13 @@ class TestManufactured:
 
     def test_unit_weight_second_order(self):
         rows = convergence_study(BETA1, [16, 32, 64], 0.2,
-                                 use=lambda *_: None, between=lambda: None)
+                                 use=lambda *_: None)
         orders = [r["order"] for r in rows[1:]]
         assert min(orders) >= 1.9
 
     def test_degenerate_weight_first_order_or_better(self):
         rows = convergence_study(BETA_POW, [16, 32, 64], 0.2,
-                                 use=lambda *_: None, between=lambda: None)
+                                 use=lambda *_: None)
         orders = [r["order"] for r in rows[1:]]
         assert min(orders) >= 1.0
 
@@ -443,7 +452,8 @@ def same_bits(a, b):
 
 
 class TestBlockedMarching:
-    """solve_ivbp and solve_frozen equal the per-step loop bit for bit."""
+    """solve_ivbp, solve_frozen and the blocks the march hands to its caller
+    equal the per-step loop bit for bit."""
 
     @pytest.mark.parametrize("nx, nt", [
         (2, 9), (16, 5), (16, STEP_BLOCK), (9, 2 * STEP_BLOCK + 37)])
@@ -462,6 +472,16 @@ class TestBlockedMarching:
         got = solve_ivbp(BETA_POW, A, F, grid, initial=u0 if initial else None)
         ref = march_per_step(got.beta_cells, A.values, u0, grid.h, grid.tau, F=F)
         assert same_bits(got.u, ref)
+        # the block-handing path: no table, one buffer of STEP_BLOCK levels,
+        # the conductivity and forcing read per block (nt = 5, 9 < STEP_BLOCK;
+        # 2 STEP_BLOCK + 37 ends in a partial block)
+        blocks = [(levels.copy(), a, f) for levels, a, f in solver._march(
+            u0, got.beta_cells[1:-1] / grid.tau, grid.h, nt, A.values.__getitem__,
+            forcing=F.__getitem__)]
+        assert [len(b[0]) for b in blocks] == [r.stop - r.start for r in solver.level_blocks(nt)]
+        assert same_bits(np.concatenate([b[0] for b in blocks]), ref[1:])
+        for (_, a, f), rows in zip(blocks, solver.level_blocks(nt)):
+            assert same_bits(a, A.values[rows]) and same_bits(f, F[rows])
 
     @pytest.mark.parametrize("nx, nt", [(2, 7), (12, STEP_BLOCK + 1)])
     @pytest.mark.parametrize("left_zero", [False, True])
@@ -849,6 +869,52 @@ class TestAprioriRatio:
             nu = float(u.A.values.min())
             assert u.lp(u.grad(), 2.0, region) <= u.lp(u.F, 2.0, region) / nu * (1 + 1e-10)
 
+    @pytest.mark.parametrize("nt", [40, 2 * STEP_BLOCK + 37])
+    def test_streamed_sweep_equals_the_whole_field(self, nt):
+        # a conductivity that reads t: an A or F row one level off in the
+        # streamed march moves the ratios far beyond the tolerance
+        a_fun = lambda x, t: 1.0 + 0.3 * np.sin(7.0 * x) * (1.0 + 4.0 * t)
+        forcing = smooth_random_forcing(5)
+        whole = solve_driven(BETA_POW, forcing, nx=24, nt=nt, t_final=0.25, a_fun=a_fun)
+        streamed = driven_apriori_ratios(BETA_POW, a_fun, forcing, whole.grid,
+                                         [2.0, 3.5, 4.0])
+        assert streamed == pytest.approx([apriori_ratio(whole, p) for p in (2.0, 3.5, 4.0)],
+                                         rel=1e-13, abs=0.0)
+
+    def test_large_p_does_not_overflow(self):
+        # max |F| is 2.094, so |F|^1000 overflows: unscaled, ||F||_1000 was
+        # inf and the ratio 0.0
+        u = solve_driven(BETA1, smooth_random_forcing(20260810), nx=32, nt=256,
+                         t_final=0.25, a_fun=lambda x, t: 1.0)
+        assert 1000.0 * math.log(np.max(np.abs(u.F))) > math.log(sys.float_info.max)
+        got = driven_apriori_ratios(BETA1, lambda x, t: 1.0,
+                                    smooth_random_forcing(20260810), u.grid,
+                                    [2.0, 4.0, 1000.0])
+        assert got == [apriori_ratio(u, p) for p in (2.0, 4.0, 1000.0)]
+        assert got[2] == pytest.approx(1.6392, abs=5e-5)
+        # the unscaled sums, where they are finite, within 1e-13
+        h_tau = u.grid.h * u.grid.tau
+        g, proxy = u.grad()[1:], u.flux_proxy()[1:]
+        for p, ratio in zip((2.0, 4.0), got):
+            norms = [float(np.sum(np.abs(v) ** p) * h_tau) ** (1.0 / p)
+                     for v in (g, proxy, u.F[1:])]
+            assert ratio == pytest.approx((norms[0] + norms[1]) / norms[2],
+                                          rel=1e-13, abs=0.0)
+
+    def test_scaled_kernel_rescales_the_running_sum(self):
+        # blocks of growing, shrinking and far larger size: one LpSum over
+        # them matches the closed form of the whole, where |v|^p overflows
+        rng = np.random.default_rng(3)
+        grid = small_grid()
+        blocks = [rng.standard_normal((5, 7)) * s for s in (1e-3, 1.0, 1e200, 1e-250)]
+        for p in (2.0, 7.0, 1000.0):
+            total = solver.LpSum(p)
+            for b in blocks:
+                total.add(b.copy())
+            assert total.norm(grid) == pytest.approx(
+                scaled_lp(np.concatenate(blocks), p, grid), rel=1e-13)
+            assert math.isfinite(total.norm(grid)) and total.norm(grid) > 1e198
+
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_ratio_of_the_full_domain_norms(self, p):
         u = solve_driven(BETA_POW, smooth_random_forcing(5), nx=32, nt=64,
@@ -936,8 +1002,7 @@ class TestArrayPasses:
         assert np.array_equal(u.flux_proxy(), proxy)
         region = u.grid.region()
         for p in (2.0, 3.5, 4.0):
-            assert u.lp(proxy, p, region) == float(
-                (np.sum(np.abs(proxy[1:]) ** p) * u.grid.h * u.grid.tau) ** (1.0 / p))
+            assert u.lp(proxy, p, region) == scaled_lp(proxy[1:], p, u.grid)
 
     @pytest.mark.parametrize("region", [
         (0.2, 0.61, 0.03, 0.2), (0.0, 1.0, 0.0, 0.25), (0.5, 0.5, 0.1, 0.1),
@@ -962,8 +1027,7 @@ class TestArrayPasses:
             assert got.shape == ref.shape and np.array_equal(got, ref)
             assert np.shares_memory(got, values)
             # the norm sums the block row by row, as over that C-ordered copy
-            assert u.lp(values, 2.0, region) == float(
-                (np.sum(np.abs(ref) ** 2.0) * u.grid.h * u.grid.tau) ** 0.5)
+            assert u.lp(values, 2.0, region) == scaled_lp(ref, 2.0, u.grid)
             if values is u.u:  # the sup over slices, as a loop over the rows
                 assert u.sup_weighted_energy(region) == max(
                     float(np.sum(row) * u.grid.h) for row in ref ** 2 * u.beta_cells[cols])

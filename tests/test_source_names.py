@@ -20,6 +20,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wparab"
 
 KEPT = {
     "geometry.height_inverse": "perfbench/layers.py wraps it by name",
+    "experiments.solve_driven":
+        "perfbench/layers.py wraps it by name; tests build whole driven fields with it",
+    "solver.apriori_ratio":
+        "perfbench/layers.py wraps it by name; tests check the streamed sweep against it",
 }
 
 DEFAULTS_KEPT = {
