@@ -150,10 +150,10 @@ def run_solve(run: RunContext) -> list[AuditReport]:
                 "errors": [r["error"] for r in rows]})]
 
     for q, ratios in zip(p.p_values, map(list, zip(*by_level))):
-        spread = ratio(max(ratios) - min(ratios), min(ratios))
+        top, low = float(np.max(ratios)), float(np.min(ratios))  # a NaN level stays NaN
         rows_p = [
-            AuditRow.at_most("ratio-bounded", max(ratios), p.ratio_budget),
-            AuditRow.at_most("refinement-stability", spread, p.stability,
+            AuditRow.at_most("ratio-bounded", top, p.ratio_budget),
+            AuditRow.at_most("refinement-stability", ratio(top - low, low), p.stability,
                              extra={"ratios": ratios}),
         ]
         reports.append(AuditReport.from_rows(

@@ -124,9 +124,9 @@ def weighted_lq_control_audit(g, mu: Weight, q: float,
         wsq = weighted_integral(lambda x: g(x) ** 2, mu, (a, b))
         rows.append(AuditRow.bound(f"dilation-{d:g}", lhs, math.sqrt(wsq / mu_mass),
                                    budget))
-    consts = [r.constant for r in rows]
+    consts = [r.constant for r in rows]  # np.max and np.min keep a NaN row
     rows.append(AuditRow.at_most("dilation-stability",
-                                 ratio(max(consts), min(consts)), 10.0))
+                                 ratio(float(np.max(consts)), float(np.min(consts))), 10.0))
     return AuditReport.from_rows(
         "weighted-lq-control", rows,
         params={"q": q, "gamma": gamma, "aq_characteristic": char,

@@ -176,7 +176,7 @@ def weak_1_1_audit(fields: Sequence[SpaceTimeField], beta: Weight, lambdas,
             rows.append(AuditRow.bound(
                 f"level-{lam:g}", lam * meas, l1, budget,
                 extra={"lambda": float(lam), "levelset_measure": meas}))
-        worst = max([0.0] + [r.constant for r in rows])
+        worst = float(np.max([0.0] + [r.constant for r in rows]))  # a NaN row stays NaN
         rows.append(AuditRow.at_most("weak-11-constant", worst, budget))
         reports.append(AuditReport.from_rows(
             "maximal-weak-1-1", rows,

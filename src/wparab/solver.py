@@ -16,20 +16,22 @@ vanishing at a node never zeroes a row; the implicit operator is an
 M-matrix and each step is one tridiagonal SPD solve (LAPACK ``dgtsv``, in
 place on the new time level). ``dgtsv`` comes from scipy's compiled LAPACK
 module alone, loaded on the first implicit step: no run imports the
-``scipy.linalg`` package. The march reads the conductivity and the forcing
-of one block of ``STEP_BLOCK`` time levels at a time, builds that block's
-diagonals and forcing differences as whole arrays, so a step only forms
-its right-hand side and solves, and hands the solved block to its caller.
+``scipy.linalg`` package. Every solve steps through the one march,
+``_march``, which reads the conductivity and the forcing of one block of
+``STEP_BLOCK`` time levels at a time, builds that block's diagonals and
+forcing differences as whole arrays, so a step only forms its right-hand
+side and solves, and hands the solved block to its caller.
 The time derivative's negative-order norm is represented throughout by the
 flux proxy || a u_x + F ||_{L^p}, which is exactly the bound the energy
 identities use.
 
 Which tables of shape (nt + 1, nx) exist, and when:
 
-* ``solve_ivbp`` keeps the node values u, one table, as the field it
-  returns. A forcing given as a function of a slice of levels (the
-  manufactured one) becomes ``SolutionField.F`` only when something reads
-  it; a forcing given as a table is that table, not copied.
+* ``solve_ivbp`` and ``solve_frozen`` keep the node values u, one table
+  that the one storer, ``_stored``, copies the marched blocks into. A
+  forcing given as a function of a slice of levels (the manufactured one)
+  becomes ``SolutionField.F`` only when something reads it; a forcing
+  given as a table (a frozen solve's zeros) is that table, not copied.
 * A conductivity that does not vary in t is a read-only broadcast view of
   one row.
 * ``driven_apriori_ratios`` keeps no table: it samples the conductivity
@@ -370,20 +372,11 @@ class LpSum:
 def _check_finite(*arrays) -> None:
     """ValueError unless every array is finite. LAPACK ``dgtsv`` takes an
     inf or NaN without a word and spreads it through every later level, so
-    the solvers check what their implicit steps are built from, the march
-    one block of levels at a time."""
+    the march checks what its implicit steps are built from: the weights
+    and the first row at its start, the conductivity and the forcing one
+    block of levels at a time."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
-
-
-def _check_marched(levels: np.ndarray, first_step: int) -> None:
-    """SingularSystem naming the first time level of a march that is not
-    finite, in a block of solved levels whose first is step ``first_step``:
-    finite inputs stay finite through a step unless it overflows."""
-    bad = ~np.isfinite(levels).all(axis=1)
-    if bad.any():
-        raise SingularSystem(f"step {first_step + int(np.argmax(bad))} "
-                             "produced non-finite values")
 
 
 # Time levels whose conductivity and forcing the march reads, and whose
@@ -451,54 +444,69 @@ def _implicit_step(dl, d, du, x, step: int) -> None:
         raise SingularSystem(f"step {step} failed to factor (dgtsv info {info})")
 
 
-def _march(first: np.ndarray, mass: np.ndarray, h: float, nt: int, conductivity,
-           forcing=None, lateral: np.ndarray | None = None,
-           table: np.ndarray | None = None):
-    """Backward Euler over nt steps from the node row ``first``, one block
-    of :func:`level_blocks` at a time; a generator.
+def _march(grid: Grid, beta_cells: np.ndarray, first: np.ndarray, conductivity,
+           forcing, lateral: np.ndarray | None = None):
+    """Backward Euler on ``grid`` from the node row ``first``, one block of
+    :func:`level_blocks` at a time; the one march, a generator.
 
-    Row k + 1 solves mass (u^{k+1} - u^k) = [div(a grad u) + div F]^{k+1} with
-    ``mass`` = b / tau, face conductivities ``conductivity(rows)`` and face
-    forcing ``forcing(rows)`` (none without it) for the levels of the slice
-    ``rows``, each read once per block. ``lateral[k]`` holds the left and
-    right boundary terms a u / h^2 of step k + 1 (zero Dirichlet data
-    without it). The diagonals and the forcing differences are built per
-    block with the elementwise expressions of a single step.
+    Row k + 1 solves (b / tau) (u^{k+1} - u^k) = [div(a grad u) + div F]^{k+1}
+    with b the interior dual-cell weights ``beta_cells[1:-1]``, face
+    conductivities ``conductivity(rows)`` and face forcing ``forcing(rows)``
+    for the levels of the slice ``rows``, each read once per block.
+    ``lateral[k]`` holds the left and right boundary terms a u / h^2 of step
+    k + 1 (zero Dirichlet data without it). The diagonals and the forcing
+    differences are built per block with the elementwise expressions of a
+    single step.
 
-    The levels go into ``table`` (``first`` is its row 0) when given, else
-    into one block buffer that keeps only the row the next block steps
-    from. Each block yields (levels, a, f): the node rows of its levels,
-    solved inside and zero on the lateral columns, and the conductivity and
-    forcing read for them, valid until the next block is marched. Non-finite
-    conductivity or forcing raises ValueError, a step that overflows
-    SingularSystem.
+    The levels go into one block buffer that keeps only the row the next
+    block steps from. Each block yields (rows, levels, a, f): its slice of
+    levels, their node rows, solved inside and zero on the lateral columns,
+    and the conductivity and forcing read for them, valid until the next
+    block is marched. Non-finite weights, first row, conductivity or
+    forcing raise ValueError, a step that overflows SingularSystem.
     """
-    buf = table if table is not None else np.zeros((STEP_BLOCK + 1, first.size))
+    _check_finite(beta_cells[1:-1], first[1:-1])
+    mass, h = beta_cells[1:-1] / grid.tau, grid.h
+    buf = np.zeros((STEP_BLOCK + 1, grid.nx + 1))
     buf[0] = first
-    for rows in level_blocks(nt):
+    for rows in level_blocks(grid.nt):
         k0 = rows.start - 1
-        a = conductivity(rows)
-        f = forcing(rows) if forcing is not None else None
-        _check_finite(a, *([] if f is None else [f]))
+        a, f = conductivity(rows), forcing(rows)
+        _check_finite(a, f)
         dl = -a[:, 1:-1] / h ** 2
         du = dl.copy()
         d = mass + (a[:, 1:] + a[:, :-1]) / h ** 2
-        if f is not None:
-            src = (f[:, 1:] - f[:, :-1]) / h
-        u = buf[k0:rows.stop] if table is not None else buf[:rows.stop - k0]
+        src = (f[:, 1:] - f[:, :-1]) / h
+        u = buf[:rows.stop - k0]
         for j in range(a.shape[0]):
             x = u[j + 1, 1:-1]
             np.multiply(mass, u[j, 1:-1], out=x)
-            if f is not None:
-                x += src[j]
+            x += src[j]
             if lateral is not None:
                 x[0] += lateral[k0 + j, 0]
                 x[-1] += lateral[k0 + j, 1]
             _implicit_step(dl[j], d[j], du[j], x, k0 + j + 1)
-        _check_marched(u[1:], rows.start)
-        yield u[1:], a, f
-        if table is None:
-            buf[0] = u[-1]
+        # finite inputs stay finite through a step unless it overflows
+        bad = ~np.isfinite(u[1:]).all(axis=1)
+        if bad.any():
+            raise SingularSystem(f"step {rows.start + int(np.argmax(bad))} "
+                                 "produced non-finite values")
+        yield rows, u[1:], a, f
+        buf[0] = u[-1]
+
+
+def _stored(grid: Grid, beta: Weight, beta_cells: np.ndarray, A: CoefficientField,
+            forcing, first: np.ndarray, lateral: np.ndarray | None = None) -> SolutionField:
+    """The field that :func:`_march` gives from the node row ``first``: each
+    marched block is copied into one (nt + 1, nx + 1) table of node values,
+    whose row 0 is ``first``."""
+    u = np.empty((grid.nt + 1, grid.nx + 1))
+    u[0] = first
+    for rows, levels, _, _ in _march(grid, beta_cells, first, A.values.__getitem__,
+                                     forcing, lateral):
+        u[rows] = levels
+    return SolutionField(grid=grid, u=u, beta=beta, beta_cells=beta_cells, A=A,
+                         forcing=forcing)
 
 
 def solve_ivbp(beta: Weight, A: CoefficientField, F, grid: Grid,
@@ -518,18 +526,11 @@ def solve_ivbp(beta: Weight, A: CoefficientField, F, grid: Grid,
         if F.shape != (grid.nt + 1, grid.nx):
             raise ValueError("forcing does not match the grid")
         F = F.__getitem__
-    beta_cells = cell_averaged_weight(beta, grid)
-    u = np.zeros((grid.nt + 1, grid.nx + 1))
+    first = np.zeros(grid.nx + 1)
     if initial is not None:
-        u[0, :] = np.asarray(initial, dtype=float)
-        u[0, 0] = 0.0
-        u[0, -1] = 0.0
-    _check_finite(beta_cells[1:-1], u[0, 1:-1])
-    for _ in _march(u[0], beta_cells[1:-1] / grid.tau, grid.h, grid.nt,
-                    A.values.__getitem__, forcing=F, table=u):
-        pass
-    return SolutionField(grid=grid, u=u, beta=beta, beta_cells=beta_cells,
-                         A=A, forcing=F)
+        first[:] = initial
+        first[[0, -1]] = 0.0
+    return _stored(grid, beta, cell_averaged_weight(beta, grid), A, F, first)
 
 
 def driven_apriori_ratios(beta: Weight, a_fun, forcing_fn, grid: Grid,
@@ -542,12 +543,10 @@ def driven_apriori_ratios(beta: Weight, a_fun, forcing_fn, grid: Grid,
     and keeps only the row it steps from, and each solved block goes into
     the ratios' L^p sums.
     """
-    beta_cells = cell_averaged_weight(beta, grid)
-    _check_finite(beta_cells[1:-1])
     return _apriori_ratios(
-        _march(np.zeros(grid.nx + 1), beta_cells[1:-1] / grid.tau, grid.h, grid.nt,
+        _march(grid, cell_averaged_weight(beta, grid), np.zeros(grid.nx + 1),
                lambda rows: conductivity_rows(a_fun, grid, rows),
-               forcing=lambda rows: forcing_rows(forcing_fn, grid, rows)),
+               lambda rows: forcing_rows(forcing_fn, grid, rows)),
         grid, p_values)
 
 
@@ -569,20 +568,14 @@ def solve_frozen(beta_bar: float, a_bar, x_span: tuple[float, float],
     grid = Grid(x0=a, x1=b, nx=nx, t_final=t_span[1], nt=nt, t0=t_span[0])
     A = CoefficientField.from_callable(
         (lambda _, t: a_bar(t)) if callable(a_bar) else (lambda _, t: a_bar), grid)
-    beta_cells = np.full(grid.nx + 1, beta_bar)
-    u = np.zeros((grid.nt + 1, grid.nx + 1))
-    u[0, :] = data(grid.x, grid.t[0])
+    first = sample_broadcast(data, grid.x, grid.t[0], grid.x.shape)
     ends = sample_broadcast(data, np.array([[a, b]]), grid.t[1:, None], (grid.nt, 2))
-    _check_finite(beta_cells[1:-1], u[0, 1:-1], ends)
-    lateral = A.values[1:, [0, -1]] * ends / grid.h ** 2
-    for _ in _march(u[0], beta_cells[1:-1] / grid.tau, grid.h, grid.nt,
-                    A.values.__getitem__, lateral=lateral, table=u):
-        pass
-    u[1:, [0, -1]] = ends
-    beta_const = Weight.constant(beta_bar, (a, b))
-    F = np.zeros((grid.nt + 1, grid.nx))
-    return SolutionField(grid=grid, u=u, beta=beta_const, beta_cells=beta_cells,
-                         A=A, forcing=F.__getitem__)
+    _check_finite(ends)
+    v = _stored(grid, Weight.constant(beta_bar, (a, b)), np.full(grid.nx + 1, beta_bar), A,
+                np.zeros((grid.nt + 1, grid.nx)).__getitem__, first,
+                A.values[1:, [0, -1]] * ends / grid.h ** 2)
+    v.u[1:, [0, -1]] = ends
+    return v
 
 
 # -- audits -------------------------------------------------------------------
@@ -738,11 +731,12 @@ def freeze_compare(u: SolutionField, A_fun, cyl_base: WeightedCylinder,
 
 def _apriori_ratios(blocks, grid: Grid, p_values: list[float]) -> list[float]:
     """:func:`apriori_ratio` at each of ``p_values``, from ``blocks``: the
-    (levels, a, f) of the implicit levels, node rows with their face
-    conductivities and forcing, one block at a time. For every p it adds
-    each block's |u_x|^p, |a u_x + F|^p and |F|^p to an :class:`LpSum`."""
+    (rows, levels, a, f) of the implicit levels as :func:`_march` yields
+    them, node rows with their face conductivities and forcing, one block at
+    a time. For every p it adds each block's |u_x|^p, |a u_x + F|^p and
+    |F|^p to an :class:`LpSum`."""
     sums = [(LpSum(p), LpSum(p), LpSum(p)) for p in p_values]
-    for levels, a, f in blocks:
+    for _, levels, a, f in blocks:
         g = np.subtract(levels[:, 1:], levels[:, :-1])
         g /= grid.h
         proxy = g * a
@@ -763,7 +757,7 @@ def apriori_ratio(u: SolutionField, p: float) -> float:
     infinite when only the forcing vanishes. The norms are summed over the
     march's blocks of levels, whose forcing rows come from ``u.forcing``.
     """
-    return _apriori_ratios(((u.u[rows], u.A.values[rows], u.forcing(rows))
+    return _apriori_ratios(((rows, u.u[rows], u.A.values[rows], u.forcing(rows))
                             for rows in level_blocks(u.grid.nt)), u.grid, [p])[0]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wparab import inequalities
 from wparab.errors import EmptyBall, GateFailed
 from wparab.inequalities import (
     _GL16_NODES,
@@ -162,6 +163,23 @@ class TestLqControl:
         assert row.lhs == pytest.approx(lhs_ref, rel=1e-6)
         assert row.rhs == pytest.approx(rhs_ref, rel=1e-8)
         assert math.isfinite(row.constant)
+
+    def test_a_nan_dilation_fails_the_stability_row(self, monkeypatch):
+        # the dilation-0.5 row's lhs integral is NaN; max and min of the
+        # constants [1, NaN, 1] dropped it and the row read 1
+        integral, calls = inequalities.weighted_integral, []
+
+        def nan_third(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 3 else integral(*args)
+
+        monkeypatch.setattr(inequalities, "weighted_integral", nan_third)
+        rep = weighted_lq_control_audit(poly([1.0]), Weight.constant(1.0, DOM), 2.0,
+                                        (0.0, 0.0, 0.9), 0.1, M0, self.fam(), math.inf)
+        assert math.isnan(rep.rows[1].constant)
+        row = rep.rows[-1]
+        assert row.label == "dilation-stability" and math.isnan(row.constant)
+        assert not row.passed
 
     def test_gate_on_gamma(self):
         g = poly([1.0])

@@ -329,6 +329,18 @@ class TestWeakOneOne:
             assert rep.passed
             assert np.isfinite(rep.rows[-1].constant)
 
+    def test_a_nan_level_fails_the_constant_row(self, monkeypatch):
+        # max([0.0] + constants) dropped every NaN row and read 0.0
+        beta = Weight.constant(1.0, (-1.0, 1.0))
+        f = make_field(np.random.default_rng(3).random((8, 8)))
+        measure = maximal._levelset_measure
+        monkeypatch.setattr(maximal, "_levelset_measure", lambda values, lam, area:
+                            math.nan if lam == 0.5 else measure(values, lam, area))
+        rep, = weak_1_1_audit([f], beta, [0.25, 0.5, 1.0], budget=100.0)
+        row = rep.rows[-1]
+        assert row.label == "weak-11-constant" and math.isnan(row.constant)
+        assert not row.passed and not rep.passed
+
     def test_zero_radius_rejected(self):
         # a zero radius made 0/0 = NaN, and NaN > lambda let the audit pass
         beta = Weight.constant(1.0, (-1.0, 1.0))

@@ -298,6 +298,26 @@ def bad_values(section, key, param):
             for v in values]
 
 
+class TestAprioriRows:
+    def test_a_nan_ratio_at_a_later_level_fails_both_rows(self, monkeypatch, tmp_path):
+        # max and min drop a NaN that does not come first: ratios [1, 1, NaN]
+        # gave ratio-bounded 1 and refinement-stability 0, both passing
+        def ratios(beta, a_fun, forcing, grid, p_values):
+            return [math.nan if grid.nx == 32 else 1.0 for _ in p_values]
+
+        monkeypatch.setattr(cli, "driven_apriori_ratios", ratios)
+        cfg = ExperimentConfig.load(IDENTITY_CONFIG)
+        cfg.audits["solve"].levels = [8, 16, 32]
+        run = cli.RunContext(cfg, cfg.seed, tmp_path)
+        reports = cli.run_solve(run)
+        run.dump.result()
+        apriori = [r for r in reports if r.check.startswith("apriori-ratio-p")]
+        assert apriori and all(len(r.rows) == 2 for r in apriori)
+        for rep in apriori:
+            assert [row.passed for row in rep.rows] == [False, False]
+            assert all(math.isnan(row.constant) for row in rep.rows)
+
+
 class LevelsetDrawn(Exception):
     """Stops ``run_levelset`` once its random draws are made."""
 

@@ -472,15 +472,16 @@ class TestBlockedMarching:
         got = solve_ivbp(BETA_POW, A, F, grid, initial=u0 if initial else None)
         ref = march_per_step(got.beta_cells, A.values, u0, grid.h, grid.tau, F=F)
         assert same_bits(got.u, ref)
-        # the block-handing path: no table, one buffer of STEP_BLOCK levels,
-        # the conductivity and forcing read per block (nt = 5, 9 < STEP_BLOCK;
-        # 2 STEP_BLOCK + 37 ends in a partial block)
-        blocks = [(levels.copy(), a, f) for levels, a, f in solver._march(
-            u0, got.beta_cells[1:-1] / grid.tau, grid.h, nt, A.values.__getitem__,
-            forcing=F.__getitem__)]
-        assert [len(b[0]) for b in blocks] == [r.stop - r.start for r in solver.level_blocks(nt)]
-        assert same_bits(np.concatenate([b[0] for b in blocks]), ref[1:])
-        for (_, a, f), rows in zip(blocks, solver.level_blocks(nt)):
+        # the blocks the march hands over from its one buffer of STEP_BLOCK
+        # levels, with the conductivity and forcing read for them (nt = 5,
+        # 9 < STEP_BLOCK; 2 STEP_BLOCK + 37 ends in a short block)
+        blocks = [(rows, levels.copy(), a, f) for rows, levels, a, f in solver._march(
+            grid, got.beta_cells, u0, A.values.__getitem__, F.__getitem__)]
+        assert [b[0] for b in blocks] == solver.level_blocks(nt)
+        if nt == 2 * STEP_BLOCK + 37:
+            assert len(blocks[-1][1]) == 37
+        for rows, levels, a, f in blocks:
+            assert same_bits(levels, ref[rows])
             assert same_bits(a, A.values[rows]) and same_bits(f, F[rows])
 
     @pytest.mark.parametrize("nx, nt", [(2, 7), (12, STEP_BLOCK + 1)])
