@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import draws
 from .config import KNOWN_GROUPS, SEED, ExperimentConfig
 from .errors import ConfigError, ToolkitError
 from .experiments import (ManufacturedCase, convergence_study, default_nt,
@@ -241,21 +242,20 @@ def run_levelset(run: RunContext) -> list[AuditReport]:
     w, seed, p = run.weight, run.seed, run.cfg.audits["levelset"]
     lo, hi = w.domain[0]
 
-    # independent streams: child i of the fields' child for field i, and
-    # the Vitali draw's own child, whatever the number of fields
-    field_seeds, vitali_seed = np.random.SeedSequence(seed).spawn(2)
+    # independent streams: field i keyed by i, and the Vitali draw's own,
+    # whatever the number of fields
     fields = [SpaceTimeField(np.linspace(lo, hi, 17), np.linspace(-1.0, 0.0, 17),
-                             np.random.default_rng(s).random((16, 16)))
-              for s in field_seeds.spawn(p.n_fields)]
+                             draws.uniform(draws.key(seed, "field", i), 0.0, 1.0, (16, 16)))
+              for i in range(p.n_fields)]
     reports = weak_1_1_audit(fields, w, p.lambdas, budget=p.weak11_budget)
     for i, rep in enumerate(reports):
         rep.check = f"maximal-weak-1-1-field{i}"
         rep.seed = seed
 
-    rng = np.random.default_rng(vitali_seed)
-    cyls = [WeightedCylinder(rng.uniform(lo + 0.1, hi - 0.1), rng.uniform(-0.8, -0.2),
-                             float(rng.uniform(0.02, 0.15)), w, variant="C")
-            for _ in range(p.n_cylinders)]
+    # one cylinder (x0, t0, r) per row
+    centers = draws.uniform(draws.key(seed, "vitali"), [lo + 0.1, -0.8, 0.02],
+                            [hi - 0.1, -0.2, 0.15], (p.n_cylinders, 3))
+    cyls = [WeightedCylinder(x0, t0, r, w, variant="C") for x0, t0, r in centers.tolist()]
     cover = five_rho_cover_audit(cyls, vitali_select(cyls), w)
     cover.seed = seed
     reports.append(cover)

@@ -64,7 +64,8 @@ class Param:
                                         ("<", self.lt)) if b is not None]
         if not all(_COMPARE[op](value, b) for op, b in bounds):
             key = name.rsplit(".", 1)[-1]
-            text = " and ".join(f"{key} {op} {b:g}" for op, b in bounds)
+            text = " and ".join(f"{key} {op} {b:g}" if isinstance(b, float)
+                                else f"{key} {op} {b}" for op, b in bounds)
             raise ConfigError(f"{where} must satisfy {text}, got {raw!r}")
         return value
 
@@ -149,9 +150,10 @@ WEIGHT_PARAMS = {"value": Param("float", 1.0, gt=0.0), "alpha": Param("float"),
                  "center": Param("float", 0.5), "scale": Param("float", 1.0, gt=0.0)}
 DOMAIN_BOUND = Param("float")
 
-# The root seed, from the config or from ``--seed``: numpy's generators
-# take only non-negative integers.
-SEED = Param("int", ge=0)
+# The root seed, from the config or from ``--seed``: the draws' stream keys
+# (``draws.key``) take a 64-bit seed; masked, a larger one would share the
+# streams of another.
+SEED = Param("int", ge=0, lt=2 ** 64)
 
 
 def _object(section, known, name: str) -> dict:

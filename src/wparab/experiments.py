@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import draws
 from .geometry import WeightedCylinder
 from .solver import (
     CoefficientField,
@@ -140,14 +141,14 @@ def convergence_study(beta: Weight, levels: list[int], t_final: float,
 
 
 def smooth_random_forcing(seed: int):
-    """A fixed smooth forcing built from six seeded mode coefficients.
+    """A fixed smooth forcing built from six pairs of mode coefficients,
+    drawn from the seed's ``"forcing"`` stream (:mod:`.draws`).
 
     The same continuum function is evaluated on every grid, so refinement
     sweeps measure discretization effects only.
     """
-    rng = np.random.default_rng(seed)
-    cx = rng.uniform(-1.0, 1.0, 6)
-    ct = rng.uniform(0.5, 2.0, 6)
+    cx, ct = draws.uniform(draws.key(seed, "forcing"), [[-1.0], [0.5]], [[1.0], [2.0]],
+                           (2, 6))
 
     def fn(x, t):
         val = 0.0

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import draws
 from .errors import NoBracket
 from .report import AuditReport, AuditRow
 from .weights import N0, BallFamily, Weight, ball_grid
@@ -380,8 +381,9 @@ def quasi_triangle_audit(beta: Weight, samples: int, seed: int) -> AuditReport:
     deterministic adversarial batch, computes the worst ratio
     rho(z0, zbar) / (rho(z0, z1) + rho(z1, zbar)), and passes iff it does
     not exceed 1 + ``QT_MARGIN``: in 1D rho is a metric. Degenerate triples
-    contribute ratio 0; the first worst triple is reported. The draws stay
-    those of ``default_rng(seed)``: all x, then all t, of the samples. The
+    contribute ratio 0; the first worst triple is reported. The x and the t
+    of the random triples come from two keyed streams of the seed
+    (:mod:`.draws`), triple j from counters 3j to 3j + 2 of each. The
     triples are walked in blocks of ``TRIPLE_BLOCK``, each leg measured by
     :func:`quasi_distance_batch`, so memory does not grow with ``samples``.
     """
@@ -389,15 +391,16 @@ def quasi_triangle_audit(beta: Weight, samples: int, seed: int) -> AuditReport:
     t_span = height(beta, 0.5 * (lo + hi), 0.5 * (hi - lo)).item()
     xs_adv, ts_adv = _adversarial_triples(lo, hi, t_span)
     total = samples + len(xs_adv)
-    rng_x, rng_t = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
-    rng_t.bit_generator.advance(3 * samples)  # one 64-bit draw per double
+    key_x, key_t = (draws.key(seed, label) for label in ("triangle-x", "triangle-t"))
     best = []
     for a in range(0, total, TRIPLE_BLOCK):
         b = min(a + TRIPLE_BLOCK, total)
         n_rand = max(min(b, samples) - a, 0)
         adv = slice(max(a - samples, 0), max(b - samples, 0))
-        xs = np.vstack([rng_x.uniform(lo, hi, size=(n_rand, 3)), xs_adv[adv]])
-        ts = np.vstack([rng_t.uniform(-t_span, 0.0, size=(n_rand, 3)), ts_adv[adv]])
+        xs = np.vstack([draws.uniform(key_x, lo, hi, (n_rand, 3), start=3 * a),
+                        xs_adv[adv]])
+        ts = np.vstack([draws.uniform(key_t, -t_span, 0.0, (n_rand, 3), start=3 * a),
+                        ts_adv[adv]])
         # the main leg (z0, zbar), then the side legs (z0, z1) and (z1, zbar)
         main, side1, side2 = (quasi_distance_batch(beta, xs[:, i], ts[:, i],
                                                    xs[:, j], ts[:, j])

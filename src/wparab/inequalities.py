@@ -27,8 +27,18 @@ from .report import AuditReport, AuditRow, ratio
 from .weights import BallFamily, Weight, aq_characteristic, reverse_holder_gamma
 
 _SLAB = 1e-10  # relative half-width of the analytic innermost slab
-# 16-point Gauss-Legendre nodes and weights on [-1, 1], per graded cell
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre nodes and weights on [-1, 1], per graded cell: the
+# bits of numpy.polynomial.legendre.leggauss(16), whose rule is symmetric,
+# written out so that no run imports numpy.polynomial
+_GL16_HALF = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                       0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                       0.9445750230732326, 0.9894009349916499])
+_GL16_HALF_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364,
+                               0.16915651939500265, 0.1495959888165767,
+                               0.12462897125553407, 0.0951585116824926,
+                               0.062253523938647456, 0.027152459411754176])
+_GL16_NODES = np.concatenate([-_GL16_HALF[::-1], _GL16_HALF])
+_GL16_WEIGHTS = np.concatenate([_GL16_HALF_WEIGHTS[::-1], _GL16_HALF_WEIGHTS])
 
 
 def _graded_cells(a: float, b: float, singular: float | None) -> np.ndarray:
@@ -41,7 +51,9 @@ def _graded_cells(a: float, b: float, singular: float | None) -> np.ndarray:
         return np.linspace(a, b, 49)
     left = singular - (singular - a) * np.geomspace(1.0, _SLAB, 25)
     right = singular + (b - singular) * np.geomspace(_SLAB, 1.0, 25)
-    return np.unique(np.concatenate([[a], left, right, [b]]))
+    # np.unique's edges without its numpy.ma import: sorted, repeats dropped
+    edges = np.sort(np.concatenate([[a], left, right, [b]]))
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
 def weighted_integral(fn, weight: Weight | None, interval) -> float:

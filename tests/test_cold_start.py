@@ -1,6 +1,9 @@
 """No run imports the scipy.linalg package: the implicit steps load scipy's
 compiled LAPACK module alone, on the first march, and a later
-``import scipy.linalg`` gives the same ``dgtsv``.
+``import scipy.linalg`` gives the same ``dgtsv``. Nor does a run load
+numpy.random (and through it hashlib), numpy.polynomial or numpy.ma: the
+seeded draws come from ``wparab.draws``, the Gauss-Legendre rule is written
+out, and the graded cells are deduplicated without ``np.unique``.
 
 Each test runs in a fresh interpreter, so no module another test imported
 (the solver tests import scipy.linalg themselves) can make it pass.
@@ -11,8 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-POWER_CONFIG = SRC / "wparab" / "configs" / "power_weight.json"
+CONFIGS = ("power_weight", "identity")
+GROUPS = ("weights", "geometry", "flatten", "solve", "audit", "levelset")
+# modules that no group uses, each 0.7 to 6 MB of resident memory once loaded
+UNUSED = ("numpy.random", "hashlib", "numpy.polynomial", "numpy.ma", "scipy.linalg")
 
 
 def run_fresh(code: str, *args: str) -> dict:
@@ -30,23 +38,40 @@ GROUPS_CODE = """
 import contextlib, io, json, sys
 from wparab.cli import main
 
-config, out = sys.argv[1:]
-loaded = {"import": "scipy.linalg" in sys.modules}
+config, out, *unused = sys.argv[1:]
+loaded = {"import": [m for m in unused if m in sys.modules]}
 codes = {}
-for group in ("weights", "geometry", "flatten", "solve", "audit", "levelset"):
+for group in %r:
     with contextlib.redirect_stdout(io.StringIO()):
         codes[group] = main([group, "--config", config, "--out", f"{out}/{group}"])
-    loaded[group] = "scipy.linalg" in sys.modules
+    loaded[group] = [m for m in unused if m in sys.modules]
 print(json.dumps({"loaded": loaded, "codes": codes}))
-"""
+""" % (GROUPS,)
 
 
-def test_groups_without_a_march_leave_scipy_linalg_unloaded(tmp_path):
+@pytest.fixture(scope="module")
+def group_runs(tmp_path_factory):
+    """Each bundled config's groups run one after another in one fresh
+    interpreter: the exit codes, and which of ``UNUSED`` were loaded after
+    the import and after each group."""
+    return {name: run_fresh(GROUPS_CODE, str(SRC / "wparab" / "configs" / f"{name}.json"),
+                            str(tmp_path_factory.mktemp(name)), *UNUSED)
+            for name in CONFIGS}
+
+
+def test_groups_without_a_march_leave_scipy_linalg_unloaded(group_runs):
     # the marching groups, solve, audit and levelset, included
-    got = run_fresh(GROUPS_CODE, str(POWER_CONFIG), str(tmp_path))
-    groups = ("weights", "geometry", "flatten", "solve", "audit", "levelset")
-    assert got["codes"] == dict.fromkeys(groups, 0)
-    assert got["loaded"] == dict.fromkeys(("import",) + groups, False)
+    got = group_runs["power_weight"]
+    assert got["codes"] == dict.fromkeys(GROUPS, 0)
+    assert ({stage: "scipy.linalg" in mods for stage, mods in got["loaded"].items()}
+            == dict.fromkeys(("import",) + GROUPS, False))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_no_group_loads_a_module_it_does_not_use(group_runs, config):
+    got = group_runs[config]
+    assert got["codes"] == dict.fromkeys(GROUPS, 0)
+    assert got["loaded"] == dict.fromkeys(("import",) + GROUPS, [])
 
 
 STEP_CODE = """

@@ -63,6 +63,24 @@ class TestDescriptors:
 
 
 class TestQuadrature:
+    def test_gauss_legendre_literals_are_leggauss_bits(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert _GL16_NODES.tobytes() == nodes.tobytes()
+        assert _GL16_WEIGHTS.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("a, b, singular", [
+        (-0.6, 0.8, 0.0), (0.0, 0.7, 0.0), (-1.0, 1.0, 0.2), (0.1, 0.95, -0.5),
+        (0.3, 0.3 + 1e-12, 0.3 + 5e-13), (-1.0, 1.0, 1.0 - 1e-16), (0.4, 0.4, None)])
+    def test_graded_cells_are_the_unique_edges(self, a, b, singular):
+        got = _graded_cells(a, b, singular)
+        if singular is not None and a < singular < b:
+            left = singular - (singular - a) * np.geomspace(1.0, _SLAB, 25)
+            right = singular + (b - singular) * np.geomspace(_SLAB, 1.0, 25)
+            want = np.unique(np.concatenate([[a], left, right, [b]]))
+        else:
+            want = np.linspace(a, b, 49)
+        assert got.tobytes() == want.tobytes()
+
     def test_weighted_integral_closed_form(self):
         # int_{-1}^{1} x^2 |x|^{1/2} dx = 2 * int_0^1 x^{2.5} = 2/3.5
         w = Weight.power(0.5, 0.0, DOM)

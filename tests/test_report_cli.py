@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -417,6 +418,7 @@ class TestCliExits:
                 {"audits": {"levelset": {"lambdas": []}}},
                 {"seed": "abc"},
                 {"seed": -1},
+                {"seed": 2 ** 64},
                 {"seed": 2.5},
                 {"seed": True},
                 {"weight": {"kind": "power", "alpha": -1.5, "domain": [0.0, 1.0]}},
@@ -450,14 +452,18 @@ class TestCliExits:
         assert run_experiment(str(cfg), str(tmp_path / "out"), groups=["solve"]) == 2
         # and so is a seed given on the command line
         cfg = self.write_config(tmp_path, {})
-        assert main(["weights", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--seed", "-1"]) == 2
+        for seed in ("-1", str(2 ** 64)):
+            assert main(["weights", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--seed", seed]) == 2
         err = capsys.readouterr().err
         assert "seed must be an integer, got 'abc'" in err
-        assert "seed must satisfy seed >= 0, got -1" in err
         assert "seed must be an integer, got 2.5" in err
         assert "seed must be an integer, got True" in err
-        assert "--seed must satisfy --seed >= 0, got -1" in err
+        # a seed beyond 64 bits would share the stream keys of another
+        for name, seed in itertools.product(("seed", "--seed"),
+                                            (-1, 18446744073709551616)):
+            assert (f"{name} must satisfy {name} >= 0 and "
+                    f"{name} < 18446744073709551616, got {seed}") in err
         assert "invalid weight spec: alpha = -1.5" in err
         assert "invalid weight spec: a sampled weight needs at least one cell value" in err
         assert "unknown key(s) ['centre'] in the power weight" in err
@@ -734,3 +740,7 @@ class TestCliExits:
         jb = (out_b / "geometry__quasi-triangle-inequality.json").read_text()
         assert json.loads(ja)["seed"] == 1
         assert json.loads(jb)["seed"] == 2
+        # the largest seed: a 64-bit key like any other
+        assert run_experiment(str(cfg), str(out_b), seed=2 ** 64 - 1) == 0
+        jc = (out_b / "geometry__quasi-triangle-inequality.json").read_text()
+        assert json.loads(jc)["seed"] == 2 ** 64 - 1 and jc != jb

@@ -883,16 +883,16 @@ class TestAprioriRatio:
                                          rel=1e-13, abs=0.0)
 
     def test_large_p_does_not_overflow(self):
-        # max |F| is 2.094, so |F|^1000 overflows: unscaled, ||F||_1000 was
-        # inf and the ratio 0.0
+        # max |F| is 1.734, so |F|^2000 overflows: unscaled, ||F||_2000 would
+        # be inf and the ratio 0.0
         u = solve_driven(BETA1, smooth_random_forcing(20260810), nx=32, nt=256,
                          t_final=0.25, a_fun=lambda x, t: 1.0)
-        assert 1000.0 * math.log(np.max(np.abs(u.F))) > math.log(sys.float_info.max)
+        assert 2000.0 * math.log(np.max(np.abs(u.F))) > math.log(sys.float_info.max)
         got = driven_apriori_ratios(BETA1, lambda x, t: 1.0,
                                     smooth_random_forcing(20260810), u.grid,
-                                    [2.0, 4.0, 1000.0])
-        assert got == [apriori_ratio(u, p) for p in (2.0, 4.0, 1000.0)]
-        assert got[2] == pytest.approx(1.6392, abs=5e-5)
+                                    [2.0, 4.0, 2000.0])
+        assert got == [apriori_ratio(u, p) for p in (2.0, 4.0, 2000.0)]
+        assert got[2] == pytest.approx(1.8812, abs=5e-5)
         # the unscaled sums, where they are finite, within 1e-13
         h_tau = u.grid.h * u.grid.tau
         g, proxy = u.grad()[1:], u.flux_proxy()[1:]
